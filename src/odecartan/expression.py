@@ -15,7 +15,7 @@ from .errors import (
     SingularEvaluationError,
     SingularSubstitutionError,
 )
-from .poly import Poly, poly_gcd
+from .poly import Poly, mono_gcd, poly_gcd
 
 _ZERO = Fraction(0)
 
@@ -84,6 +84,9 @@ class Expression:
         return (self.num * other.den - other.num * self.den).is_zero
 
     def __hash__(self):
+        # a rational constant equals the int or Fraction of its value
+        if self.is_rational_constant:
+            return hash(self.const_value())
         return hash((self.num, self.den))
 
     def symbols(self):
@@ -266,10 +269,7 @@ def _normalize(num, den):
         return num, Poly.const(1)
     m = num.mono_content()
     if m:
-        dm = den.mono_content()
-        from .poly import mono_gcd
-
-        g = mono_gcd(m, dm)
+        g = mono_gcd(m, den.mono_content())
         if g:
             num = num.div_mono(g)
             den = den.div_mono(g)

@@ -2,15 +2,19 @@
 
 Monomials are tuples of ``(Sym, exponent)`` pairs sorted by the global
 symbol order; the term order everywhere is graded lexicographic.  The
-expanded form is canonical, so the zero test is decisive.  Full GCD
-reduction is a size optimization with a configurable term budget;
-correctness of equality never depends on it.
+expanded form is canonical, so the zero test is decisive.
+
+``poly_gcd`` is exact for every input, with no size limit, so reduced
+fractions are canonical.  It works on sparse integer maps: the heuristic
+GCD (GCDHEU) of Char, Geddes and Gonnet answers by integer evaluation,
+``math.gcd`` and interpolation, checked by exact trial division, and
+Brown's primitive pseudo-remainder sequence answers when it fails.
+``Poly.exact_div`` divides the same integer maps.
 """
 
 from fractions import Fraction
-from math import gcd as int_gcd
-
-from . import config
+from math import gcd as int_gcd, isqrt
+from operator import add, sub
 
 ONE_MONO = ()
 
@@ -237,8 +241,8 @@ class Poly:
             return Poly.zero()
         return Poly({m: c * value for m, c in self.terms.items()})
 
-    def mul_mono(self, mono, coeff=Fraction(1)):
-        return Poly({mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
+    def mul_mono(self, mono):
+        return Poly({mono_mul(m, mono): c for m, c in self.terms.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -302,38 +306,6 @@ class Poly:
             return self
         return Poly({mono_div(m, mono): c for m, c in self.terms.items()})
 
-    def degree_in(self, sym):
-        d = 0
-        for m in self.terms:
-            for s, e in m:
-                if s.key == sym.key:
-                    d = max(d, e)
-                    break
-        return d
-
-    def coeffs_in(self, sym):
-        """View as univariate in ``sym``: ``{exp: Poly in the other symbols}``."""
-        out = {}
-        for m, c in self.terms.items():
-            e = 0
-            rest = m
-            for i, (s, k) in enumerate(m):
-                if s.key == sym.key:
-                    e = k
-                    rest = m[:i] + m[i + 1:]
-                    break
-            bucket = out.setdefault(e, {})
-            acc = bucket.get(rest)
-            bucket[rest] = c if acc is None else acc + c
-        return {e: Poly({m: c for m, c in bucket.items() if c}) for e, bucket in out.items()}
-
-    @staticmethod
-    def from_coeffs_in(sym, coeffs):
-        out = Poly.zero()
-        for e, p in coeffs.items():
-            out = out + (p.mul_mono(((sym, e),)) if e else p)
-        return out
-
     def exact_div(self, other):
         """Exact quotient self/other, or None when the division is inexact."""
         if other.is_zero:
@@ -342,27 +314,13 @@ class Poly:
             return Poly.zero()
         if other.is_const:
             return self.scale(1 / other.const_value())
-        if len(other.terms) == 1:
-            ((om, oc),) = other.terms.items()
-            out = {}
-            for m, c in self.terms.items():
-                qm = mono_div(m, om)
-                if qm is None:
-                    return None
-                out[qm] = c / oc
-            return Poly(out)
-        lm, lc = other.leading()
-        rem = self
-        quot = {}
-        while not rem.is_zero:
-            rm, rc = rem.leading()
-            qm = mono_div(rm, lm)
-            if qm is None:
-                return None
-            qc = rc / lc
-            quot[qm] = qc
-            rem = rem + other.mul_mono(qm, -qc)
-        return Poly(quot)
+        # by Gauss's lemma, other divides self over Q exactly when the
+        # primitive integer parts divide over Z
+        syms = sorted(self.symbols() | other.symbols())
+        f, cf = _to_int(self, syms)
+        g, cg = _to_int(other, syms)
+        q = _exact_div(f, g)
+        return None if q is None else _from_int(q, syms, cf / cg)
 
     def __repr__(self):
         if not self.terms:
@@ -375,137 +333,344 @@ class Poly:
 
 
 def poly_gcd(a, b):
-    """Primitive multivariate GCD (positive leading coefficient).
+    """Exact primitive multivariate GCD with a positive leading coefficient.
 
-    Gives up (returns 1) beyond the configured term budget; callers only
-    ever use the result to cancel common factors, so 1 is always sound.
+    Monomial factors count: ``poly_gcd(p*(p+1), p*(p+2))`` is ``p``.  The
+    zero, constant and monomial cases and operands with no symbol in common
+    are answered directly.  Otherwise both operands become primitive
+    integer maps over their symbols (see ``_to_int``); the heuristic GCD
+    (``_heu_gcd``) answers almost always, and Brown's primitive
+    pseudo-remainder sequence (``_gcd_recursive``) when it fails.
     """
-    if a.is_zero and b.is_zero:
-        return Poly.const(1)
     if a.is_zero:
-        return _make_primitive(b)
+        return _primitive_poly(b) if not b.is_zero else Poly.const(1)
     if b.is_zero:
-        return _make_primitive(a)
+        return _primitive_poly(a)
     if a.is_const or b.is_const:
         return Poly.const(1)
     if len(a) == 1 or len(b) == 1:
         g = mono_gcd(a.mono_content(), b.mono_content())
         return Poly({g: Fraction(1)})
-    budget = config.GCD_TERM_BUDGET
-    if len(a) > budget or len(b) > budget:
-        return Poly.const(1)
-    common = {s.key for s in a.symbols()} & {s.key for s in b.symbols()}
-    if not common:
-        return Poly.const(1)
-    sym = min(
-        (s for s in a.symbols() if s.key in common),
-        key=lambda s: min(a.degree_in(s), b.degree_in(s)),
-    )
-    return _gcd_recursive(a, b, sym)
+    ma, mb = a.mono_content(), b.mono_content()
+    mono = mono_gcd(ma, mb)
+    a, b = a.div_mono(ma), b.div_mono(mb)
+    sa, sb = a.symbols(), b.symbols()
+    if sa.isdisjoint(sb):
+        return Poly({mono: Fraction(1)})
+    syms = sorted(sa | sb)
+    f, g = _to_int(a, syms)[0], _to_int(b, syms)[0]
+    try:
+        h = _heu_gcd(f, g)[0]
+    except _HeuristicFailed:
+        h = _gcd_recursive(f, g)
+    h = _from_int(h, syms, Fraction(-1 if h[max(h, key=_grlex)] < 0 else 1))
+    return h.mul_mono(mono) if mono else h
 
 
-def _make_primitive(p):
-    if p.is_zero:
-        return p
-    p = p.div_mono(p.mono_content()).scale(1 / p.content())
-    _, lc = p.leading()
-    if lc < 0:
-        p = p.scale(-1)
-    return p
+def _primitive_poly(p):
+    p = p.scale(1 / p.content())
+    return -p if p.leading()[1] < 0 else p
 
 
-def _content_in(coeffs):
-    g = Poly.zero()
-    for p in coeffs.values():
-        g = poly_gcd(g, p)
-        if g.is_const:
-            return Poly.const(1)
-    return g
+# -- integer maps ---------------------------------------------------------
+#
+# In the GCD and in exact division a polynomial is a sparse map
+# {exponent tuple: nonzero int}.
+# Position i of every tuple is the exponent of the i-th symbol in key order,
+# so tuple comparison is the lex step of the graded-lex term order.
 
 
-def _prem(a, b, sym):
-    """Pseudo-remainder of a by b in the main variable ``sym``."""
-    ca = a.coeffs_in(sym)
-    cb = b.coeffs_in(sym)
-    da = max(ca)
+def _to_int(p, syms):
+    """(F, c) with p = c*F: F a primitive integer map over ``syms`` (sorted,
+    covering p's symbols) and c a positive rational."""
+    index = {s.key: i for i, s in enumerate(syms)}
+    num = 0
+    den = 1
+    for c in p.terms.values():
+        num = int_gcd(num, c.numerator)
+        den = den * c.denominator // int_gcd(den, c.denominator)
+    zero = [0] * len(syms)
+    out = {}
+    for m, c in p.terms.items():
+        e = zero[:]
+        for s, k in m:
+            e[index[s.key]] = k
+        out[tuple(e)] = c.numerator * (den // c.denominator) // num
+    return out, Fraction(num, den)
+
+
+def _from_int(h, syms, scale):
+    """Poly of ``scale`` (a Fraction) times the integer map h."""
+    return Poly({
+        tuple([(syms[i], k) for i, k in enumerate(m) if k]): scale * c
+        for m, c in h.items()
+    })
+
+
+def _grlex(m):
+    return sum(m), m
+
+
+def _degrees(f):
+    return tuple(map(max, zip(*f)))
+
+
+def _mono_content(f):
+    return tuple(map(min, zip(*f)))
+
+
+def _div_mono(f, mono):
+    if not any(mono):
+        return f
+    return {tuple(map(sub, m, mono)): c for m, c in f.items()}
+
+
+def _mul_mono(f, mono):
+    if not any(mono):
+        return f
+    return {tuple(map(add, m, mono)): c for m, c in f.items()}
+
+
+def _primitive(f):
+    c = int_gcd(*f.values())
+    return f if c == 1 else {m: v // c for m, v in f.items()}
+
+
+def _mul(f, g):
+    out = {}
+    for m2, c2 in g.items():
+        for m1, c1 in f.items():
+            m = tuple(map(add, m1, m2))
+            c = out.get(m, 0) + c1 * c2
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+    return out
+
+
+def _exact_div(f, g):
+    """Exact quotient f/g of integer maps, or None when g does not divide f."""
+    bound = tuple(map(sub, _degrees(f), _degrees(g)))
+    if min(bound) < 0:
+        return None
+    if len(g) == 1:
+        ((gm, gc),) = g.items()
+        quot = {}
+        for m, c in f.items():
+            qm = tuple(map(sub, m, gm))
+            qc, r = divmod(c, gc)
+            if r or min(qm) < 0:
+                return None
+            quot[qm] = qc
+        return quot
+    lm = max(g)
+    lc = g[lm]
+    rem = dict(f)
+    quot = {}
+    while rem:
+        rm = max(rem)
+        qm = tuple(map(sub, rm, lm))
+        # every term of the quotient lies in the box [0, bound]
+        if min(qm) < 0 or min(map(sub, bound, qm)) < 0:
+            return None
+        qc, r = divmod(rem[rm], lc)
+        if r:
+            return None
+        quot[qm] = qc
+        for m, c in g.items():
+            m = tuple(map(add, qm, m))
+            c = rem.get(m, 0) - qc * c
+            if c:
+                rem[m] = c
+            else:
+                del rem[m]
+    return quot
+
+
+# -- heuristic GCD ----------------------------------------------------------
+
+
+class _HeuristicFailed(Exception):
+    pass
+
+
+_HEU_ATTEMPTS = 6
+
+
+def _heu_gcd(f, g):
+    """GCDHEU (Char, Geddes and Gonnet 1989) on nonzero integer maps.
+
+    Returns ``(h, f/h, g/h)`` with h = gcd(f, g) up to sign.  The first
+    variable is evaluated at an integer xi, the GCD of the images is taken
+    recursively (``math.gcd`` once no variable is left), and h is read back
+    from the symmetric xi-adic digits of that image (or f/h or g/h from
+    the cofactor images).  A candidate is kept only when exact division
+    proves it divides both operands; since xi exceeds twice the smaller
+    norm plus two, it is then the GCD.  Raises ``_HeuristicFailed`` when no
+    evaluation point verifies.
+    """
+    if () in f:
+        a, b = f[()], g[()]
+        h = int_gcd(a, b)
+        return {(): h}, {(): a // h}, {(): b // h}
+    c = int_gcd(*f.values(), *g.values())
+    if c != 1:
+        f = {m: v // c for m, v in f.items()}
+        g = {m: v // c for m, v in g.items()}
+    # xi > 2*min(|f|, |g|) + 2 is what makes a verified candidate the GCD,
+    # so unlike some variants xi is not capped at 99*sqrt of that bound
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    for _ in range(_HEU_ATTEMPTS):
+        ff = _eval_first(f, xi)
+        gg = _eval_first(g, xi)
+        if ff and gg:
+            hh, cff, cfg = _heu_gcd(ff, gg)
+            h = _primitive(_interpolate(hh, xi))
+            cf = _exact_div(f, h)
+            if cf is not None:
+                cg = _exact_div(g, h)
+                if cg is not None:
+                    return _scale(h, c), cf, cg
+            cf = _interpolate(cff, xi)
+            h = _exact_div(f, cf)
+            if h is not None:
+                cg = _exact_div(g, h)
+                if cg is not None:
+                    return _scale(h, c), cf, cg
+            cg = _interpolate(cfg, xi)
+            h = _exact_div(g, cg)
+            if h is not None:
+                cf = _exact_div(f, h)
+                if cf is not None:
+                    return _scale(h, c), cf, cg
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    raise _HeuristicFailed
+
+
+def _scale(f, c):
+    return f if c == 1 else {m: v * c for m, v in f.items()}
+
+
+def _eval_first(f, xi):
+    """f at first variable = xi: an integer map over one variable fewer."""
+    powers = [1]
+    for _ in range(max(m[0] for m in f)):
+        powers.append(powers[-1] * xi)
+    out = {}
+    for m, c in f.items():
+        k = m[1:]
+        v = out.get(k, 0) + c * powers[m[0]]
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    return out
+
+
+def _interpolate(h, xi):
+    """Map whose coefficients in the new first variable are the symmetric
+    xi-adic digits of h's coefficients."""
+    out = {}
+    half = xi // 2
+    i = 0
+    while h:
+        rest = {}
+        for m, c in h.items():
+            c, digit = divmod(c, xi)
+            if digit > half:
+                digit -= xi
+                c += 1
+            if digit:
+                out[(i, *m)] = digit
+            if c:
+                rest[m] = c
+        h = rest
+        i += 1
+    return out
+
+
+# -- primitive pseudo-remainder sequence --------------------------------------
+
+
+def _gcd_recursive(f, g):
+    """GCD of nonzero integer maps by Brown's primitive PRS.
+
+    The main variable is the shared symbol of least degree, ties going to
+    the first in symbol order, so the choice never depends on hashing.
+    """
+    c = int_gcd(*f.values(), *g.values())
+    mono = tuple(map(min, _mono_content(f), _mono_content(g)))
+    f = _primitive(_div_mono(f, _mono_content(f)))
+    g = _primitive(_div_mono(g, _mono_content(g)))
+    shared = [(min(df, dg), i)
+              for i, (df, dg) in enumerate(zip(_degrees(f), _degrees(g))) if df and dg]
+    if shared:
+        h = _prs(f, g, min(shared)[1])
+    else:
+        h = {(0,) * len(mono): 1}
+    return _scale(_mul_mono(h, mono), c)
+
+
+def _prs(f, g, i):
+    cont = _gcd_recursive(_content_in(f, i), _content_in(g, i))
+    f = _primitive_in(f, i)
+    g = _primitive_in(g, i)
+    if _degrees(f)[i] < _degrees(g)[i]:
+        f, g = g, f
+    while True:
+        r = _prem(f, g, i)
+        if not r:
+            return _mul(cont, g)
+        f, g = g, _primitive_in(r, i)
+        if _degrees(g)[i] == 0:
+            return cont
+
+
+def _coeffs_in(f, i):
+    """f as univariate in variable i: ``{exponent: map with position i zero}``."""
+    out = {}
+    for m, c in f.items():
+        out.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1:]] = c
+    return out
+
+
+def _content_in(f, i):
+    coeffs = iter(_coeffs_in(f, i).values())
+    h = next(coeffs)
+    for p in coeffs:
+        h = _gcd_recursive(h, p)
+    return h
+
+
+def _primitive_in(f, i):
+    return _exact_div(f, _content_in(f, i))
+
+
+def _prem(a, b, i):
+    """Pseudo-remainder of a by b in variable i."""
+    cb = _coeffs_in(b, i)
     db = max(cb)
     lb = cb[db]
-    rem = ca
-    d = da
+    rem = _coeffs_in(a, i)
+    d = max(rem)
     while rem and d >= db:
-        lr = rem.get(d)
-        if lr is None or lr.is_zero:
-            rem.pop(d, None)
-            d = max(rem, default=-1)
-            continue
-        # rem <- lb*rem - lr*b*x^(d-db)
-        new = {}
-        for e, p in rem.items():
-            new[e] = p * lb
+        lr = rem[d]
+        # rem <- lb*rem - lr*b*x_i^(d-db)
+        new = {e: _mul(p, lb) for e, p in rem.items()}
         for e, p in cb.items():
-            shift = e + d - db
-            q = new.get(shift, Poly.zero()) - p * lr
-            new[shift] = q
-        new.pop(d, None)
-        rem = {e: p for e, p in new.items() if not p.is_zero}
+            shifted = new.setdefault(e + d - db, {})
+            for m, c in _mul(p, lr).items():
+                c = shifted.get(m, 0) - c
+                if c:
+                    shifted[m] = c
+                else:
+                    del shifted[m]
+        del new[d]
+        rem = {e: p for e, p in new.items() if p}
         d = max(rem, default=-1)
-    return Poly.from_coeffs_in(sym, rem)
-
-
-def _max_coeff_bits(p):
-    return max(
-        (abs(c.numerator).bit_length() + c.denominator.bit_length() for c in p.terms.values()),
-        default=0,
-    )
-
-
-def _strip_content(p, sym):
-    """Primitive part in the main variable: rational and polynomial content."""
-    c = p.content()
-    if c != 1:
-        p = p.scale(1 / c)
-    pc = _content_in(p.coeffs_in(sym))
-    if not pc.is_const:
-        p = p.exact_div(pc)
-    return p
-
-
-def _gcd_recursive(a, b, sym):
-    a_syms = {s.key for s in a.symbols()}
-    b_syms = {s.key for s in b.symbols()}
-    if sym.key not in a_syms or sym.key not in b_syms:
-        # main variable missing from one side: gcd divides its content
-        side = a if sym.key not in a_syms else b
-        other = b if side is a else a
-        return poly_gcd(_content_in(other.coeffs_in(sym)), side)
-    cont_a = _content_in(a.coeffs_in(sym))
-    cont_b = _content_in(b.coeffs_in(sym))
-    cont = poly_gcd(cont_a, cont_b)
-    pa = _strip_content(a, sym)
-    pb = _strip_content(b, sym)
-    if pa.degree_in(sym) < pb.degree_in(sym):
-        pa, pb = pb, pa
-    budget = config.GCD_TERM_BUDGET
-    while not pb.is_zero:
-        # coefficient blowup means this instance is not worth reducing;
-        # giving up is always sound (callers just skip the cancellation)
-        if len(pa) > 4 * budget or len(pb) > 4 * budget:
-            return Poly.const(1)
-        if _max_coeff_bits(pa) > 8192 or _max_coeff_bits(pb) > 8192:
-            return Poly.const(1)
-        r = _prem(pa, pb, sym)
-        if r.is_zero:
-            pa = pb
-            break
-        pa, pb = pb, _strip_content(r, sym)
-        if pb.degree_in(sym) == 0 and not pb.is_zero:
-            return _make_primitive(cont)
-    return _make_primitive(cont * _make_primitive(pa))
-
-
-def poly_lcm(a, b):
-    if a.is_zero or b.is_zero:
-        return Poly.zero()
-    g = poly_gcd(a, b)
-    q = b.exact_div(g) if not g.is_const else b
-    return a * q
+    out = {}
+    for e, p in rem.items():
+        for m, c in p.items():
+            out[m[:i] + (e,) + m[i + 1:]] = c
+    return out

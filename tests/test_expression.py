@@ -320,23 +320,62 @@ class TestCanonicalProperties:
         base = p + 2 * q
         assert (base ** m * base ** n - base ** (m + n)).is_zero
 
+    @given(st.integers(-40, 40), st.integers(1, 12),
+           st.sampled_from(["p + q", "x*p - 2*y", "q^2 + 3", "p^2 - q^2"]),
+           st.sampled_from(["1", "p", "x + y", "p + 2*q"]))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_implies_equal_hash(self, num, den, factor, other):
+        table = SymbolTable()
+        value = Fraction(num, den)
+        constant = parse_expression(f"({num})*({factor})/(({den})*({factor}))", J2_CHART, table)
+        values = [Expression.number(value, J2_CHART, table), value]
+        if value.denominator == 1:
+            values.append(int(value))
+        for v in values:
+            assert constant == v
+            assert hash(constant) == hash(v)
+        left = parse_expression(f"({other})*({factor})/(({factor})*({den}))", J2_CHART, table)
+        right = parse_expression(f"({other})/{den}", J2_CHART, table)
+        assert left == right
+        assert hash(left) == hash(right)
+
 
 class TestPolyInternals:
-    def test_gcd_budget_gives_up_soundly(self):
-        import odecartan.config as config
-        from odecartan.poly import poly_gcd
+    def test_equal_fractions_share_one_canonical_form(self):
+        table = SymbolTable()
+        reduced = parse_expression("(p + q)/(p + 2*q)", J2_CHART, table)
+        unreduced = parse_expression("(p + q)^2/((p + q)*(p + 2*q))", J2_CHART, table)
+        assert reduced == unreduced
+        assert hash(reduced) == hash(unreduced)
+        assert reduced.render() == unreduced.render() == "(p + q)/(p + 2*q)"
+
+    def test_prs_fallback_matches_heuristic(self):
+        from odecartan import poly
 
         table = SymbolTable()
-        p = parse_expression("(p + q)^2*(p - q)", J2_CHART, table).num
-        r = parse_expression("(p + q)*(p + 2*q)", J2_CHART, table).num
-        full = poly_gcd(p, r)
-        assert not full.is_const  # finds (p + q)
-        old = config.GCD_TERM_BUDGET
-        try:
-            config.GCD_TERM_BUDGET = 1
-            assert poly_gcd(p, r).is_const  # gives up but stays sound
-        finally:
-            config.GCD_TERM_BUDGET = old
+        factors = ["p + q", "p - 2*q + 1", "x*p + y", "q^2 - x*y", "alpha*gamma + 3",
+                   "gamma - p", "y^3 + 2"]
+        checked = 0
+        for common in factors:
+            for j, left in enumerate(factors):
+                for right in factors[j + 1:]:
+                    if common in (left, right):
+                        continue
+                    a = parse_expression(f"({common})*({left})^2", P_CHART, table).num
+                    b = parse_expression(f"({common})^2*({right})", P_CHART, table).num
+                    gcd = poly.poly_gcd(a, b)
+                    expected = parse_expression(common, P_CHART, table).num
+                    assert gcd.exact_div(expected) is not None
+                    assert expected.exact_div(gcd) is not None
+                    # both integer-map algorithms give it, up to sign
+                    syms = sorted(a.symbols() | b.symbols())
+                    f, g = poly._to_int(a, syms)[0], poly._to_int(b, syms)[0]
+                    exact = poly._to_int(gcd, syms)[0]
+                    negated = {m: -c for m, c in exact.items()}
+                    assert poly._heu_gcd(f, g)[0] in (exact, negated)
+                    assert poly._gcd_recursive(f, g) in (exact, negated)
+                    checked += 1
+        assert checked == 105
 
     def test_exact_division_detects_inexact(self):
         table = SymbolTable()
