@@ -9,6 +9,7 @@ zero.  Expressions are immutable and safe to share between threads.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     ChartError,
@@ -37,7 +38,9 @@ class Expression:
 
     @classmethod
     def number(cls, value, chart, table):
-        return cls(Poly.const(Fraction(value)), Poly.const(1), chart, table)
+        # an int or a Fraction is already in lowest terms
+        return cls(Poly.const(value.numerator), Poly.const(value.denominator), chart, table,
+                   _normalized=True)
 
     @classmethod
     def coordinate(cls, name, chart, table):
@@ -71,7 +74,7 @@ class Expression:
     def const_value(self):
         if not self.is_rational_constant:
             raise ValueError("expression is not a rational constant")
-        return self.num.const_value() / self.den.const_value()
+        return Fraction(self.num.const_value(), self.den.const_value())
 
     def __eq__(self, other):
         if not isinstance(other, Expression):
@@ -140,8 +143,10 @@ class Expression:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return self.with_value(0)
+        if self.is_zero:
+            return self
+        if other.is_zero:
+            return other
         return self._wrap(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -278,17 +283,15 @@ def _normalize(num, den):
         if not g.is_const:
             num = num.exact_div(g)
             den = den.exact_div(g)
-    # scale so both polynomials are integral with coprime contents and the
-    # denominator's leading coefficient is positive
-    cn = num.content()
-    cd = den.content()
-    red = Fraction(cn, cd)
-    num = num.scale(red.numerator / cn)
-    den = den.scale(red.denominator / cd)
+    # both polynomials are integral: divide out their common content, then
+    # make the denominator's leading coefficient positive
+    c = gcd(num.content(), den.content())
+    num = num.div_int(c)
+    den = den.div_int(c)
     _, lc = den.leading()
     if lc < 0:
-        num = num.scale(-1)
-        den = den.scale(-1)
+        num = -num
+        den = -den
     return num, den
 
 
@@ -315,7 +318,7 @@ def _subst_poly(poly, images, target, table):
 def _eval_poly(poly, point):
     total = _ZERO
     for mono, coeff in poly.terms.items():
-        v = Fraction(coeff)
+        v = coeff
         for s, e in mono:
             name = s.render()
             if name not in point:

@@ -1,10 +1,10 @@
 """Exact linear algebra over the rational-function field.
 
 Matrix inversion clears row denominators and runs fraction-free Gaussian
-elimination with the Bareiss recurrence on polynomial entries (every
-division is exact), picking pivots by a fewest-terms heuristic; back
-substitution then happens over expressions, whose canonicalization keeps
-the results reduced.
+elimination with the Bareiss recurrence on integer polynomial entries
+(every division is exact in Z[x]), picking pivots by a fewest-terms
+heuristic; back substitution then happens over expressions, whose
+canonicalization keeps the results reduced.
 """
 
 from .errors import DegenerateCoframeError

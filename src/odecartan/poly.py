@@ -1,18 +1,18 @@
-"""Sparse multivariate polynomials with exact rational coefficients.
+"""Sparse multivariate polynomials over the integers.
 
 Monomials are tuples of ``(Sym, exponent)`` pairs sorted by the global
 symbol order; the term order everywhere is graded lexicographic.  The
-expanded form is canonical, so the zero test is decisive.
+expanded form is canonical, so the zero test is decisive.  Coefficients
+are ``int``: rational functions keep their denominators in ``Expression``.
 
 ``poly_gcd`` is exact for every input, with no size limit, so reduced
 fractions are canonical.  It works on sparse integer maps: the heuristic
 GCD (GCDHEU) of Char, Geddes and Gonnet answers by integer evaluation,
 ``math.gcd`` and interpolation, checked by exact trial division, and
 Brown's primitive pseudo-remainder sequence answers when it fails.
-``Poly.exact_div`` divides the same integer maps.
+``Poly.exact_div`` divides the same integer maps, exactly in Z[x].
 """
 
-from fractions import Fraction
 from math import gcd as int_gcd, isqrt
 from operator import add, sub
 
@@ -129,7 +129,7 @@ class _MonoKey:
 
 
 class Poly:
-    """Immutable expanded polynomial: ``{monomial: nonzero Fraction}``."""
+    """Immutable expanded polynomial: ``{monomial: nonzero int}``."""
 
     __slots__ = ("terms",)
 
@@ -144,14 +144,13 @@ class Poly:
 
     @classmethod
     def const(cls, value):
-        value = Fraction(value)
         return cls({ONE_MONO: value} if value else {})
 
     @classmethod
     def var(cls, sym, exp=1):
         if exp == 0:
             return cls.const(1)
-        return cls({((sym, exp),): Fraction(1)})
+        return cls({((sym, exp),): 1})
 
     # -- predicates and views ------------------------------------------
 
@@ -164,7 +163,7 @@ class Poly:
         return not self.terms or (len(self.terms) == 1 and ONE_MONO in self.terms)
 
     def const_value(self):
-        return self.terms.get(ONE_MONO, Fraction(0))
+        return self.terms.get(ONE_MONO, 0)
 
     def __len__(self):
         return len(self.terms)
@@ -236,11 +235,6 @@ class Poly:
                         del out[m]
         return Poly(out)
 
-    def scale(self, value):
-        if not value:
-            return Poly.zero()
-        return Poly({m: c * value for m, c in self.terms.items()})
-
     def mul_mono(self, mono):
         return Poly({mono_mul(m, mono): c for m, c in self.terms.items()})
 
@@ -279,15 +273,14 @@ class Poly:
     # -- structure ------------------------------------------------------
 
     def content(self):
-        """Positive rational c with self/c integral, coprime coefficients."""
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = int_gcd(num, c.numerator)
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        if num == 0:
-            return Fraction(1)
-        return Fraction(num, den)
+        """Positive gcd of the coefficients (1 for the zero polynomial)."""
+        return int_gcd(*self.terms.values()) or 1
+
+    def div_int(self, c):
+        """Quotient by a nonzero int that divides every coefficient."""
+        if c == 1:
+            return self
+        return Poly({m: v // c for m, v in self.terms.items()})
 
     def mono_content(self):
         it = iter(self.terms)
@@ -307,20 +300,25 @@ class Poly:
         return Poly({mono_div(m, mono): c for m, c in self.terms.items()})
 
     def exact_div(self, other):
-        """Exact quotient self/other, or None when the division is inexact."""
+        """Exact quotient self/other in Z[x], or None when there is none."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero:
             return Poly.zero()
         if other.is_const:
-            return self.scale(1 / other.const_value())
-        # by Gauss's lemma, other divides self over Q exactly when the
-        # primitive integer parts divide over Z
+            c = other.const_value()
+            if any(v % c for v in self.terms.values()):
+                return None
+            return self.div_int(c)
+        # by Gauss's lemma the quotient is integral exactly when the
+        # primitive parts divide and the contents do
         syms = sorted(self.symbols() | other.symbols())
         f, cf = _to_int(self, syms)
         g, cg = _to_int(other, syms)
+        if cf % cg:
+            return None
         q = _exact_div(f, g)
-        return None if q is None else _from_int(q, syms, cf / cg)
+        return None if q is None else _from_int(q, syms, cf // cg)
 
     def __repr__(self):
         if not self.terms:
@@ -350,25 +348,25 @@ def poly_gcd(a, b):
         return Poly.const(1)
     if len(a) == 1 or len(b) == 1:
         g = mono_gcd(a.mono_content(), b.mono_content())
-        return Poly({g: Fraction(1)})
+        return Poly({g: 1})
     ma, mb = a.mono_content(), b.mono_content()
     mono = mono_gcd(ma, mb)
     a, b = a.div_mono(ma), b.div_mono(mb)
     sa, sb = a.symbols(), b.symbols()
     if sa.isdisjoint(sb):
-        return Poly({mono: Fraction(1)})
+        return Poly({mono: 1})
     syms = sorted(sa | sb)
     f, g = _to_int(a, syms)[0], _to_int(b, syms)[0]
     try:
         h = _heu_gcd(f, g)[0]
     except _HeuristicFailed:
         h = _gcd_recursive(f, g)
-    h = _from_int(h, syms, Fraction(-1 if h[max(h, key=_grlex)] < 0 else 1))
+    h = _from_int(h, syms, -1 if h[max(h, key=_grlex)] < 0 else 1)
     return h.mul_mono(mono) if mono else h
 
 
 def _primitive_poly(p):
-    p = p.scale(1 / p.content())
+    p = p.div_int(p.content())
     return -p if p.leading()[1] < 0 else p
 
 
@@ -382,25 +380,21 @@ def _primitive_poly(p):
 
 def _to_int(p, syms):
     """(F, c) with p = c*F: F a primitive integer map over ``syms`` (sorted,
-    covering p's symbols) and c a positive rational."""
+    covering p's symbols) and c = ``p.content()``."""
     index = {s.key: i for i, s in enumerate(syms)}
-    num = 0
-    den = 1
-    for c in p.terms.values():
-        num = int_gcd(num, c.numerator)
-        den = den * c.denominator // int_gcd(den, c.denominator)
+    c = p.content()
     zero = [0] * len(syms)
     out = {}
-    for m, c in p.terms.items():
+    for m, v in p.terms.items():
         e = zero[:]
         for s, k in m:
             e[index[s.key]] = k
-        out[tuple(e)] = c.numerator * (den // c.denominator) // num
-    return out, Fraction(num, den)
+        out[tuple(e)] = v // c
+    return out, c
 
 
 def _from_int(h, syms, scale):
-    """Poly of ``scale`` (a Fraction) times the integer map h."""
+    """Poly of the int ``scale`` times the integer map h."""
     return Poly({
         tuple([(syms[i], k) for i, k in enumerate(m) if k]): scale * c
         for m, c in h.items()

@@ -14,15 +14,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cartan import (
-    FLAT_TABLE,
+    FamilyData,
     OdeProblem,
-    REDUCED_TABLE,
     STRUCTURE_NAMES,
     check_einstein_conditions,
     family_detect,
     family_invariants,
     family_invariants_residuals,
-    invariant_K,
     verify_appendix,
 )
 from .connection import cartan_connection_report, metric_connection_report
@@ -40,11 +38,9 @@ from .errors import (
     PetrovDegeneracyError,
     UnknownSymbolError,
 )
-from .expression import Expression
 from .parse import parse_expression
 from .petrov import classify_at_point
 from .symbols import J2_CHART, SymbolTable
-from .cartan import FamilyData
 
 STAGES = ("inv", "cond", "metric", "einstein", "petrov", "conn", "appendix")
 
@@ -241,7 +237,7 @@ def analyze(request):
             "e": kne.e.render(),
         }
 
-    sf = None
+    sf = metric = None
     failed = set()
     for stage in stages:
         broken_deps = [d for d in _DEPENDENCIES.get(stage, ()) if d in failed]
@@ -298,7 +294,8 @@ def analyze(request):
                 if "metric" in requested:
                     verdicts["metric"] = proj.projects
             elif stage == "einstein":
-                metric, _ = metric_from_family(family)
+                # reuses the metric stage's metric: the closure runs that stage
+                # first, and when it fails this one is a dependency failure
                 tensors = curvature_tensors(metric)
                 residual = einstein_residual(metric, tensors, Fraction(-1))
                 flat_components = [

@@ -1,9 +1,10 @@
 """Expression kernel: parsing, canonical forms, calculus, evaluation."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from odecartan import (
     ChartError,
@@ -14,6 +15,7 @@ from odecartan import (
     P_CHART,
     BUILT_IN_CHARTS,
     SingularEvaluationError,
+    SingularSubstitutionError,
     SymbolCollisionError,
     SymbolTable,
     UnknownSymbolError,
@@ -25,6 +27,15 @@ from odecartan.poly import Poly
 @pytest.fixture()
 def table():
     return SymbolTable()
+
+
+def assert_canonical(e):
+    """Integer coefficients, coprime contents, positive leading denominator."""
+    num, den = e.num.terms.values(), e.den.terms.values()
+    assert all(type(c) is int for c in num)
+    assert all(type(c) is int for c in den)
+    assert gcd(gcd(*num), gcd(*den)) == 1
+    assert e.den.leading()[1] > 0
 
 
 class TestCharts:
@@ -302,6 +313,34 @@ class TestCanonicalProperties:
                 continue
             assert substituted.evaluate(values) == direct
 
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_arithmetic_calculus_and_substitution_stay_canonical(self, sampler, seed):
+        gen = sampler(seed=seed, opaque_names=("A",))
+        e = gen.expression(2)
+        assert_canonical(e)
+        assert_canonical(gen.expression(2) * e - gen.expression(1) / (e * e + 1))
+        for coord in J2_CHART.coords:
+            assert_canonical(e.differentiate(coord))
+        try:
+            image = e.substitute({"q": gen.expression(1), "p": gen.expression(1)})
+        except SingularSubstitutionError:
+            return
+        assert_canonical(image)
+
+    def test_rational_constant_value_is_a_fraction(self, table):
+        value = Expression.number(Fraction(1, 3), J2_CHART, table).const_value()
+        assert type(value) is Fraction and value == Fraction(1, 3)
+
+    def test_product_with_zero_is_zero_on_the_same_chart(self, table):
+        x = Expression.coordinate("x", J2_CHART, table)
+        zero = Expression.number(0, J2_CHART, table)
+        for product in (x * 0, 0 * x, x * zero, zero * x):
+            assert isinstance(product, Expression)
+            assert product.chart is J2_CHART
+            assert product == 0 and product.is_zero
+
     @given(st.integers(-40, 40), st.integers(1, 12), st.integers(-9, 9))
     @settings(max_examples=60, deadline=None)
     def test_rational_constants_behave_like_fractions(self, num, den, shift):
@@ -385,6 +424,13 @@ class TestPolyInternals:
         assert a.exact_div(b) is not None
         assert a.exact_div(c) is None
 
+    def test_exact_division_by_a_constant_is_over_the_integers(self):
+        table = SymbolTable()
+        p = parse_expression("p", J2_CHART, table).num
+        two = Poly.const(2)
+        assert (p + Poly.const(1)).exact_div(two) is None
+        assert (p * two + two).exact_div(two) == p + Poly.const(1)
+
     def test_zero_polynomial_is_empty(self):
         assert Poly.zero().is_zero
-        assert not Poly.const(Fraction(1, 3)).is_zero
+        assert not Poly.const(3).is_zero
