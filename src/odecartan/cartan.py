@@ -7,13 +7,15 @@ chart (x, y, p, q, alpha, gamma); its six exterior derivatives must fit a
 fixed quadratic pattern whose thirteen scalar coefficients a..s are the
 fiber-preserving invariants of the ODE.  The fit is overdetermined and is
 verified slot by slot, which also polices the coframe construction itself.
+The closed-form differentials of the null-adapted basis tau = M theta are
+then read in the theta^theta basis from those same memoised expansions,
+with no second exterior derivative on the chart.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    ChartError,
     DegenerateOdeError,
     FamilyRejectionError,
     StructureConsistencyError,
@@ -43,8 +45,6 @@ class OdeProblem:
     and rejects rather than transforms (see ``family_detect``).
     """
 
-    sigma_normal_form_assumed = True
-
     def __init__(self, rhs, table):
         if rhs.chart is not J2_CHART:
             rhs = rhs.on_chart(J2_CHART)
@@ -56,17 +56,6 @@ class OdeProblem:
         self.table = table
         self._cache = {}
 
-    @property
-    def family_form_detected(self):
-        def probe():
-            try:
-                family_detect(self)
-                return True
-            except FamilyRejectionError:
-                return False
-
-        return self._memo("family_form_detected", probe)
-
     def _memo(self, key, builder):
         if key not in self._cache:
             self._cache[key] = builder()
@@ -75,8 +64,13 @@ class OdeProblem:
     def coframe(self):
         return self._memo("coframe", lambda: invariant_coframe(self))
 
+    def expansions(self):
+        return self._memo("expansions", lambda: expand_coframe_derivatives(self.coframe()))
+
     def structure(self):
-        return self._memo("structure", lambda: structure_functions(self))
+        return self._memo(
+            "structure", lambda: structure_functions(self, expansions=self.expansions())
+        )
 
     def tau(self):
         return self._memo("tau", lambda: tau_basis(self.coframe()))
@@ -359,17 +353,25 @@ class TauBasis:
         return Coframe(list(self.forms))
 
 
+# The constant change of basis tau = M theta: _TAU[i][a] is the coefficient
+# of coframe form a in (tau1, tau2, tau3, tau4, gamma1, gamma2)[i].
+_TAU = (
+    (2, 0, 0, 1, 0, 0),
+    (0, 0, 0, 0, 0, 1),
+    (0, 0, 2, 0, 0, 1),
+    (0, 0, 0, 1, 0, 0),
+    (0, 0, 0, 0, 1, 0),
+    (0, 2, 0, 0, 1, 0),
+)
+
+
 def tau_basis(cf):
     """Constant-coefficient change of basis to the null-adapted coframe."""
-    th1, th2, th3, th4, om1, om2 = cf.forms
+    zero = DifferentialForm.zero(cf.chart, cf.table, 1)
     return TauBasis(
-        (
-            th1.scale(2) + th4,
-            om2,
-            om2 + th3.scale(2),
-            th4,
-            om1,
-            om1 + th2.scale(2),
+        tuple(
+            sum((f if m == 1 else f.scale(m) for f, m in zip(cf.forms, row) if m), zero)
+            for row in _TAU
         )
     )
 
@@ -684,45 +686,61 @@ FLAT_TABLE = {
 }
 
 
-def _table_rhs(table_rows, tau, sf_values):
-    chart = tau.forms[0].chart
-    symtable = tau.forms[0].table
-    zero_expr = Expression.number(0, chart, symtable)
-    out = DifferentialForm.zero(chart, symtable, 2)
-    for (const, mults), left, right in table_rows:
-        coeff = zero_expr + const
-        for name, mult in mults.items():
-            coeff = coeff + mult * sf_values[name]
-        if coeff.is_zero:
-            continue
-        out = out + tau.forms[left].wedge(tau.forms[right]).scale(coeff)
+def _theta_affine(rows):
+    """Σ coefficient · tau_l ∧ tau_r over the rows of one table entry, in
+    the theta^theta basis through the 2x2 minors of M, as affine maps
+    {slot: [const, {invariant: mult}]}."""
+    out = {}
+    for (const, mults), left, right in rows:
+        lrow, rrow = _TAU[left], _TAU[right]
+        for a in range(6):
+            for b in range(a + 1, 6):
+                minor = lrow[a] * rrow[b] - lrow[b] * rrow[a]
+                if minor:
+                    acc = out.setdefault((a, b), [0, {}])
+                    if const:
+                        acc[0] += minor * const
+                    for name, mult in mults.items():
+                        acc[1][name] = acc[1].get(name, 0) + minor * mult
     return out
 
 
-def differential_residuals(tau, table, sf=None):
-    """d(basis_i) minus the tabulated right-hand side, for each basis form.
+def differential_residuals(prob, table, sf=None):
+    """d(basis_i) minus the tabulated right-hand side, for each tau form.
+
+    Both sides are read in the theta^theta basis of the invariant coframe:
+    d(tau_i) = Σ_a M[i][a] d(theta_a) from the expansions the ``inv``
+    stage memoised, and the table's tau_l ∧ tau_r through the 2x2 minors
+    of M.  The residual is mapped back to the chart with
+    ``Coframe.reconstruct_2``; it equals, as a form, d(tau_i) minus the
+    table evaluated on the chart.
 
     ``sf`` supplies the invariant values; pass None for an all-zero table
-    (the flat case).  Works on whichever chart the tau forms live on.
+    (the flat case).
     """
-    chart = tau.forms[0].chart
-    symtable = tau.forms[0].table
-    zero = Expression.number(0, chart, symtable)
-    values = {name: zero for name in STRUCTURE_NAMES}
-    if sf is not None:
-        for name, v in sf.as_dict().items():
-            if v.chart is not chart:
-                raise ChartError("invariant values must live on the tau chart")
-            values[name] = v
+    cf = prob.coframe()
+    expansions = prob.expansions()
+    zero = Expression.number(0, cf.chart, cf.table)
+    values = sf.as_dict() if sf is not None else dict.fromkeys(STRUCTURE_NAMES, zero)
     out = []
     for i in range(6):
-        rhs = _table_rhs(table[i], tau, values)
-        out.append(tau.forms[i].exterior_derivative() - rhs)
+        coeffs = {}
+        for eq, m in enumerate(_TAU[i]):
+            if m:
+                for slot, c in expansions[eq].items():
+                    coeffs[slot] = coeffs.get(slot, zero) + (c if m == 1 else m * c)
+        for slot, (const, mults) in _theta_affine(table[i]).items():
+            rhs = zero + const
+            for name, mult in mults.items():
+                if mult:
+                    rhs = rhs + mult * values[name]
+            coeffs[slot] = coeffs[slot] - rhs
+        out.append(cf.reconstruct_2(coeffs))
     return out
 
 
-def verify_appendix(prob, sf=None, tau=None):
-    """Residuals of the six closed-form differentials for arbitrary F."""
+def verify_appendix(prob, sf=None):
+    """Residuals of the six closed-form differentials for arbitrary F,
+    read in the theta^theta basis from the ``inv`` stage's expansions."""
     sf = sf if sf is not None else prob.structure()
-    tau = tau if tau is not None else prob.tau()
-    return differential_residuals(tau, APPENDIX_TABLE, sf)
+    return differential_residuals(prob, APPENDIX_TABLE, sf)

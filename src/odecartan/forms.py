@@ -338,48 +338,3 @@ class Coframe:
         from .linalg import identity_check
 
         return identity_check(self.matrix, self.inverse)
-
-    def frame(self):
-        return FrameField.from_coframe(self)
-
-
-class FrameField:
-    """The dual frame of a coframe: one vector field per dimension, with
-    components in the coordinate basis."""
-
-    __slots__ = ("chart", "table", "vectors", "_coframe")
-
-    def __init__(self, chart, table, vectors, coframe=None):
-        self.chart = chart
-        self.table = table
-        self.vectors = tuple(tuple(v) for v in vectors)
-        self._coframe = coframe
-
-    @classmethod
-    def from_coframe(cls, coframe):
-        vectors = [coframe.frame_vector(i) for i in range(coframe.dim)]
-        return cls(coframe.chart, coframe.table, vectors, coframe)
-
-    def apply(self, i, scalar):
-        """Directional derivative of a scalar along the i-th frame vector."""
-        acc = Expression.number(0, self.chart, self.table)
-        for j, coord in enumerate(self.chart.coords):
-            ds = scalar.differentiate(coord)
-            if not ds.is_zero:
-                acc = acc + self.vectors[i][j] * ds
-        return acc
-
-    def pairing_residuals(self, coframe=None):
-        """coframe_j(frame_i) − δ_ij over all pairs; all must vanish."""
-        cf = coframe or self._coframe
-        zero = Expression.number(0, self.chart, self.table)
-        out = []
-        for i, vec in enumerate(self.vectors):
-            for j, form in enumerate(cf.forms):
-                acc = zero
-                for axis, component in enumerate(vec):
-                    coeff = form.comps.get((axis,))
-                    if coeff is not None:
-                        acc = acc + coeff * component
-                out.append(acc - (1 if i == j else 0))
-        return out

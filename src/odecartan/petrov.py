@@ -94,16 +94,16 @@ def weyl_operator_at(metric, tensors, point):
     try:
         ginv = metric.evaluate_inverse(point)
         gdet = metric.det.evaluate(point)
-        weyl = [
-            [
-                [
-                    [tensors.weyl_down[i][j][k][l].evaluate(point) for l in range(4)]
-                    for k in range(4)
-                ]
-                for j in range(4)
-            ]
-            for i in range(4)
-        ]
+        # W_abmn = -W_abnm: evaluate the increasing pairs once, negate the
+        # partner; the diagonal m == n vanishes.
+        weyl = {}
+        for a, b in PAIRS:
+            w = _mat(4)
+            for m, n_ in PAIRS:
+                value = tensors.weyl_down[a][b][m][n_].evaluate(point)
+                w[m][n_] = value
+                w[n_][m] = -value
+            weyl[a, b] = w
     except SingularEvaluationError as exc:
         raise PetrovDegeneracyError(str(exc)) from exc
     vol = _sqrt_fraction(gdet)
@@ -111,6 +111,7 @@ def weyl_operator_at(metric, tensors, point):
     weyl_op = _mat(6)
     star = _mat(6)
     for row, (a, b) in enumerate(PAIRS):
+        w = weyl[a, b]
         for col, (c, d) in enumerate(PAIRS):
             acc = Fraction(0)
             sacc = Fraction(0)
@@ -119,7 +120,7 @@ def weyl_operator_at(metric, tensors, point):
                     gmc = ginv[m][c]
                     gnd = ginv[n_][d]
                     if gmc and gnd:
-                        acc += weyl[a][b][m][n_] * gmc * gnd
+                        acc += w[m][n_] * gmc * gnd
                         eps = _EPSILON.get((a, b, m, n_), 0)
                         if eps:
                             sacc += eps * gmc * gnd
@@ -130,10 +131,8 @@ def weyl_operator_at(metric, tensors, point):
 
 def eigenspace_basis(star, sign):
     """Three independent columns of (I + sign·star)/2, exact."""
-    proj = [
-        [(identity(6)[i][j] + sign * star[i][j]) / 2 for j in range(6)]
-        for i in range(6)
-    ]
+    eye = identity(6)
+    proj = [[(eye[i][j] + sign * star[i][j]) / 2 for j in range(6)] for i in range(6)]
     cols = [[proj[i][j] for i in range(6)] for j in range(6)]
     basis = []
     rows_used = []

@@ -5,13 +5,21 @@ extraction, curvature of the opaque-coefficient metric) are session-scoped
 so the whole suite pays for them once.
 """
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from odecartan import J2_CHART, Expression, SymbolTable, parse_expression
 from odecartan.cartan import OdeProblem, family_detect
+
+# The CLI tests start child interpreters; they import odecartan from this
+# checkout as the test process does (``pythonpath`` in pyproject.toml).
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+if _SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 FAMILY_TEXT = "3/2*q^2/p + A(x,y)*p^3 + C(x,y)*p^2 + B(x,y)*p"
 

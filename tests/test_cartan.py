@@ -15,6 +15,7 @@ from odecartan import (
     SymbolTable,
     parse_expression,
 )
+from odecartan import cartan
 from odecartan.cartan import (
     APPENDIX_TABLE,
     FLAT_TABLE,
@@ -36,7 +37,40 @@ from odecartan.cartan import (
     to_adapted,
     verify_appendix,
 )
+from odecartan.forms import DifferentialForm
 from tests.conftest import make_problem
+
+
+def chart_level_residuals(tau, table, sf=None):
+    """Reference oracle for ``differential_residuals``: d(tau_i) taken on
+    the chart, minus the table's wedges of tau forms built on the chart."""
+    chart = tau.forms[0].chart
+    symtable = tau.forms[0].table
+    zero = Expression.number(0, chart, symtable)
+    values = sf.as_dict() if sf is not None else dict.fromkeys(STRUCTURE_NAMES, zero)
+    out = []
+    for i in range(6):
+        rhs = DifferentialForm.zero(chart, symtable, 2)
+        for (const, mults), left, right in table[i]:
+            coeff = zero + const
+            for name, mult in mults.items():
+                coeff = coeff + mult * values[name]
+            if not coeff.is_zero:
+                rhs = rhs + tau.forms[left].wedge(tau.forms[right]).scale(coeff)
+        out.append(tau.forms[i].exterior_derivative() - rhs)
+    return out
+
+
+def _perturbed_appendix_table():
+    """APPENDIX_TABLE with one affine coefficient changed and rows added to
+    two other forms, so that three of the six residuals are nonzero."""
+    t1, t3, t4, g1, g2 = 0, 2, 3, 4, 5
+    table = {i: list(rows) for i, rows in APPENDIX_TABLE.items()}
+    (const, mults), left, right = table[t1][1]
+    table[t1][1] = ((const + 1, dict(mults, k=Fraction(3))), left, right)
+    table[g1].append(((Fraction(-2), {"e": Fraction(1, 3)}), g2, t3))
+    table[t4].append(((Fraction(1, 2), {}), t3, t1))
+    return table
 
 
 class TestOdeProblem:
@@ -190,12 +224,12 @@ class TestTauBasis:
         assert all(r.is_zero for r in tau_from_theta_residuals(cf, tau))
 
     def test_flat_differentials(self, flat_problem):
-        residuals = differential_residuals(flat_problem.tau(), FLAT_TABLE)
+        residuals = differential_residuals(flat_problem, FLAT_TABLE)
         assert all(r.is_zero for r in residuals)
 
     def test_family_reduced_differentials(self, family_problem):
         sf = family_problem.structure()
-        residuals = differential_residuals(family_problem.tau(), REDUCED_TABLE, sf)
+        residuals = differential_residuals(family_problem, REDUCED_TABLE, sf)
         assert all(r.is_zero for r in residuals)
 
     def test_family_tau4_is_null_form(self, family_data):
@@ -320,6 +354,29 @@ class TestAppendix:
         residuals = verify_appendix(prob)
         assert all(r.is_zero for r in residuals)
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "flat_problem",
+            "family_problem",
+            "qcube_problem",
+            "q^3*y + x*p",
+            "3/2*q^2/(p+1) + 2*p",
+        ],
+    )
+    def test_theta_basis_residuals_match_chart_oracle(self, source, request):
+        if source.endswith("_problem"):
+            prob = request.getfixturevalue(source)
+        else:
+            prob = make_problem(source)
+        sf = prob.structure()
+        perturbed = _perturbed_appendix_table()
+        for table in (APPENDIX_TABLE, perturbed):
+            fast = differential_residuals(prob, table, sf)
+            oracle = chart_level_residuals(prob.tau(), table, sf)
+            assert [repr(f) for f in fast] == [repr(f) for f in oracle]
+        assert [f.is_zero for f in fast] == [False, True, True, False, False, True]
+
     def test_residuals_vanish_for_stress_input(self):
         prob = make_problem("q^3*y + x*p")
         assert all(r.is_zero for r in verify_appendix(prob))
@@ -380,6 +437,8 @@ class TestAppendix:
                             slots.get(key, zero), aff_scale(aff, coef * mult)
                         )
             derived.append({k: v for k, v in slots.items() if v != zero})
+
+        assert tuple(tuple(row) for row in dtau_from_dtheta) == cartan._TAU
 
         transcribed = []
         for idx in range(6):

@@ -1,5 +1,6 @@
 """Exact Petrov classification on the Hodge eigenspaces."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from odecartan.cartan import family_detect
 from odecartan.curvature import curvature_tensors, family_metric
 from odecartan.errors import PetrovDegeneracyError
 from odecartan.petrov import (
+    PAIRS,
     classify_at_point,
     classify_traceless,
     eigenspace_basis,
@@ -65,6 +67,41 @@ class TestBlockClassifier:
     def test_trace_check(self):
         with pytest.raises(PetrovDegeneracyError):
             classify_traceless(F([1, 0, 0], [0, 1, 0], [0, 0, 1]))
+
+
+def reference_weyl_operator(metric, tensors, point):
+    """The Weyl endomorphism on 2-forms from all 256 evaluated components."""
+    ginv = metric.evaluate_inverse(point)
+    weyl = [
+        [
+            [[tensors.weyl_down[i][j][k][l].evaluate(point) for l in range(4)] for k in range(4)]
+            for j in range(4)
+        ]
+        for i in range(4)
+    ]
+    return [
+        [
+            sum(
+                (weyl[a][b][m][n] * ginv[m][c] * ginv[n][d] for m in range(4) for n in range(4)),
+                Fraction(0),
+            )
+            for c, d in PAIRS
+        ]
+        for a, b in PAIRS
+    ]
+
+
+class TestWeylOperator:
+    def test_matches_full_evaluation_at_seeded_points(self):
+        metric, tensors = family_setup("3/2*q^2/p + x*y*p^3 + (x+y)*p")
+        rng = random.Random(7)
+        for _ in range(5):
+            point = {
+                c: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for c in ("x", "y", "z", "t")
+            }
+            weyl_op, _ = weyl_operator_at(metric, tensors, point)
+            assert not mat_is_zero(weyl_op)
+            assert weyl_op == reference_weyl_operator(metric, tensors, point)
 
 
 class TestHodgeStar:
