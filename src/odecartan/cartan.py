@@ -664,26 +664,36 @@ APPENDIX_TABLE = {
     ],
 }
 
-# Differentials once the ten reduction conditions hold.
-REDUCED_TABLE = {
-    _T1: [(_AFFINE(1), _G1, _T1)],
-    _T2: [(_AFFINE(-1), _G1, _T2), (_AFFINE(n=HALF), _T1, _T4)],
-    _T3: [(_AFFINE(-1), _G2, _T3), (_AFFINE(n=HALF, e=-1), _T1, _T4)],
-    _T4: [(_AFFINE(1), _G2, _T4)],
-    _G1: [(_AFFINE(1), _T1, _T2), (_AFFINE(k=HALF), _T1, _T4)],
-    _G2: [(_AFFINE(k=HALF), _T1, _T4), (_AFFINE(-1), _T3, _T4)],
-}
+def _restricted(table, keep):
+    """``table`` with the multipliers of the invariants in ``keep`` only:
+    rows that share a slot merged, oriented left < right, and zero rows
+    dropped."""
+    out = {}
+    for i, rows in table.items():
+        slots = {}
+        for (const, mults), left, right in rows:
+            sign = 1 if left < right else -1
+            acc = slots.setdefault((min(left, right), max(left, right)), [Fraction(0), {}])
+            if const:
+                acc[0] += sign * const
+            for name in keep:
+                if mults.get(name):
+                    acc[1][name] = acc[1].get(name, 0) + sign * mults[name]
+        out[i] = [
+            ((const, {n: v for n, v in mults.items() if v}), left, right)
+            for (left, right), (const, mults) in slots.items()
+            if const or any(mults.values())
+        ]
+    return out
+
+
+# Differentials once the ten reduction conditions hold: they zero every
+# invariant except k, n and e.
+REDUCED_TABLE = _restricted(APPENDIX_TABLE, ("k", "n", "e"))
 
 # Differentials of the maximally symmetric model (all invariants zero),
 # exhibiting the product Lie-algebra structure.
-FLAT_TABLE = {
-    _T1: [(_AFFINE(1), _G1, _T1)],
-    _T2: [(_AFFINE(-1), _G1, _T2)],
-    _T3: [(_AFFINE(-1), _G2, _T3)],
-    _T4: [(_AFFINE(1), _G2, _T4)],
-    _G1: [(_AFFINE(1), _T1, _T2)],
-    _G2: [(_AFFINE(1), _T4, _T3)],
-}
+FLAT_TABLE = _restricted(APPENDIX_TABLE, ())
 
 
 def _theta_affine(rows):

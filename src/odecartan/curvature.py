@@ -44,37 +44,27 @@ class Metric4:
     def evaluate(self, point):
         return [[self.g[i][j].evaluate(point) for j in range(DIM)] for i in range(DIM)]
 
-    def evaluate_inverse(self, point):
-        return [[self.ginv[i][j].evaluate(point) for j in range(DIM)] for i in range(DIM)]
-
     def signature_at(self, point):
         """(positive, negative) inertia from leading principal minors.
 
         Requires every leading minor to be nonzero at the point (Jacobi's
-        criterion); raises otherwise.
+        criterion); raises otherwise.  The minors are running products of
+        the pivots of one elimination without row exchanges, so a zero
+        pivot is exactly a vanishing leading minor.
         """
-        gp = self.evaluate(point)
+        a = self.evaluate(point)
         minors = [Fraction(1)]
-        for k in range(1, DIM + 1):
-            minors.append(_frac_det([row[:k] for row in gp[:k]]))
-        if any(m == 0 for m in minors[1:]):
-            raise SingularEvaluationError("a leading principal minor vanishes at the point")
+        for k in range(DIM):
+            pivot = a[k][k]
+            if pivot == 0:
+                raise SingularEvaluationError("a leading principal minor vanishes at the point")
+            minors.append(minors[-1] * pivot)
+            for i in range(k + 1, DIM):
+                f = a[i][k] / pivot
+                if f:
+                    a[i] = [a[i][j] - f * a[k][j] for j in range(DIM)]
         changes = sum(1 for i in range(DIM) if minors[i] * minors[i + 1] < 0)
         return DIM - changes, changes
-
-
-def _frac_det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = Fraction(0)
-    sign = 1
-    for j in range(n):
-        if m[0][j]:
-            minor = [row[:j] + row[j + 1:] for row in m[1:]]
-            total += sign * m[0][j] * _frac_det(minor)
-        sign = -sign
-    return total
 
 
 def family_metric(fd):

@@ -9,7 +9,7 @@ zero.  Expressions are immutable and safe to share between threads.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     ChartError,
@@ -17,8 +17,6 @@ from .errors import (
     SingularSubstitutionError,
 )
 from .poly import Poly, mono_gcd, poly_gcd
-
-_ZERO = Fraction(0)
 
 
 class Expression:
@@ -134,6 +132,8 @@ class Expression:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if other.is_zero:
+            return self
         return self + (-other)
 
     def __rsub__(self, other):
@@ -241,10 +241,16 @@ class Expression:
             raise SingularSubstitutionError("denominator vanishes identically after substitution")
         return num / den
 
-    def evaluate(self, point):
-        """Exact rational value at an assignment ``{rendered name: Fraction}``."""
-        num = _eval_poly(self.num, point)
-        den = _eval_poly(self.den, point)
+    def evaluate(self, point, powers=None):
+        """Exact rational value at an assignment ``{rendered name: Fraction}``.
+
+        ``powers``, a dict shared by evaluations at the same point, keeps
+        each symbol power once it is built.
+        """
+        if powers is None:
+            powers = {}
+        num = _eval_poly(self.num, point, powers)
+        den = _eval_poly(self.den, point, powers)
         if den == 0:
             raise SingularEvaluationError("denominator vanishes at the point")
         return num / den
@@ -272,6 +278,16 @@ class Expression:
 def _normalize(num, den):
     if num.is_zero:
         return num, Poly.const(1)
+    if den.is_const:
+        # an integral numerator over 1 is canonical; over another integer
+        # only their common content and the sign are left to fix
+        c = den.const_value()
+        if c == 1:
+            return num, den
+        g = gcd(num.content(), c)
+        if c < 0:
+            g = -g
+        return num.div_int(g), Poly.const(c // g)
     m = num.mono_content()
     if m:
         g = mono_gcd(m, den.mono_content())
@@ -315,17 +331,25 @@ def _subst_poly(poly, images, target, table):
     return acc
 
 
-def _eval_poly(poly, point):
-    total = _ZERO
+def _eval_poly(poly, point, powers):
+    # each term is an integer numerator over an integer denominator; one
+    # Fraction is built for the sum
+    terms = []
     for mono, coeff in poly.terms.items():
-        v = coeff
+        n, d = coeff, 1
         for s, e in mono:
-            name = s.render()
-            if name not in point:
-                raise SingularEvaluationError(f"symbol {name!r} has no assigned value")
-            v *= Fraction(point[name]) ** e
-        total += v
-    return total
+            f = powers.get((s, e))
+            if f is None:
+                name = s.render()
+                if name not in point:
+                    raise SingularEvaluationError(f"symbol {name!r} has no assigned value")
+                value = Fraction(point[name])
+                f = powers[s, e] = (value.numerator ** e, value.denominator ** e)
+            n *= f[0]
+            d *= f[1]
+        terms.append((n, d))
+    den = lcm(*(d for _, d in terms))
+    return Fraction(sum(n * (den // d) for n, d in terms), den)
 
 
 def _render_mono(mono):

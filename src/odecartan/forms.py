@@ -14,25 +14,6 @@ from .expression import Expression
 from .linalg import invert_matrix
 
 
-def _merge_sorted(index, axis):
-    """Sign and merged tuple for dx^axis ∧ dx^{index}, or None on collision."""
-    sign = 1
-    out = []
-    placed = False
-    for pos in index:
-        if pos == axis:
-            return None
-        if not placed and axis < pos:
-            out.append(axis)
-            placed = True
-        if not placed:
-            sign = -sign
-        out.append(pos)
-    if not placed:
-        out.append(axis)
-    return sign, tuple(out)
-
-
 def _wedge_indices(i1, i2):
     """Sign and merged tuple for dx^{i1} ∧ dx^{i2}, or None if they collide."""
     sign = 1
@@ -171,7 +152,7 @@ class DifferentialForm:
                 dc = c.differentiate(coord)
                 if dc.is_zero:
                     continue
-                merged = _merge_sorted(idx, axis)
+                merged = _wedge_indices((axis,), idx)
                 if merged is None:
                     continue
                 sign, nidx = merged

@@ -11,7 +11,7 @@ finite exact check.  No floating point enters anywhere.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import PetrovDegeneracyError, SingularEvaluationError
 
@@ -86,46 +86,69 @@ def _isqrt_exact(n):
     return r if r * r == n else None
 
 
-def weyl_operator_at(metric, tensors, point):
+def jet_expressions(metric, tensors, functions):
+    """{rendered name: expression} for each jet symbol among the values
+    ``weyl_operator_at`` reads: its function's expression in
+    ``functions`` (keyed by function name), differentiated along the
+    jet's index."""
+    exprs = [metric.det, *(e for row in metric.ginv for e in row)]
+    exprs += [tensors.weyl_down[a][b][m][n] for a, b in PAIRS for m, n in PAIRS]
+    jets = {}
+    for sym in {s for e in exprs for s in e.symbols() if not s.is_coordinate}:
+        expr = functions[sym.name]
+        for coord in sym.index:
+            expr = expr.differentiate(coord)
+        jets[sym.render()] = expr
+    return jets
+
+
+def weyl_operator_at(metric, tensors, point, jets=None):
     """Weyl endomorphism and Hodge star on 2-forms, as exact 6x6 matrices.
 
     Basis: coordinate 2-forms dx^a ∧ dx^b over the increasing pairs.
+    ``jets`` (from ``jet_expressions``) extends the point with the value
+    of each jet symbol, so opaque-coefficient tensors give the values of
+    the metric with their functions substituted.  With the 2x2 minors
+    G[mn][cd] = g^mc g^nd - g^nc g^md of g^-1, W^ab_cd is
+    Σ_{m<n} W_abmn G[mn][cd] (W_abmn = -W_abnm), and the star's entry is
+    vol · ε_abmn G[mn][cd] for the pair (m, n) complementary to (a, b).
     """
+    powers = {}
+    values = dict(point)
     try:
-        ginv = metric.evaluate_inverse(point)
-        gdet = metric.det.evaluate(point)
-        # W_abmn = -W_abnm: evaluate the increasing pairs once, negate the
-        # partner; the diagonal m == n vanishes.
-        weyl = {}
-        for a, b in PAIRS:
-            w = _mat(4)
-            for m, n_ in PAIRS:
-                value = tensors.weyl_down[a][b][m][n_].evaluate(point)
-                w[m][n_] = value
-                w[n_][m] = -value
-            weyl[a, b] = w
+        for name, expr in (jets or {}).items():
+            values[name] = expr.evaluate(point, powers)
+        ginv = [[e.evaluate(values, powers) for e in row] for row in metric.ginv]
+        gdet = metric.det.evaluate(values, powers)
+        weyl = [
+            [tensors.weyl_down[a][b][m][n].evaluate(values, powers) for m, n in PAIRS]
+            for a, b in PAIRS
+        ]
     except SingularEvaluationError as exc:
         raise PetrovDegeneracyError(str(exc)) from exc
     vol = _sqrt_fraction(gdet)
 
-    weyl_op = _mat(6)
-    star = _mat(6)
-    for row, (a, b) in enumerate(PAIRS):
-        w = weyl[a, b]
-        for col, (c, d) in enumerate(PAIRS):
-            acc = Fraction(0)
-            sacc = Fraction(0)
-            for m in range(4):
-                for n_ in range(4):
-                    gmc = ginv[m][c]
-                    gnd = ginv[n_][d]
-                    if gmc and gnd:
-                        acc += w[m][n_] * gmc * gnd
-                        eps = _EPSILON.get((a, b, m, n_), 0)
-                        if eps:
-                            sacc += eps * gmc * gnd
-            weyl_op[row][col] = acc
-            star[row][col] = vol * sacc
+    # integer numerators over one denominator for g^-1 and one per row of
+    # W, so each cell is built as a single Fraction
+    dg = lcm(*(v.denominator for row in ginv for v in row))
+    gi = [[v.numerator * (dg // v.denominator) for v in row] for row in ginv]
+    minors = [
+        [gi[m][c] * gi[n][d] - gi[n][c] * gi[m][d] for c, d in PAIRS] for m, n in PAIRS
+    ]
+    den = dg * dg
+    weyl_op = []
+    for w in weyl:
+        dw = lcm(*(v.denominator for v in w))
+        wi = [v.numerator * (dw // v.denominator) for v in w]
+        cell_den = dw * den
+        weyl_op.append(
+            [Fraction(sum(wi[p] * minors[p][col] for p in range(6)), cell_den) for col in range(6)]
+        )
+    star = []
+    for a, b in PAIRS:
+        m, n = (i for i in range(4) if i not in (a, b))
+        scale = vol * _EPSILON[a, b, m, n] / den
+        star.append([scale * g for g in minors[PAIRS.index((m, n))]])
     return weyl_op, star
 
 
@@ -250,8 +273,9 @@ class PetrovPointResult:
         return frozenset((self.label_plus, self.label_minus))
 
 
-def classify_at_point(metric, tensors, point):
-    weyl_op, star = weyl_operator_at(metric, tensors, point)
+def classify_at_point(metric, tensors, point, jets=None):
+    """Petrov labels at ``point``; ``jets`` as in ``weyl_operator_at``."""
+    weyl_op, star = weyl_operator_at(metric, tensors, point, jets)
     if not mat_is_zero(mat_sub(mat_mul(star, star), identity(6))):
         raise PetrovDegeneracyError("Hodge star does not square to +1 at the point")
     if not mat_is_zero(mat_sub(mat_mul(weyl_op, star), mat_mul(star, weyl_op))):

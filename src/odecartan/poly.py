@@ -217,8 +217,11 @@ class Poly:
     def __mul__(self, other):
         if not self.terms or not other.terms:
             return Poly.zero()
-        if len(other.terms) > len(self.terms):
+        if len(other.terms) > len(self.terms) or self.is_const:
             self, other = other, self
+        if other.is_const:
+            c = other.const_value()
+            return self if c == 1 else Poly({m: v * c for m, v in self.terms.items()})
         out = {}
         for m2, c2 in other.terms.items():
             for m1, c1 in self.terms.items():

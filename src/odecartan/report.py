@@ -39,8 +39,8 @@ from .errors import (
     UnknownSymbolError,
 )
 from .parse import parse_expression
-from .petrov import classify_at_point
-from .symbols import J2_CHART, SymbolTable
+from .petrov import classify_at_point, jet_expressions
+from .symbols import J2_CHART, Sym, SymbolTable
 
 STAGES = ("inv", "cond", "metric", "einstein", "petrov", "conn", "appendix")
 
@@ -237,7 +237,7 @@ def analyze(request):
             "e": kne.e.render(),
         }
 
-    sf = metric = None
+    sf = metric = tensors = None
     failed = set()
     for stage in stages:
         broken_deps = [d for d in _DEPENDENCIES.get(stage, ()) if d in failed]
@@ -313,7 +313,7 @@ def analyze(request):
                 if "einstein" in requested:
                     verdicts["einstein"] = holds and tensors.scalar == -4
             elif stage == "petrov":
-                outcome = _petrov_stage(request, family)
+                outcome = _petrov_stage(request, family, metric, tensors)
                 report["petrov"] = outcome
                 report["conventions"]["d_eigenspace"] = outcome.get("d_eigenspace")
                 if "petrov" in requested:
@@ -391,11 +391,39 @@ def _specialized_family(request, family):
     return FamilyData(family.problem, coeffs["A"], coeffs["B"], coeffs["C"])
 
 
-def _petrov_stage(request, family):
+def _substituted_functions(request, family, fd):
+    """{function name: specialisation} when specialising the coefficients
+    A and B substitutes the distinct opaque functions they are, with no
+    argument the function lacks; None otherwise.  The quadratic
+    coefficient C is not in the metric."""
+    table = family.problem.table
+    out = {}
+    for name in ("A", "B"):
+        if name in request.specializations:
+            sym = table.base(getattr(family, name).render())
+            special = getattr(fd, name)
+            if sym is None or sym.name in out or not special.symbols() <= set(map(Sym, sym.args)):
+                return None
+            out[sym.name] = special
+    return out
+
+
+def _petrov_stage(request, family, metric, tensors):
+    """Petrov labels at seeded exact points of the specialised metric.
+
+    ``metric`` is the metric stage's metric of the unspecialised family,
+    ``tensors`` the einstein stage's curvature of it, or None when that
+    stage did not run.  Formal jet calculus commutes with specialisation,
+    so the opaque Weyl tensor, g^-1 and det take the specialised values
+    at a point extended with each jet symbol's value: its function's
+    specialisation differentiated along the jet's index.  When a
+    specialisation replaces a coefficient that is not an opaque function
+    (a concrete one, say), the specialised metric and its curvature are
+    built here instead.
+    """
     fd = _specialized_family(request, family)
-    metric = family_metric(fd)
     leftover = sorted(
-        {s.render() for row in metric.g for e in row for s in e.symbols() if not s.is_coordinate}
+        {s.render() for c in (fd.A, fd.B) for s in c.symbols() if not s.is_coordinate}
     )
     if leftover:
         raise AnalysisInputError(
@@ -403,7 +431,12 @@ def _petrov_stage(request, family):
             f"metric still contains opaque symbols {leftover}; "
             "provide rational specializations for A and B",
         )
-    tensors = curvature_tensors(metric)
+    functions = _substituted_functions(request, family, fd)
+    if functions is None:
+        metric, tensors, functions = family_metric(fd), None, {}
+    if tensors is None:
+        tensors = curvature_tensors(metric)
+    jets = jet_expressions(metric, tensors, functions)
     rng = random.Random(request.seed)
     results = []
     skipped = []
@@ -416,7 +449,7 @@ def _petrov_stage(request, family):
             for c in ("x", "y", "z", "t")
         }
         try:
-            results.append(classify_at_point(metric, tensors, point))
+            results.append(classify_at_point(metric, tensors, point, jets))
         except PetrovDegeneracyError as exc:
             skipped.append({"point": _point_to_json(point), "reason": str(exc)})
     if len(results) < request.points:

@@ -8,8 +8,6 @@ makes every polynomial canonical regardless of when a symbol was first
 created.
 """
 
-import threading
-
 from .errors import ChartError, SymbolCollisionError, UnknownSymbolError
 
 
@@ -104,11 +102,10 @@ _RESERVED_NAMES = frozenset(
 
 
 class SymbolTable:
-    """Append-only registry of opaque functions, safe for concurrent use."""
+    """Append-only registry of opaque functions, one per request."""
 
     def __init__(self):
         self._functions = {}
-        self._lock = threading.Lock()
 
     def declare(self, name, args):
         """Register an opaque function and return its underived jet symbol."""
@@ -120,20 +117,17 @@ class SymbolTable:
         for a in args:
             if a not in _RESERVED_NAMES:
                 raise ChartError(f"argument {a!r} of {name!r} is not a known coordinate")
-        with self._lock:
-            if name in self._functions:
-                raise SymbolCollisionError(f"opaque function {name!r} already declared")
-            sym = Sym(name, args)
-            self._functions[name] = sym
+        if name in self._functions:
+            raise SymbolCollisionError(f"opaque function {name!r} already declared")
+        sym = Sym(name, args)
+        self._functions[name] = sym
         return sym
 
     def functions(self):
-        with self._lock:
-            return dict(self._functions)
+        return dict(self._functions)
 
     def base(self, name):
-        with self._lock:
-            return self._functions.get(name)
+        return self._functions.get(name)
 
     def resolve(self, name):
         """Map a rendered name back to a ``Sym`` (coordinates score first).

@@ -61,6 +61,51 @@ def chart_level_residuals(tau, table, sf=None):
     return out
 
 
+_AFFINE = cartan._AFFINE
+_T1, _T2, _T3, _T4, _G1, _G2 = range(6)
+
+# The reduced and flat tables as transcribed from the paper, before
+# ``cartan`` generated them from APPENDIX_TABLE: the expected values.
+REDUCED_TRANSCRIPTION = {
+    _T1: [(_AFFINE(1), _G1, _T1)],
+    _T2: [(_AFFINE(-1), _G1, _T2), (_AFFINE(n=Fraction(1, 2)), _T1, _T4)],
+    _T3: [(_AFFINE(-1), _G2, _T3), (_AFFINE(n=Fraction(1, 2), e=-1), _T1, _T4)],
+    _T4: [(_AFFINE(1), _G2, _T4)],
+    _G1: [(_AFFINE(1), _T1, _T2), (_AFFINE(k=Fraction(1, 2)), _T1, _T4)],
+    _G2: [(_AFFINE(k=Fraction(1, 2)), _T1, _T4), (_AFFINE(-1), _T3, _T4)],
+}
+
+FLAT_TRANSCRIPTION = {
+    _T1: [(_AFFINE(1), _G1, _T1)],
+    _T2: [(_AFFINE(-1), _G1, _T2)],
+    _T3: [(_AFFINE(-1), _G2, _T3)],
+    _T4: [(_AFFINE(1), _G2, _T4)],
+    _G1: [(_AFFINE(1), _T1, _T2)],
+    _G2: [(_AFFINE(1), _T4, _T3)],
+}
+
+
+def merged_table(table):
+    """{form: {(l, r) with l < r: (const, {invariant: nonzero mult})}},
+    rows on one slot summed and zero slots dropped."""
+    out = {}
+    for i, rows in table.items():
+        slots = {}
+        for (const, mults), left, right in rows:
+            sign = 1 if left < right else -1
+            c, m = slots.get((min(left, right), max(left, right)), (0, {}))
+            m = dict(m)
+            for name, mult in mults.items():
+                m[name] = m.get(name, 0) + sign * mult
+            slots[min(left, right), max(left, right)] = (c + sign * const, m)
+        out[i] = {
+            slot: (c, {n: v for n, v in m.items() if v})
+            for slot, (c, m) in slots.items()
+            if c or any(m.values())
+        }
+    return out
+
+
 def _perturbed_appendix_table():
     """APPENDIX_TABLE with one affine coefficient changed and rows added to
     two other forms, so that three of the six residuals are nonzero."""
@@ -222,6 +267,20 @@ class TestTauBasis:
         cf = family_problem.coframe()
         tau = family_problem.tau()
         assert all(r.is_zero for r in tau_from_theta_residuals(cf, tau))
+
+    @pytest.mark.parametrize(
+        "generated, transcription",
+        [(REDUCED_TABLE, REDUCED_TRANSCRIPTION), (FLAT_TABLE, FLAT_TRANSCRIPTION)],
+        ids=["reduced", "flat"],
+    )
+    def test_generated_tables_match_transcriptions(self, generated, transcription):
+        assert merged_table(generated) == merged_table(transcription)
+        # generated rows are already merged and oriented
+        for i, rows in generated.items():
+            slots = [(left, right) for _, left, right in rows]
+            assert all(left < right for left, right in slots)
+            assert len(set(slots)) == len(slots)
+            assert all(const or any(mults.values()) for (const, mults), _, _ in rows)
 
     def test_flat_differentials(self, flat_problem):
         residuals = differential_residuals(flat_problem, FLAT_TABLE)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from odecartan import report as report_module
 from odecartan.report import AnalysisRequest, analyze, emit_report
 
 REQUIRED_KEYS = [
@@ -190,3 +191,87 @@ class TestPythonApi:
     def test_verdicts_only_for_requested_stages(self):
         report = analyze(AnalysisRequest(ode="q^2", stages=("inv",)))
         assert set(report.verdicts) == {"inv", "cond"}
+
+
+FAMILY_REQUEST = dict(
+    ode="3/2*q^2/p + A(x,y)*p^3 + C(x,y)*p^2 + B(x,y)*p",
+    opaque={"A": ("x", "y"), "B": ("x", "y"), "C": ("x", "y")},
+    specializations={"A": "x*y", "B": "x + y"},
+    seed=11,
+)
+
+
+class TestPetrovStage:
+    def test_petrov_alone_matches_all_stages(self):
+        alone = analyze(AnalysisRequest(stages=("petrov",), **FAMILY_REQUEST))
+        full = analyze(AnalysisRequest(stages=("all",), **FAMILY_REQUEST))
+        assert alone.data["petrov"]["run"] is True
+        assert alone.data["petrov"] == full.data["petrov"]
+        assert alone.exit_code == full.exit_code == 0
+
+    def test_all_stages_compute_the_curvature_once(self, monkeypatch):
+        calls = []
+        original = report_module.curvature_tensors
+
+        def counting(metric):
+            calls.append(metric)
+            return original(metric)
+
+        monkeypatch.setattr(report_module, "curvature_tensors", counting)
+        report = analyze(AnalysisRequest(stages=("all",), **FAMILY_REQUEST))
+        assert report.data["petrov"]["labels"] == ["D+II"]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "ode, opaque, specs, concrete, labels",
+        [
+            # a concrete coefficient specialised anyway is replaced: the
+            # generic x*y (D+II) becomes the separable y^2 (D+D)
+            ("3/2*q^2/p + x*y*p^3 + x*p", {}, {"A": "y^2"}, "3/2*q^2/p + y^2*p^3 + x*p", ["D+D"]),
+            # A(y) specialised by a function of x and y is replaced as well,
+            # although the jet calculus of A(y) has no A_x
+            (
+                "3/2*q^2/p + A(y)*p^3 + x*p",
+                {"A": ("y",)},
+                {"A": "x*y"},
+                "3/2*q^2/p + x*y*p^3 + x*p",
+                ["D+II"],
+            ),
+        ],
+        ids=["concrete", "narrow-arguments"],
+    )
+    def test_replaced_coefficient_matches_the_concrete_family(
+        self, ode, opaque, specs, concrete, labels
+    ):
+        special = analyze(
+            AnalysisRequest(ode=ode, opaque=opaque, stages=("petrov",), specializations=specs)
+        )
+        direct = analyze(AnalysisRequest(ode=concrete, stages=("petrov",)))
+        special_petrov = dict(special.data["petrov"], specializations=None)
+        direct_petrov = dict(direct.data["petrov"], specializations=None)
+        assert special_petrov == direct_petrov
+        assert special_petrov["labels"] == labels
+
+    def test_missing_specialization_names_the_symbols(self):
+        request = dict(FAMILY_REQUEST, specializations={"A": "x*y"})
+        report = analyze(AnalysisRequest(stages=("petrov",), **request))
+        error = report.stage_errors["petrov"]
+        assert error["code"] == "petrov-needs-specialization"
+        assert "['B']" in error["message"]
+
+
+def test_runtime_imports_only_the_standard_library():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import odecartan\n"
+        "report = odecartan.analyze(odecartan.AnalysisRequest(ode='3/2*q^2/p', stages=('all',)))\n"
+        "assert report.exit_code == 0, report.stage_errors\n"
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(loaded)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "odecartan" in loaded
+    assert loaded - set(sys.stdlib_module_names) == {"odecartan"}

@@ -6,6 +6,7 @@ import pytest
 
 from odecartan import Expression, METRIC_CHART, SymbolTable, parse_expression
 from odecartan.cartan import family_detect
+from odecartan.errors import SingularEvaluationError
 from odecartan.curvature import (
     Metric4,
     curvature_tensors,
@@ -48,6 +49,25 @@ class TestMetric:
         metric = family_metric(family_data)
         point = {"x": 1, "y": 2, "z": Fraction(1, 3), "t": 4, "A": 5, "B": Fraction(-2, 7)}
         assert metric.signature_at(point) == (2, 2)
+
+    def test_signature_of_a_constant_metric(self):
+        table = SymbolTable()
+        rows = [[2, 1, 0, 0], [1, -1, 0, 0], [0, 0, 3, 1], [0, 0, 1, 1]]
+        g = [[Expression.number(v, METRIC_CHART, table) for v in row] for row in rows]
+        # leading minors 2, -3, -9, -6: one sign change
+        assert Metric4(g, table).signature_at({}) == (3, 1)
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            {"x": 1, "y": 2, "z": 1, "t": 2, "A": 3, "B": -2},  # g_00 = 0
+            {"x": 1, "y": 2, "z": 2, "t": 1, "A": 2, "B": 3},  # 2x2 leading minor 0
+        ],
+    )
+    def test_signature_needs_nonzero_leading_minors(self, family_data, point):
+        metric = family_metric(family_data)
+        with pytest.raises(SingularEvaluationError, match="leading principal minor vanishes"):
+            metric.signature_at(point)
 
     def test_projectability(self, family_metric_tensors):
         _, projectability, _ = family_metric_tensors

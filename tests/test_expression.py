@@ -252,6 +252,16 @@ class TestEvaluate:
         assert e.evaluate({"C": 4, "alpha": 1, "p": 1}) == -1
         assert e.render() == "-C/(4*alpha^2*p)"
 
+    def test_shared_powers_give_the_same_values(self, table):
+        point = {"x": Fraction(-3, 4), "y": 5, "p": Fraction(7, 2), "q": Fraction(1, 9)}
+        powers = {}
+        for text in ("x^2*y/(p + 1) - q^3", "3/2*q^2/p + x^2*p^3", "(x - y)^3/(2*q)"):
+            e = parse_expression(text, J2_CHART, table)
+            expected = e.substitute(point).const_value()
+            assert e.evaluate(point) == expected
+            assert e.evaluate(point, powers) == expected
+            assert type(e.evaluate(point, powers)) is Fraction
+
     def test_unassigned_symbol_rejected(self, table):
         e = parse_expression("p*q", J2_CHART, table)
         with pytest.raises(SingularEvaluationError):
@@ -328,6 +338,29 @@ class TestCanonicalProperties:
         except SingularSubstitutionError:
             return
         assert_canonical(image)
+
+    def test_constant_denominators_other_than_one(self, table):
+        x = Expression.coordinate("x", J2_CHART, table)
+        y = Expression.coordinate("y", J2_CHART, table)
+        cases = {
+            "x/3": (x / 2) * Fraction(2, 3),
+            "(x - y)/6": x / 6 - y / 6,
+            "-x/6": x / -6,
+            "(-x - 2*y)/3": (2 * x + 4 * y) / -6,
+            "x": (x / 2) * 2,
+        }
+        for text, e in cases.items():
+            assert_canonical(e)
+            assert e.render() == text
+            assert e == parse_expression(text, J2_CHART, table)
+
+    def test_constant_operands_take_the_short_paths(self, table):
+        x = Expression.coordinate("x", J2_CHART, table)
+        assert x - 0 is x
+        p = (x * x + 3 * x).num
+        assert p * Poly.const(1) is p and Poly.const(1) * p is p
+        assert (Poly.const(-2) * p).terms == {m: -2 * c for m, c in p.terms.items()}
+        assert (p * Poly.const(-2)).terms == {m: -2 * c for m, c in p.terms.items()}
 
     def test_rational_constant_value_is_a_fraction(self, table):
         value = Expression.number(Fraction(1, 3), J2_CHART, table).const_value()

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from odecartan import SymbolTable
-from odecartan.cartan import family_detect
-from odecartan.curvature import curvature_tensors, family_metric
+from odecartan import J2_CHART, SymbolTable, parse_expression
+from odecartan.cartan import FamilyData, family_detect
+from odecartan.curvature import curvature_tensors, family_metric, metric_from_family
 from odecartan.errors import PetrovDegeneracyError
 from odecartan.petrov import (
     PAIRS,
@@ -15,6 +15,7 @@ from odecartan.petrov import (
     classify_traceless,
     eigenspace_basis,
     identity,
+    jet_expressions,
     mat_is_zero,
     mat_mul,
     mat_sub,
@@ -71,7 +72,7 @@ class TestBlockClassifier:
 
 def reference_weyl_operator(metric, tensors, point):
     """The Weyl endomorphism on 2-forms from all 256 evaluated components."""
-    ginv = metric.evaluate_inverse(point)
+    ginv = [[e.evaluate(point) for e in row] for row in metric.ginv]
     weyl = [
         [
             [[tensors.weyl_down[i][j][k][l].evaluate(point) for l in range(4)] for k in range(4)]
@@ -176,3 +177,68 @@ class TestClassification:
         tensors = curvature_tensors(metric)
         with pytest.raises(PetrovDegeneracyError):
             classify_at_point(metric, tensors, POINTS[0])
+
+
+def point_outcome(metric, tensors, point, jets=None):
+    """Labels and blocks at the point, or the reason it is skipped."""
+    try:
+        r = classify_at_point(metric, tensors, point, jets)
+    except PetrovDegeneracyError as exc:
+        return str(exc)
+    return r.point, r.label_plus, r.label_minus, r.block_plus, r.block_minus
+
+
+def seeded_points(seed, count=8):
+    rng = random.Random(seed)
+    return [
+        {c: Fraction(rng.randint(-100, 100), rng.randint(1, 100)) for c in ("x", "y", "z", "t")}
+        for _ in range(count)
+    ]
+
+
+class TestJetExtendedPoints:
+    """The opaque-coefficient Weyl tensor read at points extended with jet
+    values against the specialised metric's own curvature (the oracle)."""
+
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            {"A": "x*y", "B": "x + y"},
+            {"A": "y^2", "B": "x^2 - 3"},
+            {"A": "x/(y+1)", "B": "x + y"},
+        ],
+        ids=["generic", "separable", "pole"],
+    )
+    def test_opaque_tensors_match_specialised_metric(self, family_metric_tensors, family_data, specs):
+        metric, _, tensors = family_metric_tensors
+        table = family_data.problem.table
+        values = {n: parse_expression(t, J2_CHART, table) for n, t in specs.items()}
+        fd = FamilyData(family_data.problem, values["A"], values["B"], family_data.C)
+        oracle_metric = family_metric(fd)
+        oracle_tensors = curvature_tensors(oracle_metric)
+        jets = jet_expressions(metric, tensors, values)
+        assert {"A", "A_x", "A_xx", "B", "B_y", "B_yy"} <= set(jets)
+        points = seeded_points(3) + [
+            {"x": Fraction(2), "y": Fraction(-1), "z": Fraction(1, 3), "t": Fraction(5)},
+            {"x": Fraction(-7, 4), "y": Fraction(-1), "z": Fraction(3), "t": Fraction(1, 2)},
+        ]
+        outcomes = [point_outcome(metric, tensors, pt, jets) for pt in points]
+        assert outcomes == [point_outcome(oracle_metric, oracle_tensors, pt) for pt in points]
+        skipped = [o for o in outcomes if isinstance(o, str)]
+        if "/(y+1)" in specs["A"]:
+            assert skipped == ["denominator vanishes at the point"] * 2
+        else:
+            assert not skipped
+        assert all(o[0] == pt for o, pt in zip(outcomes, points) if not isinstance(o, str))
+
+    def test_flat_model_needs_no_jets(self):
+        fd = family_detect(make_problem("3/2*q^2/p"))
+        metric, _ = metric_from_family(fd)
+        tensors = curvature_tensors(metric)
+        assert jet_expressions(metric, tensors, {}) == {}
+        oracle_metric = family_metric(fd)
+        oracle_tensors = curvature_tensors(oracle_metric)
+        for pt in seeded_points(5):
+            outcome = point_outcome(metric, tensors, pt, {})
+            assert outcome == point_outcome(oracle_metric, oracle_tensors, pt)
+            assert outcome[1:3] == ("D", "D")
