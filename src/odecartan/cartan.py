@@ -341,17 +341,6 @@ class TauBasis:
 
     forms: tuple  # (tau1, tau2, tau3, tau4, gamma1, gamma2)
 
-    @property
-    def taus(self):
-        return self.forms[:4]
-
-    @property
-    def gammas(self):
-        return self.forms[4:]
-
-    def coframe(self):
-        return Coframe(list(self.forms))
-
 
 # The constant change of basis tau = M theta: _TAU[i][a] is the coefficient
 # of coframe form a in (tau1, tau2, tau3, tau4, gamma1, gamma2)[i].
@@ -364,6 +353,17 @@ _TAU = (
     (0, 2, 0, 0, 1, 0),
 )
 
+# Its inverse: _TAU_INV[a][i] is the coefficient of tau form i in coframe
+# form a (theta1 = (tau1 - tau4)/2, theta2 = (gamma2 - gamma1)/2, ...).
+_TAU_INV = (
+    (HALF, 0, 0, -HALF, 0, 0),
+    (0, 0, 0, 0, -HALF, HALF),
+    (0, -HALF, HALF, 0, 0, 0),
+    (0, 0, 0, 1, 0, 0),
+    (0, 0, 0, 0, 1, 0),
+    (0, 1, 0, 0, 0, 0),
+)
+
 
 def tau_basis(cf):
     """Constant-coefficient change of basis to the null-adapted coframe."""
@@ -374,20 +374,6 @@ def tau_basis(cf):
             for row in _TAU
         )
     )
-
-
-def tau_from_theta_residuals(cf, tau):
-    """Round trip tau-basis -> original coframe; all residuals must vanish."""
-    t1, t2, t3, t4, g1, g2 = tau.forms
-    th1, th2, th3, th4, om1, om2 = cf.forms
-    return [
-        (t1 - t4).scale(HALF) - th1,
-        (g2 - g1).scale(HALF) - th2,
-        (t3 - t2).scale(HALF) - th3,
-        t4 - th4,
-        g1 - om1,
-        t2 - om2,
-    ]
 
 
 @dataclass(frozen=True)
@@ -729,24 +715,41 @@ def differential_residuals(prob, table, sf=None):
     (the flat case).
     """
     cf = prob.coframe()
-    expansions = prob.expansions()
     zero = Expression.number(0, cf.chart, cf.table)
     values = sf.as_dict() if sf is not None else dict.fromkeys(STRUCTURE_NAMES, zero)
     out = []
-    for i in range(6):
-        coeffs = {}
-        for eq, m in enumerate(_TAU[i]):
-            if m:
-                for slot, c in expansions[eq].items():
-                    coeffs[slot] = coeffs.get(slot, zero) + (c if m == 1 else m * c)
+    for i, d_tau in enumerate(tau_differentials(prob)):
+        coeffs = dict(d_tau)
         for slot, (const, mults) in _theta_affine(table[i]).items():
             rhs = zero + const
             for name, mult in mults.items():
                 if mult:
                     rhs = rhs + mult * values[name]
-            coeffs[slot] = coeffs[slot] - rhs
+            coeffs[slot] = coeffs.get(slot, zero) - rhs
         out.append(cf.reconstruct_2(coeffs))
     return out
+
+
+def tau_differentials(prob):
+    """d(tau_i) = Σ_a M[i][a] d(theta_a) in the theta^theta basis, from the
+    expansions the ``inv`` stage memoised: one ``{slot: coefficient}`` dict
+    per tau form, zero coefficients left out."""
+
+    def build():
+        expansions = prob.expansions()
+        out = []
+        for row in _TAU:
+            coeffs = {}
+            for eq, m in enumerate(row):
+                if m:
+                    for slot, c in expansions[eq].items():
+                        if not c.is_zero:
+                            term = c if m == 1 else m * c
+                            coeffs[slot] = coeffs[slot] + term if slot in coeffs else term
+            out.append({slot: c for slot, c in coeffs.items() if not c.is_zero})
+        return out
+
+    return prob._memo("tau_differentials", build)
 
 
 def verify_appendix(prob, sf=None):

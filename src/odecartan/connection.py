@@ -12,15 +12,31 @@ adapted chart (x, y, z, t, alpha, p):
   * the so(2,2) Cartan connection: a 4x4 matrix built linearly from the
     coframe whose curvature collapses to a constant matrix times
     tau1 ∧ tau4, vanishing precisely when k = n = e = 0.
+
+Each connection is a table of coefficients in the tau basis, each
+coefficient affine in k, n, e, so every check is coefficient algebra in the
+tau_a ∧ tau_b basis (a < b), with no exterior derivative, wedge or
+expansion on the chart:
+
+  * d(tau_i) is read from the theta^theta expansions the ``inv`` stage
+    memoised, through the constant 2x2 minors of M^-1 (tau = M theta),
+    and carried to the adapted chart;
+  * d(c tau_a) = Σ_b X_b(c) tau_b ∧ tau_a + c d(tau_a), with X_b the frame
+    dual to tau;
+  * Gamma ∧ Gamma is products of coefficients.
+
+A residual the report renders as a form is mapped back to a chart form
+through the adapted tau forms, and only when it is nonzero.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartan import HALF, family_invariants
+from .cartan import _AFFINE, _G1, _G2, _T1, _T2, _T3, _T4, _TAU_INV, HALF
+from .cartan import family_invariants, tau_differentials, to_adapted
 from .curvature import adapted_tau
 from .expression import Expression
-from .forms import Coframe, DifferentialForm
+from .forms import Coframe, DifferentialForm, pair_minors, wedge_sum
 from .symbols import M_ADAPTED_CHART
 
 # Constant coefficients of the degenerate bilinear form in the tau basis.
@@ -31,56 +47,186 @@ BLOCK_METRIC = (
     (0, 0, 1, 0),
 )
 
+# Gamma^i_j = Σ_a c · tau_a, with c = const + Σ mult · invariant:
+# {(i, j): {a: (const, {invariant: mult})}}; entries not listed are zero.
+METRIC_CONNECTION = {
+    (0, 0): {_G1: _AFFINE(-1)},
+    (1, 1): {_G1: _AFFINE(1)},
+    (1, 3): {_T1: _AFFINE(n=-HALF), _T4: _AFFINE(e=1, n=-HALF)},
+    (2, 0): {_T1: _AFFINE(n=HALF), _T4: _AFFINE(e=-1, n=HALF)},
+    (2, 2): {_G2: _AFFINE(1)},
+    (3, 3): {_G2: _AFFINE(-1)},
+}
 
-def _zero_form(table):
-    return DifferentialForm.zero(M_ADAPTED_CHART, table, 1)
+# The so(2,2)-valued connection: constant coefficients.
+CARTAN_CONNECTION = {
+    (0, 0): {_T4: _AFFINE(-HALF), _G1: _AFFINE(-HALF), _G2: _AFFINE(-HALF)},
+    (0, 2): {_T1: _AFFINE(1)},
+    (0, 3): {_T4: _AFFINE(-HALF)},
+    (1, 1): {_T4: _AFFINE(HALF), _G1: _AFFINE(HALF), _G2: _AFFINE(HALF)},
+    (1, 2): {_T3: _AFFINE(1), _T4: _AFFINE(-HALF), _G2: _AFFINE(-1)},
+    (1, 3): {_T2: _AFFINE(-HALF)},
+    (2, 0): {_T2: _AFFINE(HALF)},
+    (2, 1): {_T4: _AFFINE(HALF)},
+    (2, 2): {_T4: _AFFINE(-HALF), _G1: _AFFINE(HALF), _G2: _AFFINE(-HALF)},
+    (3, 0): {_T3: _AFFINE(-1), _T4: _AFFINE(HALF), _G2: _AFFINE(1)},
+    (3, 1): {_T1: _AFFINE(-1)},
+    (3, 3): {_T4: _AFFINE(HALF), _G1: _AFFINE(-HALF), _G2: _AFFINE(HALF)},
+}
+
+# The tau^tau slots along gamma1 or gamma2, which a horizontal 2-form leaves empty.
+_VERTICAL_SLOTS = tuple((l, r) for l in range(6) for r in range(l + 1, 6) if r >= _G1)
+
+# theta_b ∧ theta_c = Σ m · tau_l ∧ tau_r, with m the 2x2 minors of M^-1.
+_THETA_TO_TAU = {
+    slot: {key: m for key, m in row.items() if m}
+    for slot, row in pair_minors([[(l, v) for l, v in enumerate(r) if v] for r in _TAU_INV]).items()
+}
+
+
+# Coefficients are Fractions while they are constant, Expressions otherwise.
+def _is_zero(c):
+    return c.is_zero if isinstance(c, Expression) else not c
+
+
+def _accumulate(acc, key, value):
+    acc[key] = acc[key] + value if key in acc else value
+
+
+def _add_wedge(acc, a, b, c):
+    """acc += c · tau_a ∧ tau_b, in the slots (l, r) with l < r."""
+    if a != b:
+        _accumulate(acc, (a, b) if a < b else (b, a), c if a < b else -c)
+
+
+def _nonzero(coeffs):
+    return {key: c for key, c in coeffs.items() if not _is_zero(c)}
 
 
 def adapted_tau_coframe(prob):
+    """The adapted tau forms as a coframe: its inverse is the dual frame."""
     return prob._memo("adapted_tau_coframe", lambda: Coframe(list(adapted_tau(prob).forms)))
 
 
-def metric_connection_matrix(fd):
-    """The displayed 4x4 matrix of connection 1-forms for the family."""
-    prob = fd.problem
-    table = prob.table
-    tau = adapted_tau(prob)
-    t1, _, _, t4, g1, g2 = tau.forms
-    kne = family_invariants(fd)
-    n, e = kne.n, kne.e
-    off = t1.scale(-HALF * n) + t4.scale(e - HALF * n)
-    zero = _zero_form(table)
-    return [
-        [-g1, zero, zero, zero],
-        [zero, g1, zero, off],
-        [-off, zero, g2, zero],
-        [zero, zero, zero, -g2],
-    ]
+def adapted_tau_differentials(prob):
+    """d(tau_i) in the tau^tau basis of the adapted chart, one
+    ``{(l, r): coefficient}`` dict per tau form, zero coefficients left
+    out."""
+
+    def build():
+        out = []
+        for d_tau in tau_differentials(prob):
+            coeffs = {}
+            for slot, c in d_tau.items():
+                for tslot, m in _THETA_TO_TAU[slot].items():
+                    _accumulate(coeffs, tslot, c if m == 1 else m * c)
+            out.append({s: to_adapted(c, prob.table) for s, c in _nonzero(coeffs).items()})
+        return out
+
+    return prob._memo("adapted_tau_differentials", build)
 
 
-def _matrix_wedge_product(a, b):
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = None
-            for k in range(n):
-                term = a[i][k].wedge(b[k][j])
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
+class _TauAlgebra:
+    """One connection table evaluated on a family instance: its
+    coefficients, their frame derivatives, and the checks on them."""
 
+    def __init__(self, fd, table, kne):
+        self.prob = fd.problem
+        self.table = table
+        self.zero = Expression.number(0, M_ADAPTED_CHART, self.prob.table)
+        self.values = kne.as_dict()
+        self.dtau = adapted_tau_differentials(self.prob)
+        self.derivs = {}
+        self.gamma = {}
+        for ij, row in table.items():
+            entry = {}
+            for a, (const, mults) in row.items():
+                c = const
+                for name, mult in mults.items():
+                    c = c + mult * self.values[name]
+                if not _is_zero(c):
+                    entry[a] = c
+            if entry:
+                self.gamma[ij] = entry
 
-def curvature_matrix(connection):
-    """dGamma + Gamma ∧ Gamma for a matrix of 1-forms."""
-    n = len(connection)
-    wedge = _matrix_wedge_product(connection, connection)
-    return [
-        [connection[i][j].exterior_derivative() + wedge[i][j] for j in range(n)]
-        for i in range(n)
-    ]
+    def frame_derivatives(self, name):
+        """X_b(invariant) for b = 0..5."""
+        if name not in self.derivs:
+            value = self.values[name]
+            self.derivs[name] = (
+                [self.zero] * 6
+                if value.is_zero
+                else adapted_tau_coframe(self.prob).frame_derivatives(value)
+            )
+        return self.derivs[name]
+
+    def curvature(self):
+        """Omega^i_j = dGamma^i_j + Σ_k Gamma^i_k ∧ Gamma^k_j as 4x4
+        ``{(l, r): coefficient}`` dicts, zero coefficients left out, where
+        d(c tau_a) = Σ_b X_b(c) tau_b ∧ tau_a + c d(tau_a)."""
+        omega = [[{} for _ in range(4)] for _ in range(4)]
+        for (i, j), row in self.table.items():
+            for a, (_, mults) in row.items():
+                for name, mult in mults.items():
+                    for b, x in enumerate(self.frame_derivatives(name)):
+                        if not x.is_zero:
+                            _add_wedge(omega[i][j], b, a, mult * x)
+        for (i, k), left in self.gamma.items():
+            for a, c in left.items():
+                for slot, w in self.dtau[a].items():
+                    _accumulate(omega[i][k], slot, c * w)
+            for j in range(4):
+                for a, c1 in left.items():
+                    for b, c2 in self.gamma.get((k, j), {}).items():
+                        _add_wedge(omega[i][j], a, b, c1 * c2)
+        return [
+            [{slot: self.zero + c for slot, c in _nonzero(entry).items()} for entry in row]
+            for row in omega
+        ]
+
+    def torsion(self):
+        """d(tau^i) + Gamma^i_j ∧ tau^j for the four horizontal forms."""
+        out = [dict(self.dtau[i]) for i in range(4)]
+        for (i, j), entry in self.gamma.items():
+            for a, c in entry.items():
+                _add_wedge(out[i], a, j, c)
+        return [self.form(_nonzero(t), 2) for t in out]
+
+    def lowered_symmetric_part(self):
+        """g_ik Gamma^k_j + g_jk Gamma^k_i for i <= j."""
+        out = []
+        for i in range(4):
+            for j in range(i, 4):
+                acc = {}
+                for (k, col), entry in self.gamma.items():
+                    mult = BLOCK_METRIC[i][k] * (col == j) + BLOCK_METRIC[j][k] * (col == i)
+                    if mult:
+                        for a, c in entry.items():
+                            _accumulate(acc, a, mult * c)
+                out.append(self.form(_nonzero(acc), 1))
+        return out
+
+    def difference(self, computed, expected):
+        """Entry by entry ``computed - expected``."""
+        out = []
+        for i in range(4):
+            for j in range(4):
+                acc = dict(computed[i][j])
+                for slot, c in expected.get((i, j), {}).items():
+                    _accumulate(acc, slot, -c)
+                out.append(self.form(_nonzero(acc), 2))
+        return out
+
+    def form(self, coeffs, degree):
+        """Σ c · tau_a or Σ c · tau_l ∧ tau_r as a chart form; only a
+        nonzero residual pays for the chart work."""
+        zero = DifferentialForm.zero(M_ADAPTED_CHART, self.prob.table, degree)
+        if not coeffs:
+            return zero
+        taus = adapted_tau(self.prob).forms
+        if degree == 2:
+            return wedge_sum(taus, coeffs)
+        return sum((taus[a].scale(c) for a, c in coeffs.items()), zero)
 
 
 @dataclass(frozen=True)
@@ -93,136 +239,58 @@ class MetricConnectionReport:
 
     @property
     def all_zero(self):
-        return all(
-            r.is_zero
-            for group in (
-                self.torsion_residuals,
-                self.antisymmetry_residuals,
-                self.curvature_residuals,
-                self.horizontality_residuals,
-                self.ricci_residuals,
-            )
-            for r in group
-        )
+        # every field is a tuple of residuals
+        return all(r.is_zero for group in vars(self).values() for r in group)
 
 
-def expected_curvature_entries(fd):
-    """The displayed non-vanishing curvature 2-forms, with the frame
-    derivative combination n4/2 + e1 - n1/2 along the dual frame."""
-    prob = fd.problem
-    tau = adapted_tau(prob)
-    cf = adapted_tau_coframe(prob)
-    t1, t2, t3, t4 = tau.forms[:4]
-    kne = family_invariants(fd)
-    k, n, e = kne.k, kne.n, kne.e
-    n1 = cf.frame_derivative(n, 0)
-    n4 = cf.frame_derivative(n, 3)
-    e1 = cf.frame_derivative(e, 0)
-    combo = HALF * n4 + e1 - HALF * n1
-
-    t12 = t1.wedge(t2)
-    t14 = t1.wedge(t4)
-    t34 = t3.wedge(t4)
-    zero2 = DifferentialForm.zero(M_ADAPTED_CHART, prob.table, 2)
-    expected = [[zero2 for _ in range(4)] for _ in range(4)]
-    expected[0][0] = -t12 - t14.scale(HALF * k)
-    expected[1][1] = t12 + t14.scale(HALF * k)
-    expected[1][3] = t12.scale(HALF * k) + t14.scale(combo) - t34.scale(HALF * k)
-    expected[2][0] = -t12.scale(HALF * k) - t14.scale(combo) + t34.scale(HALF * k)
-    expected[2][2] = t14.scale(HALF * k) - t34
-    expected[3][3] = -t14.scale(HALF * k) + t34
-    return expected
+def expected_curvature_entries(kne, dn, de):
+    """The displayed non-vanishing curvature 2-forms as
+    ``{(i, j): {(l, r): coefficient}}``, with the frame derivative
+    combination n4/2 + e1 - n1/2 (``dn``, ``de``: derivatives of n and e
+    along the dual frame)."""
+    hk = HALF * kne.k
+    combo = HALF * dn[_T4] + de[_T1] - HALF * dn[_T1]
+    t12, t14, t34 = (_T1, _T2), (_T1, _T4), (_T3, _T4)
+    return {
+        (0, 0): {t12: -1, t14: -hk},
+        (1, 1): {t12: 1, t14: hk},
+        (1, 3): {t12: hk, t14: combo, t34: -hk},
+        (2, 0): {t12: -hk, t14: -combo, t34: hk},
+        (2, 2): {t14: hk, t34: -1},
+        (3, 3): {t14: -hk, t34: 1},
+    }
 
 
-def _expand_all(cf, matrix):
-    return [[cf.expand_2(matrix[i][j]) for j in range(len(matrix))] for i in range(len(matrix))]
-
-
-def metric_connection_report(fd):
-    prob = fd.problem
-    table = prob.table
-    tau = adapted_tau(prob)
-    taus = tau.forms[:4]
-    gamma = metric_connection_matrix(fd)
-
-    torsion = []
-    for i in range(4):
-        acc = taus[i].exterior_derivative()
-        for j in range(4):
-            acc = acc + gamma[i][j].wedge(taus[j])
-        torsion.append(acc)
-
-    lowered = [
-        [
-            _sum_forms([gamma[k][j].scale(BLOCK_METRIC[i][k]) for k in range(4)], table)
-            for j in range(4)
-        ]
-        for i in range(4)
-    ]
-    antisym = []
-    for i in range(4):
-        for j in range(i, 4):
-            antisym.append(lowered[i][j] + lowered[j][i])
-
-    curv = curvature_matrix(gamma)
-    expected = expected_curvature_entries(fd)
-    curvature_residuals = [
-        curv[i][j] - expected[i][j] for i in range(4) for j in range(4)
-    ]
-
-    cf = adapted_tau_coframe(prob)
-    expansions = _expand_all(cf, curv)
-    zero = Expression.number(0, M_ADAPTED_CHART, table)
-    horizontality = []
-    for i in range(4):
-        for j in range(4):
-            for (a, b), coeff in expansions[i][j].items():
-                if b >= 4:
-                    horizontality.append(coeff)
-
+def metric_connection_report(fd, kne=None):
+    kne = kne if kne is not None else family_invariants(fd)
+    alg = _TauAlgebra(fd, METRIC_CONNECTION, kne)
+    zero = alg.zero
+    curv = alg.curvature()
+    expected = expected_curvature_entries(
+        kne, alg.frame_derivatives("n"), alg.frame_derivatives("e")
+    )
     ricci = []
     for i in range(4):
         for j in range(4):
-            acc = zero
+            acc = zero + BLOCK_METRIC[i][j]
             for k in range(4):
                 if k < j:
-                    acc = acc + expansions[k][i].get((k, j), zero)
+                    acc = acc + curv[k][i].get((k, j), zero)
                 elif k > j:
-                    acc = acc - expansions[k][i].get((j, k), zero)
-            ricci.append(acc + BLOCK_METRIC[i][j])
-
+                    acc = acc - curv[k][i].get((j, k), zero)
+            ricci.append(acc)
     return MetricConnectionReport(
-        torsion_residuals=tuple(torsion),
-        antisymmetry_residuals=tuple(antisym),
-        curvature_residuals=tuple(curvature_residuals),
-        horizontality_residuals=tuple(horizontality),
+        torsion_residuals=tuple(alg.torsion()),
+        antisymmetry_residuals=tuple(alg.lowered_symmetric_part()),
+        curvature_residuals=tuple(alg.difference(curv, expected)),
+        horizontality_residuals=tuple(
+            entry.get(slot, zero) for row in curv for entry in row for slot in _VERTICAL_SLOTS
+        ),
         ricci_residuals=tuple(ricci),
     )
 
 
-def _sum_forms(forms, table):
-    acc = _zero_form(table)
-    for f in forms:
-        acc = acc + f
-    return acc
-
-
 # -- the so(2,2) Cartan connection ------------------------------------------
-
-
-def cartan_connection_matrix(fd):
-    """The displayed so(2,2)-valued connection in the tau basis."""
-    prob = fd.problem
-    table = prob.table
-    t1, t2, t3, t4, g1, g2 = adapted_tau(prob).forms
-    zero = _zero_form(table)
-    half_sum = (g1 + g2 + t4).scale(HALF)
-    return [
-        [-half_sum, zero, t1, t4.scale(-HALF)],
-        [zero, half_sum, g2.scale(-1) + t3 - t4.scale(HALF), t2.scale(-HALF)],
-        [t2.scale(HALF), t4.scale(HALF), (g1 - g2 - t4).scale(HALF), zero],
-        [g2 - t3 + t4.scale(HALF), t1.scale(-1), zero, (g2 - g1 + t4).scale(HALF)],
-    ]
 
 
 @dataclass(frozen=True)
@@ -245,86 +313,27 @@ class CartanConnectionReport:
         return self.invariants_zero == self.curvature_zero
 
 
-def expected_cartan_curvature(fd):
-    """Constant matrix times tau1 ∧ tau4."""
-    prob = fd.problem
-    tau = adapted_tau(prob)
-    kne = family_invariants(fd)
+def expected_cartan_curvature(kne):
+    """Constant matrix times tau1 ∧ tau4, as ``{(i, j): {(0, 3): coefficient}}``."""
     k, n, e = kne.k, kne.n, kne.e
-    t14 = tau.forms[0].wedge(tau.forms[3])
-    zero2 = DifferentialForm.zero(M_ADAPTED_CHART, prob.table, 2)
-    ex = [[zero2 for _ in range(4)] for _ in range(4)]
-    ex[0][0] = t14.scale(-HALF * k)
-    ex[1][1] = t14.scale(HALF * k)
-    ex[1][2] = t14.scale(HALF * (-k + n - 2 * e))
-    ex[1][3] = t14.scale(-Fraction(1, 4) * n)
-    ex[2][0] = t14.scale(Fraction(1, 4) * n)
-    ex[3][0] = t14.scale(HALF * (k - n + 2 * e))
-    return ex
+    t14 = (_T1, _T4)
+    return {
+        (0, 0): {t14: -HALF * k},
+        (1, 1): {t14: HALF * k},
+        (1, 2): {t14: HALF * (-k + n - 2 * e)},
+        (1, 3): {t14: -Fraction(1, 4) * n},
+        (2, 0): {t14: Fraction(1, 4) * n},
+        (3, 0): {t14: HALF * (k - n + 2 * e)},
+    }
 
 
-def ricci_formalism_residuals(fd, tensors):
-    """Coordinate Ricci, pulled up to the 6-chart, minus the frame-side
-    Ricci (minus the block metric) expressed through the tau forms.
-
-    The first four adapted coordinates coincide with the quotient chart,
-    so the pullback of a quotient tensor just reuses its components on
-    those axes and vanishes on the vertical ones.
-    """
-    prob = fd.problem
-    table = prob.table
-    tau = adapted_tau(prob)
-    zero = Expression.number(0, M_ADAPTED_CHART, table)
-    dim = M_ADAPTED_CHART.dim
-
-    def comp(form, axis):
-        return form.comps.get((axis,), zero)
-
-    out = []
-    for a in range(dim):
-        for b in range(dim):
-            rhs = zero
-            for i in range(4):
-                for j in range(4):
-                    gij = BLOCK_METRIC[i][j]
-                    if gij:
-                        rhs = rhs - comp(tau.forms[i], a) * comp(tau.forms[j], b) * gij
-            lhs = (
-                tensors.ricci[a][b].on_chart(M_ADAPTED_CHART)
-                if a < 4 and b < 4
-                else zero
-            )
-            out.append(lhs - rhs)
-    return out
-
-
-def cartan_connection_report(fd):
-    prob = fd.problem
-    table = prob.table
-    omega = cartan_connection_matrix(fd)
-
-    lowered = [
-        [
-            _sum_forms([omega[k][j].scale(BLOCK_METRIC[i][k]) for k in range(4)], table)
-            for j in range(4)
-        ]
-        for i in range(4)
-    ]
-    algebra = []
-    for i in range(4):
-        for j in range(i, 4):
-            algebra.append(lowered[i][j] + lowered[j][i])
-
-    curv = curvature_matrix(omega)
-    expected = expected_cartan_curvature(fd)
-    residuals = [curv[i][j] - expected[i][j] for i in range(4) for j in range(4)]
-
-    kne = family_invariants(fd)
-    curvature_zero = all(curv[i][j].is_zero for i in range(4) for j in range(4))
-
+def cartan_connection_report(fd, kne=None):
+    kne = kne if kne is not None else family_invariants(fd)
+    alg = _TauAlgebra(fd, CARTAN_CONNECTION, kne)
+    curv = alg.curvature()
     return CartanConnectionReport(
-        algebra_residuals=tuple(algebra),
-        curvature_residuals=tuple(residuals),
+        algebra_residuals=tuple(alg.lowered_symmetric_part()),
+        curvature_residuals=tuple(alg.difference(curv, expected_cartan_curvature(kne))),
         invariants_zero=kne.all_zero(),
-        curvature_zero=curvature_zero,
+        curvature_zero=all(not entry for row in curv for entry in row),
     )

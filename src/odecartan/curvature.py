@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cartan import HALF, TauBasis, adapted_chart_map
-from .errors import ChartError, SingularEvaluationError
+from .errors import ChartError
 from .expression import Expression
-from .forms import DifferentialForm
 from .linalg import invert_matrix
 from .symbols import METRIC_CHART, M_ADAPTED_CHART
 
@@ -40,31 +39,6 @@ class Metric4:
         self.table = table
         self.g = [[components[i][j] for j in range(DIM)] for i in range(DIM)]
         self.ginv, self.det = invert_matrix(self.g)
-
-    def evaluate(self, point):
-        return [[self.g[i][j].evaluate(point) for j in range(DIM)] for i in range(DIM)]
-
-    def signature_at(self, point):
-        """(positive, negative) inertia from leading principal minors.
-
-        Requires every leading minor to be nonzero at the point (Jacobi's
-        criterion); raises otherwise.  The minors are running products of
-        the pivots of one elimination without row exchanges, so a zero
-        pivot is exactly a vanishing leading minor.
-        """
-        a = self.evaluate(point)
-        minors = [Fraction(1)]
-        for k in range(DIM):
-            pivot = a[k][k]
-            if pivot == 0:
-                raise SingularEvaluationError("a leading principal minor vanishes at the point")
-            minors.append(minors[-1] * pivot)
-            for i in range(k + 1, DIM):
-                f = a[i][k] / pivot
-                if f:
-                    a[i] = [a[i][j] - f * a[k][j] for j in range(DIM)]
-        changes = sum(1 for i in range(DIM) if minors[i] * minors[i + 1] < 0)
-        return DIM - changes, changes
 
 
 def family_metric(fd):
@@ -292,32 +266,3 @@ def einstein_residual(metric, tensors=None, cosmological=Fraction(-1)):
         tuple(tensors.ricci[i][j] - cosmological * metric.g[i][j] for j in range(DIM))
         for i in range(DIM)
     )
-
-
-def first_bianchi_residuals(tensors):
-    out = []
-    for i in range(DIM):
-        for j in range(DIM):
-            for k in range(DIM):
-                for l in range(DIM):
-                    out.append(
-                        tensors.riemann_down[i][j][k][l]
-                        + tensors.riemann_down[i][k][l][j]
-                        + tensors.riemann_down[i][l][j][k]
-                    )
-    return out
-
-
-def weyl_trace_residuals(metric, tensors):
-    """All contractions of the Weyl tensor with the inverse metric."""
-    zero = Expression.number(0, metric.chart, metric.table)
-    out = []
-    for j in range(DIM):
-        for l in range(DIM):
-            acc = zero
-            for i in range(DIM):
-                for k in range(DIM):
-                    if not metric.ginv[i][k].is_zero:
-                        acc = acc + metric.ginv[i][k] * tensors.weyl_down[i][j][k][l]
-            out.append(acc)
-    return out

@@ -230,15 +230,48 @@ def jacobian_nonsingular(source, mapping, target, table):
         raise ChartError("chart map is identically singular") from None
 
 
+def pair_minors(vectors):
+    """For each pair i < j of sparse vectors a = vectors[i], b = vectors[j]
+    (lists of ``(index, value)``, zero values left out), the 2x2 minors
+    ``{(k, l): a_k b_l - a_l b_k}`` over k < l; a minor that cancels is
+    kept."""
+    out = {}
+    for i, a in enumerate(vectors):
+        for j in range(i + 1, len(vectors)):
+            row = {}
+            for k, x in a:
+                for l, y in vectors[j]:
+                    if k != l:
+                        key, term = ((k, l), x * y) if k < l else ((l, k), -(x * y))
+                        row[key] = row[key] + term if key in row else term
+            out[(i, j)] = row
+    return out
+
+
+def wedge_sum(forms, coeffs):
+    """Σ c · forms[i] ∧ forms[j] over the ``{(i, j): c}`` entries."""
+    first = forms[0]
+    out = DifferentialForm.zero(first.chart, first.table, 2)
+    for (i, j), c in coeffs.items():
+        if isinstance(c, (int, Fraction)):
+            c = Expression.number(c, first.chart, first.table)
+        if c.is_zero:
+            continue
+        out = out + forms[i].wedge(forms[j]).scale(c)
+    return out
+
+
 class Coframe:
     """An ordered set of n independent 1-forms on an n-dimensional chart.
 
     The coefficient matrix and its inverse over the rational-function
     field are computed once at construction; everything downstream
-    (expansions, dual frame, frame derivatives) reads the cache.
+    (expansions, dual frame, frame derivatives) reads the cache.  The 2x2
+    minors of the inverse, which every 2-form expansion reads, are built
+    on the first expansion and kept.
     """
 
-    __slots__ = ("chart", "table", "forms", "matrix", "inverse", "det")
+    __slots__ = ("chart", "table", "forms", "matrix", "inverse", "det", "_minors")
 
     def __init__(self, forms):
         first = forms[0]
@@ -256,6 +289,7 @@ class Coframe:
             [f.comps.get((j,), zero) for j in range(chart.dim)] for f in self.forms
         ]
         self.inverse, self.det = invert_matrix(self.matrix)
+        self._minors = None
 
     @property
     def dim(self):
@@ -265,57 +299,54 @@ class Coframe:
         """Components of the i-th dual frame vector in the coordinate basis."""
         return [self.inverse[j][i] for j in range(self.dim)]
 
-    def frame_derivative(self, scalar, i):
-        """Directional derivative of a scalar along the i-th dual frame vector."""
+    def frame_derivatives(self, scalar):
+        """Directional derivatives of a scalar along every dual frame
+        vector; each coordinate partial is taken once."""
         if scalar.chart is not self.chart:
             raise ChartError("scalar lives on a different chart")
-        acc = Expression.number(0, self.chart, self.table)
-        for j, coord in enumerate(self.chart.coords):
-            ds = scalar.differentiate(coord)
-            if not ds.is_zero:
-                acc = acc + self.inverse[j][i] * ds
-        return acc
+        partials = [(j, scalar.differentiate(c)) for j, c in enumerate(self.chart.coords)]
+        partials = [(j, ds) for j, ds in partials if not ds.is_zero]
+        out = []
+        for i in range(self.dim):
+            acc = Expression.number(0, self.chart, self.table)
+            for j, ds in partials:
+                if not self.inverse[j][i].is_zero:
+                    acc = acc + self.inverse[j][i] * ds
+            out.append(acc)
+        return out
 
-    def expand_1(self, form):
-        """Coefficients c with form = Σ c_i · coframe_i."""
-        if form.degree != 1 or form.chart is not self.chart:
-            raise ChartError("expected a 1-form on the coframe chart")
-        zero = Expression.number(0, self.chart, self.table)
-        v = [form.comps.get((j,), zero) for j in range(self.dim)]
-        return [
-            sum((v[j] * self.inverse[j][i] for j in range(self.dim)), zero)
-            for i in range(self.dim)
-        ]
+    def frame_derivative(self, scalar, i):
+        """Directional derivative of a scalar along the i-th dual frame vector."""
+        return self.frame_derivatives(scalar)[i]
+
+    def _pair_minors(self):
+        """{(i, j): {(k, l): frame_i^k frame_j^l - frame_i^l frame_j^k}} for
+        i < j, k < l, with zero minors left out."""
+        if self._minors is None:
+            cols = [
+                [(k, e) for k, e in enumerate(self.frame_vector(i)) if not e.is_zero]
+                for i in range(self.dim)
+            ]
+            self._minors = {
+                slot: {key: c for key, c in row.items() if not c.is_zero}
+                for slot, row in pair_minors(cols).items()
+            }
+        return self._minors
 
     def expand_2(self, form):
         """Coefficients c with form = Σ_{i<j} c[(i,j)] · coframe_i ∧ coframe_j."""
         if form.degree != 2 or form.chart is not self.chart:
             raise ChartError("expected a 2-form on the coframe chart")
         zero = Expression.number(0, self.chart, self.table)
-        n = self.dim
-        frames = [self.frame_vector(i) for i in range(n)]
         out = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                acc = zero
-                for (k, l), w in form.comps.items():
-                    pair = frames[i][k] * frames[j][l] - frames[i][l] * frames[j][k]
+        for slot, row in self._pair_minors().items():
+            acc = zero
+            for idx, w in form.comps.items():
+                pair = row.get(idx)
+                if pair is not None:
                     acc = acc + w * pair
-                out[(i, j)] = acc
+            out[slot] = acc
         return out
 
     def reconstruct_2(self, coeffs):
-        out = DifferentialForm.zero(self.chart, self.table, 2)
-        for (i, j), c in coeffs.items():
-            if isinstance(c, (int, Fraction)):
-                c = Expression.number(c, self.chart, self.table)
-            if c.is_zero:
-                continue
-            out = out + self.forms[i].wedge(self.forms[j]).scale(c)
-        return out
-
-    def duality_residuals(self):
-        """Pairing coframe_i(frame_j) − δ_ij for every i, j."""
-        from .linalg import identity_check
-
-        return identity_check(self.matrix, self.inverse)
+        return wedge_sum(self.forms, coeffs)

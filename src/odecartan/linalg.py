@@ -27,9 +27,10 @@ def invert_matrix(rows):
     for row in rows:
         s = Poly.const(1)
         for e in row:
-            g = poly_gcd(s, e.den)
-            s = s * (e.den.exact_div(g) if not g.is_const else e.den)
-        left.append([e.num * s.exact_div(e.den) for e in row])
+            if not (e.den.is_const and e.den.const_value() == 1):
+                g = poly_gcd(s, e.den)
+                s = s * (e.den.exact_div(g) if not g.is_const else e.den)
+        left.append([e.num * s.exact_div(e.den) if not e.num.is_zero else e.num for e in row])
         scales.append(s)
 
     # augment with diag(scales): the solution of P X = diag(s) is A^{-1}
@@ -56,12 +57,22 @@ def invert_matrix(rows):
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
         piv = m[k][k]
+        pivot_cols = [(j, m[k][j]) for j in range(k + 1, width) if not m[k][j].is_zero]
         for i in range(k + 1, n):
             mik = m[i][k]
+            row = m[i]
+            # zero entries stay zero: only products that are not zero are formed
             for j in range(k + 1, width):
-                num = piv * m[i][j] - mik * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = Poly.zero()
+                if not row[j].is_zero:
+                    row[j] = piv * row[j]
+            if not mik.is_zero:
+                for j, mkj in pivot_cols:
+                    row[j] = row[j] - mik * mkj
+            if not prev.is_const or prev.const_value() != 1:
+                for j in range(k + 1, width):
+                    if not row[j].is_zero:
+                        row[j] = row[j].exact_div(prev)
+            row[k] = Poly.zero()
         prev = piv
 
     det_poly = m[n - 1][n - 1]
@@ -81,22 +92,8 @@ def invert_matrix(rows):
         for i in range(n - 1, -1, -1):
             acc = expr(m[i][n + j])
             for l in range(i + 1, n):
-                acc = acc - expr(m[i][l]) * inv[l][j]
+                if not m[i][l].is_zero and not inv[l][j].is_zero:
+                    acc = acc - expr(m[i][l]) * inv[l][j]
             inv[i][j] = acc / expr(m[i][i])
     return inv, det
 
-
-def identity_check(a, b):
-    """Residuals of a·b − I as a flat list (all should be zero)."""
-    n = len(a)
-    out = []
-    for i in range(n):
-        for j in range(n):
-            acc = None
-            for k in range(n):
-                term = a[i][k] * b[k][j]
-                acc = term if acc is None else acc + term
-            if i == j:
-                acc = acc - 1
-            out.append(acc)
-    return out

@@ -153,10 +153,13 @@ def weyl_operator_at(metric, tensors, point, jets=None):
 
 
 def eigenspace_basis(star, sign):
-    """Three independent columns of (I + sign·star)/2, exact."""
-    eye = identity(6)
-    proj = [[(eye[i][j] + sign * star[i][j]) / 2 for j in range(6)] for i in range(6)]
-    cols = [[proj[i][j] for i in range(6)] for j in range(6)]
+    """Three independent columns of I + sign·star, exact.
+
+    These span the eigenspace of the projector (I + sign·star)/2; the
+    block ``restrict_operator`` solves for is the same for any uniform
+    scaling of the basis, so the halving is left out.
+    """
+    cols = [[sign * star[i][j] + (1 if i == j else 0) for i in range(6)] for j in range(6)]
     basis = []
     rows_used = []
     reduced = []

@@ -181,9 +181,6 @@ class Poly:
                 out.add(s)
         return out
 
-    def total_degree(self):
-        return max((mono_degree(m) for m in self.terms), default=0)
-
     def leading(self):
         """Leading (graded-lex greatest) term as ``(monomial, coeff)``."""
         m = max(self.terms, key=_MonoKey)

@@ -321,8 +321,8 @@ def analyze(request):
                         outcome["points"]
                     )
             elif stage == "conn":
-                mrep = metric_connection_report(family)
-                crep = cartan_connection_report(family)
+                mrep = metric_connection_report(family, kne)
+                crep = cartan_connection_report(family, kne)
                 report["connection"] = {
                     "run": True,
                     "metric_connection": {

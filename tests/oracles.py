@@ -1,0 +1,366 @@
+"""Checks that only the tests use: chart-level oracles and property
+residuals.
+
+The connection oracle is the chart-level path: it builds both connections
+as matrices of 1-forms on the adapted chart and computes torsion,
+dGamma + Gamma ∧ Gamma, expansions and the Ricci contraction with the
+chart's exterior derivative, wedge and ``Coframe.expand_2``.  The program
+reads the same checks as coefficient algebra in the tau ∧ tau basis
+(``odecartan.connection``); the tests compare the two form by form.
+"""
+
+from fractions import Fraction
+
+from odecartan.cartan import HALF, family_invariants
+from odecartan.connection import (
+    BLOCK_METRIC,
+    CARTAN_CONNECTION,
+    METRIC_CONNECTION,
+    CartanConnectionReport,
+    MetricConnectionReport,
+)
+from odecartan.curvature import DIM, adapted_tau
+from odecartan.errors import ChartError, SingularEvaluationError
+from odecartan.expression import Expression
+from odecartan.forms import Coframe, DifferentialForm
+from odecartan.symbols import M_ADAPTED_CHART
+
+# -- the chart-level connection oracle ----------------------------------------
+
+
+def _zero_form(table, degree=1):
+    return DifferentialForm.zero(M_ADAPTED_CHART, table, degree)
+
+
+def _coframe(prob):
+    return Coframe(list(adapted_tau(prob).forms))
+
+
+def connection_matrix(fd, table):
+    """Gamma^i_j = Σ_a c · tau_a on the adapted chart, from a coefficient
+    table in the format of ``METRIC_CONNECTION``."""
+    prob = fd.problem
+    forms = adapted_tau(prob).forms
+    values = family_invariants(fd).as_dict()
+    zero = Expression.number(0, M_ADAPTED_CHART, prob.table)
+    out = [[_zero_form(prob.table) for _ in range(4)] for _ in range(4)]
+    for (i, j), row in table.items():
+        for a, (const, mults) in row.items():
+            c = zero + const
+            for name, mult in mults.items():
+                c = c + mult * values[name]
+            out[i][j] = out[i][j] + forms[a].scale(c)
+    return out
+
+
+def displayed_metric_connection(fd):
+    """The displayed 4x4 matrix of metric connection 1-forms."""
+    table = fd.problem.table
+    t1, _, _, t4, g1, g2 = adapted_tau(fd.problem).forms
+    kne = family_invariants(fd)
+    n, e = kne.n, kne.e
+    off = t1.scale(-HALF * n) + t4.scale(e - HALF * n)
+    zero = _zero_form(table)
+    return [
+        [-g1, zero, zero, zero],
+        [zero, g1, zero, off],
+        [-off, zero, g2, zero],
+        [zero, zero, zero, -g2],
+    ]
+
+
+def displayed_cartan_connection(fd):
+    """The displayed so(2,2)-valued connection in the tau basis."""
+    table = fd.problem.table
+    t1, t2, t3, t4, g1, g2 = adapted_tau(fd.problem).forms
+    zero = _zero_form(table)
+    half_sum = (g1 + g2 + t4).scale(HALF)
+    return [
+        [-half_sum, zero, t1, t4.scale(-HALF)],
+        [zero, half_sum, g2.scale(-1) + t3 - t4.scale(HALF), t2.scale(-HALF)],
+        [t2.scale(HALF), t4.scale(HALF), (g1 - g2 - t4).scale(HALF), zero],
+        [g2 - t3 + t4.scale(HALF), t1.scale(-1), zero, (g2 - g1 + t4).scale(HALF)],
+    ]
+
+
+def _matrix_wedge_product(a, b):
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = None
+            for k in range(n):
+                term = a[i][k].wedge(b[k][j])
+                acc = term if acc is None else acc + term
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def curvature_matrix(connection):
+    """dGamma + Gamma ∧ Gamma for a matrix of 1-forms."""
+    n = len(connection)
+    wedge = _matrix_wedge_product(connection, connection)
+    return [
+        [connection[i][j].exterior_derivative() + wedge[i][j] for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _lowered_symmetric_part(gamma, table):
+    lowered = [
+        [
+            sum(
+                (gamma[k][j].scale(BLOCK_METRIC[i][k]) for k in range(4)),
+                _zero_form(table),
+            )
+            for j in range(4)
+        ]
+        for i in range(4)
+    ]
+    return [lowered[i][j] + lowered[j][i] for i in range(4) for j in range(i, 4)]
+
+
+def expected_curvature_entries(fd):
+    """The displayed non-vanishing curvature 2-forms, with the frame
+    derivative combination n4/2 + e1 - n1/2 along the dual frame."""
+    prob = fd.problem
+    tau = adapted_tau(prob)
+    cf = _coframe(prob)
+    t1, t2, t3, t4 = tau.forms[:4]
+    kne = family_invariants(fd)
+    k, n, e = kne.k, kne.n, kne.e
+    n1 = cf.frame_derivative(n, 0)
+    n4 = cf.frame_derivative(n, 3)
+    e1 = cf.frame_derivative(e, 0)
+    combo = HALF * n4 + e1 - HALF * n1
+
+    t12 = t1.wedge(t2)
+    t14 = t1.wedge(t4)
+    t34 = t3.wedge(t4)
+    zero2 = _zero_form(prob.table, 2)
+    expected = [[zero2 for _ in range(4)] for _ in range(4)]
+    expected[0][0] = -t12 - t14.scale(HALF * k)
+    expected[1][1] = t12 + t14.scale(HALF * k)
+    expected[1][3] = t12.scale(HALF * k) + t14.scale(combo) - t34.scale(HALF * k)
+    expected[2][0] = -t12.scale(HALF * k) - t14.scale(combo) + t34.scale(HALF * k)
+    expected[2][2] = t14.scale(HALF * k) - t34
+    expected[3][3] = -t14.scale(HALF * k) + t34
+    return expected
+
+
+def expected_cartan_curvature(fd):
+    """Constant matrix times tau1 ∧ tau4."""
+    prob = fd.problem
+    tau = adapted_tau(prob)
+    kne = family_invariants(fd)
+    k, n, e = kne.k, kne.n, kne.e
+    t14 = tau.forms[0].wedge(tau.forms[3])
+    zero2 = _zero_form(prob.table, 2)
+    ex = [[zero2 for _ in range(4)] for _ in range(4)]
+    ex[0][0] = t14.scale(-HALF * k)
+    ex[1][1] = t14.scale(HALF * k)
+    ex[1][2] = t14.scale(HALF * (-k + n - 2 * e))
+    ex[1][3] = t14.scale(-Fraction(1, 4) * n)
+    ex[2][0] = t14.scale(Fraction(1, 4) * n)
+    ex[3][0] = t14.scale(HALF * (k - n + 2 * e))
+    return ex
+
+
+def chart_metric_connection_report(fd, table=METRIC_CONNECTION):
+    prob = fd.problem
+    taus = adapted_tau(prob).forms[:4]
+    gamma = connection_matrix(fd, table)
+
+    torsion = []
+    for i in range(4):
+        acc = taus[i].exterior_derivative()
+        for j in range(4):
+            acc = acc + gamma[i][j].wedge(taus[j])
+        torsion.append(acc)
+
+    curv = curvature_matrix(gamma)
+    expected = expected_curvature_entries(fd)
+    curvature_residuals = [curv[i][j] - expected[i][j] for i in range(4) for j in range(4)]
+
+    cf = _coframe(prob)
+    expansions = [[cf.expand_2(curv[i][j]) for j in range(4)] for i in range(4)]
+    zero = Expression.number(0, M_ADAPTED_CHART, prob.table)
+    horizontality = [
+        coeff
+        for i in range(4)
+        for j in range(4)
+        for (a, b), coeff in expansions[i][j].items()
+        if b >= 4
+    ]
+    ricci = []
+    for i in range(4):
+        for j in range(4):
+            acc = zero
+            for k in range(4):
+                if k < j:
+                    acc = acc + expansions[k][i].get((k, j), zero)
+                elif k > j:
+                    acc = acc - expansions[k][i].get((j, k), zero)
+            ricci.append(acc + BLOCK_METRIC[i][j])
+
+    return MetricConnectionReport(
+        torsion_residuals=tuple(torsion),
+        antisymmetry_residuals=tuple(_lowered_symmetric_part(gamma, prob.table)),
+        curvature_residuals=tuple(curvature_residuals),
+        horizontality_residuals=tuple(horizontality),
+        ricci_residuals=tuple(ricci),
+    )
+
+
+def chart_cartan_connection_report(fd, table=CARTAN_CONNECTION):
+    prob = fd.problem
+    omega = connection_matrix(fd, table)
+    curv = curvature_matrix(omega)
+    expected = expected_cartan_curvature(fd)
+    return CartanConnectionReport(
+        algebra_residuals=tuple(_lowered_symmetric_part(omega, prob.table)),
+        curvature_residuals=tuple(curv[i][j] - expected[i][j] for i in range(4) for j in range(4)),
+        invariants_zero=family_invariants(fd).all_zero(),
+        curvature_zero=all(curv[i][j].is_zero for i in range(4) for j in range(4)),
+    )
+
+
+def ricci_formalism_residuals(fd, tensors):
+    """Coordinate Ricci, pulled up to the 6-chart, minus the frame-side
+    Ricci (minus the block metric) expressed through the tau forms.
+
+    The first four adapted coordinates coincide with the quotient chart,
+    so the pullback of a quotient tensor just reuses its components on
+    those axes and vanishes on the vertical ones.
+    """
+    prob = fd.problem
+    tau = adapted_tau(prob)
+    zero = Expression.number(0, M_ADAPTED_CHART, prob.table)
+    dim = M_ADAPTED_CHART.dim
+
+    def comp(form, axis):
+        return form.comps.get((axis,), zero)
+
+    out = []
+    for a in range(dim):
+        for b in range(dim):
+            rhs = zero
+            for i in range(4):
+                for j in range(4):
+                    gij = BLOCK_METRIC[i][j]
+                    if gij:
+                        rhs = rhs - comp(tau.forms[i], a) * comp(tau.forms[j], b) * gij
+            lhs = (
+                tensors.ricci[a][b].on_chart(M_ADAPTED_CHART)
+                if a < 4 and b < 4
+                else zero
+            )
+            out.append(lhs - rhs)
+    return out
+
+
+# -- curvature identities -----------------------------------------------------
+
+
+def first_bianchi_residuals(tensors):
+    out = []
+    for i in range(DIM):
+        for j in range(DIM):
+            for k in range(DIM):
+                for l in range(DIM):
+                    out.append(
+                        tensors.riemann_down[i][j][k][l]
+                        + tensors.riemann_down[i][k][l][j]
+                        + tensors.riemann_down[i][l][j][k]
+                    )
+    return out
+
+
+def weyl_trace_residuals(metric, tensors):
+    """All contractions of the Weyl tensor with the inverse metric."""
+    zero = Expression.number(0, metric.chart, metric.table)
+    out = []
+    for j in range(DIM):
+        for l in range(DIM):
+            acc = zero
+            for i in range(DIM):
+                for k in range(DIM):
+                    if not metric.ginv[i][k].is_zero:
+                        acc = acc + metric.ginv[i][k] * tensors.weyl_down[i][j][k][l]
+            out.append(acc)
+    return out
+
+
+def signature_at(metric, point):
+    """(positive, negative) inertia from leading principal minors.
+
+    Requires every leading minor to be nonzero at the point (Jacobi's
+    criterion); raises otherwise.  The minors are running products of
+    the pivots of one elimination without row exchanges, so a zero
+    pivot is exactly a vanishing leading minor.
+    """
+    a = [[metric.g[i][j].evaluate(point) for j in range(DIM)] for i in range(DIM)]
+    minors = [Fraction(1)]
+    for k in range(DIM):
+        pivot = a[k][k]
+        if pivot == 0:
+            raise SingularEvaluationError("a leading principal minor vanishes at the point")
+        minors.append(minors[-1] * pivot)
+        for i in range(k + 1, DIM):
+            f = a[i][k] / pivot
+            if f:
+                a[i] = [a[i][j] - f * a[k][j] for j in range(DIM)]
+    changes = sum(1 for i in range(DIM) if minors[i] * minors[i + 1] < 0)
+    return DIM - changes, changes
+
+
+# -- bases, coframes and matrices ---------------------------------------------
+
+
+def tau_from_theta_residuals(cf, tau):
+    """Round trip tau-basis -> original coframe; all residuals must vanish."""
+    t1, t2, t3, t4, g1, g2 = tau.forms
+    th1, th2, th3, th4, om1, om2 = cf.forms
+    return [
+        (t1 - t4).scale(HALF) - th1,
+        (g2 - g1).scale(HALF) - th2,
+        (t3 - t2).scale(HALF) - th3,
+        t4 - th4,
+        g1 - om1,
+        t2 - om2,
+    ]
+
+
+def expand_1(cf, form):
+    """Coefficients c with form = Σ c_i · coframe_i."""
+    if form.degree != 1 or form.chart is not cf.chart:
+        raise ChartError("expected a 1-form on the coframe chart")
+    zero = Expression.number(0, cf.chart, cf.table)
+    v = [form.comps.get((j,), zero) for j in range(cf.dim)]
+    return [
+        sum((v[j] * cf.inverse[j][i] for j in range(cf.dim)), zero)
+        for i in range(cf.dim)
+    ]
+
+
+def identity_check(a, b):
+    """Residuals of a·b − I as a flat list (all should be zero)."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        for j in range(n):
+            acc = None
+            for k in range(n):
+                term = a[i][k] * b[k][j]
+                acc = term if acc is None else acc + term
+            if i == j:
+                acc = acc - 1
+            out.append(acc)
+    return out
+
+
+def duality_residuals(cf):
+    """Pairing coframe_i(frame_j) − δ_ij for every i, j."""
+    return identity_check(cf.matrix, cf.inverse)

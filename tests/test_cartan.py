@@ -33,12 +33,12 @@ from odecartan.cartan import (
     invariant_coframe,
     structure_functions,
     tau_basis,
-    tau_from_theta_residuals,
     to_adapted,
     verify_appendix,
 )
 from odecartan.forms import DifferentialForm
 from tests.conftest import make_problem
+from tests.oracles import tau_from_theta_residuals
 
 
 def chart_level_residuals(tau, table, sf=None):

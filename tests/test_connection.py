@@ -2,15 +2,28 @@
 
 import pytest
 
+from odecartan import connection
 from odecartan.cartan import family_detect, family_invariants
 from odecartan.connection import (
     BLOCK_METRIC,
+    CARTAN_CONNECTION,
+    METRIC_CONNECTION,
     cartan_connection_report,
-    expected_cartan_curvature,
     metric_connection_report,
+)
+from odecartan.curvature import adapted_tau
+from odecartan.forms import Coframe, wedge_sum
+from tests.conftest import make_problem
+from tests.oracles import (
+    chart_cartan_connection_report,
+    chart_metric_connection_report,
+    connection_matrix,
+    displayed_cartan_connection,
+    displayed_metric_connection,
+    expected_cartan_curvature,
     ricci_formalism_residuals,
 )
-from tests.conftest import make_problem
+from tests.oracles import expected_curvature_entries as oracle_expected_curvature
 
 
 @pytest.fixture(scope="module")
@@ -112,3 +125,158 @@ class TestCartanConnection:
 
     def test_block_metric_shape(self):
         assert BLOCK_METRIC == ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+
+
+# -- the coefficient path against the chart-level oracle ----------------------
+
+ORACLE_CASES = {
+    "flat": "3/2*q^2/p",
+    "opaque": None,
+    "specialised": "3/2*q^2/p + x*y*p^3 + 3*p^2 + (x+y)*p",
+    "pole": "3/2*q^2/p + x/(y+1)*p^3 + (x+y)*p",
+}
+METRIC_GROUPS = (
+    "torsion_residuals",
+    "antisymmetry_residuals",
+    "curvature_residuals",
+    "horizontality_residuals",
+    "ricci_residuals",
+)
+CARTAN_GROUPS = ("algebra_residuals", "curvature_residuals")
+
+
+@pytest.fixture(scope="module", params=list(ORACLE_CASES), ids=list(ORACLE_CASES))
+def oracle_family(request, family_data):
+    text = ORACLE_CASES[request.param]
+    return family_data if text is None else family_detect(make_problem(text))
+
+
+def assert_same_reports(new, old, groups):
+    for group in groups:
+        ours, theirs = getattr(new, group), getattr(old, group)
+        assert len(ours) == len(theirs), group
+        for a, b in zip(ours, theirs):
+            assert a == b, group
+    assert new.all_zero == old.all_zero
+
+
+def assert_same_renderings(new, old, group):
+    from odecartan.report import _render_form
+
+    ours = [_render_form(f) for f in getattr(new, group)]
+    assert ours == [_render_form(f) for f in getattr(old, group)]
+    return ours
+
+
+class TestAgainstChartOracle:
+    def test_metric_connection_form_by_form(self, oracle_family):
+        new = metric_connection_report(oracle_family)
+        old = chart_metric_connection_report(oracle_family)
+        assert_same_reports(new, old, METRIC_GROUPS)
+        assert_same_renderings(new, old, "torsion_residuals")
+        assert new.all_zero
+
+    def test_cartan_connection_form_by_form(self, oracle_family):
+        new = cartan_connection_report(oracle_family)
+        old = chart_cartan_connection_report(oracle_family)
+        assert_same_reports(new, old, CARTAN_GROUPS)
+        assert_same_renderings(new, old, "algebra_residuals")
+        assert (new.invariants_zero, new.curvature_zero) == (old.invariants_zero, old.curvature_zero)
+        assert new.flatness_matches_invariants == old.flatness_matches_invariants
+        assert new.all_zero
+
+    def test_invariants_passed_in_give_the_same_report(self, oracle_family):
+        kne = family_invariants(oracle_family)
+        assert_same_reports(
+            metric_connection_report(oracle_family, kne),
+            metric_connection_report(oracle_family),
+            METRIC_GROUPS,
+        )
+
+    def test_tables_reproduce_the_displayed_matrices(self, oracle_family):
+        for table, displayed in (
+            (METRIC_CONNECTION, displayed_metric_connection(oracle_family)),
+            (CARTAN_CONNECTION, displayed_cartan_connection(oracle_family)),
+        ):
+            built = connection_matrix(oracle_family, table)
+            assert all(built[i][j] == displayed[i][j] for i in range(4) for j in range(4))
+
+    def test_expected_entries_map_back_to_the_displayed_forms(self, oracle_family):
+        prob = oracle_family.problem
+        forms = adapted_tau(prob).forms
+        kne = family_invariants(oracle_family)
+        frame = Coframe(list(forms))
+        dn, de = frame.frame_derivatives(kne.n), frame.frame_derivatives(kne.e)
+        for ours, theirs in (
+            (
+                connection.expected_curvature_entries(kne, dn, de),
+                oracle_expected_curvature(oracle_family),
+            ),
+            (connection.expected_cartan_curvature(kne), expected_cartan_curvature(oracle_family)),
+        ):
+            for i in range(4):
+                for j in range(4):
+                    assert wedge_sum(forms, ours.get((i, j), {})) == theirs[i][j]
+
+    def test_tau_differentials_match_the_chart(self, oracle_family):
+        prob = oracle_family.problem
+        tau = adapted_tau(prob)
+        for form, coeffs in zip(tau.forms, connection.adapted_tau_differentials(prob)):
+            assert wedge_sum(tau.forms, coeffs) == form.exterior_derivative()
+
+
+def test_theta_wedges_in_the_tau_basis(family_problem):
+    theta = family_problem.coframe().forms
+    tau = family_problem.tau().forms
+    for (b, c), minors in connection._THETA_TO_TAU.items():
+        assert wedge_sum(tau, minors) == theta[b].wedge(theta[c])
+
+
+def test_tau_matrix_inverse():
+    from odecartan.cartan import _TAU, _TAU_INV
+
+    for i in range(6):
+        for j in range(6):
+            assert sum(_TAU[i][k] * _TAU_INV[k][j] for k in range(6)) == (i == j)
+
+
+class TestPerturbedTables:
+    """One coefficient changed in each connection: the residuals are
+    nonzero, so the map back to chart forms is exercised."""
+
+    TEXT = "3/2*q^2/p + x*y*p^3 + 3*p^2 + (x+y)*p"
+
+    def perturbed(self, table, entry, a, value):
+        out = {ij: dict(row) for ij, row in table.items()}
+        out[entry][a] = value
+        return out
+
+    def test_metric_connection(self, monkeypatch):
+        from odecartan.cartan import _AFFINE, _T1
+
+        fd = family_detect(make_problem(self.TEXT))
+        table = self.perturbed(METRIC_CONNECTION, (1, 3), _T1, _AFFINE(n=-1))
+        monkeypatch.setattr(connection, "METRIC_CONNECTION", table)
+        new = metric_connection_report(fd)
+        old = chart_metric_connection_report(fd, table)
+        assert_same_reports(new, old, METRIC_GROUPS)
+        rendered = assert_same_renderings(new, old, "torsion_residuals")
+        assert rendered[1] != "0"
+        assert not all(r.is_zero for r in new.antisymmetry_residuals)
+        assert not all(r.is_zero for r in new.curvature_residuals)
+        assert not new.all_zero
+
+    def test_cartan_connection(self, monkeypatch):
+        from odecartan.cartan import _AFFINE, _T1
+
+        fd = family_detect(make_problem(self.TEXT))
+        table = self.perturbed(CARTAN_CONNECTION, (0, 2), _T1, _AFFINE(2))
+        monkeypatch.setattr(connection, "CARTAN_CONNECTION", table)
+        new = cartan_connection_report(fd)
+        old = chart_cartan_connection_report(fd, table)
+        assert_same_reports(new, old, CARTAN_GROUPS)
+        rendered = assert_same_renderings(new, old, "algebra_residuals")
+        assert any(r != "0" for r in rendered)
+        assert not all(r.is_zero for r in new.curvature_residuals)
+        assert (new.curvature_zero, old.curvature_zero) == (False, False)
+        assert not new.all_zero

@@ -12,11 +12,10 @@ from odecartan.curvature import (
     curvature_tensors,
     einstein_residual,
     family_metric,
-    first_bianchi_residuals,
     metric_from_family,
-    weyl_trace_residuals,
 )
 from tests.conftest import make_problem
+from tests.oracles import first_bianchi_residuals, signature_at, weyl_trace_residuals
 
 DIM = 4
 
@@ -48,14 +47,14 @@ class TestMetric:
     def test_signature_split(self, family_data):
         metric = family_metric(family_data)
         point = {"x": 1, "y": 2, "z": Fraction(1, 3), "t": 4, "A": 5, "B": Fraction(-2, 7)}
-        assert metric.signature_at(point) == (2, 2)
+        assert signature_at(metric, point) == (2, 2)
 
     def test_signature_of_a_constant_metric(self):
         table = SymbolTable()
         rows = [[2, 1, 0, 0], [1, -1, 0, 0], [0, 0, 3, 1], [0, 0, 1, 1]]
         g = [[Expression.number(v, METRIC_CHART, table) for v in row] for row in rows]
         # leading minors 2, -3, -9, -6: one sign change
-        assert Metric4(g, table).signature_at({}) == (3, 1)
+        assert signature_at(Metric4(g, table), {}) == (3, 1)
 
     @pytest.mark.parametrize(
         "point",
@@ -67,7 +66,7 @@ class TestMetric:
     def test_signature_needs_nonzero_leading_minors(self, family_data, point):
         metric = family_metric(family_data)
         with pytest.raises(SingularEvaluationError, match="leading principal minor vanishes"):
-            metric.signature_at(point)
+            signature_at(metric, point)
 
     def test_projectability(self, family_metric_tensors):
         _, projectability, _ = family_metric_tensors

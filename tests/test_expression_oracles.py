@@ -1,0 +1,129 @@
+"""The Expression layer against two independent oracles: sympy's
+``cancel``/``diff``/``subs`` on sampled expressions, and a hypothesis
+round trip through the parser and the renderer."""
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from odecartan import J2_CHART, SymbolTable, parse_expression
+from odecartan.errors import ExpressionSyntaxError, SingularSubstitutionError
+from odecartan.expression import _normalize
+
+
+def _sympy_poly(poly, sympy):
+    out = sympy.Integer(0)
+    for mono, c in poly.terms.items():
+        term = sympy.Integer(c)
+        for sym, k in mono:
+            term *= sympy.Symbol(sym.name) ** k
+        out += term
+    return out
+
+
+def _sympy(e, sympy):
+    return _sympy_poly(e.num, sympy) / _sympy_poly(e.den, sympy)
+
+
+def _assert_reduced_like_cancel(num, den, sympy):
+    """num/den is sympy's cancelled fraction up to one rational constant."""
+    n, d = _sympy_poly(num, sympy), _sympy_poly(den, sympy)
+    if n == 0:
+        assert den.is_const and den.const_value() == 1
+        return
+    cn, cd = sympy.fraction(sympy.cancel(n / d))
+    ratio_n = sympy.cancel(n / cn)
+    ratio_d = sympy.cancel(d / cd)
+    assert ratio_n.is_number and ratio_d.is_number and ratio_n == ratio_d
+    assert sympy.gcd(n, d).is_number
+
+
+def test_normalize_matches_cancel(sampler):
+    sympy = pytest.importorskip("sympy")
+    gen = sampler(seed=4242)
+    for _ in range(60):
+        a, b, c = gen.expression(2), gen.expression(2), gen.expression(1)
+        # a common factor that _normalize has to find and divide out
+        num, den = _normalize(a.num * c.num * b.den, a.den * c.num * b.num)
+        if c.num.is_zero or b.num.is_zero:
+            continue
+        _assert_reduced_like_cancel(num, den, sympy)
+        expected = sympy.cancel(_sympy(a, sympy) / _sympy(b, sympy))
+        got = _sympy_poly(num, sympy) / _sympy_poly(den, sympy)
+        assert sympy.cancel(got - expected) == 0
+
+
+def test_arithmetic_is_canonical_like_cancel(sampler):
+    sympy = pytest.importorskip("sympy")
+    gen = sampler(seed=515)
+    for _ in range(60):
+        a, b = gen.expression(2), gen.expression(2)
+        for e in (a + b, a - b, a * b):
+            _assert_reduced_like_cancel(e.num, e.den, sympy)
+
+
+def test_differentiate_matches_diff(sampler):
+    sympy = pytest.importorskip("sympy")
+    gen = sampler(seed=777)
+    for _ in range(60):
+        e = gen.expression(3)
+        coord = gen.rng.choice(J2_CHART.coords)
+        ours = _sympy(e.differentiate(coord), sympy)
+        theirs = sympy.diff(_sympy(e, sympy), sympy.Symbol(coord))
+        assert sympy.cancel(ours - theirs) == 0
+
+
+def test_substitute_matches_subs(sampler):
+    sympy = pytest.importorskip("sympy")
+    gen = sampler(seed=1313)
+    checked = 0
+    for _ in range(60):
+        e = gen.expression(2)
+        names = gen.rng.sample(J2_CHART.coords, 2)
+        images = {name: gen.expression(1) for name in names}
+        try:
+            ours = e.substitute(images)
+        except SingularSubstitutionError:
+            continue
+        theirs = _sympy(e, sympy).subs(
+            {sympy.Symbol(n): _sympy(v, sympy) for n, v in images.items()}, simultaneous=True
+        )
+        assert sympy.cancel(_sympy(ours, sympy) - theirs) == 0
+        _assert_reduced_like_cancel(ours.num, ours.den, sympy)
+        checked += 1
+    assert checked > 40
+
+
+# -- parse -> render -> parse -------------------------------------------------
+
+_LEAVES = st.one_of(
+    st.sampled_from(["x", "y", "p", "q", "A(x,y)", "A_x", "A_xy", "B(y)", "B_yy"]),
+    st.integers(0, 12).map(str),
+)
+
+
+def _combine(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]}){t[1]}({t[2]})"),
+        st.tuples(inner, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+        inner.map(lambda s: f"-({s})"),
+    )
+
+
+_TEXTS = st.recursive(_LEAVES, _combine, max_leaves=10)
+
+
+@given(_TEXTS)
+@settings(max_examples=150, deadline=None)
+def test_parse_render_round_trip(text):
+    table = SymbolTable()
+    table.declare("A", ("x", "y"))
+    table.declare("B", ("y",))
+    try:
+        e = parse_expression(text, J2_CHART, table)
+    except ExpressionSyntaxError:
+        assume(False)
+    rendered = e.render()
+    again = parse_expression(rendered, J2_CHART, table)
+    assert again == e
+    assert again.num.terms == e.num.terms and again.den.terms == e.den.terms
+    assert again.render() == rendered

@@ -15,6 +15,7 @@ from odecartan import (
     parse_expression,
 )
 from odecartan.forms import Coframe, DifferentialForm, change_chart
+from tests.oracles import duality_residuals, expand_1
 
 
 @pytest.fixture()
@@ -158,7 +159,7 @@ class TestCoframe:
 
     def test_duality(self, table):
         cf = coordinate_coframe(P_CHART, table)
-        assert all(r.is_zero for r in cf.duality_residuals())
+        assert all(r.is_zero for r in duality_residuals(cf))
 
     def test_frame_derivative_coordinate_directions(self, table):
         cf = coordinate_coframe(J2_CHART, table)
@@ -196,7 +197,7 @@ class TestCoframe:
         p = Expression.coordinate("p", J2_CHART, table)
         cf = Coframe([dx, dy + dx.scale(p), dp, dq])
         f = dy.scale(p) + dx
-        coeffs = cf.expand_1(f)
+        coeffs = expand_1(cf, f)
         rebuilt = DifferentialForm.zero(J2_CHART, table, 1)
         for c, form in zip(coeffs, cf.forms):
             rebuilt = rebuilt + form.scale(c)
@@ -215,7 +216,7 @@ class TestCoframe:
 
     def test_frame_field_duality(self, family_problem):
         cf = family_problem.coframe()
-        assert all(r.is_zero for r in cf.duality_residuals())
+        assert all(r.is_zero for r in duality_residuals(cf))
 
     def test_frame_field_apply_matches_frame_derivative(self, table):
         cf = coordinate_coframe(J2_CHART, table)
@@ -228,7 +229,8 @@ class TestCoframe:
 
 class TestBareissInverse:
     def test_random_matrices_invert(self, sampler):
-        from odecartan.linalg import identity_check, invert_matrix
+        from odecartan.linalg import invert_matrix
+        from tests.oracles import identity_check
 
         gen = sampler(seed=99)
         for _ in range(5):

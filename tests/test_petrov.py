@@ -242,3 +242,44 @@ class TestJetExtendedPoints:
             outcome = point_outcome(metric, tensors, pt, {})
             assert outcome == point_outcome(oracle_metric, oracle_tensors, pt)
             assert outcome[1:3] == ("D", "D")
+
+    @pytest.mark.parametrize(
+        "specs",
+        [{"A": "x*y", "B": "x + y"}, {"A": "y^2", "B": "x^2 - 3"}],
+        ids=["generic", "separable"],
+    )
+    def test_blocks_match_halved_projector(self, family_metric_tensors, family_data, specs):
+        from odecartan.petrov import restrict_operator
+
+        metric, _, tensors = family_metric_tensors
+        table = family_data.problem.table
+        values = {n: parse_expression(t, J2_CHART, table) for n, t in specs.items()}
+        jets = jet_expressions(metric, tensors, values)
+        for pt in seeded_points(3):
+            result = classify_at_point(metric, tensors, pt, jets)
+            weyl_op, star = weyl_operator_at(metric, tensors, pt, jets)
+            for sign, block in ((1, result.block_plus), (-1, result.block_minus)):
+                reference = restrict_operator(weyl_op, halved_projector_basis(star, sign))
+                assert tuple(tuple(row) for row in reference) == block
+
+
+def halved_projector_basis(star, sign):
+    """Three independent columns of the projector (I + sign·star)/2."""
+    eye = identity(6)
+    proj = [[(eye[i][j] + sign * star[i][j]) / 2 for j in range(6)] for i in range(6)]
+    basis = []
+    reduced = []
+    for j in range(6):
+        col = [proj[i][j] for i in range(6)]
+        v = list(col)
+        for pivot_row, b in reduced:
+            if v[pivot_row]:
+                v = [v[i] - v[pivot_row] * b[i] for i in range(6)]
+        pivot = next((i for i, x in enumerate(v) if x != 0), None)
+        if pivot is None:
+            continue
+        reduced.append((pivot, [x / v[pivot] for x in v]))
+        basis.append(col)
+        if len(basis) == 3:
+            break
+    return [[basis[j][i] for j in range(3)] for i in range(6)]
