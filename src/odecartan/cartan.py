@@ -28,8 +28,6 @@ HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 SIXTH = Fraction(1, 6)
 
-FLAT_ODE_TEXT = "3/2*q^2/p"
-
 STRUCTURE_NAMES = ("a", "b", "c", "e", "f", "g", "h", "k", "l", "m", "n", "r", "s")
 
 # Coframe positions: 0..3 the four horizontal forms, 4..5 the two
@@ -250,6 +248,16 @@ STRUCTURE_PATTERN = {
     },
 }
 
+
+def affine_value(affine, values):
+    """const + Σ mult · values[name]: a Fraction while no term is added."""
+    value, mults = affine
+    for name, mult in mults.items():
+        if mult:
+            value = value + mult * values[name]
+    return value
+
+
 # Slot that defines each invariant during extraction (equation, slot, solver)
 _DEFINING_SLOTS = {
     "a": (1, (_T2, _T3), lambda v: -v),
@@ -319,11 +327,7 @@ def structure_functions(prob, coframe=None, expansions=None):
         for i in range(6):
             for j in range(i + 1, 6):
                 actual = tables[eq].get((i, j), zero)
-                const, mults = pattern.get((i, j), (Fraction(0), {}))
-                expected = zero + const
-                for name, mult in mults.items():
-                    expected = expected + mult * values[name]
-                residual = actual - expected
+                residual = actual - affine_value(pattern.get((i, j), (0, {})), values)
                 if not residual.is_zero:
                     mismatches.append(((eq, i, j), residual))
     if mismatches:
@@ -720,12 +724,8 @@ def differential_residuals(prob, table, sf=None):
     out = []
     for i, d_tau in enumerate(tau_differentials(prob)):
         coeffs = dict(d_tau)
-        for slot, (const, mults) in _theta_affine(table[i]).items():
-            rhs = zero + const
-            for name, mult in mults.items():
-                if mult:
-                    rhs = rhs + mult * values[name]
-            coeffs[slot] = coeffs.get(slot, zero) - rhs
+        for slot, affine in _theta_affine(table[i]).items():
+            coeffs[slot] = coeffs.get(slot, zero) - affine_value(affine, values)
         out.append(cf.reconstruct_2(coeffs))
     return out
 

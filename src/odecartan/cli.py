@@ -11,7 +11,7 @@ import json
 import sys
 
 from .errors import OdeCartanError
-from .report import AnalysisInputError, AnalysisRequest, analyze, emit_report
+from .report import STAGES, AnalysisInputError, AnalysisRequest, analyze, emit_report
 
 
 def build_parser():
@@ -36,7 +36,7 @@ def build_parser():
     an.add_argument(
         "--stages",
         default="inv,cond",
-        help="comma list from inv,cond,metric,einstein,petrov,conn,appendix or 'all'",
+        help=f"comma list from {','.join(STAGES)} or 'all'",
     )
     an.add_argument(
         "--specialize",
@@ -86,7 +86,6 @@ def main(argv=None):
             points=args.points,
             seed=args.seed,
         )
-        request.normalized_stages()  # validate stage names up front
         report = analyze(request)
         document = emit_report(report, args.format)
     except (AnalysisInputError, OdeCartanError) as exc:

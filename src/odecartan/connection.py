@@ -32,7 +32,7 @@ through the adapted tau forms, and only when it is nonzero.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartan import _AFFINE, _G1, _G2, _T1, _T2, _T3, _T4, _TAU_INV, HALF
+from .cartan import _AFFINE, _G1, _G2, _T1, _T2, _T3, _T4, _TAU_INV, HALF, affine_value
 from .cartan import family_invariants, tau_differentials, to_adapted
 from .curvature import adapted_tau
 from .expression import Expression
@@ -139,13 +139,7 @@ class _TauAlgebra:
         self.derivs = {}
         self.gamma = {}
         for ij, row in table.items():
-            entry = {}
-            for a, (const, mults) in row.items():
-                c = const
-                for name, mult in mults.items():
-                    c = c + mult * self.values[name]
-                if not _is_zero(c):
-                    entry[a] = c
+            entry = _nonzero({a: affine_value(aff, self.values) for a, aff in row.items()})
             if entry:
                 self.gamma[ij] = entry
 

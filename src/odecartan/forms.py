@@ -196,14 +196,18 @@ class DifferentialForm:
             out = out + term
         return out
 
-    def __repr__(self):
+    def render(self):
+        """The terms "(coefficient) dx^dy" joined by " + ", or "0"."""
         if not self.comps:
-            return "Form(0)"
+            return "0"
         bits = []
         for idx in sorted(self.comps):
             names = "^".join(f"d{self.chart.coords[a]}" for a in idx) or "1"
             bits.append(f"({self.comps[idx].render()}) {names}")
-        return "Form(" + " + ".join(bits) + ")"
+        return " + ".join(bits)
+
+    def __repr__(self):
+        return f"Form({self.render()})"
 
 
 def change_chart(form, mapping, target):

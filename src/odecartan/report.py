@@ -1,6 +1,13 @@
 """End-to-end analysis: run requested stages in dependency order and
 assemble an auditable report.
 
+One table, ``_STAGE_TABLE``, lists the stages in execution order: each
+entry's name, aliases, dependencies, whether it needs the cubic family,
+the stages it implies, and a run function that fills its report section
+and returns its verdict.  Name validation, dependency resolution, family
+gating, dependency failures and the verdict rule all read it; one
+``except`` in ``analyze`` maps a failed stage's exception to its code.
+
 Every verdict in the report sits next to the residuals that justify it,
 rendered in the input grammar so they can be re-checked independently.
 Reports are deterministic for a fixed request and seed, except for the
@@ -42,31 +49,6 @@ from .parse import parse_expression
 from .petrov import classify_at_point, jet_expressions
 from .symbols import J2_CHART, Sym, SymbolTable
 
-STAGES = ("inv", "cond", "metric", "einstein", "petrov", "conn", "appendix")
-
-_ALIASES = {
-    "invariants": "inv",
-    "conditions": "cond",
-    "connection": "conn",
-    "einstein": "einstein",
-    "metric": "metric",
-    "petrov": "petrov",
-    "appendix": "appendix",
-    "inv": "inv",
-    "cond": "cond",
-    "conn": "conn",
-}
-
-_DEPENDENCIES = {
-    "cond": ("inv",),
-    "einstein": ("metric",),
-    "petrov": ("metric",),
-    "conn": ("inv",),
-    "appendix": ("inv",),
-}
-
-_FAMILY_STAGES = frozenset(("metric", "einstein", "petrov", "conn"))
-
 CONVENTIONS = {
     "ricci": "Ric_ij = R^k_ikj with R^i_jkl = d_k G^i_lj - d_l G^i_kj + G^i_km G^m_lj - G^i_lm G^m_kj",
     "orientation": "volume form dx^dy^dz^dt; 'plus' labels the +1 eigenspace of the Hodge star",
@@ -94,16 +76,15 @@ class AnalysisRequest:
     seed: int = 0
 
     def normalized_stages(self):
-        requested = []
-        for s in self.stages:
-            s = s.strip().lower()
-            if s == "all":
-                return tuple(STAGES)
-            if s not in _ALIASES:
+        """Canonical stage names in request order, duplicates dropped;
+        every name is checked, including those next to ``all``."""
+        names = [s.strip().lower() for s in self.stages]
+        for s in names:
+            if s != "all" and s not in _BY_NAME:
                 raise AnalysisInputError("bad-stage", f"unknown stage {s!r}")
-            if _ALIASES[s] not in requested:
-                requested.append(_ALIASES[s])
-        return tuple(requested)
+        if "all" in names:
+            return STAGES
+        return tuple(dict.fromkeys(_BY_NAME[s].name for s in names))
 
 
 @dataclass
@@ -119,41 +100,290 @@ class AnalysisReport:
         return 0 if all(self.verdicts.values()) else 1
 
 
-def _closure(requested):
-    out = []
+class _State:
+    """One request's inputs and what its stages leave for later ones."""
 
-    def add(stage):
-        for dep in _DEPENDENCIES.get(stage, ()):
-            add(dep)
-        if stage not in out:
-            out.append(stage)
-
-    for s in requested:
-        add(s)
-    # the condition verdicts are a free byproduct of extraction
-    if "inv" in out and "cond" not in out:
-        out.append("cond")
-    return tuple(s for s in STAGES if s in out)
+    def __init__(self, request, report, prob):
+        self.request, self.report, self.prob = request, report, prob
+        self.family = self.kne = None  # FamilyData and its k, n, e; None outside the family
+        self.sf = self.metric = self.tensors = None  # set by inv, metric, einstein
 
 
-def _render_form(form):
-    if form.is_zero:
-        return "0"
-    bits = []
-    for idx in sorted(form.comps):
-        names = "^".join(f"d{form.chart.coords[a]}" for a in idx) or "1"
-        bits.append(f"({form.comps[idx].render()}) {names}")
-    return " + ".join(bits)
+def _run_inv(st):
+    st.sf = st.prob.structure()
+    st.report["structure_functions"] = {
+        "run": True,
+        "consistent": True,
+        "values": {n: getattr(st.sf, n).render() for n in STRUCTURE_NAMES},
+    }
+    if st.family is not None:
+        res = family_invariants_residuals(st.family, st.sf)
+        section = st.report["invariants_kne"]
+        section["extraction_residuals"] = {k: v.render() for k, v in res.items()}
+        section["matches_extraction"] = all(v.is_zero for v in res.values())
+    return True
+
+
+def _run_cond(st):
+    cond = check_einstein_conditions(st.sf)
+    st.report["conditions"] = {
+        "run": True,
+        "verdicts": {
+            v.name: {"residual": v.residual.render(), "holds": v.holds}
+            for v in cond.verdicts
+        },
+        "all_hold": cond.all_hold,
+    }
+    return cond.all_hold
+
+
+def _run_metric(st):
+    st.metric, proj = metric_from_family(st.family)
+    st.report["metric"] = {
+        "run": True,
+        "components": [[e.render() for e in row] for row in st.metric.g],
+        "determinant": st.metric.det.render(),
+        "projectability": {
+            "projects": proj.projects,
+            "vertical_residuals": [e.render() for e in proj.vertical_residuals],
+            "invariance_residuals": [e.render() for e in proj.invariance_residuals],
+            "match_residuals": [e.render() for e in proj.match_residuals],
+        },
+    }
+    return proj.projects
+
+
+def _run_einstein(st):
+    tensors = st.tensors = curvature_tensors(st.metric)
+    residual = einstein_residual(st.metric, tensors, Fraction(-1))
+    holds = all(residual[i][j].is_zero for i in range(4) for j in range(4))
+    st.report["einstein_residual_zero"] = {
+        "run": True,
+        "verdict": holds,
+        "residual_components": [
+            residual[i][j].render() for i in range(4) for j in range(i, 4)
+        ],
+        "scalar_curvature": tensors.scalar.render(),
+    }
+    return holds and tensors.scalar == -4
 
 
 def _point_to_json(point):
     return {k: str(v) for k, v in sorted(point.items())}
 
 
+def _specialized_family(request, family):
+    table = family.problem.table
+    coeffs = {"A": family.A, "B": family.B, "C": family.C}
+    for name, text in request.specializations.items():
+        if name not in coeffs:
+            raise AnalysisInputError(
+                "bad-specialization", f"{name!r} is not a family coefficient"
+            )
+        try:
+            value = parse_expression(text, J2_CHART, table)
+        except (ExpressionSyntaxError, UnknownSymbolError) as exc:
+            raise AnalysisInputError("bad-specialization", str(exc)) from exc
+        bad = [s.render() for s in value.symbols() if s.name not in ("x", "y")]
+        if bad:
+            raise AnalysisInputError(
+                "bad-specialization",
+                f"specialization of {name} may only use x and y, found {bad}",
+            )
+        coeffs[name] = value
+    return FamilyData(family.problem, coeffs["A"], coeffs["B"], coeffs["C"])
+
+
+def _substituted_functions(request, family, fd):
+    """{function name: specialisation} when specialising the coefficients
+    A and B substitutes the distinct opaque functions they are, with no
+    argument the function lacks; None otherwise.  The quadratic
+    coefficient C is not in the metric."""
+    table = family.problem.table
+    out = {}
+    for name in ("A", "B"):
+        if name in request.specializations:
+            sym = table.base(getattr(family, name).render())
+            special = getattr(fd, name)
+            if sym is None or sym.name in out or not special.symbols() <= set(map(Sym, sym.args)):
+                return None
+            out[sym.name] = special
+    return out
+
+
+def _run_petrov(st):
+    """Petrov labels at seeded exact points of the specialised metric.
+
+    ``st.metric`` is the metric stage's metric of the unspecialised
+    family, ``st.tensors`` the einstein stage's curvature of it, or None
+    when that stage did not run.  Formal jet calculus commutes with
+    specialisation, so the opaque Weyl tensor, g^-1 and det take the
+    specialised values at a point extended with each jet symbol's value:
+    its function's specialisation differentiated along the jet's index.
+    When a specialisation replaces a coefficient that is not an opaque
+    function (a concrete one, say), the specialised metric and its
+    curvature are built here instead.
+    """
+    request, metric, tensors = st.request, st.metric, st.tensors
+    fd = _specialized_family(request, st.family)
+    leftover = sorted(
+        {s.render() for c in (fd.A, fd.B) for s in c.symbols() if not s.is_coordinate}
+    )
+    if leftover:
+        raise AnalysisInputError(
+            "petrov-needs-specialization",
+            f"metric still contains opaque symbols {leftover}; "
+            "provide rational specializations for A and B",
+        )
+    functions = _substituted_functions(request, st.family, fd)
+    if functions is None:
+        metric, tensors, functions = family_metric(fd), None, {}
+    if tensors is None:
+        tensors = curvature_tensors(metric)
+    jets = jet_expressions(metric, tensors, functions)
+    rng = random.Random(request.seed)
+    results = []
+    skipped = []
+    attempts = 0
+    budget = max(50, 40 * request.points)
+    while len(results) < request.points and attempts < budget:
+        attempts += 1
+        point = {
+            c: Fraction(rng.randint(-100, 100), rng.randint(1, 100))
+            for c in ("x", "y", "z", "t")
+        }
+        try:
+            results.append(classify_at_point(metric, tensors, point, jets))
+        except PetrovDegeneracyError as exc:
+            skipped.append({"point": _point_to_json(point), "reason": str(exc)})
+    if len(results) < request.points:
+        raise PetrovDegeneracyError(
+            f"could not find {request.points} admissible sample points"
+        )
+    labels = [(r.label_plus, r.label_minus) for r in results]
+    consistent = len(set(labels)) == 1
+    d_eigenspace = None
+    if consistent and labels:
+        plus, minus = labels[0]
+        if plus == "D" and minus != "D":
+            d_eigenspace = "plus"
+        elif minus == "D" and plus != "D":
+            d_eigenspace = "minus"
+        elif plus == "D" and minus == "D":
+            d_eigenspace = "both"
+    st.report["conventions"]["d_eigenspace"] = d_eigenspace
+    st.report["petrov"] = {
+        "run": True,
+        "specializations": dict(sorted(request.specializations.items())),
+        "points": [
+            {
+                "point": _point_to_json(r.point),
+                "label_plus": r.label_plus,
+                "label_minus": r.label_minus,
+            }
+            for r in results
+        ],
+        "labels": sorted({f"{a}+{b}" for a, b in labels}),
+        "consistent_assignment": consistent,
+        "d_eigenspace": d_eigenspace,
+        "skipped_points": skipped,
+    }
+    return consistent
+
+
+def _run_conn(st):
+    mrep = metric_connection_report(st.family, st.kne)
+    crep = cartan_connection_report(st.family, st.kne)
+    st.report["connection"] = {
+        "run": True,
+        "metric_connection": {
+            "torsion_zero": all(r.is_zero for r in mrep.torsion_residuals),
+            "antisymmetry_zero": all(r.is_zero for r in mrep.antisymmetry_residuals),
+            "curvature_matches": all(r.is_zero for r in mrep.curvature_residuals),
+            "horizontal": all(r.is_zero for r in mrep.horizontality_residuals),
+            "ricci_is_minus_metric": all(r.is_zero for r in mrep.ricci_residuals),
+            "torsion_residuals": [f.render() for f in mrep.torsion_residuals],
+            "ricci_residuals": [e.render() for e in mrep.ricci_residuals],
+        },
+        "cartan_connection": {
+            "algebra_valued": all(r.is_zero for r in crep.algebra_residuals),
+            "curvature_matches": all(r.is_zero for r in crep.curvature_residuals),
+            "invariants_zero": crep.invariants_zero,
+            "curvature_zero": crep.curvature_zero,
+            "flatness_matches_invariants": crep.flatness_matches_invariants,
+            "algebra_residuals": [f.render() for f in crep.algebra_residuals],
+        },
+    }
+    return mrep.all_zero and crep.all_zero
+
+
+def _run_appendix(st):
+    res = verify_appendix(st.prob, st.sf)
+    holds = all(f.is_zero for f in res)
+    st.report["appendix_residuals"] = {
+        "run": True,
+        "residuals": [f.render() for f in res],
+        "all_zero": holds,
+    }
+    return holds
+
+
+class _Stage:
+    """One row of the stage table.  ``run(state)`` fills the stage's report
+    section and returns its verdict.  The stages in ``needs`` run first,
+    and when one fails this one does too; those in ``implies`` run
+    whenever this one does and report a verdict whenever it is requested."""
+
+    def __init__(self, name, run, aliases=(), needs=(), family_only=False, implies=()):
+        self.name, self.run, self.aliases = name, run, aliases
+        self.needs, self.family_only, self.implies = needs, family_only, implies
+
+
+# Execution order.  The condition verdicts are a free byproduct of
+# extraction, so ``inv`` implies ``cond``: it runs whenever ``inv`` does and
+# reports a verdict whenever ``inv`` is requested.  ``einstein`` reads the metric stage's metric and
+# ``petrov`` both that and, when present, the einstein stage's curvature.
+_STAGE_TABLE = (
+    _Stage("inv", _run_inv, aliases=("invariants",), implies=("cond",)),
+    _Stage("cond", _run_cond, aliases=("conditions",), needs=("inv",)),
+    _Stage("metric", _run_metric, family_only=True),
+    _Stage("einstein", _run_einstein, needs=("metric",), family_only=True),
+    _Stage("petrov", _run_petrov, needs=("metric",), family_only=True),
+    _Stage("conn", _run_conn, aliases=("connection",), needs=("inv",), family_only=True),
+    _Stage("appendix", _run_appendix, needs=("inv",)),
+)
+
+STAGES = tuple(s.name for s in _STAGE_TABLE)
+
+_BY_NAME = {n: s for s in _STAGE_TABLE for n in (s.name, *s.aliases)}
+
+
+def _closure(requested):
+    """Requested stages with their needs and implied stages, in table order."""
+    out = set()
+
+    def add(name):
+        if name not in out:
+            out.add(name)
+            for other in _BY_NAME[name].needs + _BY_NAME[name].implies:
+                add(other)
+
+    for name in requested:
+        add(name)
+    return [s for s in _STAGE_TABLE if s.name in out]
+
+
+def _error_code(exc):
+    if isinstance(exc, AnalysisInputError):
+        return exc.code
+    if isinstance(exc, PetrovDegeneracyError):
+        return "petrov-degenerate"
+    return "stage-failed"
+
+
 def analyze(request):
     """Run the pipeline and return an AnalysisReport."""
     requested = request.normalized_stages()
-    stages = _closure(requested)
     timings = {}
     verdicts = {}
     stage_errors = {}
@@ -201,35 +431,23 @@ def analyze(request):
         return AnalysisReport(report, verdicts, {"ode": report["error"]})
 
     # family detection always runs; it is cheap and the report requires it
-    family = None
+    state = _State(request, report, prob)
     try:
-        family = family_detect(prob)
-        report["family"] = {
-            "accepted": True,
-            "A": family.A.render(),
-            "B": family.B.render(),
-            "C": family.C.render(),
-        }
+        family = state.family = family_detect(prob)
     except FamilyRejectionError as exc:
         report["family"] = {
             "accepted": False,
             "reason": exc.reason,
             "detail": exc.detail,
         }
-
-    requested_family_stages = [s for s in stages if s in _FAMILY_STAGES]
-    if family is None and requested_family_stages:
-        err = {
-            "code": "family-rejected",
-            "message": "a family-only stage was requested but "
-            + report["family"]["reason"],
+    else:
+        report["family"] = {
+            "accepted": True,
+            "A": family.A.render(),
+            "B": family.B.render(),
+            "C": family.C.render(),
         }
-        for s in requested_family_stages:
-            stage_errors[s] = err
-        stages = tuple(s for s in stages if s not in _FAMILY_STAGES)
-
-    if family is not None:
-        kne = family_invariants(family)
+        kne = state.kne = family_invariants(family)
         report["invariants_kne"] = {
             "run": True,
             "k": kne.k.render(),
@@ -237,252 +455,32 @@ def analyze(request):
             "e": kne.e.render(),
         }
 
-    sf = metric = tensors = None
-    failed = set()
-    for stage in stages:
-        broken_deps = [d for d in _DEPENDENCIES.get(stage, ()) if d in failed]
-        if broken_deps:
-            stage_errors[stage] = {
+    with_verdict = set(requested).union(*(_BY_NAME[s].implies for s in requested))
+    for stage in _closure(requested):
+        broken_deps = [d for d in stage.needs if d in stage_errors]
+        if stage.family_only and state.family is None:
+            stage_errors[stage.name] = {
+                "code": "family-rejected",
+                "message": "a family-only stage was requested but "
+                + report["family"]["reason"],
+            }
+        elif broken_deps:
+            stage_errors[stage.name] = {
                 "code": "dependency-failed",
                 "message": f"stage {broken_deps[0]!r} did not complete",
             }
-            failed.add(stage)
-            continue
-        started = time.perf_counter()
-        try:
-            if stage == "inv":
-                sf = prob.structure()
-                report["structure_functions"] = {
-                    "run": True,
-                    "consistent": True,
-                    "values": {n: getattr(sf, n).render() for n in STRUCTURE_NAMES},
-                }
-                if "inv" in requested:
-                    verdicts["inv"] = True
-                if family is not None:
-                    res = family_invariants_residuals(family, sf)
-                    match = {k: v.render() for k, v in res.items()}
-                    report["invariants_kne"]["extraction_residuals"] = match
-                    report["invariants_kne"]["matches_extraction"] = all(
-                        v.is_zero for v in res.values()
-                    )
-            elif stage == "cond":
-                cond = check_einstein_conditions(sf)
-                report["conditions"] = {
-                    "run": True,
-                    "verdicts": {
-                        v.name: {"residual": v.residual.render(), "holds": v.holds}
-                        for v in cond.verdicts
-                    },
-                    "all_hold": cond.all_hold,
-                }
-                if "cond" in requested or "inv" in requested:
-                    verdicts["cond"] = cond.all_hold
-            elif stage == "metric":
-                metric, proj = metric_from_family(family)
-                report["metric"] = {
-                    "run": True,
-                    "components": [[e.render() for e in row] for row in metric.g],
-                    "determinant": metric.det.render(),
-                    "projectability": {
-                        "projects": proj.projects,
-                        "vertical_residuals": [e.render() for e in proj.vertical_residuals],
-                        "invariance_residuals": [e.render() for e in proj.invariance_residuals],
-                        "match_residuals": [e.render() for e in proj.match_residuals],
-                    },
-                }
-                if "metric" in requested:
-                    verdicts["metric"] = proj.projects
-            elif stage == "einstein":
-                # reuses the metric stage's metric: the closure runs that stage
-                # first, and when it fails this one is a dependency failure
-                tensors = curvature_tensors(metric)
-                residual = einstein_residual(metric, tensors, Fraction(-1))
-                flat_components = [
-                    residual[i][j].render() for i in range(4) for j in range(i, 4)
-                ]
-                holds = all(
-                    residual[i][j].is_zero for i in range(4) for j in range(4)
-                )
-                report["einstein_residual_zero"] = {
-                    "run": True,
-                    "verdict": holds,
-                    "residual_components": flat_components,
-                    "scalar_curvature": tensors.scalar.render(),
-                }
-                if "einstein" in requested:
-                    verdicts["einstein"] = holds and tensors.scalar == -4
-            elif stage == "petrov":
-                outcome = _petrov_stage(request, family, metric, tensors)
-                report["petrov"] = outcome
-                report["conventions"]["d_eigenspace"] = outcome.get("d_eigenspace")
-                if "petrov" in requested:
-                    verdicts["petrov"] = outcome["consistent_assignment"] and bool(
-                        outcome["points"]
-                    )
-            elif stage == "conn":
-                mrep = metric_connection_report(family, kne)
-                crep = cartan_connection_report(family, kne)
-                report["connection"] = {
-                    "run": True,
-                    "metric_connection": {
-                        "torsion_zero": all(r.is_zero for r in mrep.torsion_residuals),
-                        "antisymmetry_zero": all(r.is_zero for r in mrep.antisymmetry_residuals),
-                        "curvature_matches": all(r.is_zero for r in mrep.curvature_residuals),
-                        "horizontal": all(r.is_zero for r in mrep.horizontality_residuals),
-                        "ricci_is_minus_metric": all(r.is_zero for r in mrep.ricci_residuals),
-                        "torsion_residuals": [_render_form(f) for f in mrep.torsion_residuals],
-                        "ricci_residuals": [e.render() for e in mrep.ricci_residuals],
-                    },
-                    "cartan_connection": {
-                        "algebra_valued": all(r.is_zero for r in crep.algebra_residuals),
-                        "curvature_matches": all(r.is_zero for r in crep.curvature_residuals),
-                        "invariants_zero": crep.invariants_zero,
-                        "curvature_zero": crep.curvature_zero,
-                        "flatness_matches_invariants": crep.flatness_matches_invariants,
-                        "algebra_residuals": [_render_form(f) for f in crep.algebra_residuals],
-                    },
-                }
-                if "conn" in requested:
-                    verdicts["conn"] = mrep.all_zero and crep.all_zero
-            elif stage == "appendix":
-                res = verify_appendix(prob, sf)
-                report["appendix_residuals"] = {
-                    "run": True,
-                    "residuals": [_render_form(f) for f in res],
-                    "all_zero": all(f.is_zero for f in res),
-                }
-                if "appendix" in requested:
-                    verdicts["appendix"] = all(f.is_zero for f in res)
-        except PetrovDegeneracyError as exc:
-            stage_errors[stage] = {"code": "petrov-degenerate", "message": str(exc)}
-            failed.add(stage)
-        except AnalysisInputError as exc:
-            stage_errors[stage] = {"code": exc.code, "message": str(exc)}
-            failed.add(stage)
-        except OdeCartanError as exc:
-            stage_errors[stage] = {"code": "stage-failed", "message": str(exc)}
-            failed.add(stage)
-        finally:
-            timings[stage] = round(time.perf_counter() - started, 6)
+        else:
+            started = time.perf_counter()
+            try:
+                verdict = stage.run(state)
+                if stage.name in with_verdict:
+                    verdicts[stage.name] = verdict
+            except OdeCartanError as exc:
+                stage_errors[stage.name] = {"code": _error_code(exc), "message": str(exc)}
+            finally:
+                timings[stage.name] = round(time.perf_counter() - started, 6)
 
     return AnalysisReport(report, verdicts, stage_errors)
-
-
-def _specialized_family(request, family):
-    table = family.problem.table
-    coeffs = {"A": family.A, "B": family.B, "C": family.C}
-    for name, text in request.specializations.items():
-        if name not in coeffs:
-            raise AnalysisInputError(
-                "bad-specialization", f"{name!r} is not a family coefficient"
-            )
-        try:
-            value = parse_expression(text, J2_CHART, table)
-        except (ExpressionSyntaxError, UnknownSymbolError) as exc:
-            raise AnalysisInputError("bad-specialization", str(exc)) from exc
-        bad = [s.render() for s in value.symbols() if s.name not in ("x", "y")]
-        if bad:
-            raise AnalysisInputError(
-                "bad-specialization",
-                f"specialization of {name} may only use x and y, found {bad}",
-            )
-        coeffs[name] = value
-    return FamilyData(family.problem, coeffs["A"], coeffs["B"], coeffs["C"])
-
-
-def _substituted_functions(request, family, fd):
-    """{function name: specialisation} when specialising the coefficients
-    A and B substitutes the distinct opaque functions they are, with no
-    argument the function lacks; None otherwise.  The quadratic
-    coefficient C is not in the metric."""
-    table = family.problem.table
-    out = {}
-    for name in ("A", "B"):
-        if name in request.specializations:
-            sym = table.base(getattr(family, name).render())
-            special = getattr(fd, name)
-            if sym is None or sym.name in out or not special.symbols() <= set(map(Sym, sym.args)):
-                return None
-            out[sym.name] = special
-    return out
-
-
-def _petrov_stage(request, family, metric, tensors):
-    """Petrov labels at seeded exact points of the specialised metric.
-
-    ``metric`` is the metric stage's metric of the unspecialised family,
-    ``tensors`` the einstein stage's curvature of it, or None when that
-    stage did not run.  Formal jet calculus commutes with specialisation,
-    so the opaque Weyl tensor, g^-1 and det take the specialised values
-    at a point extended with each jet symbol's value: its function's
-    specialisation differentiated along the jet's index.  When a
-    specialisation replaces a coefficient that is not an opaque function
-    (a concrete one, say), the specialised metric and its curvature are
-    built here instead.
-    """
-    fd = _specialized_family(request, family)
-    leftover = sorted(
-        {s.render() for c in (fd.A, fd.B) for s in c.symbols() if not s.is_coordinate}
-    )
-    if leftover:
-        raise AnalysisInputError(
-            "petrov-needs-specialization",
-            f"metric still contains opaque symbols {leftover}; "
-            "provide rational specializations for A and B",
-        )
-    functions = _substituted_functions(request, family, fd)
-    if functions is None:
-        metric, tensors, functions = family_metric(fd), None, {}
-    if tensors is None:
-        tensors = curvature_tensors(metric)
-    jets = jet_expressions(metric, tensors, functions)
-    rng = random.Random(request.seed)
-    results = []
-    skipped = []
-    attempts = 0
-    budget = max(50, 40 * request.points)
-    while len(results) < request.points and attempts < budget:
-        attempts += 1
-        point = {
-            c: Fraction(rng.randint(-100, 100), rng.randint(1, 100))
-            for c in ("x", "y", "z", "t")
-        }
-        try:
-            results.append(classify_at_point(metric, tensors, point, jets))
-        except PetrovDegeneracyError as exc:
-            skipped.append({"point": _point_to_json(point), "reason": str(exc)})
-    if len(results) < request.points:
-        raise PetrovDegeneracyError(
-            f"could not find {request.points} admissible sample points"
-        )
-    labels = [(r.label_plus, r.label_minus) for r in results]
-    consistent = len(set(labels)) == 1
-    d_eigenspace = None
-    if consistent and labels:
-        plus, minus = labels[0]
-        if plus == "D" and minus != "D":
-            d_eigenspace = "plus"
-        elif minus == "D" and plus != "D":
-            d_eigenspace = "minus"
-        elif plus == "D" and minus == "D":
-            d_eigenspace = "both"
-    return {
-        "run": True,
-        "specializations": dict(sorted(request.specializations.items())),
-        "points": [
-            {
-                "point": _point_to_json(r.point),
-                "label_plus": r.label_plus,
-                "label_minus": r.label_minus,
-            }
-            for r in results
-        ],
-        "labels": sorted({f"{a}+{b}" for a, b in labels}),
-        "consistent_assignment": consistent,
-        "d_eigenspace": d_eigenspace,
-        "skipped_points": skipped,
-    }
 
 
 def emit_report(report, fmt="json"):

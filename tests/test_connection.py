@@ -161,10 +161,8 @@ def assert_same_reports(new, old, groups):
 
 
 def assert_same_renderings(new, old, group):
-    from odecartan.report import _render_form
-
-    ours = [_render_form(f) for f in getattr(new, group)]
-    assert ours == [_render_form(f) for f in getattr(old, group)]
+    ours = [f.render() for f in getattr(new, group)]
+    assert ours == [f.render() for f in getattr(old, group)]
     return ours
 
 

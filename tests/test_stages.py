@@ -1,0 +1,122 @@
+"""The stage table: names and aliases, dependencies, family gating, the
+verdict rule and the stage error codes."""
+
+import pytest
+
+from odecartan import report as report_module
+from odecartan.errors import OdeCartanError, PetrovDegeneracyError
+from odecartan.report import STAGES, AnalysisInputError, AnalysisRequest, analyze
+from tests.test_cli import run_cli
+
+FLAT = "3/2*q^2/p"
+
+
+def stages_of(*names):
+    return AnalysisRequest(ode=FLAT, stages=names).normalized_stages()
+
+
+class TestStageNames:
+    def test_aliases_map_to_canonical_names(self):
+        assert stages_of("invariants", "conditions", "connection") == ("inv", "cond", "conn")
+
+    def test_case_and_whitespace_are_ignored(self):
+        assert stages_of(" Invariants", "CONDITIONS ", "\tConnection\n") == (
+            "inv",
+            "cond",
+            "conn",
+        )
+
+    def test_repeated_names_and_aliases_are_deduplicated(self):
+        assert stages_of("conn", "inv", "connection", "INV", "invariants") == ("conn", "inv")
+
+    def test_all_expands_to_every_stage(self):
+        assert stages_of("inv", "all") == STAGES
+
+    def test_report_input_lists_canonical_names(self):
+        report = analyze(AnalysisRequest(ode=FLAT, stages=("Invariants", "inv", "appendix")))
+        assert report.data["input"]["stages"] == ["inv", "appendix"]
+        assert report.data["appendix_residuals"]["run"] is True
+
+    @pytest.mark.parametrize("names", [("all", "bogus"), ("bogus", "all")])
+    def test_every_name_is_validated(self, names):
+        with pytest.raises(AnalysisInputError) as info:
+            stages_of(*names)
+        assert info.value.code == "bad-stage"
+        assert "'bogus'" in str(info.value)
+
+    @pytest.mark.parametrize("stages", ["all,bogus", "bogus,all"])
+    def test_cli_rejects_a_bad_name_next_to_all(self, stages):
+        proc = run_cli("--ode", FLAT, "--stages", stages)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert '"bad-stage"' in proc.stderr
+
+    def test_cli_help_lists_the_stages(self):
+        proc = run_cli("--help")
+        assert proc.returncode == 0
+        assert ",".join(STAGES) in proc.stdout
+
+
+class TestVerdictRule:
+    def test_cond_alone_runs_inv_without_its_verdict(self):
+        report = analyze(AnalysisRequest(ode=FLAT, stages=("cond",)))
+        assert set(report.verdicts) == {"cond"}
+        assert report.data["structure_functions"]["run"] is True
+
+    def test_dependencies_run_without_verdicts(self):
+        report = analyze(AnalysisRequest(ode=FLAT, stages=("conn",)))
+        assert set(report.verdicts) == {"conn"}
+        assert list(report.data["timings"]) == ["inv", "cond", "conn"]
+        assert report.exit_code == 0
+
+
+class TestStageErrors:
+    def test_failed_stage_fails_its_dependents_only(self, monkeypatch):
+        def broken(family):
+            raise OdeCartanError("metric construction failed")
+
+        monkeypatch.setattr(report_module, "metric_from_family", broken)
+        report = analyze(AnalysisRequest(ode=FLAT, stages=("all",)))
+        errors = report.stage_errors
+        assert errors["metric"] == {
+            "code": "stage-failed",
+            "message": "metric construction failed",
+        }
+        for stage in ("einstein", "petrov"):
+            assert errors[stage]["code"] == "dependency-failed"
+            assert "'metric'" in errors[stage]["message"]
+        assert set(errors) == {"metric", "einstein", "petrov"}
+        assert {"inv", "cond", "conn", "appendix"} <= set(report.verdicts)
+        for key in ("structure_functions", "conditions", "appendix_residuals"):
+            assert report.data[key]["run"] is True
+        assert report.data["metric"]["run"] is False
+        assert "einstein" not in report.data["timings"]
+        assert report.exit_code == 2
+
+    def test_petrov_degeneracy_has_its_own_code(self, monkeypatch):
+        def degenerate(metric, tensors, point, jets):
+            raise PetrovDegeneracyError("pole at the sample point")
+
+        monkeypatch.setattr(report_module, "classify_at_point", degenerate)
+        report = analyze(AnalysisRequest(ode=FLAT, stages=("petrov",)))
+        assert report.stage_errors["petrov"]["code"] == "petrov-degenerate"
+        assert report.data["petrov"]["run"] is False
+        assert report.exit_code == 2
+
+    def test_family_stages_on_a_non_family_input(self):
+        report = analyze(AnalysisRequest(ode="q^2", stages=("metric", "conn")))
+        errors = report.stage_errors
+        assert set(errors) == {"metric", "conn"}
+        for err in errors.values():
+            assert err["code"] == "family-rejected"
+            assert report.data["family"]["reason"] in err["message"]
+        assert report.data["structure_functions"]["run"] is True
+        assert "metric" not in report.data["timings"]
+        assert report.exit_code == 2
+
+    def test_bad_specialization(self):
+        proc = run_cli(
+            "--ode", FLAT, "--stages", "petrov", "--specialize", "D=x", "--format", "text"
+        )
+        assert proc.returncode == 2
+        assert "stage petrov error [bad-specialization]" in proc.stdout
