@@ -7,13 +7,16 @@ chart (x, y, p, q, alpha, gamma); its six exterior derivatives must fit a
 fixed quadratic pattern whose thirteen scalar coefficients a..s are the
 fiber-preserving invariants of the ODE.  The fit is overdetermined and is
 verified slot by slot, which also polices the coframe construction itself.
-The closed-form differentials of the null-adapted basis tau = M theta are
-then read in the theta^theta basis from those same memoised expansions,
-with no second exterior derivative on the chart.
+Once the pattern holds, d(tau) for the null-adapted basis tau = M theta is
+fixed too: it is the pattern pushed through the constant M, a table of
+constants built once per process.  The closed-form differentials and the
+connection checks read that table, with no second exterior derivative on
+the chart.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import (
     DegenerateOdeError,
@@ -21,7 +24,7 @@ from .errors import (
     StructureConsistencyError,
 )
 from .expression import Expression
-from .forms import Coframe, DifferentialForm
+from .forms import Coframe, DifferentialForm, pair_minors, wedge_sum
 from .symbols import J2_CHART, M_ADAPTED_CHART, P_CHART
 
 HALF = Fraction(1, 2)
@@ -62,13 +65,8 @@ class OdeProblem:
     def coframe(self):
         return self._memo("coframe", lambda: invariant_coframe(self))
 
-    def expansions(self):
-        return self._memo("expansions", lambda: expand_coframe_derivatives(self.coframe()))
-
     def structure(self):
-        return self._memo(
-            "structure", lambda: structure_functions(self, expansions=self.expansions())
-        )
+        return self._memo("structure", lambda: structure_functions(self))
 
     def tau(self):
         return self._memo("tau", lambda: tau_basis(self.coframe()))
@@ -301,12 +299,7 @@ class StructureFunctions:
         return all(getattr(self, name).is_zero for name in STRUCTURE_NAMES)
 
 
-def expand_coframe_derivatives(cf):
-    """Expansion tables of d(form_i) in the coframe 2-form basis."""
-    return [cf.expand_2(f.exterior_derivative()) for f in cf.forms]
-
-
-def structure_functions(prob, coframe=None, expansions=None):
+def structure_functions(prob, coframe=None):
     """Extract a..s and verify the full overdetermined pattern.
 
     Raises StructureConsistencyError when any of the ninety coefficient
@@ -314,7 +307,7 @@ def structure_functions(prob, coframe=None, expansions=None):
     does not satisfy its defining structure equations.
     """
     cf = coframe if coframe is not None else prob.coframe()
-    tables = expansions if expansions is not None else expand_coframe_derivatives(cf)
+    tables = [cf.expand_2(f.exterior_derivative()) for f in cf.forms]
     zero = Expression.number(0, cf.chart, cf.table)
 
     values = {}
@@ -367,6 +360,12 @@ _TAU_INV = (
     (0, 0, 0, 0, 1, 0),
     (0, 1, 0, 0, 0, 0),
 )
+
+# theta_b ∧ theta_c = Σ m · tau_l ∧ tau_r, with m the 2x2 minors of M^-1.
+_THETA_TO_TAU = {
+    slot: {key: m for key, m in row.items() if m}
+    for slot, row in pair_minors([[(l, v) for l, v in enumerate(r) if v] for r in _TAU_INV]).items()
+}
 
 
 def tau_basis(cf):
@@ -686,74 +685,71 @@ REDUCED_TABLE = _restricted(APPENDIX_TABLE, ("k", "n", "e"))
 FLAT_TABLE = _restricted(APPENDIX_TABLE, ())
 
 
-def _theta_affine(rows):
-    """Σ coefficient · tau_l ∧ tau_r over the rows of one table entry, in
-    the theta^theta basis through the 2x2 minors of M, as affine maps
-    {slot: [const, {invariant: mult}]}."""
-    out = {}
-    for (const, mults), left, right in rows:
-        lrow, rrow = _TAU[left], _TAU[right]
-        for a in range(6):
-            for b in range(a + 1, 6):
-                minor = lrow[a] * rrow[b] - lrow[b] * rrow[a]
-                if minor:
-                    acc = out.setdefault((a, b), [0, {}])
-                    if const:
-                        acc[0] += minor * const
-                    for name, mult in mults.items():
-                        acc[1][name] = acc[1].get(name, 0) + minor * mult
-    return out
+@cache
+def tau_differential_table():
+    """d(tau_i) in the tau^tau basis as ``{i: {(l, r): affine in a..s}}``
+    with l < r: the structure pattern pushed through tau = M theta and the
+    2x2 minors of M^-1.  It is exact for every F whose ``structure()``
+    returned, since that verified all ninety pattern slots.  Built on first
+    use and shared for the life of the process: callers must not mutate it."""
+    rows = {
+        i: [
+            ((m * minor * const, {n: m * minor * v for n, v in mults.items()}), l, r)
+            for eq, m in enumerate(row)
+            if m
+            for theta_slot, (const, mults) in STRUCTURE_PATTERN[eq].items()
+            for (l, r), minor in _THETA_TO_TAU[theta_slot].items()
+        ]
+        for i, row in enumerate(_TAU)
+    }
+    return {
+        i: {(l, r): affine for affine, l, r in merged}
+        for i, merged in _restricted(rows, STRUCTURE_NAMES).items()
+    }
+
+
+def _is_zero(c):
+    """Coefficients are Fractions while they are constant, Expressions otherwise."""
+    return c.is_zero if isinstance(c, Expression) else not c
+
+
+def _nonzero(coeffs):
+    return {key: c for key, c in coeffs.items() if not _is_zero(c)}
 
 
 def differential_residuals(prob, table, sf=None):
     """d(basis_i) minus the tabulated right-hand side, for each tau form.
 
-    Both sides are read in the theta^theta basis of the invariant coframe:
-    d(tau_i) = Σ_a M[i][a] d(theta_a) from the expansions the ``inv``
-    stage memoised, and the table's tau_l ∧ tau_r through the 2x2 minors
-    of M.  The residual is mapped back to the chart with
-    ``Coframe.reconstruct_2``; it equals, as a form, d(tau_i) minus the
-    table evaluated on the chart.
-
-    ``sf`` supplies the invariant values; pass None for an all-zero table
-    (the flat case).
+    d(tau_i) is read from ``tau_differential_table``, so the residual of
+    each tau^tau slot is an affine map in a..s: the derived entry minus the
+    table's (a row with its wedge reversed is negated), evaluated on the
+    invariants of ``sf``.  When ``sf`` is None the invariants are
+    ``prob.structure()``, not zeros.  A nonzero coefficient becomes a chart
+    form Σ c · tau_l ∧ tau_r through ``prob.tau()``; a residual with none
+    is the zero 2-form on the 6-chart.
     """
-    cf = prob.coframe()
-    zero = Expression.number(0, cf.chart, cf.table)
-    values = sf.as_dict() if sf is not None else dict.fromkeys(STRUCTURE_NAMES, zero)
+    values = (sf if sf is not None else prob.structure()).as_dict()
+    derived = tau_differential_table()
+    residuals = _restricted(
+        {
+            i: [(aff, l, r) for (l, r), aff in derived[i].items()]
+            + [(aff, right, left) for aff, left, right in rows]
+            for i, rows in table.items()
+        },
+        STRUCTURE_NAMES,
+    )
     out = []
-    for i, d_tau in enumerate(tau_differentials(prob)):
-        coeffs = dict(d_tau)
-        for slot, affine in _theta_affine(table[i]).items():
-            coeffs[slot] = coeffs.get(slot, zero) - affine_value(affine, values)
-        out.append(cf.reconstruct_2(coeffs))
+    for i in range(6):
+        coeffs = _nonzero({(l, r): affine_value(aff, values) for aff, l, r in residuals[i]})
+        out.append(
+            wedge_sum(prob.tau().forms, coeffs)
+            if coeffs
+            else DifferentialForm.zero(P_CHART, prob.table, 2)
+        )
     return out
-
-
-def tau_differentials(prob):
-    """d(tau_i) = Σ_a M[i][a] d(theta_a) in the theta^theta basis, from the
-    expansions the ``inv`` stage memoised: one ``{slot: coefficient}`` dict
-    per tau form, zero coefficients left out."""
-
-    def build():
-        expansions = prob.expansions()
-        out = []
-        for row in _TAU:
-            coeffs = {}
-            for eq, m in enumerate(row):
-                if m:
-                    for slot, c in expansions[eq].items():
-                        if not c.is_zero:
-                            term = c if m == 1 else m * c
-                            coeffs[slot] = coeffs[slot] + term if slot in coeffs else term
-            out.append({slot: c for slot, c in coeffs.items() if not c.is_zero})
-        return out
-
-    return prob._memo("tau_differentials", build)
 
 
 def verify_appendix(prob, sf=None):
     """Residuals of the six closed-form differentials for arbitrary F,
-    read in the theta^theta basis from the ``inv`` stage's expansions."""
-    sf = sf if sf is not None else prob.structure()
+    read from ``tau_differential_table``."""
     return differential_residuals(prob, APPENDIX_TABLE, sf)

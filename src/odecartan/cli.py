@@ -60,7 +60,10 @@ def _parse_opaque(items):
             raise AnalysisInputError(
                 "bad-opaque", f"expected NAME:ARG,ARG...  got {item!r}"
             )
-        out[name.strip()] = tuple(a.strip() for a in args.split(",") if a.strip())
+        name = name.strip()
+        if name in out:
+            raise AnalysisInputError("bad-opaque", f"{name!r} is declared twice")
+        out[name] = tuple(a.strip() for a in args.split(",") if a.strip())
     return out
 
 
@@ -70,7 +73,10 @@ def _parse_specializations(items):
         name, sep, expr = item.partition("=")
         if not sep or not name:
             raise AnalysisInputError("bad-specialization", f"expected NAME=EXPR, got {item!r}")
-        out[name.strip()] = expr.strip()
+        name = name.strip()
+        if name in out:
+            raise AnalysisInputError("bad-specialization", f"{name!r} is specialized twice")
+        out[name] = expr.strip()
     return out
 
 

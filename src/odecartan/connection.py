@@ -18,9 +18,9 @@ coefficient affine in k, n, e, so every check is coefficient algebra in the
 tau_a ∧ tau_b basis (a < b), with no exterior derivative, wedge or
 expansion on the chart:
 
-  * d(tau_i) is read from the theta^theta expansions the ``inv`` stage
-    memoised, through the constant 2x2 minors of M^-1 (tau = M theta),
-    and carried to the adapted chart;
+  * d(tau_i) is ``cartan.tau_differential_table``, the structure pattern
+    that the ``inv`` stage verified pushed through tau = M theta, evaluated
+    on the invariants carried to the adapted chart;
   * d(c tau_a) = Σ_b X_b(c) tau_b ∧ tau_a + c d(tau_a), with X_b the frame
     dual to tau;
   * Gamma ∧ Gamma is products of coefficients.
@@ -32,11 +32,11 @@ through the adapted tau forms, and only when it is nonzero.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartan import _AFFINE, _G1, _G2, _T1, _T2, _T3, _T4, _TAU_INV, HALF, affine_value
-from .cartan import family_invariants, tau_differentials, to_adapted
+from .cartan import _AFFINE, _G1, _G2, _T1, _T2, _T3, _T4, HALF, _nonzero, affine_value
+from .cartan import family_invariants, tau_differential_table, to_adapted
 from .curvature import adapted_tau
 from .expression import Expression
-from .forms import Coframe, DifferentialForm, pair_minors, wedge_sum
+from .forms import Coframe, DifferentialForm, wedge_sum
 from .symbols import M_ADAPTED_CHART
 
 # Constant coefficients of the degenerate bilinear form in the tau basis.
@@ -77,17 +77,6 @@ CARTAN_CONNECTION = {
 # The tau^tau slots along gamma1 or gamma2, which a horizontal 2-form leaves empty.
 _VERTICAL_SLOTS = tuple((l, r) for l in range(6) for r in range(l + 1, 6) if r >= _G1)
 
-# theta_b ∧ theta_c = Σ m · tau_l ∧ tau_r, with m the 2x2 minors of M^-1.
-_THETA_TO_TAU = {
-    slot: {key: m for key, m in row.items() if m}
-    for slot, row in pair_minors([[(l, v) for l, v in enumerate(r) if v] for r in _TAU_INV]).items()
-}
-
-
-# Coefficients are Fractions while they are constant, Expressions otherwise.
-def _is_zero(c):
-    return c.is_zero if isinstance(c, Expression) else not c
-
 
 def _accumulate(acc, key, value):
     acc[key] = acc[key] + value if key in acc else value
@@ -99,10 +88,6 @@ def _add_wedge(acc, a, b, c):
         _accumulate(acc, (a, b) if a < b else (b, a), c if a < b else -c)
 
 
-def _nonzero(coeffs):
-    return {key: c for key, c in coeffs.items() if not _is_zero(c)}
-
-
 def adapted_tau_coframe(prob):
     """The adapted tau forms as a coframe: its inverse is the dual frame."""
     return prob._memo("adapted_tau_coframe", lambda: Coframe(list(adapted_tau(prob).forms)))
@@ -111,17 +96,18 @@ def adapted_tau_coframe(prob):
 def adapted_tau_differentials(prob):
     """d(tau_i) in the tau^tau basis of the adapted chart, one
     ``{(l, r): coefficient}`` dict per tau form, zero coefficients left
-    out."""
+    out: ``tau_differential_table`` evaluated on the invariants, each
+    nonzero one carried to the adapted chart once."""
 
     def build():
-        out = []
-        for d_tau in tau_differentials(prob):
-            coeffs = {}
-            for slot, c in d_tau.items():
-                for tslot, m in _THETA_TO_TAU[slot].items():
-                    _accumulate(coeffs, tslot, c if m == 1 else m * c)
-            out.append({s: to_adapted(c, prob.table) for s, c in _nonzero(coeffs).items()})
-        return out
+        values = {
+            name: 0 if v.is_zero else to_adapted(v, prob.table)
+            for name, v in prob.structure().as_dict().items()
+        }
+        return [
+            _nonzero({slot: affine_value(aff, values) for slot, aff in d_tau.items()})
+            for d_tau in tau_differential_table().values()
+        ]
 
     return prob._memo("adapted_tau_differentials", build)
 

@@ -384,6 +384,8 @@ def _error_code(exc):
 def analyze(request):
     """Run the pipeline and return an AnalysisReport."""
     requested = request.normalized_stages()
+    if request.points < 1:
+        raise AnalysisInputError("bad-points", f"points must be at least 1, got {request.points}")
     timings = {}
     verdicts = {}
     stage_errors = {}

@@ -498,6 +498,7 @@ class TestAppendix:
             derived.append({k: v for k, v in slots.items() if v != zero})
 
         assert tuple(tuple(row) for row in dtau_from_dtheta) == cartan._TAU
+        assert [cartan.tau_differential_table()[i] for i in range(6)] == derived
 
         transcribed = []
         for idx in range(6):

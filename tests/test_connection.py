@@ -2,7 +2,7 @@
 
 import pytest
 
-from odecartan import connection
+from odecartan import cartan, connection
 from odecartan.cartan import family_detect, family_invariants
 from odecartan.connection import (
     BLOCK_METRIC,
@@ -226,7 +226,7 @@ class TestAgainstChartOracle:
 def test_theta_wedges_in_the_tau_basis(family_problem):
     theta = family_problem.coframe().forms
     tau = family_problem.tau().forms
-    for (b, c), minors in connection._THETA_TO_TAU.items():
+    for (b, c), minors in cartan._THETA_TO_TAU.items():
         assert wedge_sum(tau, minors) == theta[b].wedge(theta[c])
 
 

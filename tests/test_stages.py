@@ -1,8 +1,11 @@
 """The stage table: names and aliases, dependencies, family gating, the
 verdict rule and the stage error codes."""
 
+import json
+
 import pytest
 
+from odecartan import cartan
 from odecartan import report as report_module
 from odecartan.errors import OdeCartanError, PetrovDegeneracyError
 from odecartan.report import STAGES, AnalysisInputError, AnalysisRequest, analyze
@@ -120,3 +123,57 @@ class TestStageErrors:
         )
         assert proc.returncode == 2
         assert "stage petrov error [bad-specialization]" in proc.stdout
+
+
+class TestPatternGate:
+    """``appendix`` and ``conn`` read d(tau) from the structure pattern, so
+    neither may give a verdict unless ``inv`` verified that pattern."""
+
+    @pytest.mark.parametrize(
+        "ode, stage",
+        [("3/2*q^2/(p+1) + 2*p", "appendix"), ("3/2*q^2/p + x*y*p^3 + (x+y)*p", "conn")],
+    )
+    def test_a_coframe_off_the_pattern_gives_no_verdict(self, monkeypatch, ode, stage):
+        printed = cartan.invariant_coframe
+
+        monkeypatch.setattr(
+            cartan, "invariant_coframe", lambda prob: printed(prob, printed_display=True)
+        )
+        report = analyze(AnalysisRequest(ode=ode, stages=(stage,)))
+        errors = report.stage_errors
+        assert errors["inv"]["code"] == "stage-failed"
+        assert "structure pattern" in errors["inv"]["message"]
+        assert errors[stage]["code"] == "dependency-failed"
+        assert report.verdicts == {}
+        assert report.exit_code == 2
+
+
+class TestRequestValidation:
+    @pytest.mark.parametrize("points", [0, -2])
+    def test_points_below_one_are_rejected_before_any_stage(self, points):
+        with pytest.raises(AnalysisInputError) as info:
+            analyze(AnalysisRequest(ode=FLAT, stages=("petrov",), points=points))
+        assert info.value.code == "bad-points"
+
+    @pytest.mark.parametrize("points", ["0", "-2"])
+    def test_cli_rejects_points_below_one(self, points):
+        proc = run_cli("--ode", FLAT, "--stages", "petrov", "--points", points)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["error"]["code"] == "bad-points"
+
+    @pytest.mark.parametrize(
+        "flag, first, second, code",
+        [
+            ("--specialize", "A=x*y", "A=y^2", "bad-specialization"),
+            ("--opaque", "A:x,y", "A:x", "bad-opaque"),
+        ],
+    )
+    def test_cli_rejects_a_repeated_name(self, flag, first, second, code):
+        proc = run_cli(
+            "--ode", "3/2*q^2/p + A(x,y)*p^3", "--opaque", "A:x,y", "--stages", "petrov",
+            flag, first, flag, second,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["error"]["code"] == code
