@@ -56,11 +56,11 @@ def _parse_opaque(items):
     out = {}
     for item in items:
         name, sep, args = item.partition(":")
+        name = name.strip()
         if not sep or not name or not args:
             raise AnalysisInputError(
                 "bad-opaque", f"expected NAME:ARG,ARG...  got {item!r}"
             )
-        name = name.strip()
         if name in out:
             raise AnalysisInputError("bad-opaque", f"{name!r} is declared twice")
         out[name] = tuple(a.strip() for a in args.split(",") if a.strip())
@@ -80,6 +80,12 @@ def _parse_specializations(items):
     return out
 
 
+def _fail(code, exc):
+    """Write the error as JSON to stderr; exit code 2."""
+    sys.stderr.write(json.dumps({"error": {"code": code, "message": str(exc)}}) + "\n")
+    return 2
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -95,12 +101,13 @@ def main(argv=None):
         report = analyze(request)
         document = emit_report(report, args.format)
     except (AnalysisInputError, OdeCartanError) as exc:
-        payload = {"error": {"code": getattr(exc, "code", "input-error"), "message": str(exc)}}
-        sys.stderr.write(json.dumps(payload) + "\n")
-        return 2
+        return _fail(getattr(exc, "code", "input-error"), exc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(document)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(document)
+        except OSError as exc:
+            return _fail("bad-out", exc)
     else:
         sys.stdout.write(document)
     return report.exit_code

@@ -319,10 +319,6 @@ class Coframe:
             out.append(acc)
         return out
 
-    def frame_derivative(self, scalar, i):
-        """Directional derivative of a scalar along the i-th dual frame vector."""
-        return self.frame_derivatives(scalar)[i]
-
     def _pair_minors(self):
         """{(i, j): {(k, l): frame_i^k frame_j^l - frame_i^l frame_j^k}} for
         i < j, k < l, with zero minors left out."""
@@ -351,6 +347,3 @@ class Coframe:
                     acc = acc + w * pair
             out[slot] = acc
         return out
-
-    def reconstruct_2(self, coeffs):
-        return wedge_sum(self.forms, coeffs)

@@ -1,12 +1,15 @@
 """Petrov classification of the Weyl tensor in split signature.
 
-At an exact rational point the Weyl endomorphism acts on the 6-space of
-2-forms; the Hodge star (orientation dx^dy^dz^dt) squares to +1 there, so
-the split into its +1 and -1 eigenspaces is real.  Each 3x3 trace-free
-block is classified by the degeneracy of its characteristic and minimal
-polynomials over the rationals: the discriminant decides root
-multiplicity, and double roots are rational, so diagonalizability is a
-finite exact check.  No floating point enters anywhere.
+At an exact rational point the Weyl endomorphism W acts on the 6-space of
+2-forms; the Hodge star (orientation dx^dy^dz^dt) squares to +1 there and
+is trace-free, so its +1 and -1 eigenspaces are real and 3-dimensional.
+Since W commutes with the star, X = W(I ± star) is twice W's block on one
+eigenspace and zero on the other, and each half is labelled from X on the
+whole 6-space, with no eigenspace basis: the traces of X^2 and X^3 give the
+block's characteristic polynomial (Newton's identities), its discriminant
+decides root multiplicity, double roots are rational, and the Jordan
+structure is read from whether X^2 or (X - r)(X - s)X vanishes.  X is
+scaled to an integer matrix first; no floating point enters anywhere.
 """
 
 from dataclasses import dataclass
@@ -17,28 +20,13 @@ from .errors import PetrovDegeneracyError, SingularEvaluationError
 
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
-# Levi-Civita symbol values for the 24 permutations of (0,1,2,3)
-_EPSILON = {}
-
-
-def _build_epsilon():
-    from itertools import permutations
-
-    for perm in permutations(range(4)):
-        sign = 1
-        seq = list(perm)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if seq[i] > seq[j]:
-                    sign = -sign
-        _EPSILON[perm] = sign
-
-
-_build_epsilon()
+# Levi-Civita sign eps_abmn of each pair (a, b) followed by its complement
+# (m, n) = PAIRS[5 - i], the only entries the Hodge star reads
+_STAR_SIGN = (1, -1, 1, 1, -1, 1)
 
 
 def _mat(n, m=None):
-    return [[Fraction(0)] * (m or n) for _ in range(n)]
+    return [[0] * (m or n) for _ in range(n)]
 
 
 def mat_mul(a, b):
@@ -56,10 +44,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_sub(a, b):
-    return [[a[i][j] - b[i][j] for j in range(len(a[0]))] for i in range(len(a))]
-
-
 def mat_is_zero(a):
     return all(v == 0 for row in a for v in row)
 
@@ -67,7 +51,7 @@ def mat_is_zero(a):
 def identity(n):
     out = _mat(n)
     for i in range(n):
-        out[i][i] = Fraction(1)
+        out[i][i] = 1
     return out
 
 
@@ -144,132 +128,59 @@ def weyl_operator_at(metric, tensors, point, jets=None):
         weyl_op.append(
             [Fraction(sum(wi[p] * minors[p][col] for p in range(6)), cell_den) for col in range(6)]
         )
-    star = []
-    for a, b in PAIRS:
-        m, n = (i for i in range(4) if i not in (a, b))
-        scale = vol * _EPSILON[a, b, m, n] / den
-        star.append([scale * g for g in minors[PAIRS.index((m, n))]])
+    star = [
+        [vol * sign / den * g for g in minors[5 - i]] for i, sign in enumerate(_STAR_SIGN)
+    ]
     return weyl_op, star
 
 
-def eigenspace_basis(star, sign):
-    """Three independent columns of I + sign·star, exact.
-
-    These span the eigenspace of the projector (I + sign·star)/2; the
-    block ``restrict_operator`` solves for is the same for any uniform
-    scaling of the basis, so the halving is left out.
-    """
-    cols = [[sign * star[i][j] + (1 if i == j else 0) for i in range(6)] for j in range(6)]
-    basis = []
-    rows_used = []
-    reduced = []
-    for col in cols:
-        v = list(col)
-        for pivot_row, b in zip(rows_used, reduced):
-            factor = v[pivot_row]
-            if factor:
-                v = [v[i] - factor * b[i] for i in range(6)]
-        pivot = next((i for i, x in enumerate(v) if x != 0), None)
-        if pivot is None:
-            continue
-        scale = v[pivot]
-        v = [x / scale for x in v]
-        rows_used.append(pivot)
-        reduced.append(v)
-        basis.append(col)
-        if len(basis) == 3:
-            break
-    if len(basis) != 3:
-        raise PetrovDegeneracyError("Hodge eigenspace is not 3-dimensional at the point")
-    return [[basis[j][i] for j in range(3)] for i in range(6)]  # 6x3
-
-
-def restrict_operator(op, basis):
-    """The 3x3 matrix of ``op`` on the span of ``basis`` (exact solve)."""
-    image = mat_mul(op, basis)  # 6x3
-    # solve basis · M = image by Gaussian elimination on the 6x3 system
-    n, k = 6, 3
-    aug = [basis[i] + image[i] for i in range(n)]
-    pivots = []
-    row = 0
-    for col in range(k):
-        pr = next((r for r in range(row, n) if aug[r][col] != 0), None)
-        if pr is None:
-            raise PetrovDegeneracyError("eigenbasis degenerated at the point")
-        aug[row], aug[pr] = aug[pr], aug[row]
-        scale = aug[row][col]
-        aug[row] = [v / scale for v in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [aug[r][c] - f * aug[row][c] for c in range(len(aug[r]))]
-        pivots.append(row)
-        row += 1
-    for r in range(row, n):
-        if any(aug[r][k:]):
-            raise PetrovDegeneracyError("operator does not preserve the eigenspace")
-    return [aug[i][k:] for i in range(k)]
-
-
 def classify_traceless(m):
-    """Petrov label of a 3x3 trace-free block over the algebraic closure.
+    """Petrov label of a trace-free operator over the algebraic closure.
 
+    ``m`` is a 3x3 block B, or a 6x6 operator similar to cB ⊕ 0 for a
+    rational c ≠ 0 (as W(I ± star) is, with c = 2); the label is B's:
     distinct roots -> I; double root, non-diagonalizable -> II;
     double root, diagonalizable -> D; triple root with minimal degree 3
     -> III; minimal degree 2 -> N; zero matrix -> O.
     """
     if mat_is_zero(m):
         return "O"
-    trace = sum(m[i][i] for i in range(3))
-    if trace != 0:
+    n = len(m)
+    if sum(m[i][i] for i in range(n)) != 0:
         raise PetrovDegeneracyError("block is not trace-free")
-    # char(la) = la^3 + p la + q  for trace-free m
-    e2 = (
-        m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        + m[0][0] * m[2][2] - m[0][2] * m[2][0]
-        + m[1][1] * m[2][2] - m[1][2] * m[2][1]
-    )
-    e3 = _det3(m)
-    p, q = e2, -e3
-    disc = -4 * p ** 3 - 27 * q ** 2
-    if disc != 0:
+    # the label does not change under scaling: clear denominators
+    den = lcm(*(v.denominator for row in m for v in row))
+    a = [[v.numerator * (den // v.denominator) for v in row] for row in m]
+    a2 = mat_mul(a, a)
+    t2 = sum(a2[i][i] for i in range(n))
+    t3 = sum(a2[i][j] * a[j][i] for i in range(n) for j in range(n))
+    # char(la) = la^3 + p la + q of the nonzero block, with p = e2 = -t2/2
+    # and q = -e3 = -t3/3 by Newton's identities; the discriminant
+    # -4p^3 - 27q^2 is (t2^3 - 6 t3^2)/2
+    if t2 ** 3 != 6 * t3 ** 2:
         return "I"
-    if p == 0 and q == 0:
-        m2 = mat_mul(m, m)
-        return "N" if mat_is_zero(m2) else "III"
-    # double root r and simple root s = -2r are rational
-    r = Fraction(-3) * q / (2 * p)
-    s = -2 * r
-    lhs = mat_mul(mat_sub(m, _scaled_identity(r)), mat_sub(m, _scaled_identity(s)))
-    return "D" if mat_is_zero(lhs) else "II"
-
-
-def _scaled_identity(v):
-    out = _mat(3)
-    for i in range(3):
-        out[i][i] = Fraction(v)
-    return out
-
-
-def _det3(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    if t2 == 0:  # then t3 == 0: triple root 0
+        return "N" if mat_is_zero(a2) else "III"
+    # double root r = -t3/t2 and simple root s = -2r, both nonzero since
+    # p != 0; the block is diagonalizable iff (a - r)(a - s) vanishes on
+    # it, and the trailing factor a kills the zero block of a 6x6 operator.
+    # t2^2 (a - r)(a - s) a = t2^2 a^3 - t2 t3 a^2 - 2 t3^2 a
+    a3 = mat_mul(a2, a)
+    c3, c2, c1 = t2 * t2, -t2 * t3, -2 * t3 * t3
+    diagonalizable = all(
+        c3 * a3[i][j] + c2 * a2[i][j] + c1 * a[i][j] == 0 for i in range(n) for j in range(n)
     )
+    return "D" if diagonalizable else "II"
 
 
 @dataclass(frozen=True)
 class PetrovPointResult:
-    """The Weyl endomorphism at one exact rational point, restricted to
-    the +1 ("self-dual") and -1 ("anti-self-dual") Hodge eigenspaces:
-    the two trace-free 3x3 blocks and their Petrov labels."""
+    """Petrov labels of the Weyl endomorphism at one exact rational point
+    on the +1 ("self-dual") and -1 ("anti-self-dual") Hodge eigenspaces."""
 
     point: dict
     label_plus: str
     label_minus: str
-    block_plus: tuple
-    block_minus: tuple
 
     @property
     def unordered(self):
@@ -279,17 +190,15 @@ class PetrovPointResult:
 def classify_at_point(metric, tensors, point, jets=None):
     """Petrov labels at ``point``; ``jets`` as in ``weyl_operator_at``."""
     weyl_op, star = weyl_operator_at(metric, tensors, point, jets)
-    if not mat_is_zero(mat_sub(mat_mul(star, star), identity(6))):
+    if mat_mul(star, star) != identity(6):
         raise PetrovDegeneracyError("Hodge star does not square to +1 at the point")
-    if not mat_is_zero(mat_sub(mat_mul(weyl_op, star), mat_mul(star, weyl_op))):
+    ws = mat_mul(weyl_op, star)
+    if ws != mat_mul(star, weyl_op):
         raise PetrovDegeneracyError("Weyl operator does not commute with the Hodge star")
-    blocks = {}
-    labels = {}
-    for sign, key in ((1, "plus"), (-1, "minus")):
-        basis = eigenspace_basis(star, sign)
-        block = restrict_operator(weyl_op, basis)
-        blocks[key] = tuple(tuple(row) for row in block)
-        labels[key] = classify_traceless(block)
-    return PetrovPointResult(
-        dict(point), labels["plus"], labels["minus"], blocks["plus"], blocks["minus"]
+    plus, minus = (
+        classify_traceless(
+            [[w + sign * v for w, v in zip(wrow, vrow)] for wrow, vrow in zip(weyl_op, ws)]
+        )
+        for sign in (1, -1)
     )
+    return PetrovPointResult(dict(point), plus, minus)

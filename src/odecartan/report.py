@@ -38,11 +38,13 @@ from .curvature import (
     family_metric,
 )
 from .errors import (
+    ChartError,
     DegenerateOdeError,
     ExpressionSyntaxError,
     FamilyRejectionError,
     OdeCartanError,
     PetrovDegeneracyError,
+    SymbolCollisionError,
     UnknownSymbolError,
 )
 from .parse import parse_expression
@@ -392,7 +394,10 @@ def analyze(request):
 
     table = SymbolTable()
     for name, args in request.opaque.items():
-        table.declare(name, tuple(args))
+        try:
+            table.declare(name, tuple(args))
+        except (SymbolCollisionError, ChartError) as exc:
+            raise AnalysisInputError("bad-opaque", str(exc)) from exc
 
     report = {
         "input": {

@@ -110,6 +110,8 @@ class SymbolTable:
     def declare(self, name, args):
         """Register an opaque function and return its underived jet symbol."""
         args = tuple(args)
+        if not name.isidentifier():
+            raise SymbolCollisionError(f"opaque function name {name!r} is not an identifier")
         if not args:
             raise SymbolCollisionError(f"opaque function {name!r} needs at least one argument")
         if name in _RESERVED_NAMES:
@@ -122,9 +124,6 @@ class SymbolTable:
         sym = Sym(name, args)
         self._functions[name] = sym
         return sym
-
-    def functions(self):
-        return dict(self._functions)
 
     def base(self, name):
         return self._functions.get(name)

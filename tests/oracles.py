@@ -7,6 +7,11 @@ dGamma + Gamma ∧ Gamma, expansions and the Ricci contraction with the
 chart's exterior derivative, wedge and ``Coframe.expand_2``.  The program
 reads the same checks as coefficient algebra in the tau ∧ tau basis
 (``odecartan.connection``); the tests compare the two form by form.
+
+The Petrov oracle is the eigenspace path: an exact basis of each Hodge
+eigenspace and the 3x3 block of the Weyl operator solved on it, which the
+tests classify against the program's traces on the whole 6-space
+(``odecartan.petrov``).
 """
 
 from fractions import Fraction
@@ -20,9 +25,10 @@ from odecartan.connection import (
     MetricConnectionReport,
 )
 from odecartan.curvature import DIM, adapted_tau
-from odecartan.errors import ChartError, SingularEvaluationError
+from odecartan.errors import ChartError, PetrovDegeneracyError, SingularEvaluationError
 from odecartan.expression import Expression
 from odecartan.forms import Coframe, DifferentialForm
+from odecartan.petrov import mat_mul
 from odecartan.symbols import M_ADAPTED_CHART
 
 # -- the chart-level connection oracle ----------------------------------------
@@ -131,9 +137,9 @@ def expected_curvature_entries(fd):
     t1, t2, t3, t4 = tau.forms[:4]
     kne = family_invariants(fd)
     k, n, e = kne.k, kne.n, kne.e
-    n1 = cf.frame_derivative(n, 0)
-    n4 = cf.frame_derivative(n, 3)
-    e1 = cf.frame_derivative(e, 0)
+    n1 = cf.frame_derivatives(n)[0]
+    n4 = cf.frame_derivatives(n)[3]
+    e1 = cf.frame_derivatives(e)[0]
     combo = HALF * n4 + e1 - HALF * n1
 
     t12 = t1.wedge(t2)
@@ -314,6 +320,66 @@ def signature_at(metric, point):
                 a[i] = [a[i][j] - f * a[k][j] for j in range(DIM)]
     changes = sum(1 for i in range(DIM) if minors[i] * minors[i + 1] < 0)
     return DIM - changes, changes
+
+
+# -- the eigenspace Petrov oracle ---------------------------------------------
+
+
+def eigenspace_basis(star, sign):
+    """Three independent columns of I + sign·star, exact.
+
+    These span the eigenspace of the projector (I + sign·star)/2; the
+    block ``restrict_operator`` solves for is the same for any uniform
+    scaling of the basis, so the halving is left out.
+    """
+    cols = [[sign * star[i][j] + (1 if i == j else 0) for i in range(6)] for j in range(6)]
+    basis = []
+    rows_used = []
+    reduced = []
+    for col in cols:
+        v = list(col)
+        for pivot_row, b in zip(rows_used, reduced):
+            factor = v[pivot_row]
+            if factor:
+                v = [v[i] - factor * b[i] for i in range(6)]
+        pivot = next((i for i, x in enumerate(v) if x != 0), None)
+        if pivot is None:
+            continue
+        scale = v[pivot]
+        v = [x / scale for x in v]
+        rows_used.append(pivot)
+        reduced.append(v)
+        basis.append(col)
+        if len(basis) == 3:
+            break
+    if len(basis) != 3:
+        raise PetrovDegeneracyError("Hodge eigenspace is not 3-dimensional at the point")
+    return [[basis[j][i] for j in range(3)] for i in range(6)]  # 6x3
+
+
+def restrict_operator(op, basis):
+    """The 3x3 matrix of ``op`` on the span of ``basis`` (exact solve)."""
+    image = mat_mul(op, basis)  # 6x3
+    # solve basis · M = image by Gaussian elimination on the 6x3 system
+    n, k = 6, 3
+    aug = [basis[i] + image[i] for i in range(n)]
+    row = 0
+    for col in range(k):
+        pr = next((r for r in range(row, n) if aug[r][col] != 0), None)
+        if pr is None:
+            raise PetrovDegeneracyError("eigenbasis degenerated at the point")
+        aug[row], aug[pr] = aug[pr], aug[row]
+        scale = aug[row][col]
+        aug[row] = [v / scale for v in aug[row]]
+        for r in range(n):
+            if r != row and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [aug[r][c] - f * aug[row][c] for c in range(len(aug[r]))]
+        row += 1
+    for r in range(row, n):
+        if any(aug[r][k:]):
+            raise PetrovDegeneracyError("operator does not preserve the eigenspace")
+    return [aug[i][k:] for i in range(k)]
 
 
 # -- bases, coframes and matrices ---------------------------------------------

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from odecartan import J2_CHART, SymbolTable, parse_expression
 from odecartan.cartan import FamilyData, family_detect
@@ -13,15 +14,14 @@ from odecartan.petrov import (
     PAIRS,
     classify_at_point,
     classify_traceless,
-    eigenspace_basis,
     identity,
     jet_expressions,
     mat_is_zero,
     mat_mul,
-    mat_sub,
     weyl_operator_at,
 )
 from tests.conftest import make_problem
+from tests.oracles import eigenspace_basis, restrict_operator
 
 POINTS = [
     {"x": Fraction(2), "y": Fraction(3), "z": Fraction(5, 2), "t": Fraction(7, 3)},
@@ -70,6 +70,116 @@ class TestBlockClassifier:
             classify_traceless(F([1, 0, 0], [0, 1, 0], [0, 0, 1]))
 
 
+# trace-free 3x3 blocks, one of each Petrov type
+TYPED_BLOCKS = {
+    "O": F([0, 0, 0], [0, 0, 0], [0, 0, 0]),
+    "I": F([1, 0, 0], [0, 2, 0], [0, 0, -3]),
+    "II": F([1, 1, 0], [0, 1, 0], [0, 0, -2]),
+    "D": F([1, 0, 0], [0, 1, 0], [0, 0, -2]),
+    "III": F([0, 1, 0], [0, 0, 1], [0, 0, 0]),
+    "N": F([0, 1, 0], [0, 0, 0], [0, 0, 0]),
+}
+
+
+def mat_add(a, b):
+    return [[u + v for u, v in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def unipotent(entries, lower):
+    """I + N, with N strictly lower (or upper) triangular filled row by row
+    from ``entries``, and its inverse Σ_k (-N)^k (N is nilpotent)."""
+    n = len(entries)
+    nil = [[entries[i][j] if (j < i if lower else j > i) else 0 for j in range(n)] for i in range(n)]
+    neg = [[-v for v in row] for row in nil]
+    inverse, power = identity(n), identity(n)
+    for _ in range(n - 1):
+        power = mat_mul(power, neg)
+        inverse = mat_add(inverse, power)
+    return mat_add(identity(n), nil), inverse
+
+
+def conjugate(m, lower, upper):
+    """P m P^-1 for P = (I + L)(I + U) built by ``unipotent``."""
+    l, l_inv = unipotent(lower, True)
+    u, u_inv = unipotent(upper, False)
+    p, p_inv = mat_mul(l, u), mat_mul(u_inv, l_inv)
+    assert mat_mul(p, p_inv) == identity(len(m))
+    return mat_mul(mat_mul(p, m), p_inv)
+
+
+def padded(block, scale):
+    """scale·block ⊕ 0_3 on Q^6, the shape W(I ± star) has in an
+    eigenbasis of the star."""
+    out = [[0] * 6 for _ in range(6)]
+    for i in range(3):
+        for j in range(3):
+            out[i][j] = scale * block[i][j]
+    return out
+
+
+FIXED_LOWER = [[Fraction((3 * i + j) % 5 - 2, j + 1) for j in range(6)] for i in range(6)]
+FIXED_UPPER = [[Fraction((i + 2 * j) % 4 - 1, i + 2) for j in range(6)] for i in range(6)]
+
+
+class TestSixBySixOperators:
+    """W(I ± star) on the whole 6-space is similar to 2B ⊕ 0_3 for W's block B
+    on one eigenspace; the classifier reads B's label off it."""
+
+    @pytest.mark.parametrize("label", sorted(TYPED_BLOCKS))
+    @pytest.mark.parametrize("scale", [Fraction(2), Fraction(-3, 7)])
+    def test_conjugated_direct_sum_keeps_the_block_label(self, label, scale):
+        x = conjugate(padded(TYPED_BLOCKS[label], scale), FIXED_LOWER, FIXED_UPPER)
+        if label != "O":
+            assert sum(1 for row in x for v in row if v) > 18  # no longer block-shaped
+        assert classify_traceless(x) == label
+
+    def test_trace_check_on_the_six_space(self):
+        x = conjugate(padded(F([1, 0, 0], [0, 1, 0], [0, 0, 1]), 2), FIXED_LOWER, FIXED_UPPER)
+        with pytest.raises(PetrovDegeneracyError):
+            classify_traceless(x)
+
+
+def jordan_label(block):
+    """Petrov label of a trace-free 3x3 block from sympy's Jordan form."""
+    sympy = pytest.importorskip("sympy")
+    _, j = sympy.Matrix(block).jordan_form()
+    roots = {j[i, i] for i in range(3)}
+    chains = sum(1 for i in range(2) if j[i, i + 1] != 0)
+    if len(roots) == 3:
+        return "I"
+    if len(roots) == 2:
+        return "II" if chains else "D"
+    return ("O", "N", "III")[chains]
+
+
+_small = st.integers(-2, 2)
+
+
+def _square(n):
+    return st.lists(st.lists(_small, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@given(
+    a=_small,
+    b=_small,
+    upper=st.lists(_small, min_size=3, max_size=3),
+    inner=_square(3),
+    outer=_square(6),
+    scale=st.sampled_from([Fraction(2), Fraction(-1), Fraction(5, 3)]),
+)
+@settings(max_examples=80, deadline=None)
+def test_labels_match_jordan_form_of_random_conjugates(a, b, upper, inner, outer, scale):
+    """B = S T S^-1 for an upper triangular T with eigenvalues a, b, -a-b:
+    the small range makes repeated roots and Jordan chains common.  S and
+    the 6x6 conjugator take their strict lower and upper triangles from
+    one drawn square each."""
+    t = F([a, upper[0], upper[1]], [0, b, upper[2]], [0, 0, -a - b])
+    block = conjugate(t, inner, inner)
+    label = jordan_label(block)
+    assert classify_traceless(block) == label
+    assert classify_traceless(conjugate(padded(block, scale), outer, outer)) == label
+
+
 def reference_weyl_operator(metric, tensors, point):
     """The Weyl endomorphism on 2-forms from all 256 evaluated components."""
     ginv = [[e.evaluate(point) for e in row] for row in metric.ginv]
@@ -110,7 +220,7 @@ class TestHodgeStar:
         metric, tensors = family_setup("3/2*q^2/p + x*y*p^3 + (x+y)*p")
         for point in POINTS[:3]:
             _, star = weyl_operator_at(metric, tensors, point)
-            assert mat_is_zero(mat_sub(mat_mul(star, star), identity(6)))
+            assert mat_mul(star, star) == identity(6)
 
     def test_eigenspaces_are_three_dimensional(self):
         metric, tensors = family_setup("3/2*q^2/p + x*y*p^3 + (x+y)*p")
@@ -120,8 +230,6 @@ class TestHodgeStar:
             assert len(basis) == 6 and len(basis[0]) == 3
 
     def test_blocks_are_trace_free(self):
-        from odecartan.petrov import restrict_operator
-
         metric, tensors = family_setup("3/2*q^2/p + x*y*p^3 + (x+y)*p")
         weyl_op, star = weyl_operator_at(metric, tensors, POINTS[0])
         for sign in (1, -1):
@@ -180,12 +288,12 @@ class TestClassification:
 
 
 def point_outcome(metric, tensors, point, jets=None):
-    """Labels and blocks at the point, or the reason it is skipped."""
+    """Point and labels, or the reason the point is skipped."""
     try:
         r = classify_at_point(metric, tensors, point, jets)
     except PetrovDegeneracyError as exc:
         return str(exc)
-    return r.point, r.label_plus, r.label_minus, r.block_plus, r.block_minus
+    return r.point, r.label_plus, r.label_minus
 
 
 def seeded_points(seed, count=8):
@@ -245,12 +353,16 @@ class TestJetExtendedPoints:
 
     @pytest.mark.parametrize(
         "specs",
-        [{"A": "x*y", "B": "x + y"}, {"A": "y^2", "B": "x^2 - 3"}],
-        ids=["generic", "separable"],
+        [
+            {"A": "x*y", "B": "x + y"},
+            {"A": "y^2", "B": "x^2 - 3"},
+            {"A": "x/(y+1)", "B": "x + y"},
+        ],
+        ids=["generic", "separable", "pole"],
     )
     def test_blocks_match_halved_projector(self, family_metric_tensors, family_data, specs):
-        from odecartan.petrov import restrict_operator
-
+        """The eigenspace oracle's block, on the halved and the unhalved
+        basis, gets the label ``classify_at_point`` reads off the traces."""
         metric, _, tensors = family_metric_tensors
         table = family_data.problem.table
         values = {n: parse_expression(t, J2_CHART, table) for n, t in specs.items()}
@@ -258,9 +370,9 @@ class TestJetExtendedPoints:
         for pt in seeded_points(3):
             result = classify_at_point(metric, tensors, pt, jets)
             weyl_op, star = weyl_operator_at(metric, tensors, pt, jets)
-            for sign, block in ((1, result.block_plus), (-1, result.block_minus)):
-                reference = restrict_operator(weyl_op, halved_projector_basis(star, sign))
-                assert tuple(tuple(row) for row in reference) == block
+            for sign, label in ((1, result.label_plus), (-1, result.label_minus)):
+                for basis in (halved_projector_basis(star, sign), eigenspace_basis(star, sign)):
+                    assert classify_traceless(restrict_operator(weyl_op, basis)) == label
 
 
 def halved_projector_basis(star, sign):

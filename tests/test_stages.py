@@ -177,3 +177,32 @@ class TestRequestValidation:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert json.loads(proc.stderr)["error"]["code"] == code
+
+    @pytest.mark.parametrize(
+        "declaration, name, args",
+        [
+            (" :x,y", "", ("x", "y")),
+            ("A B:x,y", "A B", ("x", "y")),
+            ("A:x,w", "A", ("x", "w")),
+            ("x:x,y", "x", ("x", "y")),
+        ],
+        ids=["empty-name", "not-an-identifier", "unknown-argument", "coordinate-name"],
+    )
+    def test_a_bad_opaque_declaration_is_rejected(self, declaration, name, args):
+        with pytest.raises(AnalysisInputError) as info:
+            analyze(AnalysisRequest(ode=FLAT, opaque={name: args}))
+        assert info.value.code == "bad-opaque"
+        proc = run_cli("--ode", FLAT, "--opaque", declaration)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["error"]["code"] == "bad-opaque"
+
+    def test_out_into_a_missing_directory(self, tmp_path):
+        out = tmp_path / "missing" / "report.json"
+        proc = run_cli("--ode", FLAT, "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        error = json.loads(proc.stderr)["error"]
+        assert error["code"] == "bad-out"
+        assert str(out) in error["message"]
+        assert not out.exists()
