@@ -717,20 +717,12 @@ def _nonzero(coeffs):
     return {key: c for key, c in coeffs.items() if not _is_zero(c)}
 
 
-def differential_residuals(prob, table, sf=None):
-    """d(basis_i) minus the tabulated right-hand side, for each tau form.
-
-    d(tau_i) is read from ``tau_differential_table``, so the residual of
-    each tau^tau slot is an affine map in a..s: the derived entry minus the
-    table's (a row with its wedge reversed is negated), evaluated on the
-    invariants of ``sf``.  When ``sf`` is None the invariants are
-    ``prob.structure()``, not zeros.  A nonzero coefficient becomes a chart
-    form Σ c · tau_l ∧ tau_r through ``prob.tau()``; a residual with none
-    is the zero 2-form on the 6-chart.
-    """
-    values = (sf if sf is not None else prob.structure()).as_dict()
+def residual_table(table):
+    """d(tau_i) from ``tau_differential_table`` minus ``table``'s rows (a row
+    with its wedge reversed is negated), merged per tau^tau slot: the
+    residual of each slot as an affine map in a..s."""
     derived = tau_differential_table()
-    residuals = _restricted(
+    return _restricted(
         {
             i: [(aff, l, r) for (l, r), aff in derived[i].items()]
             + [(aff, right, left) for aff, left, right in rows]
@@ -738,6 +730,24 @@ def differential_residuals(prob, table, sf=None):
         },
         STRUCTURE_NAMES,
     )
+
+
+@cache
+def _appendix_residual_table():
+    """``residual_table(APPENDIX_TABLE)``, merged once per process.  It has
+    no rows: the appendix is the derived table (``test_appendix_is_derived``)."""
+    return residual_table(APPENDIX_TABLE)
+
+
+def differential_residuals(prob, residuals, sf=None):
+    """d(tau_i) minus the tabulated right-hand side, for each tau form:
+    ``residuals`` (from ``residual_table``) evaluated on the invariants of
+    ``sf``.  When ``sf`` is None the invariants are ``prob.structure()``,
+    not zeros.  A nonzero coefficient becomes a chart form
+    Σ c · tau_l ∧ tau_r through ``prob.tau()``; a residual with none is the
+    zero 2-form on the 6-chart.
+    """
+    values = (sf if sf is not None else prob.structure()).as_dict()
     out = []
     for i in range(6):
         coeffs = _nonzero({(l, r): affine_value(aff, values) for aff, l, r in residuals[i]})
@@ -752,4 +762,4 @@ def differential_residuals(prob, table, sf=None):
 def verify_appendix(prob, sf=None):
     """Residuals of the six closed-form differentials for arbitrary F,
     read from ``tau_differential_table``."""
-    return differential_residuals(prob, APPENDIX_TABLE, sf)
+    return differential_residuals(prob, _appendix_residual_table(), sf)

@@ -70,13 +70,12 @@ def _parse_opaque(items):
 def _parse_specializations(items):
     out = {}
     for item in items:
-        name, sep, expr = item.partition("=")
-        if not sep or not name:
+        name, sep, expr = (part.strip() for part in item.partition("="))
+        if not sep or not name or not expr:
             raise AnalysisInputError("bad-specialization", f"expected NAME=EXPR, got {item!r}")
-        name = name.strip()
         if name in out:
             raise AnalysisInputError("bad-specialization", f"{name!r} is specialized twice")
-        out[name] = expr.strip()
+        out[name] = expr
     return out
 
 

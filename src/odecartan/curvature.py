@@ -9,17 +9,21 @@ structure-equation picture:
     Weyl          trace correction with 1/2 and 1/6 in four dimensions
 
 The quotient metric of the cubic family is split signature with unit
-determinant, Einstein with cosmological constant -1.
+determinant, Einstein with cosmological constant -1.  ``family_geometry``
+builds that metric, its tensors and its Einstein residual once per
+process, with A and B the opaque functions A'(x, y) and B'(x, y); every
+member's values follow from them by putting in its own A and B.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .cartan import HALF, TauBasis, adapted_chart_map
 from .errors import ChartError
 from .expression import Expression
 from .linalg import invert_matrix
-from .symbols import METRIC_CHART, M_ADAPTED_CHART
+from .symbols import METRIC_CHART, M_ADAPTED_CHART, Sym, SymbolTable
 
 DIM = 4
 
@@ -41,12 +45,10 @@ class Metric4:
         self.ginv, self.det = invert_matrix(self.g)
 
 
-def family_metric(fd):
-    """The quotient metric of the cubic family on (x, y, z, t);
-    the quadratic coefficient C drops out entirely."""
-    table = fd.problem.table
+def _metric(A, B, table):
+    """G = -(t^2 + 2B) dx^2 + 2 dt dx + (2A - z^2) dy^2 + 2 dz dy on
+    (x, y, z, t), for A and B on that chart."""
     chart = METRIC_CHART
-    A, B, _ = fd.coefficients_on(chart)
     z = Expression.coordinate("z", chart, table)
     t = Expression.coordinate("t", chart, table)
     zero = Expression.number(0, chart, table)
@@ -57,6 +59,39 @@ def family_metric(fd):
     g[1][1] = 2 * A - z * z
     g[1][2] = g[2][1] = one
     return Metric4(g, table)
+
+
+def family_metric(fd):
+    """The quotient metric of the cubic family on (x, y, z, t);
+    the quadratic coefficient C drops out entirely."""
+    A, B, _ = fd.coefficients_on(METRIC_CHART)
+    return _metric(A, B, fd.problem.table)
+
+
+# Names of the opaque A and B in ``family_geometry``: ``SymbolTable.declare``
+# never accepts them, so they cannot meet a request's own functions.
+GENERIC_COEFFICIENTS = ("A'", "B'")
+
+
+@cache
+def family_geometry():
+    """(metric, curvature tensors, Einstein residual) of the family metric
+    with A and B the opaque functions A'(x, y) and B'(x, y).
+
+    det G = 1, so g^-1 and every tensor are polynomials in z, t and the
+    jets of A' and B'.  Putting in a member's A, B and their derivatives is
+    a ring homomorphism: the residual is every member's, and the tensors at
+    a point extended with the jets' values are the member's values there.
+    Built on first use and shared for the life of the process: callers must
+    not mutate it."""
+    table = SymbolTable()
+    A, B = (
+        Expression.from_sym(Sym(name, ("x", "y")), METRIC_CHART, table)
+        for name in GENERIC_COEFFICIENTS
+    )
+    metric = _metric(A, B, table)
+    tensors = curvature_tensors(metric)
+    return metric, tensors, einstein_residual(metric, tensors)
 
 
 @dataclass(frozen=True)
@@ -257,11 +292,9 @@ def _freeze(nested):
     return nested
 
 
-def einstein_residual(metric, tensors=None, cosmological=Fraction(-1)):
+def einstein_residual(metric, tensors, cosmological=Fraction(-1)):
     """Ric_ij - Lambda g_ij; identically zero for the family metrics at
     Lambda = -1."""
-    if tensors is None:
-        tensors = curvature_tensors(metric)
     return tuple(
         tuple(tensors.ricci[i][j] - cosmological * metric.g[i][j] for j in range(DIM))
         for i in range(DIM)

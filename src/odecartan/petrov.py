@@ -10,6 +10,11 @@ block's characteristic polynomial (Newton's identities), its discriminant
 decides root multiplicity, double roots are rational, and the Jordan
 structure is read from whether X^2 or (X - r)(X - s)X vanishes.  X is
 scaled to an integer matrix first; no floating point enters anywhere.
+
+A family member's W, g^-1 and det are never built as its own tensors:
+they are those of the opaque-coefficient geometry
+(``curvature.family_geometry``) read at the point extended with the
+values of the jets of A' and B', taken from the member's A and B.
 """
 
 from dataclasses import dataclass

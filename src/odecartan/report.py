@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cartan import (
-    FamilyData,
     OdeProblem,
     STRUCTURE_NAMES,
     check_einstein_conditions,
@@ -31,12 +30,7 @@ from .cartan import (
     verify_appendix,
 )
 from .connection import cartan_connection_report, metric_connection_report
-from .curvature import (
-    curvature_tensors,
-    einstein_residual,
-    metric_from_family,
-    family_metric,
-)
+from .curvature import GENERIC_COEFFICIENTS, family_geometry, metric_from_family
 from .errors import (
     ChartError,
     DegenerateOdeError,
@@ -49,7 +43,7 @@ from .errors import (
 )
 from .parse import parse_expression
 from .petrov import classify_at_point, jet_expressions
-from .symbols import J2_CHART, Sym, SymbolTable
+from .symbols import J2_CHART, SymbolTable
 
 CONVENTIONS = {
     "ricci": "Ric_ij = R^k_ikj with R^i_jkl = d_k G^i_lj - d_l G^i_kj + G^i_km G^m_lj - G^i_lm G^m_kj",
@@ -108,7 +102,7 @@ class _State:
     def __init__(self, request, report, prob):
         self.request, self.report, self.prob = request, report, prob
         self.family = self.kne = None  # FamilyData and its k, n, e; None outside the family
-        self.sf = self.metric = self.tensors = None  # set by inv, metric, einstein
+        self.sf = None  # set by inv
 
 
 def _run_inv(st):
@@ -140,11 +134,11 @@ def _run_cond(st):
 
 
 def _run_metric(st):
-    st.metric, proj = metric_from_family(st.family)
+    metric, proj = metric_from_family(st.family)
     st.report["metric"] = {
         "run": True,
-        "components": [[e.render() for e in row] for row in st.metric.g],
-        "determinant": st.metric.det.render(),
+        "components": [[e.render() for e in row] for row in metric.g],
+        "determinant": metric.det.render(),
         "projectability": {
             "projects": proj.projects,
             "vertical_residuals": [e.render() for e in proj.vertical_residuals],
@@ -156,9 +150,11 @@ def _run_metric(st):
 
 
 def _run_einstein(st):
-    tensors = st.tensors = curvature_tensors(st.metric)
-    residual = einstein_residual(st.metric, tensors, Fraction(-1))
-    holds = all(residual[i][j].is_zero for i in range(4) for j in range(4))
+    """Ric + G and the scalar curvature of ``family_geometry``: both are
+    polynomials in the jets of A' and B', so putting in this request's A
+    and B gives its own, and the verdict is exact for every member."""
+    _, tensors, residual = family_geometry()
+    holds = all(r.is_zero for row in residual for r in row)
     st.report["einstein_residual_zero"] = {
         "run": True,
         "verdict": holds,
@@ -174,7 +170,9 @@ def _point_to_json(point):
     return {k: str(v) for k, v in sorted(point.items())}
 
 
-def _specialized_family(request, family):
+def _specialized_coefficients(request, family):
+    """A and B with the request's specialisations put in; a specialisation
+    of C is checked too, but C is not in the metric."""
     table = family.problem.table
     coeffs = {"A": family.A, "B": family.B, "C": family.C}
     for name, text in request.specializations.items():
@@ -193,67 +191,38 @@ def _specialized_family(request, family):
                 f"specialization of {name} may only use x and y, found {bad}",
             )
         coeffs[name] = value
-    return FamilyData(family.problem, coeffs["A"], coeffs["B"], coeffs["C"])
+    return coeffs["A"], coeffs["B"]
 
 
-def _substituted_functions(request, family, fd):
-    """{function name: specialisation} when specialising the coefficients
-    A and B substitutes the distinct opaque functions they are, with no
-    argument the function lacks; None otherwise.  The quadratic
-    coefficient C is not in the metric."""
-    table = family.problem.table
-    out = {}
-    for name in ("A", "B"):
-        if name in request.specializations:
-            sym = table.base(getattr(family, name).render())
-            special = getattr(fd, name)
-            if sym is None or sym.name in out or not special.symbols() <= set(map(Sym, sym.args)):
-                return None
-            out[sym.name] = special
-    return out
+# the Hodge eigenspace whose label is D, by (plus label is D, minus label is D)
+_D_EIGENSPACE = {(True, False): "plus", (False, True): "minus", (True, True): "both"}
 
 
 def _run_petrov(st):
     """Petrov labels at seeded exact points of the specialised metric.
 
-    ``st.metric`` is the metric stage's metric of the unspecialised
-    family, ``st.tensors`` the einstein stage's curvature of it, or None
-    when that stage did not run.  Formal jet calculus commutes with
-    specialisation, so the opaque Weyl tensor, g^-1 and det take the
-    specialised values at a point extended with each jet symbol's value:
-    its function's specialisation differentiated along the jet's index.
-    When a specialisation replaces a coefficient that is not an opaque
-    function (a concrete one, say), the specialised metric and its
-    curvature are built here instead.
+    The Weyl tensor, g^-1 and det of ``family_geometry`` (opaque A' and
+    B') take the specialised metric's values at a point extended with each
+    jet symbol's value: the specialised A or B differentiated along the
+    jet's index.
     """
-    request, metric, tensors = st.request, st.metric, st.tensors
-    fd = _specialized_family(request, st.family)
-    leftover = sorted(
-        {s.render() for c in (fd.A, fd.B) for s in c.symbols() if not s.is_coordinate}
-    )
+    request = st.request
+    A, B = _specialized_coefficients(request, st.family)
+    leftover = sorted({s.render() for c in (A, B) for s in c.symbols() if not s.is_coordinate})
     if leftover:
         raise AnalysisInputError(
             "petrov-needs-specialization",
             f"metric still contains opaque symbols {leftover}; "
             "provide rational specializations for A and B",
         )
-    functions = _substituted_functions(request, st.family, fd)
-    if functions is None:
-        metric, tensors, functions = family_metric(fd), None, {}
-    if tensors is None:
-        tensors = curvature_tensors(metric)
-    jets = jet_expressions(metric, tensors, functions)
+    metric, tensors, _ = family_geometry()
+    jets = jet_expressions(metric, tensors, dict(zip(GENERIC_COEFFICIENTS, (A, B))))
     rng = random.Random(request.seed)
-    results = []
-    skipped = []
-    attempts = 0
-    budget = max(50, 40 * request.points)
-    while len(results) < request.points and attempts < budget:
-        attempts += 1
-        point = {
-            c: Fraction(rng.randint(-100, 100), rng.randint(1, 100))
-            for c in ("x", "y", "z", "t")
-        }
+    results, skipped = [], []
+    for _ in range(max(50, 40 * request.points)):
+        if len(results) == request.points:
+            break
+        point = {c: Fraction(rng.randint(-100, 100), rng.randint(1, 100)) for c in "xyzt"}
         try:
             results.append(classify_at_point(metric, tensors, point, jets))
         except PetrovDegeneracyError as exc:
@@ -262,27 +231,15 @@ def _run_petrov(st):
         raise PetrovDegeneracyError(
             f"could not find {request.points} admissible sample points"
         )
-    labels = [(r.label_plus, r.label_minus) for r in results]
-    consistent = len(set(labels)) == 1
-    d_eigenspace = None
-    if consistent and labels:
-        plus, minus = labels[0]
-        if plus == "D" and minus != "D":
-            d_eigenspace = "plus"
-        elif minus == "D" and plus != "D":
-            d_eigenspace = "minus"
-        elif plus == "D" and minus == "D":
-            d_eigenspace = "both"
+    labels = {(r.label_plus, r.label_minus) for r in results}
+    consistent = len(labels) == 1
+    d_eigenspace = _D_EIGENSPACE.get(tuple(x == "D" for x in min(labels))) if consistent else None
     st.report["conventions"]["d_eigenspace"] = d_eigenspace
     st.report["petrov"] = {
         "run": True,
         "specializations": dict(sorted(request.specializations.items())),
         "points": [
-            {
-                "point": _point_to_json(r.point),
-                "label_plus": r.label_plus,
-                "label_minus": r.label_minus,
-            }
+            {"point": _point_to_json(r.point), "label_plus": r.label_plus, "label_minus": r.label_minus}
             for r in results
         ],
         "labels": sorted({f"{a}+{b}" for a, b in labels}),
@@ -343,8 +300,10 @@ class _Stage:
 
 # Execution order.  The condition verdicts are a free byproduct of
 # extraction, so ``inv`` implies ``cond``: it runs whenever ``inv`` does and
-# reports a verdict whenever ``inv`` is requested.  ``einstein`` reads the metric stage's metric and
-# ``petrov`` both that and, when present, the einstein stage's curvature.
+# reports a verdict whenever ``inv`` is requested.  ``einstein`` and ``petrov``
+# read the geometry that ``family_geometry`` builds once per process for
+# opaque A' and B'; they still need ``metric``, so the report shows the
+# request's own metric next to their verdicts.
 _STAGE_TABLE = (
     _Stage("inv", _run_inv, aliases=("invariants",), implies=("cond",)),
     _Stage("cond", _run_cond, aliases=("conditions",), needs=("inv",)),
@@ -543,30 +502,16 @@ def _text_view(report):
             f"stable: {p['consistent_assignment']}"
         )
     if d["connection"].get("run"):
-        c = d["connection"]
-        lines.append(
-            "metric connection checks: "
-            + str(
-                all(
-                    c["metric_connection"][k]
-                    for k in (
-                        "torsion_zero",
-                        "antisymmetry_zero",
-                        "curvature_matches",
-                        "horizontal",
-                        "ricci_is_minus_metric",
-                    )
-                )
-            )
+        m, c = d["connection"]["metric_connection"], d["connection"]["cartan_connection"]
+        metric_keys = (
+            "torsion_zero", "antisymmetry_zero", "curvature_matches", "horizontal",
+            "ricci_is_minus_metric",
         )
-        lines.append(
-            "cartan connection checks: "
-            + str(
-                c["cartan_connection"]["algebra_valued"]
-                and c["cartan_connection"]["curvature_matches"]
-                and c["cartan_connection"]["flatness_matches_invariants"]
-            )
+        lines.append(f"metric connection checks: {all(m[k] for k in metric_keys)}")
+        cartan_holds = (
+            c["algebra_valued"] and c["curvature_matches"] and c["flatness_matches_invariants"]
         )
+        lines.append(f"cartan connection checks: {cartan_holds}")
     if d["appendix_residuals"].get("run"):
         lines.append(f"closed-form differentials hold: {d['appendix_residuals']['all_zero']}")
     for stage, err in sorted(report.stage_errors.items()):

@@ -12,11 +12,16 @@ The Petrov oracle is the eigenspace path: an exact basis of each Hodge
 eigenspace and the 3x3 block of the Weyl operator solved on it, which the
 tests classify against the program's traces on the whole 6-space
 (``odecartan.petrov``).
+
+The Einstein and Petrov sections of a family request are checked against
+the specialised metric's own curvature, which the program no longer
+builds (it reads ``curvature.family_geometry`` at jet-extended points).
 """
 
+import random
 from fractions import Fraction
 
-from odecartan.cartan import HALF, family_invariants
+from odecartan.cartan import HALF, FamilyData, OdeProblem, family_detect, family_invariants
 from odecartan.connection import (
     BLOCK_METRIC,
     CARTAN_CONNECTION,
@@ -24,12 +29,13 @@ from odecartan.connection import (
     CartanConnectionReport,
     MetricConnectionReport,
 )
-from odecartan.curvature import DIM, adapted_tau
+from odecartan.curvature import DIM, adapted_tau, curvature_tensors, einstein_residual, family_metric
 from odecartan.errors import ChartError, PetrovDegeneracyError, SingularEvaluationError
 from odecartan.expression import Expression
 from odecartan.forms import Coframe, DifferentialForm
-from odecartan.petrov import mat_mul
-from odecartan.symbols import M_ADAPTED_CHART
+from odecartan.parse import parse_expression
+from odecartan.petrov import classify_at_point, mat_mul
+from odecartan.symbols import J2_CHART, M_ADAPTED_CHART, SymbolTable
 
 # -- the chart-level connection oracle ----------------------------------------
 
@@ -380,6 +386,70 @@ def restrict_operator(op, basis):
         if any(aug[r][k:]):
             raise PetrovDegeneracyError("operator does not preserve the eigenspace")
     return [aug[i][k:] for i in range(k)]
+
+
+# -- the specialised-metric Einstein and Petrov oracle --------------------------
+
+
+def specialised_sections(request):
+    """The ``einstein_residual_zero`` and ``petrov`` report sections of a
+    family request, from the specialised metric's own curvature:
+    ``family_metric`` of the family with the request's specialisations put
+    in for A and B, then ``curvature_tensors`` and ``einstein_residual`` on
+    it, classified at the seeded points the program draws.  The program
+    reads one opaque-A', B' geometry at jet-extended points instead."""
+    table = SymbolTable()
+    for name, args in request.opaque.items():
+        table.declare(name, args)
+    prob = OdeProblem(parse_expression(request.ode, J2_CHART, table), table)
+    family = family_detect(prob)
+    A, B = (
+        parse_expression(request.specializations[name], J2_CHART, table)
+        if name in request.specializations
+        else getattr(family, name)
+        for name in ("A", "B")
+    )
+    metric = family_metric(FamilyData(prob, A, B, family.C))
+    tensors = curvature_tensors(metric)
+    residual = einstein_residual(metric, tensors)
+    einstein = {
+        "run": True,
+        "verdict": all(r.is_zero for row in residual for r in row),
+        "residual_components": [residual[i][j].render() for i in range(DIM) for j in range(i, DIM)],
+        "scalar_curvature": tensors.scalar.render(),
+    }
+
+    rng = random.Random(request.seed)
+    results, skipped = [], []
+    for _ in range(max(50, 40 * request.points)):
+        if len(results) == request.points:
+            break
+        point = {c: Fraction(rng.randint(-100, 100), rng.randint(1, 100)) for c in "xyzt"}
+        as_json = {k: str(v) for k, v in sorted(point.items())}
+        try:
+            r = classify_at_point(metric, tensors, point)
+        except PetrovDegeneracyError as exc:
+            skipped.append({"point": as_json, "reason": str(exc)})
+        else:
+            results.append({"point": as_json, "label_plus": r.label_plus, "label_minus": r.label_minus})
+    labels = {(r["label_plus"], r["label_minus"]) for r in results}
+    consistent = len(labels) == 1
+    d_eigenspace = None
+    if consistent:
+        (plus, minus), = labels
+        d_eigenspace = {(True, False): "plus", (False, True): "minus", (True, True): "both"}.get(
+            (plus == "D", minus == "D")
+        )
+    petrov = {
+        "run": True,
+        "specializations": dict(sorted(request.specializations.items())),
+        "points": results,
+        "labels": sorted(f"{a}+{b}" for a, b in labels),
+        "consistent_assignment": consistent,
+        "d_eigenspace": d_eigenspace,
+        "skipped_points": skipped,
+    }
+    return einstein, petrov
 
 
 # -- bases, coframes and matrices ---------------------------------------------

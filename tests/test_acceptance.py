@@ -19,6 +19,7 @@ from odecartan.cartan import (
     differential_residuals,
     family_detect,
     family_invariants_residuals,
+    residual_table,
     verify_appendix,
 )
 from odecartan.connection import cartan_connection_report, metric_connection_report
@@ -39,7 +40,7 @@ def test_criterion_1_flat_model(flat_problem):
     started = _clock()
     sf = flat_problem.structure()
     assert sf.all_zero(), "every structure function must be canonical zero"
-    residuals = differential_residuals(flat_problem, FLAT_TABLE)
+    residuals = differential_residuals(flat_problem, residual_table(FLAT_TABLE))
     assert all(r.is_zero for r in residuals), "flat differentials must match term for term"
     _report(1, "flat model: 13 invariants vanish, product-algebra differentials hold", started)
 

@@ -31,6 +31,7 @@ from odecartan.cartan import (
     family_invariants_residuals,
     invariant_K,
     invariant_coframe,
+    residual_table,
     structure_functions,
     tau_basis,
     to_adapted,
@@ -283,12 +284,12 @@ class TestTauBasis:
             assert all(const or any(mults.values()) for (const, mults), _, _ in rows)
 
     def test_flat_differentials(self, flat_problem):
-        residuals = differential_residuals(flat_problem, FLAT_TABLE)
+        residuals = differential_residuals(flat_problem, residual_table(FLAT_TABLE))
         assert all(r.is_zero for r in residuals)
 
     def test_family_reduced_differentials(self, family_problem):
         sf = family_problem.structure()
-        residuals = differential_residuals(family_problem, REDUCED_TABLE, sf)
+        residuals = differential_residuals(family_problem, residual_table(REDUCED_TABLE), sf)
         assert all(r.is_zero for r in residuals)
 
     def test_family_tau4_is_null_form(self, family_data):
@@ -431,10 +432,15 @@ class TestAppendix:
         sf = prob.structure()
         perturbed = _perturbed_appendix_table()
         for table in (APPENDIX_TABLE, perturbed):
-            fast = differential_residuals(prob, table, sf)
+            fast = differential_residuals(prob, residual_table(table), sf)
             oracle = chart_level_residuals(prob.tau(), table, sf)
             assert [repr(f) for f in fast] == [repr(f) for f in oracle]
         assert [f.is_zero for f in fast] == [False, True, True, False, False, True]
+
+    def test_appendix_merge_is_built_once_and_empty(self):
+        merged = cartan._appendix_residual_table()
+        assert merged is cartan._appendix_residual_table()
+        assert merged == residual_table(APPENDIX_TABLE) == {i: [] for i in range(6)}
 
     def test_residuals_vanish_for_stress_input(self):
         prob = make_problem("q^3*y + x*p")

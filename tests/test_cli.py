@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from odecartan import report as report_module
+from odecartan import curvature
 from odecartan.report import AnalysisRequest, analyze, emit_report
 
 REQUIRED_KEYS = [
@@ -210,16 +210,28 @@ class TestPetrovStage:
         assert alone.exit_code == full.exit_code == 0
 
     def test_all_stages_compute_the_curvature_once(self, monkeypatch):
+        """The curvature is built once per process, not per request: after
+        the geometry's cache is cleared, four members run every stage and
+        ``curvature_tensors`` runs once."""
         calls = []
-        original = report_module.curvature_tensors
+        original = curvature.curvature_tensors
 
         def counting(metric):
             calls.append(metric)
             return original(metric)
 
-        monkeypatch.setattr(report_module, "curvature_tensors", counting)
-        report = analyze(AnalysisRequest(stages=("all",), **FAMILY_REQUEST))
-        assert report.data["petrov"]["labels"] == ["D+II"]
+        monkeypatch.setattr(curvature, "curvature_tensors", counting)
+        curvature.family_geometry.cache_clear()
+        other = dict(FAMILY_REQUEST, specializations={"A": "x^2 - y", "B": "3*y"})
+        requests = [
+            AnalysisRequest(stages=("all",), **FAMILY_REQUEST),
+            AnalysisRequest(stages=("all",), **other),
+            AnalysisRequest(ode="3/2*q^2/p + x/(y+1)*p^3 + (x + y)*p", stages=("all",)),
+            AnalysisRequest(ode="3/2*q^2/p", stages=("all",)),
+        ]
+        reports = [analyze(r) for r in requests]
+        assert [r.exit_code for r in reports] == [0] * 4
+        assert [r.data["petrov"]["labels"] for r in reports] == [["D+II"]] * 3 + [["D+D"]]
         assert len(calls) == 1
 
     @pytest.mark.parametrize(

@@ -1,0 +1,73 @@
+"""Recorded report digests of the family's einstein and petrov stages.
+
+``perfbench/digests.json`` holds the sha256 of every benchmark request's
+report, without its wall-clock ``timings``, and ``perfbench/check.py``
+computes it.  Here one Petrov seed of each family shape runs in process
+and must give its recorded digest, so a change that alters the bytes of
+a family report fails the suite, not only the benchmark.  The two
+``perfbench`` modules are loaded read-only.
+"""
+
+import importlib.util
+import sys
+from itertools import product
+from pathlib import Path
+
+import pytest
+
+import odecartan
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    """``perfbench/<name>.py`` as a module, writing no bytecode beside it."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+workloads = _load("workloads")
+check = _load("check")
+
+
+def _family_requests():
+    """flat, opaque, the 12 generic and 16 separable pairs and the four pole
+    members, each at one Petrov seed; the seeds cycle so all of them run."""
+    seeds = workloads.PETROV_SEEDS
+    out = [workloads.flat(seeds[0]), workloads.opaque_family()]
+    pairs = [
+        (workloads.generic, a, b) for a, b in product(workloads.GENERIC_A, workloads.GENERIC_B)
+    ] + [
+        (workloads.separable, a, b)
+        for a, b in product(workloads.SEPARABLE_A, workloads.SEPARABLE_B)
+    ]
+    out += [shape(a, b, seeds[i % len(seeds)]) for i, (shape, a, b) in enumerate(pairs)]
+    out += [
+        workloads.rational("family-pole", ode, seeds[i % len(seeds)])
+        for i, ode in enumerate(workloads.FAMILY_POLE)
+    ]
+    return out
+
+
+def _request_id(req):
+    detail = " ".join(text for _, text in req.specializations) or req.ode
+    return f"{req.kind}[{detail}] seed {req.seed}"
+
+
+@pytest.fixture(scope="module")
+def digests():
+    return check.load_digests()
+
+
+@pytest.mark.parametrize("req", _family_requests(), ids=_request_id)
+def test_family_report_matches_its_recorded_digest(req, digests):
+    report = odecartan.analyze(req.analysis_request(odecartan))
+    document = odecartan.emit_report(report, req.fmt)
+    assert check.problems(req, report.exit_code, document, digests) == []

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from odecartan import J2_CHART, SymbolTable, parse_expression
 from odecartan.cartan import FamilyData, family_detect
@@ -20,8 +20,10 @@ from odecartan.petrov import (
     mat_mul,
     weyl_operator_at,
 )
-from tests.conftest import make_problem
-from tests.oracles import eigenspace_basis, restrict_operator
+from odecartan.report import AnalysisRequest, analyze
+from odecartan.symbols import Chart
+from tests.conftest import FAMILY_TEXT, make_problem
+from tests.oracles import eigenspace_basis, restrict_operator, specialised_sections
 
 POINTS = [
     {"x": Fraction(2), "y": Fraction(3), "z": Fraction(5, 2), "t": Fraction(7, 3)},
@@ -373,6 +375,62 @@ class TestJetExtendedPoints:
             for sign, label in ((1, result.label_plus), (-1, result.label_minus)):
                 for basis in (halved_projector_basis(star, sign), eigenspace_basis(star, sign)):
                     assert classify_traceless(restrict_operator(weyl_op, basis)) == label
+
+
+FAMILY_OPAQUE = {"A": ("x", "y"), "B": ("x", "y"), "C": ("x", "y")}
+XY_CHART = Chart("XY", ("x", "y"))
+
+
+def assert_sections_match_oracle(request):
+    report = analyze(request)
+    einstein, petrov = specialised_sections(request)
+    assert report.data["einstein_residual_zero"] == einstein
+    assert report.data["petrov"] == petrov
+    return petrov
+
+
+class TestOneFamilyGeometry:
+    """``einstein`` and ``petrov`` read one opaque-A', B' geometry; the
+    specialised metric's own curvature (``tests/oracles.py``) is the
+    reference for their report sections."""
+
+    @pytest.mark.parametrize(
+        "ode, opaque, specs, seed, labels",
+        [
+            # a concrete A specialised anyway: x*y (D+II) becomes y^2 (D+D)
+            ("3/2*q^2/p + x*y*p^3 + x*p", {}, {"A": "y^2"}, 0, ["D+D"]),
+            # A(y) specialised by a function of x and y, which has an A_x
+            ("3/2*q^2/p + A(y)*p^3 + x*p", {"A": ("y",)}, {"A": "x*y"}, 0, ["D+II"]),
+            ("3/2*q^2/p + x/(y+1)*p^3 + (x + y)*p", {}, {}, 0, ["D+II"]),
+            # seed 217 draws a point on the pole y = -1
+            ("3/2*q^2/p + x/(y+1)*p^3 + (x + y)*p", {}, {}, 217, ["D+II"]),
+            ("3/2*q^2/p", {}, {}, 0, ["D+D"]),
+        ],
+        ids=["concrete", "narrow-arguments", "pole", "pole-skipped-point", "flat"],
+    )
+    def test_sections_match_the_specialised_metric(self, ode, opaque, specs, seed, labels):
+        request = AnalysisRequest(
+            ode=ode, opaque=opaque, stages=("einstein", "petrov"), specializations=specs, seed=seed
+        )
+        petrov = assert_sections_match_oracle(request)
+        assert petrov["labels"] == labels
+        assert len(petrov["skipped_points"]) == (seed == 217)
+
+    @given(st.integers(0, 2**32), st.integers(0, 3))
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_random_rational_members_match_the_specialised_metric(self, sampler, seed, petrov_seed):
+        gen = sampler(seed=seed, chart=XY_CHART)
+        specs = {"A": gen.expression().render(), "B": gen.expression().render()}
+        assert_sections_match_oracle(
+            AnalysisRequest(
+                ode=FAMILY_TEXT,
+                opaque=FAMILY_OPAQUE,
+                stages=("einstein", "petrov"),
+                specializations=specs,
+                seed=petrov_seed,
+            )
+        )
 
 
 def halved_projector_basis(star, sign):

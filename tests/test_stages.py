@@ -185,8 +185,9 @@ class TestRequestValidation:
             ("A B:x,y", "A B", ("x", "y")),
             ("A:x,w", "A", ("x", "w")),
             ("x:x,y", "x", ("x", "y")),
+            ("A':x,y", "A'", ("x", "y")),
         ],
-        ids=["empty-name", "not-an-identifier", "unknown-argument", "coordinate-name"],
+        ids=["empty-name", "not-an-identifier", "unknown-argument", "coordinate-name", "primed-name"],
     )
     def test_a_bad_opaque_declaration_is_rejected(self, declaration, name, args):
         with pytest.raises(AnalysisInputError) as info:
@@ -196,6 +197,13 @@ class TestRequestValidation:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert json.loads(proc.stderr)["error"]["code"] == "bad-opaque"
+
+    @pytest.mark.parametrize("item", [" =x", "=x", "A=", "A= ", "A"])
+    def test_cli_rejects_an_empty_specialization(self, item):
+        proc = run_cli("--ode", FLAT, "--stages", "inv", "--specialize", item)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["error"]["code"] == "bad-specialization"
 
     def test_out_into_a_missing_directory(self, tmp_path):
         out = tmp_path / "missing" / "report.json"
