@@ -14,7 +14,7 @@ connection checks read that table, with no second exterior derivative on
 the chart.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
@@ -274,29 +274,16 @@ _DEFINING_SLOTS = {
 }
 
 
-@dataclass(frozen=True)
-class StructureFunctions:
+class StructureFunctions(namedtuple("StructureFunctions", STRUCTURE_NAMES)):
     """The thirteen scalar invariants, as expressions on the 6-chart."""
 
-    a: Expression
-    b: Expression
-    c: Expression
-    e: Expression
-    f: Expression
-    g: Expression
-    h: Expression
-    k: Expression
-    l: Expression
-    m: Expression
-    n: Expression
-    r: Expression
-    s: Expression
+    __slots__ = ()
 
     def as_dict(self):
-        return {name: getattr(self, name) for name in STRUCTURE_NAMES}
+        return self._asdict()
 
     def all_zero(self):
-        return all(getattr(self, name).is_zero for name in STRUCTURE_NAMES)
+        return all(v.is_zero for v in self)
 
 
 def structure_functions(prob, coframe=None):
@@ -332,13 +319,6 @@ def structure_functions(prob, coframe=None):
     return StructureFunctions(**values)
 
 
-@dataclass(frozen=True)
-class TauBasis:
-    """The null-adapted basis: four horizontal forms and two connection forms."""
-
-    forms: tuple  # (tau1, tau2, tau3, tau4, gamma1, gamma2)
-
-
 # The constant change of basis tau = M theta: _TAU[i][a] is the coefficient
 # of coframe form a in (tau1, tau2, tau3, tau4, gamma1, gamma2)[i].
 _TAU = (
@@ -369,39 +349,34 @@ _THETA_TO_TAU = {
 
 
 def tau_basis(cf):
-    """Constant-coefficient change of basis to the null-adapted coframe."""
+    """Constant-coefficient change of basis to the null-adapted coframe:
+    the six forms (tau1, tau2, tau3, tau4, gamma1, gamma2) as a tuple."""
     zero = DifferentialForm.zero(cf.chart, cf.table, 1)
-    return TauBasis(
-        tuple(
-            sum((f if m == 1 else f.scale(m) for f, m in zip(cf.forms, row) if m), zero)
-            for row in _TAU
-        )
+    return tuple(
+        sum((f if m == 1 else f.scale(m) for f, m in zip(cf.forms, row) if m), zero)
+        for row in _TAU
     )
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
-    name: str
-    residual: Expression
+class ConditionVerdict(namedtuple("ConditionVerdict", "name residual")):
+    """One named condition and its residual Expression."""
+
+    __slots__ = ()
 
     @property
     def holds(self):
         return self.residual.is_zero
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(namedtuple("ConditionReport", "verdicts")):
     """The ten scalar conditions under which the coframe differentials
     reduce to a metric connection with horizontal curvature."""
 
-    verdicts: tuple
+    __slots__ = ()
 
     @property
     def all_hold(self):
         return all(v.holds for v in self.verdicts)
-
-    def as_dict(self):
-        return {v.name: v for v in self.verdicts}
 
 
 def check_einstein_conditions(sf):
@@ -423,15 +398,12 @@ def check_einstein_conditions(sf):
 # -- the cubic family -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyData:
+class FamilyData(namedtuple("FamilyData", "problem A B C")):
     """Right-hand side of the reducible form
-    (3/2) q^2/p + A(x,y) p^3 + C(x,y) p^2 + B(x,y) p."""
+    (3/2) q^2/p + A(x,y) p^3 + C(x,y) p^2 + B(x,y) p: its OdeProblem and
+    the coefficient Expressions A, B, C."""
 
-    problem: OdeProblem
-    A: Expression
-    B: Expression
-    C: Expression
+    __slots__ = ()
 
     def coefficients_on(self, chart):
         return (
@@ -524,20 +496,17 @@ def to_adapted(obj, table):
     return obj.substitute(mapping, M_ADAPTED_CHART)
 
 
-@dataclass(frozen=True)
-class KneInvariants:
+class KneInvariants(namedtuple("KneInvariants", "k n e")):
     """The three surviving invariants of the cubic family, on the adapted
     chart where their closed forms live."""
 
-    k: Expression
-    n: Expression
-    e: Expression
+    __slots__ = ()
 
     def as_dict(self):
-        return {"k": self.k, "n": self.n, "e": self.e}
+        return self._asdict()
 
     def all_zero(self):
-        return self.k.is_zero and self.n.is_zero and self.e.is_zero
+        return all(v.is_zero for v in self)
 
 
 def family_invariants(fd):
@@ -752,7 +721,7 @@ def differential_residuals(prob, residuals, sf=None):
     for i in range(6):
         coeffs = _nonzero({(l, r): affine_value(aff, values) for aff, l, r in residuals[i]})
         out.append(
-            wedge_sum(prob.tau().forms, coeffs)
+            wedge_sum(prob.tau(), coeffs)
             if coeffs
             else DifferentialForm.zero(P_CHART, prob.table, 2)
         )

@@ -29,7 +29,7 @@ A residual the report renders as a form is mapped back to a chart form
 through the adapted tau forms, and only when it is nonzero.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cartan import _AFFINE, _G1, _G2, _T1, _T2, _T3, _T4, HALF, _nonzero, affine_value
@@ -90,7 +90,7 @@ def _add_wedge(acc, a, b, c):
 
 def adapted_tau_coframe(prob):
     """The adapted tau forms as a coframe: its inverse is the dual frame."""
-    return prob._memo("adapted_tau_coframe", lambda: Coframe(list(adapted_tau(prob).forms)))
+    return prob._memo("adapted_tau_coframe", lambda: Coframe(adapted_tau(prob)))
 
 
 def adapted_tau_differentials(prob):
@@ -203,24 +203,29 @@ class _TauAlgebra:
         zero = DifferentialForm.zero(M_ADAPTED_CHART, self.prob.table, degree)
         if not coeffs:
             return zero
-        taus = adapted_tau(self.prob).forms
+        taus = adapted_tau(self.prob)
         if degree == 2:
             return wedge_sum(taus, coeffs)
         return sum((taus[a].scale(c) for a, c in coeffs.items()), zero)
 
 
-@dataclass(frozen=True)
-class MetricConnectionReport:
-    torsion_residuals: tuple        # d tau^i + Gamma^i_j ∧ tau^j
-    antisymmetry_residuals: tuple   # symmetric part of the lowered connection
-    curvature_residuals: tuple      # 16 entries against the displayed list
-    horizontality_residuals: tuple  # coefficients of curvature along G1, G2
-    ricci_residuals: tuple          # Ric_ij + block metric
+class MetricConnectionReport(
+    namedtuple(
+        "MetricConnectionReport",
+        "torsion_residuals antisymmetry_residuals curvature_residuals"
+        " horizontality_residuals ricci_residuals",
+    )
+):
+    """Tuples of residuals: d tau^i + Gamma^i_j ∧ tau^j; the symmetric part
+    of the lowered connection; the 16 curvature entries against the
+    displayed list; the curvature's coefficients along G1, G2; and
+    Ric_ij + the block metric."""
+
+    __slots__ = ()
 
     @property
     def all_zero(self):
-        # every field is a tuple of residuals
-        return all(r.is_zero for group in vars(self).values() for r in group)
+        return all(r.is_zero for group in self for r in group)
 
 
 def expected_curvature_entries(kne, dn, de):
@@ -273,12 +278,18 @@ def metric_connection_report(fd, kne=None):
 # -- the so(2,2) Cartan connection ------------------------------------------
 
 
-@dataclass(frozen=True)
-class CartanConnectionReport:
-    algebra_residuals: tuple    # symmetric part of the lowered connection
-    curvature_residuals: tuple  # 16 entries against the displayed matrix
-    invariants_zero: bool       # k = n = e = 0 for this family instance
-    curvature_zero: bool        # the computed curvature vanishes
+class CartanConnectionReport(
+    namedtuple(
+        "CartanConnectionReport",
+        "algebra_residuals curvature_residuals invariants_zero curvature_zero",
+    )
+):
+    """The symmetric part of the lowered connection and the 16 curvature
+    entries against the displayed matrix, as residuals; whether
+    k = n = e = 0 for this family instance, and whether the computed
+    curvature vanishes."""
+
+    __slots__ = ()
 
     @property
     def all_zero(self):

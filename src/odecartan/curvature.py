@@ -15,11 +15,11 @@ process, with A and B the opaque functions A'(x, y) and B'(x, y); every
 member's values follow from them by putting in its own A and B.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
-from .cartan import HALF, TauBasis, adapted_chart_map
+from .cartan import HALF, adapted_chart_map
 from .errors import ChartError
 from .expression import Expression
 from .linalg import invert_matrix
@@ -94,14 +94,15 @@ def family_geometry():
     return metric, tensors, einstein_residual(metric, tensors)
 
 
-@dataclass(frozen=True)
-class ProjectabilityReport:
+class ProjectabilityReport(
+    namedtuple("ProjectabilityReport", "vertical_residuals invariance_residuals match_residuals")
+):
     """Evidence that the degenerate bilinear form on the 6-space descends
-    to the displayed quotient metric."""
+    to the displayed quotient metric: its components along d(alpha) and
+    d(p), the alpha- and p-derivatives of all its components, and its 4x4
+    block minus the displayed metric."""
 
-    vertical_residuals: tuple   # components along d(alpha), d(p)
-    invariance_residuals: tuple  # alpha- and p-derivatives of all components
-    match_residuals: tuple       # 4x4 block minus the displayed metric
+    __slots__ = ()
 
     @property
     def projects(self):
@@ -122,7 +123,7 @@ def tilde_metric_components(fd):
     def comp(form, axis):
         return form.comps.get((axis,), zero)
 
-    t1, t2, t3, t4 = tau.forms[:4]
+    t1, t2, t3, t4 = tau[:4]
     out = [[zero for _ in range(n)] for _ in range(n)]
     for a in range(n):
         for b in range(n):
@@ -140,7 +141,7 @@ def adapted_tau(prob):
 
     def build():
         mapping = adapted_chart_map(prob.table)
-        return TauBasis(tuple(f.pullback(mapping, M_ADAPTED_CHART) for f in prob.tau().forms))
+        return tuple(f.pullback(mapping, M_ADAPTED_CHART) for f in prob.tau())
 
     return prob._memo("adapted_tau", build)
 
@@ -175,14 +176,13 @@ def metric_from_family(fd):
     return metric, report
 
 
-@dataclass(frozen=True)
-class CurvatureTensors:
-    christoffel: tuple   # [i][j][k] upper, lower, lower (symmetric in j,k)
-    riemann_up: tuple    # [i][j][k][l]
-    riemann_down: tuple  # [i][j][k][l]
-    ricci: tuple         # [i][j]
-    scalar: Expression
-    weyl_down: tuple     # [i][j][k][l]
+CurvatureTensors = namedtuple(
+    "CurvatureTensors", "christoffel riemann_up riemann_down ricci scalar weyl_down"
+)
+CurvatureTensors.__doc__ = """Nested tuples indexed as christoffel[i][j][k] (upper, lower, lower;
+symmetric in j, k), riemann_up[i][j][k][l], riemann_down[i][j][k][l],
+ricci[i][j] and weyl_down[i][j][k][l]; the scalar curvature is an
+Expression."""
 
 
 def curvature_tensors(metric):

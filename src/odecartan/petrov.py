@@ -17,7 +17,7 @@ they are those of the opaque-coefficient geometry
 values of the jets of A' and B', taken from the member's A and B.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -178,14 +178,12 @@ def classify_traceless(m):
     return "D" if diagonalizable else "II"
 
 
-@dataclass(frozen=True)
-class PetrovPointResult:
+class PetrovPointResult(namedtuple("PetrovPointResult", "point label_plus label_minus")):
     """Petrov labels of the Weyl endomorphism at one exact rational point
-    on the +1 ("self-dual") and -1 ("anti-self-dual") Hodge eigenspaces."""
+    (a dict) on the +1 ("self-dual") and -1 ("anti-self-dual") Hodge
+    eigenspaces."""
 
-    point: dict
-    label_plus: str
-    label_minus: str
+    __slots__ = ()
 
     @property
     def unordered(self):

@@ -17,7 +17,7 @@ wall-clock timings section.
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .cartan import (
@@ -62,19 +62,24 @@ class AnalysisInputError(OdeCartanError):
         super().__init__(message)
 
 
-@dataclass
 class AnalysisRequest:
-    ode: str
-    opaque: dict = field(default_factory=dict)       # name -> tuple of args
-    stages: tuple = ("inv", "cond")
-    specializations: dict = field(default_factory=dict)  # name -> expression text
-    points: int = 5
-    seed: int = 0
+    """One request: the right-hand side's text, opaque functions (name ->
+    tuple of args), stage names, specialisations (name -> expression
+    text), the number of Petrov points and their seed."""
+
+    def __init__(
+        self, ode, opaque=(), stages=("inv", "cond"), specializations=(), points=5, seed=0
+    ):
+        self.ode, self.opaque, self.stages = ode, dict(opaque), stages
+        self.specializations, self.points, self.seed = dict(specializations), points, seed
 
     def normalized_stages(self):
         """Canonical stage names in request order, duplicates dropped;
-        every name is checked, including those next to ``all``."""
+        every name is checked, including those next to ``all``, and at
+        least one must be given."""
         names = [s.strip().lower() for s in self.stages]
+        if not names:
+            raise AnalysisInputError("bad-stage", "no stage requested")
         for s in names:
             if s != "all" and s not in _BY_NAME:
                 raise AnalysisInputError("bad-stage", f"unknown stage {s!r}")
@@ -83,11 +88,11 @@ class AnalysisRequest:
         return tuple(dict.fromkeys(_BY_NAME[s].name for s in names))
 
 
-@dataclass
-class AnalysisReport:
-    data: dict
-    verdicts: dict          # stage -> bool for populated, requested stages
-    stage_errors: dict      # stage -> {code, message}
+class AnalysisReport(namedtuple("AnalysisReport", "data verdicts stage_errors")):
+    """The report document, stage -> bool for populated, requested stages,
+    and stage -> {code, message}."""
+
+    __slots__ = ()
 
     @property
     def exit_code(self):
@@ -99,8 +104,9 @@ class AnalysisReport:
 class _State:
     """One request's inputs and what its stages leave for later ones."""
 
-    def __init__(self, request, report, prob):
+    def __init__(self, request, report, prob, specializations):
         self.request, self.report, self.prob = request, report, prob
+        self.specializations = specializations  # name -> parsed Expression
         self.family = self.kne = None  # FamilyData and its k, n, e; None outside the family
         self.sf = None  # set by inv
 
@@ -170,13 +176,12 @@ def _point_to_json(point):
     return {k: str(v) for k, v in sorted(point.items())}
 
 
-def _specialized_coefficients(request, family):
-    """A and B with the request's specialisations put in; a specialisation
-    of C is checked too, but C is not in the metric."""
-    table = family.problem.table
-    coeffs = {"A": family.A, "B": family.B, "C": family.C}
+def _parsed_specializations(request, table):
+    """Each specialisation parsed on the 2-jet chart: only A, B or C, and
+    only in x and y.  C is not in the metric, but a bad one is refused too."""
+    out = {}
     for name, text in request.specializations.items():
-        if name not in coeffs:
+        if name not in ("A", "B", "C"):
             raise AnalysisInputError(
                 "bad-specialization", f"{name!r} is not a family coefficient"
             )
@@ -190,8 +195,8 @@ def _specialized_coefficients(request, family):
                 "bad-specialization",
                 f"specialization of {name} may only use x and y, found {bad}",
             )
-        coeffs[name] = value
-    return coeffs["A"], coeffs["B"]
+        out[name] = value
+    return out
 
 
 # the Hodge eigenspace whose label is D, by (plus label is D, minus label is D)
@@ -207,7 +212,8 @@ def _run_petrov(st):
     jet's index.
     """
     request = st.request
-    A, B = _specialized_coefficients(request, st.family)
+    A = st.specializations.get("A", st.family.A)
+    B = st.specializations.get("B", st.family.B)
     leftover = sorted({s.render() for c in (A, B) for s in c.symbols() if not s.is_coordinate})
     if leftover:
         raise AnalysisInputError(
@@ -357,6 +363,7 @@ def analyze(request):
             table.declare(name, tuple(args))
         except (SymbolCollisionError, ChartError) as exc:
             raise AnalysisInputError("bad-opaque", str(exc)) from exc
+    specializations = _parsed_specializations(request, table)
 
     report = {
         "input": {
@@ -397,7 +404,7 @@ def analyze(request):
         return AnalysisReport(report, verdicts, {"ode": report["error"]})
 
     # family detection always runs; it is cheap and the report requires it
-    state = _State(request, report, prob)
+    state = _State(request, report, prob, specializations)
     try:
         family = state.family = family_detect(prob)
     except FamilyRejectionError as exc:

@@ -45,14 +45,14 @@ def _zero_form(table, degree=1):
 
 
 def _coframe(prob):
-    return Coframe(list(adapted_tau(prob).forms))
+    return Coframe(list(adapted_tau(prob)))
 
 
 def connection_matrix(fd, table):
     """Gamma^i_j = Σ_a c · tau_a on the adapted chart, from a coefficient
     table in the format of ``METRIC_CONNECTION``."""
     prob = fd.problem
-    forms = adapted_tau(prob).forms
+    forms = adapted_tau(prob)
     values = family_invariants(fd).as_dict()
     zero = Expression.number(0, M_ADAPTED_CHART, prob.table)
     out = [[_zero_form(prob.table) for _ in range(4)] for _ in range(4)]
@@ -68,7 +68,7 @@ def connection_matrix(fd, table):
 def displayed_metric_connection(fd):
     """The displayed 4x4 matrix of metric connection 1-forms."""
     table = fd.problem.table
-    t1, _, _, t4, g1, g2 = adapted_tau(fd.problem).forms
+    t1, _, _, t4, g1, g2 = adapted_tau(fd.problem)
     kne = family_invariants(fd)
     n, e = kne.n, kne.e
     off = t1.scale(-HALF * n) + t4.scale(e - HALF * n)
@@ -84,7 +84,7 @@ def displayed_metric_connection(fd):
 def displayed_cartan_connection(fd):
     """The displayed so(2,2)-valued connection in the tau basis."""
     table = fd.problem.table
-    t1, t2, t3, t4, g1, g2 = adapted_tau(fd.problem).forms
+    t1, t2, t3, t4, g1, g2 = adapted_tau(fd.problem)
     zero = _zero_form(table)
     half_sum = (g1 + g2 + t4).scale(HALF)
     return [
@@ -140,7 +140,7 @@ def expected_curvature_entries(fd):
     prob = fd.problem
     tau = adapted_tau(prob)
     cf = _coframe(prob)
-    t1, t2, t3, t4 = tau.forms[:4]
+    t1, t2, t3, t4 = tau[:4]
     kne = family_invariants(fd)
     k, n, e = kne.k, kne.n, kne.e
     n1 = cf.frame_derivatives(n)[0]
@@ -168,7 +168,7 @@ def expected_cartan_curvature(fd):
     tau = adapted_tau(prob)
     kne = family_invariants(fd)
     k, n, e = kne.k, kne.n, kne.e
-    t14 = tau.forms[0].wedge(tau.forms[3])
+    t14 = tau[0].wedge(tau[3])
     zero2 = _zero_form(prob.table, 2)
     ex = [[zero2 for _ in range(4)] for _ in range(4)]
     ex[0][0] = t14.scale(-HALF * k)
@@ -182,7 +182,7 @@ def expected_cartan_curvature(fd):
 
 def chart_metric_connection_report(fd, table=METRIC_CONNECTION):
     prob = fd.problem
-    taus = adapted_tau(prob).forms[:4]
+    taus = adapted_tau(prob)[:4]
     gamma = connection_matrix(fd, table)
 
     torsion = []
@@ -263,7 +263,7 @@ def ricci_formalism_residuals(fd, tensors):
                 for j in range(4):
                     gij = BLOCK_METRIC[i][j]
                     if gij:
-                        rhs = rhs - comp(tau.forms[i], a) * comp(tau.forms[j], b) * gij
+                        rhs = rhs - comp(tau[i], a) * comp(tau[j], b) * gij
             lhs = (
                 tensors.ricci[a][b].on_chart(M_ADAPTED_CHART)
                 if a < 4 and b < 4
@@ -457,7 +457,7 @@ def specialised_sections(request):
 
 def tau_from_theta_residuals(cf, tau):
     """Round trip tau-basis -> original coframe; all residuals must vanish."""
-    t1, t2, t3, t4, g1, g2 = tau.forms
+    t1, t2, t3, t4, g1, g2 = tau
     th1, th2, th3, th4, om1, om2 = cf.forms
     return [
         (t1 - t4).scale(HALF) - th1,

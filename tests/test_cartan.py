@@ -45,8 +45,8 @@ from tests.oracles import tau_from_theta_residuals
 def chart_level_residuals(tau, table, sf=None):
     """Reference oracle for ``differential_residuals``: d(tau_i) taken on
     the chart, minus the table's wedges of tau forms built on the chart."""
-    chart = tau.forms[0].chart
-    symtable = tau.forms[0].table
+    chart = tau[0].chart
+    symtable = tau[0].table
     zero = Expression.number(0, chart, symtable)
     values = sf.as_dict() if sf is not None else dict.fromkeys(STRUCTURE_NAMES, zero)
     out = []
@@ -57,8 +57,8 @@ def chart_level_residuals(tau, table, sf=None):
             for name, mult in mults.items():
                 coeff = coeff + mult * values[name]
             if not coeff.is_zero:
-                rhs = rhs + tau.forms[left].wedge(tau.forms[right]).scale(coeff)
-        out.append(tau.forms[i].exterior_derivative() - rhs)
+                rhs = rhs + tau[left].wedge(tau[right]).scale(coeff)
+        out.append(tau[i].exterior_derivative() - rhs)
     return out
 
 
@@ -301,7 +301,7 @@ class TestTauBasis:
         alpha = Expression.coordinate("alpha", M_ADAPTED_CHART, table)
         p = Expression.coordinate("p", M_ADAPTED_CHART, table)
         dx = DifferentialForm.d_coord(M_ADAPTED_CHART, table, "x")
-        assert (tau.forms[3] - dx.scale(2 * alpha * p)).is_zero
+        assert (tau[3] - dx.scale(2 * alpha * p)).is_zero
 
     def test_full_null_coframe_display(self, family_data):
         from odecartan.curvature import adapted_tau
@@ -326,7 +326,7 @@ class TestTauBasis:
             dx.scale(2 * alpha * p),
         ]
         tau = adapted_tau(prob)
-        for computed, shown in zip(tau.forms[:4], expected):
+        for computed, shown in zip(tau[:4], expected):
             assert (computed - shown).is_zero
 
 

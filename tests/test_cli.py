@@ -287,3 +287,4 @@ def test_runtime_imports_only_the_standard_library():
     loaded = set(proc.stdout.split())
     assert "odecartan" in loaded
     assert loaded - set(sys.stdlib_module_names) == {"odecartan"}
+    assert not loaded & {"dataclasses", "inspect"}

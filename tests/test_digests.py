@@ -4,7 +4,9 @@
 report, without its wall-clock ``timings``, and ``perfbench/check.py``
 computes it.  Here one Petrov seed of each family shape runs in process
 and must give its recorded digest, so a change that alters the bytes of
-a family report fails the suite, not only the benchmark.  The two
+a family report fails the suite, not only the benchmark.  The wrappers
+of the benchmark's ``--trace`` mode (``perfbench/spans.py``) must still
+find every target they name and leave a report unchanged.  The
 ``perfbench`` modules are loaded read-only.
 """
 
@@ -35,6 +37,7 @@ def _load(name):
 
 workloads = _load("workloads")
 check = _load("check")
+spans = _load("spans")
 
 
 def _family_requests():
@@ -71,3 +74,19 @@ def test_family_report_matches_its_recorded_digest(req, digests):
     report = odecartan.analyze(req.analysis_request(odecartan))
     document = odecartan.emit_report(report, req.fmt)
     assert check.problems(req, report.exit_code, document, digests) == []
+
+
+def test_traced_report_equals_the_untraced_one():
+    req = workloads.generic(workloads.GENERIC_A[0], workloads.GENERIC_B[0], seed=0)
+    untraced = odecartan.analyze(req.analysis_request(odecartan))
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        traced = odecartan.analyze(req.analysis_request(odecartan))
+    finally:
+        tracer.restore()
+    assert tracer.leaks() == []
+    assert tracer.counts["report.analyze_calls"] == 1
+    for report in (traced, untraced):
+        del report.data["timings"]
+    assert traced == untraced

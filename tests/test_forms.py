@@ -146,7 +146,7 @@ class TestChartChange:
         table = family_data.problem.table
         alpha = Expression.coordinate("alpha", M_ADAPTED_CHART, table)
         expected = d(M_ADAPTED_CHART, table, "y").scale(2 * alpha)
-        assert tau.forms[0] == expected
+        assert tau[0] == expected
 
 
 class TestCoframe:

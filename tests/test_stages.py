@@ -122,7 +122,8 @@ class TestStageErrors:
             "--ode", FLAT, "--stages", "petrov", "--specialize", "D=x", "--format", "text"
         )
         assert proc.returncode == 2
-        assert "stage petrov error [bad-specialization]" in proc.stdout
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["error"]["code"] == "bad-specialization"
 
 
 class TestPatternGate:
@@ -149,6 +150,31 @@ class TestPatternGate:
 
 
 class TestRequestValidation:
+    def test_an_empty_stage_list_is_rejected(self):
+        with pytest.raises(AnalysisInputError) as info:
+            analyze(AnalysisRequest(ode="q^2", stages=()))
+        assert info.value.code == "bad-stage"
+
+    @pytest.mark.parametrize("stages", [",", ""])
+    def test_cli_rejects_an_empty_stage_list(self, stages):
+        proc = run_cli("--ode", "q^2", "--stages", stages)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["error"]["code"] == "bad-stage"
+
+    @pytest.mark.parametrize("name, text", [("D", "x"), ("A", "p"), ("A", "x+")])
+    def test_a_bad_specialization_is_rejected_without_petrov(self, name, text):
+        with pytest.raises(AnalysisInputError) as info:
+            analyze(AnalysisRequest(ode=FLAT, stages=("inv",), specializations={name: text}))
+        assert info.value.code == "bad-specialization"
+        proc = run_cli("--ode", FLAT, "--stages", "inv", "--specialize", f"{name}={text}")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == {
+            "code": "bad-specialization",
+            "message": str(info.value),
+        }
+
     @pytest.mark.parametrize("points", [0, -2])
     def test_points_below_one_are_rejected_before_any_stage(self, points):
         with pytest.raises(AnalysisInputError) as info:
