@@ -25,7 +25,7 @@ from .errors import (
 )
 from .expression import Expression
 from .forms import Coframe, DifferentialForm, pair_minors, wedge_sum
-from .symbols import J2_CHART, M_ADAPTED_CHART, P_CHART
+from .symbols import J2_CHART, M_ADAPTED_CHART, P_CHART, Sym, SymbolTable
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -477,6 +477,25 @@ def family_detect(prob):
             "a remainder term outside A p^3 + C p^2 + B p is present",
         )
     return FamilyData(prob, A, B, C)
+
+
+# Names of the opaque A, B and C in ``generic_family``: ``SymbolTable.declare``
+# never accepts them, so they cannot meet a request's own functions.
+GENERIC_COEFFICIENTS = ("A'", "B'", "C'")
+
+
+@cache
+def generic_family():
+    """``FamilyData`` of F' = (3/2) q^2/p + A' p^3 + C' p^2 + B' p, with A',
+    B', C' opaque in x and y.  Its denominators are monomials in alpha and
+    p, so putting in a member's A, B, C is a ring homomorphism and an
+    identity verified for F' holds for every member.  Built on first use
+    and shared for the life of the process: callers must not mutate it."""
+    table = SymbolTable()
+    A, B, C = (Expression.from_sym(Sym(n, ("x", "y")), J2_CHART, table) for n in GENERIC_COEFFICIENTS)
+    p, q = (Expression.coordinate(c, J2_CHART, table) for c in "pq")
+    rhs = Fraction(3, 2) * q * q / p + A * p ** 3 + C * p * p + B * p
+    return FamilyData(OdeProblem(rhs, table), A, B, C)
 
 
 def adapted_chart_map(table):

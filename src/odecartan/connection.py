@@ -27,6 +27,10 @@ expansion on the chart:
 
 A residual the report renders as a form is mapped back to a chart form
 through the adapted tau forms, and only when it is nonzero.
+
+Every residual is an identity in A, B, C, so the ``conn`` stage builds
+both reports once per process, for ``cartan.generic_family``, and reads a
+request's flatness off its own k, n, e (``expected_cartan_curvature``).
 """
 
 from collections import namedtuple
@@ -88,11 +92,6 @@ def _add_wedge(acc, a, b, c):
         _accumulate(acc, (a, b) if a < b else (b, a), c if a < b else -c)
 
 
-def adapted_tau_coframe(prob):
-    """The adapted tau forms as a coframe: its inverse is the dual frame."""
-    return prob._memo("adapted_tau_coframe", lambda: Coframe(adapted_tau(prob)))
-
-
 def adapted_tau_differentials(prob):
     """d(tau_i) in the tau^tau basis of the adapted chart, one
     ``{(l, r): coefficient}`` dict per tau form, zero coefficients left
@@ -122,6 +121,7 @@ class _TauAlgebra:
         self.zero = Expression.number(0, M_ADAPTED_CHART, self.prob.table)
         self.values = kne.as_dict()
         self.dtau = adapted_tau_differentials(self.prob)
+        self.frame = None  # the adapted tau forms as a Coframe, built on first use
         self.derivs = {}
         self.gamma = {}
         for ij, row in table.items():
@@ -130,14 +130,14 @@ class _TauAlgebra:
                 self.gamma[ij] = entry
 
     def frame_derivatives(self, name):
-        """X_b(invariant) for b = 0..5."""
+        """X_b(invariant) for b = 0..5: the coframe's inverse is the dual frame."""
         if name not in self.derivs:
             value = self.values[name]
-            self.derivs[name] = (
-                [self.zero] * 6
-                if value.is_zero
-                else adapted_tau_coframe(self.prob).frame_derivatives(value)
-            )
+            if value.is_zero:
+                self.derivs[name] = [self.zero] * 6
+            else:
+                self.frame = self.frame or Coframe(adapted_tau(self.prob))
+                self.derivs[name] = self.frame.frame_derivatives(value)
         return self.derivs[name]
 
     def curvature(self):
@@ -246,8 +246,8 @@ def expected_curvature_entries(kne, dn, de):
     }
 
 
-def metric_connection_report(fd, kne=None):
-    kne = kne if kne is not None else family_invariants(fd)
+def metric_connection_report(fd):
+    kne = family_invariants(fd)
     alg = _TauAlgebra(fd, METRIC_CONNECTION, kne)
     zero = alg.zero
     curv = alg.curvature()
@@ -318,8 +318,8 @@ def expected_cartan_curvature(kne):
     }
 
 
-def cartan_connection_report(fd, kne=None):
-    kne = kne if kne is not None else family_invariants(fd)
+def cartan_connection_report(fd):
+    kne = family_invariants(fd)
     alg = _TauAlgebra(fd, CARTAN_CONNECTION, kne)
     curv = alg.curvature()
     return CartanConnectionReport(

@@ -9,21 +9,21 @@ structure-equation picture:
     Weyl          trace correction with 1/2 and 1/6 in four dimensions
 
 The quotient metric of the cubic family is split signature with unit
-determinant, Einstein with cosmological constant -1.  ``family_geometry``
-builds that metric, its tensors and its Einstein residual once per
-process, with A and B the opaque functions A'(x, y) and B'(x, y); every
-member's values follow from them by putting in its own A and B.
+determinant, Einstein with cosmological constant -1, and it projects from
+the 6-space.  These are identities in A, B, C, verified once per process
+on ``cartan.generic_family`` (opaque A', B', C'): ``family_geometry`` and
+``metric_from_family`` of that member hold every member's values.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
-from .cartan import HALF, adapted_chart_map
+from .cartan import HALF, generic_family, to_adapted
 from .errors import ChartError
 from .expression import Expression
 from .linalg import invert_matrix
-from .symbols import METRIC_CHART, M_ADAPTED_CHART, Sym, SymbolTable
+from .symbols import METRIC_CHART, M_ADAPTED_CHART
 
 DIM = 4
 
@@ -45,14 +45,14 @@ class Metric4:
         self.ginv, self.det = invert_matrix(self.g)
 
 
-def _metric(A, B, table):
-    """G = -(t^2 + 2B) dx^2 + 2 dt dx + (2A - z^2) dy^2 + 2 dz dy on
-    (x, y, z, t), for A and B on that chart."""
-    chart = METRIC_CHART
-    z = Expression.coordinate("z", chart, table)
-    t = Expression.coordinate("t", chart, table)
-    zero = Expression.number(0, chart, table)
-    one = Expression.number(1, chart, table)
+def family_metric(fd):
+    """The quotient metric of the cubic family on (x, y, z, t),
+    G = -(t^2 + 2B) dx^2 + 2 dt dx + (2A - z^2) dy^2 + 2 dz dy;
+    the quadratic coefficient C drops out entirely."""
+    A, B, _ = fd.coefficients_on(METRIC_CHART)
+    table = fd.problem.table
+    z, t = (Expression.coordinate(c, METRIC_CHART, table) for c in "zt")
+    zero, one = (Expression.number(v, METRIC_CHART, table) for v in (0, 1))
     g = [[zero for _ in range(DIM)] for _ in range(DIM)]
     g[0][0] = -(t * t + 2 * B)
     g[0][3] = g[3][0] = one
@@ -61,22 +61,11 @@ def _metric(A, B, table):
     return Metric4(g, table)
 
 
-def family_metric(fd):
-    """The quotient metric of the cubic family on (x, y, z, t);
-    the quadratic coefficient C drops out entirely."""
-    A, B, _ = fd.coefficients_on(METRIC_CHART)
-    return _metric(A, B, fd.problem.table)
-
-
-# Names of the opaque A and B in ``family_geometry``: ``SymbolTable.declare``
-# never accepts them, so they cannot meet a request's own functions.
-GENERIC_COEFFICIENTS = ("A'", "B'")
-
-
 @cache
 def family_geometry():
     """(metric, curvature tensors, Einstein residual) of the family metric
-    with A and B the opaque functions A'(x, y) and B'(x, y).
+    of ``cartan.generic_family``, with A and B the opaque A'(x, y) and
+    B'(x, y).
 
     det G = 1, so g^-1 and every tensor are polynomials in z, t and the
     jets of A' and B'.  Putting in a member's A, B and their derivatives is
@@ -84,12 +73,7 @@ def family_geometry():
     a point extended with the jets' values are the member's values there.
     Built on first use and shared for the life of the process: callers must
     not mutate it."""
-    table = SymbolTable()
-    A, B = (
-        Expression.from_sym(Sym(name, ("x", "y")), METRIC_CHART, table)
-        for name in GENERIC_COEFFICIENTS
-    )
-    metric = _metric(A, B, table)
+    metric = family_metric(generic_family())
     tensors = curvature_tensors(metric)
     return metric, tensors, einstein_residual(metric, tensors)
 
@@ -115,64 +99,30 @@ class ProjectabilityReport(
 
 def tilde_metric_components(fd):
     """The bilinear form 2 tau1 tau2 + 2 tau3 tau4 on the adapted 6-chart."""
-    prob = fd.problem
-    tau = adapted_tau(prob)
-    n = M_ADAPTED_CHART.dim
-    zero = Expression.number(0, M_ADAPTED_CHART, prob.table)
-
-    def comp(form, axis):
-        return form.comps.get((axis,), zero)
-
-    t1, t2, t3, t4 = tau[:4]
-    out = [[zero for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            out[a][b] = (
-                comp(t1, a) * comp(t2, b)
-                + comp(t2, a) * comp(t1, b)
-                + comp(t3, a) * comp(t4, b)
-                + comp(t4, a) * comp(t3, b)
-            )
-    return out
+    axes = range(M_ADAPTED_CHART.dim)
+    zero = Expression.number(0, M_ADAPTED_CHART, fd.problem.table)
+    t1, t2, t3, t4 = ([f.comps.get((a,), zero) for a in axes] for f in adapted_tau(fd.problem)[:4])
+    return [[t1[a] * t2[b] + t2[a] * t1[b] + t3[a] * t4[b] + t4[a] * t3[b] for b in axes] for a in axes]
 
 
 def adapted_tau(prob):
     """Tau basis pulled over to the chart (x, y, z, t, alpha, p), cached."""
-
-    def build():
-        mapping = adapted_chart_map(prob.table)
-        return tuple(f.pullback(mapping, M_ADAPTED_CHART) for f in prob.tau())
-
-    return prob._memo("adapted_tau", build)
+    return prob._memo("adapted_tau", lambda: tuple(to_adapted(f, prob.table) for f in prob.tau()))
 
 
 def metric_from_family(fd):
     """Displayed quotient metric plus the projectability evidence."""
-    prob = fd.problem
-    table = prob.table
     gt = tilde_metric_components(fd)
-    n = M_ADAPTED_CHART.dim
-    vertical_axes = (M_ADAPTED_CHART.axis("alpha"), M_ADAPTED_CHART.axis("p"))
-
-    vertical = []
-    for a in range(n):
-        for b in range(n):
-            if a in vertical_axes or b in vertical_axes:
-                vertical.append(gt[a][b])
-    invariance = []
-    for a in range(n):
-        for b in range(a, n):
-            invariance.append(gt[a][b].differentiate("alpha"))
-            invariance.append(gt[a][b].differentiate("p"))
-
     metric = family_metric(fd)
-    match = []
-    for i in range(DIM):
-        for j in range(DIM):
-            displayed = metric.g[i][j].on_chart(M_ADAPTED_CHART)
-            match.append(gt[i][j] - displayed)
-
-    report = ProjectabilityReport(tuple(vertical), tuple(invariance), tuple(match))
+    axes = range(M_ADAPTED_CHART.dim)
+    vertical = (M_ADAPTED_CHART.axis("alpha"), M_ADAPTED_CHART.axis("p"))
+    report = ProjectabilityReport(
+        tuple(gt[a][b] for a in axes for b in axes if a in vertical or b in vertical),
+        tuple(gt[a][b].differentiate(c) for a in axes for b in axes[a:] for c in ("alpha", "p")),
+        tuple(
+            gt[i][j] - metric.g[i][j].on_chart(M_ADAPTED_CHART) for i in range(DIM) for j in range(DIM)
+        ),
+    )
     return metric, report
 
 

@@ -19,18 +19,21 @@ import random
 import time
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 
 from .cartan import (
+    GENERIC_COEFFICIENTS,
     OdeProblem,
     STRUCTURE_NAMES,
     check_einstein_conditions,
     family_detect,
     family_invariants,
     family_invariants_residuals,
+    generic_family,
     verify_appendix,
 )
-from .connection import cartan_connection_report, metric_connection_report
-from .curvature import GENERIC_COEFFICIENTS, family_geometry, metric_from_family
+from .connection import cartan_connection_report, expected_cartan_curvature, metric_connection_report
+from .curvature import family_geometry, family_metric, metric_from_family
 from .errors import (
     ChartError,
     DegenerateOdeError,
@@ -77,6 +80,12 @@ class AnalysisRequest:
         """Canonical stage names in request order, duplicates dropped;
         every name is checked, including those next to ``all``, and at
         least one must be given."""
+        if not isinstance(self.stages, (list, tuple)) or not all(
+            isinstance(s, str) for s in self.stages
+        ):
+            raise AnalysisInputError(
+                "bad-stage", f"stages must be a list or tuple of names, got {self.stages!r}"
+            )
         names = [s.strip().lower() for s in self.stages]
         if not names:
             raise AnalysisInputError("bad-stage", "no stage requested")
@@ -139,8 +148,21 @@ def _run_cond(st):
     return cond.all_hold
 
 
+@cache
+def _generic_projectability():
+    """The projectability evidence of ``generic_family``: every member's."""
+    return metric_from_family(generic_family())[1]
+
+
+@cache
+def _generic_connection_reports():
+    """Both connection reports of ``generic_family``: every member's."""
+    return metric_connection_report(generic_family()), cartan_connection_report(generic_family())
+
+
 def _run_metric(st):
-    metric, proj = metric_from_family(st.family)
+    metric = family_metric(st.family)
+    proj = _generic_projectability()
     st.report["metric"] = {
         "run": True,
         "components": [[e.render() for e in row] for row in metric.g],
@@ -256,17 +278,26 @@ def _run_petrov(st):
     return consistent
 
 
+# the metric connection's verdicts, one per residual group of its report
+_METRIC_CONNECTION_KEYS = (
+    "torsion_zero", "antisymmetry_zero", "curvature_matches", "horizontal", "ricci_is_minus_metric",
+)
+
+
 def _run_conn(st):
-    mrep = metric_connection_report(st.family, st.kne)
-    crep = cartan_connection_report(st.family, st.kne)
+    """The residuals of ``_generic_connection_reports``, with this request's
+    own k, n, e for the flatness verdict: the generic curvature residual
+    vanishes identically, so the curvature is the displayed matrix."""
+    mrep, crep = _generic_connection_reports()
+    expected = expected_cartan_curvature(st.kne).values()
+    crep = crep._replace(
+        invariants_zero=st.kne.all_zero(),
+        curvature_zero=all(c.is_zero for entry in expected for c in entry.values()),
+    )
     st.report["connection"] = {
         "run": True,
         "metric_connection": {
-            "torsion_zero": all(r.is_zero for r in mrep.torsion_residuals),
-            "antisymmetry_zero": all(r.is_zero for r in mrep.antisymmetry_residuals),
-            "curvature_matches": all(r.is_zero for r in mrep.curvature_residuals),
-            "horizontal": all(r.is_zero for r in mrep.horizontality_residuals),
-            "ricci_is_minus_metric": all(r.is_zero for r in mrep.ricci_residuals),
+            **{k: all(r.is_zero for r in group) for k, group in zip(_METRIC_CONNECTION_KEYS, mrep)},
             "torsion_residuals": [f.render() for f in mrep.torsion_residuals],
             "ricci_residuals": [e.render() for e in mrep.ricci_residuals],
         },
@@ -306,10 +337,11 @@ class _Stage:
 
 # Execution order.  The condition verdicts are a free byproduct of
 # extraction, so ``inv`` implies ``cond``: it runs whenever ``inv`` does and
-# reports a verdict whenever ``inv`` is requested.  ``einstein`` and ``petrov``
-# read the geometry that ``family_geometry`` builds once per process for
-# opaque A' and B'; they still need ``metric``, so the report shows the
-# request's own metric next to their verdicts.
+# reports a verdict whenever ``inv`` is requested.  The family stages read
+# evidence built once per process for ``generic_family`` (opaque A', B',
+# C').  ``einstein`` and ``petrov`` still need ``metric``, so the report
+# shows the request's own metric next to their verdicts; ``conn`` still
+# needs ``inv``, which verifies this request's structure pattern, d(tau).
 _STAGE_TABLE = (
     _Stage("inv", _run_inv, aliases=("invariants",), implies=("cond",)),
     _Stage("cond", _run_cond, aliases=("conditions",), needs=("inv",)),
@@ -351,6 +383,10 @@ def _error_code(exc):
 def analyze(request):
     """Run the pipeline and return an AnalysisReport."""
     requested = request.normalized_stages()
+    for code, name in (("bad-points", "points"), ("bad-seed", "seed")):
+        value = getattr(request, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise AnalysisInputError(code, f"{name} must be an integer, got {value!r}")
     if request.points < 1:
         raise AnalysisInputError("bad-points", f"points must be at least 1, got {request.points}")
     timings = {}
@@ -510,11 +546,7 @@ def _text_view(report):
         )
     if d["connection"].get("run"):
         m, c = d["connection"]["metric_connection"], d["connection"]["cartan_connection"]
-        metric_keys = (
-            "torsion_zero", "antisymmetry_zero", "curvature_matches", "horizontal",
-            "ricci_is_minus_metric",
-        )
-        lines.append(f"metric connection checks: {all(m[k] for k in metric_keys)}")
+        lines.append(f"metric connection checks: {all(m[k] for k in _METRIC_CONNECTION_KEYS)}")
         cartan_holds = (
             c["algebra_valued"] and c["curvature_matches"] and c["flatness_matches_invariants"]
         )

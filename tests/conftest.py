@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from odecartan import J2_CHART, Expression, SymbolTable, parse_expression
+from odecartan import J2_CHART, Chart, Expression, SymbolTable, parse_expression
 from odecartan.cartan import OdeProblem, family_detect
 
 # The CLI tests start child interpreters; they import odecartan from this
@@ -22,6 +22,9 @@ if _SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 FAMILY_TEXT = "3/2*q^2/p + A(x,y)*p^3 + C(x,y)*p^2 + B(x,y)*p"
+FAMILY_OPAQUE = {"A": ("x", "y"), "B": ("x", "y"), "C": ("x", "y")}
+# the chart of the family coefficients, for sampling them
+XY_CHART = Chart("XY", ("x", "y"))
 
 
 def make_problem(text, declare=()):

@@ -13,9 +13,14 @@ eigenspace and the 3x3 block of the Weyl operator solved on it, which the
 tests classify against the program's traces on the whole 6-space
 (``odecartan.petrov``).
 
-The Einstein and Petrov sections of a family request are checked against
-the specialised metric's own curvature, which the program no longer
-builds (it reads ``curvature.family_geometry`` at jet-extended points).
+The family stages read one member with opaque A', B', C'
+(``cartan.generic_family``), built once per process.  Each of their report
+sections is checked against the request's own path, which the program no
+longer takes: the Einstein and Petrov sections against the specialised
+metric's own curvature (the program reads ``curvature.family_geometry`` at
+jet-extended points), the metric and connection sections against
+``metric_from_family`` and both connection reports on the member's own
+``FamilyData`` (the program reads the generic member's residuals).
 """
 
 import random
@@ -28,8 +33,17 @@ from odecartan.connection import (
     METRIC_CONNECTION,
     CartanConnectionReport,
     MetricConnectionReport,
+    cartan_connection_report,
+    metric_connection_report,
 )
-from odecartan.curvature import DIM, adapted_tau, curvature_tensors, einstein_residual, family_metric
+from odecartan.curvature import (
+    DIM,
+    adapted_tau,
+    curvature_tensors,
+    einstein_residual,
+    family_metric,
+    metric_from_family,
+)
 from odecartan.errors import ChartError, PetrovDegeneracyError, SingularEvaluationError
 from odecartan.expression import Expression
 from odecartan.forms import Coframe, DifferentialForm
@@ -388,7 +402,57 @@ def restrict_operator(op, basis):
     return [aug[i][k:] for i in range(k)]
 
 
-# -- the specialised-metric Einstein and Petrov oracle --------------------------
+# -- the member's own family sections ------------------------------------------
+
+
+def _request_family(request):
+    """The ``FamilyData`` of a family request's own right-hand side."""
+    table = SymbolTable()
+    for name, args in request.opaque.items():
+        table.declare(name, args)
+    return family_detect(OdeProblem(parse_expression(request.ode, J2_CHART, table), table))
+
+
+def own_sections(request):
+    """The ``metric`` and ``connection`` report sections of a family
+    request, from the member's own 6-space: ``metric_from_family`` and both
+    connection reports on its own ``FamilyData``.  The program reads the
+    residuals of the generic member once per process instead."""
+    family = _request_family(request)
+    metric, proj = metric_from_family(family)
+    mrep, crep = metric_connection_report(family), cartan_connection_report(family)
+    metric_section = {
+        "run": True,
+        "components": [[e.render() for e in row] for row in metric.g],
+        "determinant": metric.det.render(),
+        "projectability": {
+            "projects": proj.projects,
+            "vertical_residuals": [e.render() for e in proj.vertical_residuals],
+            "invariance_residuals": [e.render() for e in proj.invariance_residuals],
+            "match_residuals": [e.render() for e in proj.match_residuals],
+        },
+    }
+    connection_section = {
+        "run": True,
+        "metric_connection": {
+            "torsion_zero": all(r.is_zero for r in mrep.torsion_residuals),
+            "antisymmetry_zero": all(r.is_zero for r in mrep.antisymmetry_residuals),
+            "curvature_matches": all(r.is_zero for r in mrep.curvature_residuals),
+            "horizontal": all(r.is_zero for r in mrep.horizontality_residuals),
+            "ricci_is_minus_metric": all(r.is_zero for r in mrep.ricci_residuals),
+            "torsion_residuals": [f.render() for f in mrep.torsion_residuals],
+            "ricci_residuals": [e.render() for e in mrep.ricci_residuals],
+        },
+        "cartan_connection": {
+            "algebra_valued": all(r.is_zero for r in crep.algebra_residuals),
+            "curvature_matches": all(r.is_zero for r in crep.curvature_residuals),
+            "invariants_zero": crep.invariants_zero,
+            "curvature_zero": crep.curvature_zero,
+            "flatness_matches_invariants": crep.flatness_matches_invariants,
+            "algebra_residuals": [f.render() for f in crep.algebra_residuals],
+        },
+    }
+    return metric_section, connection_section
 
 
 def specialised_sections(request):
@@ -398,11 +462,8 @@ def specialised_sections(request):
     in for A and B, then ``curvature_tensors`` and ``einstein_residual`` on
     it, classified at the seeded points the program draws.  The program
     reads one opaque-A', B' geometry at jet-extended points instead."""
-    table = SymbolTable()
-    for name, args in request.opaque.items():
-        table.declare(name, args)
-    prob = OdeProblem(parse_expression(request.ode, J2_CHART, table), table)
-    family = family_detect(prob)
+    family = _request_family(request)
+    prob, table = family.problem, family.problem.table
     A, B = (
         parse_expression(request.specializations[name], J2_CHART, table)
         if name in request.specializations

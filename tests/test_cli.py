@@ -6,8 +6,12 @@ import sys
 
 import pytest
 
-from odecartan import curvature
+from collections import Counter
+
+from odecartan import cartan, connection, curvature, forms
+from odecartan import report as report_module
 from odecartan.report import AnalysisRequest, analyze, emit_report
+from odecartan.symbols import M_ADAPTED_CHART
 
 REQUIRED_KEYS = [
     "input",
@@ -201,6 +205,17 @@ FAMILY_REQUEST = dict(
 )
 
 
+# four members, each running every stage: two specialised, a pole and flat
+FOUR_MEMBERS = [
+    AnalysisRequest(stages=("all",), **FAMILY_REQUEST),
+    AnalysisRequest(
+        stages=("all",), **dict(FAMILY_REQUEST, specializations={"A": "x^2 - y", "B": "3*y"})
+    ),
+    AnalysisRequest(ode="3/2*q^2/p + x/(y+1)*p^3 + (x + y)*p", stages=("all",)),
+    AnalysisRequest(ode="3/2*q^2/p", stages=("all",)),
+]
+
+
 class TestPetrovStage:
     def test_petrov_alone_matches_all_stages(self):
         alone = analyze(AnalysisRequest(stages=("petrov",), **FAMILY_REQUEST))
@@ -222,17 +237,50 @@ class TestPetrovStage:
 
         monkeypatch.setattr(curvature, "curvature_tensors", counting)
         curvature.family_geometry.cache_clear()
-        other = dict(FAMILY_REQUEST, specializations={"A": "x^2 - y", "B": "3*y"})
-        requests = [
-            AnalysisRequest(stages=("all",), **FAMILY_REQUEST),
-            AnalysisRequest(stages=("all",), **other),
-            AnalysisRequest(ode="3/2*q^2/p + x/(y+1)*p^3 + (x + y)*p", stages=("all",)),
-            AnalysisRequest(ode="3/2*q^2/p", stages=("all",)),
-        ]
-        reports = [analyze(r) for r in requests]
+        reports = [analyze(r) for r in FOUR_MEMBERS]
         assert [r.exit_code for r in reports] == [0] * 4
         assert [r.data["petrov"]["labels"] for r in reports] == [["D+II"]] * 3 + [["D+D"]]
         assert len(calls) == 1
+
+    def test_all_stages_build_the_generic_evidence_once(self, monkeypatch):
+        """The projectability evidence and both connection reports are built
+        once per process, for the generic member: after the caches are
+        cleared, four members run every stage, and the adapted tau forms
+        (six pullbacks), the 6x6 adapted inverse and the connection algebra
+        of each table are built once."""
+        calls = Counter()
+
+        def counting(owner, name, key=lambda *args: True):
+            original = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name] += bool(key(*args))
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("metric_from_family", "metric_connection_report", "cartan_connection_report"):
+            counting(report_module, name)
+        counting(connection, "_TauAlgebra")
+        counting(forms.DifferentialForm, "pullback", lambda form, mapping, target: target is M_ADAPTED_CHART)
+        counting(forms, "invert_matrix", lambda rows: rows[0][0].chart is M_ADAPTED_CHART)
+        for cached in (
+            cartan.generic_family,
+            curvature.family_geometry,
+            report_module._generic_projectability,
+            report_module._generic_connection_reports,
+        ):
+            cached.cache_clear()
+        reports = [analyze(r) for r in FOUR_MEMBERS]
+        assert [r.exit_code for r in reports] == [0] * 4
+        assert calls == {
+            "metric_from_family": 1,
+            "metric_connection_report": 1,
+            "cartan_connection_report": 1,
+            "_TauAlgebra": 2,
+            "pullback": 6,
+            "invert_matrix": 1,
+        }
 
     @pytest.mark.parametrize(
         "ode, opaque, specs, concrete, labels",

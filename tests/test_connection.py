@@ -1,6 +1,7 @@
 """Connection and curvature verifications on the 6-space."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from odecartan import cartan, connection
 from odecartan.cartan import family_detect, family_invariants
@@ -11,9 +12,13 @@ from odecartan.connection import (
     cartan_connection_report,
     metric_connection_report,
 )
-from odecartan.curvature import adapted_tau
+from odecartan.curvature import adapted_tau, family_geometry
+from odecartan.errors import SymbolCollisionError
+from odecartan.expression import Expression
 from odecartan.forms import Coframe, wedge_sum
-from tests.conftest import make_problem
+from odecartan.report import AnalysisRequest, analyze
+from odecartan.symbols import SymbolTable
+from tests.conftest import FAMILY_OPAQUE, FAMILY_TEXT, XY_CHART, make_problem
 from tests.oracles import (
     chart_cartan_connection_report,
     chart_metric_connection_report,
@@ -21,6 +26,7 @@ from tests.oracles import (
     displayed_cartan_connection,
     displayed_metric_connection,
     expected_cartan_curvature,
+    own_sections,
     ricci_formalism_residuals,
 )
 from tests.oracles import expected_curvature_entries as oracle_expected_curvature
@@ -183,14 +189,6 @@ class TestAgainstChartOracle:
         assert new.flatness_matches_invariants == old.flatness_matches_invariants
         assert new.all_zero
 
-    def test_invariants_passed_in_give_the_same_report(self, oracle_family):
-        kne = family_invariants(oracle_family)
-        assert_same_reports(
-            metric_connection_report(oracle_family, kne),
-            metric_connection_report(oracle_family),
-            METRIC_GROUPS,
-        )
-
     def test_tables_reproduce_the_displayed_matrices(self, oracle_family):
         for table, displayed in (
             (METRIC_CONNECTION, displayed_metric_connection(oracle_family)),
@@ -221,6 +219,80 @@ class TestAgainstChartOracle:
         tau = adapted_tau(prob)
         for form, coeffs in zip(tau, connection.adapted_tau_differentials(prob)):
             assert wedge_sum(tau, coeffs) == form.exterior_derivative()
+
+
+class TestOneGenericFamily:
+    """``metric`` and ``conn`` read the residuals of one member with opaque
+    A', B', C' (``cartan.generic_family``); the member's own 6-space
+    (``tests/oracles.py``) is the reference for their report sections."""
+
+    def test_the_generic_member_is_a_member_with_reserved_names(self):
+        fd = cartan.generic_family()
+        detected = family_detect(fd.problem)
+        assert (detected.A, detected.B, detected.C) == (fd.A, fd.B, fd.C)
+        for name in cartan.GENERIC_COEFFICIENTS:
+            with pytest.raises(SymbolCollisionError):
+                SymbolTable().declare(name, ("x", "y"))
+
+    def test_denominators_are_monomials_in_alpha_and_p(self):
+        """The premise that makes putting in a member's A, B, C a ring
+        homomorphism: no denominator holds a jet of A', B' or C'."""
+        fd = cartan.generic_family()
+        prob = fd.problem
+        frame = Coframe(list(adapted_tau(prob)))
+        metric, _, _ = family_geometry()
+        groups = {
+            "coframe inverse": [e for row in prob.coframe().inverse for e in row],
+            "adapted dual frame": [e for row in frame.inverse for e in row] + [frame.det],
+            "d(tau)": [c for d_tau in connection.adapted_tau_differentials(prob)
+                       for c in d_tau.values() if isinstance(c, Expression)],
+            "k, n, e": list(family_invariants(fd)),
+            "family_geometry": [e for row in metric.ginv for e in row] + [metric.det],
+        }
+        assert len(groups["d(tau)"]) > 0
+        for group, exprs in groups.items():
+            for e in exprs:
+                assert {s.name for s in e.den.symbols()} <= {"alpha", "p"}, group
+                assert len(e.den.terms) == 1, group
+
+    @pytest.mark.parametrize(
+        "ode, opaque, specs, flat",
+        [
+            ("3/2*q^2/p", {}, {}, True),
+            (FAMILY_TEXT, FAMILY_OPAQUE, {}, False),
+            ("3/2*q^2/p + x/(y+1)*p^3 + (x + y)*p", {}, {}, False),
+            # a concrete A specialised anyway: these sections read the member's own A
+            ("3/2*q^2/p + x*y*p^3 + 3*p^2 + (x+y)*p", {}, {"A": "y^2"}, False),
+            ("3/2*q^2/p + 7*p^3 + 2*p", {}, {}, True),
+        ],
+        ids=["flat", "opaque", "pole", "specialised", "constant"],
+    )
+    def test_stage_sections(self, ode, opaque, specs, flat):
+        request = AnalysisRequest(
+            ode=ode, opaque=opaque, stages=("metric", "conn"), specializations=specs
+        )
+        connection_section = assert_sections_match_own_reports(request)
+        cartan_section = connection_section["cartan_connection"]
+        assert cartan_section["invariants_zero"] is cartan_section["curvature_zero"] is flat
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_random_rational_members(self, sampler, seed):
+        gen = sampler(seed=seed, chart=XY_CHART)
+        A, B, C = (gen.expression().render() for _ in range(3))
+        assert_sections_match_own_reports(
+            AnalysisRequest(ode=f"3/2*q^2/p + ({A})*p^3 + ({C})*p^2 + ({B})*p", stages=("metric", "conn"))
+        )
+
+
+def assert_sections_match_own_reports(request):
+    report = analyze(request)
+    metric_section, connection_section = own_sections(request)
+    assert report.data["metric"] == metric_section
+    assert report.data["connection"] == connection_section
+    assert report.exit_code == 0
+    return connection_section
 
 
 def test_theta_wedges_in_the_tau_basis(family_problem):

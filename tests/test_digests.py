@@ -1,10 +1,12 @@
-"""Recorded report digests of the family's einstein and petrov stages.
+"""Recorded report digests of the family stages.
 
 ``perfbench/digests.json`` holds the sha256 of every benchmark request's
 report, without its wall-clock ``timings``, and ``perfbench/check.py``
 computes it.  Here one Petrov seed of each family shape runs in process
 and must give its recorded digest, so a change that alters the bytes of
-a family report fails the suite, not only the benchmark.  The wrappers
+a family report fails the suite, not only the benchmark.  Three requests
+of the ``cli`` workload pin the text view too, whose metric and
+connection lines are read off the same sections.  The wrappers
 of the benchmark's ``--trace`` mode (``perfbench/spans.py``) must still
 find every target they name and leave a report unchanged.  The
 ``perfbench`` modules are loaded read-only.
@@ -59,9 +61,19 @@ def _family_requests():
     return out
 
 
+def _text_requests():
+    """flat and two generic pairs of the ``cli`` workload, in the text format."""
+    a, b, seeds = workloads.GENERIC_A, workloads.GENERIC_B, workloads.PETROV_SEEDS
+    return [
+        workloads.flat(0, "text"),
+        workloads.generic(a[1], b[2], seeds[3], fmt="text"),
+        workloads.generic(a[3], b[0], seeds[1], fmt="text"),
+    ]
+
+
 def _request_id(req):
     detail = " ".join(text for _, text in req.specializations) or req.ode
-    return f"{req.kind}[{detail}] seed {req.seed}"
+    return f"{req.kind}[{detail}] seed {req.seed}" + (" text" if req.fmt == "text" else "")
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +81,7 @@ def digests():
     return check.load_digests()
 
 
-@pytest.mark.parametrize("req", _family_requests(), ids=_request_id)
+@pytest.mark.parametrize("req", _family_requests() + _text_requests(), ids=_request_id)
 def test_family_report_matches_its_recorded_digest(req, digests):
     report = odecartan.analyze(req.analysis_request(odecartan))
     document = odecartan.emit_report(report, req.fmt)

@@ -21,8 +21,7 @@ from odecartan.petrov import (
     weyl_operator_at,
 )
 from odecartan.report import AnalysisRequest, analyze
-from odecartan.symbols import Chart
-from tests.conftest import FAMILY_TEXT, make_problem
+from tests.conftest import FAMILY_OPAQUE, FAMILY_TEXT, XY_CHART, make_problem
 from tests.oracles import eigenspace_basis, restrict_operator, specialised_sections
 
 POINTS = [
@@ -375,10 +374,6 @@ class TestJetExtendedPoints:
             for sign, label in ((1, result.label_plus), (-1, result.label_minus)):
                 for basis in (halved_projector_basis(star, sign), eigenspace_basis(star, sign)):
                     assert classify_traceless(restrict_operator(weyl_op, basis)) == label
-
-
-FAMILY_OPAQUE = {"A": ("x", "y"), "B": ("x", "y"), "C": ("x", "y")}
-XY_CHART = Chart("XY", ("x", "y"))
 
 
 def assert_sections_match_oracle(request):

@@ -78,7 +78,7 @@ class TestStageErrors:
         def broken(family):
             raise OdeCartanError("metric construction failed")
 
-        monkeypatch.setattr(report_module, "metric_from_family", broken)
+        monkeypatch.setattr(report_module, "family_metric", broken)
         report = analyze(AnalysisRequest(ode=FLAT, stages=("all",)))
         errors = report.stage_errors
         assert errors["metric"] == {
@@ -180,6 +180,31 @@ class TestRequestValidation:
         with pytest.raises(AnalysisInputError) as info:
             analyze(AnalysisRequest(ode=FLAT, stages=("petrov",), points=points))
         assert info.value.code == "bad-points"
+
+    @pytest.mark.parametrize("stages", ["inv", b"inv", ("inv", 3), None], ids=repr)
+    def test_stages_that_are_not_a_list_of_names_are_rejected(self, stages):
+        with pytest.raises(AnalysisInputError) as info:
+            analyze(AnalysisRequest(ode=FLAT, stages=stages))
+        assert info.value.code == "bad-stage"
+        assert "list or tuple of names" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "field, value, code",
+        [
+            ("points", "3", "bad-points"),
+            ("points", True, "bad-points"),
+            ("points", 2.0, "bad-points"),
+            ("seed", "7", "bad-seed"),
+            ("seed", True, "bad-seed"),
+            ("seed", 7.0, "bad-seed"),
+        ],
+        ids=repr,
+    )
+    def test_a_points_or_seed_that_is_not_an_int_is_rejected(self, field, value, code):
+        with pytest.raises(AnalysisInputError) as info:
+            analyze(AnalysisRequest(ode=FLAT, stages=("petrov",), **{field: value}))
+        assert info.value.code == code
+        assert str(info.value) == f"{field} must be an integer, got {value!r}"
 
     @pytest.mark.parametrize("points", ["0", "-2"])
     def test_cli_rejects_points_below_one(self, points):
