@@ -68,10 +68,6 @@ class DifferentialForm:
     def is_zero(self):
         return not self.comps
 
-    def coefficient(self, *coords):
-        idx = tuple(self.chart.axis(c) for c in coords)
-        return self.comps.get(idx, Expression.number(0, self.chart, self.table))
-
     def __eq__(self, other):
         if not isinstance(other, DifferentialForm):
             return NotImplemented

@@ -207,6 +207,10 @@ def _parsed_specializations(request, table):
             raise AnalysisInputError(
                 "bad-specialization", f"{name!r} is not a family coefficient"
             )
+        if not isinstance(text, str):
+            raise AnalysisInputError(
+                "bad-specialization", f"specialization of {name} must be text, got {text!r}"
+            )
         try:
             value = parse_expression(text, J2_CHART, table)
         except (ExpressionSyntaxError, UnknownSymbolError) as exc:
@@ -389,12 +393,23 @@ def analyze(request):
             raise AnalysisInputError(code, f"{name} must be an integer, got {value!r}")
     if request.points < 1:
         raise AnalysisInputError("bad-points", f"points must be at least 1, got {request.points}")
+    if not isinstance(request.ode, str):
+        raise AnalysisInputError("bad-ode", f"ode must be expression text, got {request.ode!r}")
     timings = {}
     verdicts = {}
     stage_errors = {}
 
     table = SymbolTable()
     for name, args in request.opaque.items():
+        if not (
+            isinstance(name, str)
+            and isinstance(args, (list, tuple))
+            and all(isinstance(a, str) for a in args)
+        ):
+            raise AnalysisInputError(
+                "bad-opaque",
+                f"opaque {name!r}: need a str name and a list or tuple of str args, got {args!r}",
+            )
         try:
             table.declare(name, tuple(args))
         except (SymbolCollisionError, ChartError) as exc:

@@ -253,3 +253,91 @@ class TestBareissInverse:
         assert inv[0][0] == 1 / p
         assert inv[0][1] == -1 / (p * p)
         assert inv[1][1] == 1 / p
+
+
+def _rational_matrix(gen, n):
+    """An n x n matrix of sampled leaves; every row carries one entry over a
+    denominator that is not a monomial."""
+    x = Expression.coordinate("x", J2_CHART, gen.table)
+    rows = [[gen.leaf() for _ in range(n)] for _ in range(n)]
+    for row in rows:
+        row[gen.rng.randrange(n)] = gen.expression(1) / (x + gen.leaf() ** 2 + 1)
+    return rows
+
+
+class TestInverseOracle:
+    """Inverse and determinant against sympy's ``Matrix.inv`` and ``det``."""
+
+    def test_inverse_and_det_match_sympy(self, sampler):
+        sympy = pytest.importorskip("sympy")
+        from odecartan.linalg import invert_matrix
+        from tests.test_expression_oracles import _sympy
+
+        gen = sampler(seed=1414)
+        matrices = [_rational_matrix(gen, n) for n in (2, 2, 3, 3, 4)]
+        # a zero (0, 0) entry forces a row swap, which flips det's sign
+        matrices[0][0][0] = matrices[2][0][0] = matrices[0][0][0].with_value(0)
+        assert any(len(e.den) > 1 for rows in matrices for row in rows for e in row)
+        for rows in matrices:
+            inv, det = invert_matrix(rows)
+            theirs = sympy.Matrix([[_sympy(e, sympy) for e in row] for row in rows])
+            # elimination over sympy's fraction field: the default method
+            # takes seconds on these entries
+            assert sympy.cancel(_sympy(det, sympy) - theirs.det(method="domain-ge")) == 0
+            expected = theirs.inv()
+            for i, row in enumerate(inv):
+                for j, e in enumerate(row):
+                    assert sympy.cancel(_sympy(e, sympy) - expected[i, j]) == 0
+
+    def test_dependent_rows_are_singular(self, sampler):
+        from odecartan.linalg import invert_matrix
+
+        gen = sampler(seed=1415)
+        rows = _rational_matrix(gen, 3)
+        factor = gen.expression(1) / (Expression.coordinate("y", J2_CHART, gen.table) + 2)
+        rows[1] = [factor * e for e in rows[0]]
+        with pytest.raises(DegenerateCoframeError, match="singular"):
+            invert_matrix(rows)
+
+
+def _triangular_after_permutation(rows):
+    """At each column in order, some unused row has exactly one nonzero in
+    the remaining columns, in that column."""
+    unused = list(range(len(rows)))
+    for k in range(len(rows)):
+        hits = [
+            i for i in unused
+            if not rows[i][k].is_zero and sum(not e.is_zero for e in rows[i][k:]) == 1
+        ]
+        if not hits:
+            return False
+        unused.remove(hits[0])
+    return True
+
+
+class TestInvertedMatricesAreTriangular:
+    """Every matrix the program inverts is lower triangular in the chart's
+    coordinate order after a row permutation, so the sparsest-row pivot of
+    ``invert_matrix`` gets no fill in its left block."""
+
+    def test_the_helper_rejects_a_full_matrix(self, table):
+        x = Expression.coordinate("x", J2_CHART, table)
+        one = x.with_value(1)
+        assert not _triangular_after_permutation([[one, one], [one, x]])
+        assert _triangular_after_permutation([[x, one], [one, x.with_value(0)]])
+
+    @pytest.mark.parametrize(
+        "text", ["3/2*q^2/p", "q^2", "q^3/(p+y) + x*q/(p-x) + 1/(x+y)"]
+    )
+    def test_theta_coframe(self, text):
+        from tests.conftest import make_problem
+
+        assert _triangular_after_permutation(make_problem(text).coframe().matrix)
+
+    def test_family_metric_and_adapted_tau_coframe(self):
+        from odecartan.cartan import generic_family
+        from odecartan.curvature import adapted_tau, family_metric
+
+        fd = generic_family()
+        assert _triangular_after_permutation(family_metric(fd).g)
+        assert _triangular_after_permutation(Coframe(adapted_tau(fd.problem)).matrix)

@@ -249,6 +249,25 @@ class TestRequestValidation:
         assert proc.stdout == ""
         assert json.loads(proc.stderr)["error"]["code"] == "bad-opaque"
 
+    def test_an_ode_that_is_not_text_is_rejected(self):
+        with pytest.raises(AnalysisInputError) as info:
+            analyze(AnalysisRequest(ode=3))
+        assert info.value.code == "bad-ode"
+
+    @pytest.mark.parametrize(
+        "opaque", [{3: ("x",)}, {"A": 5}, {"A": "xy"}, {"A": ("x", 3)}], ids=repr
+    )
+    def test_a_wrongly_typed_opaque_declaration_is_rejected(self, opaque):
+        with pytest.raises(AnalysisInputError) as info:
+            analyze(AnalysisRequest(ode=FLAT, opaque=opaque))
+        assert info.value.code == "bad-opaque"
+
+    @pytest.mark.parametrize("text", [3, None], ids=repr)
+    def test_a_specialization_that_is_not_text_is_rejected(self, text):
+        with pytest.raises(AnalysisInputError) as info:
+            analyze(AnalysisRequest(ode=FLAT, stages=("inv",), specializations={"A": text}))
+        assert info.value.code == "bad-specialization"
+
     @pytest.mark.parametrize("item", [" =x", "=x", "A=", "A= ", "A"])
     def test_cli_rejects_an_empty_specialization(self, item):
         proc = run_cli("--ode", FLAT, "--stages", "inv", "--specialize", item)
