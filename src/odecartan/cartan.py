@@ -25,7 +25,7 @@ from .errors import (
 )
 from .expression import Expression
 from .forms import Coframe, DifferentialForm, pair_minors, wedge_sum
-from .symbols import J2_CHART, M_ADAPTED_CHART, P_CHART, Sym, SymbolTable
+from .symbols import J2_CHART, M_ADAPTED_CHART, P_CHART, Sym
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -46,7 +46,7 @@ class OdeProblem:
     and rejects rather than transforms (see ``family_detect``).
     """
 
-    def __init__(self, rhs, table):
+    def __init__(self, rhs):
         if rhs.chart is not J2_CHART:
             rhs = rhs.on_chart(J2_CHART)
         fqq = rhs.differentiate("q").differentiate("q")
@@ -54,7 +54,6 @@ class OdeProblem:
             raise DegenerateOdeError("F_qq is identically zero")
         self.F = rhs
         self.Fqq = fqq
-        self.table = table
         self._cache = {}
 
     def _memo(self, key, builder):
@@ -76,8 +75,7 @@ def invariant_K(prob):
     """The scalar K built from the first and second partials of F."""
     F = prob.F
     Fq = F.differentiate("q")
-    p = Expression.coordinate("p", F.chart, prob.table)
-    q = Expression.coordinate("q", F.chart, prob.table)
+    p, q = (Expression.coordinate(c, F.chart) for c in "pq")
     return (
         SIXTH
         * (
@@ -93,14 +91,9 @@ def invariant_K(prob):
 
 def base_coframe(prob, chart=J2_CHART):
     """The four contact forms of the ODE on the second jet space."""
-    table = prob.table
     F = prob.F.on_chart(chart)
-    dx = DifferentialForm.d_coord(chart, table, "x")
-    dy = DifferentialForm.d_coord(chart, table, "y")
-    dp = DifferentialForm.d_coord(chart, table, "p")
-    dq = DifferentialForm.d_coord(chart, table, "q")
-    p = Expression.coordinate("p", chart, table)
-    q = Expression.coordinate("q", chart, table)
+    dx, dy, dp, dq = (DifferentialForm.d_coord(chart, c) for c in "xypq")
+    p, q = (Expression.coordinate(c, chart) for c in "pq")
     return (
         dy - dx.scale(p),
         dp - dx.scale(q),
@@ -125,14 +118,13 @@ def invariant_coframe(prob, printed_display=False):
     (gamma - 1/3)F_q, and a -(gamma/alpha) d(alpha) tail); it exists so the
     tests can demonstrate that it fails the consistency check.
     """
-    table = prob.table
     chart = P_CHART
     F = prob.F.on_chart(chart)
     w1, w2, w3, w4 = base_coframe(prob, chart)
-    dalpha = DifferentialForm.d_coord(chart, table, "alpha")
-    dgamma = DifferentialForm.d_coord(chart, table, "gamma")
-    alpha = Expression.coordinate("alpha", chart, table)
-    gamma = Expression.coordinate("gamma", chart, table)
+    dalpha = DifferentialForm.d_coord(chart, "alpha")
+    dgamma = DifferentialForm.d_coord(chart, "gamma")
+    alpha = Expression.coordinate("alpha", chart)
+    gamma = Expression.coordinate("gamma", chart)
 
     Fq = F.differentiate("q")
     Fp = F.differentiate("p")
@@ -295,7 +287,7 @@ def structure_functions(prob, coframe=None):
     """
     cf = coframe if coframe is not None else prob.coframe()
     tables = [cf.expand_2(f.exterior_derivative()) for f in cf.forms]
-    zero = Expression.number(0, cf.chart, cf.table)
+    zero = Expression.number(0, cf.chart)
 
     values = {}
     for name, (eq, slot, solve) in _DEFINING_SLOTS.items():
@@ -351,7 +343,7 @@ _THETA_TO_TAU = {
 def tau_basis(cf):
     """Constant-coefficient change of basis to the null-adapted coframe:
     the six forms (tau1, tau2, tau3, tau4, gamma1, gamma2) as a tuple."""
-    zero = DifferentialForm.zero(cf.chart, cf.table, 1)
+    zero = DifferentialForm.zero(cf.chart, 1)
     return tuple(
         sum((f if m == 1 else f.scale(m) for f, m in zip(cf.forms, row) if m), zero)
         for row in _TAU
@@ -424,9 +416,8 @@ def family_detect(prob):
     sigma(x,y) in the denominator p + sigma is reported, never removed.
     """
     F = prob.F
-    table = prob.table
-    q = Expression.coordinate("q", J2_CHART, table)
-    p = Expression.coordinate("p", J2_CHART, table)
+    q = Expression.coordinate("q", J2_CHART)
+    p = Expression.coordinate("p", J2_CHART)
 
     S = prob.Fqq
     if _depends_on(S, "q"):
@@ -491,25 +482,22 @@ def generic_family():
     p, so putting in a member's A, B, C is a ring homomorphism and an
     identity verified for F' holds for every member.  Built on first use
     and shared for the life of the process: callers must not mutate it."""
-    table = SymbolTable()
-    A, B, C = (Expression.from_sym(Sym(n, ("x", "y")), J2_CHART, table) for n in GENERIC_COEFFICIENTS)
-    p, q = (Expression.coordinate(c, J2_CHART, table) for c in "pq")
+    A, B, C = (Expression.from_sym(Sym(n, ("x", "y")), J2_CHART) for n in GENERIC_COEFFICIENTS)
+    p, q = (Expression.coordinate(c, J2_CHART) for c in "pq")
     rhs = Fraction(3, 2) * q * q / p + A * p ** 3 + C * p * p + B * p
-    return FamilyData(OdeProblem(rhs, table), A, B, C)
+    return FamilyData(OdeProblem(rhs), A, B, C)
 
 
-def adapted_chart_map(table):
+def adapted_chart_map():
     """Substitution realizing the re-coordinatization gamma = z p,
     q = p (t - z p) of the 6-chart."""
-    z = Expression.coordinate("z", M_ADAPTED_CHART, table)
-    t = Expression.coordinate("t", M_ADAPTED_CHART, table)
-    p = Expression.coordinate("p", M_ADAPTED_CHART, table)
+    z, t, p = (Expression.coordinate(c, M_ADAPTED_CHART) for c in "ztp")
     return {"gamma": z * p, "q": p * (t - z * p)}
 
 
-def to_adapted(obj, table):
+def to_adapted(obj):
     """Pull a P-chart expression or form over to the adapted chart."""
-    mapping = adapted_chart_map(table)
+    mapping = adapted_chart_map()
     if isinstance(obj, DifferentialForm):
         return obj.pullback(mapping, M_ADAPTED_CHART)
     return obj.substitute(mapping, M_ADAPTED_CHART)
@@ -530,13 +518,9 @@ class KneInvariants(namedtuple("KneInvariants", "k n e")):
 
 def family_invariants(fd):
     """Closed forms of k, n, e in the coordinates (x, y, z, t, alpha, p)."""
-    table = fd.problem.table
     chart = M_ADAPTED_CHART
     A, B, C = fd.coefficients_on(chart)
-    alpha = Expression.coordinate("alpha", chart, table)
-    p = Expression.coordinate("p", chart, table)
-    z = Expression.coordinate("z", chart, table)
-    t = Expression.coordinate("t", chart, table)
+    alpha, p, z, t = (Expression.coordinate(c, chart) for c in ("alpha", "p", "z", "t"))
     k = -C / (4 * alpha ** 2 * p)
     n = (C.differentiate("y") - z * C - 2 * A.differentiate("x")) / (8 * alpha ** 3 * p)
     e = HALF * n + (t * C + 2 * B.differentiate("y") - C.differentiate("x")) / (
@@ -549,12 +533,11 @@ def family_invariants_residuals(fd, sf=None):
     """Closed forms minus the general extraction, pulled to the adapted
     chart; all three must vanish."""
     sf = sf if sf is not None else fd.problem.structure()
-    table = fd.problem.table
     kne = family_invariants(fd)
     return {
-        "k": to_adapted(sf.k, table) - kne.k,
-        "n": to_adapted(sf.n, table) - kne.n,
-        "e": to_adapted(sf.e, table) - kne.e,
+        "k": to_adapted(sf.k) - kne.k,
+        "n": to_adapted(sf.n) - kne.n,
+        "e": to_adapted(sf.e) - kne.e,
     }
 
 
@@ -742,7 +725,7 @@ def differential_residuals(prob, residuals, sf=None):
         out.append(
             wedge_sum(prob.tau(), coeffs)
             if coeffs
-            else DifferentialForm.zero(P_CHART, prob.table, 2)
+            else DifferentialForm.zero(P_CHART, 2)
         )
     return out
 

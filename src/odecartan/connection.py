@@ -100,7 +100,7 @@ def adapted_tau_differentials(prob):
 
     def build():
         values = {
-            name: 0 if v.is_zero else to_adapted(v, prob.table)
+            name: 0 if v.is_zero else to_adapted(v)
             for name, v in prob.structure().as_dict().items()
         }
         return [
@@ -118,7 +118,7 @@ class _TauAlgebra:
     def __init__(self, fd, table, kne):
         self.prob = fd.problem
         self.table = table
-        self.zero = Expression.number(0, M_ADAPTED_CHART, self.prob.table)
+        self.zero = Expression.number(0, M_ADAPTED_CHART)
         self.values = kne.as_dict()
         self.dtau = adapted_tau_differentials(self.prob)
         self.frame = None  # the adapted tau forms as a Coframe, built on first use
@@ -200,7 +200,7 @@ class _TauAlgebra:
     def form(self, coeffs, degree):
         """Σ c · tau_a or Σ c · tau_l ∧ tau_r as a chart form; only a
         nonzero residual pays for the chart work."""
-        zero = DifferentialForm.zero(M_ADAPTED_CHART, self.prob.table, degree)
+        zero = DifferentialForm.zero(M_ADAPTED_CHART, degree)
         if not coeffs:
             return zero
         taus = adapted_tau(self.prob)

@@ -31,16 +31,15 @@ DIM = 4
 class Metric4:
     """Symmetric nondegenerate metric on the chart (x, y, z, t)."""
 
-    __slots__ = ("chart", "table", "g", "ginv", "det")
+    __slots__ = ("chart", "g", "ginv", "det")
 
-    def __init__(self, components, table):
+    def __init__(self, components):
         chart = METRIC_CHART
         for i in range(DIM):
             for j in range(DIM):
                 if not (components[i][j] - components[j][i]).is_zero:
                     raise ChartError("metric components must be symmetric")
         self.chart = chart
-        self.table = table
         self.g = [[components[i][j] for j in range(DIM)] for i in range(DIM)]
         self.ginv, self.det = invert_matrix(self.g)
 
@@ -50,15 +49,14 @@ def family_metric(fd):
     G = -(t^2 + 2B) dx^2 + 2 dt dx + (2A - z^2) dy^2 + 2 dz dy;
     the quadratic coefficient C drops out entirely."""
     A, B, _ = fd.coefficients_on(METRIC_CHART)
-    table = fd.problem.table
-    z, t = (Expression.coordinate(c, METRIC_CHART, table) for c in "zt")
-    zero, one = (Expression.number(v, METRIC_CHART, table) for v in (0, 1))
+    z, t = (Expression.coordinate(c, METRIC_CHART) for c in "zt")
+    zero, one = (Expression.number(v, METRIC_CHART) for v in (0, 1))
     g = [[zero for _ in range(DIM)] for _ in range(DIM)]
     g[0][0] = -(t * t + 2 * B)
     g[0][3] = g[3][0] = one
     g[1][1] = 2 * A - z * z
     g[1][2] = g[2][1] = one
-    return Metric4(g, table)
+    return Metric4(g)
 
 
 @cache
@@ -100,14 +98,14 @@ class ProjectabilityReport(
 def tilde_metric_components(fd):
     """The bilinear form 2 tau1 tau2 + 2 tau3 tau4 on the adapted 6-chart."""
     axes = range(M_ADAPTED_CHART.dim)
-    zero = Expression.number(0, M_ADAPTED_CHART, fd.problem.table)
+    zero = Expression.number(0, M_ADAPTED_CHART)
     t1, t2, t3, t4 = ([f.comps.get((a,), zero) for a in axes] for f in adapted_tau(fd.problem)[:4])
     return [[t1[a] * t2[b] + t2[a] * t1[b] + t3[a] * t4[b] + t4[a] * t3[b] for b in axes] for a in axes]
 
 
 def adapted_tau(prob):
     """Tau basis pulled over to the chart (x, y, z, t, alpha, p), cached."""
-    return prob._memo("adapted_tau", lambda: tuple(to_adapted(f, prob.table) for f in prob.tau()))
+    return prob._memo("adapted_tau", lambda: tuple(to_adapted(f) for f in prob.tau()))
 
 
 def metric_from_family(fd):
@@ -138,7 +136,7 @@ Expression."""
 def curvature_tensors(metric):
     g = metric.g
     ginv = metric.ginv
-    zero = Expression.number(0, metric.chart, metric.table)
+    zero = Expression.number(0, metric.chart)
     coords = metric.chart.coords
 
     dg = [

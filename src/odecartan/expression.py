@@ -20,9 +20,9 @@ from .poly import Poly, mono_gcd, poly_gcd
 
 
 class Expression:
-    __slots__ = ("num", "den", "chart", "table")
+    __slots__ = ("num", "den", "chart")
 
-    def __init__(self, num, den, chart, table, _normalized=False):
+    def __init__(self, num, den, chart, _normalized=False):
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if not _normalized:
@@ -30,34 +30,33 @@ class Expression:
         self.num = num
         self.den = den
         self.chart = chart
-        self.table = table
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def number(cls, value, chart, table):
+    def number(cls, value, chart):
         # an int or a Fraction is already in lowest terms
-        return cls(Poly.const(value.numerator), Poly.const(value.denominator), chart, table,
+        return cls(Poly.const(value.numerator), Poly.const(value.denominator), chart,
                    _normalized=True)
 
     @classmethod
-    def coordinate(cls, name, chart, table):
-        return cls(Poly.var(chart.sym(name)), Poly.const(1), chart, table)
+    def coordinate(cls, name, chart):
+        return cls(Poly.var(chart.sym(name)), Poly.const(1), chart)
 
     @classmethod
-    def from_sym(cls, sym, chart, table):
+    def from_sym(cls, sym, chart):
         if sym.is_coordinate:
             chart.axis(sym.name)
         else:
             for a in sym.args:
                 chart.axis(a)
-        return cls(Poly.var(sym), Poly.const(1), chart, table)
+        return cls(Poly.var(sym), Poly.const(1), chart)
 
     def _wrap(self, num, den, normalized=False):
-        return Expression(num, den, self.chart, self.table, _normalized=normalized)
+        return Expression(num, den, self.chart, _normalized=normalized)
 
     def with_value(self, value):
-        return Expression.number(value, self.chart, self.table)
+        return Expression.number(value, self.chart)
 
     # -- predicates -----------------------------------------------------
 
@@ -204,7 +203,7 @@ class Expression:
             else:
                 for a in s.args:
                     chart.axis(a)
-        return Expression(self.num, self.den, chart, self.table, _normalized=True)
+        return Expression(self.num, self.den, chart, _normalized=True)
 
     def substitute(self, mapping, target_chart=None):
         """Simultaneous substitution of coordinates by expressions.
@@ -220,7 +219,7 @@ class Expression:
         images = {}
         for name, image in mapping.items():
             if isinstance(image, (int, Fraction)):
-                image = Expression.number(image, target, self.table)
+                image = Expression.number(image, target)
             if image.chart is not target:
                 raise ChartError("substituted expression lives on the wrong chart")
             images[name] = image
@@ -231,12 +230,12 @@ class Expression:
             else:
                 for a in s.args:
                     img = images.get(a)
-                    if img is not None and img != Expression.coordinate(a, target, self.table):
+                    if img is not None and img != Expression.coordinate(a, target):
                         raise ChartError(
                             f"cannot substitute {a!r}: it is an argument of {s.name!r}"
                         )
-        num = _subst_poly(self.num, images, target, self.table)
-        den = _subst_poly(self.den, images, target, self.table)
+        num = _subst_poly(self.num, images, target)
+        den = _subst_poly(self.den, images, target)
         if den.is_zero:
             raise SingularSubstitutionError("denominator vanishes identically after substitution")
         return num / den
@@ -311,12 +310,12 @@ def _normalize(num, den):
     return num, den
 
 
-def _subst_poly(poly, images, target, table):
-    zero = Expression.number(0, target, table)
+def _subst_poly(poly, images, target):
+    zero = Expression.number(0, target)
     acc = zero
     cache = {}
     for mono, coeff in poly.terms.items():
-        term = Expression.number(coeff, target, table)
+        term = Expression.number(coeff, target)
         for s, e in mono:
             key = (s.key, e)
             factor = cache.get(key)
@@ -324,7 +323,7 @@ def _subst_poly(poly, images, target, table):
                 if s.is_coordinate and s.name in images:
                     factor = images[s.name] ** e
                 else:
-                    factor = Expression.from_sym(s, target, table) ** e
+                    factor = Expression.from_sym(s, target) ** e
                 cache[key] = factor
             term = term * factor
         acc = acc + term
@@ -352,6 +351,31 @@ def _eval_poly(poly, point, powers):
     return Fraction(sum(n * (den // d) for n, d in terms), den)
 
 
+# CPython refuses to convert between int and str beyond
+# sys.get_int_max_str_digits() digits (4300 by default, never set below
+# 640); pieces this short always convert.
+_PIECE_DIGITS = 600
+_PIECE_BOUND = 10 ** _PIECE_DIGITS
+
+
+def int_from_digits(text):
+    """``int(text)`` for a string of decimal digits of any length."""
+    if len(text) <= _PIECE_DIGITS:
+        return int(text)
+    half = len(text) // 2
+    return int_from_digits(text[:-half]) * 10 ** half + int_from_digits(text[-half:])
+
+
+def int_to_digits(n):
+    """``str(n)`` for a nonnegative int of any size."""
+    if n < _PIECE_BOUND:
+        return str(n)
+    # half is at most half of n's digit count, so the high part is nonzero
+    half = int(n.bit_length() * 0.30103) // 2
+    high, low = divmod(n, 10 ** half)
+    return int_to_digits(high) + int_to_digits(low).zfill(half)
+
+
 def _render_mono(mono):
     return "*".join(s.render() + (f"^{e}" if e > 1 else "") for s, e in mono)
 
@@ -364,11 +388,11 @@ def _render_poly(poly):
         mono_txt = _render_mono(mono)
         mag = abs(coeff)
         if not mono_txt:
-            body = str(mag)
+            body = int_to_digits(mag)
         elif mag == 1:
             body = mono_txt
         else:
-            body = f"{mag}*{mono_txt}"
+            body = f"{int_to_digits(mag)}*{mono_txt}"
         if not parts:
             parts.append(body if coeff > 0 else f"-{body}")
         else:

@@ -29,32 +29,31 @@ def _wedge_indices(i1, i2):
 
 
 class DifferentialForm:
-    __slots__ = ("chart", "table", "degree", "comps")
+    __slots__ = ("chart", "degree", "comps")
 
-    def __init__(self, chart, table, degree, comps, _clean=False):
+    def __init__(self, chart, degree, comps, _clean=False):
         if not 0 <= degree <= chart.dim:
             raise ChartError(f"degree {degree} out of range on chart {chart.name}")
         if not _clean:
             comps = {idx: c for idx, c in comps.items() if not c.is_zero}
         self.chart = chart
-        self.table = table
         self.degree = degree
         self.comps = comps
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, chart, table, degree):
-        return cls(chart, table, degree, {}, _clean=True)
+    def zero(cls, chart, degree):
+        return cls(chart, degree, {}, _clean=True)
 
     @classmethod
     def scalar(cls, expr):
-        return cls(expr.chart, expr.table, 0, {(): expr})
+        return cls(expr.chart, 0, {(): expr})
 
     @classmethod
-    def d_coord(cls, chart, table, coord):
-        one = Expression.number(1, chart, table)
-        return cls(chart, table, 1, {(chart.axis(coord),): one}, _clean=True)
+    def d_coord(cls, chart, coord):
+        one = Expression.number(1, chart)
+        return cls(chart, 1, {(chart.axis(coord),): one}, _clean=True)
 
     # -- helpers ----------------------------------------------------------
 
@@ -89,11 +88,11 @@ class DifferentialForm:
                     comps[idx] = s
             else:
                 comps[idx] = c
-        return DifferentialForm(self.chart, self.table, self.degree, comps, _clean=True)
+        return DifferentialForm(self.chart, self.degree, comps, _clean=True)
 
     def __neg__(self):
         return DifferentialForm(
-            self.chart, self.table, self.degree,
+            self.chart, self.degree,
             {idx: -c for idx, c in self.comps.items()}, _clean=True,
         )
 
@@ -102,11 +101,11 @@ class DifferentialForm:
 
     def scale(self, factor):
         if isinstance(factor, (int, Fraction)):
-            factor = Expression.number(factor, self.chart, self.table)
+            factor = Expression.number(factor, self.chart)
         if factor.is_zero:
-            return DifferentialForm.zero(self.chart, self.table, self.degree)
+            return DifferentialForm.zero(self.chart, self.degree)
         return DifferentialForm(
-            self.chart, self.table, self.degree,
+            self.chart, self.degree,
             {idx: c * factor for idx, c in self.comps.items()},
         )
 
@@ -137,7 +136,7 @@ class DifferentialForm:
                 else:
                     if not term.is_zero:
                         comps[idx] = term
-        return DifferentialForm(self.chart, self.table, degree, comps, _clean=True)
+        return DifferentialForm(self.chart, degree, comps, _clean=True)
 
     def exterior_derivative(self):
         if self.degree >= self.chart.dim:
@@ -161,29 +160,21 @@ class DifferentialForm:
                         comps[nidx] = s
                 else:
                     comps[nidx] = term
-        return DifferentialForm(self.chart, self.table, self.degree + 1, comps, _clean=True)
+        return DifferentialForm(self.chart, self.degree + 1, comps, _clean=True)
 
     def pullback(self, mapping, target):
         """Pull back along the map sending this chart's coordinates to the
         given expressions on ``target`` (missing entries default to the
         same-named coordinate).  The map must be generically invertible;
         validity is the caller's concern (see ``change_chart``)."""
-        images = {}
-        for coord in self.chart.coords:
-            image = mapping.get(coord)
-            if image is None:
-                image = Expression.coordinate(coord, target, self.table)
-            elif isinstance(image, (int, Fraction)):
-                image = Expression.number(image, target, self.table)
-            images[coord] = image
+        images = _chart_images(self.chart, mapping, target)
         differentials = {
             coord: DifferentialForm.scalar(images[coord]).exterior_derivative()
             for coord in self.chart.coords
         }
-        subst = {c: images[c] for c in self.chart.coords}
-        out = DifferentialForm.zero(target, self.table, self.degree)
+        out = DifferentialForm.zero(target, self.degree)
         for idx, c in self.comps.items():
-            coeff = c.substitute(subst, target)
+            coeff = c.substitute(images, target)
             if coeff.is_zero:
                 continue
             term = DifferentialForm.scalar(coeff)
@@ -206,24 +197,34 @@ class DifferentialForm:
         return f"Form({self.render()})"
 
 
-def change_chart(form, mapping, target):
-    """Pullback with a symbolic check that the map is generically invertible."""
-    jacobian_nonsingular(form.chart, mapping, target, form.table)
-    return form.pullback(mapping, target)
-
-
-def jacobian_nonsingular(source, mapping, target, table):
-    """Raise unless the chart map has a not-identically-zero Jacobian."""
-    if source.dim != target.dim:
-        raise ChartError("chart map must preserve dimension")
-    rows = []
+def _chart_images(source, mapping, target):
+    """The image on ``target`` of each coordinate of ``source`` under a
+    chart map: an unmapped coordinate goes to the same-named one, an int or
+    a Fraction to a constant, an Expression to itself."""
+    images = {}
     for coord in source.coords:
         image = mapping.get(coord)
         if image is None:
-            image = Expression.coordinate(coord, target, table)
+            image = Expression.coordinate(coord, target)
         elif isinstance(image, (int, Fraction)):
-            image = Expression.number(image, target, table)
-        rows.append([image.differentiate(c) for c in target.coords])
+            image = Expression.number(image, target)
+        images[coord] = image
+    return images
+
+
+def change_chart(form, mapping, target):
+    """Pullback with a symbolic check that the map is generically invertible."""
+    images = _chart_images(form.chart, mapping, target)
+    jacobian_nonsingular(form.chart, images, target)
+    return form.pullback(images, target)
+
+
+def jacobian_nonsingular(source, mapping, target):
+    """Raise unless the chart map has a not-identically-zero Jacobian."""
+    if source.dim != target.dim:
+        raise ChartError("chart map must preserve dimension")
+    images = _chart_images(source, mapping, target)
+    rows = [[images[coord].differentiate(c) for c in target.coords] for coord in source.coords]
     try:
         invert_matrix(rows)
     except DegenerateCoframeError:
@@ -251,10 +252,10 @@ def pair_minors(vectors):
 def wedge_sum(forms, coeffs):
     """Σ c · forms[i] ∧ forms[j] over the ``{(i, j): c}`` entries."""
     first = forms[0]
-    out = DifferentialForm.zero(first.chart, first.table, 2)
+    out = DifferentialForm.zero(first.chart, 2)
     for (i, j), c in coeffs.items():
         if isinstance(c, (int, Fraction)):
-            c = Expression.number(c, first.chart, first.table)
+            c = Expression.number(c, first.chart)
         if c.is_zero:
             continue
         out = out + forms[i].wedge(forms[j]).scale(c)
@@ -271,20 +272,18 @@ class Coframe:
     on the first expansion and kept.
     """
 
-    __slots__ = ("chart", "table", "forms", "matrix", "inverse", "det", "_minors")
+    __slots__ = ("chart", "forms", "matrix", "inverse", "det", "_minors")
 
     def __init__(self, forms):
-        first = forms[0]
-        chart = first.chart
+        chart = forms[0].chart
         if len(forms) != chart.dim:
             raise DegenerateCoframeError("coframe needs one form per dimension")
         for f in forms:
             if f.degree != 1 or f.chart is not chart:
                 raise DegenerateCoframeError("coframe entries must be 1-forms on one chart")
         self.chart = chart
-        self.table = first.table
         self.forms = tuple(forms)
-        zero = Expression.number(0, chart, self.table)
+        zero = Expression.number(0, chart)
         self.matrix = [
             [f.comps.get((j,), zero) for j in range(chart.dim)] for f in self.forms
         ]
@@ -308,7 +307,7 @@ class Coframe:
         partials = [(j, ds) for j, ds in partials if not ds.is_zero]
         out = []
         for i in range(self.dim):
-            acc = Expression.number(0, self.chart, self.table)
+            acc = Expression.number(0, self.chart)
             for j, ds in partials:
                 if not self.inverse[j][i].is_zero:
                     acc = acc + self.inverse[j][i] * ds
@@ -333,7 +332,7 @@ class Coframe:
         """Coefficients c with form = Σ_{i<j} c[(i,j)] · coframe_i ∧ coframe_j."""
         if form.degree != 2 or form.chart is not self.chart:
             raise ChartError("expected a 2-form on the coframe chart")
-        zero = Expression.number(0, self.chart, self.table)
+        zero = Expression.number(0, self.chart)
         out = {}
         for slot, row in self._pair_minors().items():
             acc = zero

@@ -5,16 +5,18 @@
     factor := base ('^' nonneg-integer)?
     base   := rational | name | name '(' namelist ')' | '(' expr ')' | '-' factor
 
-Rational literals are integers (a quotient like ``3/2`` goes through the
-division operator and yields the same exact value).  Free names must be
-chart coordinates or declared opaque functions; derivative symbols are
-written ``A_x``, ``A_xy`` and resolve against the declaration.
+Rational literals are integers of any length (a quotient like ``3/2`` goes
+through the division operator and yields the same exact value).  Free
+names must be chart coordinates or declared opaque functions; derivative
+symbols are written ``A_x``, ``A_xy`` and resolve against the declaration.
+Parentheses and unary signs nest at most ``MAX_NESTING`` deep.
 """
 
 from .errors import ExpressionSyntaxError, UnknownSymbolError
-from .expression import Expression
+from .expression import Expression, int_from_digits
 
 _OPERATORS = frozenset("+-*/^(),")
+MAX_NESTING = 100
 
 
 class _Token:
@@ -65,6 +67,7 @@ class _Parser:
         self.table = table
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -115,18 +118,25 @@ class _Parser:
         if self.peek().kind == "^":
             self.advance()
             tok = self.expect("int")
-            e = e ** int(tok.text)
+            e = e ** int_from_digits(tok.text)
         return e
 
     def base(self):
         tok = self.advance()
-        if tok.kind == "-":
-            return -self.factor()
         if tok.kind == "int":
-            return Expression.number(int(tok.text), self.chart, self.table)
-        if tok.kind == "(":
-            e = self.expr()
-            self.expect(")")
+            return Expression.number(int_from_digits(tok.text), self.chart)
+        if tok.kind in ("-", "("):
+            if self.depth == MAX_NESTING:
+                raise ExpressionSyntaxError(
+                    f"more than {MAX_NESTING} nested parentheses or signs", tok.pos
+                )
+            self.depth += 1
+            if tok.kind == "-":
+                e = -self.factor()
+            else:
+                e = self.expr()
+                self.expect(")")
+            self.depth -= 1
             return e
         if tok.kind == "name":
             if self.peek().kind == "(":
@@ -150,7 +160,7 @@ class _Parser:
             raise ExpressionSyntaxError(
                 f"{tok.text} is declared with arguments ({','.join(fn.args)})", tok.pos
             )
-        return Expression.from_sym(fn, self.chart, self.table)
+        return Expression.from_sym(fn, self.chart)
 
     def name(self, tok):
         sym = self.table.resolve(tok.text)
@@ -158,7 +168,7 @@ class _Parser:
             raise UnknownSymbolError(
                 f"{tok.text!r} is not a coordinate of chart {self.chart.name}"
             )
-        return Expression.from_sym(sym, self.chart, self.table)
+        return Expression.from_sym(sym, self.chart)
 
 
 def parse_expression(text, chart, table):

@@ -198,9 +198,9 @@ def _point_to_json(point):
     return {k: str(v) for k, v in sorted(point.items())}
 
 
-def _parsed_specializations(request, table):
-    """Each specialisation parsed on the 2-jet chart: only A, B or C, and
-    only in x and y.  C is not in the metric, but a bad one is refused too."""
+def _parsed_specializations(request, parse):
+    """Each specialisation read by ``parse``: only A, B or C, and only in
+    x and y.  C is not in the metric, but a bad one is refused too."""
     out = {}
     for name, text in request.specializations.items():
         if name not in ("A", "B", "C"):
@@ -212,7 +212,7 @@ def _parsed_specializations(request, table):
                 "bad-specialization", f"specialization of {name} must be text, got {text!r}"
             )
         try:
-            value = parse_expression(text, J2_CHART, table)
+            value = parse(text)
         except (ExpressionSyntaxError, UnknownSymbolError) as exc:
             raise AnalysisInputError("bad-specialization", str(exc)) from exc
         bad = [s.render() for s in value.symbols() if s.name not in ("x", "y")]
@@ -414,7 +414,8 @@ def analyze(request):
             table.declare(name, tuple(args))
         except (SymbolCollisionError, ChartError) as exc:
             raise AnalysisInputError("bad-opaque", str(exc)) from exc
-    specializations = _parsed_specializations(request, table)
+    specializations = _parsed_specializations(
+        request, lambda text: parse_expression(text, J2_CHART, table))
 
     report = {
         "input": {
@@ -449,7 +450,7 @@ def analyze(request):
     fqq = rhs.differentiate("q").differentiate("q")
     report["fqq_nonzero"] = {"verdict": not fqq.is_zero, "fqq": fqq.render()}
     try:
-        prob = OdeProblem(rhs, table)
+        prob = OdeProblem(rhs)
     except DegenerateOdeError as exc:
         report["error"] = {"code": "degenerate-ode", "message": str(exc)}
         return AnalysisReport(report, verdicts, {"ode": report["error"]})

@@ -149,13 +149,15 @@ class SymbolTable:
         raise UnknownSymbolError(f"unknown symbol {name!r}")
 
 
-def _parse_index(text, args, acc=()):
-    """Greedy split of ``text`` into argument names, with backtracking."""
-    if not text:
-        return acc
-    for a in sorted(set(args), key=len, reverse=True):
-        if text.startswith(a):
-            found = _parse_index(text[len(a):], args, acc + (a,))
-            if found is not None:
-                return found
+def _parse_index(text, args):
+    """Greedy split of ``text`` into argument names, with backtracking (a
+    stack of partial splits, so a long name cannot exhaust recursion)."""
+    names = sorted(set(args), key=len)
+    stack = [(0, ())]
+    while stack:
+        pos, acc = stack.pop()
+        if pos == len(text):
+            return acc
+        # the longest name is pushed last, so it is tried first
+        stack.extend((pos + len(a), acc + (a,)) for a in names if text.startswith(a, pos))
     return None

@@ -31,7 +31,7 @@ def make_problem(text, declare=()):
     table = SymbolTable()
     for name in declare:
         table.declare(name, ("x", "y"))
-    return OdeProblem(parse_expression(text, J2_CHART, table), table)
+    return OdeProblem(parse_expression(text, J2_CHART, table))
 
 
 @pytest.fixture(scope="session")
@@ -66,9 +66,8 @@ def family_metric_tensors(family_data):
 class ExpressionSampler:
     """Seeded random expressions from the input grammar, for property tests."""
 
-    def __init__(self, chart, table, seed, opaque=()):
+    def __init__(self, chart, seed, opaque=()):
         self.chart = chart
-        self.table = table
         self.rng = random.Random(seed)
         self.opaque = tuple(opaque)
 
@@ -78,14 +77,13 @@ class ExpressionSampler:
             return Expression.number(
                 Fraction(self.rng.randint(-5, 5), self.rng.randint(1, 4)),
                 self.chart,
-                self.table,
             )
         if choice == 1 and self.opaque:
             return Expression.from_sym(
-                self.rng.choice(self.opaque), self.chart, self.table
+                self.rng.choice(self.opaque), self.chart
             )
         name = self.rng.choice(self.chart.coords)
-        return Expression.coordinate(name, self.chart, self.table)
+        return Expression.coordinate(name, self.chart)
 
     def expression(self, depth=3):
         if depth == 0:
@@ -110,6 +108,6 @@ def sampler():
     def build(seed, chart=J2_CHART, opaque_names=()):
         table = SymbolTable()
         opaque = tuple(table.declare(n, ("x", "y")) for n in opaque_names)
-        return ExpressionSampler(chart, table, seed, opaque)
+        return ExpressionSampler(chart, seed, opaque)
 
     return build

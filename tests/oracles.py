@@ -54,8 +54,8 @@ from odecartan.symbols import J2_CHART, M_ADAPTED_CHART, SymbolTable
 # -- the chart-level connection oracle ----------------------------------------
 
 
-def _zero_form(table, degree=1):
-    return DifferentialForm.zero(M_ADAPTED_CHART, table, degree)
+def _zero_form(degree=1):
+    return DifferentialForm.zero(M_ADAPTED_CHART, degree)
 
 
 def _coframe(prob):
@@ -68,8 +68,8 @@ def connection_matrix(fd, table):
     prob = fd.problem
     forms = adapted_tau(prob)
     values = family_invariants(fd).as_dict()
-    zero = Expression.number(0, M_ADAPTED_CHART, prob.table)
-    out = [[_zero_form(prob.table) for _ in range(4)] for _ in range(4)]
+    zero = Expression.number(0, M_ADAPTED_CHART)
+    out = [[_zero_form() for _ in range(4)] for _ in range(4)]
     for (i, j), row in table.items():
         for a, (const, mults) in row.items():
             c = zero + const
@@ -81,12 +81,11 @@ def connection_matrix(fd, table):
 
 def displayed_metric_connection(fd):
     """The displayed 4x4 matrix of metric connection 1-forms."""
-    table = fd.problem.table
     t1, _, _, t4, g1, g2 = adapted_tau(fd.problem)
     kne = family_invariants(fd)
     n, e = kne.n, kne.e
     off = t1.scale(-HALF * n) + t4.scale(e - HALF * n)
-    zero = _zero_form(table)
+    zero = _zero_form()
     return [
         [-g1, zero, zero, zero],
         [zero, g1, zero, off],
@@ -97,9 +96,8 @@ def displayed_metric_connection(fd):
 
 def displayed_cartan_connection(fd):
     """The displayed so(2,2)-valued connection in the tau basis."""
-    table = fd.problem.table
     t1, t2, t3, t4, g1, g2 = adapted_tau(fd.problem)
-    zero = _zero_form(table)
+    zero = _zero_form()
     half_sum = (g1 + g2 + t4).scale(HALF)
     return [
         [-half_sum, zero, t1, t4.scale(-HALF)],
@@ -134,12 +132,12 @@ def curvature_matrix(connection):
     ]
 
 
-def _lowered_symmetric_part(gamma, table):
+def _lowered_symmetric_part(gamma):
     lowered = [
         [
             sum(
                 (gamma[k][j].scale(BLOCK_METRIC[i][k]) for k in range(4)),
-                _zero_form(table),
+                _zero_form(),
             )
             for j in range(4)
         ]
@@ -165,7 +163,7 @@ def expected_curvature_entries(fd):
     t12 = t1.wedge(t2)
     t14 = t1.wedge(t4)
     t34 = t3.wedge(t4)
-    zero2 = _zero_form(prob.table, 2)
+    zero2 = _zero_form(2)
     expected = [[zero2 for _ in range(4)] for _ in range(4)]
     expected[0][0] = -t12 - t14.scale(HALF * k)
     expected[1][1] = t12 + t14.scale(HALF * k)
@@ -183,7 +181,7 @@ def expected_cartan_curvature(fd):
     kne = family_invariants(fd)
     k, n, e = kne.k, kne.n, kne.e
     t14 = tau[0].wedge(tau[3])
-    zero2 = _zero_form(prob.table, 2)
+    zero2 = _zero_form(2)
     ex = [[zero2 for _ in range(4)] for _ in range(4)]
     ex[0][0] = t14.scale(-HALF * k)
     ex[1][1] = t14.scale(HALF * k)
@@ -212,7 +210,7 @@ def chart_metric_connection_report(fd, table=METRIC_CONNECTION):
 
     cf = _coframe(prob)
     expansions = [[cf.expand_2(curv[i][j]) for j in range(4)] for i in range(4)]
-    zero = Expression.number(0, M_ADAPTED_CHART, prob.table)
+    zero = Expression.number(0, M_ADAPTED_CHART)
     horizontality = [
         coeff
         for i in range(4)
@@ -233,7 +231,7 @@ def chart_metric_connection_report(fd, table=METRIC_CONNECTION):
 
     return MetricConnectionReport(
         torsion_residuals=tuple(torsion),
-        antisymmetry_residuals=tuple(_lowered_symmetric_part(gamma, prob.table)),
+        antisymmetry_residuals=tuple(_lowered_symmetric_part(gamma)),
         curvature_residuals=tuple(curvature_residuals),
         horizontality_residuals=tuple(horizontality),
         ricci_residuals=tuple(ricci),
@@ -246,7 +244,7 @@ def chart_cartan_connection_report(fd, table=CARTAN_CONNECTION):
     curv = curvature_matrix(omega)
     expected = expected_cartan_curvature(fd)
     return CartanConnectionReport(
-        algebra_residuals=tuple(_lowered_symmetric_part(omega, prob.table)),
+        algebra_residuals=tuple(_lowered_symmetric_part(omega)),
         curvature_residuals=tuple(curv[i][j] - expected[i][j] for i in range(4) for j in range(4)),
         invariants_zero=family_invariants(fd).all_zero(),
         curvature_zero=all(curv[i][j].is_zero for i in range(4) for j in range(4)),
@@ -263,7 +261,7 @@ def ricci_formalism_residuals(fd, tensors):
     """
     prob = fd.problem
     tau = adapted_tau(prob)
-    zero = Expression.number(0, M_ADAPTED_CHART, prob.table)
+    zero = Expression.number(0, M_ADAPTED_CHART)
     dim = M_ADAPTED_CHART.dim
 
     def comp(form, axis):
@@ -306,7 +304,7 @@ def first_bianchi_residuals(tensors):
 
 def weyl_trace_residuals(metric, tensors):
     """All contractions of the Weyl tensor with the inverse metric."""
-    zero = Expression.number(0, metric.chart, metric.table)
+    zero = Expression.number(0, metric.chart)
     out = []
     for j in range(DIM):
         for l in range(DIM):
@@ -410,7 +408,7 @@ def _request_family(request):
     table = SymbolTable()
     for name, args in request.opaque.items():
         table.declare(name, args)
-    return family_detect(OdeProblem(parse_expression(request.ode, J2_CHART, table), table))
+    return family_detect(OdeProblem(parse_expression(request.ode, J2_CHART, table)))
 
 
 def own_sections(request):
@@ -463,7 +461,7 @@ def specialised_sections(request):
     it, classified at the seeded points the program draws.  The program
     reads one opaque-A', B' geometry at jet-extended points instead."""
     family = _request_family(request)
-    prob, table = family.problem, family.problem.table
+    prob, table = family.problem, SymbolTable()
     A, B = (
         parse_expression(request.specializations[name], J2_CHART, table)
         if name in request.specializations
@@ -534,7 +532,7 @@ def expand_1(cf, form):
     """Coefficients c with form = Σ c_i · coframe_i."""
     if form.degree != 1 or form.chart is not cf.chart:
         raise ChartError("expected a 1-form on the coframe chart")
-    zero = Expression.number(0, cf.chart, cf.table)
+    zero = Expression.number(0, cf.chart)
     v = [form.comps.get((j,), zero) for j in range(cf.dim)]
     return [
         sum((v[j] * cf.inverse[j][i] for j in range(cf.dim)), zero)

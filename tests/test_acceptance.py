@@ -142,16 +142,16 @@ def test_criterion_7_closed_form_differentials(flat_problem, family_problem, qcu
 def test_criterion_8_property_suites(family_problem):
     started = _clock()
     table = SymbolTable()
-    gen = ExpressionSampler(J2_CHART, table, seed=60601,
+    gen = ExpressionSampler(J2_CHART, seed=60601,
                             opaque=(table.declare("A", ("x", "y")),))
 
     def coordinate(name):
-        return DifferentialForm.d_coord(J2_CHART, table, name)
+        return DifferentialForm.d_coord(J2_CHART, name)
 
     def random_form(degree):
         if degree == 0:
             return DifferentialForm.scalar(gen.expression(1))
-        form = DifferentialForm.zero(J2_CHART, table, 1)
+        form = DifferentialForm.zero(J2_CHART, 1)
         for coord in J2_CHART.coords:
             form = form + coordinate(coord).scale(gen.expression(1))
         return form
@@ -173,8 +173,8 @@ def test_criterion_8_property_suites(family_problem):
         assert (lhs - rhs).is_zero
 
     # expansion / reconstruction round-trips on a non-coordinate coframe
-    p = Expression.coordinate("p", J2_CHART, table)
-    q = Expression.coordinate("q", J2_CHART, table)
+    p = Expression.coordinate("p", J2_CHART)
+    q = Expression.coordinate("q", J2_CHART)
     cf = Coframe(
         [
             coordinate("x"),

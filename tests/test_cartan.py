@@ -46,12 +46,11 @@ def chart_level_residuals(tau, table, sf=None):
     """Reference oracle for ``differential_residuals``: d(tau_i) taken on
     the chart, minus the table's wedges of tau forms built on the chart."""
     chart = tau[0].chart
-    symtable = tau[0].table
-    zero = Expression.number(0, chart, symtable)
+    zero = Expression.number(0, chart)
     values = sf.as_dict() if sf is not None else dict.fromkeys(STRUCTURE_NAMES, zero)
     out = []
     for i in range(6):
-        rhs = DifferentialForm.zero(chart, symtable, 2)
+        rhs = DifferentialForm.zero(chart, 2)
         for (const, mults), left, right in table[i]:
             coeff = zero + const
             for name, mult in mults.items():
@@ -123,7 +122,7 @@ class TestOdeProblem:
     def test_degenerate_rhs_rejected(self):
         table = SymbolTable()
         with pytest.raises(DegenerateOdeError):
-            OdeProblem(parse_expression("y", J2_CHART, table), table)
+            OdeProblem(parse_expression("y", J2_CHART, table))
 
     def test_q_squared_is_admissible(self):
         prob = make_problem("q^2")
@@ -136,30 +135,27 @@ class TestBaseCoframe:
         table = SymbolTable()
         zero_prob = OdeProblem.__new__(OdeProblem)  # bypass F_qq check for this display test
         zero_prob.F = parse_expression("0", J2_CHART, table)
-        zero_prob.table = table
         w1, w2, w3, w4 = base_coframe(zero_prob)
         from odecartan.forms import DifferentialForm
 
-        assert w3 == DifferentialForm.d_coord(J2_CHART, table, "q")
+        assert w3 == DifferentialForm.d_coord(J2_CHART, "q")
 
     def test_flat_omega3(self, flat_problem):
         w1, w2, w3, w4 = base_coframe(flat_problem)
-        table = flat_problem.table
         from odecartan.forms import DifferentialForm
 
-        dq = DifferentialForm.d_coord(J2_CHART, table, "x")
+        dq = DifferentialForm.d_coord(J2_CHART, "x")
         F = flat_problem.F
-        expected = DifferentialForm.d_coord(J2_CHART, table, "q") - dq.scale(F)
+        expected = DifferentialForm.d_coord(J2_CHART, "q") - dq.scale(F)
         assert w3 == expected
 
     def test_volume_form(self, flat_problem):
         w1, w2, w3, w4 = base_coframe(flat_problem)
-        table = flat_problem.table
         from odecartan.forms import DifferentialForm
 
         vol = w1.wedge(w2).wedge(w3).wedge(w4)
         dx, dy, dp, dq = (
-            DifferentialForm.d_coord(J2_CHART, table, c) for c in J2_CHART.coords
+            DifferentialForm.d_coord(J2_CHART, c) for c in J2_CHART.coords
         )
         expected = dy.wedge(dp).wedge(dq).wedge(dx)
         assert vol == expected or vol == -expected
@@ -171,7 +167,6 @@ class TestInvariantScalar:
         table = SymbolTable()
         prob = OdeProblem.__new__(OdeProblem)
         prob.F = parse_expression("0", J2_CHART, table)
-        prob.table = table
         assert invariant_K(prob).is_zero
 
     def test_flat_model(self, flat_problem):
@@ -186,20 +181,18 @@ class TestInvariantCoframe:
     def test_flat_theta2(self, flat_problem):
         cf = flat_problem.coframe()
         w1, w2, _, _ = base_coframe(flat_problem, P_CHART)
-        table = flat_problem.table
-        p = Expression.coordinate("p", P_CHART, table)
-        gamma = Expression.coordinate("gamma", P_CHART, table)
+        p = Expression.coordinate("p", P_CHART)
+        gamma = Expression.coordinate("gamma", P_CHART)
         expected = (w2 + w1.scale(gamma)).scale(1 / (2 * p))
         assert (cf.forms[1] - expected).is_zero
 
     def test_flat_theta4(self, flat_problem):
         cf = flat_problem.coframe()
-        table = flat_problem.table
         from odecartan.forms import DifferentialForm
 
-        alpha = Expression.coordinate("alpha", P_CHART, table)
-        p = Expression.coordinate("p", P_CHART, table)
-        dx = DifferentialForm.d_coord(P_CHART, table, "x")
+        alpha = Expression.coordinate("alpha", P_CHART)
+        p = Expression.coordinate("p", P_CHART)
+        dx = DifferentialForm.d_coord(P_CHART, "x")
         assert (cf.forms[3] - dx.scale(2 * alpha * p)).is_zero
 
     def test_determinant_not_identically_zero(self, flat_problem, family_problem, qcube_problem):
@@ -296,11 +289,10 @@ class TestTauBasis:
         from odecartan.curvature import adapted_tau
         from odecartan.forms import DifferentialForm
 
-        table = family_data.problem.table
         tau = adapted_tau(family_data.problem)
-        alpha = Expression.coordinate("alpha", M_ADAPTED_CHART, table)
-        p = Expression.coordinate("p", M_ADAPTED_CHART, table)
-        dx = DifferentialForm.d_coord(M_ADAPTED_CHART, table, "x")
+        alpha = Expression.coordinate("alpha", M_ADAPTED_CHART)
+        p = Expression.coordinate("p", M_ADAPTED_CHART)
+        dx = DifferentialForm.d_coord(M_ADAPTED_CHART, "x")
         assert (tau[3] - dx.scale(2 * alpha * p)).is_zero
 
     def test_full_null_coframe_display(self, family_data):
@@ -308,15 +300,14 @@ class TestTauBasis:
         from odecartan.forms import DifferentialForm
 
         prob = family_data.problem
-        table = prob.table
         ch = M_ADAPTED_CHART
         A, B, C = family_data.coefficients_on(ch)
-        alpha = Expression.coordinate("alpha", ch, table)
-        p = Expression.coordinate("p", ch, table)
-        z = Expression.coordinate("z", ch, table)
-        t = Expression.coordinate("t", ch, table)
-        dx, dy = (DifferentialForm.d_coord(ch, table, c) for c in ("x", "y"))
-        dz, dt = (DifferentialForm.d_coord(ch, table, c) for c in ("z", "t"))
+        alpha = Expression.coordinate("alpha", ch)
+        p = Expression.coordinate("p", ch)
+        z = Expression.coordinate("z", ch)
+        t = Expression.coordinate("t", ch)
+        dx, dy = (DifferentialForm.d_coord(ch, c) for c in ("x", "y"))
+        dz, dt = (DifferentialForm.d_coord(ch, c) for c in ("z", "t"))
         expected = [
             dy.scale(2 * alpha),
             (dx.scale(C) + dy.scale(2 * A - z * z) + dz.scale(2)).scale(1 / (4 * alpha)),
@@ -358,7 +349,7 @@ class TestFamilyDetect:
         table = SymbolTable()
         table.declare("S", ("x", "y"))
         prob = OdeProblem(
-            parse_expression("3/2*q^2/(p + S(x,y))", J2_CHART, table), table
+            parse_expression("3/2*q^2/(p + S(x,y))", J2_CHART, table)
         )
         with pytest.raises(FamilyRejectionError) as err:
             family_detect(prob)
@@ -387,14 +378,14 @@ class TestFamilyInvariants:
         table = SymbolTable()
         table.declare("C", ("x", "y"))
         prob = OdeProblem(
-            parse_expression("3/2*q^2/p + C(x,y)*p^2", J2_CHART, table), table
+            parse_expression("3/2*q^2/p + C(x,y)*p^2", J2_CHART, table)
         )
         kne = family_invariants(family_detect(prob))
         ch = M_ADAPTED_CHART
         C = parse_expression("C", ch, table)
-        z = Expression.coordinate("z", ch, table)
-        alpha = Expression.coordinate("alpha", ch, table)
-        p = Expression.coordinate("p", ch, table)
+        z = Expression.coordinate("z", ch)
+        alpha = Expression.coordinate("alpha", ch)
+        p = Expression.coordinate("p", ch)
         expected = (C.differentiate("y") - z * C) / (8 * alpha ** 3 * p)
         assert (kne.n - expected).is_zero
 

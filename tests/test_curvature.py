@@ -20,22 +20,21 @@ from tests.oracles import first_bianchi_residuals, signature_at, weyl_trace_resi
 DIM = 4
 
 
-def flat_block_metric(table):
-    zero = Expression.number(0, METRIC_CHART, table)
-    one = Expression.number(1, METRIC_CHART, table)
+def flat_block_metric():
+    zero = Expression.number(0, METRIC_CHART)
+    one = Expression.number(1, METRIC_CHART)
     g = [[zero for _ in range(DIM)] for _ in range(DIM)]
     g[0][3] = g[3][0] = one
     g[1][2] = g[2][1] = one
-    return Metric4(g, table)
+    return Metric4(g)
 
 
 class TestMetric:
     def test_zero_coefficient_specialization(self):
         fd = family_detect(make_problem("3/2*q^2/p"))
         metric = family_metric(fd)
-        table = fd.problem.table
-        z = Expression.coordinate("z", METRIC_CHART, table)
-        t = Expression.coordinate("t", METRIC_CHART, table)
+        z = Expression.coordinate("z", METRIC_CHART)
+        t = Expression.coordinate("t", METRIC_CHART)
         assert metric.g[0][0] == -(t * t)
         assert metric.g[1][1] == -(z * z)
         assert metric.g[0][3] == 1 and metric.g[1][2] == 1
@@ -52,9 +51,9 @@ class TestMetric:
     def test_signature_of_a_constant_metric(self):
         table = SymbolTable()
         rows = [[2, 1, 0, 0], [1, -1, 0, 0], [0, 0, 3, 1], [0, 0, 1, 1]]
-        g = [[Expression.number(v, METRIC_CHART, table) for v in row] for row in rows]
+        g = [[Expression.number(v, METRIC_CHART) for v in row] for row in rows]
         # leading minors 2, -3, -9, -6: one sign change
-        assert signature_at(Metric4(g, table), {}) == (3, 1)
+        assert signature_at(Metric4(g), {}) == (3, 1)
 
     @pytest.mark.parametrize(
         "point",
@@ -77,8 +76,8 @@ class TestMetric:
 
     def test_symmetry_enforced(self):
         table = SymbolTable()
-        zero = Expression.number(0, METRIC_CHART, table)
-        one = Expression.number(1, METRIC_CHART, table)
+        zero = Expression.number(0, METRIC_CHART)
+        one = Expression.number(1, METRIC_CHART)
         g = [[zero for _ in range(DIM)] for _ in range(DIM)]
         g[0][1] = one  # no matching g[1][0]
         g[0][3] = g[3][0] = one
@@ -86,13 +85,13 @@ class TestMetric:
         from odecartan import ChartError
 
         with pytest.raises(ChartError):
-            Metric4(g, table)
+            Metric4(g)
 
 
 class TestCurvature:
     def test_flat_block_metric_is_flat(self):
         table = SymbolTable()
-        metric = flat_block_metric(table)
+        metric = flat_block_metric()
         tensors = curvature_tensors(metric)
         assert all(
             tensors.riemann_up[i][j][k][l].is_zero
@@ -105,7 +104,7 @@ class TestCurvature:
 
     def test_flat_block_metric_is_not_einstein_at_minus_one(self):
         table = SymbolTable()
-        metric = flat_block_metric(table)
+        metric = flat_block_metric()
         tensors = curvature_tensors(metric)
         residual = einstein_residual(metric, tensors, Fraction(-1))
         # Ric + G = G for the curvature-free metric

@@ -112,6 +112,62 @@ class TestParsing:
             assert e == again
 
 
+class TestParserLimits:
+    """Deep nesting is refused with a position; literals and coefficients
+    of any length parse and render."""
+
+    @pytest.mark.parametrize("text", [
+        "(" * 260 + "q^2" + ")" * 260,
+        "-" * 900 + "q^2",
+        "(-" * 51 + "q" + ")" * 51,
+    ])
+    def test_nesting_beyond_the_limit_is_a_syntax_error(self, table, text):
+        with pytest.raises(ExpressionSyntaxError) as info:
+            parse_expression(text, J2_CHART, table)
+        assert info.value.position == 100
+
+    def test_nesting_at_the_limit_parses(self, table):
+        q = Expression.coordinate("q", J2_CHART)
+        assert parse_expression("(" * 100 + "q" + ")" * 100, J2_CHART, table) == q
+        assert parse_expression("-" * 100 + "q", J2_CHART, table) == q
+
+    def test_a_long_literal_parses_to_its_value(self, table):
+        e = parse_expression("1" + "0" * 4999, J2_CHART, table)
+        assert e == Expression.number(10 ** 4999, J2_CHART)
+        assert e.render() == "1" + "0" * 4999
+
+    @pytest.mark.parametrize("text", ["(2^4000)^4*q^2", "7" * 4000 + "*" + "9" * 4000 + "*q^2"])
+    def test_long_coefficients_render_and_parse_back(self, table, text):
+        fqq = parse_expression(text, J2_CHART, table).differentiate("q").differentiate("q")
+        assert len(fqq.render()) > 4300
+        assert parse_expression(fqq.render(), J2_CHART, table) == fqq
+
+    # Exponents stay at most 3: nothing bounds the cost of a large exponent yet.
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(
+        wraps=st.lists(st.sampled_from(["(", "-"]), max_size=300),
+        digits=st.integers(1, 6000),
+        seed=st.integers(0, 2 ** 32),
+        exponent=st.sampled_from(["", "^0", "^1", "^2", "^3"]),
+        tail=st.sampled_from(["", "*q", "/p", ")", "+"]),
+    )
+    def test_deep_or_long_input_parses_or_is_a_syntax_error(
+        self, wraps, digits, seed, exponent, tail
+    ):
+        literal = str(seed % 9 + 1) + str(seed) * (digits // len(str(seed)) + 1)
+        text = literal[:digits] + exponent + tail
+        for w in reversed(wraps):
+            text = "(" + text + ")" if w == "(" else "-" + text
+        try:
+            e = parse_expression(text, J2_CHART, SymbolTable())
+        except ExpressionSyntaxError:
+            assert len(wraps) > 100 or tail in (")", "+")
+            return
+        assert isinstance(e, Expression)
+        assert parse_expression(e.render(), J2_CHART, SymbolTable()) == e
+
+
 class TestOpaqueFunctions:
     def test_declare_and_use(self, table):
         table.declare("A", ("x", "y"))
@@ -178,8 +234,8 @@ class TestDifferentiate:
         # independent oracle: assembled by hand from the partials
         F = parse_expression("3/2*q^2/p", J2_CHART, table)
         Fq = F.differentiate("q")
-        p = Expression.coordinate("p", J2_CHART, table)
-        q = Expression.coordinate("q", J2_CHART, table)
+        p = Expression.coordinate("p", J2_CHART)
+        q = Expression.coordinate("q", J2_CHART)
         K = (
             Fraction(1, 6)
             * (
@@ -203,9 +259,9 @@ class TestDifferentiate:
 class TestSubstitute:
     def test_inverse_of_adapted_chart_map(self, table):
         e = parse_expression("gamma/p", P_CHART, table)
-        z = Expression.coordinate("z", M_ADAPTED_CHART, table)
-        p = Expression.coordinate("p", M_ADAPTED_CHART, table)
-        t = Expression.coordinate("t", M_ADAPTED_CHART, table)
+        z = Expression.coordinate("z", M_ADAPTED_CHART)
+        p = Expression.coordinate("p", M_ADAPTED_CHART)
+        t = Expression.coordinate("t", M_ADAPTED_CHART)
         out = e.substitute({"gamma": z * p, "q": p * (t - z * p)}, M_ADAPTED_CHART)
         assert out.render() == "z"
 
@@ -220,18 +276,18 @@ class TestSubstitute:
         # K of the family with A=B=C=0 is zero; the chart change keeps it zero
         from odecartan.cartan import OdeProblem, invariant_K
 
-        prob = OdeProblem(parse_expression("3/2*q^2/p", J2_CHART, table), table)
+        prob = OdeProblem(parse_expression("3/2*q^2/p", J2_CHART, table))
         K = invariant_K(prob).on_chart(P_CHART)
-        z = Expression.coordinate("z", M_ADAPTED_CHART, table)
-        p = Expression.coordinate("p", M_ADAPTED_CHART, table)
-        t = Expression.coordinate("t", M_ADAPTED_CHART, table)
+        z = Expression.coordinate("z", M_ADAPTED_CHART)
+        p = Expression.coordinate("p", M_ADAPTED_CHART)
+        t = Expression.coordinate("t", M_ADAPTED_CHART)
         out = K.substitute({"gamma": z * p, "q": p * (t - z * p)}, M_ADAPTED_CHART)
         assert out.is_zero
 
     def test_substituting_an_opaque_argument_rejected(self, table):
         table.declare("A", ("x", "y"))
         e = parse_expression("A(x,y)*q", J2_CHART, table)
-        y = Expression.coordinate("y", J2_CHART, table)
+        y = Expression.coordinate("y", J2_CHART)
         with pytest.raises(ChartError):
             e.substitute({"x": y * y})
 
@@ -309,7 +365,7 @@ class TestCanonicalProperties:
 
     def test_substitute_then_evaluate_matches_composition(self, sampler):
         gen = sampler(seed=555)
-        table = gen.table
+        table = SymbolTable()
         values = {"x": Fraction(3, 2), "y": Fraction(-1, 3), "p": Fraction(5), "q": Fraction(2, 7)}
         image = parse_expression("p^2 + 1", J2_CHART, table)
         for _ in range(40):
@@ -340,8 +396,8 @@ class TestCanonicalProperties:
         assert_canonical(image)
 
     def test_constant_denominators_other_than_one(self, table):
-        x = Expression.coordinate("x", J2_CHART, table)
-        y = Expression.coordinate("y", J2_CHART, table)
+        x = Expression.coordinate("x", J2_CHART)
+        y = Expression.coordinate("y", J2_CHART)
         cases = {
             "x/3": (x / 2) * Fraction(2, 3),
             "(x - y)/6": x / 6 - y / 6,
@@ -354,21 +410,21 @@ class TestCanonicalProperties:
             assert e.render() == text
             assert e == parse_expression(text, J2_CHART, table)
 
-    def test_constant_operands_take_the_short_paths(self, table):
-        x = Expression.coordinate("x", J2_CHART, table)
+    def test_constant_operands_take_the_short_paths(self):
+        x = Expression.coordinate("x", J2_CHART)
         assert x - 0 is x
         p = (x * x + 3 * x).num
         assert p * Poly.const(1) is p and Poly.const(1) * p is p
         assert (Poly.const(-2) * p).terms == {m: -2 * c for m, c in p.terms.items()}
         assert (p * Poly.const(-2)).terms == {m: -2 * c for m, c in p.terms.items()}
 
-    def test_rational_constant_value_is_a_fraction(self, table):
-        value = Expression.number(Fraction(1, 3), J2_CHART, table).const_value()
+    def test_rational_constant_value_is_a_fraction(self):
+        value = Expression.number(Fraction(1, 3), J2_CHART).const_value()
         assert type(value) is Fraction and value == Fraction(1, 3)
 
-    def test_product_with_zero_is_zero_on_the_same_chart(self, table):
-        x = Expression.coordinate("x", J2_CHART, table)
-        zero = Expression.number(0, J2_CHART, table)
+    def test_product_with_zero_is_zero_on_the_same_chart(self):
+        x = Expression.coordinate("x", J2_CHART)
+        zero = Expression.number(0, J2_CHART)
         for product in (x * 0, 0 * x, x * zero, zero * x):
             assert isinstance(product, Expression)
             assert product.chart is J2_CHART
@@ -379,7 +435,7 @@ class TestCanonicalProperties:
     def test_rational_constants_behave_like_fractions(self, num, den, shift):
         table = SymbolTable()
         value = Fraction(num, den)
-        e = Expression.number(value, J2_CHART, table) + shift
+        e = Expression.number(value, J2_CHART) + shift
         assert e.is_rational_constant
         assert e.const_value() == value + shift
 
@@ -387,8 +443,8 @@ class TestCanonicalProperties:
     @settings(max_examples=40, deadline=None)
     def test_power_laws(self, m, n):
         table = SymbolTable()
-        p = Expression.coordinate("p", J2_CHART, table)
-        q = Expression.coordinate("q", J2_CHART, table)
+        p = Expression.coordinate("p", J2_CHART)
+        q = Expression.coordinate("q", J2_CHART)
         base = p + 2 * q
         assert (base ** m * base ** n - base ** (m + n)).is_zero
 
@@ -400,7 +456,7 @@ class TestCanonicalProperties:
         table = SymbolTable()
         value = Fraction(num, den)
         constant = parse_expression(f"({num})*({factor})/(({den})*({factor}))", J2_CHART, table)
-        values = [Expression.number(value, J2_CHART, table), value]
+        values = [Expression.number(value, J2_CHART), value]
         if value.denominator == 1:
             values.append(int(value))
         for v in values:

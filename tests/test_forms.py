@@ -11,78 +11,72 @@ from odecartan import (
     J2_CHART,
     M_ADAPTED_CHART,
     P_CHART,
-    SymbolTable,
     parse_expression,
 )
 from odecartan.forms import Coframe, DifferentialForm, change_chart, wedge_sum
 from tests.oracles import duality_residuals, expand_1
 
 
-@pytest.fixture()
-def table():
-    return SymbolTable()
+def d(chart, coord):
+    return DifferentialForm.d_coord(chart, coord)
 
 
-def d(chart, table, coord):
-    return DifferentialForm.d_coord(chart, table, coord)
-
-
-def coordinate_coframe(chart, table):
-    return Coframe([d(chart, table, c) for c in chart.coords])
+def coordinate_coframe(chart):
+    return Coframe([d(chart, c) for c in chart.coords])
 
 
 class TestWedge:
-    def test_square_is_zero(self, table):
-        dx = d(J2_CHART, table, "x")
+    def test_square_is_zero(self):
+        dx = d(J2_CHART, "x")
         assert dx.wedge(dx).is_zero
 
-    def test_antisymmetry(self, table):
-        dx, dy = d(J2_CHART, table, "x"), d(J2_CHART, table, "y")
+    def test_antisymmetry(self):
+        dx, dy = d(J2_CHART, "x"), d(J2_CHART, "y")
         assert (dx.wedge(dy) + dy.wedge(dx)).is_zero
 
-    def test_contact_form_against_dx(self, table):
-        dx, dy = d(J2_CHART, table, "x"), d(J2_CHART, table, "y")
-        p = Expression.coordinate("p", J2_CHART, table)
+    def test_contact_form_against_dx(self):
+        dx, dy = d(J2_CHART, "x"), d(J2_CHART, "y")
+        p = Expression.coordinate("p", J2_CHART)
         w1 = dy - dx.scale(p)
         assert w1.wedge(dx) == dy.wedge(dx)
 
-    def test_chart_mismatch_rejected(self, table):
+    def test_chart_mismatch_rejected(self):
         with pytest.raises(ChartError):
-            d(J2_CHART, table, "x").wedge(d(P_CHART, table, "x"))
+            d(J2_CHART, "x").wedge(d(P_CHART, "x"))
 
-    def test_degree_overflow_rejected(self, table):
-        dx, dy, dp, dq = (d(J2_CHART, table, c) for c in "xypq")
+    def test_degree_overflow_rejected(self):
+        dx, dy, dp, dq = (d(J2_CHART, c) for c in "xypq")
         vol = dx.wedge(dy).wedge(dp).wedge(dq)
         with pytest.raises(ChartError):
             vol.wedge(dx)
 
-    def test_graded_commutativity_of_two_forms(self, table):
-        dx, dy, dp, dq = (d(J2_CHART, table, c) for c in J2_CHART.coords)
-        q = Expression.coordinate("q", J2_CHART, table)
+    def test_graded_commutativity_of_two_forms(self):
+        dx, dy, dp, dq = (d(J2_CHART, c) for c in J2_CHART.coords)
+        q = Expression.coordinate("q", J2_CHART)
         a = dx.wedge(dy).scale(q) + dp.wedge(dq)
         b = dx.wedge(dp) + dy.wedge(dq).scale(q ** 2)
         assert (a.wedge(b) - b.wedge(a)).is_zero  # 2-forms commute
 
 
 class TestExteriorDerivative:
-    def test_contact_form(self, table):
-        dx, dy, dp = (d(J2_CHART, table, c) for c in ("x", "y", "p"))
-        p = Expression.coordinate("p", J2_CHART, table)
+    def test_contact_form(self):
+        dx, dy, dp = (d(J2_CHART, c) for c in ("x", "y", "p"))
+        p = Expression.coordinate("p", J2_CHART)
         w1 = dy - dx.scale(p)
         assert w1.exterior_derivative() == dx.wedge(dp)
 
-    def test_q_dx(self, table):
-        dx, dq = d(J2_CHART, table, "x"), d(J2_CHART, table, "q")
-        q = Expression.coordinate("q", J2_CHART, table)
+    def test_q_dx(self):
+        dx, dq = d(J2_CHART, "x"), d(J2_CHART, "q")
+        q = Expression.coordinate("q", J2_CHART)
         assert dx.scale(q).exterior_derivative() == dq.wedge(dx)
 
     def test_d_squared_on_random_one_forms(self, sampler):
         gen = sampler(seed=4242, opaque_names=("A",))
         for _ in range(30):
             coeffs = [gen.expression(2) for _ in J2_CHART.coords]
-            form = DifferentialForm.zero(J2_CHART, gen.table, 1)
+            form = DifferentialForm.zero(J2_CHART, 1)
             for c, coord in zip(coeffs, J2_CHART.coords):
-                form = form + d(J2_CHART, gen.table, coord).scale(c)
+                form = form + d(J2_CHART, coord).scale(c)
             assert form.exterior_derivative().exterior_derivative().is_zero
 
     def test_d_squared_on_scalars(self, sampler):
@@ -94,14 +88,13 @@ class TestExteriorDerivative:
     def test_graded_leibniz_100_pairs(self, sampler):
         gen = sampler(seed=31415, opaque_names=("A",))
         for i in range(100):
-            table = gen.table
             deg_f = gen.rng.choice((0, 1))
             def random_form(degree):
                 if degree == 0:
                     return DifferentialForm.scalar(gen.expression(1))
-                form = DifferentialForm.zero(J2_CHART, table, 1)
+                form = DifferentialForm.zero(J2_CHART, 1)
                 for coord in J2_CHART.coords:
-                    form = form + d(J2_CHART, table, coord).scale(gen.expression(1))
+                    form = form + d(J2_CHART, coord).scale(gen.expression(1))
                 return form
             f = random_form(deg_f)
             g = random_form(gen.rng.choice((0, 1)))
@@ -112,74 +105,72 @@ class TestExteriorDerivative:
 
 
 class TestChartChange:
-    def test_pullback_of_dq_under_adapted_map(self, table):
+    def test_pullback_of_dq_under_adapted_map(self):
         from odecartan.cartan import adapted_chart_map
 
-        dq = d(P_CHART, table, "q")
-        out = change_chart(dq, adapted_chart_map(table), M_ADAPTED_CHART)
+        dq = d(P_CHART, "q")
+        out = change_chart(dq, adapted_chart_map(), M_ADAPTED_CHART)
         ch = M_ADAPTED_CHART
-        p = Expression.coordinate("p", ch, table)
-        z = Expression.coordinate("z", ch, table)
-        t = Expression.coordinate("t", ch, table)
+        p = Expression.coordinate("p", ch)
+        z = Expression.coordinate("z", ch)
+        t = Expression.coordinate("t", ch)
         expected = (
-            d(ch, table, "p").scale(t - 2 * z * p)
-            + d(ch, table, "t").scale(p)
-            - d(ch, table, "z").scale(p * p)
+            d(ch, "p").scale(t - 2 * z * p)
+            + d(ch, "t").scale(p)
+            - d(ch, "z").scale(p * p)
         )
         assert out == expected
 
-    def test_identity_map(self, table):
-        q = Expression.coordinate("q", J2_CHART, table)
-        f = d(J2_CHART, table, "x").scale(q) + d(J2_CHART, table, "p")
+    def test_identity_map(self):
+        q = Expression.coordinate("q", J2_CHART)
+        f = d(J2_CHART, "x").scale(q) + d(J2_CHART, "p")
         assert change_chart(f, {}, J2_CHART) == f
 
-    def test_singular_map_rejected(self, table):
-        zero = Expression.number(0, J2_CHART, table)
+    def test_singular_map_rejected(self):
+        zero = Expression.number(0, J2_CHART)
         with pytest.raises(ChartError):
-            change_chart(d(J2_CHART, table, "x"), {"x": zero}, J2_CHART)
+            change_chart(d(J2_CHART, "x"), {"x": zero}, J2_CHART)
 
     def test_tau1_of_family_pulls_back_to_null_form(self, family_data):
         # the first null-coframe entry collapses to 2 alpha dy
         from odecartan.curvature import adapted_tau
 
         tau = adapted_tau(family_data.problem)
-        table = family_data.problem.table
-        alpha = Expression.coordinate("alpha", M_ADAPTED_CHART, table)
-        expected = d(M_ADAPTED_CHART, table, "y").scale(2 * alpha)
+        alpha = Expression.coordinate("alpha", M_ADAPTED_CHART)
+        expected = d(M_ADAPTED_CHART, "y").scale(2 * alpha)
         assert tau[0] == expected
 
 
 class TestCoframe:
-    def test_identity_expansion(self, table):
-        cf = coordinate_coframe(J2_CHART, table)
-        f = d(J2_CHART, table, "x").wedge(d(J2_CHART, table, "y"))
+    def test_identity_expansion(self):
+        cf = coordinate_coframe(J2_CHART)
+        f = d(J2_CHART, "x").wedge(d(J2_CHART, "y"))
         coeffs = cf.expand_2(f)
         assert coeffs[(0, 1)] == 1
         assert all(c.is_zero for slot, c in coeffs.items() if slot != (0, 1))
 
-    def test_duality(self, table):
-        cf = coordinate_coframe(P_CHART, table)
+    def test_duality(self):
+        cf = coordinate_coframe(P_CHART)
         assert all(r.is_zero for r in duality_residuals(cf))
 
-    def test_frame_derivative_coordinate_directions(self, table):
-        cf = coordinate_coframe(J2_CHART, table)
-        x = Expression.coordinate("x", J2_CHART, table)
+    def test_frame_derivative_coordinate_directions(self):
+        cf = coordinate_coframe(J2_CHART)
+        x = Expression.coordinate("x", J2_CHART)
         assert cf.frame_derivatives(x * x)[0].render() == "2*x"
         for j, coord in enumerate(J2_CHART.coords):
-            s = Expression.coordinate(coord, J2_CHART, table)
+            s = Expression.coordinate(coord, J2_CHART)
             for i in range(4):
                 expected = 1 if i == j else 0
                 assert cf.frame_derivatives(s)[i] == Expression.number(
-                    expected, J2_CHART, table
+                    expected, J2_CHART
                 )
 
     def test_expand_reconstruct_round_trip(self, sampler):
         gen = sampler(seed=808)
-        table = gen.table
         # a mildly sheared coframe
-        dx, dy, dp, dq = (d(J2_CHART, table, c) for c in J2_CHART.coords)
-        p = Expression.coordinate("p", J2_CHART, table)
-        q = Expression.coordinate("q", J2_CHART, table)
+        dx, dy, dp, dq = (d(J2_CHART, c) for c in J2_CHART.coords)
+        p = Expression.coordinate("p", J2_CHART)
+        q = Expression.coordinate("q", J2_CHART)
         cf = Coframe([dx, dy + dx.scale(p), dp - dx.scale(q), dq.scale(2) + dy.scale(p * q)])
         for _ in range(10):
             coeffs = {}
@@ -192,21 +183,21 @@ class TestCoframe:
                 assert (back[slot] - c).is_zero
             assert (wedge_sum(cf.forms, back) - form).is_zero
 
-    def test_expansion_of_one_forms(self, table):
-        dx, dy, dp, dq = (d(J2_CHART, table, c) for c in J2_CHART.coords)
-        p = Expression.coordinate("p", J2_CHART, table)
+    def test_expansion_of_one_forms(self):
+        dx, dy, dp, dq = (d(J2_CHART, c) for c in J2_CHART.coords)
+        p = Expression.coordinate("p", J2_CHART)
         cf = Coframe([dx, dy + dx.scale(p), dp, dq])
         f = dy.scale(p) + dx
         coeffs = expand_1(cf, f)
-        rebuilt = DifferentialForm.zero(J2_CHART, table, 1)
+        rebuilt = DifferentialForm.zero(J2_CHART, 1)
         for c, form in zip(coeffs, cf.forms):
             rebuilt = rebuilt + form.scale(c)
         assert rebuilt == f
 
-    def test_degenerate_coframe_rejected(self, table):
-        dx = d(J2_CHART, table, "x")
-        dy = d(J2_CHART, table, "y")
-        dp = d(J2_CHART, table, "p")
+    def test_degenerate_coframe_rejected(self):
+        dx = d(J2_CHART, "x")
+        dy = d(J2_CHART, "y")
+        dp = d(J2_CHART, "p")
         with pytest.raises(DegenerateCoframeError):
             Coframe([dx, dy, dp, dx + dy])
 
@@ -218,16 +209,16 @@ class TestCoframe:
         cf = family_problem.coframe()
         assert all(r.is_zero for r in duality_residuals(cf))
 
-    def test_frame_field_apply_matches_frame_derivative(self, table):
-        cf = coordinate_coframe(J2_CHART, table)
-        x = Expression.coordinate("x", J2_CHART, table)
-        q = Expression.coordinate("q", J2_CHART, table)
+    def test_frame_field_apply_matches_frame_derivative(self):
+        cf = coordinate_coframe(J2_CHART)
+        x = Expression.coordinate("x", J2_CHART)
+        q = Expression.coordinate("q", J2_CHART)
         s = x * x * q
         for i, coord in enumerate(J2_CHART.coords):
             assert (cf.frame_derivatives(s)[i] - s.differentiate(coord)).is_zero
 
 
-class TestBareissInverse:
+class TestInvertMatrix:
     def test_random_matrices_invert(self, sampler):
         from odecartan.linalg import invert_matrix
         from tests.oracles import identity_check
@@ -242,10 +233,10 @@ class TestBareissInverse:
             assert all(r.is_zero for r in identity_check(rows, inv))
             assert not det.is_zero
 
-    def test_known_inverse(self, table):
-        p = Expression.coordinate("p", J2_CHART, table)
-        one = Expression.number(1, J2_CHART, table)
-        zero = Expression.number(0, J2_CHART, table)
+    def test_known_inverse(self):
+        p = Expression.coordinate("p", J2_CHART)
+        one = Expression.number(1, J2_CHART)
+        zero = Expression.number(0, J2_CHART)
         from odecartan.linalg import invert_matrix
 
         inv, det = invert_matrix([[p, one], [zero, p]])
@@ -258,7 +249,7 @@ class TestBareissInverse:
 def _rational_matrix(gen, n):
     """An n x n matrix of sampled leaves; every row carries one entry over a
     denominator that is not a monomial."""
-    x = Expression.coordinate("x", J2_CHART, gen.table)
+    x = Expression.coordinate("x", J2_CHART)
     rows = [[gen.leaf() for _ in range(n)] for _ in range(n)]
     for row in rows:
         row[gen.rng.randrange(n)] = gen.expression(1) / (x + gen.leaf() ** 2 + 1)
@@ -294,7 +285,7 @@ class TestInverseOracle:
 
         gen = sampler(seed=1415)
         rows = _rational_matrix(gen, 3)
-        factor = gen.expression(1) / (Expression.coordinate("y", J2_CHART, gen.table) + 2)
+        factor = gen.expression(1) / (Expression.coordinate("y", J2_CHART) + 2)
         rows[1] = [factor * e for e in rows[0]]
         with pytest.raises(DegenerateCoframeError, match="singular"):
             invert_matrix(rows)
@@ -320,8 +311,8 @@ class TestInvertedMatricesAreTriangular:
     coordinate order after a row permutation, so the sparsest-row pivot of
     ``invert_matrix`` gets no fill in its left block."""
 
-    def test_the_helper_rejects_a_full_matrix(self, table):
-        x = Expression.coordinate("x", J2_CHART, table)
+    def test_the_helper_rejects_a_full_matrix(self):
+        x = Expression.coordinate("x", J2_CHART)
         one = x.with_value(1)
         assert not _triangular_after_permutation([[one, one], [one, x]])
         assert _triangular_after_permutation([[x, one], [one, x.with_value(0)]])

@@ -263,12 +263,12 @@ class TestClassification:
         from odecartan import Expression, METRIC_CHART
 
         table = SymbolTable()
-        zero = Expression.number(0, METRIC_CHART, table)
-        one = Expression.number(1, METRIC_CHART, table)
+        zero = Expression.number(0, METRIC_CHART)
+        one = Expression.number(1, METRIC_CHART)
         g = [[zero for _ in range(4)] for _ in range(4)]
         g[0][3] = g[3][0] = one
         g[1][2] = g[2][1] = one
-        metric = Metric4(g, table)
+        metric = Metric4(g)
         tensors = curvature_tensors(metric)
         r = classify_at_point(metric, tensors, POINTS[0])
         assert (r.label_plus, r.label_minus) == ("O", "O")
@@ -320,7 +320,7 @@ class TestJetExtendedPoints:
     )
     def test_opaque_tensors_match_specialised_metric(self, family_metric_tensors, family_data, specs):
         metric, _, tensors = family_metric_tensors
-        table = family_data.problem.table
+        table = SymbolTable()
         values = {n: parse_expression(t, J2_CHART, table) for n, t in specs.items()}
         fd = FamilyData(family_data.problem, values["A"], values["B"], family_data.C)
         oracle_metric = family_metric(fd)
@@ -365,7 +365,7 @@ class TestJetExtendedPoints:
         """The eigenspace oracle's block, on the halved and the unhalved
         basis, gets the label ``classify_at_point`` reads off the traces."""
         metric, _, tensors = family_metric_tensors
-        table = family_data.problem.table
+        table = SymbolTable()
         values = {n: parse_expression(t, J2_CHART, table) for n, t in specs.items()}
         jets = jet_expressions(metric, tensors, values)
         for pt in seeded_points(3):

@@ -2,13 +2,14 @@
 verdict rule and the stage error codes."""
 
 import json
+from decimal import Decimal, localcontext
 
 import pytest
 
 from odecartan import cartan
 from odecartan import report as report_module
 from odecartan.errors import OdeCartanError, PetrovDegeneracyError
-from odecartan.report import STAGES, AnalysisInputError, AnalysisRequest, analyze
+from odecartan.report import STAGES, AnalysisInputError, AnalysisRequest, analyze, emit_report
 from tests.test_cli import run_cli
 
 FLAT = "3/2*q^2/p"
@@ -174,6 +175,33 @@ class TestRequestValidation:
             "code": "bad-specialization",
             "message": str(info.value),
         }
+
+    @pytest.mark.parametrize("text", ["(" * 260 + "q^2" + ")" * 260, "-" * 900 + "q^2"])
+    def test_too_deep_nesting_is_refused(self, text):
+        report = analyze(AnalysisRequest(ode=text, stages=("inv",)))
+        assert report.exit_code == 2
+        assert report.data["error"]["code"] == "parse-error"
+        proc = run_cli("--ode=" + text, "--stages", "inv")
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["code"] == "parse-error"
+        with pytest.raises(AnalysisInputError) as info:
+            analyze(AnalysisRequest(ode=FLAT, stages=("inv",), specializations={"A": text}))
+        assert info.value.code == "bad-specialization"
+        proc = run_cli("--ode", FLAT, "--stages", "inv", "--specialize", "A=" + text)
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"]["code"] == "bad-specialization"
+
+    def test_long_literals_and_coefficients_are_analyzed(self):
+        long = "3" * 5000
+        request = AnalysisRequest(
+            ode=f"(2^4000)^4*q^2 + {long}*p", stages=("inv",), specializations={"A": long + "*x"}
+        )
+        report = analyze(request)
+        assert report.exit_code == 1  # runs to its verdicts: the conditions fail
+        with localcontext() as ctx:
+            ctx.prec = 6000
+            assert report.data["fqq_nonzero"]["fqq"] == str(Decimal(2) ** 16001)
+        assert len(emit_report(report, "text")) > 4300
 
     @pytest.mark.parametrize("points", [0, -2])
     def test_points_below_one_are_rejected_before_any_stage(self, points):
