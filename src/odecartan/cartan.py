@@ -24,7 +24,7 @@ from .errors import (
     StructureConsistencyError,
 )
 from .expression import Expression
-from .forms import Coframe, DifferentialForm, pair_minors, wedge_sum
+from .forms import Coframe, DifferentialForm, add_term, is_zero, pair_minors, wedge_key, wedge_sum
 from .symbols import J2_CHART, M_ADAPTED_CHART, P_CHART, Sym
 
 HALF = Fraction(1, 2)
@@ -271,9 +271,6 @@ class StructureFunctions(namedtuple("StructureFunctions", STRUCTURE_NAMES)):
 
     __slots__ = ()
 
-    def as_dict(self):
-        return self._asdict()
-
     def all_zero(self):
         return all(v.is_zero for v in self)
 
@@ -334,10 +331,7 @@ _TAU_INV = (
 )
 
 # theta_b ∧ theta_c = Σ m · tau_l ∧ tau_r, with m the 2x2 minors of M^-1.
-_THETA_TO_TAU = {
-    slot: {key: m for key, m in row.items() if m}
-    for slot, row in pair_minors([[(l, v) for l, v in enumerate(r) if v] for r in _TAU_INV]).items()
-}
+_THETA_TO_TAU = pair_minors([[(l, v) for l, v in enumerate(r) if v] for r in _TAU_INV])
 
 
 def tau_basis(cf):
@@ -509,9 +503,6 @@ class KneInvariants(namedtuple("KneInvariants", "k n e")):
 
     __slots__ = ()
 
-    def as_dict(self):
-        return self._asdict()
-
     def all_zero(self):
         return all(v.is_zero for v in self)
 
@@ -632,17 +623,15 @@ def _restricted(table, keep):
     for i, rows in table.items():
         slots = {}
         for (const, mults), left, right in rows:
-            sign = 1 if left < right else -1
-            acc = slots.setdefault((min(left, right), max(left, right)), [Fraction(0), {}])
-            if const:
-                acc[0] += sign * const
+            sign, slot = wedge_key((left,), (right,))
+            acc = slots.setdefault(slot, [Fraction(0), {}])
+            acc[0] += sign * const
             for name in keep:
-                if mults.get(name):
-                    acc[1][name] = acc[1].get(name, 0) + sign * mults[name]
+                add_term(acc[1], name, sign * mults.get(name, 0))
         out[i] = [
-            ((const, {n: v for n, v in mults.items() if v}), left, right)
+            ((const, mults), left, right)
             for (left, right), (const, mults) in slots.items()
-            if const or any(mults.values())
+            if const or mults
         ]
     return out
 
@@ -679,13 +668,8 @@ def tau_differential_table():
     }
 
 
-def _is_zero(c):
-    """Coefficients are Fractions while they are constant, Expressions otherwise."""
-    return c.is_zero if isinstance(c, Expression) else not c
-
-
 def _nonzero(coeffs):
-    return {key: c for key, c in coeffs.items() if not _is_zero(c)}
+    return {key: c for key, c in coeffs.items() if not is_zero(c)}
 
 
 def residual_table(table):
@@ -718,7 +702,7 @@ def differential_residuals(prob, residuals, sf=None):
     Σ c · tau_l ∧ tau_r through ``prob.tau()``; a residual with none is the
     zero 2-form on the 6-chart.
     """
-    values = (sf if sf is not None else prob.structure()).as_dict()
+    values = (sf if sf is not None else prob.structure())._asdict()
     out = []
     for i in range(6):
         coeffs = _nonzero({(l, r): affine_value(aff, values) for aff, l, r in residuals[i]})

@@ -85,9 +85,20 @@ def _fail(code, exc):
     return 2
 
 
+def _joined_ode(argv):
+    """``--ode TEXT`` as ``--ode=TEXT``: argparse reads a TEXT that begins
+    with a minus, such as ``-q^2``, as an option, not as the value."""
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        text = next(tokens, None) if token == "--ode" else None
+        out.append(token if text is None else f"--ode={text}")
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_ode(sys.argv[1:] if argv is None else argv))
     try:
         request = AnalysisRequest(
             ode=args.ode,

@@ -40,7 +40,7 @@ from .cartan import _AFFINE, _G1, _G2, _T1, _T2, _T3, _T4, HALF, _nonzero, affin
 from .cartan import family_invariants, tau_differential_table, to_adapted
 from .curvature import adapted_tau
 from .expression import Expression
-from .forms import Coframe, DifferentialForm, wedge_sum
+from .forms import Coframe, DifferentialForm, add_term, add_wedge, is_zero, wedge_sum
 from .symbols import M_ADAPTED_CHART
 
 # Constant coefficients of the degenerate bilinear form in the tau basis.
@@ -82,16 +82,6 @@ CARTAN_CONNECTION = {
 _VERTICAL_SLOTS = tuple((l, r) for l in range(6) for r in range(l + 1, 6) if r >= _G1)
 
 
-def _accumulate(acc, key, value):
-    acc[key] = acc[key] + value if key in acc else value
-
-
-def _add_wedge(acc, a, b, c):
-    """acc += c · tau_a ∧ tau_b, in the slots (l, r) with l < r."""
-    if a != b:
-        _accumulate(acc, (a, b) if a < b else (b, a), c if a < b else -c)
-
-
 def adapted_tau_differentials(prob):
     """d(tau_i) in the tau^tau basis of the adapted chart, one
     ``{(l, r): coefficient}`` dict per tau form, zero coefficients left
@@ -101,7 +91,7 @@ def adapted_tau_differentials(prob):
     def build():
         values = {
             name: 0 if v.is_zero else to_adapted(v)
-            for name, v in prob.structure().as_dict().items()
+            for name, v in prob.structure()._asdict().items()
         }
         return [
             _nonzero({slot: affine_value(aff, values) for slot, aff in d_tau.items()})
@@ -119,7 +109,7 @@ class _TauAlgebra:
         self.prob = fd.problem
         self.table = table
         self.zero = Expression.number(0, M_ADAPTED_CHART)
-        self.values = kne.as_dict()
+        self.values = kne._asdict()
         self.dtau = adapted_tau_differentials(self.prob)
         self.frame = None  # the adapted tau forms as a Coframe, built on first use
         self.derivs = {}
@@ -150,18 +140,17 @@ class _TauAlgebra:
                 for name, mult in mults.items():
                     for b, x in enumerate(self.frame_derivatives(name)):
                         if not x.is_zero:
-                            _add_wedge(omega[i][j], b, a, mult * x)
+                            add_wedge(omega[i][j], (b,), (a,), mult, x)
         for (i, k), left in self.gamma.items():
             for a, c in left.items():
                 for slot, w in self.dtau[a].items():
-                    _accumulate(omega[i][k], slot, c * w)
+                    add_term(omega[i][k], slot, c * w)
             for j in range(4):
                 for a, c1 in left.items():
                     for b, c2 in self.gamma.get((k, j), {}).items():
-                        _add_wedge(omega[i][j], a, b, c1 * c2)
+                        add_wedge(omega[i][j], (a,), (b,), c1, c2)
         return [
-            [{slot: self.zero + c for slot, c in _nonzero(entry).items()} for entry in row]
-            for row in omega
+            [{slot: self.zero + c for slot, c in entry.items()} for entry in row] for row in omega
         ]
 
     def torsion(self):
@@ -169,8 +158,8 @@ class _TauAlgebra:
         out = [dict(self.dtau[i]) for i in range(4)]
         for (i, j), entry in self.gamma.items():
             for a, c in entry.items():
-                _add_wedge(out[i], a, j, c)
-        return [self.form(_nonzero(t), 2) for t in out]
+                add_wedge(out[i], (a,), (j,), c)
+        return [self.form(t, 2) for t in out]
 
     def lowered_symmetric_part(self):
         """g_ik Gamma^k_j + g_jk Gamma^k_i for i <= j."""
@@ -182,8 +171,8 @@ class _TauAlgebra:
                     mult = BLOCK_METRIC[i][k] * (col == j) + BLOCK_METRIC[j][k] * (col == i)
                     if mult:
                         for a, c in entry.items():
-                            _accumulate(acc, a, mult * c)
-                out.append(self.form(_nonzero(acc), 1))
+                            add_term(acc, a, mult * c)
+                out.append(self.form(acc, 1))
         return out
 
     def difference(self, computed, expected):
@@ -193,8 +182,9 @@ class _TauAlgebra:
             for j in range(4):
                 acc = dict(computed[i][j])
                 for slot, c in expected.get((i, j), {}).items():
-                    _accumulate(acc, slot, -c)
-                out.append(self.form(_nonzero(acc), 2))
+                    if not is_zero(c):
+                        add_term(acc, slot, -c)
+                out.append(self.form(acc, 2))
         return out
 
     def form(self, coeffs, degree):

@@ -14,8 +14,24 @@ from .expression import Expression
 from .linalg import invert_matrix
 
 
-def _wedge_indices(i1, i2):
-    """Sign and merged tuple for dx^{i1} ∧ dx^{i2}, or None if they collide."""
+def is_zero(c):
+    """Whether a coefficient vanishes: an int, a Fraction or an Expression."""
+    return c.is_zero if isinstance(c, Expression) else not c
+
+
+def add_term(acc, key, term):
+    """acc[key] += term: a zero term is not stored, and a key whose sum cancels is dropped."""
+    if not is_zero(term):
+        total = acc[key] + term if key in acc else term
+        if is_zero(total):
+            del acc[key]
+        else:
+            acc[key] = total
+
+
+def wedge_key(i1, i2):
+    """Sign and merged tuple for dx^{i1} ∧ dx^{i2} (each tuple strictly
+    increasing), or None if they share an index."""
     sign = 1
     out = list(i1)
     for axis in i2:
@@ -26,6 +42,19 @@ def _wedge_indices(i1, i2):
             sign = -sign
         out.insert(lo, axis)
     return sign, tuple(out)
+
+
+def add_wedge(acc, i1, i2, c, *factors):
+    """acc += c · Π factors · dx^{i1} ∧ dx^{i2}: the product is formed only
+    when the tuples share no index, and is negated or stored only if nonzero."""
+    merged = wedge_key(i1, i2)
+    if merged is None:
+        return
+    sign, key = merged
+    for f in factors:
+        c = c * f
+    if not is_zero(c):
+        add_term(acc, key, c if sign > 0 else -c)
 
 
 class DifferentialForm:
@@ -80,14 +109,7 @@ class DifferentialForm:
         self._check_mate(other)
         comps = dict(self.comps)
         for idx, c in other.comps.items():
-            if idx in comps:
-                s = comps[idx] + c
-                if s.is_zero:
-                    del comps[idx]
-                else:
-                    comps[idx] = s
-            else:
-                comps[idx] = c
+            add_term(comps, idx, c)
         return DifferentialForm(self.chart, self.degree, comps, _clean=True)
 
     def __neg__(self):
@@ -120,22 +142,7 @@ class DifferentialForm:
         comps = {}
         for i1, c1 in self.comps.items():
             for i2, c2 in other.comps.items():
-                merged = _wedge_indices(i1, i2)
-                if merged is None:
-                    continue
-                sign, idx = merged
-                term = c1 * c2
-                if sign < 0:
-                    term = -term
-                if idx in comps:
-                    s = comps[idx] + term
-                    if s.is_zero:
-                        del comps[idx]
-                    else:
-                        comps[idx] = s
-                else:
-                    if not term.is_zero:
-                        comps[idx] = term
+                add_wedge(comps, i1, i2, c1, c2)
         return DifferentialForm(self.chart, degree, comps, _clean=True)
 
     def exterior_derivative(self):
@@ -144,22 +151,7 @@ class DifferentialForm:
         comps = {}
         for idx, c in self.comps.items():
             for axis, coord in enumerate(self.chart.coords):
-                dc = c.differentiate(coord)
-                if dc.is_zero:
-                    continue
-                merged = _wedge_indices((axis,), idx)
-                if merged is None:
-                    continue
-                sign, nidx = merged
-                term = dc if sign > 0 else -dc
-                if nidx in comps:
-                    s = comps[nidx] + term
-                    if s.is_zero:
-                        del comps[nidx]
-                    else:
-                        comps[nidx] = s
-                else:
-                    comps[nidx] = term
+                add_wedge(comps, (axis,), idx, c.differentiate(coord))
         return DifferentialForm(self.chart, self.degree + 1, comps, _clean=True)
 
     def pullback(self, mapping, target):
@@ -233,18 +225,15 @@ def jacobian_nonsingular(source, mapping, target):
 
 def pair_minors(vectors):
     """For each pair i < j of sparse vectors a = vectors[i], b = vectors[j]
-    (lists of ``(index, value)``, zero values left out), the 2x2 minors
-    ``{(k, l): a_k b_l - a_l b_k}`` over k < l; a minor that cancels is
-    kept."""
+    (lists of ``(index, value)``, zero values left out), the nonzero 2x2
+    minors ``{(k, l): a_k b_l - a_l b_k}`` over k < l."""
     out = {}
     for i, a in enumerate(vectors):
         for j in range(i + 1, len(vectors)):
             row = {}
             for k, x in a:
                 for l, y in vectors[j]:
-                    if k != l:
-                        key, term = ((k, l), x * y) if k < l else ((l, k), -(x * y))
-                        row[key] = row[key] + term if key in row else term
+                    add_wedge(row, (k,), (l,), x, y)
             out[(i, j)] = row
     return out
 
@@ -318,14 +307,10 @@ class Coframe:
         """{(i, j): {(k, l): frame_i^k frame_j^l - frame_i^l frame_j^k}} for
         i < j, k < l, with zero minors left out."""
         if self._minors is None:
-            cols = [
+            self._minors = pair_minors([
                 [(k, e) for k, e in enumerate(self.frame_vector(i)) if not e.is_zero]
                 for i in range(self.dim)
-            ]
-            self._minors = {
-                slot: {key: c for key, c in row.items() if not c.is_zero}
-                for slot, row in pair_minors(cols).items()
-            }
+            ])
         return self._minors
 
     def expand_2(self, form):

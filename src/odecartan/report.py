@@ -65,6 +65,14 @@ class AnalysisInputError(OdeCartanError):
         super().__init__(message)
 
 
+def _mapping(value, field, code):
+    """A mapping, or (name, value) pairs, as a dict; anything else is refused with ``code``."""
+    try:
+        return dict(value)
+    except (TypeError, ValueError):
+        raise AnalysisInputError(code, f"{field} must be a mapping, got {value!r}") from None
+
+
 class AnalysisRequest:
     """One request: the right-hand side's text, opaque functions (name ->
     tuple of args), stage names, specialisations (name -> expression
@@ -73,8 +81,9 @@ class AnalysisRequest:
     def __init__(
         self, ode, opaque=(), stages=("inv", "cond"), specializations=(), points=5, seed=0
     ):
-        self.ode, self.opaque, self.stages = ode, dict(opaque), stages
-        self.specializations, self.points, self.seed = dict(specializations), points, seed
+        self.ode, self.opaque, self.stages = ode, _mapping(opaque, "opaque", "bad-opaque"), stages
+        self.specializations = _mapping(specializations, "specializations", "bad-specialization")
+        self.points, self.seed = points, seed
 
     def normalized_stages(self):
         """Canonical stage names in request order, duplicates dropped;

@@ -67,7 +67,7 @@ def connection_matrix(fd, table):
     table in the format of ``METRIC_CONNECTION``."""
     prob = fd.problem
     forms = adapted_tau(prob)
-    values = family_invariants(fd).as_dict()
+    values = family_invariants(fd)._asdict()
     zero = Expression.number(0, M_ADAPTED_CHART)
     out = [[_zero_form() for _ in range(4)] for _ in range(4)]
     for (i, j), row in table.items():

@@ -47,7 +47,7 @@ def chart_level_residuals(tau, table, sf=None):
     the chart, minus the table's wedges of tau forms built on the chart."""
     chart = tau[0].chart
     zero = Expression.number(0, chart)
-    values = sf.as_dict() if sf is not None else dict.fromkeys(STRUCTURE_NAMES, zero)
+    values = sf._asdict() if sf is not None else dict.fromkeys(STRUCTURE_NAMES, zero)
     out = []
     for i in range(6):
         rhs = DifferentialForm.zero(chart, 2)

@@ -111,6 +111,18 @@ class TestExitCodes:
         assert data["appendix_residuals"]["all_zero"] is True
 
 
+    @pytest.mark.parametrize("text", ["-q^2", "-3/2*q^2/p"])
+    def test_an_ode_that_begins_with_a_minus(self, text):
+        spaced = run_cli("--ode", text, "--stages", "inv")
+        joined = run_cli(f"--ode={text}", "--stages", "inv")
+        assert spaced.returncode == joined.returncode == 1  # runs to its verdicts
+        assert spaced.stderr == joined.stderr == ""
+        one, two = json.loads(spaced.stdout), json.loads(joined.stdout)
+        one["timings"] = two["timings"] = None
+        assert one == two
+        assert one["input"]["ode"] == text
+
+
 class TestReportContract:
     def test_required_keys_always_present(self):
         for args in (["--ode", "3/2*q^2/p"], ["--ode", "q^2", "--stages", "inv"]):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from odecartan import (
     ChartError,
@@ -13,7 +14,16 @@ from odecartan import (
     P_CHART,
     parse_expression,
 )
-from odecartan.forms import Coframe, DifferentialForm, change_chart, wedge_sum
+from odecartan.forms import (
+    Coframe,
+    DifferentialForm,
+    add_term,
+    add_wedge,
+    change_chart,
+    pair_minors,
+    wedge_key,
+    wedge_sum,
+)
 from tests.oracles import duality_residuals, expand_1
 
 
@@ -56,6 +66,58 @@ class TestWedge:
         a = dx.wedge(dy).scale(q) + dp.wedge(dq)
         b = dx.wedge(dp) + dy.wedge(dq).scale(q ** 2)
         assert (a.wedge(b) - b.wedge(a)).is_zero  # 2-forms commute
+
+
+def _parity(seq):
+    """The sign of the permutation that sorts ``seq`` (distinct entries)."""
+    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+class _Unmultipliable:
+    def __mul__(self, other):
+        raise AssertionError("a product was formed on a shared index")
+
+    __rmul__ = __mul__
+
+
+class TestSparseMaps:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(st.integers(0, 7), max_size=5), st.sets(st.integers(0, 7), max_size=5))
+    def test_wedge_key_sign_is_the_parity_of_the_sorting_permutation(self, a, b):
+        i1, i2 = tuple(sorted(a)), tuple(sorted(b))
+        expected = None if a & b else (_parity(i1 + i2), tuple(sorted(a | b)))
+        assert wedge_key(i1, i2) == expected
+
+    def test_add_wedge_forms_no_product_on_a_shared_index(self):
+        acc = {}
+        add_wedge(acc, (0, 2), (2,), _Unmultipliable(), _Unmultipliable())
+        add_wedge(acc, (1,), (1,), 3, _Unmultipliable())
+        assert acc == {}
+        add_wedge(acc, (2,), (0,), Fraction(3), Fraction(1, 2))
+        assert acc == {(0, 2): Fraction(-3, 2)}
+
+    def test_a_term_that_cancels_removes_its_key(self):
+        x = Expression.coordinate("x", J2_CHART)
+        acc = {}
+        add_term(acc, (0, 1), x)
+        add_wedge(acc, (1,), (0,), x)
+        assert acc == {}
+        add_term(acc, "k", Fraction(1, 2))
+        add_term(acc, "k", Fraction(-1, 2))
+        add_term(acc, "z", 0)
+        assert acc == {}
+
+    def test_pair_minors_returns_no_zero_minor(self):
+        x = Expression.coordinate("x", J2_CHART)
+        one, two = (Expression.number(v, J2_CHART) for v in (1, 2))
+        minors = pair_minors([[(0, x), (1, x)], [(0, two), (1, two)], [(0, one), (2, one)]])
+        assert minors == {
+            (0, 1): {},
+            (0, 2): {(0, 1): -x, (0, 2): x, (1, 2): x},
+            (1, 2): {(0, 1): -2, (0, 2): 2, (1, 2): 2},
+        }
+        assert pair_minors([[(0, 1), (1, 1)], [(0, 2), (1, 2)]]) == {(0, 1): {}}
 
 
 class TestExteriorDerivative:

@@ -3,13 +3,22 @@ verdict rule and the stage error codes."""
 
 import json
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from odecartan import cartan
 from odecartan import report as report_module
 from odecartan.errors import OdeCartanError, PetrovDegeneracyError
-from odecartan.report import STAGES, AnalysisInputError, AnalysisRequest, analyze, emit_report
+from odecartan.report import (
+    STAGES,
+    AnalysisInputError,
+    AnalysisReport,
+    AnalysisRequest,
+    analyze,
+    emit_report,
+)
 from tests.test_cli import run_cli
 
 FLAT = "3/2*q^2/p"
@@ -303,6 +312,22 @@ class TestRequestValidation:
         assert proc.stdout == ""
         assert json.loads(proc.stderr)["error"]["code"] == "bad-specialization"
 
+    @pytest.mark.parametrize(
+        "field, value, code",
+        [
+            ("opaque", None, "bad-opaque"),
+            ("opaque", "xy", "bad-opaque"),
+            ("specializations", None, "bad-specialization"),
+            ("specializations", ("ab", ""), "bad-specialization"),
+        ],
+        ids=repr,
+    )
+    def test_a_field_that_is_not_a_mapping_is_rejected(self, field, value, code):
+        with pytest.raises(AnalysisInputError) as info:
+            analyze(AnalysisRequest(ode=FLAT, stages=("inv",), **{field: value}))
+        assert info.value.code == code
+        assert str(info.value) == f"{field} must be a mapping, got {value!r}"
+
     def test_out_into_a_missing_directory(self, tmp_path):
         out = tmp_path / "missing" / "report.json"
         proc = run_cli("--ode", FLAT, "--out", str(out))
@@ -312,3 +337,108 @@ class TestRequestValidation:
         assert error["code"] == "bad-out"
         assert str(out) in error["message"]
         assert not out.exists()
+
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+# Names and texts that some field accepts, so that valid values are drawn too.
+_NAME = st.sampled_from(
+    ["inv", "all", "petrov", "conn", "A", "B", "C", "x", "y", "x*y", "q^2", "3/2*q^2/p", ""]
+)
+_HASHABLE = st.one_of(st.none(), st.integers(), st.text(max_size=4), _NAME)
+_LEAF = st.one_of(_HASHABLE, st.booleans(), st.floats(allow_nan=False), st.binary(max_size=3))
+# Any value a caller could put in a request field: scalars, and lists,
+# tuples, dicts and sets of them.
+ANY_VALUE = st.one_of(
+    _LEAF,
+    st.lists(_NAME, min_size=1, max_size=3),
+    st.recursive(
+        _LEAF,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3),
+            st.lists(inner, max_size=3).map(tuple),
+            st.dictionaries(_HASHABLE, inner, max_size=3),
+            st.frozensets(_HASHABLE, max_size=3),
+            st.dictionaries(_NAME, st.one_of(_NAME, st.lists(_NAME, max_size=2).map(tuple))),
+        ),
+        max_leaves=10,
+    ),
+)
+
+# Text built from the grammar's tokens, with A(x,y) declared: token runs,
+# which mostly do not parse; well-formed expressions, which mostly have
+# F_qq = 0; and well-formed right-hand sides with a q^2 term or of the
+# cubic family's shape, which run the stages.
+_ATOM = st.one_of(
+    st.sampled_from(["x", "y", "p", "q", "A", "A_x", "A_y", "A_xy", "A(x,y)"]),
+    st.integers(0, 99).map(str),
+)
+
+
+def _expressions(atom, max_leaves):
+    return st.recursive(
+        atom,
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map("".join),
+            inner.map(lambda e: f"({e})"),
+            inner.map(lambda e: f"-{e}"),
+            st.tuples(inner, st.integers(0, 3)).map(lambda t: f"{t[0]}^{t[1]}"),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+_WELL_FORMED = _expressions(_ATOM, 8)
+_IN_XY = _expressions(
+    st.one_of(st.sampled_from(["x", "y", "A", "A_x", "A(x,y)"]), st.integers(0, 9).map(str)), 3
+)
+ODE_TEXT = st.one_of(
+    st.lists(
+        st.one_of(_ATOM, st.sampled_from(["+", "-", "*", "/", "^", "(", ")", ","])), max_size=12
+    ).map("".join),
+    _WELL_FORMED,
+    st.tuples(_WELL_FORMED, _WELL_FORMED).map(lambda t: f"({t[0]})*q^2+{t[1]}"),
+    st.tuples(_IN_XY, _IN_XY, _IN_XY).map(
+        lambda t: f"3/2*q^2/p+({t[0]})*p^3+({t[1]})*p^2+({t[2]})*p"
+    ),
+)
+
+
+def _report_or_listed_refusal(**fields):
+    """Build the request and analyze it: a report, or an AnalysisInputError
+    whose code the README lists, is the only way out."""
+    try:
+        report = analyze(AnalysisRequest(**fields))
+    except AnalysisInputError as exc:
+        assert f"`{exc.code}`" in README, exc.code
+    else:
+        assert isinstance(report, AnalysisReport)
+        assert report.exit_code in (0, 1, 2)
+
+
+class TestRequestProperties:
+    # ``points`` is read only by petrov, and nothing bounds its cost, so it
+    # stays at most 3 wherever petrov can run: the base request runs petrov
+    # with 3 points, and the ``points`` field varies only with ``inv``.
+    BASE = dict(ode=FLAT, opaque={}, stages=("inv", "petrov"), specializations={}, points=3, seed=0)
+
+    @pytest.mark.parametrize(
+        "field", ["ode", "opaque", "stages", "specializations", "points", "seed"]
+    )
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(value=ANY_VALUE)
+    def test_any_field_value_gives_a_report_or_a_listed_code(self, field, value):
+        fields = dict(self.BASE, **{field: value})
+        if field == "points":
+            fields["stages"] = ("inv",)
+        _report_or_listed_refusal(**fields)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(text=ODE_TEXT)
+    def test_grammar_text_gives_a_report_or_a_listed_code(self, text):
+        for stages in (("inv",), ("inv", "cond", "appendix"), ("all",)):
+            _report_or_listed_refusal(
+                ode=text, opaque={"A": ("x", "y")}, stages=stages, points=3
+            )
