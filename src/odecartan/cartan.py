@@ -65,7 +65,7 @@ class OdeProblem:
         return self._memo("coframe", lambda: invariant_coframe(self))
 
     def structure(self):
-        return self._memo("structure", lambda: structure_functions(self))
+        return self._memo("structure", lambda: structure_functions(self.coframe()))
 
     def tau(self):
         return self._memo("tau", lambda: tau_basis(self.coframe()))
@@ -102,21 +102,21 @@ def base_coframe(prob, chart=J2_CHART):
     )
 
 
-def invariant_coframe(prob, printed_display=False):
+def invariant_coframe(prob):
     """The six invariant 1-forms on the chart (x, y, p, q, alpha, gamma).
 
     Two display readings of the third form and the first connection form
     circulate; only one satisfies the structure-equation pattern, and the
-    consistency check in ``structure_functions`` is the arbiter.  The
-    default implements the reading that passes:
+    consistency check in ``structure_functions`` is the arbiter.  This is
+    the reading that passes:
 
       * the third form carries the square of F_qq in its prefactor and
         groups the middle coefficient as (gamma - F_q/3);
       * the first connection form ends in  d(alpha)/alpha - gamma dx.
 
-    ``printed_display=True`` builds the other reading (F_qq unsquared,
-    (gamma - 1/3)F_q, and a -(gamma/alpha) d(alpha) tail); it exists so the
-    tests can demonstrate that it fails the consistency check.
+    The test suite builds the other reading (F_qq unsquared,
+    (gamma - 1/3)F_q, and a -(gamma/alpha) d(alpha) tail) and shows that it
+    fails the consistency check.
     """
     chart = P_CHART
     F = prob.F.on_chart(chart)
@@ -140,15 +140,9 @@ def invariant_coframe(prob, printed_display=False):
     theta1 = w1.scale(alpha)
     theta2 = (w2 + w1.scale(gamma)).scale(SIXTH * Fqq)
 
-    if printed_display:
-        theta3_prefactor = Fqq / (36 * alpha)
-        theta3_mid = (gamma - THIRD) * Fq
-    else:
-        theta3_prefactor = Fqq * Fqq / (36 * alpha)
-        theta3_mid = gamma - THIRD * Fq
     theta3 = (
-        w3 + w2.scale(theta3_mid) + w1.scale(HALF * gamma * gamma + K)
-    ).scale(theta3_prefactor)
+        w3 + w2.scale(gamma - THIRD * Fq) + w1.scale(HALF * gamma * gamma + K)
+    ).scale(Fqq * Fqq / (36 * alpha))
 
     theta4 = w4.scale(6 * alpha / Fqq)
 
@@ -159,10 +153,7 @@ def invariant_coframe(prob, printed_display=False):
         + 2 * Fqqq * K
         - 2 * Fqqy
     ) / Fqq
-    if printed_display:
-        omega1 = w1.scale(omega1_w1) - dalpha.scale(gamma / alpha)
-    else:
-        omega1 = w1.scale(omega1_w1) - w4.scale(gamma) + dalpha.scale(1 / alpha)
+    omega1 = w1.scale(omega1_w1) - w4.scale(gamma) + dalpha.scale(1 / alpha)
 
     omega2 = (
         w4.scale(-(SIXTH / alpha) * Fqq * (HALF * gamma * gamma + THIRD * Fq * gamma + K))
@@ -275,14 +266,14 @@ class StructureFunctions(namedtuple("StructureFunctions", STRUCTURE_NAMES)):
         return all(v.is_zero for v in self)
 
 
-def structure_functions(prob, coframe=None):
-    """Extract a..s and verify the full overdetermined pattern.
+def structure_functions(cf):
+    """Extract a..s from the coframe ``cf`` and verify the full
+    overdetermined pattern.
 
     Raises StructureConsistencyError when any of the ninety coefficient
     slots disagrees with the pattern; a mismatch means the coframe in use
     does not satisfy its defining structure equations.
     """
-    cf = coframe if coframe is not None else prob.coframe()
     tables = [cf.expand_2(f.exterior_derivative()) for f in cf.forms]
     zero = Expression.number(0, cf.chart)
 
@@ -520,16 +511,12 @@ def family_invariants(fd):
     return KneInvariants(k, n, e)
 
 
-def family_invariants_residuals(fd, sf=None):
-    """Closed forms minus the general extraction, pulled to the adapted
-    chart; all three must vanish."""
-    sf = sf if sf is not None else fd.problem.structure()
-    kne = family_invariants(fd)
-    return {
-        "k": to_adapted(sf.k) - kne.k,
-        "n": to_adapted(sf.n) - kne.n,
-        "e": to_adapted(sf.e) - kne.e,
-    }
+def family_invariants_residuals(fd, kne):
+    """The closed forms ``kne`` (``family_invariants(fd)``) minus the
+    general extraction, pulled to the adapted chart; all three must
+    vanish."""
+    sf = fd.problem.structure()
+    return {name: to_adapted(getattr(sf, name)) - value for name, value in kne._asdict().items()}
 
 
 # -- full and reduced differential tables -----------------------------------
@@ -694,15 +681,14 @@ def _appendix_residual_table():
     return residual_table(APPENDIX_TABLE)
 
 
-def differential_residuals(prob, residuals, sf=None):
+def differential_residuals(prob, residuals):
     """d(tau_i) minus the tabulated right-hand side, for each tau form:
-    ``residuals`` (from ``residual_table``) evaluated on the invariants of
-    ``sf``.  When ``sf`` is None the invariants are ``prob.structure()``,
-    not zeros.  A nonzero coefficient becomes a chart form
+    ``residuals`` (from ``residual_table``) evaluated on the invariants
+    ``prob.structure()``.  A nonzero coefficient becomes a chart form
     Σ c · tau_l ∧ tau_r through ``prob.tau()``; a residual with none is the
     zero 2-form on the 6-chart.
     """
-    values = (sf if sf is not None else prob.structure())._asdict()
+    values = prob.structure()._asdict()
     out = []
     for i in range(6):
         coeffs = _nonzero({(l, r): affine_value(aff, values) for aff, l, r in residuals[i]})
@@ -714,7 +700,7 @@ def differential_residuals(prob, residuals, sf=None):
     return out
 
 
-def verify_appendix(prob, sf=None):
+def verify_appendix(prob):
     """Residuals of the six closed-form differentials for arbitrary F,
     read from ``tau_differential_table``."""
-    return differential_residuals(prob, _appendix_residual_table(), sf)
+    return differential_residuals(prob, _appendix_residual_table())

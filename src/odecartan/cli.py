@@ -86,12 +86,12 @@ def _fail(code, exc):
 
 
 def _joined_ode(argv):
-    """``--ode TEXT`` as ``--ode=TEXT``: argparse reads a TEXT that begins
-    with a minus, such as ``-q^2``, as an option, not as the value."""
+    """``--ode TEXT``, or its abbreviation ``--od TEXT``, as ``--ode=TEXT``:
+    argparse reads a TEXT that begins with a minus as an option."""
     out = []
     tokens = iter(argv)
     for token in tokens:
-        text = next(tokens, None) if token == "--ode" else None
+        text = next(tokens, None) if token in ("--od", "--ode") else None
         out.append(token if text is None else f"--ode={text}")
     return out
 

@@ -11,15 +11,15 @@ structure-equation picture:
 The quotient metric of the cubic family is split signature with unit
 determinant, Einstein with cosmological constant -1, and it projects from
 the 6-space.  These are identities in A, B, C, verified once per process
-on ``cartan.generic_family`` (opaque A', B', C'): ``family_geometry`` and
-``metric_from_family`` of that member hold every member's values.
+on ``cartan.generic_family`` (opaque A', B', C'): ``metric_from_family``
+and ``curvature_tensors`` of that member hold every member's values
+(``report._generic_evidence``).
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache
 
-from .cartan import HALF, generic_family, to_adapted
+from .cartan import HALF, to_adapted
 from .errors import ChartError
 from .expression import Expression
 from .linalg import invert_matrix
@@ -29,19 +29,17 @@ DIM = 4
 
 
 class Metric4:
-    """Symmetric nondegenerate metric on the chart (x, y, z, t)."""
+    """Symmetric metric on the chart (x, y, z, t); ``curvature_tensors``
+    inverts it."""
 
-    __slots__ = ("chart", "g", "ginv", "det")
+    __slots__ = ("g",)
 
     def __init__(self, components):
-        chart = METRIC_CHART
         for i in range(DIM):
             for j in range(DIM):
                 if not (components[i][j] - components[j][i]).is_zero:
                     raise ChartError("metric components must be symmetric")
-        self.chart = chart
         self.g = [[components[i][j] for j in range(DIM)] for i in range(DIM)]
-        self.ginv, self.det = invert_matrix(self.g)
 
 
 def family_metric(fd):
@@ -57,23 +55,6 @@ def family_metric(fd):
     g[1][1] = 2 * A - z * z
     g[1][2] = g[2][1] = one
     return Metric4(g)
-
-
-@cache
-def family_geometry():
-    """(metric, curvature tensors, Einstein residual) of the family metric
-    of ``cartan.generic_family``, with A and B the opaque A'(x, y) and
-    B'(x, y).
-
-    det G = 1, so g^-1 and every tensor are polynomials in z, t and the
-    jets of A' and B'.  Putting in a member's A, B and their derivatives is
-    a ring homomorphism: the residual is every member's, and the tensors at
-    a point extended with the jets' values are the member's values there.
-    Built on first use and shared for the life of the process: callers must
-    not mutate it."""
-    metric = family_metric(generic_family())
-    tensors = curvature_tensors(metric)
-    return metric, tensors, einstein_residual(metric, tensors)
 
 
 class ProjectabilityReport(
@@ -125,19 +106,21 @@ def metric_from_family(fd):
 
 
 CurvatureTensors = namedtuple(
-    "CurvatureTensors", "christoffel riemann_up riemann_down ricci scalar weyl_down"
+    "CurvatureTensors", "ginv det christoffel riemann_up riemann_down ricci scalar weyl_down"
 )
-CurvatureTensors.__doc__ = """Nested tuples indexed as christoffel[i][j][k] (upper, lower, lower;
+CurvatureTensors.__doc__ = """The inverse metric ginv[i][j] (a list of rows) and the determinant
+of g; nested tuples indexed as christoffel[i][j][k] (upper, lower, lower;
 symmetric in j, k), riemann_up[i][j][k][l], riemann_down[i][j][k][l],
 ricci[i][j] and weyl_down[i][j][k][l]; the scalar curvature is an
 Expression."""
 
 
 def curvature_tensors(metric):
+    """Raises DegenerateCoframeError if det g is identically zero."""
     g = metric.g
-    ginv = metric.ginv
-    zero = Expression.number(0, metric.chart)
-    coords = metric.chart.coords
+    ginv, det = invert_matrix(g)
+    zero = Expression.number(0, METRIC_CHART)
+    coords = METRIC_CHART.coords
 
     dg = [
         [[g[i][j].differentiate(coords[k]) for k in range(DIM)] for j in range(DIM)]
@@ -225,6 +208,8 @@ def curvature_tensors(metric):
                     weyl[i][j][l][k] = -acc
 
     return CurvatureTensors(
+        ginv=ginv,
+        det=det,
         christoffel=_freeze(chr_),
         riemann_up=_freeze(riem),
         riemann_down=_freeze(riem_down),
@@ -240,10 +225,9 @@ def _freeze(nested):
     return nested
 
 
-def einstein_residual(metric, tensors, cosmological=Fraction(-1)):
-    """Ric_ij - Lambda g_ij; identically zero for the family metrics at
-    Lambda = -1."""
+def einstein_residual(metric, tensors):
+    """Ric_ij - Lambda g_ij at the cosmological constant Lambda = -1;
+    identically zero for the family metrics."""
     return tuple(
-        tuple(tensors.ricci[i][j] - cosmological * metric.g[i][j] for j in range(DIM))
-        for i in range(DIM)
+        tuple(tensors.ricci[i][j] + metric.g[i][j] for j in range(DIM)) for i in range(DIM)
     )

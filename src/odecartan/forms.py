@@ -151,7 +151,8 @@ class DifferentialForm:
         comps = {}
         for idx, c in self.comps.items():
             for axis, coord in enumerate(self.chart.coords):
-                add_wedge(comps, (axis,), idx, c.differentiate(coord))
+                if axis not in idx:  # dx^axis ∧ dx^idx would vanish
+                    add_wedge(comps, (axis,), idx, c.differentiate(coord))
         return DifferentialForm(self.chart, self.degree + 1, comps, _clean=True)
 
     def pullback(self, mapping, target):

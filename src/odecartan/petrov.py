@@ -12,8 +12,8 @@ structure is read from whether X^2 or (X - r)(X - s)X vanishes.  X is
 scaled to an integer matrix first; no floating point enters anywhere.
 
 A family member's W, g^-1 and det are never built as its own tensors:
-they are those of the opaque-coefficient geometry
-(``curvature.family_geometry``) read at the point extended with the
+they are the curvature tensors of the generic member's metric (opaque A'
+and B'; ``report._generic_evidence``) read at the point extended with the
 values of the jets of A' and B', taken from the member's A and B.
 """
 
@@ -75,12 +75,12 @@ def _isqrt_exact(n):
     return r if r * r == n else None
 
 
-def jet_expressions(metric, tensors, functions):
+def jet_expressions(tensors, functions):
     """{rendered name: expression} for each jet symbol among the values
     ``weyl_operator_at`` reads: its function's expression in
     ``functions`` (keyed by function name), differentiated along the
     jet's index."""
-    exprs = [metric.det, *(e for row in metric.ginv for e in row)]
+    exprs = [tensors.det, *(e for row in tensors.ginv for e in row)]
     exprs += [tensors.weyl_down[a][b][m][n] for a, b in PAIRS for m, n in PAIRS]
     jets = {}
     for sym in {s for e in exprs for s in e.symbols() if not s.is_coordinate}:
@@ -91,7 +91,7 @@ def jet_expressions(metric, tensors, functions):
     return jets
 
 
-def weyl_operator_at(metric, tensors, point, jets=None):
+def weyl_operator_at(tensors, point, jets=None):
     """Weyl endomorphism and Hodge star on 2-forms, as exact 6x6 matrices.
 
     Basis: coordinate 2-forms dx^a ∧ dx^b over the increasing pairs.
@@ -107,8 +107,8 @@ def weyl_operator_at(metric, tensors, point, jets=None):
     try:
         for name, expr in (jets or {}).items():
             values[name] = expr.evaluate(point, powers)
-        ginv = [[e.evaluate(values, powers) for e in row] for row in metric.ginv]
-        gdet = metric.det.evaluate(values, powers)
+        ginv = [[e.evaluate(values, powers) for e in row] for row in tensors.ginv]
+        gdet = tensors.det.evaluate(values, powers)
         weyl = [
             [tensors.weyl_down[a][b][m][n].evaluate(values, powers) for m, n in PAIRS]
             for a, b in PAIRS
@@ -190,9 +190,9 @@ class PetrovPointResult(namedtuple("PetrovPointResult", "point label_plus label_
         return frozenset((self.label_plus, self.label_minus))
 
 
-def classify_at_point(metric, tensors, point, jets=None):
+def classify_at_point(tensors, point, jets=None):
     """Petrov labels at ``point``; ``jets`` as in ``weyl_operator_at``."""
-    weyl_op, star = weyl_operator_at(metric, tensors, point, jets)
+    weyl_op, star = weyl_operator_at(tensors, point, jets)
     if mat_mul(star, star) != identity(6):
         raise PetrovDegeneracyError("Hodge star does not square to +1 at the point")
     ws = mat_mul(weyl_op, star)

@@ -33,7 +33,7 @@ from .cartan import (
     verify_appendix,
 )
 from .connection import cartan_connection_report, expected_cartan_curvature, metric_connection_report
-from .curvature import family_geometry, family_metric, metric_from_family
+from .curvature import curvature_tensors, einstein_residual, family_metric, metric_from_family
 from .errors import (
     ChartError,
     DegenerateOdeError,
@@ -126,18 +126,17 @@ class _State:
         self.request, self.report, self.prob = request, report, prob
         self.specializations = specializations  # name -> parsed Expression
         self.family = self.kne = None  # FamilyData and its k, n, e; None outside the family
-        self.sf = None  # set by inv
 
 
 def _run_inv(st):
-    st.sf = st.prob.structure()
+    sf = st.prob.structure()
     st.report["structure_functions"] = {
         "run": True,
         "consistent": True,
-        "values": {n: getattr(st.sf, n).render() for n in STRUCTURE_NAMES},
+        "values": {n: getattr(sf, n).render() for n in STRUCTURE_NAMES},
     }
     if st.family is not None:
-        res = family_invariants_residuals(st.family, st.sf)
+        res = family_invariants_residuals(st.family, st.kne)
         section = st.report["invariants_kne"]
         section["extraction_residuals"] = {k: v.render() for k, v in res.items()}
         section["matches_extraction"] = all(v.is_zero for v in res.values())
@@ -145,7 +144,7 @@ def _run_inv(st):
 
 
 def _run_cond(st):
-    cond = check_einstein_conditions(st.sf)
+    cond = check_einstein_conditions(st.prob.structure())
     st.report["conditions"] = {
         "run": True,
         "verdicts": {
@@ -157,25 +156,36 @@ def _run_cond(st):
     return cond.all_hold
 
 
-@cache
-def _generic_projectability():
-    """The projectability evidence of ``generic_family``: every member's."""
-    return metric_from_family(generic_family())[1]
+_GenericEvidence = namedtuple(
+    "_GenericEvidence",
+    "metric projectability tensors einstein_residual metric_connection cartan_connection",
+)
 
 
 @cache
-def _generic_connection_reports():
-    """Both connection reports of ``generic_family``: every member's."""
-    return metric_connection_report(generic_family()), cartan_connection_report(generic_family())
+def _generic_evidence():
+    """The family stages' evidence, from one metric of ``generic_family``
+    (opaque A', B', C'): its projectability report, curvature tensors
+    (g^-1 and det G among them) and Einstein residual, and both connection
+    reports.  Each is a polynomial identity in the jets of A', B' and C',
+    so it is every member's.  Built on first use and shared for the life
+    of the process: callers must not mutate it."""
+    family = generic_family()
+    metric, projectability = metric_from_family(family)
+    tensors = curvature_tensors(metric)
+    return _GenericEvidence(
+        metric, projectability, tensors, einstein_residual(metric, tensors),
+        metric_connection_report(family), cartan_connection_report(family),
+    )
 
 
 def _run_metric(st):
-    metric = family_metric(st.family)
-    proj = _generic_projectability()
+    evidence = _generic_evidence()
+    proj = evidence.projectability
     st.report["metric"] = {
         "run": True,
-        "components": [[e.render() for e in row] for row in metric.g],
-        "determinant": metric.det.render(),
+        "components": [[e.render() for e in row] for row in family_metric(st.family).g],
+        "determinant": evidence.tensors.det.render(),
         "projectability": {
             "projects": proj.projects,
             "vertical_residuals": [e.render() for e in proj.vertical_residuals],
@@ -187,10 +197,11 @@ def _run_metric(st):
 
 
 def _run_einstein(st):
-    """Ric + G and the scalar curvature of ``family_geometry``: both are
+    """Ric + G and the scalar curvature of ``_generic_evidence``: both are
     polynomials in the jets of A' and B', so putting in this request's A
     and B gives its own, and the verdict is exact for every member."""
-    _, tensors, residual = family_geometry()
+    evidence = _generic_evidence()
+    tensors, residual = evidence.tensors, evidence.einstein_residual
     holds = all(r.is_zero for row in residual for r in row)
     st.report["einstein_residual_zero"] = {
         "run": True,
@@ -241,7 +252,7 @@ _D_EIGENSPACE = {(True, False): "plus", (False, True): "minus", (True, True): "b
 def _run_petrov(st):
     """Petrov labels at seeded exact points of the specialised metric.
 
-    The Weyl tensor, g^-1 and det of ``family_geometry`` (opaque A' and
+    The Weyl tensor, g^-1 and det of ``_generic_evidence`` (opaque A' and
     B') take the specialised metric's values at a point extended with each
     jet symbol's value: the specialised A or B differentiated along the
     jet's index.
@@ -256,8 +267,8 @@ def _run_petrov(st):
             f"metric still contains opaque symbols {leftover}; "
             "provide rational specializations for A and B",
         )
-    metric, tensors, _ = family_geometry()
-    jets = jet_expressions(metric, tensors, dict(zip(GENERIC_COEFFICIENTS, (A, B))))
+    tensors = _generic_evidence().tensors
+    jets = jet_expressions(tensors, dict(zip(GENERIC_COEFFICIENTS, (A, B))))
     rng = random.Random(request.seed)
     results, skipped = [], []
     for _ in range(max(50, 40 * request.points)):
@@ -265,7 +276,7 @@ def _run_petrov(st):
             break
         point = {c: Fraction(rng.randint(-100, 100), rng.randint(1, 100)) for c in "xyzt"}
         try:
-            results.append(classify_at_point(metric, tensors, point, jets))
+            results.append(classify_at_point(tensors, point, jets))
         except PetrovDegeneracyError as exc:
             skipped.append({"point": _point_to_json(point), "reason": str(exc)})
     if len(results) < request.points:
@@ -298,10 +309,11 @@ _METRIC_CONNECTION_KEYS = (
 
 
 def _run_conn(st):
-    """The residuals of ``_generic_connection_reports``, with this request's
+    """The connection residuals of ``_generic_evidence``, with this request's
     own k, n, e for the flatness verdict: the generic curvature residual
     vanishes identically, so the curvature is the displayed matrix."""
-    mrep, crep = _generic_connection_reports()
+    evidence = _generic_evidence()
+    mrep, crep = evidence.metric_connection, evidence.cartan_connection
     expected = expected_cartan_curvature(st.kne).values()
     crep = crep._replace(
         invariants_zero=st.kne.all_zero(),
@@ -327,7 +339,7 @@ def _run_conn(st):
 
 
 def _run_appendix(st):
-    res = verify_appendix(st.prob, st.sf)
+    res = verify_appendix(st.prob)
     holds = all(f.is_zero for f in res)
     st.report["appendix_residuals"] = {
         "run": True,
@@ -351,8 +363,8 @@ class _Stage:
 # Execution order.  The condition verdicts are a free byproduct of
 # extraction, so ``inv`` implies ``cond``: it runs whenever ``inv`` does and
 # reports a verdict whenever ``inv`` is requested.  The family stages read
-# evidence built once per process for ``generic_family`` (opaque A', B',
-# C').  ``einstein`` and ``petrov`` still need ``metric``, so the report
+# ``_generic_evidence``, built once per process for ``generic_family``
+# (opaque A', B', C').  ``einstein`` and ``petrov`` still need ``metric``, so the report
 # shows the request's own metric next to their verdicts; ``conn`` still
 # needs ``inv``, which verifies this request's structure pattern, d(tau).
 _STAGE_TABLE = (
@@ -456,13 +468,13 @@ def analyze(request):
         report["fqq_nonzero"] = {"verdict": False, "fqq": None}
         return AnalysisReport(report, verdicts, {"parse": report["error"]})
 
-    fqq = rhs.differentiate("q").differentiate("q")
-    report["fqq_nonzero"] = {"verdict": not fqq.is_zero, "fqq": fqq.render()}
     try:
         prob = OdeProblem(rhs)
     except DegenerateOdeError as exc:
+        report["fqq_nonzero"] = {"verdict": False, "fqq": "0"}
         report["error"] = {"code": "degenerate-ode", "message": str(exc)}
         return AnalysisReport(report, verdicts, {"ode": report["error"]})
+    report["fqq_nonzero"] = {"verdict": True, "fqq": prob.Fqq.render()}
 
     # family detection always runs; it is cheap and the report requires it
     state = _State(request, report, prob, specializations)

@@ -14,19 +14,32 @@ tests classify against the program's traces on the whole 6-space
 (``odecartan.petrov``).
 
 The family stages read one member with opaque A', B', C'
-(``cartan.generic_family``), built once per process.  Each of their report
-sections is checked against the request's own path, which the program no
-longer takes: the Einstein and Petrov sections against the specialised
-metric's own curvature (the program reads ``curvature.family_geometry`` at
-jet-extended points), the metric and connection sections against
-``metric_from_family`` and both connection reports on the member's own
-``FamilyData`` (the program reads the generic member's residuals).
+(``cartan.generic_family``), whose evidence ``report._generic_evidence``
+builds once per process.  Each of their report sections is checked against
+the request's own path, which the program no longer takes: the Einstein and
+Petrov sections against the specialised metric's own curvature (the
+program reads the generic curvature tensors at jet-extended points), the
+metric and connection sections against ``metric_from_family``, its metric's
+determinant and both connection reports on the member's own ``FamilyData``
+(the program reads the generic member's residuals).
+
+The rejected display reading of the invariant coframe is built here too
+(``printed_display_coframe``), so the tests can show that the structure
+pattern refuses it.
 """
 
 import random
 from fractions import Fraction
 
-from odecartan.cartan import HALF, FamilyData, OdeProblem, family_detect, family_invariants
+from odecartan.cartan import (
+    HALF,
+    FamilyData,
+    OdeProblem,
+    base_coframe,
+    family_detect,
+    family_invariants,
+    invariant_coframe,
+)
 from odecartan.connection import (
     BLOCK_METRIC,
     CARTAN_CONNECTION,
@@ -47,9 +60,10 @@ from odecartan.curvature import (
 from odecartan.errors import ChartError, PetrovDegeneracyError, SingularEvaluationError
 from odecartan.expression import Expression
 from odecartan.forms import Coframe, DifferentialForm
+from odecartan.linalg import invert_matrix
 from odecartan.parse import parse_expression
 from odecartan.petrov import classify_at_point, mat_mul
-from odecartan.symbols import J2_CHART, M_ADAPTED_CHART, SymbolTable
+from odecartan.symbols import J2_CHART, M_ADAPTED_CHART, P_CHART, SymbolTable
 
 # -- the chart-level connection oracle ----------------------------------------
 
@@ -302,17 +316,17 @@ def first_bianchi_residuals(tensors):
     return out
 
 
-def weyl_trace_residuals(metric, tensors):
+def weyl_trace_residuals(tensors):
     """All contractions of the Weyl tensor with the inverse metric."""
-    zero = Expression.number(0, metric.chart)
+    zero = tensors.det.with_value(0)
     out = []
     for j in range(DIM):
         for l in range(DIM):
             acc = zero
             for i in range(DIM):
                 for k in range(DIM):
-                    if not metric.ginv[i][k].is_zero:
-                        acc = acc + metric.ginv[i][k] * tensors.weyl_down[i][j][k][l]
+                    if not tensors.ginv[i][k].is_zero:
+                        acc = acc + tensors.ginv[i][k] * tensors.weyl_down[i][j][k][l]
             out.append(acc)
     return out
 
@@ -413,16 +427,17 @@ def _request_family(request):
 
 def own_sections(request):
     """The ``metric`` and ``connection`` report sections of a family
-    request, from the member's own 6-space: ``metric_from_family`` and both
-    connection reports on its own ``FamilyData``.  The program reads the
-    residuals of the generic member once per process instead."""
+    request, from the member's own 6-space: ``metric_from_family``, the
+    determinant of its metric and both connection reports on its own
+    ``FamilyData``.  The program reads the residuals and det G of the
+    generic member once per process instead."""
     family = _request_family(request)
     metric, proj = metric_from_family(family)
     mrep, crep = metric_connection_report(family), cartan_connection_report(family)
     metric_section = {
         "run": True,
         "components": [[e.render() for e in row] for row in metric.g],
-        "determinant": metric.det.render(),
+        "determinant": invert_matrix(metric.g)[1].render(),
         "projectability": {
             "projects": proj.projects,
             "vertical_residuals": [e.render() for e in proj.vertical_residuals],
@@ -486,7 +501,7 @@ def specialised_sections(request):
         point = {c: Fraction(rng.randint(-100, 100), rng.randint(1, 100)) for c in "xyzt"}
         as_json = {k: str(v) for k, v in sorted(point.items())}
         try:
-            r = classify_at_point(metric, tensors, point)
+            r = classify_at_point(tensors, point)
         except PetrovDegeneracyError as exc:
             skipped.append({"point": as_json, "reason": str(exc)})
         else:
@@ -512,6 +527,24 @@ def specialised_sections(request):
 
 
 # -- bases, coframes and matrices ---------------------------------------------
+
+
+def printed_display_coframe(prob):
+    """The other display reading of ``cartan.invariant_coframe``, which
+    fails the structure pattern: F_qq unsquared in the third form's
+    prefactor, (gamma - 1/3) F_q as its middle coefficient, and a
+    -(gamma/alpha) d(alpha) tail on the first connection form in place of
+    d(alpha)/alpha - gamma dx.  Built from the passing reading's forms."""
+    forms = list(invariant_coframe(prob).forms)
+    _, w2, _, w4 = base_coframe(prob, P_CHART)
+    Fq = prob.F.on_chart(P_CHART).differentiate("q")
+    Fqq = Fq.differentiate("q")
+    alpha, gamma = (Expression.coordinate(c, P_CHART) for c in ("alpha", "gamma"))
+    # (gamma - 1/3) F_q - (gamma - F_q/3) = gamma (F_q - 1)
+    forms[2] = forms[2].scale(1 / Fqq) + w2.scale(gamma * (Fq - 1) * Fqq / (36 * alpha))
+    dalpha = DifferentialForm.d_coord(P_CHART, "alpha")
+    forms[4] = forms[4] + w4.scale(gamma) - dalpha.scale((1 + gamma) / alpha)
+    return Coframe(forms)
 
 
 def tau_from_theta_residuals(cf, tau):

@@ -18,6 +18,7 @@ from odecartan.cartan import (
     check_einstein_conditions,
     differential_residuals,
     family_detect,
+    family_invariants,
     family_invariants_residuals,
     residual_table,
     verify_appendix,
@@ -51,7 +52,7 @@ def test_criterion_2_family_conditions(family_problem, family_data):
     report = check_einstein_conditions(sf)
     assert report.all_hold, [v.name for v in report.verdicts if not v.holds]
     assert len(report.verdicts) == 10
-    residuals = family_invariants_residuals(family_data, sf)
+    residuals = family_invariants_residuals(family_data, family_invariants(family_data))
     assert all(r.is_zero for r in residuals.values())
     _report(2, "cubic family: ten conditions hold, closed-form k,n,e match extraction", started)
 
@@ -59,7 +60,7 @@ def test_criterion_2_family_conditions(family_problem, family_data):
 def test_criterion_3_einstein_identity(family_metric_tensors):
     started = _clock()
     metric, _, tensors = family_metric_tensors
-    residual = einstein_residual(metric, tensors, Fraction(-1))
+    residual = einstein_residual(metric, tensors)
     independent = [residual[i][j] for i in range(4) for j in range(i, 4)]
     assert len(independent) == 10
     assert all(r.is_zero for r in independent)
@@ -92,7 +93,7 @@ def test_criterion_4_petrov_dichotomy(label, ode_text, expected_pair):
             for c in ("x", "y", "z", "t")
         }
         try:
-            results.append(classify_at_point(metric, tensors, point))
+            results.append(classify_at_point(tensors, point))
         except Exception:
             continue
     assert len(results) == 5, "need five generic sample points"

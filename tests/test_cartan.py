@@ -39,7 +39,7 @@ from odecartan.cartan import (
 )
 from odecartan.forms import DifferentialForm
 from tests.conftest import make_problem
-from tests.oracles import tau_from_theta_residuals
+from tests.oracles import printed_display_coframe, tau_from_theta_residuals
 
 
 def chart_level_residuals(tau, table, sf=None):
@@ -204,12 +204,12 @@ class TestInvariantCoframe:
             assert f.exterior_derivative().exterior_derivative().is_zero
 
     def test_printed_display_fails_the_structure_pattern(self, flat_problem):
-        printed = invariant_coframe(flat_problem, printed_display=True)
+        printed = printed_display_coframe(flat_problem)
         with pytest.raises(StructureConsistencyError):
-            structure_functions(flat_problem, coframe=printed)
+            structure_functions(printed)
 
     def test_frozen_display_passes_the_structure_pattern(self, flat_problem):
-        sf = structure_functions(flat_problem, coframe=invariant_coframe(flat_problem))
+        sf = structure_functions(invariant_coframe(flat_problem))
         assert sf.all_zero()
 
 
@@ -226,7 +226,7 @@ class TestStructureFunctions:
         assert not sf.n.is_zero and not sf.e.is_zero
 
     def test_family_invariants_match_extraction(self, family_data):
-        residuals = family_invariants_residuals(family_data)
+        residuals = family_invariants_residuals(family_data, family_invariants(family_data))
         assert all(r.is_zero for r in residuals.values())
 
     def test_qcube_fails_some_condition(self, qcube_problem):
@@ -281,8 +281,7 @@ class TestTauBasis:
         assert all(r.is_zero for r in residuals)
 
     def test_family_reduced_differentials(self, family_problem):
-        sf = family_problem.structure()
-        residuals = differential_residuals(family_problem, residual_table(REDUCED_TABLE), sf)
+        residuals = differential_residuals(family_problem, residual_table(REDUCED_TABLE))
         assert all(r.is_zero for r in residuals)
 
     def test_family_tau4_is_null_form(self, family_data):
@@ -390,7 +389,7 @@ class TestFamilyInvariants:
         assert (kne.n - expected).is_zero
 
     def test_cross_check_against_extraction_symbolically(self, family_data):
-        residuals = family_invariants_residuals(family_data)
+        residuals = family_invariants_residuals(family_data, family_invariants(family_data))
         for name in ("k", "n", "e"):
             assert residuals[name].is_zero
 
@@ -423,7 +422,7 @@ class TestAppendix:
         sf = prob.structure()
         perturbed = _perturbed_appendix_table()
         for table in (APPENDIX_TABLE, perturbed):
-            fast = differential_residuals(prob, residual_table(table), sf)
+            fast = differential_residuals(prob, residual_table(table))
             oracle = chart_level_residuals(prob.tau(), table, sf)
             assert [repr(f) for f in fast] == [repr(f) for f in oracle]
         assert [f.is_zero for f in fast] == [False, True, True, False, False, True]

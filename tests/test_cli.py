@@ -8,10 +8,11 @@ import pytest
 
 from collections import Counter
 
-from odecartan import cartan, connection, curvature, forms
+from odecartan import cartan, connection, curvature, forms, linalg
 from odecartan import report as report_module
+from odecartan.cli import main
 from odecartan.report import AnalysisRequest, analyze, emit_report
-from odecartan.symbols import M_ADAPTED_CHART
+from odecartan.symbols import METRIC_CHART, M_ADAPTED_CHART
 
 REQUIRED_KEYS = [
     "input",
@@ -121,6 +122,27 @@ class TestExitCodes:
         one["timings"] = two["timings"] = None
         assert one == two
         assert one["input"]["ode"] == text
+
+    @pytest.mark.parametrize("option, code", [("--o", 2), ("--od", 1), ("--ode", 1)])
+    def test_every_spelling_of_ode_takes_a_text_that_begins_with_a_minus(
+        self, capsys, option, code
+    ):
+        """``--od``, the abbreviation that argparse accepts, reads the next
+        argument as ``--od=TEXT`` does, even when it begins with a minus;
+        the ambiguous ``--o`` is refused either way."""
+        outcomes = []
+        for argv in ([option, "-q^2"], [f"{option}=-q^2"]):
+            try:
+                exit_code = main(["analyze", *argv, "--stages", "inv"])
+            except SystemExit as exc:
+                exit_code = exc.code
+            out = capsys.readouterr().out
+            data = json.loads(out) if out else None
+            if data:
+                data["timings"] = None
+            outcomes.append((exit_code, data))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == code
 
 
 class TestReportContract:
@@ -238,21 +260,33 @@ class TestPetrovStage:
 
     def test_all_stages_compute_the_curvature_once(self, monkeypatch):
         """The curvature is built once per process, not per request: after
-        the geometry's cache is cleared, four members run every stage and
-        ``curvature_tensors`` runs once."""
-        calls = []
-        original = curvature.curvature_tensors
+        the generic evidence's cache is cleared, four members run every
+        stage, the evidence is built once, ``curvature_tensors`` runs once,
+        and its inverse of the generic metric is the one 4x4
+        ``METRIC_CHART`` matrix inverted: no request inverts its own."""
+        calls, inverted = [], []
+        original = report_module.curvature_tensors
+        original_inverse = linalg.invert_matrix
 
         def counting(metric):
             calls.append(metric)
             return original(metric)
 
-        monkeypatch.setattr(curvature, "curvature_tensors", counting)
-        curvature.family_geometry.cache_clear()
+        def counting_inverse(rows):
+            inverted.append((len(rows), rows[0][0].chart))
+            return original_inverse(rows)
+
+        monkeypatch.setattr(report_module, "curvature_tensors", counting)
+        for module in (linalg, forms, curvature):
+            monkeypatch.setattr(module, "invert_matrix", counting_inverse)
+        report_module._generic_evidence.cache_clear()
         reports = [analyze(r) for r in FOUR_MEMBERS]
         assert [r.exit_code for r in reports] == [0] * 4
         assert [r.data["petrov"]["labels"] for r in reports] == [["D+II"]] * 3 + [["D+D"]]
+        assert [r.data["metric"]["determinant"] for r in reports] == ["1"] * 4
         assert len(calls) == 1
+        assert [c for c in inverted if c[1] is METRIC_CHART] == [(4, METRIC_CHART)]
+        assert report_module._generic_evidence.cache_info().misses == 1
 
     def test_all_stages_build_the_generic_evidence_once(self, monkeypatch):
         """The projectability evidence and both connection reports are built
@@ -276,12 +310,7 @@ class TestPetrovStage:
         counting(connection, "_TauAlgebra")
         counting(forms.DifferentialForm, "pullback", lambda form, mapping, target: target is M_ADAPTED_CHART)
         counting(forms, "invert_matrix", lambda rows: rows[0][0].chart is M_ADAPTED_CHART)
-        for cached in (
-            cartan.generic_family,
-            curvature.family_geometry,
-            report_module._generic_projectability,
-            report_module._generic_connection_reports,
-        ):
+        for cached in (cartan.generic_family, report_module._generic_evidence):
             cached.cache_clear()
         reports = [analyze(r) for r in FOUR_MEMBERS]
         assert [r.exit_code for r in reports] == [0] * 4

@@ -12,11 +12,11 @@ from odecartan.connection import (
     cartan_connection_report,
     metric_connection_report,
 )
-from odecartan.curvature import adapted_tau, family_geometry
+from odecartan.curvature import adapted_tau
 from odecartan.errors import SymbolCollisionError
 from odecartan.expression import Expression
 from odecartan.forms import Coframe, wedge_sum
-from odecartan.report import AnalysisRequest, analyze
+from odecartan.report import AnalysisRequest, _generic_evidence, analyze
 from odecartan.symbols import SymbolTable
 from tests.conftest import FAMILY_OPAQUE, FAMILY_TEXT, XY_CHART, make_problem
 from tests.oracles import (
@@ -240,14 +240,14 @@ class TestOneGenericFamily:
         fd = cartan.generic_family()
         prob = fd.problem
         frame = Coframe(list(adapted_tau(prob)))
-        metric, _, _ = family_geometry()
+        tensors = _generic_evidence().tensors
         groups = {
             "coframe inverse": [e for row in prob.coframe().inverse for e in row],
             "adapted dual frame": [e for row in frame.inverse for e in row] + [frame.det],
             "d(tau)": [c for d_tau in connection.adapted_tau_differentials(prob)
                        for c in d_tau.values() if isinstance(c, Expression)],
             "k, n, e": list(family_invariants(fd)),
-            "family_geometry": [e for row in metric.ginv for e in row] + [metric.det],
+            "generic g^-1": [e for row in tensors.ginv for e in row] + [tensors.det],
         }
         assert len(groups["d(tau)"]) > 0
         for group, exprs in groups.items():

@@ -79,6 +79,11 @@ class TestParsing:
             parse_expression("p + * q", J2_CHART, table)
         assert err.value.position == 4
 
+    @pytest.mark.parametrize("text", ["²", "3²*q", "q^²", "٣*q"])
+    def test_a_digit_outside_ascii_is_a_syntax_error(self, table, text):
+        with pytest.raises(ExpressionSyntaxError):
+            parse_expression(text, J2_CHART, table)
+
     def test_unknown_symbol(self, table):
         with pytest.raises(UnknownSymbolError):
             parse_expression("w + 1", J2_CHART, table)

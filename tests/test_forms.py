@@ -132,6 +132,32 @@ class TestExteriorDerivative:
         q = Expression.coordinate("q", J2_CHART)
         assert dx.scale(q).exterior_derivative() == dq.wedge(dx)
 
+    def test_d_never_differentiates_along_its_own_index(self, monkeypatch):
+        """dx^a ∧ dx^I vanishes for an axis a in I, so d differentiates each
+        coefficient only along the axes outside its index."""
+        dx, dy, dp, dq = (d(J2_CHART, c) for c in "xypq")
+        x, y, p, q = (Expression.coordinate(c, J2_CHART) for c in "xypq")
+        form = dx.wedge(dy).scale(x * y * p * q) + dp.wedge(dq).scale(x * q)
+        calls = []
+        original = Expression.differentiate
+
+        def recording(self, coord):
+            calls.append((self.render(), coord))
+            return original(self, coord)
+
+        monkeypatch.setattr(Expression, "differentiate", recording)
+        derived = form.exterior_derivative()
+        monkeypatch.undo()
+        assert sorted(calls) == sorted(
+            [((x * y * p * q).render(), c) for c in "pq"] + [((x * q).render(), c) for c in "xy"]
+        )
+        expected = (
+            dp.wedge(dx).wedge(dy).scale(x * y * q)
+            + dq.wedge(dx).wedge(dy).scale(x * y * p)
+            + dx.wedge(dp).wedge(dq).scale(q)
+        )
+        assert derived == expected
+
     def test_d_squared_on_random_one_forms(self, sampler):
         gen = sampler(seed=4242, opaque_names=("A",))
         for _ in range(30):

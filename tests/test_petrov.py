@@ -34,9 +34,7 @@ POINTS = [
 
 
 def family_setup(text):
-    fd = family_detect(make_problem(text))
-    metric = family_metric(fd)
-    return metric, curvature_tensors(metric)
+    return curvature_tensors(family_metric(family_detect(make_problem(text))))
 
 
 def F(*args):
@@ -181,9 +179,9 @@ def test_labels_match_jordan_form_of_random_conjugates(a, b, upper, inner, outer
     assert classify_traceless(conjugate(padded(block, scale), outer, outer)) == label
 
 
-def reference_weyl_operator(metric, tensors, point):
+def reference_weyl_operator(tensors, point):
     """The Weyl endomorphism on 2-forms from all 256 evaluated components."""
-    ginv = [[e.evaluate(point) for e in row] for row in metric.ginv]
+    ginv = [[e.evaluate(point) for e in row] for row in tensors.ginv]
     weyl = [
         [
             [[tensors.weyl_down[i][j][k][l].evaluate(point) for l in range(4)] for k in range(4)]
@@ -205,34 +203,34 @@ def reference_weyl_operator(metric, tensors, point):
 
 class TestWeylOperator:
     def test_matches_full_evaluation_at_seeded_points(self):
-        metric, tensors = family_setup("3/2*q^2/p + x*y*p^3 + (x+y)*p")
+        tensors = family_setup("3/2*q^2/p + x*y*p^3 + (x+y)*p")
         rng = random.Random(7)
         for _ in range(5):
             point = {
                 c: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for c in ("x", "y", "z", "t")
             }
-            weyl_op, _ = weyl_operator_at(metric, tensors, point)
+            weyl_op, _ = weyl_operator_at(tensors, point)
             assert not mat_is_zero(weyl_op)
-            assert weyl_op == reference_weyl_operator(metric, tensors, point)
+            assert weyl_op == reference_weyl_operator(tensors, point)
 
 
 class TestHodgeStar:
     def test_star_squares_to_plus_one(self):
-        metric, tensors = family_setup("3/2*q^2/p + x*y*p^3 + (x+y)*p")
+        tensors = family_setup("3/2*q^2/p + x*y*p^3 + (x+y)*p")
         for point in POINTS[:3]:
-            _, star = weyl_operator_at(metric, tensors, point)
+            _, star = weyl_operator_at(tensors, point)
             assert mat_mul(star, star) == identity(6)
 
     def test_eigenspaces_are_three_dimensional(self):
-        metric, tensors = family_setup("3/2*q^2/p + x*y*p^3 + (x+y)*p")
-        _, star = weyl_operator_at(metric, tensors, POINTS[0])
+        tensors = family_setup("3/2*q^2/p + x*y*p^3 + (x+y)*p")
+        _, star = weyl_operator_at(tensors, POINTS[0])
         for sign in (1, -1):
             basis = eigenspace_basis(star, sign)
             assert len(basis) == 6 and len(basis[0]) == 3
 
     def test_blocks_are_trace_free(self):
-        metric, tensors = family_setup("3/2*q^2/p + x*y*p^3 + (x+y)*p")
-        weyl_op, star = weyl_operator_at(metric, tensors, POINTS[0])
+        tensors = family_setup("3/2*q^2/p + x*y*p^3 + (x+y)*p")
+        weyl_op, star = weyl_operator_at(tensors, POINTS[0])
         for sign in (1, -1):
             block = restrict_operator(weyl_op, eigenspace_basis(star, sign))
             assert sum(block[i][i] for i in range(3)) == 0
@@ -240,22 +238,22 @@ class TestHodgeStar:
 
 class TestClassification:
     def test_generic_coefficients_give_two_and_d(self):
-        metric, tensors = family_setup("3/2*q^2/p + x*y*p^3 + (x+y)*p")
-        results = [classify_at_point(metric, tensors, pt) for pt in POINTS]
+        tensors = family_setup("3/2*q^2/p + x*y*p^3 + (x+y)*p")
+        results = [classify_at_point(tensors, pt) for pt in POINTS]
         assert all(r.unordered == frozenset(("II", "D")) for r in results)
         d_sides = {("plus" if r.label_plus == "D" else "minus") for r in results}
         assert len(d_sides) == 1  # the D factor stays on one eigenspace
 
     def test_separable_coefficients_give_d_plus_d(self):
-        metric, tensors = family_setup("3/2*q^2/p + y^2*p^3 + x^2*p")
+        tensors = family_setup("3/2*q^2/p + y^2*p^3 + x^2*p")
         for pt in POINTS:
-            r = classify_at_point(metric, tensors, pt)
+            r = classify_at_point(tensors, pt)
             assert (r.label_plus, r.label_minus) == ("D", "D")
 
     def test_zero_coefficients_give_d_plus_d(self):
-        metric, tensors = family_setup("3/2*q^2/p")
+        tensors = family_setup("3/2*q^2/p")
         for pt in POINTS:
-            r = classify_at_point(metric, tensors, pt)
+            r = classify_at_point(tensors, pt)
             assert (r.label_plus, r.label_minus) == ("D", "D")
 
     def test_conformally_flat_block_metric_is_o_plus_o(self):
@@ -268,30 +266,28 @@ class TestClassification:
         g = [[zero for _ in range(4)] for _ in range(4)]
         g[0][3] = g[3][0] = one
         g[1][2] = g[2][1] = one
-        metric = Metric4(g)
-        tensors = curvature_tensors(metric)
-        r = classify_at_point(metric, tensors, POINTS[0])
+        tensors = curvature_tensors(Metric4(g))
+        r = classify_at_point(tensors, POINTS[0])
         assert (r.label_plus, r.label_minus) == ("O", "O")
 
     def test_label_stability_across_points(self):
-        metric, tensors = family_setup("3/2*q^2/p + x*y*p^3 + (x+y)*p")
+        tensors = family_setup("3/2*q^2/p + x*y*p^3 + (x+y)*p")
         labels = {
             (r.label_plus, r.label_minus)
-            for r in (classify_at_point(metric, tensors, pt) for pt in POINTS)
+            for r in (classify_at_point(tensors, pt) for pt in POINTS)
         }
         assert len(labels) == 1
 
     def test_unassigned_symbol_rejected(self, family_data):
-        metric = family_metric(family_data)  # still opaque
-        tensors = curvature_tensors(metric)
+        tensors = curvature_tensors(family_metric(family_data))  # still opaque
         with pytest.raises(PetrovDegeneracyError):
-            classify_at_point(metric, tensors, POINTS[0])
+            classify_at_point(tensors, POINTS[0])
 
 
-def point_outcome(metric, tensors, point, jets=None):
+def point_outcome(tensors, point, jets=None):
     """Point and labels, or the reason the point is skipped."""
     try:
-        r = classify_at_point(metric, tensors, point, jets)
+        r = classify_at_point(tensors, point, jets)
     except PetrovDegeneracyError as exc:
         return str(exc)
     return r.point, r.label_plus, r.label_minus
@@ -319,20 +315,19 @@ class TestJetExtendedPoints:
         ids=["generic", "separable", "pole"],
     )
     def test_opaque_tensors_match_specialised_metric(self, family_metric_tensors, family_data, specs):
-        metric, _, tensors = family_metric_tensors
+        _, _, tensors = family_metric_tensors
         table = SymbolTable()
         values = {n: parse_expression(t, J2_CHART, table) for n, t in specs.items()}
         fd = FamilyData(family_data.problem, values["A"], values["B"], family_data.C)
-        oracle_metric = family_metric(fd)
-        oracle_tensors = curvature_tensors(oracle_metric)
-        jets = jet_expressions(metric, tensors, values)
+        oracle_tensors = curvature_tensors(family_metric(fd))
+        jets = jet_expressions(tensors, values)
         assert {"A", "A_x", "A_xx", "B", "B_y", "B_yy"} <= set(jets)
         points = seeded_points(3) + [
             {"x": Fraction(2), "y": Fraction(-1), "z": Fraction(1, 3), "t": Fraction(5)},
             {"x": Fraction(-7, 4), "y": Fraction(-1), "z": Fraction(3), "t": Fraction(1, 2)},
         ]
-        outcomes = [point_outcome(metric, tensors, pt, jets) for pt in points]
-        assert outcomes == [point_outcome(oracle_metric, oracle_tensors, pt) for pt in points]
+        outcomes = [point_outcome(tensors, pt, jets) for pt in points]
+        assert outcomes == [point_outcome(oracle_tensors, pt) for pt in points]
         skipped = [o for o in outcomes if isinstance(o, str)]
         if "/(y+1)" in specs["A"]:
             assert skipped == ["denominator vanishes at the point"] * 2
@@ -344,12 +339,11 @@ class TestJetExtendedPoints:
         fd = family_detect(make_problem("3/2*q^2/p"))
         metric, _ = metric_from_family(fd)
         tensors = curvature_tensors(metric)
-        assert jet_expressions(metric, tensors, {}) == {}
-        oracle_metric = family_metric(fd)
-        oracle_tensors = curvature_tensors(oracle_metric)
+        assert jet_expressions(tensors, {}) == {}
+        oracle_tensors = curvature_tensors(family_metric(fd))
         for pt in seeded_points(5):
-            outcome = point_outcome(metric, tensors, pt, {})
-            assert outcome == point_outcome(oracle_metric, oracle_tensors, pt)
+            outcome = point_outcome(tensors, pt, {})
+            assert outcome == point_outcome(oracle_tensors, pt)
             assert outcome[1:3] == ("D", "D")
 
     @pytest.mark.parametrize(
@@ -364,13 +358,13 @@ class TestJetExtendedPoints:
     def test_blocks_match_halved_projector(self, family_metric_tensors, family_data, specs):
         """The eigenspace oracle's block, on the halved and the unhalved
         basis, gets the label ``classify_at_point`` reads off the traces."""
-        metric, _, tensors = family_metric_tensors
+        _, _, tensors = family_metric_tensors
         table = SymbolTable()
         values = {n: parse_expression(t, J2_CHART, table) for n, t in specs.items()}
-        jets = jet_expressions(metric, tensors, values)
+        jets = jet_expressions(tensors, values)
         for pt in seeded_points(3):
-            result = classify_at_point(metric, tensors, pt, jets)
-            weyl_op, star = weyl_operator_at(metric, tensors, pt, jets)
+            result = classify_at_point(tensors, pt, jets)
+            weyl_op, star = weyl_operator_at(tensors, pt, jets)
             for sign, label in ((1, result.label_plus), (-1, result.label_minus)):
                 for basis in (halved_projector_basis(star, sign), eigenspace_basis(star, sign)):
                     assert classify_traceless(restrict_operator(weyl_op, basis)) == label

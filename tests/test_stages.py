@@ -19,6 +19,7 @@ from odecartan.report import (
     analyze,
     emit_report,
 )
+from tests.oracles import printed_display_coframe
 from tests.test_cli import run_cli
 
 FLAT = "3/2*q^2/p"
@@ -107,7 +108,7 @@ class TestStageErrors:
         assert report.exit_code == 2
 
     def test_petrov_degeneracy_has_its_own_code(self, monkeypatch):
-        def degenerate(metric, tensors, point, jets):
+        def degenerate(tensors, point, jets):
             raise PetrovDegeneracyError("pole at the sample point")
 
         monkeypatch.setattr(report_module, "classify_at_point", degenerate)
@@ -145,11 +146,7 @@ class TestPatternGate:
         [("3/2*q^2/(p+1) + 2*p", "appendix"), ("3/2*q^2/p + x*y*p^3 + (x+y)*p", "conn")],
     )
     def test_a_coframe_off_the_pattern_gives_no_verdict(self, monkeypatch, ode, stage):
-        printed = cartan.invariant_coframe
-
-        monkeypatch.setattr(
-            cartan, "invariant_coframe", lambda prob: printed(prob, printed_display=True)
-        )
+        monkeypatch.setattr(cartan, "invariant_coframe", printed_display_coframe)
         report = analyze(AnalysisRequest(ode=ode, stages=(stage,)))
         errors = report.stage_errors
         assert errors["inv"]["code"] == "stage-failed"
