@@ -67,6 +67,12 @@ class OdeProblem:
     def structure(self):
         return self._memo("structure", lambda: structure_functions(self.coframe()))
 
+    def structure_from_jets(self):
+        """``structure()`` from the generic table, with no coframe; one memo."""
+        from .invariant_table import structure_from_jets
+
+        return self._memo("structure", lambda: structure_from_jets(self.F))
+
     def tau(self):
         return self._memo("tau", lambda: tau_basis(self.coframe()))
 

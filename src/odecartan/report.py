@@ -129,7 +129,12 @@ class _State:
 
 
 def _run_inv(st):
-    sf = st.prob.structure()
+    """The invariants a..s: for a family member from its own coframe, whose
+    ninety pattern slots this verifies; for any other F from the committed
+    generic table, whose slots the suite verifies once for every F with
+    F_qq ≠ 0.  ``cond`` and ``appendix`` then read the same memo."""
+    prob = st.prob
+    sf = prob.structure() if st.family is not None else prob.structure_from_jets()
     st.report["structure_functions"] = {
         "run": True,
         "consistent": True,

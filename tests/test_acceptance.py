@@ -10,11 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from odecartan import Expression, J2_CHART, SymbolTable, parse_expression
+from odecartan import Expression, J2_CHART, SymbolTable
 from odecartan.cartan import (
     FLAT_TABLE,
-    STRUCTURE_NAMES,
-    OdeProblem,
     check_einstein_conditions,
     differential_residuals,
     family_detect,
@@ -27,7 +25,7 @@ from odecartan.connection import cartan_connection_report, metric_connection_rep
 from odecartan.curvature import curvature_tensors, einstein_residual, family_metric
 from odecartan.forms import Coframe, DifferentialForm, wedge_sum
 from odecartan.petrov import classify_at_point
-from tests.conftest import FAMILY_TEXT, ExpressionSampler, make_problem
+from tests.conftest import ExpressionSampler, make_problem
 from tests.oracles import duality_residuals
 
 _clock = time.perf_counter

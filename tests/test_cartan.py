@@ -33,8 +33,6 @@ from odecartan.cartan import (
     invariant_coframe,
     residual_table,
     structure_functions,
-    tau_basis,
-    to_adapted,
     verify_appendix,
 )
 from odecartan.forms import DifferentialForm

@@ -118,7 +118,6 @@ class TestCartanConnection:
 
     def test_displayed_entry_for_generic_coefficients(self, family_data):
         # the (2,4) slot of the displayed curvature carries -n/4
-        from odecartan.cartan import HALF
         from odecartan.curvature import adapted_tau
 
         expected = expected_cartan_curvature(family_data)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from odecartan import Expression, METRIC_CHART, SymbolTable, parse_expression
+from odecartan import Expression, METRIC_CHART, SymbolTable
 from odecartan.cartan import family_detect
 from odecartan.errors import SingularEvaluationError
 from odecartan.curvature import (
@@ -12,7 +12,6 @@ from odecartan.curvature import (
     curvature_tensors,
     einstein_residual,
     family_metric,
-    metric_from_family,
 )
 from tests.conftest import make_problem
 from tests.oracles import first_bianchi_residuals, signature_at, weyl_trace_residuals

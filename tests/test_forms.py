@@ -12,7 +12,6 @@ from odecartan import (
     J2_CHART,
     M_ADAPTED_CHART,
     P_CHART,
-    parse_expression,
 )
 from odecartan.forms import (
     Coframe,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from odecartan import P_CHART
+from odecartan.invariant_table import coprime_base, factor_over
 from odecartan.poly import Poly, poly_gcd
 
 # monomials list their symbols in key order, as Poly requires
@@ -72,3 +73,23 @@ def test_gcd_divides_both_and_is_greatest(g, a, b):
     if not g.is_zero and not (left.is_zero and right.is_zero):
         # g | h over Q[x]: by Gauss's lemma, g's primitive part divides h in Z[x]
         assert h.exact_div(g.div_int(g.content())) is not None
+
+
+@given(st.lists(_small_polys, min_size=1, max_size=4), st.lists(st.integers(0, 2), min_size=4, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_coprime_base_refines_every_product(factors, exponents):
+    polys = [f for f in factors if not f.is_zero]
+    product = Poly.const(1)
+    for f, e in zip(polys, exponents):
+        product = product * f ** e
+    polys.append(product)
+    base = coprime_base(polys)
+    for i, b in enumerate(base):
+        assert not b.is_const and b.content() == 1 and b.leading()[1] > 0
+        assert all(poly_gcd(b, other).is_const for other in base[i + 1:])
+    for p in polys:
+        c, powers = factor_over(p, base)
+        product = Poly.const(c)
+        for b, e in zip(base, powers):
+            product = product * b ** e
+        assert product == p

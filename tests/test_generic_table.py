@@ -1,0 +1,101 @@
+"""The committed generic invariant table and the requests that read it.
+
+``odecartan/generic_structure.py`` holds a..s of y''' = G'(x, y, p, q),
+G' opaque.  Regenerating it builds the coframe of G' and verifies all ninety
+pattern slots, so the byte-for-byte comparison below is the pattern check
+for every F with F_qq ≠ 0; a hand edit to any entry fails it.  Requests
+outside the cubic family read the table with their own jets put in; the
+chart extraction (``OdeProblem.structure``) is the oracle.
+"""
+
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from odecartan import J2_CHART, Chart, Expression, SymbolTable, parse_expression
+from odecartan import cartan, invariant_table
+from odecartan.cartan import STRUCTURE_NAMES, OdeProblem, family_detect
+from odecartan.errors import DegenerateOdeError, FamilyRejectionError
+from odecartan.report import AnalysisRequest, analyze
+from tests.conftest import ExpressionSampler
+
+COMMITTED = Path(invariant_table.__file__).with_name("generic_structure.py")
+
+
+def _renders(sf):
+    return {name: getattr(sf, name).render() for name in STRUCTURE_NAMES}
+
+
+def _assert_table_matches_chart(rhs):
+    """The table path gives the chart extraction's invariants, byte for byte."""
+    table_path = invariant_table.structure_from_jets(rhs)
+    assert _renders(table_path) == _renders(OdeProblem(rhs).structure())
+
+
+def test_the_committed_table_is_regenerated_byte_for_byte(tmp_path):
+    target = tmp_path / "generic_structure.py"
+    text = invariant_table.write_generic_table(target)
+    assert target.read_text(encoding="utf-8") == text
+    assert COMMITTED.read_text(encoding="utf-8") == text
+
+
+def test_the_decoded_table_has_41_jets_and_787_terms():
+    indices, qq, table = invariant_table._generic_table()
+    assert len(indices) == 41 and indices[qq] == ("q", "q")
+    assert tuple(table) == STRUCTURE_NAMES
+    assert sum(len(terms) for _, _, terms in table.values()) == 787
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "q^3/(p+y) + x*q/(p-x) + 1/(x+y)",
+        "q^2/(p+S(x,y)) + y*q",
+        "H(x,y,p,q)",
+        "3/2*q^2/(2*p+2) + x*p",
+    ],
+)
+def test_the_table_path_matches_the_chart_extraction(text):
+    table = SymbolTable()
+    table.declare("S", ("x", "y"))
+    table.declare("H", ("x", "y", "p", "q"))
+    _assert_table_matches_chart(parse_expression(text, J2_CHART, table))
+
+
+# Denominators are drawn without q: with q in the denominator the chart
+# extraction of a depth-1 sample took up to 44 s, against at most 1.6 s
+# here (about 0.4 s on average, so 60 examples take about 30 s).
+_NO_Q = Chart("XYP", ("x", "y", "p"))
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_the_table_path_matches_the_chart_on_random_rational_f(seed):
+    """F = (q^2 E1 + E2) / E3: E1 and E2 depth-1 samples over x, y, p, q
+    and an opaque S(x, y), E3 a nonzero depth-1 sample over x, y, p, S."""
+    table = SymbolTable()
+    S = table.declare("S", ("x", "y"))
+    gen = ExpressionSampler(J2_CHART, seed, (S,))
+    den = ExpressionSampler(_NO_Q, seed + 1, (S,)).expression(1)
+    assume(not den.is_zero)
+    q = Expression.coordinate("q", J2_CHART)
+    rhs = (q * q * gen.expression(1) + gen.expression(1)) / den.on_chart(J2_CHART)
+    try:
+        family_detect(OdeProblem(rhs))
+    except DegenerateOdeError:
+        assume(False)
+    except FamilyRejectionError:
+        _assert_table_matches_chart(rhs)
+    else:
+        assume(False)
+
+
+def test_a_request_outside_the_family_builds_no_coframe(monkeypatch):
+    def refuse(prob):
+        raise AssertionError("a coframe was built")
+
+    monkeypatch.setattr(cartan, "invariant_coframe", refuse)
+    report = analyze(AnalysisRequest(ode="3/2*q^2/(p+1) + 2*p", stages=("inv", "cond", "appendix")))
+    assert report.stage_errors == {}
+    assert report.verdicts == {"inv": True, "cond": False, "appendix": True}

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from odecartan import cartan
+from odecartan import cartan, invariant_table
 from odecartan import report as report_module
-from odecartan.errors import OdeCartanError, PetrovDegeneracyError
+from odecartan.errors import OdeCartanError, PetrovDegeneracyError, StructureConsistencyError
 from odecartan.report import (
     STAGES,
     AnalysisInputError,
@@ -139,12 +139,11 @@ class TestStageErrors:
 
 class TestPatternGate:
     """``appendix`` and ``conn`` read d(tau) from the structure pattern, so
-    neither may give a verdict unless ``inv`` verified that pattern."""
+    neither may give a verdict unless that pattern was verified: on the
+    request's own coframe for a family member, and once, when the generic
+    table is generated, for every other F."""
 
-    @pytest.mark.parametrize(
-        "ode, stage",
-        [("3/2*q^2/(p+1) + 2*p", "appendix"), ("3/2*q^2/p + x*y*p^3 + (x+y)*p", "conn")],
-    )
+    @pytest.mark.parametrize("ode, stage", [("3/2*q^2/p + x*y*p^3 + (x+y)*p", "conn")])
     def test_a_coframe_off_the_pattern_gives_no_verdict(self, monkeypatch, ode, stage):
         monkeypatch.setattr(cartan, "invariant_coframe", printed_display_coframe)
         report = analyze(AnalysisRequest(ode=ode, stages=(stage,)))
@@ -154,6 +153,13 @@ class TestPatternGate:
         assert errors[stage]["code"] == "dependency-failed"
         assert report.verdicts == {}
         assert report.exit_code == 2
+
+    def test_a_coframe_off_the_pattern_generates_no_table(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cartan, "invariant_coframe", printed_display_coframe)
+        target = tmp_path / "generic_structure.py"
+        with pytest.raises(StructureConsistencyError, match="structure pattern"):
+            invariant_table.write_generic_table(target)
+        assert not target.exists()
 
 
 class TestRequestValidation:
