@@ -519,8 +519,10 @@ def family_invariants(fd):
 
 def family_invariants_residuals(fd, kne):
     """The closed forms ``kne`` (``family_invariants(fd)``) minus the
-    general extraction, pulled to the adapted chart; all three must
-    vanish."""
+    general invariants, pulled to the adapted chart; all three must
+    vanish.  It reads the problem's memo: ``analyze`` fills it from the
+    generic table (``structure_from_jets``), so there it checks the closed
+    forms against the table; otherwise the chart extraction fills it."""
     sf = fd.problem.structure()
     return {name: to_adapted(getattr(sf, name)) - value for name, value in kne._asdict().items()}
 
@@ -642,9 +644,11 @@ FLAT_TABLE = _restricted(APPENDIX_TABLE, ())
 def tau_differential_table():
     """d(tau_i) in the tau^tau basis as ``{i: {(l, r): affine in a..s}}``
     with l < r: the structure pattern pushed through tau = M theta and the
-    2x2 minors of M^-1.  It is exact for every F whose ``structure()``
-    returned, since that verified all ninety pattern slots.  Built on first
-    use and shared for the life of the process: callers must not mutate it."""
+    2x2 minors of M^-1.  It is exact for every F with F_qq ≠ 0: the
+    chart extraction verifies all ninety pattern slots for its F, and
+    regenerating the generic table verifies them once for every F.  Built
+    on first use and shared for the life of the process: callers must not
+    mutate it."""
     rows = {
         i: [
             ((m * minor * const, {n: m * minor * v for n, v in mults.items()}), l, r)

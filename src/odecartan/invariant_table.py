@@ -6,15 +6,17 @@ on the chart, verifying all ninety pattern slots, and writes them to the
 generated module ``generic_structure`` as one JSON string.  Every
 denominator there is a monomial in alpha and G'_qq, so putting in the
 jets of an F with F_qq ≠ 0 for those of G' is a ring homomorphism:
-``structure_from_jets`` gives F's invariants with no coframe.  The test
-suite regenerates the table and compares it byte for byte, so the pattern
-check runs there, once, for every such F.
+``structure_from_jets`` gives F's invariants with no coframe.  ``analyze``
+reads every request's invariants this way, cubic-family members included.
+The test suite regenerates the table and compares it byte for byte, so
+the pattern check runs there, once, for every such F.
 
 This module and the table load on first use; ``import odecartan`` loads
-neither, so a process whose requests are all family members compiles
-neither.  Loaded late, the module must bind no function that
-``perfbench/spans.py`` wraps by name: it reads ``poly.poly_gcd`` on its
-module, and builds ``Expression``s rather than calling ``_normalize``.
+neither, so only a process with a request that reaches ``inv`` (or a call
+of ``OdeProblem.structure_from_jets``) loads them.  Loaded late, the
+module must bind no function that ``perfbench/spans.py`` wraps by name:
+it reads ``poly.poly_gcd`` on its module, and builds ``Expression``s
+rather than calling ``_normalize``.
 """
 
 import json
@@ -154,17 +156,25 @@ def _generic_table():
     def share(value):
         return shared.setdefault(value, value)
 
+    decoded = {}  # (power of G'_qq in den, term's symbols) -> (monomial, jets)
     table = {}
     for name, entry in data["invariants"].items():
         den = dict(zip(entry["den"][1::2], entry["den"][2::2]))
+        shift = den.get(qq + ncoord, 0)
         terms = []
-        for term in entry["num"]:
-            pairs = list(zip(term[1::2], term[2::2]))
-            mono = tuple((coords[s], e) for s, e in pairs if s < ncoord)
-            jets = {s - ncoord: e for s, e in pairs if s >= ncoord}
-            jets[qq] = jets.get(qq, 0) - den.get(qq + ncoord, 0)
-            jets = share(tuple(sorted(share((j, e)) for j, e in jets.items() if e)))
-            terms.append((term[0], share(mono), jets))
+        for coeff, *symbols in entry["num"]:
+            key = (shift, *symbols)
+            hit = decoded.get(key)
+            if hit is None:
+                mono, jets = [], {qq: -shift}
+                for s, e in zip(symbols[::2], symbols[1::2]):
+                    if s < ncoord:
+                        mono.append((coords[s], e))
+                    else:
+                        jets[s - ncoord] = jets.get(s - ncoord, 0) + e
+                jets = share(tuple(sorted(share(je) for je in jets.items() if je[1])))
+                hit = decoded[key] = (share(tuple(mono)), jets)
+            terms.append((coeff, *hit))
         table[name] = (entry["den"][0], den.get(alpha, 0), terms)
     return indices, qq, table
 

@@ -129,12 +129,13 @@ class _State:
 
 
 def _run_inv(st):
-    """The invariants a..s: for a family member from its own coframe, whose
-    ninety pattern slots this verifies; for any other F from the committed
-    generic table, whose slots the suite verifies once for every F with
-    F_qq ≠ 0.  ``cond`` and ``appendix`` then read the same memo."""
-    prob = st.prob
-    sf = prob.structure() if st.family is not None else prob.structure_from_jets()
+    """The invariants a..s from the committed generic table, whose ninety
+    pattern slots the suite verifies once for every F with F_qq ≠ 0; no
+    request builds a coframe.  ``cond``, ``appendix`` and
+    ``family_invariants_residuals`` then read the same memo, so for a
+    family member ``matches_extraction`` checks the closed-form k, n, e
+    against the table."""
+    sf = st.prob.structure_from_jets()
     st.report["structure_functions"] = {
         "run": True,
         "consistent": True,
@@ -369,9 +370,11 @@ class _Stage:
 # extraction, so ``inv`` implies ``cond``: it runs whenever ``inv`` does and
 # reports a verdict whenever ``inv`` is requested.  The family stages read
 # ``_generic_evidence``, built once per process for ``generic_family``
-# (opaque A', B', C').  ``einstein`` and ``petrov`` still need ``metric``, so the report
-# shows the request's own metric next to their verdicts; ``conn`` still
-# needs ``inv``, which verifies this request's structure pattern, d(tau).
+# (opaque A', B', C'), whose chart extraction verifies the ninety pattern
+# slots that d(tau) in ``conn`` rests on.  ``einstein`` and ``petrov`` still
+# need ``metric``, so the report shows the request's own metric next to
+# their verdicts; ``conn`` still needs ``inv``, so it shows the request's
+# own invariants next to its verdict.
 _STAGE_TABLE = (
     _Stage("inv", _run_inv, aliases=("invariants",), implies=("cond",)),
     _Stage("cond", _run_cond, aliases=("conditions",), needs=("inv",)),

@@ -3,11 +3,13 @@
 ``odecartan/generic_structure.py`` holds a..s of y''' = G'(x, y, p, q),
 G' opaque.  Regenerating it builds the coframe of G' and verifies all ninety
 pattern slots, so the byte-for-byte comparison below is the pattern check
-for every F with F_qq ≠ 0; a hand edit to any entry fails it.  Requests
-outside the cubic family read the table with their own jets put in; the
-chart extraction (``OdeProblem.structure``) is the oracle.
+for every F with F_qq ≠ 0; a hand edit to any entry fails it.  Every
+request, in the cubic family or outside it, reads the table with its own
+jets put in and builds no coframe; the chart extraction
+(``OdeProblem.structure``) is the oracle.
 """
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -54,11 +56,16 @@ def test_the_decoded_table_has_41_jets_and_787_terms():
         "q^2/(p+S(x,y)) + y*q",
         "H(x,y,p,q)",
         "3/2*q^2/(2*p+2) + x*p",
+        # members of the cubic family: flat, opaque and with a pole in y
+        "3/2*q^2/p",
+        "3/2*q^2/p + A(x,y)*p^3 + C(x,y)*p^2 + B(x,y)*p",
+        "3/2*q^2/p + x/(y+1)*p^3 + (x+y)*p",
     ],
 )
 def test_the_table_path_matches_the_chart_extraction(text):
     table = SymbolTable()
-    table.declare("S", ("x", "y"))
+    for name in ("S", "A", "B", "C"):
+        table.declare(name, ("x", "y"))
     table.declare("H", ("x", "y", "p", "q"))
     _assert_table_matches_chart(parse_expression(text, J2_CHART, table))
 
@@ -91,11 +98,45 @@ def test_the_table_path_matches_the_chart_on_random_rational_f(seed):
         assume(False)
 
 
-def test_a_request_outside_the_family_builds_no_coframe(monkeypatch):
+_XY = Chart("XY", ("x", "y"))
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_the_table_path_matches_the_chart_on_random_family_members(seed):
+    """F = 3/2 q^2/p + A p^3 + C p^2 + B p with A, B, C depth-3 samples over
+    x, y and an opaque S(x, y), so no denominator holds q (the chart
+    extraction takes about 25 ms per example)."""
+    table = SymbolTable()
+    S = table.declare("S", ("x", "y"))
+    gen = ExpressionSampler(_XY, seed, (S,))
+    A, B, C = (gen.expression(3).on_chart(J2_CHART) for _ in range(3))
+    p, q = (Expression.coordinate(c, J2_CHART) for c in "pq")
+    rhs = Fraction(3, 2) * q * q / p + A * p**3 + C * p * p + B * p
+    family_detect(OdeProblem(rhs))  # raises if rhs left the family
+    _assert_table_matches_chart(rhs)
+
+
+@pytest.mark.parametrize(
+    "ode, opaque, verdicts",
+    [
+        ("3/2*q^2/(p+1) + 2*p", {}, {"inv": True, "cond": False, "appendix": True}),
+        ("3/2*q^2/p", {}, {"inv": True, "cond": True, "appendix": True}),
+        (
+            "3/2*q^2/p + A(x,y)*p^3 + C(x,y)*p^2 + B(x,y)*p",
+            {n: ("x", "y") for n in "ABC"},
+            {"inv": True, "cond": True, "appendix": True},
+        ),
+        ("3/2*q^2/p + x/(y+1)*p^3 + (x+y)*p", {}, {"inv": True, "cond": True, "appendix": True}),
+    ],
+)
+def test_a_request_builds_no_coframe(monkeypatch, ode, opaque, verdicts):
     def refuse(prob):
         raise AssertionError("a coframe was built")
 
     monkeypatch.setattr(cartan, "invariant_coframe", refuse)
-    report = analyze(AnalysisRequest(ode="3/2*q^2/(p+1) + 2*p", stages=("inv", "cond", "appendix")))
+    report = analyze(AnalysisRequest(ode=ode, opaque=opaque, stages=("inv", "cond", "appendix")))
     assert report.stage_errors == {}
-    assert report.verdicts == {"inv": True, "cond": False, "appendix": True}
+    assert report.verdicts == verdicts
+    if report.data["family"]["accepted"]:
+        assert report.data["invariants_kne"]["matches_extraction"] is True
