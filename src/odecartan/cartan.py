@@ -65,10 +65,9 @@ class OdeProblem:
         return self._memo("coframe", lambda: invariant_coframe(self))
 
     def structure(self):
-        return self._memo("structure", lambda: structure_functions(self.coframe()))
-
-    def structure_from_jets(self):
-        """``structure()`` from the generic table, with no coframe; one memo."""
+        """a..s from the committed generic table, with no coframe.  The chart
+        extraction, ``structure_functions`` on ``coframe()``, is the table's
+        generator, the ``conn`` stage's pattern gate and the tests' oracle."""
         from .invariant_table import structure_from_jets
 
         return self._memo("structure", lambda: structure_from_jets(self.F))
@@ -520,9 +519,8 @@ def family_invariants(fd):
 def family_invariants_residuals(fd, kne):
     """The closed forms ``kne`` (``family_invariants(fd)``) minus the
     general invariants, pulled to the adapted chart; all three must
-    vanish.  It reads the problem's memo: ``analyze`` fills it from the
-    generic table (``structure_from_jets``), so there it checks the closed
-    forms against the table; otherwise the chart extraction fills it."""
+    vanish.  The general invariants are ``fd.problem.structure()``, read
+    from the generic table, so this checks the closed forms against it."""
     sf = fd.problem.structure()
     return {name: to_adapted(getattr(sf, name)) - value for name, value in kne._asdict().items()}
 

@@ -19,8 +19,9 @@ tau_a ∧ tau_b basis (a < b), with no exterior derivative, wedge or
 expansion on the chart:
 
   * d(tau_i) is ``cartan.tau_differential_table``, the structure pattern
-    that the ``inv`` stage verified pushed through tau = M theta, evaluated
-    on the invariants carried to the adapted chart;
+    pushed through tau = M theta, evaluated on the chart extraction's
+    invariants carried to the adapted chart; for ``generic_family`` that
+    extraction, with its ninety-slot check, is the stage's pattern gate;
   * d(c tau_a) = Σ_b X_b(c) tau_b ∧ tau_a + c d(tau_a), with X_b the frame
     dual to tau;
   * Gamma ∧ Gamma is products of coefficients.
@@ -37,7 +38,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .cartan import _AFFINE, _G1, _G2, _T1, _T2, _T3, _T4, HALF, _nonzero, affine_value
-from .cartan import family_invariants, tau_differential_table, to_adapted
+from .cartan import family_invariants, structure_functions, tau_differential_table, to_adapted
 from .curvature import adapted_tau
 from .expression import Expression
 from .forms import Coframe, DifferentialForm, add_term, add_wedge, is_zero, wedge_sum
@@ -85,13 +86,13 @@ _VERTICAL_SLOTS = tuple((l, r) for l in range(6) for r in range(l + 1, 6) if r >
 def adapted_tau_differentials(prob):
     """d(tau_i) in the tau^tau basis of the adapted chart, one
     ``{(l, r): coefficient}`` dict per tau form, zero coefficients left
-    out: ``tau_differential_table`` evaluated on the invariants, each
-    nonzero one carried to the adapted chart once."""
+    out: ``tau_differential_table`` evaluated on the chart extraction's
+    invariants, each nonzero one carried to the adapted chart once."""
 
     def build():
         values = {
             name: 0 if v.is_zero else to_adapted(v)
-            for name, v in prob.structure()._asdict().items()
+            for name, v in structure_functions(prob.coframe())._asdict().items()
         }
         return [
             _nonzero({slot: affine_value(aff, values) for slot, aff in d_tau.items()})

@@ -136,7 +136,7 @@ class Expression:
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -160,9 +160,11 @@ class Expression:
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
-        return other / self
+        return NotImplemented if other is None else other / self
 
     def __pow__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
         if n == 0:
             return self.with_value(1)
         if n < 0:

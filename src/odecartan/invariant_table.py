@@ -6,14 +6,14 @@ on the chart, verifying all ninety pattern slots, and writes them to the
 generated module ``generic_structure`` as one JSON string.  Every
 denominator there is a monomial in alpha and G'_qq, so putting in the
 jets of an F with F_qq ≠ 0 for those of G' is a ring homomorphism:
-``structure_from_jets`` gives F's invariants with no coframe.  ``analyze``
-reads every request's invariants this way, cubic-family members included.
+``structure_from_jets`` gives F's invariants with no coframe, and
+``OdeProblem.structure()`` reads every F's invariants this way.
 The test suite regenerates the table and compares it byte for byte, so
 the pattern check runs there, once, for every such F.
 
 This module and the table load on first use; ``import odecartan`` loads
-neither, so only a process with a request that reaches ``inv`` (or a call
-of ``OdeProblem.structure_from_jets``) loads them.  Loaded late, the
+neither, so only a process that calls ``OdeProblem.structure()``, as
+every request that reaches ``inv`` does, loads them.  Loaded late, the
 module must bind no function that ``perfbench/spans.py`` wraps by name:
 it reads ``poly.poly_gcd`` on its module, and builds ``Expression``s
 rather than calling ``_normalize``.
@@ -26,7 +26,7 @@ from functools import cache
 from math import lcm
 
 from . import poly
-from .cartan import OdeProblem, StructureFunctions
+from .cartan import OdeProblem, StructureFunctions, structure_functions
 from .errors import DegenerateOdeError, StructureConsistencyError
 from .expression import Expression
 from .poly import Poly, _primitive_poly
@@ -63,7 +63,7 @@ def write_generic_table(path=_TABLE_PATH):
     a monomial in alpha and G'_qq (F_qq ≠ 0 is checked first), so anything
     else is refused too."""
     g = Sym(GENERIC_RHS, J2_CHART.coords)
-    sf = OdeProblem(Expression.from_sym(g, J2_CHART)).structure()
+    sf = structure_functions(OdeProblem(Expression.from_sym(g, J2_CHART)).coframe())
     jets = sorted({s for v in sf for s in v.symbols() if not s.is_coordinate})
     position = {s: i for i, s in enumerate([P_CHART.sym(c) for c in P_CHART.coords] + jets)}
     allowed = {P_CHART.sym("alpha"), g.derived("q").derived("q")}

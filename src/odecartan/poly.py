@@ -147,10 +147,8 @@ class Poly:
         return cls({ONE_MONO: value} if value else {})
 
     @classmethod
-    def var(cls, sym, exp=1):
-        if exp == 0:
-            return cls.const(1)
-        return cls({((sym, exp),): 1})
+    def var(cls, sym):
+        return cls({((sym, 1),): 1})
 
     # -- predicates and views ------------------------------------------
 
@@ -186,8 +184,8 @@ class Poly:
         m = max(self.terms, key=_MonoKey)
         return m, self.terms[m]
 
-    def sorted_terms(self, reverse=True):
-        return sorted(self.terms.items(), key=lambda kv: _MonoKey(kv[0]), reverse=reverse)
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: _MonoKey(kv[0]), reverse=True)
 
     # -- ring operations -----------------------------------------------
 

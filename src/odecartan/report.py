@@ -129,13 +129,13 @@ class _State:
 
 
 def _run_inv(st):
-    """The invariants a..s from the committed generic table, whose ninety
-    pattern slots the suite verifies once for every F with F_qq ≠ 0; no
-    request builds a coframe.  ``cond``, ``appendix`` and
-    ``family_invariants_residuals`` then read the same memo, so for a
-    family member ``matches_extraction`` checks the closed-form k, n, e
-    against the table."""
-    sf = st.prob.structure_from_jets()
+    """The invariants a..s, ``OdeProblem.structure()``: the committed
+    generic table, whose ninety pattern slots the suite verifies once for
+    every F with F_qq ≠ 0; no request builds a coframe.  ``cond``,
+    ``appendix`` and ``family_invariants_residuals`` read the same memo,
+    so for a family member ``matches_extraction`` checks the closed-form
+    k, n, e against the table."""
+    sf = st.prob.structure()
     st.report["structure_functions"] = {
         "run": True,
         "consistent": True,

@@ -33,6 +33,7 @@ from odecartan.cartan import (
     invariant_coframe,
     residual_table,
     structure_functions,
+    to_adapted,
     verify_appendix,
 )
 from odecartan.forms import DifferentialForm
@@ -213,10 +214,10 @@ class TestInvariantCoframe:
 
 class TestStructureFunctions:
     def test_flat_model_all_vanish(self, flat_problem):
-        assert flat_problem.structure().all_zero()
+        assert structure_functions(flat_problem.coframe()).all_zero()
 
     def test_family_conditions(self, family_problem, family_data):
-        sf = family_problem.structure()
+        sf = structure_functions(family_problem.coframe())
         report = check_einstein_conditions(sf)
         assert report.all_hold
         # the surviving invariants in the raw chart
@@ -224,11 +225,14 @@ class TestStructureFunctions:
         assert not sf.n.is_zero and not sf.e.is_zero
 
     def test_family_invariants_match_extraction(self, family_data):
-        residuals = family_invariants_residuals(family_data, family_invariants(family_data))
+        kne = family_invariants(family_data)
+        residuals = family_invariants_residuals(family_data, kne)
         assert all(r.is_zero for r in residuals.values())
+        sf = structure_functions(family_data.problem.coframe())
+        assert all(to_adapted(getattr(sf, n)) == v for n, v in kne._asdict().items())
 
     def test_qcube_fails_some_condition(self, qcube_problem):
-        report = check_einstein_conditions(qcube_problem.structure())
+        report = check_einstein_conditions(structure_functions(qcube_problem.coframe()))
         assert not report.all_hold
         failing = [v.name for v in report.verdicts if not v.holds]
         assert failing
@@ -239,17 +243,17 @@ class TestStructureFunctions:
         # the overdetermined pattern holds for generic admissible F
         for text in ("q^2", "q^3*y + x*p", "q^3 + y*p"):
             prob = make_problem(text)
-            prob.structure()  # raises on any inconsistent slot
+            structure_functions(prob.coframe())  # raises on any inconsistent slot
 
     def test_polynomial_denominators_stay_tractable(self):
         # shifted denominator: every coframe coefficient is a genuine
         # rational function, exercising the full GCD machinery
         prob = make_problem("3/2*q^2/(p+1) + p")
-        prob.structure()
+        structure_functions(prob.coframe())
         assert all(r.is_zero for r in verify_appendix(prob))
 
     def test_condition_verdicts_carry_residuals(self, qcube_problem):
-        report = check_einstein_conditions(qcube_problem.structure())
+        report = check_einstein_conditions(structure_functions(qcube_problem.coframe()))
         for v in report.verdicts:
             assert v.residual is not None
 
@@ -417,7 +421,7 @@ class TestAppendix:
             prob = request.getfixturevalue(source)
         else:
             prob = make_problem(source)
-        sf = prob.structure()
+        sf = structure_functions(prob.coframe())
         perturbed = _perturbed_appendix_table()
         for table in (APPENDIX_TABLE, perturbed):
             fast = differential_residuals(prob, residual_table(table))

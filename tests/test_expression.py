@@ -1,5 +1,6 @@
 """Expression kernel: parsing, canonical forms, calculus, evaluation."""
 
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -327,6 +328,24 @@ class TestEvaluate:
         e = parse_expression("p*q", J2_CHART, table)
         with pytest.raises(SingularEvaluationError):
             e.evaluate({"p": 1})
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "**": operator.pow}
+
+
+@pytest.mark.parametrize("other", [1.5, None, "q"], ids=["float", "None", "str"])
+@pytest.mark.parametrize("op", list(_OPERATORS))
+def test_an_unsupported_operand_gives_the_usual_type_error(op, other):
+    """``other op e`` for the four reflected operators, ``e ** other`` for a
+    non-int power: the error is Python's own, naming the operator."""
+    e = Expression.coordinate("q", J2_CHART)
+    left, right = (e, other) if op == "**" else (other, e)
+    with pytest.raises(TypeError) as info:
+        _OPERATORS[op](left, right)
+    assert "Expression" in str(info.value)
+    if not isinstance(other, str):
+        assert f"for {op}" in str(info.value)
 
 
 class TestCanonicalProperties:

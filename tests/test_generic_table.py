@@ -5,8 +5,9 @@ G' opaque.  Regenerating it builds the coframe of G' and verifies all ninety
 pattern slots, so the byte-for-byte comparison below is the pattern check
 for every F with F_qq ≠ 0; a hand edit to any entry fails it.  Every
 request, in the cubic family or outside it, reads the table with its own
-jets put in and builds no coframe; the chart extraction
-(``OdeProblem.structure``) is the oracle.
+jets put in (``OdeProblem.structure()``) and builds no coframe; the chart
+extraction, ``structure_functions`` on the problem's coframe, is the
+oracle.
 """
 
 from fractions import Fraction
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from odecartan import J2_CHART, Chart, Expression, SymbolTable, parse_expression
 from odecartan import cartan, invariant_table
-from odecartan.cartan import STRUCTURE_NAMES, OdeProblem, family_detect
+from odecartan.cartan import STRUCTURE_NAMES, OdeProblem, family_detect, structure_functions
 from odecartan.errors import DegenerateOdeError, FamilyRejectionError
 from odecartan.report import AnalysisRequest, analyze
 from tests.conftest import ExpressionSampler
@@ -32,7 +33,7 @@ def _renders(sf):
 def _assert_table_matches_chart(rhs):
     """The table path gives the chart extraction's invariants, byte for byte."""
     table_path = invariant_table.structure_from_jets(rhs)
-    assert _renders(table_path) == _renders(OdeProblem(rhs).structure())
+    assert _renders(table_path) == _renders(structure_functions(OdeProblem(rhs).coframe()))
 
 
 def test_the_committed_table_is_regenerated_byte_for_byte(tmp_path):
@@ -115,6 +116,23 @@ def test_the_table_path_matches_the_chart_on_random_family_members(seed):
     rhs = Fraction(3, 2) * q * q / p + A * p**3 + C * p * p + B * p
     family_detect(OdeProblem(rhs))  # raises if rhs left the family
     _assert_table_matches_chart(rhs)
+
+
+def test_structure_reads_the_table_with_q_in_a_denominator(monkeypatch):
+    """``OdeProblem.structure()`` builds no coframe for a non-family F whose
+    denominator holds q, and gives the chart extraction's invariants."""
+    prob = OdeProblem(parse_expression("q^2/(p+q)", J2_CHART, SymbolTable()))
+    with pytest.raises(FamilyRejectionError):
+        family_detect(prob)
+
+    def refuse(prob):
+        raise AssertionError("a coframe was built")
+
+    monkeypatch.setattr(cartan, "invariant_coframe", refuse)
+    sf = prob.structure()
+    assert prob.structure() is sf and not sf.all_zero()
+    monkeypatch.undo()
+    assert _renders(sf) == _renders(structure_functions(prob.coframe()))
 
 
 @pytest.mark.parametrize(
