@@ -516,12 +516,30 @@ def family_invariants(fd):
     return KneInvariants(k, n, e)
 
 
-def family_invariants_residuals(fd, kne):
+def family_structure(kne):
+    """a..s of a cubic-family member from its closed forms ``kne``
+    (``family_invariants``): k, n and e pulled back to the P chart by
+    z = gamma/p, t = q/p + gamma (the inverse of ``adapted_chart_map``),
+    every other invariant 0.  On ``generic_family()`` this is the committed
+    generic table's a..s, an identity the suite proves; the generic
+    member's denominators are monomials in alpha and p, so it holds for
+    every member."""
+    gamma, p, q = (Expression.coordinate(c, P_CHART) for c in ("gamma", "p", "q"))
+    mapping = {"z": gamma / p, "t": q / p + gamma}
+    values = dict.fromkeys(STRUCTURE_NAMES, Expression.number(0, P_CHART))
+    values.update((name, v.substitute(mapping, P_CHART)) for name, v in kne._asdict().items())
+    return StructureFunctions(**values)
+
+
+def family_invariants_residuals(fd, kne, sf=None):
     """The closed forms ``kne`` (``family_invariants(fd)``) minus the
-    general invariants, pulled to the adapted chart; all three must
-    vanish.  The general invariants are ``fd.problem.structure()``, read
-    from the generic table, so this checks the closed forms against it."""
-    sf = fd.problem.structure()
+    invariants ``sf``, pulled to the adapted chart; all three must vanish.
+    ``sf`` defaults to ``fd.problem.structure()``, the committed generic
+    table, so this checks the closed forms against it.  The ``inv`` stage
+    passes ``family_structure(kne)``, for which the residuals vanish by
+    the identity the suite proves on ``generic_family()``."""
+    if sf is None:
+        sf = fd.problem.structure()
     return {name: to_adapted(getattr(sf, name)) - value for name, value in kne._asdict().items()}
 
 
@@ -689,14 +707,16 @@ def _appendix_residual_table():
     return residual_table(APPENDIX_TABLE)
 
 
-def differential_residuals(prob, residuals):
+def differential_residuals(prob, residuals, sf=None):
     """d(tau_i) minus the tabulated right-hand side, for each tau form:
     ``residuals`` (from ``residual_table``) evaluated on the invariants
-    ``prob.structure()``.  A nonzero coefficient becomes a chart form
-    Σ c · tau_l ∧ tau_r through ``prob.tau()``; a residual with none is the
-    zero 2-form on the 6-chart.
+    ``sf``, by default ``prob.structure()``.  A nonzero coefficient becomes
+    a chart form Σ c · tau_l ∧ tau_r through ``prob.tau()``; a residual
+    with none is the zero 2-form on the 6-chart.
     """
-    values = prob.structure()._asdict()
+    if sf is None:
+        sf = prob.structure()
+    values = sf._asdict()
     out = []
     for i in range(6):
         coeffs = _nonzero({(l, r): affine_value(aff, values) for aff, l, r in residuals[i]})
@@ -708,7 +728,8 @@ def differential_residuals(prob, residuals):
     return out
 
 
-def verify_appendix(prob):
+def verify_appendix(prob, sf=None):
     """Residuals of the six closed-form differentials for arbitrary F,
-    read from ``tau_differential_table``."""
-    return differential_residuals(prob, _appendix_residual_table())
+    read from ``tau_differential_table``; ``sf`` as in
+    ``differential_residuals``."""
+    return differential_residuals(prob, _appendix_residual_table(), sf)

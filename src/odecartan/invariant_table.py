@@ -12,11 +12,13 @@ The test suite regenerates the table and compares it byte for byte, so
 the pattern check runs there, once, for every such F.
 
 This module and the table load on first use; ``import odecartan`` loads
-neither, so only a process that calls ``OdeProblem.structure()``, as
-every request that reaches ``inv`` does, loads them.  Loaded late, the
-module must bind no function that ``perfbench/spans.py`` wraps by name:
-it reads ``poly.poly_gcd`` on its module, and builds ``Expression``s
-rather than calling ``_normalize``.
+neither.  They are loaded by ``OdeProblem.structure()``, which the
+``inv`` stage calls only for an F outside the cubic family (a member
+reads its pulled-back closed forms, ``cartan.family_structure``), and by
+the generator and the tests.  A process that serves only family members
+never loads them.  Loaded late, the module must bind no function that
+``perfbench/spans.py`` wraps by name: it reads ``poly.poly_gcd`` on its
+module, and builds ``Expression``s rather than calling ``_normalize``.
 """
 
 import json

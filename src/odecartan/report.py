@@ -29,6 +29,7 @@ from .cartan import (
     family_detect,
     family_invariants,
     family_invariants_residuals,
+    family_structure,
     generic_family,
     verify_appendix,
 )
@@ -44,6 +45,7 @@ from .errors import (
     SymbolCollisionError,
     UnknownSymbolError,
 )
+from .expression import Expression
 from .parse import parse_expression
 from .petrov import classify_at_point, jet_expressions
 from .symbols import J2_CHART, SymbolTable
@@ -126,23 +128,29 @@ class _State:
         self.request, self.report, self.prob = request, report, prob
         self.specializations = specializations  # name -> parsed Expression
         self.family = self.kne = None  # FamilyData and its k, n, e; None outside the family
+        self.sf = None  # the invariants a..s, once ``inv`` has run
 
 
 def _run_inv(st):
-    """The invariants a..s, ``OdeProblem.structure()``: the committed
-    generic table, whose ninety pattern slots the suite verifies once for
-    every F with F_qq ≠ 0; no request builds a coframe.  ``cond``,
-    ``appendix`` and ``family_invariants_residuals`` read the same memo,
-    so for a family member ``matches_extraction`` checks the closed-form
-    k, n, e against the table."""
-    sf = st.prob.structure()
+    """The invariants a..s, kept on the request state for ``cond``,
+    ``appendix`` and ``extraction_residuals``; no request builds a coframe.
+
+    A family member's are its own closed-form k, n, e pulled back to the P
+    chart, with every other invariant 0 (``family_structure``): the suite
+    proves that identity on ``generic_family()`` against the committed
+    table, and the generic member's denominators make it every member's.
+    So ``matches_extraction`` restates that proven identity.  Any other F
+    reads the committed generic table (``OdeProblem.structure()``), whose
+    ninety pattern slots the suite verifies once for every F with
+    F_qq ≠ 0; a process that serves only family members never loads it."""
+    sf = st.sf = st.prob.structure() if st.family is None else family_structure(st.kne)
     st.report["structure_functions"] = {
         "run": True,
         "consistent": True,
         "values": {n: getattr(sf, n).render() for n in STRUCTURE_NAMES},
     }
     if st.family is not None:
-        res = family_invariants_residuals(st.family, st.kne)
+        res = family_invariants_residuals(st.family, st.kne, sf)
         section = st.report["invariants_kne"]
         section["extraction_residuals"] = {k: v.render() for k, v in res.items()}
         section["matches_extraction"] = all(v.is_zero for v in res.values())
@@ -150,7 +158,7 @@ def _run_inv(st):
 
 
 def _run_cond(st):
-    cond = check_einstein_conditions(st.prob.structure())
+    cond = check_einstein_conditions(st.sf)
     st.report["conditions"] = {
         "run": True,
         "verdicts": {
@@ -255,17 +263,37 @@ def _parsed_specializations(request, parse):
 _D_EIGENSPACE = {(True, False): "plus", (False, True): "minus", (True, True): "both"}
 
 
+def _specialized(st, name):
+    """The family's coefficient ``name`` (A or B), or the request's
+    specialisation of it.  Only a coefficient that is exactly the opaque
+    function of that name can be specialised; any other is refused with
+    ``bad-specialization``."""
+    coefficient = getattr(st.family, name)
+    if name not in st.specializations:
+        return coefficient
+    opaque = [s for s in coefficient.symbols() if s.name == name and not s.index]
+    if opaque and coefficient == Expression.from_sym(opaque[0], coefficient.chart):
+        return st.specializations[name]
+    raise AnalysisInputError(
+        "bad-specialization",
+        f"coefficient {name} is {coefficient.render()}, not the opaque function {name}; "
+        "only an opaque coefficient can be specialized",
+    )
+
+
 def _run_petrov(st):
     """Petrov labels at seeded exact points of the specialised metric.
 
-    The Weyl tensor, g^-1 and det of ``_generic_evidence`` (opaque A' and
-    B') take the specialised metric's values at a point extended with each
-    jet symbol's value: the specialised A or B differentiated along the
-    jet's index.
+    ``classify_at_point`` reads the label rule of ``_generic_evidence``'s
+    tensors (opaque A' and B'), derived once per process: D on the plus
+    half, and on the minus half D where -A'_x t + B'_y z + A'_xx - B'_yy
+    vanishes and II elsewhere.  Each point is extended with each jet
+    symbol's value, the specialised A or B differentiated along the jet's
+    index, and is skipped where a jet, g^-1, det G or W cannot be
+    evaluated.
     """
     request = st.request
-    A = st.specializations.get("A", st.family.A)
-    B = st.specializations.get("B", st.family.B)
+    A, B = (_specialized(st, name) for name in ("A", "B"))
     leftover = sorted({s.render() for c in (A, B) for s in c.symbols() if not s.is_coordinate})
     if leftover:
         raise AnalysisInputError(
@@ -345,7 +373,7 @@ def _run_conn(st):
 
 
 def _run_appendix(st):
-    res = verify_appendix(st.prob)
+    res = verify_appendix(st.prob, st.sf)
     holds = all(f.is_zero for f in res)
     st.report["appendix_residuals"] = {
         "run": True,

@@ -8,20 +8,23 @@ chart's exterior derivative, wedge and ``Coframe.expand_2``.  The program
 reads the same checks as coefficient algebra in the tau ∧ tau basis
 (``odecartan.connection``); the tests compare the two form by form.
 
-The Petrov oracle is the eigenspace path: an exact basis of each Hodge
-eigenspace and the 3x3 block of the Weyl operator solved on it, which the
-tests classify against the program's traces on the whole 6-space
-(``odecartan.petrov``).
+Two Petrov oracles check the program's label rule (``odecartan.petrov``),
+which it derives symbolically once per tensors object.  The 6x6 oracle is
+the program's former point path: W and the Hodge star evaluated to exact
+6x6 matrices at each point and each half labelled from the traces of its
+powers (``point_labels``).  The eigenspace oracle solves an exact basis
+of each Hodge eigenspace and the 3x3 block of the Weyl operator on it.
 
 The family stages read one member with opaque A', B', C'
 (``cartan.generic_family``), whose evidence ``report._generic_evidence``
 builds once per process.  Each of their report sections is checked against
 the request's own path, which the program no longer takes: the Einstein and
-Petrov sections against the specialised metric's own curvature (the
-program reads the generic curvature tensors at jet-extended points), the
-metric and connection sections against ``metric_from_family``, its metric's
-determinant and both connection reports on the member's own ``FamilyData``
-(the program reads the generic member's residuals).
+Petrov sections against the specialised metric's own curvature, classified
+by the 6x6 oracle (the program reads the generic curvature tensors' label
+rule at jet-extended points), the metric and connection sections against
+``metric_from_family``, its metric's determinant and both connection
+reports on the member's own ``FamilyData`` (the program reads the generic
+member's residuals).
 
 The rejected display reading of the invariant coframe is built here too
 (``printed_display_coframe``), so the tests can show that the structure
@@ -30,6 +33,7 @@ pattern refuses it.
 
 import random
 from fractions import Fraction
+from math import isqrt, lcm
 
 from odecartan.cartan import (
     HALF,
@@ -62,7 +66,7 @@ from odecartan.expression import Expression
 from odecartan.forms import Coframe, DifferentialForm
 from odecartan.linalg import invert_matrix
 from odecartan.parse import parse_expression
-from odecartan.petrov import classify_at_point, mat_mul
+from odecartan.petrov import PAIRS, _STAR_SIGN, PetrovPointResult
 from odecartan.symbols import J2_CHART, M_ADAPTED_CHART, P_CHART, SymbolTable
 
 # -- the chart-level connection oracle ----------------------------------------
@@ -354,6 +358,164 @@ def signature_at(metric, point):
     return DIM - changes, changes
 
 
+# -- the 6x6 Petrov oracle ------------------------------------------------------
+#
+# The program's point path before it derived a label rule per tensors
+# object (``odecartan.petrov.label_rule``): at each point, W, g^-1 and det G
+# evaluated to exact 6x6 matrices, the star^2 = I and [W, star] = 0 checks
+# made on them, and each half labelled from the integer-scaled operator.
+
+
+def _mat(n, m=None):
+    return [[0] * (m or n) for _ in range(n)]
+
+
+def mat_mul(a, b):
+    n, k, m = len(a), len(b), len(b[0])
+    out = _mat(n, m)
+    for i in range(n):
+        for l in range(k):
+            ail = a[i][l]
+            if ail:
+                row = b[l]
+                ri = out[i]
+                for j in range(m):
+                    if row[j]:
+                        ri[j] += ail * row[j]
+    return out
+
+
+def mat_is_zero(a):
+    return all(v == 0 for row in a for v in row)
+
+
+def identity(n):
+    out = _mat(n)
+    for i in range(n):
+        out[i][i] = 1
+    return out
+
+
+def _sqrt_fraction(value):
+    if value <= 0:
+        raise PetrovDegeneracyError("volume density must be positive at the point")
+    rn = _isqrt_exact(value.numerator)
+    rd = _isqrt_exact(value.denominator)
+    if rn is None or rd is None:
+        raise PetrovDegeneracyError("volume density is not a perfect rational square")
+    return Fraction(rn, rd)
+
+
+def _isqrt_exact(n):
+    r = isqrt(n)
+    return r if r * r == n else None
+
+
+def weyl_operator_at(tensors, point, jets=None):
+    """Weyl endomorphism and Hodge star on 2-forms, as exact 6x6 matrices.
+
+    Basis: coordinate 2-forms dx^a ∧ dx^b over the increasing pairs.
+    ``jets`` (from ``odecartan.petrov.jet_expressions``) extends the point
+    with the value of each jet symbol, so opaque-coefficient tensors give
+    the values of the metric with their functions substituted.  With the 2x2 minors
+    G[mn][cd] = g^mc g^nd - g^nc g^md of g^-1, W^ab_cd is
+    Σ_{m<n} W_abmn G[mn][cd] (W_abmn = -W_abnm), and the star's entry is
+    vol · ε_abmn G[mn][cd] for the pair (m, n) complementary to (a, b).
+    """
+    powers = {}
+    values = dict(point)
+    try:
+        for name, expr in (jets or {}).items():
+            values[name] = expr.evaluate(point, powers)
+        ginv = [[e.evaluate(values, powers) for e in row] for row in tensors.ginv]
+        gdet = tensors.det.evaluate(values, powers)
+        weyl = [
+            [tensors.weyl_down[a][b][m][n].evaluate(values, powers) for m, n in PAIRS]
+            for a, b in PAIRS
+        ]
+    except SingularEvaluationError as exc:
+        raise PetrovDegeneracyError(str(exc)) from exc
+    vol = _sqrt_fraction(gdet)
+
+    # integer numerators over one denominator for g^-1 and one per row of
+    # W, so each cell is built as a single Fraction
+    dg = lcm(*(v.denominator for row in ginv for v in row))
+    gi = [[v.numerator * (dg // v.denominator) for v in row] for row in ginv]
+    minors = [
+        [gi[m][c] * gi[n][d] - gi[n][c] * gi[m][d] for c, d in PAIRS] for m, n in PAIRS
+    ]
+    den = dg * dg
+    weyl_op = []
+    for w in weyl:
+        dw = lcm(*(v.denominator for v in w))
+        wi = [v.numerator * (dw // v.denominator) for v in w]
+        cell_den = dw * den
+        weyl_op.append(
+            [Fraction(sum(wi[p] * minors[p][col] for p in range(6)), cell_den) for col in range(6)]
+        )
+    star = [
+        [vol * sign / den * g for g in minors[5 - i]] for i, sign in enumerate(_STAR_SIGN)
+    ]
+    return weyl_op, star
+
+
+def classify_traceless(m):
+    """Petrov label of a trace-free operator over the algebraic closure.
+
+    ``m`` is a 3x3 block B, or a 6x6 operator similar to cB ⊕ 0 for a
+    rational c ≠ 0 (as W(I ± star) is, with c = 2); the label is B's:
+    distinct roots -> I; double root, non-diagonalizable -> II;
+    double root, diagonalizable -> D; triple root with minimal degree 3
+    -> III; minimal degree 2 -> N; zero matrix -> O.
+    """
+    if mat_is_zero(m):
+        return "O"
+    n = len(m)
+    if sum(m[i][i] for i in range(n)) != 0:
+        raise PetrovDegeneracyError("block is not trace-free")
+    # the label does not change under scaling: clear denominators
+    den = lcm(*(v.denominator for row in m for v in row))
+    a = [[v.numerator * (den // v.denominator) for v in row] for row in m]
+    a2 = mat_mul(a, a)
+    t2 = sum(a2[i][i] for i in range(n))
+    t3 = sum(a2[i][j] * a[j][i] for i in range(n) for j in range(n))
+    # char(la) = la^3 + p la + q of the nonzero block, with p = e2 = -t2/2
+    # and q = -e3 = -t3/3 by Newton's identities; the discriminant
+    # -4p^3 - 27q^2 is (t2^3 - 6 t3^2)/2
+    if t2 ** 3 != 6 * t3 ** 2:
+        return "I"
+    if t2 == 0:  # then t3 == 0: triple root 0
+        return "N" if mat_is_zero(a2) else "III"
+    # double root r = -t3/t2 and simple root s = -2r, both nonzero since
+    # p != 0; the block is diagonalizable iff (a - r)(a - s) vanishes on
+    # it, and the trailing factor a kills the zero block of a 6x6 operator.
+    # t2^2 (a - r)(a - s) a = t2^2 a^3 - t2 t3 a^2 - 2 t3^2 a
+    a3 = mat_mul(a2, a)
+    c3, c2, c1 = t2 * t2, -t2 * t3, -2 * t3 * t3
+    diagonalizable = all(
+        c3 * a3[i][j] + c2 * a2[i][j] + c1 * a[i][j] == 0 for i in range(n) for j in range(n)
+    )
+    return "D" if diagonalizable else "II"
+
+
+def point_labels(tensors, point, jets=None):
+    """Petrov labels at ``point`` from the exact 6x6 operators;
+    ``jets`` as in ``weyl_operator_at``."""
+    weyl_op, star = weyl_operator_at(tensors, point, jets)
+    if mat_mul(star, star) != identity(6):
+        raise PetrovDegeneracyError("Hodge star does not square to +1 at the point")
+    ws = mat_mul(weyl_op, star)
+    if ws != mat_mul(star, weyl_op):
+        raise PetrovDegeneracyError("Weyl operator does not commute with the Hodge star")
+    plus, minus = (
+        classify_traceless(
+            [[w + sign * v for w, v in zip(wrow, vrow)] for wrow, vrow in zip(weyl_op, ws)]
+        )
+        for sign in (1, -1)
+    )
+    return PetrovPointResult(dict(point), plus, minus)
+
+
 # -- the eigenspace Petrov oracle ---------------------------------------------
 
 
@@ -473,7 +635,8 @@ def specialised_sections(request):
     family request, from the specialised metric's own curvature:
     ``family_metric`` of the family with the request's specialisations put
     in for A and B, then ``curvature_tensors`` and ``einstein_residual`` on
-    it, classified at the seeded points the program draws.  The program
+    it, classified by ``point_labels`` at the seeded points the program
+    draws.  The program
     reads one opaque-A', B' geometry at jet-extended points instead."""
     family = _request_family(request)
     prob, table = family.problem, SymbolTable()
@@ -501,7 +664,7 @@ def specialised_sections(request):
         point = {c: Fraction(rng.randint(-100, 100), rng.randint(1, 100)) for c in "xyzt"}
         as_json = {k: str(v) for k, v in sorted(point.items())}
         try:
-            r = classify_at_point(tensors, point)
+            r = point_labels(tensors, point)
         except PetrovDegeneracyError as exc:
             skipped.append({"point": as_json, "reason": str(exc)})
         else:

@@ -326,9 +326,15 @@ class TestPetrovStage:
     @pytest.mark.parametrize(
         "ode, opaque, specs, concrete, labels",
         [
-            # a concrete coefficient specialised anyway is replaced: the
-            # generic x*y (D+II) becomes the separable y^2 (D+D)
-            ("3/2*q^2/p + x*y*p^3 + x*p", {}, {"A": "y^2"}, "3/2*q^2/p + y^2*p^3 + x*p", ["D+D"]),
+            # an opaque A(x,y) beside a concrete B is replaced by the
+            # separable y^2 (D+D); a concrete A cannot be specialised
+            (
+                "3/2*q^2/p + A(x,y)*p^3 + x*p",
+                {"A": ("x", "y")},
+                {"A": "y^2"},
+                "3/2*q^2/p + y^2*p^3 + x*p",
+                ["D+D"],
+            ),
             # A(y) specialised by a function of x and y is replaced as well,
             # although the jet calculus of A(y) has no A_x
             (
@@ -339,7 +345,7 @@ class TestPetrovStage:
                 ["D+II"],
             ),
         ],
-        ids=["concrete", "narrow-arguments"],
+        ids=["opaque-beside-concrete", "narrow-arguments"],
     )
     def test_replaced_coefficient_matches_the_concrete_family(
         self, ode, opaque, specs, concrete, labels
@@ -377,3 +383,28 @@ def test_runtime_imports_only_the_standard_library():
     assert "odecartan" in loaded
     assert loaded - set(sys.stdlib_module_names) == {"odecartan"}
     assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_family_requests_leave_the_invariant_table_unloaded():
+    """All-stage ``flat`` and ``generic`` family requests read their
+    invariants from the closed forms, so a process that serves only family
+    members never loads the generic table; a non-family request loads it."""
+    code = (
+        "import sys\n"
+        "import odecartan\n"
+        "TABLE = {'odecartan.invariant_table', 'odecartan.generic_structure'}\n"
+        "family = 'A(x,y)*p^3 + C(x,y)*p^2 + B(x,y)*p'\n"
+        "for ode, opaque, specs in (\n"
+        "    ('3/2*q^2/p', {}, {}),\n"
+        "    ('3/2*q^2/p + ' + family, {n: ('x', 'y') for n in 'ABC'}, {'A': 'x*y', 'B': 'x + y'}),\n"
+        "):\n"
+        "    report = odecartan.analyze(odecartan.AnalysisRequest(\n"
+        "        ode=ode, opaque=opaque, stages=('all',), specializations=specs))\n"
+        "    assert report.exit_code == 0, report.stage_errors\n"
+        "    assert not TABLE & set(sys.modules), ode\n"
+        "report = odecartan.analyze(odecartan.AnalysisRequest(ode='q^2/(p+1)'))\n"
+        "assert report.exit_code in (0, 1), report.stage_errors\n"
+        "assert TABLE <= set(sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -7,7 +7,9 @@ for every F with F_qq ≠ 0; a hand edit to any entry fails it.  Every
 request, in the cubic family or outside it, reads the table with its own
 jets put in (``OdeProblem.structure()``) and builds no coframe; the chart
 extraction, ``structure_functions`` on the problem's coframe, is the
-oracle.
+oracle.  A family member's request reads its own closed-form k, n, e
+pulled back to the P chart instead (``cartan.family_structure``); the
+table on the generic member proves that identity for every member.
 """
 
 from fractions import Fraction
@@ -18,7 +20,15 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from odecartan import J2_CHART, Chart, Expression, SymbolTable, parse_expression
 from odecartan import cartan, invariant_table
-from odecartan.cartan import STRUCTURE_NAMES, OdeProblem, family_detect, structure_functions
+from odecartan.cartan import (
+    STRUCTURE_NAMES,
+    OdeProblem,
+    family_detect,
+    family_invariants,
+    family_structure,
+    generic_family,
+    structure_functions,
+)
 from odecartan.errors import DegenerateOdeError, FamilyRejectionError
 from odecartan.report import AnalysisRequest, analyze
 from tests.conftest import ExpressionSampler
@@ -116,6 +126,37 @@ def test_the_table_path_matches_the_chart_on_random_family_members(seed):
     rhs = Fraction(3, 2) * q * q / p + A * p**3 + C * p * p + B * p
     family_detect(OdeProblem(rhs))  # raises if rhs left the family
     _assert_table_matches_chart(rhs)
+
+
+def test_the_table_on_the_generic_member_is_its_pulled_back_closed_forms():
+    """The identity a family member's ``inv`` reads: on ``generic_family()``
+    (opaque A', B', C') the table gives k, n, e as ``family_invariants``
+    pulled back to the P chart and every other invariant as 0.  The
+    generic member's denominators are monomials in alpha and p, so putting
+    in a member's A, B, C keeps it."""
+    fd = generic_family()
+    table = invariant_table.structure_from_jets(fd.problem.F)
+    pulled_back = family_structure(family_invariants(fd))
+    assert _renders(table) == _renders(pulled_back)
+    assert {n for n in STRUCTURE_NAMES if not getattr(table, n).is_zero} == {"k", "n", "e"}
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_a_family_request_reports_the_tables_invariants(seed):
+    """F = 3/2 q^2/p + A p^3 + C p^2 + B p with A, B, C depth-2 samples over
+    x, y and an opaque S(x, y): ``analyze`` reads the pulled-back closed
+    forms, and they render as the table's invariants of F."""
+    table = SymbolTable()
+    S = table.declare("S", ("x", "y"))
+    gen = ExpressionSampler(_XY, seed, (S,))
+    A, B, C = (gen.expression(2).on_chart(J2_CHART) for _ in range(3))
+    p, q = (Expression.coordinate(c, J2_CHART) for c in "pq")
+    rhs = Fraction(3, 2) * q * q / p + A * p**3 + C * p * p + B * p
+    report = analyze(AnalysisRequest(ode=rhs.render(), opaque={"S": ("x", "y")}, stages=("inv",)))
+    assert report.data["family"]["accepted"] is True
+    assert report.data["invariants_kne"]["matches_extraction"] is True
+    assert report.data["structure_functions"]["values"] == _renders(OdeProblem(rhs).structure())
 
 
 def test_structure_reads_the_table_with_q_in_a_denominator(monkeypatch):

@@ -1,4 +1,10 @@
-"""Exact Petrov classification on the Hodge eigenspaces."""
+"""Exact Petrov classification on the Hodge eigenspaces.
+
+The program labels a point from a rule it derives once per tensors object
+(``odecartan.petrov.label_rule``).  The 6x6 oracle of ``tests/oracles.py``,
+the former point path, and the eigenspace oracle check it; sympy's Jordan
+form checks the 6x6 oracle's classifier.
+"""
 
 import random
 from fractions import Fraction
@@ -6,23 +12,25 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from odecartan import J2_CHART, SymbolTable, parse_expression
-from odecartan.cartan import FamilyData, family_detect
-from odecartan.curvature import curvature_tensors, family_metric, metric_from_family
+from odecartan import J2_CHART, METRIC_CHART, Expression, Sym, SymbolTable, parse_expression
+from odecartan import petrov
+from odecartan.cartan import GENERIC_COEFFICIENTS, FamilyData, family_detect
+from odecartan.curvature import Metric4, curvature_tensors, family_metric, metric_from_family
 from odecartan.errors import PetrovDegeneracyError
-from odecartan.petrov import (
-    PAIRS,
-    classify_at_point,
+from odecartan.petrov import PAIRS, classify_at_point, hodge_operators, jet_expressions, label_rule
+from odecartan.report import AnalysisRequest, _generic_evidence, analyze
+from tests.conftest import FAMILY_OPAQUE, FAMILY_TEXT, XY_CHART, make_problem
+from tests.oracles import (
     classify_traceless,
+    eigenspace_basis,
     identity,
-    jet_expressions,
     mat_is_zero,
     mat_mul,
+    point_labels,
+    restrict_operator,
+    specialised_sections,
     weyl_operator_at,
 )
-from odecartan.report import AnalysisRequest, analyze
-from tests.conftest import FAMILY_OPAQUE, FAMILY_TEXT, XY_CHART, make_problem
-from tests.oracles import eigenspace_basis, restrict_operator, specialised_sections
 
 POINTS = [
     {"x": Fraction(2), "y": Fraction(3), "z": Fraction(5, 2), "t": Fraction(7, 3)},
@@ -257,10 +265,6 @@ class TestClassification:
             assert (r.label_plus, r.label_minus) == ("D", "D")
 
     def test_conformally_flat_block_metric_is_o_plus_o(self):
-        from odecartan.curvature import Metric4
-        from odecartan import Expression, METRIC_CHART
-
-        table = SymbolTable()
         zero = Expression.number(0, METRIC_CHART)
         one = Expression.number(1, METRIC_CHART)
         g = [[zero for _ in range(4)] for _ in range(4)]
@@ -269,6 +273,9 @@ class TestClassification:
         tensors = curvature_tensors(Metric4(g))
         r = classify_at_point(tensors, POINTS[0])
         assert (r.label_plus, r.label_minus) == ("O", "O")
+        assert label_rule(tensors)[1:] == (((), "O"), ((), "O"))
+        for pt in POINTS:
+            assert point_outcome(tensors, pt) == _oracle_outcome(tensors, pt) == (pt, "O", "O")
 
     def test_label_stability_across_points(self):
         tensors = family_setup("3/2*q^2/p + x*y*p^3 + (x+y)*p")
@@ -386,8 +393,8 @@ class TestOneFamilyGeometry:
     @pytest.mark.parametrize(
         "ode, opaque, specs, seed, labels",
         [
-            # a concrete A specialised anyway: x*y (D+II) becomes y^2 (D+D)
-            ("3/2*q^2/p + x*y*p^3 + x*p", {}, {"A": "y^2"}, 0, ["D+D"]),
+            # an opaque A(x,y) specialised to y^2, beside a concrete B = x: D+D
+            ("3/2*q^2/p + A(x,y)*p^3 + x*p", {"A": ("x", "y")}, {"A": "y^2"}, 0, ["D+D"]),
             # A(y) specialised by a function of x and y, which has an A_x
             ("3/2*q^2/p + A(y)*p^3 + x*p", {"A": ("y",)}, {"A": "x*y"}, 0, ["D+II"]),
             ("3/2*q^2/p + x/(y+1)*p^3 + (x + y)*p", {}, {}, 0, ["D+II"]),
@@ -395,7 +402,7 @@ class TestOneFamilyGeometry:
             ("3/2*q^2/p + x/(y+1)*p^3 + (x + y)*p", {}, {}, 217, ["D+II"]),
             ("3/2*q^2/p", {}, {}, 0, ["D+D"]),
         ],
-        ids=["concrete", "narrow-arguments", "pole", "pole-skipped-point", "flat"],
+        ids=["opaque-beside-concrete", "narrow-arguments", "pole", "pole-skipped-point", "flat"],
     )
     def test_sections_match_the_specialised_metric(self, ode, opaque, specs, seed, labels):
         request = AnalysisRequest(
@@ -404,6 +411,34 @@ class TestOneFamilyGeometry:
         petrov = assert_sections_match_oracle(request)
         assert petrov["labels"] == labels
         assert len(petrov["skipped_points"]) == (seed == 217)
+
+    @pytest.mark.parametrize(
+        "ode, opaque, name",
+        [
+            # A mixes the opaque function with a concrete term
+            ("3/2*q^2/p + (A(x,y)+x)*p^3", {"A": ("x", "y")}, "A"),
+            # A is concrete: the specialisation has no opaque function to replace
+            ("3/2*q^2/p + x*p^3", {}, "A"),
+            # B is a multiple of the opaque function
+            ("3/2*q^2/p + A(x,y)*p^3 + 2*B(x,y)*p", {"A": ("x", "y"), "B": ("x", "y")}, "B"),
+        ],
+        ids=["mixed", "concrete", "multiple"],
+    )
+    def test_only_an_opaque_coefficient_is_specialized(self, ode, opaque, name):
+        """A specialisation replaces a coefficient only where that
+        coefficient is exactly the opaque function of its name; otherwise
+        the stage is refused and names the coefficient.  (It used to
+        replace the whole coefficient: the mixed request reported D+D,
+        although 3/2*q^2/p + (x+y)*p^3, the ODE with y put in for A(x,y),
+        is D+II.)"""
+        specs = {"A": "y", "B": "x"} if name == "B" else {"A": "y"}
+        report = analyze(
+            AnalysisRequest(ode=ode, opaque=opaque, stages=("petrov",), specializations=specs)
+        )
+        error = report.stage_errors["petrov"]
+        assert error["code"] == "bad-specialization"
+        assert f"coefficient {name} is " in error["message"]
+        assert report.data["petrov"] == {"run": False} and report.exit_code == 2
 
     @given(st.integers(0, 2**32), st.integers(0, 3))
     @settings(max_examples=30, deadline=None,
@@ -442,3 +477,146 @@ def halved_projector_basis(star, sign):
         if len(basis) == 3:
             break
     return [[basis[j][i] for j in range(3)] for i in range(6)]
+
+
+def _product(a, b):
+    zero = a[0][0].with_value(0)
+    return [[sum((a[i][k] * b[k][j] for k in range(6)), zero) for j in range(6)] for i in range(6)]
+
+
+def _trace(m):
+    return sum((m[i][i] for i in range(6)), m[0][0].with_value(0))
+
+
+def _generic_jets(texts):
+    table = SymbolTable()
+    functions = {n: parse_expression(t, XY_CHART, table) for n, t in zip(GENERIC_COEFFICIENTS, texts)}
+    return jet_expressions(_generic_evidence().tensors, functions)
+
+
+def _oracle_outcome(tensors, point, jets=None):
+    try:
+        r = point_labels(tensors, point, jets)
+    except PetrovDegeneracyError as exc:
+        return str(exc)
+    return r.point, r.label_plus, r.label_minus
+
+
+class TestLabelRule:
+    """The rule ``classify_at_point`` evaluates, and the 6x6 oracle it must match."""
+
+    def test_generic_identities(self):
+        """On the generic member's tensors: det G = 1, star^2 = I and
+        [W, star] = 0; for both halves X = W(I ± star), tr X^2 = 8/3 and
+        tr X^3 = -16/9; the D test t2^2 X^3 - t2 t3 X^2 - 2 t3^2 X vanishes
+        for X+, and every entry of X-'s is 0 or (512/27) R with
+        R = -A'_x t + B'_y z + A'_xx - B'_yy."""
+        tensors = _generic_evidence().tensors
+        assert tensors.det == 1
+        weyl, star = hodge_operators(tensors)
+        assert _product(star, star) == identity(6)
+        ws = _product(weyl, star)
+        assert ws == _product(star, weyl)
+
+        def jet(name, *index):
+            return Expression.from_sym(Sym(name, ("x", "y"), index), METRIC_CHART)
+
+        t, z = (Expression.coordinate(c, METRIC_CHART) for c in "tz")
+        r = -jet("A'", "x") * t + jet("B'", "y") * z + jet("A'", "x", "x") - jet("B'", "y", "y")
+        t2, t3 = Fraction(8, 3), Fraction(-16, 9)
+        for sign in (1, -1):
+            x = [[w + sign * v for w, v in zip(wr, vr)] for wr, vr in zip(weyl, ws)]
+            x2 = _product(x, x)
+            x3 = _product(x2, x)
+            assert _trace(x2) == t2 and _trace(x3) == t3
+            test = {
+                t2 * t2 * u - t2 * t3 * v - 2 * t3 * t3 * w
+                for rows in zip(x3, x2, x)
+                for u, v, w in zip(*rows)
+            }
+            assert test == ({0} if sign == 1 else {0, Fraction(512, 27) * r})
+        # so the rule: D on the plus half; D where R = 0, else II, on the minus half
+        rule = label_rule(tensors)
+        assert rule.plus == ((), "D")
+        assert rule.minus == ((((Fraction(512, 27) * r,), "D"),), "II")
+
+    @pytest.mark.parametrize("label", sorted(TYPED_BLOCKS))
+    def test_half_rules_match_the_oracle_classifier(self, label):
+        """Each Petrov type, as a constant 6x6 operator similar to 2B ⊕ 0
+        and as that operator times the coordinate x, which vanishes at
+        x = 0: the rule's label where x = 1 is the oracle's, and O where
+        x = 0."""
+        x_coord = Expression.coordinate("x", METRIC_CHART)
+        op = conjugate(padded(TYPED_BLOCKS[label], Fraction(2)), FIXED_LOWER, FIXED_UPPER)
+        constant = [[Expression.number(v, METRIC_CHART) for v in row] for row in op]
+        scaled = [[x_coord * e for e in row] for row in constant]
+        assert petrov._label(petrov._half_rule(constant), {}, {}) == classify_traceless(op)
+        if label in ("O", "N", "III"):  # traces 0: the rule tests X and X^2 at the point
+            for value, expected in ((1, label), (0, "O")):
+                assert petrov._label(petrov._half_rule(scaled), {"x": value}, {}) == expected
+        else:  # t2 = tr X^2 is not constant
+            with pytest.raises(PetrovDegeneracyError, match="not constant"):
+                petrov._half_rule(scaled)
+
+    def test_the_rule_is_cached_for_the_same_object_only(self, monkeypatch):
+        tensors = family_setup("3/2*q^2/p + x*y*p^3 + (x+y)*p")
+        derived = []
+        monkeypatch.setattr(petrov, "label_rule", lambda t: derived.append(t) or label_rule(t))
+        for pt in POINTS:
+            classify_at_point(tensors, pt)
+        assert derived == [tensors]
+        copy = tensors._replace()
+        assert copy == tensors and copy is not tensors
+        classify_at_point(copy, POINTS[0])
+        assert len(derived) == 2 and derived[1] is copy
+
+    @pytest.mark.parametrize(
+        "det, reason",
+        [
+            ("-1", "det G is not a positive rational constant"),
+            ("2", "det G is not a perfect rational square"),
+            ("x^2", "det G is not a positive rational constant"),
+        ],
+    )
+    def test_a_failed_premise_raises_at_every_point(self, det, reason):
+        tensors = family_setup("3/2*q^2/p")
+        tensors = tensors._replace(det=parse_expression(det, METRIC_CHART, SymbolTable()))
+        for pt in POINTS[:2]:
+            with pytest.raises(PetrovDegeneracyError, match=reason):
+                classify_at_point(tensors, pt)
+
+    def test_opaque_tensors_raise_with_the_oracle_reason(self, family_metric_tensors):
+        _, _, tensors = family_metric_tensors
+        for pt in POINTS[:2]:
+            reason = point_outcome(tensors, pt)
+            assert reason == _oracle_outcome(tensors, pt)
+            assert reason.endswith("has no assigned value")
+
+    def test_a_pole_of_the_coefficient_alone_skips_the_point(self):
+        """A = 1/(y+1): A_x and A_xx vanish identically, so at y = -1 only
+        the value of A itself is singular; the point is still skipped, with
+        the oracle's reason."""
+        jets = _generic_jets(("1/(y+1)", "x"))
+        assert jets["A'_x"].is_zero and jets["A'_xx"].is_zero
+        tensors = _generic_evidence().tensors
+        pole = {"x": Fraction(2), "y": Fraction(-1), "z": Fraction(1, 3), "t": Fraction(5)}
+        assert point_outcome(tensors, pole, jets) == _oracle_outcome(tensors, pole, jets)
+        assert point_outcome(tensors, pole, jets) == "denominator vanishes at the point"
+        for pt in POINTS:
+            assert point_outcome(tensors, pt, jets) == _oracle_outcome(tensors, pt, jets)
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_random_rational_members_match_the_oracle(self, sampler, seed):
+        """The generic tensors' rule at jet-extended points against the 6x6
+        oracle on the same tensors and jets, for random rational A and B;
+        the small point range often meets a pole of A or B."""
+        gen = sampler(seed=seed, chart=XY_CHART)
+        texts = (gen.expression().render(), gen.expression().render())
+        jets = _generic_jets(texts)
+        tensors = _generic_evidence().tensors
+        rng = random.Random(seed)
+        for _ in range(4):
+            pt = {c: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for c in "xyzt"}
+            assert point_outcome(tensors, pt, jets) == _oracle_outcome(tensors, pt, jets)
