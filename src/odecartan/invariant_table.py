@@ -23,9 +23,9 @@ module, and builds ``Expression``s rather than calling ``_normalize``.
 
 import json
 import os
-from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import gcd, lcm
+from operator import add
 
 from . import poly
 from .cartan import OdeProblem, StructureFunctions, structure_functions
@@ -99,7 +99,9 @@ def coprime_base(polys):
     product of powers (see ``factor_over``): factor refinement (Bach,
     Driscoll and Shallit, "Factor refinement", J. Algorithms 1993).  An
     element that shares a factor g with a base element b is replaced, with
-    b, by b/g, g and itself over g; the total degree drops at every split."""
+    b, by b/g, g and itself over g; the total degree drops at every split.
+    ``factored_jets`` builds one base per F, over seven polynomials; every
+    jet's denominator is a product of powers of its elements."""
     base = []
     todo = list(dict.fromkeys(p for p in polys if not p.is_const))
     while todo:
@@ -122,7 +124,11 @@ def coprime_base(polys):
 
 def factor_over(p, base):
     """(c, [e_1, ...]) with p = c * Π base_i^e_i, c an int; p must factor
-    over ``base`` (from ``coprime_base`` of a list holding p)."""
+    over ``base`` (from ``coprime_base`` of a list holding p).  Raises
+    ValueError for a zero p or a constant base element, whose powers never
+    stop dividing."""
+    if p.is_zero or any(b.is_const for b in base):
+        raise ValueError("only a nonzero polynomial factors over nonconstant elements")
     exponents = []
     for b in base:
         e = 0
@@ -141,9 +147,10 @@ def _generic_table():
     """``generic_structure.TABLE`` decoded once per process: the jet
     indices of G', the position of G'_qq among them, and for each
     invariant its denominator's constant, its power of alpha and its
-    numerator terms ``(coefficient, monomial in the coordinates, jets)``.
-    ``jets`` is a tuple of (jet position, exponent); G'_qq's power in the
-    denominator is folded into it as a negative exponent."""
+    numerator terms ``(coefficient, monomial in the coordinates, jets,
+    mask)``.  ``jets`` is a tuple of (jet position, exponent); G'_qq's
+    power in the denominator is folded into it as a negative exponent.
+    ``mask`` has bit j set for each jet position j that ``jets`` reads."""
     from .generic_structure import TABLE
 
     data = json.loads(TABLE)
@@ -175,87 +182,112 @@ def _generic_table():
                     else:
                         jets[s - ncoord] = jets.get(s - ncoord, 0) + e
                 jets = share(tuple(sorted(share(je) for je in jets.items() if je[1])))
-                hit = decoded[key] = (share(tuple(mono)), jets)
+                hit = decoded[key] = (share(tuple(mono)), jets, sum(1 << j for j, _ in jets))
             terms.append((coeff, *hit))
         table[name] = (entry["den"][0], den.get(alpha, 0), terms)
     return indices, qq, table
 
 
-def structure_from_jets(F):
-    """a..s of y''' = F (F_qq ≠ 0) from ``generic_structure``, with no
-    coframe: each jet of G' becomes F differentiated along its index.
+def factored_jets(F, indices):
+    """(base, jets, (cn, cd, v)) for F with F_qq ≠ 0, with no GCD per jet:
+    ``base`` is coprime over the reduced denominators of F, F_x, F_y, F_p,
+    F_q and F_qq and F_qq's numerator; ``jets[i]`` is None where the jet
+    along ``indices[i]`` is zero, else (N, c, e) with that jet N / (c · Π
+    base_j^e_j); F_qq = cn/cd · Π base_j^v_j.  Every jet past those six
+    comes from its parent by the quotient rule, raising only exponents of
+    base elements with a nonzero derivative; N is then trial-divided by
+    the base elements of positive exponent and shares no content with c."""
+    F = F.on_chart(J2_CHART)
+    reduced = {(): F, **{(z,): F.differentiate(z) for z in J2_CHART.coords}}
+    fqq = reduced["q", "q"] = reduced["q",].differentiate("q")
+    if fqq.is_zero:
+        raise DegenerateOdeError("F_qq is identically zero")
+    base = coprime_base([r.den for r in reduced.values()] + [fqq.num])
+    memo = {i: None if r.is_zero else (r.num, *factor_over(r.den, base))
+            for i, r in reduced.items()}
+    slope = cache(lambda i, z: F._total_deriv_poly(base[i], z))
 
-    The jet denominators, with the numerator of F_qq, get a coprime base
-    (``coprime_base``), so a jet is r · P · Π b^v: a rational r, a
-    polynomial P (1 for F_qq, which the denominators hold) and integer
-    exponents v over the base.  Each invariant skips a term that holds a
-    zero jet, sums the terms that share their exponents v, brings each
-    sum to the least exponents over the base, multiplies numerators as
-    ``Poly`` with no GCD, and reduces once.
-    """
-    indices, qq, table = _generic_table()
-    derived = {(): F.on_chart(J2_CHART)}
+    def step(N, c, e, z):
+        num, done, e = F._total_deriv_poly(N, z), Poly.const(1), list(e)
+        for i, k in enumerate(e):
+            if k and not slope(i, z).is_zero:
+                # d(N/(c·Π b^e)) = (N' - N·Σ e_i b_i'/b_i) / (c·Π b^e)
+                num = num * base[i] - N * (Poly.const(k) * slope(i, z) * done)
+                done, e[i] = done * base[i], k + 1
+        if num.is_zero:
+            return None
+        for i, k in enumerate(e):
+            while k and (quotient := num.exact_div(base[i])) is not None:
+                num, k = quotient, k - 1
+            e[i] = k
+        g = gcd(num.content(), c)
+        return num.div_int(g), c // g, e
 
     def jet(index):
-        if index not in derived:
-            derived[index] = jet(index[:-1]).differentiate(index[-1])
-        return derived[index]
+        if index not in memo:
+            parent = jet(index[:-1])
+            memo[index] = parent and step(*parent, index[-1])
+        return memo[index]
 
-    jets = [jet(i) for i in indices]
-    if jets[qq].is_zero:
-        raise DegenerateOdeError("F_qq is identically zero")
-    polys = [j.den for j in jets if not j.is_zero] + [jets[qq].num]
-    base = coprime_base(polys)
-    factored = {p: factor_over(p, base) for p in dict.fromkeys(polys)}
+    (cn, en), (_, cd, ed) = factor_over(fqq.num, base), memo["q", "q"]
+    return base, [jet(i) for i in indices], (cn, cd, [a - b for a, b in zip(en, ed)])
 
-    def part(j):
-        c, e = factored[j.den]
-        return j.num, Fraction(1, c), [-k for k in e]
 
-    parts = [None if j.is_zero else part(j) for j in jets]
-    (cn, en), (cd, ed) = factored[jets[qq].num], factored[jets[qq].den]
-    parts[qq] = (None, Fraction(cn, cd), [a - b for a, b in zip(en, ed)])
+def structure_from_jets(F):
+    """a..s of y''' = F (F_qq ≠ 0) from ``generic_structure``, with no
+    coframe: each jet of G' becomes F's jet in the form of ``factored_jets``
+    and F_qq a monomial over the base.  Each invariant skips a term that
+    reads a zero jet (``mask``), reads each (jet, power) pair's integers,
+    exponents over the base and ``Poly`` power once per request, sums the
+    terms that share exponents over one integer ``lcm``, brings each sum to
+    the least exponents, multiplies numerators as ``Poly`` with no GCD,
+    and reduces once."""
+    indices, qq, table = _generic_table()
+    base, jets, (cn, cd, vqq) = factored_jets(F, indices)
+    power = cache(lambda i, k: base[i] ** k)
 
-    powers = {}
-
-    def power(f, k):
-        key = (id(f), k)
-        if key not in powers:
-            powers[key] = f ** k
-        return powers[key]
+    @cache
+    def part(j, k):
+        if j == qq:
+            n, d = (cn, cd) if k > 0 else (cd, cn)
+            return n ** abs(k), d ** abs(k), tuple(k * v for v in vqq), None
+        N, c, e = jets[j]
+        return 1, c**k, tuple(-k * v for v in e), N**k
 
     alpha = P_CHART.sym("alpha")
+    zero = (0,) * len(base)
+    dead = sum(1 << j for j, jet in enumerate(jets) if jet is None)
     values = {}
     for name, (den_coeff, alpha_power, terms) in table.items():
         by_exponents = {}
-        for coeff, mono, key in terms:
-            if all(parts[j] is not None for j, _ in key):
-                r, v, factors = Fraction(coeff), [0] * len(base), []
+        for coeff, mono, key, mask in terms:
+            if not mask & dead:
+                n, d, v, factors = coeff, 1, zero, []
                 for j, k in key:
-                    pj, rj, vj = parts[j]
-                    r *= rj ** k
-                    v = [a + k * b for a, b in zip(v, vj)]
-                    if pj is not None:
-                        factors.append(power(pj, k))
-                by_exponents.setdefault(tuple(v), []).append((r, mono, factors))
+                    pn, pd, pv, pp = part(j, k)
+                    n, d, v = n * pn, d * pd, tuple(map(add, v, pv))
+                    if pp is not None:
+                        factors.append(pp)
+                by_exponents.setdefault(v, []).append((n, d, mono, factors))
         least = [min((v[i] for v in by_exponents), default=0) for i in range(len(base))]
-        scale = lcm(*(r.denominator for group in by_exponents.values() for r, _, _ in group))
+        scale = lcm(*(d for group in by_exponents.values() for _, d, _, _ in group))
         num = Poly.zero()
         for v, group in by_exponents.items():
             total = Poly.zero()
-            for r, mono, factors in group:
-                product = Poly({mono: r.numerator * (scale // r.denominator)})
+            for n, d, mono, factors in group:
+                product = Poly({mono: n * (scale // d)})
                 for f in sorted(factors, key=len):
                     product = product * f
                 total = total + product
-            for b, e, m in zip(base, v, least):
-                total = total * power(b, e - m)
+            for i, (e, m) in enumerate(zip(v, least)):
+                if e != m:
+                    total = total * power(i, e - m)
             num = num + total
         den = Poly.const(den_coeff * scale).mul_mono(((alpha, alpha_power),) if alpha_power else ())
-        for b, m in zip(base, least):
+        for i, m in enumerate(least):
             if m > 0:
-                num = num * power(b, m)
-            else:
-                den = den * power(b, -m)
+                num = num * power(i, m)
+            elif m < 0:
+                den = den * power(i, -m)
         values[name] = Expression(num, den, P_CHART)
     return StructureFunctions(**values)

@@ -29,6 +29,12 @@ member's residuals).
 The rejected display reading of the invariant coframe is built here too
 (``printed_display_coframe``), so the tests can show that the structure
 pattern refuses it.
+
+The reduced-jet oracle (``reduced_jet_structure``) is the table path the
+program took before its jets were factored: every jet a reduced
+``Expression``, a coprime base over the jet denominators, and a
+``Fraction`` walk over the table.  The tests compare the program's
+``invariant_table.structure_from_jets`` with it.
 """
 
 import random
@@ -39,6 +45,7 @@ from odecartan.cartan import (
     HALF,
     FamilyData,
     OdeProblem,
+    StructureFunctions,
     base_coframe,
     family_detect,
     family_invariants,
@@ -61,12 +68,19 @@ from odecartan.curvature import (
     family_metric,
     metric_from_family,
 )
-from odecartan.errors import ChartError, PetrovDegeneracyError, SingularEvaluationError
+from odecartan.errors import (
+    ChartError,
+    DegenerateOdeError,
+    PetrovDegeneracyError,
+    SingularEvaluationError,
+)
 from odecartan.expression import Expression
 from odecartan.forms import Coframe, DifferentialForm
+from odecartan.invariant_table import _generic_table, coprime_base, factor_over
 from odecartan.linalg import invert_matrix
 from odecartan.parse import parse_expression
 from odecartan.petrov import PAIRS, _STAR_SIGN, PetrovPointResult
+from odecartan.poly import Poly
 from odecartan.symbols import J2_CHART, M_ADAPTED_CHART, P_CHART, SymbolTable
 
 # -- the chart-level connection oracle ----------------------------------------
@@ -755,3 +769,86 @@ def identity_check(a, b):
 def duality_residuals(cf):
     """Pairing coframe_i(frame_j) − δ_ij for every i, j."""
     return identity_check(cf.matrix, cf.inverse)
+
+
+# -- the reduced-jet oracle of the table path ----------------------------------
+
+
+def reduced_jet_structure(F):
+    """a..s of y''' = F (F_qq ≠ 0) from ``generic_structure``, with no
+    coframe: each jet of G' becomes F differentiated along its index.
+
+    The jet denominators, with the numerator of F_qq, get a coprime base
+    (``coprime_base``), so a jet is r · P · Π b^v: a rational r, a
+    polynomial P (1 for F_qq, which the denominators hold) and integer
+    exponents v over the base.  Each invariant skips a term that holds a
+    zero jet, sums the terms that share their exponents v, brings each
+    sum to the least exponents over the base, multiplies numerators as
+    ``Poly`` with no GCD, and reduces once.
+    """
+    indices, qq, table = _generic_table()
+    derived = {(): F.on_chart(J2_CHART)}
+
+    def jet(index):
+        if index not in derived:
+            derived[index] = jet(index[:-1]).differentiate(index[-1])
+        return derived[index]
+
+    jets = [jet(i) for i in indices]
+    if jets[qq].is_zero:
+        raise DegenerateOdeError("F_qq is identically zero")
+    polys = [j.den for j in jets if not j.is_zero] + [jets[qq].num]
+    base = coprime_base(polys)
+    factored = {p: factor_over(p, base) for p in dict.fromkeys(polys)}
+
+    def part(j):
+        c, e = factored[j.den]
+        return j.num, Fraction(1, c), [-k for k in e]
+
+    parts = [None if j.is_zero else part(j) for j in jets]
+    (cn, en), (cd, ed) = factored[jets[qq].num], factored[jets[qq].den]
+    parts[qq] = (None, Fraction(cn, cd), [a - b for a, b in zip(en, ed)])
+
+    powers = {}
+
+    def power(f, k):
+        key = (id(f), k)
+        if key not in powers:
+            powers[key] = f ** k
+        return powers[key]
+
+    alpha = P_CHART.sym("alpha")
+    values = {}
+    for name, (den_coeff, alpha_power, terms) in table.items():
+        by_exponents = {}
+        for coeff, mono, key, _ in terms:
+            if all(parts[j] is not None for j, _ in key):
+                r, v, factors = Fraction(coeff), [0] * len(base), []
+                for j, k in key:
+                    pj, rj, vj = parts[j]
+                    r *= rj ** k
+                    v = [a + k * b for a, b in zip(v, vj)]
+                    if pj is not None:
+                        factors.append(power(pj, k))
+                by_exponents.setdefault(tuple(v), []).append((r, mono, factors))
+        least = [min((v[i] for v in by_exponents), default=0) for i in range(len(base))]
+        scale = lcm(*(r.denominator for group in by_exponents.values() for r, _, _ in group))
+        num = Poly.zero()
+        for v, group in by_exponents.items():
+            total = Poly.zero()
+            for r, mono, factors in group:
+                product = Poly({mono: r.numerator * (scale // r.denominator)})
+                for f in sorted(factors, key=len):
+                    product = product * f
+                total = total + product
+            for b, e, m in zip(base, v, least):
+                total = total * power(b, e - m)
+            num = num + total
+        den = Poly.const(den_coeff * scale).mul_mono(((alpha, alpha_power),) if alpha_power else ())
+        for b, m in zip(base, least):
+            if m > 0:
+                num = num * power(b, m)
+            else:
+                den = den * power(b, -m)
+        values[name] = Expression(num, den, P_CHART)
+    return StructureFunctions(**values)

@@ -10,6 +10,11 @@ extraction, ``structure_functions`` on the problem's coframe, is the
 oracle.  A family member's request reads its own closed-form k, n, e
 pulled back to the P chart instead (``cartan.family_structure``); the
 table on the generic member proves that identity for every member.
+
+The table path reads F's jets in factored form (``factored_jets``); the
+former path, with every jet a reduced ``Expression`` and a ``Fraction``
+walk, is the reduced-jet oracle (``tests.oracles.reduced_jet_structure``),
+and each factored jet is checked against the ``differentiate`` chain.
 """
 
 from fractions import Fraction
@@ -30,8 +35,10 @@ from odecartan.cartan import (
     structure_functions,
 )
 from odecartan.errors import DegenerateOdeError, FamilyRejectionError
+from odecartan.poly import Poly
 from odecartan.report import AnalysisRequest, analyze
 from tests.conftest import ExpressionSampler
+from tests.oracles import reduced_jet_structure
 
 COMMITTED = Path(invariant_table.__file__).with_name("generic_structure.py")
 
@@ -199,3 +206,121 @@ def test_a_request_builds_no_coframe(monkeypatch, ode, opaque, verdicts):
     assert report.verdicts == verdicts
     if report.data["family"]["accepted"]:
         assert report.data["invariants_kne"]["matches_extraction"] is True
+
+
+def _parse(text):
+    table = SymbolTable()
+    table.declare("S", ("x", "y"))
+    table.declare("H", ("x", "y", "p", "q"))
+    return parse_expression(text, J2_CHART, table)
+
+
+def _assert_matches_the_reduced_jet_oracle(rhs):
+    sf = invariant_table.structure_from_jets(rhs)
+    oracle = reduced_jet_structure(rhs)
+    assert all(getattr(sf, n) == getattr(oracle, n) for n in STRUCTURE_NAMES)
+    assert _renders(sf) == _renders(oracle)
+
+
+def _assert_factored_jets_match_the_chain(rhs):
+    """Each factored jet N / (c · Π b^e) is F's ``differentiate`` chain along
+    its index, for all 41 indices, and F_qq is cn/cd · Π b^v."""
+    indices = invariant_table._generic_table()[0]
+    base, jets, (cn, cd, v) = invariant_table.factored_jets(rhs, indices)
+    assert len(jets) == 41
+    f = rhs.on_chart(J2_CHART)
+    for index, jet in zip(indices, jets):
+        chain = f
+        for z in index:
+            chain = chain.differentiate(z)
+        if jet is None:
+            assert chain.is_zero, index
+            continue
+        n, c, e = jet
+        den = Poly.const(c)
+        for b, k in zip(base, e):
+            den = den * b**k
+        assert not n.is_zero and Expression(n, den, J2_CHART) == chain, index
+    fqq = Expression.number(Fraction(cn, cd), J2_CHART)
+    for b, k in zip(base, v):
+        fqq = fqq * Expression(b, Poly.const(1), J2_CHART) ** k
+    assert fqq == f.differentiate("q").differentiate("q")
+
+
+_ORACLE_CASES = [
+    "q^3/(p+y) + x*q/(p-x) + 1/(x+y)",
+    "(q^2+x)/((p+1)^2*(p+x)) + y/(p^2-x^2)",
+    "q^2/(p+x) + y*q/(p^2+1)",
+    "q^2/(p+S(x,y)) + y*q",
+    "H(x,y,p,q)",
+    "q^2/(p+1)^3 + x/(y^2+1)",
+    "q^2",
+    "q^3 + y*p",
+]
+
+
+@pytest.mark.parametrize("text", _ORACLE_CASES)
+def test_the_table_path_matches_the_reduced_jet_oracle(text):
+    _assert_matches_the_reduced_jet_oracle(_parse(text))
+
+
+@pytest.mark.parametrize("text", _ORACLE_CASES)
+def test_the_factored_jets_match_the_differentiate_chain(text):
+    _assert_factored_jets_match_the_chain(_parse(text))
+
+
+@pytest.mark.parametrize("text", ["q + x*p", "x*q/(p+1) + S(x,y)", "y*p^2/(x+1) + H(x,y,p,q)*0"])
+def test_the_table_path_refuses_a_zero_f_qq(text):
+    with pytest.raises(DegenerateOdeError):
+        invariant_table.structure_from_jets(_parse(text))
+
+
+# Factors of the drawn denominators: linear and quadratic in p, in x and y
+# only, with the opaque S(x, y), and with q.  A product of three factors, or
+# a factor in q over depth-1 numerators, took the oracle 0.8-2 s per example
+# on average; these shapes take about 0.1-0.3 s.
+_FACTORS = ("p+1", "p+x", "p-x+2", "x+y", "p^2+1", "p+S(x,y)", "y^2+1")
+_Q_FACTORS = ("p+q", "q+x", "q+S(x,y)", "p*q+1")
+
+
+@st.composite
+def _denominators(draw):
+    """(denominator, numerator depth): a monomial, a repeated factor or two
+    distinct factors over depth-1 numerators, or a factor in q over leaves."""
+    kind = draw(st.sampled_from(("monomial", "repeated", "distinct", "q")))
+    if kind == "monomial":
+        exponents = draw(st.lists(st.integers(0, 2), min_size=4, max_size=4))
+        coeff = draw(st.integers(1, 3))
+        return "*".join([str(coeff)] + [f"{c}^{e}" for c, e in zip("xypq", exponents) if e]), 1
+    if kind == "repeated":
+        return f"({draw(st.sampled_from(_FACTORS))})^{draw(st.integers(2, 3))}", 1
+    if kind == "distinct":
+        pair = draw(st.lists(st.sampled_from(_FACTORS), min_size=2, max_size=2, unique=True))
+        return "*".join(f"({f})" for f in pair), 1
+    return draw(st.sampled_from(_Q_FACTORS)), 0
+
+
+def _random_rhs(seed, den):
+    """F = (q^2 E1 + E2) / den, E1 and E2 samples over x, y, p, q and the
+    opaque S(x, y) of the drawn depth."""
+    (text, depth) = den
+    table = SymbolTable()
+    S = table.declare("S", ("x", "y"))
+    gen = ExpressionSampler(J2_CHART, seed, (S,))
+    q = Expression.coordinate("q", J2_CHART)
+    numerator = q * q * gen.expression(depth) + gen.expression(depth)
+    rhs = numerator / parse_expression(text, J2_CHART, table)
+    assume(not rhs.differentiate("q").differentiate("q").is_zero)
+    return rhs
+
+
+@given(st.integers(0, 2**32), _denominators())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_the_table_path_matches_the_reduced_jet_oracle_on_random_f(seed, den):
+    _assert_matches_the_reduced_jet_oracle(_random_rhs(seed, den))
+
+
+@given(st.integers(0, 2**32), _denominators())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_the_factored_jets_match_the_differentiate_chain_on_random_f(seed, den):
+    _assert_factored_jets_match_the_chain(_random_rhs(seed, den))
