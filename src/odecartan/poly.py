@@ -10,8 +10,7 @@ fractions are canonical.  It works on sparse integer maps: the heuristic
 GCD (GCDHEU) of Char, Geddes and Gonnet answers by integer evaluation,
 ``math.gcd`` and interpolation, checked by exact trial division, and
 Brown's primitive pseudo-remainder sequence answers when it fails.
-``Poly.exact_div`` divides the same integer maps, exactly in Z[x]; a
-divisor of one term divides monomials and coefficients directly.
+``Poly.exact_div`` divides the same integer maps, exactly in Z[x].
 """
 
 from math import gcd as int_gcd, isqrt
@@ -309,15 +308,6 @@ class Poly:
             if any(v % c for v in self.terms.values()):
                 return None
             return self.div_int(c)
-        if len(other.terms) == 1:
-            ((om, oc),) = other.terms.items()
-            out = {}
-            for m, v in self.terms.items():
-                qm = mono_div(m, om)
-                if qm is None or v % oc:
-                    return None
-                out[qm] = v // oc
-            return Poly(out)
         # by Gauss's lemma the quotient is integral exactly when the
         # primitive parts divide and the contents do
         syms = sorted(self.symbols() | other.symbols())

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from odecartan import P_CHART
 from odecartan.invariant_table import coprime_base, factor_over
-from odecartan.poly import Poly, _exact_div, _from_int, _to_int, poly_gcd
+from odecartan.poly import Poly, poly_gcd
 
 # monomials list their symbols in key order, as Poly requires
 SYMS = sorted(P_CHART.sym(c) for c in P_CHART.coords)
@@ -102,32 +102,3 @@ def test_factor_over_refuses_a_zero_polynomial_and_a_constant_element():
     with pytest.raises(ValueError):
         factor_over(Poly.const(3), [Poly.const(1)])
 
-
-def _general_exact_div(f, g):
-    """``Poly.exact_div`` through the integer maps, as for a divisor of
-    several terms."""
-    syms = sorted(f.symbols() | g.symbols())
-    (fi, cf), (gi, cg) = _to_int(f, syms), _to_int(g, syms)
-    if cf % cg:
-        return None
-    q = _exact_div(fi, gi)
-    return None if q is None else _from_int(q, syms, cf // cg)
-
-
-_monomial_divisors = st.builds(
-    lambda m, c: _poly({m: c}),
-    _monomials.filter(any),
-    st.integers(-6, 6).filter(bool),
-)
-
-
-@given(_small_polys, _monomial_divisors, st.booleans())
-@settings(max_examples=150, deadline=None)
-def test_exact_div_by_one_term_matches_the_general_path(f, d, multiple):
-    """Division by a one-term divisor, exact (f a multiple of it) or not."""
-    if multiple:
-        f = f * d
-    expected = _general_exact_div(f, d) if not f.is_zero else Poly.zero()
-    assert f.exact_div(d) == expected
-    if multiple:
-        assert expected is not None
