@@ -54,7 +54,7 @@ from .curvature import (
     family_metric,
     metric_from_family,
 )
-from .petrov import PetrovPointResult, classify_at_point
+from .petrov import PetrovPointResult, classify_at_point, label_rule
 from .connection import cartan_connection_report, metric_connection_report
 from .report import AnalysisRequest, analyze, emit_report
 
@@ -104,6 +104,7 @@ __all__ = [
     "family_metric",
     "invariant_K",
     "invariant_coframe",
+    "label_rule",
     "metric_connection_report",
     "metric_from_family",
     "parse_expression",

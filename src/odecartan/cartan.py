@@ -536,8 +536,10 @@ def family_invariants_residuals(fd, kne, sf=None):
     invariants ``sf``, pulled to the adapted chart; all three must vanish.
     ``sf`` defaults to ``fd.problem.structure()``, the committed generic
     table, so this checks the closed forms against it.  The ``inv`` stage
-    passes ``family_structure(kne)``, for which the residuals vanish by
-    the identity the suite proves on ``generic_family()``."""
+    passes ``family_structure(kne)``, whose pullback ``to_adapted``
+    undoes, so there the residuals vanish by construction, for any
+    ``kne``; the identity that makes ``family_structure`` right is proven
+    in ``tests/test_generic_table.py``."""
     if sf is None:
         sf = fd.problem.structure()
     return {name: to_adapted(getattr(sf, name)) - value for name, value in kne._asdict().items()}

@@ -10,17 +10,19 @@ characteristic polynomial (Newton's identities), its discriminant decides
 root multiplicity, and the Jordan structure is read from whether X^2 or
 (X - r)(X - s)X vanishes.
 
-All of that is done once per tensors object, symbolically (``label_rule``):
-det G must be a positive rational square constant, star^2 = I and
-[W, star] = 0 must hold identically, and the traces of X^2 and X^3 must be
-rational constants.  Each half's label is then a constant, or it is
-decided by whether a few expressions vanish at the point.  For the cubic
-family (the generic member's tensors, ``report._generic_evidence``) the
-plus half is D everywhere, and the minus half is D exactly where
-R = -A'_x t + B'_y z + A'_xx - B'_yy vanishes and II elsewhere (split
-signature Petrov types as in P. R. Law, "Neutral Einstein metrics in four
-dimensions", J. Math. Phys. 32, 1991).  ``classify_at_point`` only checks
-that the tensors can be evaluated at the point and evaluates the rule.
+All of that is done once, symbolically, by ``label_rule``: det G must be
+a positive rational square constant, star^2 = I and [W, star] = 0 must
+hold identically, and the traces of X^2 and X^3 must be rational
+constants.  Each half's label is then a constant, or it is decided by
+whether a few expressions vanish at the point.  For the cubic family the
+caller derives the rule with the generic member's tensors and keeps it in
+``report._generic_evidence``: the plus half is D everywhere, and the
+minus half is D exactly where R = -A'_x t + B'_y z + A'_xx - B'_yy
+vanishes and II elsewhere (split signature Petrov types as in P. R. Law,
+"Neutral Einstein metrics in four dimensions", J. Math. Phys. 32, 1991).
+``classify_at_point`` evaluates a rule it is given: it only checks, by
+the rule's probes, that the tensors can be evaluated at the point, and
+reads the labels.
 
 A family member's W, g^-1 and det are never built as its own tensors:
 they are the generic member's (opaque A' and B') read at the point
@@ -41,22 +43,13 @@ PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _STAR_SIGN = (1, -1, 1, 1, -1, 1)
 
 
-def _evaluated(tensors):
-    """g^-1, det G and the components of W on pairs, in the order a point
-    evaluation reads them."""
-    return (
-        [e for row in tensors.ginv for e in row]
-        + [tensors.det]
-        + [tensors.weyl_down[a][b][m][n] for a, b in PAIRS for m, n in PAIRS]
-    )
-
-
-def jet_expressions(tensors, functions):
+def jet_expressions(rule, functions):
     """{rendered name: expression} for each jet symbol that g^-1, det G or
-    W read: its function's expression in ``functions`` (keyed by function
-    name), differentiated along the jet's index."""
+    W read, as the probes of ``rule`` do: its function's expression in
+    ``functions`` (keyed by function name), differentiated along the
+    jet's index."""
     jets = {}
-    for sym in {s for e in _evaluated(tensors) for s in e.symbols() if not s.is_coordinate}:
+    for sym in {s for e in rule.probes for s in e.symbols() if not s.is_coordinate}:
         expr = functions[sym.name]
         for coord in sym.index:
             expr = expr.differentiate(coord)
@@ -153,12 +146,14 @@ def _half_rule(x):
 
 
 LabelRule = namedtuple("LabelRule", "probes plus minus")
-LabelRule.__doc__ = """Petrov labels of one tensors object as a rule to evaluate at points.
+LabelRule.__doc__ = """Petrov labels of curvature tensors as a rule to evaluate at points.
 
 ``probes`` are the entries of g^-1, det G and W, in the order a point
 evaluation reads them, that read a symbol or have a non-constant
 denominator no earlier entry does: where they evaluate, every entry
-does, and where one fails, it fails as the full evaluation would.
+does, and where one fails, it fails as the full evaluation would.  They
+read every symbol the entries read, so ``jet_expressions`` scans them
+alone.
 ``plus`` and ``minus`` are the two halves' (steps, default) from
 ``_half_rule``."""
 
@@ -178,34 +173,18 @@ def label_rule(tensors):
         for sign in (1, -1)
     )
     probes, names, dens = [], set(), set()
-    for e in _evaluated(tensors):
+    entries = (
+        [e for row in tensors.ginv for e in row]
+        + [tensors.det]
+        + [tensors.weyl_down[a][b][m][n] for a, b in PAIRS for m, n in PAIRS]
+    )
+    for e in entries:
         den = set() if e.den.is_const else {e.den}
         if not (e.symbols() <= names and den <= dens):
             names |= e.symbols()
             dens |= den
             probes.append(e)
     return LabelRule(tuple(probes), plus, minus)
-
-
-# the rules of the last few tensors objects, by id; each entry holds its
-# tensors, so the id cannot be reused while the entry lives
-_RULES = {}
-_RULE_SLOTS = 8
-
-
-def _cached_rule(tensors):
-    hit = _RULES.get(id(tensors))
-    if hit is None or hit[0] is not tensors:
-        try:
-            rule = label_rule(tensors)
-        except PetrovDegeneracyError as exc:
-            rule = exc
-        if len(_RULES) >= _RULE_SLOTS:
-            _RULES.pop(next(iter(_RULES)), None)
-        hit = _RULES[id(tensors)] = (tensors, rule)
-    if isinstance(hit[1], PetrovDegeneracyError):
-        raise PetrovDegeneracyError(str(hit[1]))
-    return hit[1]
 
 
 def _label(half, values, powers):
@@ -228,16 +207,15 @@ class PetrovPointResult(namedtuple("PetrovPointResult", "point label_plus label_
         return frozenset((self.label_plus, self.label_minus))
 
 
-def classify_at_point(tensors, point, jets=None):
-    """Petrov labels at ``point`` from the ``label_rule`` of ``tensors``.
+def classify_at_point(rule, point, jets=None):
+    """Petrov labels at ``point`` from ``rule``, a ``LabelRule``.
 
     ``jets`` (from ``jet_expressions``) extends the point with the value
-    of each jet symbol, so opaque-coefficient tensors give the labels of
-    the metric with their functions substituted.  Raises
+    of each jet symbol, so a rule of opaque-coefficient tensors gives the
+    labels of the metric with their functions substituted.  Raises
     PetrovDegeneracyError when a jet's value, or g^-1, det G or W, cannot
     be evaluated at the point: a symbol without a value or a vanishing
     denominator."""
-    rule = _cached_rule(tensors)
     powers = {}
     values = dict(point)
     try:

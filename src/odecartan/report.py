@@ -47,7 +47,7 @@ from .errors import (
 )
 from .expression import Expression
 from .parse import parse_expression
-from .petrov import classify_at_point, jet_expressions
+from .petrov import classify_at_point, jet_expressions, label_rule
 from .symbols import J2_CHART, SymbolTable
 
 CONVENTIONS = {
@@ -136,10 +136,12 @@ def _run_inv(st):
     ``appendix`` and ``extraction_residuals``; no request builds a coframe.
 
     A family member's are its own closed-form k, n, e pulled back to the P
-    chart, with every other invariant 0 (``family_structure``): the suite
-    proves that identity on ``generic_family()`` against the committed
-    table, and the generic member's denominators make it every member's.
-    So ``matches_extraction`` restates that proven identity.  Any other F
+    chart, with every other invariant 0 (``family_structure``):
+    ``tests/test_generic_table.py`` proves that identity on
+    ``generic_family()`` against the committed table, and the generic
+    member's denominators make it every member's.  ``matches_extraction``
+    does not check it: ``to_adapted`` undoes that pullback, so its
+    residuals vanish by construction, for any k, n, e.  Any other F
     reads the committed generic table (``OdeProblem.structure()``), whose
     ninety pattern slots the suite verifies once for every F with
     F_qq ≠ 0; a process that serves only family members never loads it."""
@@ -172,7 +174,7 @@ def _run_cond(st):
 
 _GenericEvidence = namedtuple(
     "_GenericEvidence",
-    "metric projectability tensors einstein_residual metric_connection cartan_connection",
+    "projectability tensors label_rule einstein_residual metric_connection cartan_connection",
 )
 
 
@@ -180,15 +182,16 @@ _GenericEvidence = namedtuple(
 def _generic_evidence():
     """The family stages' evidence, from one metric of ``generic_family``
     (opaque A', B', C'): its projectability report, curvature tensors
-    (g^-1 and det G among them) and Einstein residual, and both connection
-    reports.  Each is a polynomial identity in the jets of A', B' and C',
-    so it is every member's.  Built on first use and shared for the life
-    of the process: callers must not mutate it."""
+    (g^-1 and det G among them), the Petrov ``label_rule`` of those
+    tensors and their Einstein residual, and both connection reports.
+    Each is a polynomial identity in the jets of A', B' and C', so it is
+    every member's.  Built on first use and shared for the life of the
+    process: callers must not mutate it."""
     family = generic_family()
     metric, projectability = metric_from_family(family)
     tensors = curvature_tensors(metric)
     return _GenericEvidence(
-        metric, projectability, tensors, einstein_residual(metric, tensors),
+        projectability, tensors, label_rule(tensors), einstein_residual(metric, tensors),
         metric_connection_report(family), cartan_connection_report(family),
     )
 
@@ -264,7 +267,7 @@ _D_EIGENSPACE = {(True, False): "plus", (False, True): "minus", (True, True): "b
 
 
 def _specialized(st, name):
-    """The family's coefficient ``name`` (A or B), or the request's
+    """The family's coefficient ``name`` (A, B or C), or the request's
     specialisation of it.  Only a coefficient that is exactly the opaque
     function of that name can be specialised; any other is refused with
     ``bad-specialization``."""
@@ -284,16 +287,17 @@ def _specialized(st, name):
 def _run_petrov(st):
     """Petrov labels at seeded exact points of the specialised metric.
 
-    ``classify_at_point`` reads the label rule of ``_generic_evidence``'s
-    tensors (opaque A' and B'), derived once per process: D on the plus
-    half, and on the minus half D where -A'_x t + B'_y z + A'_xx - B'_yy
-    vanishes and II elsewhere.  Each point is extended with each jet
-    symbol's value, the specialised A or B differentiated along the jet's
-    index, and is skipped where a jet, g^-1, det G or W cannot be
-    evaluated.
+    ``classify_at_point`` evaluates the label rule that ``_generic_evidence``
+    derives once per process from the generic tensors (opaque A' and B'):
+    D on the plus half, and on the minus half D where
+    -A'_x t + B'_y z + A'_xx - B'_yy vanishes and II elsewhere.  Each
+    point is extended with each jet symbol's value, the specialised A or B
+    differentiated along the jet's index, and is skipped where a jet,
+    g^-1, det G or W cannot be evaluated.  C is not in the metric, but
+    its specialisation is checked like theirs.
     """
     request = st.request
-    A, B = (_specialized(st, name) for name in ("A", "B"))
+    A, B, _ = (_specialized(st, name) for name in "ABC")
     leftover = sorted({s.render() for c in (A, B) for s in c.symbols() if not s.is_coordinate})
     if leftover:
         raise AnalysisInputError(
@@ -301,8 +305,8 @@ def _run_petrov(st):
             f"metric still contains opaque symbols {leftover}; "
             "provide rational specializations for A and B",
         )
-    tensors = _generic_evidence().tensors
-    jets = jet_expressions(tensors, dict(zip(GENERIC_COEFFICIENTS, (A, B))))
+    rule = _generic_evidence().label_rule
+    jets = jet_expressions(rule, dict(zip(GENERIC_COEFFICIENTS, (A, B))))
     rng = random.Random(request.seed)
     results, skipped = [], []
     for _ in range(max(50, 40 * request.points)):
@@ -310,7 +314,7 @@ def _run_petrov(st):
             break
         point = {c: Fraction(rng.randint(-100, 100), rng.randint(1, 100)) for c in "xyzt"}
         try:
-            results.append(classify_at_point(tensors, point, jets))
+            results.append(classify_at_point(rule, point, jets))
         except PetrovDegeneracyError as exc:
             skipped.append({"point": _point_to_json(point), "reason": str(exc)})
     if len(results) < request.points:

@@ -9,7 +9,8 @@ reads the same checks as coefficient algebra in the tau ∧ tau basis
 (``odecartan.connection``); the tests compare the two form by form.
 
 Two Petrov oracles check the program's label rule (``odecartan.petrov``),
-which it derives symbolically once per tensors object.  The 6x6 oracle is
+which the generic record (``report._generic_evidence``) derives
+symbolically once per process.  The 6x6 oracle is
 the program's former point path: W and the Hodge star evaluated to exact
 6x6 matrices at each point and each half labelled from the traces of its
 powers (``point_labels``).  The eigenspace oracle solves an exact basis
@@ -374,8 +375,8 @@ def signature_at(metric, point):
 
 # -- the 6x6 Petrov oracle ------------------------------------------------------
 #
-# The program's point path before it derived a label rule per tensors
-# object (``odecartan.petrov.label_rule``): at each point, W, g^-1 and det G
+# The program's point path before it derived a symbolic label rule
+# (``odecartan.petrov.label_rule``): at each point, W, g^-1 and det G
 # evaluated to exact 6x6 matrices, the star^2 = I and [W, star] = 0 checks
 # made on them, and each half labelled from the integer-scaled operator.
 

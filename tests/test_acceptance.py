@@ -25,7 +25,7 @@ from odecartan.cartan import (
 from odecartan.connection import cartan_connection_report, metric_connection_report
 from odecartan.curvature import curvature_tensors, einstein_residual, family_metric
 from odecartan.forms import Coframe, DifferentialForm, wedge_sum
-from odecartan.petrov import classify_at_point
+from odecartan.petrov import classify_at_point, label_rule
 from tests.conftest import ExpressionSampler, make_problem
 from tests.oracles import duality_residuals
 
@@ -89,7 +89,7 @@ def test_criterion_4_petrov_dichotomy(label, ode_text, expected_pair):
 
     fd = family_detect(make_problem(ode_text))
     metric = family_metric(fd)
-    tensors = curvature_tensors(metric)
+    rule = label_rule(curvature_tensors(metric))
     rng = random.Random(20257)
     results = []
     attempts = 0
@@ -100,7 +100,7 @@ def test_criterion_4_petrov_dichotomy(label, ode_text, expected_pair):
             for c in ("x", "y", "z", "t")
         }
         try:
-            results.append(classify_at_point(tensors, point))
+            results.append(classify_at_point(rule, point))
         except Exception:
             continue
     assert len(results) == 5, "need five generic sample points"

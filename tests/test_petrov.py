@@ -1,9 +1,11 @@
 """Exact Petrov classification on the Hodge eigenspaces.
 
-The program labels a point from a rule it derives once per tensors object
-(``odecartan.petrov.label_rule``).  The 6x6 oracle of ``tests/oracles.py``,
-the former point path, and the eigenspace oracle check it; sympy's Jordan
-form checks the 6x6 oracle's classifier.
+The program labels a point from a rule that ``odecartan.petrov.label_rule``
+derives from curvature tensors and its caller keeps: for the family, the
+generic record (``report._generic_evidence``) derives it once per process.
+The 6x6 oracle of ``tests/oracles.py``, the former point path, and the
+eigenspace oracle check it; sympy's Jordan form checks the 6x6 oracle's
+classifier.
 """
 
 import random
@@ -18,6 +20,7 @@ from odecartan.cartan import GENERIC_COEFFICIENTS, FamilyData, family_detect
 from odecartan.curvature import Metric4, curvature_tensors, family_metric, metric_from_family
 from odecartan.errors import PetrovDegeneracyError
 from odecartan.petrov import PAIRS, classify_at_point, hodge_operators, jet_expressions, label_rule
+from odecartan import report as report_module
 from odecartan.report import AnalysisRequest, _generic_evidence, analyze
 from tests.conftest import FAMILY_OPAQUE, FAMILY_TEXT, XY_CHART, make_problem
 from tests.oracles import (
@@ -43,6 +46,10 @@ POINTS = [
 
 def family_setup(text):
     return curvature_tensors(family_metric(family_detect(make_problem(text))))
+
+
+def family_rule(text):
+    return label_rule(family_setup(text))
 
 
 def F(*args):
@@ -246,22 +253,22 @@ class TestHodgeStar:
 
 class TestClassification:
     def test_generic_coefficients_give_two_and_d(self):
-        tensors = family_setup("3/2*q^2/p + x*y*p^3 + (x+y)*p")
-        results = [classify_at_point(tensors, pt) for pt in POINTS]
+        rule = family_rule("3/2*q^2/p + x*y*p^3 + (x+y)*p")
+        results = [classify_at_point(rule, pt) for pt in POINTS]
         assert all(r.unordered == frozenset(("II", "D")) for r in results)
         d_sides = {("plus" if r.label_plus == "D" else "minus") for r in results}
         assert len(d_sides) == 1  # the D factor stays on one eigenspace
 
     def test_separable_coefficients_give_d_plus_d(self):
-        tensors = family_setup("3/2*q^2/p + y^2*p^3 + x^2*p")
+        rule = family_rule("3/2*q^2/p + y^2*p^3 + x^2*p")
         for pt in POINTS:
-            r = classify_at_point(tensors, pt)
+            r = classify_at_point(rule, pt)
             assert (r.label_plus, r.label_minus) == ("D", "D")
 
     def test_zero_coefficients_give_d_plus_d(self):
-        tensors = family_setup("3/2*q^2/p")
+        rule = family_rule("3/2*q^2/p")
         for pt in POINTS:
-            r = classify_at_point(tensors, pt)
+            r = classify_at_point(rule, pt)
             assert (r.label_plus, r.label_minus) == ("D", "D")
 
     def test_conformally_flat_block_metric_is_o_plus_o(self):
@@ -271,30 +278,31 @@ class TestClassification:
         g[0][3] = g[3][0] = one
         g[1][2] = g[2][1] = one
         tensors = curvature_tensors(Metric4(g))
-        r = classify_at_point(tensors, POINTS[0])
+        rule = label_rule(tensors)
+        r = classify_at_point(rule, POINTS[0])
         assert (r.label_plus, r.label_minus) == ("O", "O")
-        assert label_rule(tensors)[1:] == (((), "O"), ((), "O"))
+        assert rule[1:] == (((), "O"), ((), "O"))
         for pt in POINTS:
-            assert point_outcome(tensors, pt) == _oracle_outcome(tensors, pt) == (pt, "O", "O")
+            assert point_outcome(rule, pt) == _oracle_outcome(tensors, pt) == (pt, "O", "O")
 
     def test_label_stability_across_points(self):
-        tensors = family_setup("3/2*q^2/p + x*y*p^3 + (x+y)*p")
+        rule = family_rule("3/2*q^2/p + x*y*p^3 + (x+y)*p")
         labels = {
             (r.label_plus, r.label_minus)
-            for r in (classify_at_point(tensors, pt) for pt in POINTS)
+            for r in (classify_at_point(rule, pt) for pt in POINTS)
         }
         assert len(labels) == 1
 
     def test_unassigned_symbol_rejected(self, family_data):
-        tensors = curvature_tensors(family_metric(family_data))  # still opaque
+        rule = label_rule(curvature_tensors(family_metric(family_data)))  # still opaque
         with pytest.raises(PetrovDegeneracyError):
-            classify_at_point(tensors, POINTS[0])
+            classify_at_point(rule, POINTS[0])
 
 
-def point_outcome(tensors, point, jets=None):
+def point_outcome(rule, point, jets=None):
     """Point and labels, or the reason the point is skipped."""
     try:
-        r = classify_at_point(tensors, point, jets)
+        r = classify_at_point(rule, point, jets)
     except PetrovDegeneracyError as exc:
         return str(exc)
     return r.point, r.label_plus, r.label_minus
@@ -326,15 +334,16 @@ class TestJetExtendedPoints:
         table = SymbolTable()
         values = {n: parse_expression(t, J2_CHART, table) for n, t in specs.items()}
         fd = FamilyData(family_data.problem, values["A"], values["B"], family_data.C)
-        oracle_tensors = curvature_tensors(family_metric(fd))
-        jets = jet_expressions(tensors, values)
+        oracle_rule = label_rule(curvature_tensors(family_metric(fd)))
+        rule = label_rule(tensors)
+        jets = jet_expressions(rule, values)
         assert {"A", "A_x", "A_xx", "B", "B_y", "B_yy"} <= set(jets)
         points = seeded_points(3) + [
             {"x": Fraction(2), "y": Fraction(-1), "z": Fraction(1, 3), "t": Fraction(5)},
             {"x": Fraction(-7, 4), "y": Fraction(-1), "z": Fraction(3), "t": Fraction(1, 2)},
         ]
-        outcomes = [point_outcome(tensors, pt, jets) for pt in points]
-        assert outcomes == [point_outcome(oracle_tensors, pt) for pt in points]
+        outcomes = [point_outcome(rule, pt, jets) for pt in points]
+        assert outcomes == [point_outcome(oracle_rule, pt) for pt in points]
         skipped = [o for o in outcomes if isinstance(o, str)]
         if "/(y+1)" in specs["A"]:
             assert skipped == ["denominator vanishes at the point"] * 2
@@ -345,12 +354,12 @@ class TestJetExtendedPoints:
     def test_flat_model_needs_no_jets(self):
         fd = family_detect(make_problem("3/2*q^2/p"))
         metric, _ = metric_from_family(fd)
-        tensors = curvature_tensors(metric)
-        assert jet_expressions(tensors, {}) == {}
-        oracle_tensors = curvature_tensors(family_metric(fd))
+        rule = label_rule(curvature_tensors(metric))
+        assert jet_expressions(rule, {}) == {}
+        oracle_rule = label_rule(curvature_tensors(family_metric(fd)))
         for pt in seeded_points(5):
-            outcome = point_outcome(tensors, pt, {})
-            assert outcome == point_outcome(oracle_tensors, pt)
+            outcome = point_outcome(rule, pt, {})
+            assert outcome == point_outcome(oracle_rule, pt)
             assert outcome[1:3] == ("D", "D")
 
     @pytest.mark.parametrize(
@@ -368,9 +377,10 @@ class TestJetExtendedPoints:
         _, _, tensors = family_metric_tensors
         table = SymbolTable()
         values = {n: parse_expression(t, J2_CHART, table) for n, t in specs.items()}
-        jets = jet_expressions(tensors, values)
+        rule = label_rule(tensors)
+        jets = jet_expressions(rule, values)
         for pt in seeded_points(3):
-            result = classify_at_point(tensors, pt, jets)
+            result = classify_at_point(rule, pt, jets)
             weyl_op, star = weyl_operator_at(tensors, pt, jets)
             for sign, label in ((1, result.label_plus), (-1, result.label_minus)):
                 for basis in (halved_projector_basis(star, sign), eigenspace_basis(star, sign)):
@@ -421,8 +431,10 @@ class TestOneFamilyGeometry:
             ("3/2*q^2/p + x*p^3", {}, "A"),
             # B is a multiple of the opaque function
             ("3/2*q^2/p + A(x,y)*p^3 + 2*B(x,y)*p", {"A": ("x", "y"), "B": ("x", "y")}, "B"),
+            # C is not in the metric, but a concrete C is refused all the same
+            ("3/2*q^2/p + x*p^3 + y*p^2", {}, "C"),
         ],
-        ids=["mixed", "concrete", "multiple"],
+        ids=["mixed", "concrete", "multiple", "concrete-c"],
     )
     def test_only_an_opaque_coefficient_is_specialized(self, ode, opaque, name):
         """A specialisation replaces a coefficient only where that
@@ -431,7 +443,7 @@ class TestOneFamilyGeometry:
         replace the whole coefficient: the mixed request reported D+D,
         although 3/2*q^2/p + (x+y)*p^3, the ODE with y put in for A(x,y),
         is D+II.)"""
-        specs = {"A": "y", "B": "x"} if name == "B" else {"A": "y"}
+        specs = {"A": {"A": "y"}, "B": {"A": "y", "B": "x"}, "C": {"C": "x"}}[name]
         report = analyze(
             AnalysisRequest(ode=ode, opaque=opaque, stages=("petrov",), specializations=specs)
         )
@@ -491,7 +503,7 @@ def _trace(m):
 def _generic_jets(texts):
     table = SymbolTable()
     functions = {n: parse_expression(t, XY_CHART, table) for n, t in zip(GENERIC_COEFFICIENTS, texts)}
-    return jet_expressions(_generic_evidence().tensors, functions)
+    return jet_expressions(_generic_evidence().label_rule, functions)
 
 
 def _oracle_outcome(tensors, point, jets=None):
@@ -535,8 +547,9 @@ class TestLabelRule:
                 for u, v, w in zip(*rows)
             }
             assert test == ({0} if sign == 1 else {0, Fraction(512, 27) * r})
-        # so the rule: D on the plus half; D where R = 0, else II, on the minus half
-        rule = label_rule(tensors)
+        # so the record's rule: D on the plus half; D where R = 0, else II,
+        # on the minus half
+        rule = _generic_evidence().label_rule
         assert rule.plus == ((), "D")
         assert rule.minus == ((((Fraction(512, 27) * r,), "D"),), "II")
 
@@ -558,17 +571,24 @@ class TestLabelRule:
             with pytest.raises(PetrovDegeneracyError, match="not constant"):
                 petrov._half_rule(scaled)
 
-    def test_the_rule_is_cached_for_the_same_object_only(self, monkeypatch):
-        tensors = family_setup("3/2*q^2/p + x*y*p^3 + (x+y)*p")
+    def test_two_petrov_requests_derive_the_rule_once(self, monkeypatch):
+        """The rule is a field of the generic record: it is derived with
+        the record, from the record's tensors, and a second request in the
+        process derives none."""
         derived = []
-        monkeypatch.setattr(petrov, "label_rule", lambda t: derived.append(t) or label_rule(t))
-        for pt in POINTS:
-            classify_at_point(tensors, pt)
-        assert derived == [tensors]
-        copy = tensors._replace()
-        assert copy == tensors and copy is not tensors
-        classify_at_point(copy, POINTS[0])
-        assert len(derived) == 2 and derived[1] is copy
+        monkeypatch.setattr(
+            report_module, "label_rule", lambda t: derived.append(t) or label_rule(t)
+        )
+        _generic_evidence.cache_clear()
+        try:
+            for seed in (0, 1):
+                request = AnalysisRequest(
+                    ode="3/2*q^2/p + x*y*p^3 + (x+y)*p", stages=("petrov",), seed=seed
+                )
+                assert analyze(request).data["petrov"]["labels"] == ["D+II"]
+            assert len(derived) == 1 and derived[0] is _generic_evidence().tensors
+        finally:
+            _generic_evidence.cache_clear()
 
     @pytest.mark.parametrize(
         "det, reason",
@@ -578,17 +598,17 @@ class TestLabelRule:
             ("x^2", "det G is not a positive rational constant"),
         ],
     )
-    def test_a_failed_premise_raises_at_every_point(self, det, reason):
+    def test_label_rule_raises_the_reason(self, det, reason):
         tensors = family_setup("3/2*q^2/p")
         tensors = tensors._replace(det=parse_expression(det, METRIC_CHART, SymbolTable()))
-        for pt in POINTS[:2]:
-            with pytest.raises(PetrovDegeneracyError, match=reason):
-                classify_at_point(tensors, pt)
+        with pytest.raises(PetrovDegeneracyError, match=reason):
+            label_rule(tensors)
 
     def test_opaque_tensors_raise_with_the_oracle_reason(self, family_metric_tensors):
         _, _, tensors = family_metric_tensors
+        rule = label_rule(tensors)
         for pt in POINTS[:2]:
-            reason = point_outcome(tensors, pt)
+            reason = point_outcome(rule, pt)
             assert reason == _oracle_outcome(tensors, pt)
             assert reason.endswith("has no assigned value")
 
@@ -598,12 +618,13 @@ class TestLabelRule:
         the oracle's reason."""
         jets = _generic_jets(("1/(y+1)", "x"))
         assert jets["A'_x"].is_zero and jets["A'_xx"].is_zero
-        tensors = _generic_evidence().tensors
+        evidence = _generic_evidence()
+        rule, tensors = evidence.label_rule, evidence.tensors
         pole = {"x": Fraction(2), "y": Fraction(-1), "z": Fraction(1, 3), "t": Fraction(5)}
-        assert point_outcome(tensors, pole, jets) == _oracle_outcome(tensors, pole, jets)
-        assert point_outcome(tensors, pole, jets) == "denominator vanishes at the point"
+        assert point_outcome(rule, pole, jets) == _oracle_outcome(tensors, pole, jets)
+        assert point_outcome(rule, pole, jets) == "denominator vanishes at the point"
         for pt in POINTS:
-            assert point_outcome(tensors, pt, jets) == _oracle_outcome(tensors, pt, jets)
+            assert point_outcome(rule, pt, jets) == _oracle_outcome(tensors, pt, jets)
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=50, deadline=None,
@@ -615,8 +636,9 @@ class TestLabelRule:
         gen = sampler(seed=seed, chart=XY_CHART)
         texts = (gen.expression().render(), gen.expression().render())
         jets = _generic_jets(texts)
-        tensors = _generic_evidence().tensors
+        evidence = _generic_evidence()
         rng = random.Random(seed)
         for _ in range(4):
             pt = {c: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for c in "xyzt"}
-            assert point_outcome(tensors, pt, jets) == _oracle_outcome(tensors, pt, jets)
+            outcome = point_outcome(evidence.label_rule, pt, jets)
+            assert outcome == _oracle_outcome(evidence.tensors, pt, jets)

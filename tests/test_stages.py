@@ -108,7 +108,7 @@ class TestStageErrors:
         assert report.exit_code == 2
 
     def test_petrov_degeneracy_has_its_own_code(self, monkeypatch):
-        def degenerate(tensors, point, jets):
+        def degenerate(rule, point, jets):
             raise PetrovDegeneracyError("pole at the sample point")
 
         monkeypatch.setattr(report_module, "classify_at_point", degenerate)

@@ -1,9 +1,12 @@
-"""No module in ``src/`` or ``tests/`` imports a name it never reads.
+"""No module in ``src/`` or ``tests/`` imports a name it never reads, and
+no private name of the package is left unread.
 
-No linter runs on this project, so an ``ast`` scan stands in for one: a
+No linter runs on this project, so ``ast`` scans stand in for one: a
 name bound by ``import`` or ``from ... import`` must appear as a ``Name``
 somewhere in the same module (an attribute chain ``a.b`` reads ``a``) or
-be listed in its ``__all__``.
+be listed in its ``__all__``; and a private name (``_name``) that a
+module of ``src/odecartan`` binds at its top level must be read, as a
+``Name`` or as an attribute, somewhere in ``src/`` or ``tests/``.
 """
 
 import ast
@@ -11,6 +14,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
+PACKAGE = ROOT / "src" / "odecartan"
 
 
 def unused_imports(source):
@@ -33,6 +37,41 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in read)
 
 
+def private_names(source):
+    """{name: line} of each private name ``source`` binds at its top level
+    by ``def``, ``class`` or assignment (dunder names are not private)."""
+    names = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in bound:
+            if name.startswith("_") and not name.startswith("__"):
+                names.setdefault(name, node.lineno)
+    return names
+
+
+def read_names(source):
+    """Every name ``source`` reads, as a ``Name`` or as an attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def dead_private_names(source, read):
+    """(line, name) of every private name ``source`` binds at its top level
+    that is not in ``read``."""
+    return sorted((line, name) for name, line in private_names(source).items() if name not in read)
+
+
 def test_the_scan_sees_an_unused_import():
     source = "import os\nfrom math import gcd, lcm as l\n__all__ = ['l']\n"
     assert unused_imports(source) == [(1, "os"), (2, "gcd")]
@@ -44,4 +83,25 @@ def test_no_module_imports_a_name_it_never_reads():
         unused = unused_imports(path.read_text(encoding="utf-8"))
         if unused:
             found[str(path.relative_to(ROOT))] = unused
+    assert found == {}
+
+
+def test_the_scan_sees_a_dead_private_name():
+    source = (
+        "_USED = 1\n_DEAD, __all__ = 2, []\n"
+        "def _helper():\n    return _USED\n"
+        "class _Unread:\n    _attr = 0\n"
+    )
+    reader = "import m\nm._helper()\n_Unread = None\n"
+    read = read_names(source) | read_names(reader)
+    assert dead_private_names(source, read) == [(2, "_DEAD"), (5, "_Unread")]
+
+
+def test_every_private_name_of_the_package_is_read():
+    read = set().union(*(read_names(path.read_text(encoding="utf-8")) for path in MODULES))
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        dead = dead_private_names(path.read_text(encoding="utf-8"), read)
+        if dead:
+            found[str(path.relative_to(ROOT))] = dead
     assert found == {}
