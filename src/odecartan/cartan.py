@@ -523,7 +523,9 @@ def family_structure(kne):
     every other invariant 0.  On ``generic_family()`` this is the committed
     generic table's a..s, an identity the suite proves; the generic
     member's denominators are monomials in alpha and p, so it holds for
-    every member."""
+    every member.  ``to_adapted`` undoes this pullback for every k, n, e
+    (proven in ``tests/test_cartan.py``), so the ``inv`` stage states
+    ``matches_extraction`` without recomputing it."""
     gamma, p, q = (Expression.coordinate(c, P_CHART) for c in ("gamma", "p", "q"))
     mapping = {"z": gamma / p, "t": q / p + gamma}
     values = dict.fromkeys(STRUCTURE_NAMES, Expression.number(0, P_CHART))
@@ -531,17 +533,13 @@ def family_structure(kne):
     return StructureFunctions(**values)
 
 
-def family_invariants_residuals(fd, kne, sf=None):
+def family_invariants_residuals(fd, kne):
     """The closed forms ``kne`` (``family_invariants(fd)``) minus the
-    invariants ``sf``, pulled to the adapted chart; all three must vanish.
-    ``sf`` defaults to ``fd.problem.structure()``, the committed generic
-    table, so this checks the closed forms against it.  The ``inv`` stage
-    passes ``family_structure(kne)``, whose pullback ``to_adapted``
-    undoes, so there the residuals vanish by construction, for any
-    ``kne``; the identity that makes ``family_structure`` right is proven
-    in ``tests/test_generic_table.py``."""
-    if sf is None:
-        sf = fd.problem.structure()
+    committed generic table's k, n, e of ``fd`` (``fd.problem.structure()``),
+    pulled to the adapted chart; all three must vanish.  This is the
+    suite's cross-check of the closed forms against the table; no request
+    calls it."""
+    sf = fd.problem.structure()
     return {name: to_adapted(getattr(sf, name)) - value for name, value in kne._asdict().items()}
 
 

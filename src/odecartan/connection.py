@@ -30,8 +30,10 @@ A residual the report renders as a form is mapped back to a chart form
 through the adapted tau forms, and only when it is nonzero.
 
 Every residual is an identity in A, B, C, so the ``conn`` stage builds
-both reports once per process, for ``cartan.generic_family``, and reads a
-request's flatness off its own k, n, e (``expected_cartan_curvature``).
+both reports once per process, for ``cartan.generic_family``.  The
+displayed Cartan curvature (``expected_cartan_curvature``) vanishes
+exactly when k = n = e = 0, an identity the suite proves, so the stage
+reads a request's flatness off its own k, n, e with no curvature built.
 """
 
 from collections import namedtuple

@@ -9,6 +9,7 @@ zero.  Expressions are immutable and safe to share between threads.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from .errors import (
@@ -16,7 +17,7 @@ from .errors import (
     SingularEvaluationError,
     SingularSubstitutionError,
 )
-from .poly import Poly, mono_gcd, poly_gcd
+from .poly import Poly, mono_gcd, mono_mul, poly_gcd
 
 
 class Expression:
@@ -214,6 +215,11 @@ class Expression:
         ``target_chart`` (defaults to this chart).  Jet symbols pass
         through untouched, so any coordinate appearing in a present jet
         symbol's arguments must either be unmapped or map to itself.
+
+        The numerator and the denominator are each put over the images'
+        denominators in one pass (``_subst_poly``), and the quotient is
+        normalised once: canonical form is unique, so this is the value
+        of substituting term by term.
         """
         target = target_chart or self.chart
         for name in mapping:
@@ -231,16 +237,17 @@ class Expression:
                     target.axis(s.name)
             else:
                 for a in s.args:
+                    target.axis(a)
                     img = images.get(a)
                     if img is not None and img != Expression.coordinate(a, target):
                         raise ChartError(
                             f"cannot substitute {a!r}: it is an argument of {s.name!r}"
                         )
-        num = _subst_poly(self.num, images, target)
-        den = _subst_poly(self.den, images, target)
-        if den.is_zero:
+        den_num, den_den = _subst_poly(self.den, images)
+        if den_num.is_zero:
             raise SingularSubstitutionError("denominator vanishes identically after substitution")
-        return num / den
+        num_num, num_den = _subst_poly(self.num, images)
+        return Expression(num_num * den_den, num_den * den_num, target)
 
     def evaluate(self, point, powers=None):
         """Exact rational value at an assignment ``{rendered name: Fraction}``.
@@ -312,24 +319,31 @@ def _normalize(num, den):
     return num, den
 
 
-def _subst_poly(poly, images, target):
-    zero = Expression.number(0, target)
-    acc = zero
-    cache = {}
-    for mono, coeff in poly.terms.items():
-        term = Expression.number(coeff, target)
+def _subst_poly(poly, images):
+    """``poly`` with each mapped coordinate put in, as polynomials N, D with
+    N/D its value: D is Π b^d over the images a/b, d the coordinate's
+    degree in ``poly``, and a term of degree e in it gets a^e b^(d - e)."""
+    degrees = {}
+    for mono in poly.terms:
         for s, e in mono:
-            key = (s.key, e)
-            factor = cache.get(key)
-            if factor is None:
-                if s.is_coordinate and s.name in images:
-                    factor = images[s.name] ** e
-                else:
-                    factor = Expression.from_sym(s, target) ** e
-                cache[key] = factor
-            term = term * factor
-        acc = acc + term
-    return acc
+            if s.is_coordinate and s.name in images:
+                degrees[s.name] = max(e, degrees.get(s.name, 0))
+
+    @cache
+    def padded(key):
+        out = Poly.const(1)
+        for (name, d), e in zip(degrees.items(), key):
+            out = out * images[name].num ** e * images[name].den ** (d - e)
+        return out
+
+    out = {}
+    for mono, coeff in poly.terms.items():
+        mapped = {s.name: e for s, e in mono if s.is_coordinate and s.name in degrees}
+        rest = tuple(t for t in mono if not (t[0].is_coordinate and t[0].name in mapped))
+        for m, c in padded(tuple(mapped.get(name, 0) for name in degrees)).terms.items():
+            m = mono_mul(m, rest)
+            out[m] = out.get(m, 0) + c * coeff
+    return Poly({m: c for m, c in out.items() if c}), padded((0,) * len(degrees))
 
 
 def _eval_poly(poly, point, powers):

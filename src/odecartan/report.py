@@ -28,12 +28,11 @@ from .cartan import (
     check_einstein_conditions,
     family_detect,
     family_invariants,
-    family_invariants_residuals,
     family_structure,
     generic_family,
     verify_appendix,
 )
-from .connection import cartan_connection_report, expected_cartan_curvature, metric_connection_report
+from .connection import cartan_connection_report, metric_connection_report
 from .curvature import curvature_tensors, einstein_residual, family_metric, metric_from_family
 from .errors import (
     ChartError,
@@ -132,19 +131,22 @@ class _State:
 
 
 def _run_inv(st):
-    """The invariants a..s, kept on the request state for ``cond``,
-    ``appendix`` and ``extraction_residuals``; no request builds a coframe.
+    """The invariants a..s, kept on the request state for ``cond`` and
+    ``appendix``; no request builds a coframe.
 
     A family member's are its own closed-form k, n, e pulled back to the P
     chart, with every other invariant 0 (``family_structure``):
     ``tests/test_generic_table.py`` proves that identity on
     ``generic_family()`` against the committed table, and the generic
-    member's denominators make it every member's.  ``matches_extraction``
-    does not check it: ``to_adapted`` undoes that pullback, so its
-    residuals vanish by construction, for any k, n, e.  Any other F
-    reads the committed generic table (``OdeProblem.structure()``), whose
-    ninety pattern slots the suite verifies once for every F with
-    F_qq ≠ 0; a process that serves only family members never loads it."""
+    member's denominators make it every member's.  Its
+    ``extraction_residuals`` (all 0) and ``matches_extraction`` (true)
+    state a committed identity, not a per-request check: ``to_adapted``
+    undoes that pullback for every k, n, e, which
+    ``test_to_adapted_undoes_the_family_pullback`` in
+    ``tests/test_cartan.py`` proves.  Any other F reads the committed
+    generic table (``OdeProblem.structure()``), whose ninety pattern slots
+    the suite verifies once for every F with F_qq ≠ 0; a process that
+    serves only family members never loads it."""
     sf = st.sf = st.prob.structure() if st.family is None else family_structure(st.kne)
     st.report["structure_functions"] = {
         "run": True,
@@ -152,10 +154,9 @@ def _run_inv(st):
         "values": {n: getattr(sf, n).render() for n in STRUCTURE_NAMES},
     }
     if st.family is not None:
-        res = family_invariants_residuals(st.family, st.kne, sf)
         section = st.report["invariants_kne"]
-        section["extraction_residuals"] = {k: v.render() for k, v in res.items()}
-        section["matches_extraction"] = all(v.is_zero for v in res.values())
+        section["extraction_residuals"] = dict.fromkeys("kne", "0")
+        section["matches_extraction"] = True
     return True
 
 
@@ -349,14 +350,15 @@ _METRIC_CONNECTION_KEYS = (
 def _run_conn(st):
     """The connection residuals of ``_generic_evidence``, with this request's
     own k, n, e for the flatness verdict: the generic curvature residual
-    vanishes identically, so the curvature is the displayed matrix."""
+    vanishes identically, so the curvature is the displayed matrix, whose
+    entries vanish together exactly when k = n = e = 0
+    (``test_the_displayed_curvature_vanishes_exactly_with_k_n_e`` in
+    ``tests/test_connection.py``).  So ``curvature_zero`` is
+    ``invariants_zero``."""
     evidence = _generic_evidence()
     mrep, crep = evidence.metric_connection, evidence.cartan_connection
-    expected = expected_cartan_curvature(st.kne).values()
-    crep = crep._replace(
-        invariants_zero=st.kne.all_zero(),
-        curvature_zero=all(c.is_zero for entry in expected for c in entry.values()),
-    )
+    flat = st.kne.all_zero()
+    crep = crep._replace(invariants_zero=flat, curvature_zero=flat)
     st.report["connection"] = {
         "run": True,
         "metric_connection": {

@@ -22,6 +22,7 @@ from odecartan.cartan import (
     REDUCED_TABLE,
     STRUCTURE_NAMES,
     STRUCTURE_PATTERN,
+    KneInvariants,
     OdeProblem,
     base_coframe,
     check_einstein_conditions,
@@ -29,6 +30,8 @@ from odecartan.cartan import (
     family_detect,
     family_invariants,
     family_invariants_residuals,
+    family_structure,
+    generic_family,
     invariant_K,
     invariant_coframe,
     residual_table,
@@ -389,6 +392,26 @@ class TestFamilyInvariants:
         p = Expression.coordinate("p", ch)
         expected = (C.differentiate("y") - z * C) / (8 * alpha ** 3 * p)
         assert (kne.n - expected).is_zero
+
+    def test_to_adapted_undoes_the_family_pullback(self):
+        """``family_structure``'s map z = gamma/p, t = q/p + gamma followed
+        by ``to_adapted`` gives back z and t, and both maps fix x, y, alpha,
+        p and the jets.  A substitution is a ring homomorphism, so the
+        composite is the identity on the adapted chart and
+        ``to_adapted(family_structure(kne).X) == kne.X`` for every k, n, e:
+        the ``inv`` stage's ``extraction_residuals`` are 0 by this identity."""
+        table = SymbolTable()
+        table.declare("A", ("x", "y"))
+        ch = M_ADAPTED_CHART
+        z, t = (Expression.coordinate(c, ch) for c in "zt")
+        rest = parse_expression("x*y^2*A_x/(alpha^3*p)", ch, table)
+        for kne in (KneInvariants(z, t, rest), family_invariants(generic_family())):
+            sf = family_structure(kne)
+            for name, value in kne._asdict().items():
+                assert to_adapted(getattr(sf, name)) == value
+            assert all(getattr(sf, n).is_zero for n in STRUCTURE_NAMES if n not in "kne")
+        pulled = family_structure(KneInvariants(z, t, rest))
+        assert (pulled.k.render(), pulled.n.render()) == ("gamma/p", "(gamma*p + q)/p")
 
     def test_cross_check_against_extraction_symbolically(self, family_data):
         residuals = family_invariants_residuals(family_data, family_invariants(family_data))

@@ -1,10 +1,13 @@
 """Connection and curvature verifications on the 6-space."""
 
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from odecartan import cartan, connection
-from odecartan.cartan import family_detect, family_invariants
+from odecartan.cartan import KneInvariants, family_detect, family_invariants
 from odecartan.connection import (
     BLOCK_METRIC,
     CARTAN_CONNECTION,
@@ -17,7 +20,7 @@ from odecartan.errors import SymbolCollisionError
 from odecartan.expression import Expression
 from odecartan.forms import Coframe, wedge_sum
 from odecartan.report import AnalysisRequest, _generic_evidence, analyze
-from odecartan.symbols import SymbolTable
+from odecartan.symbols import M_ADAPTED_CHART, SymbolTable
 from tests.conftest import FAMILY_OPAQUE, FAMILY_TEXT, XY_CHART, make_problem
 from tests.oracles import (
     chart_cartan_connection_report,
@@ -307,6 +310,37 @@ def test_tau_matrix_inverse():
     for i in range(6):
         for j in range(6):
             assert sum(_TAU[i][k] * _TAU_INV[k][j] for k in range(6)) == (i == j)
+
+
+def _det3(rows):
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def test_the_displayed_curvature_vanishes_exactly_with_k_n_e():
+    """The six entries of ``expected_cartan_curvature`` are linear forms in
+    k, n, e whose coefficients have rank 3, so they vanish together exactly
+    when k = n = e = 0: the ``conn`` stage's ``curvature_zero`` is its
+    ``invariants_zero``."""
+    k, n, e = (Expression.coordinate(c, M_ADAPTED_CHART) for c in "xyz")
+    expected = connection.expected_cartan_curvature(KneInvariants(k, n, e))
+    entries = [c for entry in expected.values() for c in entry.values()]
+    assert len(entries) == 6
+    rows = [[c.differentiate(v).const_value() for v in "xyz"] for c in entries]
+    assert all(c == r[0] * k + r[1] * n + r[2] * e for c, r in zip(entries, rows))
+    assert any(_det3(minor) for minor in combinations(rows, 3))
+
+
+_RATIONALS = st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=12))
+
+
+@given(st.tuples(_RATIONALS, _RATIONALS, _RATIONALS))
+@settings(max_examples=60, deadline=None)
+def test_the_displayed_curvature_vanishes_with_k_n_e_at_rational_values(values):
+    kne = KneInvariants(*(Expression.number(v, M_ADAPTED_CHART) for v in values))
+    expected = connection.expected_cartan_curvature(kne)
+    flat = all(c.is_zero for entry in expected.values() for c in entry.values())
+    assert flat is kne.all_zero() is (values == (0, 0, 0))
 
 
 class TestPerturbedTables:

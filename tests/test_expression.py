@@ -298,6 +298,51 @@ class TestSubstitute:
             e.substitute({"x": y * y})
 
 
+# (expression, its chart, {coordinate: image}, the images' chart)
+_SUBSTITUTIONS = {
+    # p is missing from the y term, and its image has a non-constant denominator
+    "padded-term": ("(x*p^2 + y)/(q + 1)", J2_CHART, {"p": "(x + 1)/(y - 2)"}, J2_CHART),
+    "only-in-denominator": ("x/(p^2 + y)", J2_CHART, {"p": "y/(x + 1)"}, J2_CHART),
+    # family_structure's map: both images over p
+    "shared-denominator": (
+        "(z^2*t + alpha)/(z + t*p)", M_ADAPTED_CHART, {"z": "gamma/p", "t": "q/p + gamma"}, P_CHART,
+    ),
+    "jet-passes-through": ("(A_x*p^2 + A*q)/(p - A_y)", J2_CHART, {"p": "q/(x + 1)"}, J2_CHART),
+    "zero-image": ("(x*p + y)/(q + 1)", J2_CHART, {"p": "0"}, J2_CHART),
+    "cancelling": ("(p^2 - q^2)/(p*y + q*y)", J2_CHART, {"p": "x*q", "q": "x - q"}, J2_CHART),
+}
+
+
+class TestSubstituteAgainstSympy:
+    """The one-pass substitution (each term padded by the images'
+    denominators, one normalisation) against sympy's ``subs``."""
+
+    @pytest.mark.parametrize("case", sorted(_SUBSTITUTIONS))
+    def test_matches_subs_and_is_canonical(self, table, case):
+        from tests.test_expression_oracles import _assert_reduced_like_cancel, _sympy
+
+        sympy = pytest.importorskip("sympy")
+        table.declare("A", ("x", "y"))
+        text, chart, mapping, target = _SUBSTITUTIONS[case]
+        e = parse_expression(text, chart, table)
+        images = {name: parse_expression(v, target, table) for name, v in mapping.items()}
+        ours = e.substitute(images, target)
+        theirs = _sympy(e, sympy).subs(
+            {sympy.Symbol(n): _sympy(v, sympy) for n, v in images.items()}, simultaneous=True
+        )
+        assert ours.chart is target
+        assert sympy.cancel(_sympy(ours, sympy) - theirs) == 0
+        _assert_reduced_like_cancel(ours.num, ours.den, sympy)
+        assert_canonical(ours)
+
+    def test_an_image_of_zero_that_kills_the_denominator_is_refused(self, table):
+        e = parse_expression("x/(p*q + p)", J2_CHART, table)
+        with pytest.raises(SingularSubstitutionError):
+            e.substitute({"p": Expression.number(0, J2_CHART)})
+        with pytest.raises(SingularSubstitutionError):
+            e.substitute({"q": parse_expression("-1", J2_CHART, table)})
+
+
 class TestEvaluate:
     def test_exact_value(self, table):
         e = parse_expression("3/2*q^2/p", J2_CHART, table)

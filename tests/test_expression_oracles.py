@@ -15,7 +15,7 @@ def _sympy_poly(poly, sympy):
     for mono, c in poly.terms.items():
         term = sympy.Integer(c)
         for sym, k in mono:
-            term *= sympy.Symbol(sym.name) ** k
+            term *= sympy.Symbol(sym.render()) ** k
         out += term
     return out
 

@@ -17,6 +17,7 @@ walk, is the reduced-jet oracle (``tests.oracles.reduced_jet_structure``),
 and each factored jet is checked against the ``differentiate`` chain.
 """
 
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +25,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from odecartan import J2_CHART, Chart, Expression, SymbolTable, parse_expression
-from odecartan import cartan, invariant_table
+from odecartan import cartan, connection, curvature, invariant_table
+from odecartan import report as report_module
 from odecartan.cartan import (
     STRUCTURE_NAMES,
     OdeProblem,
@@ -36,7 +38,7 @@ from odecartan.cartan import (
 )
 from odecartan.errors import DegenerateOdeError, FamilyRejectionError
 from odecartan.poly import Poly
-from odecartan.report import AnalysisRequest, analyze
+from odecartan.report import AnalysisRequest, analyze, emit_report
 from tests.conftest import ExpressionSampler
 from tests.oracles import reduced_jet_structure
 
@@ -206,6 +208,57 @@ def test_a_request_builds_no_coframe(monkeypatch, ode, opaque, verdicts):
     assert report.verdicts == verdicts
     if report.data["family"]["accepted"]:
         assert report.data["invariants_kne"]["matches_extraction"] is True
+
+
+_FAMILY_REQUESTS = {
+    "flat": AnalysisRequest(ode="3/2*q^2/p", stages=("all",)),
+    "opaque": AnalysisRequest(
+        ode="3/2*q^2/p + A(x,y)*p^3 + C(x,y)*p^2 + B(x,y)*p",
+        opaque={n: ("x", "y") for n in "ABC"},
+        stages=("inv", "cond", "metric", "einstein", "conn", "appendix"),
+    ),
+    "generic": AnalysisRequest(
+        ode="3/2*q^2/p + A(x,y)*p^3 + C(x,y)*p^2 + B(x,y)*p",
+        opaque={n: ("x", "y") for n in "ABC"},
+        stages=("all",),
+        specializations={"A": "x*y", "B": "y^2 + x"},
+    ),
+}
+
+
+def _without_timings(report):
+    data = json.loads(emit_report(report))
+    del data["timings"]
+    return json.dumps(data, sort_keys=True)
+
+
+@pytest.mark.parametrize("kind", sorted(_FAMILY_REQUESTS))
+def test_a_family_request_recomputes_no_identity(monkeypatch, kind):
+    """``matches_extraction`` and ``curvature_zero`` are committed
+    identities (``test_to_adapted_undoes_the_family_pullback``,
+    ``test_the_displayed_curvature_vanishes_exactly_with_k_n_e``): once the
+    generic record is built, a family request pulls nothing to the adapted
+    chart and builds no displayed curvature, and its report is unchanged."""
+    request = _FAMILY_REQUESTS[kind]
+    expected = analyze(request)
+    assert expected.exit_code == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a family request recomputed an identity")
+
+    for module, name in [
+        (cartan, "family_invariants_residuals"),
+        (cartan, "to_adapted"),
+        (connection, "expected_cartan_curvature"),
+        (connection, "to_adapted"),
+        (curvature, "to_adapted"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(report_module, name, refuse, raising=False)
+    report = analyze(request)
+    assert report.stage_errors == {}
+    assert report.exit_code == 0
+    assert _without_timings(report) == _without_timings(expected)
 
 
 def _parse(text):
