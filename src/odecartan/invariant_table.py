@@ -11,6 +11,16 @@ jets of an F with F_qq ≠ 0 for those of G' is a ring homomorphism:
 The test suite regenerates the table and compares it byte for byte, so
 the pattern check runs there, once, for every such F.
 
+F's jets are kept in factored form N/(c·Π b^e) over one pairwise coprime
+base per F (``factored_jets``), and each invariant is reduced over that
+base, not by a GCD with its whole denominator (``_reduced``).  A base
+element b = c1·v + c0 with c1, c0 coprime is irreducible; one evaluation
+of N modulo a 61-bit prime at a seeded point of b = 0 then proves b ∤ N
+when it is nonzero (``_certificate``, ``_quotient``).  The evaluation is
+trusted only in that exact direction: a zero falls through to exact
+division, so no result depends on the point.  Any other element takes
+``poly.poly_gcd`` with N one copy at a time.
+
 This module and the table load on first use; ``import odecartan`` loads
 neither.  They are loaded by ``OdeProblem.structure()``, which the
 ``inv`` stage calls only for an F outside the cubic family (a member
@@ -23,6 +33,7 @@ module, and builds ``Expression``s rather than calling ``_normalize``.
 
 import json
 import os
+import random
 from functools import cache
 from math import gcd, lcm
 from operator import add
@@ -31,7 +42,7 @@ from . import poly
 from .cartan import OdeProblem, StructureFunctions, structure_functions
 from .errors import DegenerateOdeError, StructureConsistencyError
 from .expression import Expression
-from .poly import Poly, _primitive_poly
+from .poly import ONE_MONO, Poly, _primitive_poly, mono_gcd, mono_mul
 from .symbols import J2_CHART, P_CHART, Sym
 
 # Name of the opaque right-hand side G'(x, y, p, q) whose invariants
@@ -122,24 +133,143 @@ def coprime_base(polys):
     return base
 
 
-def factor_over(p, base):
+def factor_over(p, base, points=None):
     """(c, [e_1, ...]) with p = c * Π base_i^e_i, c an int; p must factor
-    over ``base`` (from ``coprime_base`` of a list holding p).  Raises
-    ValueError for a zero p or a constant base element, whose powers never
-    stop dividing."""
+    over ``base`` (from ``coprime_base`` of a list holding p).  ``points``
+    holds each element's ``_certificate`` (None where it has none), so
+    that an element that does not divide p is ruled out without a failed
+    division.  Raises ValueError for a zero p or a constant base element,
+    whose powers never stop dividing."""
     if p.is_zero or any(b.is_const for b in base):
         raise ValueError("only a nonzero polynomial factors over nonconstant elements")
     exponents = []
-    for b in base:
+    for b, point in zip(base, points or [None] * len(base)):
         e = 0
-        q = p.exact_div(b)
-        while q is not None:
+        while (q := _quotient(p, b, point)) is not None:
             p, e = q, e + 1
-            q = p.exact_div(b)
         exponents.append(e)
     if not p.is_const:
         raise ValueError("polynomial does not factor over the base")
     return p.const_value(), exponents
+
+
+# Divisibility certificates evaluate modulo this Mersenne prime.
+_PRIME = (1 << 61) - 1
+
+
+@cache
+def _value(sym):
+    """``sym``'s coordinate at every certificate's point, drawn from a
+    generator seeded by ``Sym.key``: it never depends on the hash seed."""
+    return random.Random(repr(sym.key)).randrange(1, _PRIME)
+
+
+def _residue(p, point):
+    """p modulo ``_PRIME`` at ``point``, a dict from ``Sym`` to value; a
+    symbol it lacks takes ``_value``.  ``point`` also keeps the powers
+    read, keyed by ``(Sym, exponent)``."""
+    total = 0
+    for mono, c in p.terms.items():
+        for factor in mono:
+            x = point.get(factor)
+            if x is None:
+                s, e = factor
+                x = point[factor] = pow(point[s] if s in point else _value(s), e, _PRIME)
+            c = c * x % _PRIME
+        total += c
+    return total % _PRIME
+
+
+def _certificate(b):
+    """A point of b = 0 modulo ``_PRIME`` when b = c1·v + c0, v the first
+    symbol in ``Sym.key`` order of degree 1 in b, with c1 and c0 coprime:
+    then b is irreducible (Gauss's lemma), and a nonzero value of N at the
+    point proves b ∤ N (if b | N, N vanishes wherever b does).  None for
+    any other b, or when c1 vanishes at the point.  A b of degree 1 in v
+    whose coefficients share a factor is reducible, as (p+x+y)(p+x+y-2q)
+    is in q, and gets None."""
+    degree = {}
+    for mono in b.terms:
+        for s, e in mono:
+            degree[s] = max(e, degree.get(s, 0))
+    v = min((s for s, e in degree.items() if e == 1), default=None)
+    if v is None:
+        return None
+    c1, c0 = {}, {}
+    for mono, c in b.terms.items():
+        rest = tuple(f for f in mono if f[0] != v)
+        (c1 if len(rest) < len(mono) else c0)[rest] = c
+    c1, c0 = Poly(c1), Poly(c0)
+    if not (c1.is_const or (c0.is_const and not c0.is_zero) or poly.poly_gcd(c1, c0).is_const):
+        return None
+    point = {}
+    lead = _residue(c1, point)
+    if not lead:
+        return None
+    point[v] = -_residue(c0, point) * pow(lead, -1, _PRIME) % _PRIME
+    return point
+
+
+def _quotient(N, b, point):
+    """N / b when the base element b divides N, else None.  ``point`` is
+    b's ``_certificate``: a nonzero residue of N there proves b ∤ N with no
+    division, and only a zero falls through to ``exact_div``, so the
+    certificate is trusted only in its exact direction.  With no point,
+    N is trial-divided."""
+    if point is not None and _residue(N, point):
+        return None
+    return N.exact_div(b)
+
+
+def _reduced(num, coeff, alpha_power, base, points, exponents, power):
+    """num / (coeff · alpha^alpha_power · Π base_i^exponents_i) as a
+    canonical ``Expression`` on the P chart, with no GCD of the whole
+    fraction: the base is pairwise coprime, so the GCD is Π gcd(num,
+    b^E).  A certified element (``_certificate``) is irreducible and is
+    divided out while ``_quotient`` finds it; any other element takes
+    ``poly.poly_gcd(num, b)`` one copy at a time, and stops at the first
+    constant GCD.  ``power(i, k)`` is base_i^k.  The monomial content, the
+    integer content and the sign are then fixed as ``_normalize`` fixes
+    them."""
+    if num.is_zero:
+        return Expression(num, Poly.const(1), P_CHART, _normalized=True)
+    den = Poly.const(coeff)
+    if alpha_power:
+        den = den.mul_mono(((P_CHART.sym("alpha"), alpha_power),))
+    for i, e in enumerate(exponents):
+        b, point = base[i], points[i]
+        if point is not None:
+            while e and (q := _quotient(num, b, point)) is not None:
+                num, e = q, e - 1
+        else:
+            while e and not (g := poly.poly_gcd(num, b)).is_const:
+                num, den, e = num.exact_div(g), den * b.exact_div(g), e - 1
+        if e:
+            den = den * power(i, e)
+    shared = den.mono_content()
+    if shared:
+        shared = mono_gcd(num.mono_content(), shared)
+        num, den = num.div_mono(shared), den.div_mono(shared)
+    c = gcd(num.content(), den.content())
+    if den.leading()[1] < 0:
+        c = -c
+    return Expression(num.div_int(c), den.div_int(c), P_CHART, _normalized=True)
+
+
+def _add_product(out, terms, factors):
+    """Add ``terms`` · Π ``factors`` (``Poly`` term dicts) into the term
+    dict ``out`` in place, dropping a term that cancels; return ``out``."""
+    for f in factors[:-1]:
+        terms = _add_product({}, terms, [f])
+    for m2, c2 in (factors[-1] if factors else {ONE_MONO: 1}).items():
+        for m1, c1 in terms.items():
+            m = mono_mul(m1, m2)
+            c = out.get(m, 0) + c1 * c2
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+    return out
 
 
 @cache
@@ -189,21 +319,25 @@ def _generic_table():
 
 
 def factored_jets(F, indices):
-    """(base, jets, (cn, cd, v)) for F with F_qq ≠ 0, with no GCD per jet:
-    ``base`` is coprime over the reduced denominators of F, F_x, F_y, F_p,
-    F_q and F_qq and F_qq's numerator; ``jets[i]`` is None where the jet
-    along ``indices[i]`` is zero, else (N, c, e) with that jet N / (c · Π
-    base_j^e_j); F_qq = cn/cd · Π base_j^v_j.  Every jet past those six
-    comes from its parent by the quotient rule, raising only exponents of
-    base elements with a nonzero derivative; N is then trial-divided by
-    the base elements of positive exponent and shares no content with c."""
+    """(base, points, jets, (cn, cd, v)) for F with F_qq ≠ 0, with no GCD
+    per jet: ``base`` is coprime over the reduced denominators of F, F_x,
+    F_y, F_p, F_q and F_qq and F_qq's numerator, and ``points[i]`` is
+    base_i's ``_certificate``, derived once here; ``jets[i]`` is None where
+    the jet along ``indices[i]`` is zero, else (N, c, e) with that jet N /
+    (c · Π base_j^e_j); F_qq = cn/cd · Π base_j^v_j.  Every jet past those
+    six comes from its parent by the quotient rule, raising only exponents
+    of base elements with a nonzero derivative; N then loses each base
+    element of positive exponent while it divides N, and shares no content
+    with c.  A certified element that does not divide N is ruled out by
+    one evaluation (``_quotient``), never by a failed division."""
     F = F.on_chart(J2_CHART)
     reduced = {(): F, **{(z,): F.differentiate(z) for z in J2_CHART.coords}}
     fqq = reduced["q", "q"] = reduced["q",].differentiate("q")
     if fqq.is_zero:
         raise DegenerateOdeError("F_qq is identically zero")
     base = coprime_base([r.den for r in reduced.values()] + [fqq.num])
-    memo = {i: None if r.is_zero else (r.num, *factor_over(r.den, base))
+    points = [_certificate(b) for b in base]
+    memo = {i: None if r.is_zero else (r.num, *factor_over(r.den, base, points))
             for i, r in reduced.items()}
     slope = cache(lambda i, z: F._total_deriv_poly(base[i], z))
 
@@ -217,7 +351,7 @@ def factored_jets(F, indices):
         if num.is_zero:
             return None
         for i, k in enumerate(e):
-            while k and (quotient := num.exact_div(base[i])) is not None:
+            while k and (quotient := _quotient(num, base[i], points[i])) is not None:
                 num, k = quotient, k - 1
             e[i] = k
         g = gcd(num.content(), c)
@@ -229,8 +363,8 @@ def factored_jets(F, indices):
             memo[index] = parent and step(*parent, index[-1])
         return memo[index]
 
-    (cn, en), (_, cd, ed) = factor_over(fqq.num, base), memo["q", "q"]
-    return base, [jet(i) for i in indices], (cn, cd, [a - b for a, b in zip(en, ed)])
+    (cn, en), (_, cd, ed) = factor_over(fqq.num, base, points), memo["q", "q"]
+    return base, points, [jet(i) for i in indices], (cn, cd, [a - b for a, b in zip(en, ed)])
 
 
 def structure_from_jets(F):
@@ -239,11 +373,15 @@ def structure_from_jets(F):
     and F_qq a monomial over the base.  Each invariant skips a term that
     reads a zero jet (``mask``), reads each (jet, power) pair's integers,
     exponents over the base and ``Poly`` power once per request, sums the
-    terms that share exponents over one integer ``lcm``, brings each sum to
-    the least exponents, multiplies numerators as ``Poly`` with no GCD,
-    and reduces once."""
+    terms that share exponents over one integer ``lcm``, and brings each
+    sum to the least exponents.  The products are summed in place into one
+    term dict per invariant (``_add_product``), and ``_reduced`` reduces
+    the result over the base: a certified base element leaves the
+    denominator only where exact division proves it divides, and is ruled
+    out by one evaluation elsewhere; no GCD of the whole fraction is
+    taken."""
     indices, qq, table = _generic_table()
-    base, jets, (cn, cd, vqq) = factored_jets(F, indices)
+    base, points, jets, (cn, cd, vqq) = factored_jets(F, indices)
     power = cache(lambda i, k: base[i] ** k)
 
     @cache
@@ -254,7 +392,6 @@ def structure_from_jets(F):
         N, c, e = jets[j]
         return 1, c**k, tuple(-k * v for v in e), N**k
 
-    alpha = P_CHART.sym("alpha")
     zero = (0,) * len(base)
     dead = sum(1 << j for j, jet in enumerate(jets) if jet is None)
     values = {}
@@ -267,27 +404,21 @@ def structure_from_jets(F):
                     pn, pd, pv, pp = part(j, k)
                     n, d, v = n * pn, d * pd, tuple(map(add, v, pv))
                     if pp is not None:
-                        factors.append(pp)
+                        factors.append(pp.terms)
                 by_exponents.setdefault(v, []).append((n, d, mono, factors))
         least = [min((v[i] for v in by_exponents), default=0) for i in range(len(base))]
         scale = lcm(*(d for group in by_exponents.values() for _, d, _, _ in group))
-        num = Poly.zero()
+        num = {}
         for v, group in by_exponents.items():
-            total = Poly.zero()
+            shift = [power(i, e - m).terms for i, (e, m) in enumerate(zip(v, least)) if e != m]
+            total = {} if shift else num
             for n, d, mono, factors in group:
-                product = Poly({mono: n * (scale // d)})
-                for f in sorted(factors, key=len):
-                    product = product * f
-                total = total + product
-            for i, (e, m) in enumerate(zip(v, least)):
-                if e != m:
-                    total = total * power(i, e - m)
-            num = num + total
-        den = Poly.const(den_coeff * scale).mul_mono(((alpha, alpha_power),) if alpha_power else ())
-        for i, m in enumerate(least):
-            if m > 0:
-                num = num * power(i, m)
-            elif m < 0:
-                den = den * power(i, -m)
-        values[name] = Expression(num, den, P_CHART)
+                _add_product(total, {mono: n * (scale // d)}, sorted(factors, key=len))
+            if shift:
+                _add_product(num, total, shift)
+        raised = [power(i, m).terms for i, m in enumerate(least) if m > 0]
+        if raised:
+            num = _add_product({}, num, raised)
+        values[name] = _reduced(Poly(num), den_coeff * scale, alpha_power, base, points,
+                                [max(-m, 0) for m in least], power)
     return StructureFunctions(**values)

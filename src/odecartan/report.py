@@ -175,7 +175,13 @@ def _run_cond(st):
 
 _GenericEvidence = namedtuple(
     "_GenericEvidence",
-    "projectability tensors label_rule einstein_residual metric_connection cartan_connection",
+    "projectability tensors label_rule einstein_residual metric_connection cartan_connection"
+    " connection_section",
+)
+
+# the metric connection's verdicts, one per residual group of its report
+_METRIC_CONNECTION_KEYS = (
+    "torsion_zero", "antisymmetry_zero", "curvature_matches", "horizontal", "ricci_is_minus_metric",
 )
 
 
@@ -184,17 +190,41 @@ def _generic_evidence():
     """The family stages' evidence, from one metric of ``generic_family``
     (opaque A', B', C'): its projectability report, curvature tensors
     (g^-1 and det G among them), the Petrov ``label_rule`` of those
-    tensors and their Einstein residual, and both connection reports.
-    Each is a polynomial identity in the jets of A', B' and C', so it is
-    every member's.  Built on first use and shared for the life of the
-    process: callers must not mutate it."""
+    tensors and their Einstein residual, both connection reports, and the
+    ``conn`` section read from them (``_connection_section``).  Each is a
+    polynomial identity in the jets of A', B' and C', so it is every
+    member's.  Built on first use and shared for the life of the process:
+    callers must not mutate it."""
     family = generic_family()
     metric, projectability = metric_from_family(family)
     tensors = curvature_tensors(metric)
+    mrep, crep = metric_connection_report(family), cartan_connection_report(family)
     return _GenericEvidence(
         projectability, tensors, label_rule(tensors), einstein_residual(metric, tensors),
-        metric_connection_report(family), cartan_connection_report(family),
+        mrep, crep, _connection_section(mrep, crep),
     )
+
+
+def _connection_section(mrep, crep):
+    """(metric section, Cartan section, verdict) of the ``conn`` report,
+    with ``invariants_zero`` and ``curvature_zero`` left to the request.
+    The request sets both from its own k, n, e (``_run_conn``), so the
+    flatness verdict matches the invariants for every member."""
+    cartan = {
+        "algebra_valued": all(r.is_zero for r in crep.algebra_residuals),
+        "curvature_matches": all(r.is_zero for r in crep.curvature_residuals),
+        "invariants_zero": None,
+        "curvature_zero": None,
+        "flatness_matches_invariants": True,
+        "algebra_residuals": [f.render() for f in crep.algebra_residuals],
+    }
+    metric = {
+        **{k: all(r.is_zero for r in group) for k, group in zip(_METRIC_CONNECTION_KEYS, mrep)},
+        "torsion_residuals": [f.render() for f in mrep.torsion_residuals],
+        "ricci_residuals": [e.render() for e in mrep.ricci_residuals],
+    }
+    holds = all(metric[k] for k in _METRIC_CONNECTION_KEYS)
+    return metric, cartan, holds and cartan["algebra_valued"] and cartan["curvature_matches"]
 
 
 def _run_metric(st):
@@ -341,41 +371,28 @@ def _run_petrov(st):
     return consistent
 
 
-# the metric connection's verdicts, one per residual group of its report
-_METRIC_CONNECTION_KEYS = (
-    "torsion_zero", "antisymmetry_zero", "curvature_matches", "horizontal", "ricci_is_minus_metric",
-)
-
-
 def _run_conn(st):
-    """The connection residuals of ``_generic_evidence``, with this request's
+    """The connection section of ``_generic_evidence``, with this request's
     own k, n, e for the flatness verdict: the generic curvature residual
     vanishes identically, so the curvature is the displayed matrix, whose
     entries vanish together exactly when k = n = e = 0
     (``test_the_displayed_curvature_vanishes_exactly_with_k_n_e`` in
     ``tests/test_connection.py``).  So ``curvature_zero`` is
     ``invariants_zero``."""
-    evidence = _generic_evidence()
-    mrep, crep = evidence.metric_connection, evidence.cartan_connection
+    metric, cartan, holds = _generic_evidence().connection_section
     flat = st.kne.all_zero()
-    crep = crep._replace(invariants_zero=flat, curvature_zero=flat)
     st.report["connection"] = {
         "run": True,
-        "metric_connection": {
-            **{k: all(r.is_zero for r in group) for k, group in zip(_METRIC_CONNECTION_KEYS, mrep)},
-            "torsion_residuals": [f.render() for f in mrep.torsion_residuals],
-            "ricci_residuals": [e.render() for e in mrep.ricci_residuals],
-        },
-        "cartan_connection": {
-            "algebra_valued": all(r.is_zero for r in crep.algebra_residuals),
-            "curvature_matches": all(r.is_zero for r in crep.curvature_residuals),
-            "invariants_zero": crep.invariants_zero,
-            "curvature_zero": crep.curvature_zero,
-            "flatness_matches_invariants": crep.flatness_matches_invariants,
-            "algebra_residuals": [f.render() for f in crep.algebra_residuals],
-        },
+        "metric_connection": _copied(metric),
+        "cartan_connection": _copied({**cartan, "invariants_zero": flat, "curvature_zero": flat}),
     }
-    return mrep.all_zero and crep.all_zero
+    return holds
+
+
+def _copied(section):
+    """``section`` with its lists copied, so the report shares none with
+    the generic record."""
+    return {k: list(v) if isinstance(v, list) else v for k, v in section.items()}
 
 
 def _run_appendix(st):

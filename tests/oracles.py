@@ -35,7 +35,10 @@ The reduced-jet oracle (``reduced_jet_structure``) is the table path the
 program took before its jets were factored: every jet a reduced
 ``Expression``, a coprime base over the jet denominators, and a
 ``Fraction`` walk over the table.  The tests compare the program's
-``invariant_table.structure_from_jets`` with it.
+``invariant_table.structure_from_jets`` with it.  Each invariant there is
+reduced as the table path reduced it before its reduction was certified
+(``normalized_over_base``): one ``_normalize`` of the whole fraction,
+against which the tests check ``invariant_table._reduced``.
 """
 
 import random
@@ -818,7 +821,6 @@ def reduced_jet_structure(F):
             powers[key] = f ** k
         return powers[key]
 
-    alpha = P_CHART.sym("alpha")
     values = {}
     for name, (den_coeff, alpha_power, terms) in table.items():
         by_exponents = {}
@@ -845,11 +847,24 @@ def reduced_jet_structure(F):
             for b, e, m in zip(base, v, least):
                 total = total * power(b, e - m)
             num = num + total
-        den = Poly.const(den_coeff * scale).mul_mono(((alpha, alpha_power),) if alpha_power else ())
         for b, m in zip(base, least):
             if m > 0:
                 num = num * power(b, m)
-            else:
-                den = den * power(b, -m)
-        values[name] = Expression(num, den, P_CHART)
+        values[name] = normalized_over_base(
+            num, den_coeff * scale, alpha_power, base, [max(-m, 0) for m in least]
+        )
     return StructureFunctions(**values)
+
+
+def normalized_over_base(num, coeff, alpha_power, base, exponents):
+    """num / (coeff · alpha^alpha_power · Π base_i^exponents_i) on the P
+    chart, reduced as the table path reduced each invariant before its
+    reduction was certified: the whole denominator expanded and
+    ``Expression``'s ``_normalize`` taking one GCD with it.  The tests
+    compare ``invariant_table._reduced`` with it."""
+    den = Poly.const(coeff)
+    if alpha_power:
+        den = den.mul_mono(((P_CHART.sym("alpha"), alpha_power),))
+    for b, e in zip(base, exponents):
+        den = den * b**e
+    return Expression(num, den, P_CHART)

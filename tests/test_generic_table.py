@@ -18,14 +18,19 @@ and each factored jet is checked against the ``differentiate`` chain.
 """
 
 import json
+import os
+import subprocess
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from odecartan import J2_CHART, Chart, Expression, SymbolTable, parse_expression
-from odecartan import cartan, connection, curvature, invariant_table
+from odecartan import cartan, connection, curvature, expression, invariant_table, poly
 from odecartan import report as report_module
 from odecartan.cartan import (
     STRUCTURE_NAMES,
@@ -37,10 +42,12 @@ from odecartan.cartan import (
     structure_functions,
 )
 from odecartan.errors import DegenerateOdeError, FamilyRejectionError
+from odecartan.forms import DifferentialForm
 from odecartan.poly import Poly
 from odecartan.report import AnalysisRequest, analyze, emit_report
 from tests.conftest import ExpressionSampler
-from tests.oracles import reduced_jet_structure
+from odecartan.symbols import P_CHART
+from tests.oracles import normalized_over_base, reduced_jet_structure
 
 COMMITTED = Path(invariant_table.__file__).with_name("generic_structure.py")
 
@@ -113,7 +120,8 @@ def test_the_table_path_matches_the_chart_on_random_rational_f(seed):
     except DegenerateOdeError:
         assume(False)
     except FamilyRejectionError:
-        _assert_table_matches_chart(rhs)
+        with _reductions_checked():
+            _assert_table_matches_chart(rhs)
     else:
         assume(False)
 
@@ -239,13 +247,31 @@ def test_a_family_request_recomputes_no_identity(monkeypatch, kind):
     identities (``test_to_adapted_undoes_the_family_pullback``,
     ``test_the_displayed_curvature_vanishes_exactly_with_k_n_e``): once the
     generic record is built, a family request pulls nothing to the adapted
-    chart and builds no displayed curvature, and its report is unchanged."""
+    chart, builds no displayed curvature and reads no zero test of a
+    generic connection residual, and its report is unchanged."""
     request = _FAMILY_REQUESTS[kind]
     expected = analyze(request)
     assert expected.exit_code == 0
 
     def refuse(*args, **kwargs):
         raise AssertionError("a family request recomputed an identity")
+
+    evidence = report_module._generic_evidence()
+    generic = {
+        id(r)
+        for rep in (evidence.metric_connection, evidence.cartan_connection[:2])
+        for group in rep
+        for r in group
+    }
+    for cls in (Expression, DifferentialForm):
+        zero_test = cls.is_zero.fget
+
+        def guarded(self, zero_test=zero_test):
+            if id(self) in generic:
+                raise AssertionError("a family request re-read a generic connection residual")
+            return zero_test(self)
+
+        monkeypatch.setattr(cls, "is_zero", property(guarded))
 
     for module, name in [
         (cartan, "family_invariants_residuals"),
@@ -269,8 +295,32 @@ def _parse(text):
     return parse_expression(text, J2_CHART, table)
 
 
-def _assert_matches_the_reduced_jet_oracle(rhs):
-    sf = invariant_table.structure_from_jets(rhs)
+@contextmanager
+def _reductions_checked(forced_zero=False):
+    """Every ``invariant_table._reduced`` call inside must give the
+    oracle's numerator and denominator (``normalized_over_base``).  With
+    ``forced_zero`` each call runs again with the evaluator reporting 0
+    everywhere, so every certified element is trial-divided: the result
+    must not change, because a zero is trusted to prove nothing."""
+    reduce = invariant_table._reduced
+
+    def checked(num, coeff, alpha_power, base, points, exponents, power):
+        out = reduce(num, coeff, alpha_power, base, points, exponents, power)
+        expected = normalized_over_base(num, coeff, alpha_power, base, exponents)
+        assert (out.num, out.den) == (expected.num, expected.den)
+        if forced_zero:
+            with mock.patch.object(invariant_table, "_residue", lambda p, point: 0):
+                again = reduce(num, coeff, alpha_power, base, points, exponents, power)
+            assert (again.num, again.den) == (expected.num, expected.den)
+        return out
+
+    with mock.patch.object(invariant_table, "_reduced", checked):
+        yield
+
+
+def _assert_matches_the_reduced_jet_oracle(rhs, forced_zero=False):
+    with _reductions_checked(forced_zero):
+        sf = invariant_table.structure_from_jets(rhs)
     oracle = reduced_jet_structure(rhs)
     assert all(getattr(sf, n) == getattr(oracle, n) for n in STRUCTURE_NAMES)
     assert _renders(sf) == _renders(oracle)
@@ -280,7 +330,7 @@ def _assert_factored_jets_match_the_chain(rhs):
     """Each factored jet N / (c · Π b^e) is F's ``differentiate`` chain along
     its index, for all 41 indices, and F_qq is cn/cd · Π b^v."""
     indices = invariant_table._generic_table()[0]
-    base, jets, (cn, cd, v) = invariant_table.factored_jets(rhs, indices)
+    base, _, jets, (cn, cd, v) = invariant_table.factored_jets(rhs, indices)
     assert len(jets) == 41
     f = rhs.on_chart(J2_CHART)
     for index, jet in zip(indices, jets):
@@ -315,7 +365,7 @@ _ORACLE_CASES = [
 
 @pytest.mark.parametrize("text", _ORACLE_CASES)
 def test_the_table_path_matches_the_reduced_jet_oracle(text):
-    _assert_matches_the_reduced_jet_oracle(_parse(text))
+    _assert_matches_the_reduced_jet_oracle(_parse(text), forced_zero=True)
 
 
 @pytest.mark.parametrize("text", _ORACLE_CASES)
@@ -378,3 +428,118 @@ def test_the_table_path_matches_the_reduced_jet_oracle_on_random_f(seed, den):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 def test_the_factored_jets_match_the_differentiate_chain_on_random_f(seed, den):
     _assert_factored_jets_match_the_chain(_random_rhs(seed, den))
+
+
+def _on_p_chart(text):
+    return parse_expression(text, P_CHART, SymbolTable()).num
+
+
+# (base elements, numerator, exponents over the base, which elements are
+# certified): a reducible element of degree 1 in q, whose coefficients
+# share p+x+y, with N a multiple of one factor; an element that divides N
+# more than once, fully and partly; the monomial element p; and the three
+# together.
+_CONSTRUCTED = [
+    (["(p+x+y)*(p+x+y-2*q)"], "(p+x+y)*(q^2+alpha*x) - (p+x+y)^2*y", [2], [False]),
+    (["(p+x+y)*(p+x+y-2*q)"], "(p+x+y-2*q)^3*(p+x+y)*(x+1)", [2], [False]),
+    (["p+x+y"], "(p+x+y)^3*(q+alpha)", [2], [True]),
+    (["p+x+y"], "(p+x+y)^2*(q+alpha) - 4*(p+x+y)^3", [4], [True]),
+    (["p"], "p^2*q + 3*p^3*alpha", [3], [True]),
+    (
+        ["(p+x+y)*(p+x+y-2*q)", "q+x", "p"],
+        "(p+x+y)*(q+x)^2*p*(alpha+y) + (p+x+y)^2*(q+x)^3*p^2",
+        [1, 3, 2],
+        [False, True, True],
+    ),
+]
+
+
+@pytest.mark.parametrize("elements, numerator, exponents, certified", _CONSTRUCTED)
+@pytest.mark.parametrize("forced_zero", [False, True])
+def test_the_reduction_over_a_constructed_base_matches_the_oracle(
+    elements, numerator, exponents, certified, forced_zero
+):
+    """``_reduced`` on a constructed base gives ``_normalize``'s result.  A
+    degree-1 element whose coefficients share a factor gets no certificate.
+    With ``forced_zero`` the evaluator reports 0 everywhere, and the result
+    must not change."""
+    base = [_on_p_chart(b) for b in elements]
+    points = [invariant_table._certificate(b) for b in base]
+    assert [p is not None for p in points] == certified
+    num = _on_p_chart(numerator)
+    expected = normalized_over_base(num, -6, 2, base, exponents)
+    with mock.patch.object(invariant_table, "_residue",
+                           (lambda p, point: 0) if forced_zero else invariant_table._residue):
+        out = invariant_table._reduced(num, -6, 2, base, points, exponents,
+                                       lambda i, k: base[i] ** k)
+    assert (out.num, out.den) == (expected.num, expected.den)
+
+
+def test_the_certified_path_takes_no_gcd_and_no_failed_division(monkeypatch):
+    """On ``3/2*q^2/(p+2) + 3*p`` the base is [p+2], which is certified:
+    once ``coprime_base`` has returned, ``structure_from_jets`` takes no
+    GCD and no exact division by p+2 that fails."""
+    rhs = _parse("3/2*q^2/(p+2) + 3*p")
+    bases, gcds, failed = [], [], []
+    real_base, real_gcd, real_div = invariant_table.coprime_base, poly.poly_gcd, Poly.exact_div
+
+    def recorded_base(polys):
+        bases.append(real_base(polys))
+        return bases[-1]
+
+    def counted_gcd(a, b):
+        if bases:
+            gcds.append((a, b))
+        return real_gcd(a, b)
+
+    def counted_div(self, other):
+        quotient = real_div(self, other)
+        if bases and quotient is None and other in bases[0]:
+            failed.append((self, other))
+        return quotient
+
+    monkeypatch.setattr(invariant_table, "coprime_base", recorded_base)
+    monkeypatch.setattr(poly, "poly_gcd", counted_gcd)
+    monkeypatch.setattr(expression, "poly_gcd", counted_gcd)
+    monkeypatch.setattr(Poly, "exact_div", counted_div)
+    sf = invariant_table.structure_from_jets(rhs)
+    monkeypatch.undo()
+    assert bases == [[Poly.var(J2_CHART.sym("p")) + Poly.const(2)]]
+    assert gcds == [] and failed == []
+    assert _renders(sf) == _renders(reduced_jet_structure(rhs))
+
+
+_HASH_SEED_PROBE = """
+import json
+from odecartan import J2_CHART, SymbolTable, parse_expression, invariant_table
+from odecartan.poly import Poly
+from odecartan.symbols import Sym
+
+calls = []
+real_div = Poly.exact_div
+Poly.exact_div = lambda self, other: calls.append(len(self)) or real_div(self, other)
+table = SymbolTable()
+table.declare("S", ("x", "y"))
+rhs = parse_expression("q^2/(p+S(x,y)) + y*q/(x*p+1)", J2_CHART, table)
+base, points, _, _ = invariant_table.factored_jets(rhs, invariant_table._generic_table()[0])
+sf = invariant_table.structure_from_jets(rhs)
+print(json.dumps({
+    "base": [repr(b) for b in base],
+    "points": [p and sorted((s.render(), v) for s, v in p.items() if isinstance(s, Sym))
+               for p in points],
+    "divisions": calls,
+    "invariants": [v.render() for v in sf],
+}))
+"""
+
+
+def test_the_certificates_do_not_depend_on_the_hash_seed():
+    """The evaluation points, the divisions tried and the invariants are
+    the same under two hash seeds: symbols are ordered by ``Sym.key`` and
+    each point is drawn from ``Sym.key``, never from ``hash``."""
+    outputs = [
+        subprocess.run([sys.executable, "-c", _HASH_SEED_PROBE], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONHASHSEED=seed), check=True, timeout=120).stdout
+        for seed in ("1", "2")
+    ]
+    assert all(json.loads(outputs[0])["points"]) and outputs[0] == outputs[1]
