@@ -228,9 +228,9 @@ def _reduced(num, coeff, alpha_power, base, points, exponents, power):
     b^E).  A certified element (``_certificate``) is irreducible and is
     divided out while ``_quotient`` finds it; any other element takes
     ``poly.poly_gcd(num, b)`` one copy at a time, and stops at the first
-    constant GCD.  ``power(i, k)`` is base_i^k.  The monomial content, the
-    integer content and the sign are then fixed as ``_normalize`` fixes
-    them."""
+    constant GCD.  ``power(i, k)`` is base_i^k.  The monomial content,
+    which takes alpha and any monomial element in one pass, the integer
+    content and the sign are then fixed as ``_normalize`` fixes them."""
     if num.is_zero:
         return Expression(num, Poly.const(1), P_CHART, _normalized=True)
     den = Poly.const(coeff)
@@ -238,7 +238,9 @@ def _reduced(num, coeff, alpha_power, base, points, exponents, power):
         den = den.mul_mono(((P_CHART.sym("alpha"), alpha_power),))
     for i, e in enumerate(exponents):
         b, point = base[i], points[i]
-        if point is not None:
+        if len(b) == 1:
+            pass  # a monomial element is left to the monomial content
+        elif point is not None:
             while e and (q := _quotient(num, b, point)) is not None:
                 num, e = q, e - 1
         else:

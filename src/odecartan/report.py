@@ -190,41 +190,34 @@ def _generic_evidence():
     """The family stages' evidence, from one metric of ``generic_family``
     (opaque A', B', C'): its projectability report, curvature tensors
     (g^-1 and det G among them), the Petrov ``label_rule`` of those
-    tensors and their Einstein residual, both connection reports, and the
-    ``conn`` section read from them (``_connection_section``).  Each is a
-    polynomial identity in the jets of A', B' and C', so it is every
-    member's.  Built on first use and shared for the life of the process:
-    callers must not mutate it."""
+    tensors and their Einstein residual, both connection reports and the
+    ``conn`` section read from them.  Each is a polynomial identity in the
+    jets of A', B' and C', so it is every member's.  Built on first use
+    and shared for the life of the process: callers must not mutate it."""
     family = generic_family()
     metric, projectability = metric_from_family(family)
     tensors = curvature_tensors(metric)
     mrep, crep = metric_connection_report(family), cartan_connection_report(family)
+    section = (
+        {
+            **{k: all(r.is_zero for r in g) for k, g in zip(_METRIC_CONNECTION_KEYS, mrep)},
+            "torsion_residuals": [f.render() for f in mrep.torsion_residuals],
+            "ricci_residuals": [e.render() for e in mrep.ricci_residuals],
+        },
+        {
+            "algebra_valued": all(r.is_zero for r in crep.algebra_residuals),
+            "curvature_matches": all(r.is_zero for r in crep.curvature_residuals),
+            # set per request, both from its k, n, e (``_run_conn``): so they match
+            "invariants_zero": None,
+            "curvature_zero": None,
+            "flatness_matches_invariants": True,
+            "algebra_residuals": [f.render() for f in crep.algebra_residuals],
+        },
+    )
     return _GenericEvidence(
         projectability, tensors, label_rule(tensors), einstein_residual(metric, tensors),
-        mrep, crep, _connection_section(mrep, crep),
+        mrep, crep, section,
     )
-
-
-def _connection_section(mrep, crep):
-    """(metric section, Cartan section, verdict) of the ``conn`` report,
-    with ``invariants_zero`` and ``curvature_zero`` left to the request.
-    The request sets both from its own k, n, e (``_run_conn``), so the
-    flatness verdict matches the invariants for every member."""
-    cartan = {
-        "algebra_valued": all(r.is_zero for r in crep.algebra_residuals),
-        "curvature_matches": all(r.is_zero for r in crep.curvature_residuals),
-        "invariants_zero": None,
-        "curvature_zero": None,
-        "flatness_matches_invariants": True,
-        "algebra_residuals": [f.render() for f in crep.algebra_residuals],
-    }
-    metric = {
-        **{k: all(r.is_zero for r in group) for k, group in zip(_METRIC_CONNECTION_KEYS, mrep)},
-        "torsion_residuals": [f.render() for f in mrep.torsion_residuals],
-        "ricci_residuals": [e.render() for e in mrep.ricci_residuals],
-    }
-    holds = all(metric[k] for k in _METRIC_CONNECTION_KEYS)
-    return metric, cartan, holds and cartan["algebra_valued"] and cartan["curvature_matches"]
 
 
 def _run_metric(st):
@@ -379,20 +372,16 @@ def _run_conn(st):
     (``test_the_displayed_curvature_vanishes_exactly_with_k_n_e`` in
     ``tests/test_connection.py``).  So ``curvature_zero`` is
     ``invariants_zero``."""
-    metric, cartan, holds = _generic_evidence().connection_section
+    metric, cartan = _generic_evidence().connection_section
     flat = st.kne.all_zero()
-    st.report["connection"] = {
-        "run": True,
-        "metric_connection": _copied(metric),
-        "cartan_connection": _copied({**cartan, "invariants_zero": flat, "curvature_zero": flat}),
-    }
-    return holds
-
-
-def _copied(section):
-    """``section`` with its lists copied, so the report shares none with
-    the generic record."""
-    return {k: list(v) if isinstance(v, list) else v for k, v in section.items()}
+    cartan = {**cartan, "invariants_zero": flat, "curvature_zero": flat}
+    # lists are copied, so the report shares none with the generic record
+    st.report["connection"] = {"run": True, **{
+        name: {k: list(v) if isinstance(v, list) else v for k, v in section.items()}
+        for name, section in (("metric_connection", metric), ("cartan_connection", cartan))
+    }}
+    return all(metric[k] for k in _METRIC_CONNECTION_KEYS) and all(
+        cartan[k] for k in ("algebra_valued", "curvature_matches"))
 
 
 def _run_appendix(st):
