@@ -523,8 +523,11 @@ def family_structure(kne):
     every other invariant 0.  On ``generic_family()`` this is the committed
     generic table's a..s, an identity the suite proves; the generic
     member's denominators are monomials in alpha and p, so it holds for
-    every member.  ``to_adapted`` undoes this pullback for every k, n, e
-    (proven in ``tests/test_cartan.py``), so the ``inv`` stage states
+    every member.  So a request reads it once per process, on
+    ``family_invariants(generic_family())`` (``report._generic_closed_forms``),
+    and puts its member's jets in; on a member it is the suite's oracle.
+    ``to_adapted`` undoes this pullback for every k, n, e (proven in
+    ``tests/test_cartan.py``), so the ``inv`` stage states
     ``matches_extraction`` without recomputing it."""
     gamma, p, q = (Expression.coordinate(c, P_CHART) for c in ("gamma", "p", "q"))
     mapping = {"z": gamma / p, "t": q / p + gamma}

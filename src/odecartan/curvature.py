@@ -45,7 +45,9 @@ class Metric4:
 def family_metric(fd):
     """The quotient metric of the cubic family on (x, y, z, t),
     G = -(t^2 + 2B) dx^2 + 2 dt dx + (2A - z^2) dy^2 + 2 dz dy;
-    the quadratic coefficient C drops out entirely."""
+    the quadratic coefficient C drops out entirely.  A request reads it
+    once per process, on ``generic_family()``, and puts its member's jets
+    in (``report._generic_closed_forms``)."""
     A, B, _ = fd.coefficients_on(METRIC_CHART)
     z, t = (Expression.coordinate(c, METRIC_CHART) for c in "zt")
     zero, one = (Expression.number(v, METRIC_CHART) for v in (0, 1))

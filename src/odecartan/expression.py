@@ -249,19 +249,48 @@ class Expression:
         num_num, num_den = _subst_poly(self.num, images)
         return Expression(num_num * den_den, num_den * den_num, target)
 
+    def put_in(self, jets, powers=None):
+        """This expression with each jet symbol named in ``jets``
+        (``{rendered name: Expression}``, as ``petrov.jet_expressions``
+        gives) replaced by its expression, on this chart.  The images may
+        read only coordinates of this chart and symbols ``jets`` does not
+        name.
+
+        ``powers``, a dict shared by put-ins of the same ``jets``, keeps
+        each symbol's image and each power product of images once it is
+        built.  The numerator and the denominator are each summed term by
+        term over those products (``_put_in_poly``), and the quotient is
+        normalised once: canonical form is unique, so this is the value of
+        the substitution.
+        """
+        if powers is None:
+            powers = {}
+        num = _put_in_poly(self.num, jets, powers)
+        den = _put_in_poly(self.den, jets, powers)
+        if num is None and den is None:
+            return self
+        nn, nd = num or (self.num, _ONE)
+        dn, dd = den or (self.den, _ONE)
+        if dn.is_zero:
+            raise SingularSubstitutionError("denominator vanishes identically after substitution")
+        return Expression(nn * dd, nd * dn, self.chart)
+
     def evaluate(self, point, powers=None):
         """Exact rational value at an assignment ``{rendered name: Fraction}``.
 
         ``powers``, a dict shared by evaluations at the same point, keeps
-        each symbol power once it is built.
+        each symbol power once it is built.  The numerator and the
+        denominator are each summed as integers over one integer
+        denominator, the numerator first, and one ``Fraction`` is built for
+        their quotient.
         """
         if powers is None:
             powers = {}
-        num = _eval_poly(self.num, point, powers)
-        den = _eval_poly(self.den, point, powers)
-        if den == 0:
+        nn, nd = _eval_poly(self.num, point, powers)
+        dn, dd = _eval_poly(self.den, point, powers)
+        if dn == 0:
             raise SingularEvaluationError("denominator vanishes at the point")
-        return num / den
+        return Fraction(nn * dd, nd * dn)
 
     # -- rendering -----------------------------------------------------------
 
@@ -346,25 +375,85 @@ def _subst_poly(poly, images):
     return Poly({m: c for m, c in out.items() if c}), padded((0,) * len(degrees))
 
 
+_ONE = Poly.const(1)
+_UNSEEN = object()
+
+
+def _put_in_poly(poly, jets, powers):
+    """``poly`` with the images of ``jets`` put in (``Expression.put_in``),
+    as polynomials N, D with N/D its value; None when it reads no jet.
+
+    Terms are grouped by their jet part, whose power product P/Q is built
+    once per ``powers``.  D is the lcm of the groups' Q, and each term is
+    multiplied into one sum with its group's P·(D/Q): with polynomial
+    images D is 1, and no GCD is taken."""
+    groups = {}
+    for mono, coeff in poly.terms.items():
+        key, rest = [], []
+        for t in mono:
+            s = t[0]
+            image = powers.get(s, _UNSEEN)
+            if image is _UNSEEN:
+                image = powers[s] = None if s.is_coordinate else jets.get(s.render())
+            (rest if image is None else key).append(t)
+        groups.setdefault(tuple(key), {})[tuple(rest)] = coeff
+    if all(not key for key in groups):
+        return None
+    parts = [(rest, *_group_power(key, powers)) for key, rest in groups.items()]
+    den = parts[0][2]
+    for _, _, d in parts[1:]:
+        if d != den:
+            den = den * d.exact_div(poly_gcd(den, d))
+    out = {}
+    for rest, num, d in parts:
+        if d != den:
+            num = num * den.exact_div(d)
+        for m2, c2 in num.terms.items():
+            for m1, c1 in rest.items():
+                m = mono_mul(m1, m2)
+                out[m] = out.get(m, 0) + c1 * c2
+    return Poly({m: c for m, c in out.items() if c}), den
+
+
+def _group_power(key, powers):
+    """(P, Q): the product of the images' powers in ``key`` is P/Q; kept
+    in ``powers``."""
+    out = powers.get(key)
+    if out is None:
+        num = den = _ONE
+        for s, e in key:
+            image = powers[s]
+            num = num * image.num ** e
+            den = den * image.den ** e
+        out = powers[key] = (num, den)
+    return out
+
+
 def _eval_poly(poly, point, powers):
-    # each term is an integer numerator over an integer denominator; one
-    # Fraction is built for the sum
-    terms = []
+    """(n, d): ``poly`` at the point is n/d.  Each term is an integer
+    numerator over an integer denominator, summed over their lcm."""
+    if poly.is_const:
+        return poly.const_value(), 1
+    nums, dens = [], []
     for mono, coeff in poly.terms.items():
         n, d = coeff, 1
-        for s, e in mono:
-            f = powers.get((s, e))
+        for t in mono:
+            f = powers.get(t)
             if f is None:
+                s, e = t
                 name = s.render()
                 if name not in point:
                     raise SingularEvaluationError(f"symbol {name!r} has no assigned value")
-                value = Fraction(point[name])
-                f = powers[s, e] = (value.numerator ** e, value.denominator ** e)
+                value = point[name]
+                if not isinstance(value, (int, Fraction)):
+                    value = Fraction(value)
+                f = powers[t] = (value.numerator ** e, value.denominator ** e)
             n *= f[0]
             d *= f[1]
-        terms.append((n, d))
-    den = lcm(*(d for _, d in terms))
-    return Fraction(sum(n * (den // d) for n, d in terms), den)
+        nums.append(n)
+        dens.append(d)
+    den = lcm(*dens)
+    return sum([n * (den // d) for n, d in zip(nums, dens)]), den
 
 
 # CPython refuses to convert between int and str beyond

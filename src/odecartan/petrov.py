@@ -27,7 +27,8 @@ reads the labels.
 A family member's W, g^-1 and det are never built as its own tensors:
 they are the generic member's (opaque A' and B') read at the point
 extended with the values of the jets of A' and B', taken from the
-member's A and B (``jet_expressions``).
+member's A and B (``jet_expressions``, the helper the family's closed
+forms read their jets from too).
 """
 
 from collections import namedtuple
@@ -43,18 +44,24 @@ PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _STAR_SIGN = (1, -1, 1, 1, -1, 1)
 
 
-def jet_expressions(rule, functions):
-    """{rendered name: expression} for each jet symbol that g^-1, det G or
-    W read, as the probes of ``rule`` do: its function's expression in
-    ``functions`` (keyed by function name), differentiated along the
-    jet's index."""
-    jets = {}
-    for sym in {s for e in rule.probes for s in e.symbols() if not s.is_coordinate}:
-        expr = functions[sym.name]
-        for coord in sym.index:
-            expr = expr.differentiate(coord)
-        jets[sym.render()] = expr
-    return jets
+def jet_expressions(symbols, functions):
+    """{rendered name: expression} for each jet symbol in ``symbols``
+    (coordinates are skipped): its function's expression in ``functions``
+    (keyed by function name), differentiated along the jet's index.  Each
+    derivative is taken once, from the jet one index shorter.  The Petrov
+    stage asks for the jets of a rule (``LabelRule.symbols``), and a family
+    request for those of the generic family's closed forms, which
+    ``Expression.put_in`` puts in."""
+    derived = {}
+
+    def jet(name, index):
+        expr = derived.get((name, index))
+        if expr is None:
+            expr = jet(name, index[:-1]).differentiate(index[-1]) if index else functions[name]
+            derived[name, index] = expr
+        return expr
+
+    return {s.render(): jet(s.name, s.index) for s in symbols if not s.is_coordinate}
 
 
 def _product(a, b):
@@ -145,17 +152,22 @@ def _half_rule(x):
     return tuple(steps), default
 
 
-LabelRule = namedtuple("LabelRule", "probes plus minus")
-LabelRule.__doc__ = """Petrov labels of curvature tensors as a rule to evaluate at points.
+class LabelRule(namedtuple("LabelRule", "probes plus minus")):
+    """Petrov labels of curvature tensors as a rule to evaluate at points.
 
-``probes`` are the entries of g^-1, det G and W, in the order a point
-evaluation reads them, that read a symbol or have a non-constant
-denominator no earlier entry does: where they evaluate, every entry
-does, and where one fails, it fails as the full evaluation would.  They
-read every symbol the entries read, so ``jet_expressions`` scans them
-alone.
-``plus`` and ``minus`` are the two halves' (steps, default) from
-``_half_rule``."""
+    ``probes`` are the entries of g^-1, det G and W, in the order a point
+    evaluation reads them, that read a symbol or have a non-constant
+    denominator no earlier entry does: where they evaluate, every entry
+    does, and where one fails, it fails as the full evaluation would.
+    ``plus`` and ``minus`` are the two halves' (steps, default) from
+    ``_half_rule``."""
+
+    __slots__ = ()
+
+    def symbols(self):
+        """The symbols the entries read: the probes read every one, so
+        its jets are the ones ``jet_expressions`` must give a point."""
+        return {s for e in self.probes for s in e.symbols()}
 
 
 def label_rule(tensors):
@@ -212,10 +224,11 @@ def classify_at_point(rule, point, jets=None):
 
     ``jets`` (from ``jet_expressions``) extends the point with the value
     of each jet symbol, so a rule of opaque-coefficient tensors gives the
-    labels of the metric with their functions substituted.  Raises
-    PetrovDegeneracyError when a jet's value, or g^-1, det G or W, cannot
-    be evaluated at the point: a symbol without a value or a vanishing
-    denominator."""
+    labels of the metric with their functions substituted.  Every
+    evaluation at the point shares one ``powers`` dict, and each builds one
+    ``Fraction`` (``Expression.evaluate``).  Raises PetrovDegeneracyError
+    when a jet's value, or g^-1, det G or W, cannot be evaluated at the
+    point: a symbol without a value or a vanishing denominator."""
     powers = {}
     values = dict(point)
     try:

@@ -23,14 +23,15 @@ from functools import cache
 
 from .cartan import (
     GENERIC_COEFFICIENTS,
+    KneInvariants,
     OdeProblem,
     STRUCTURE_NAMES,
+    StructureFunctions,
     check_einstein_conditions,
     family_detect,
     family_invariants,
     family_structure,
     generic_family,
-    verify_appendix,
 )
 from .connection import cartan_connection_report, metric_connection_report
 from .curvature import curvature_tensors, einstein_residual, family_metric, metric_from_family
@@ -127,7 +128,36 @@ class _State:
         self.request, self.report, self.prob = request, report, prob
         self.specializations = specializations  # name -> parsed Expression
         self.family = self.kne = None  # FamilyData and its k, n, e; None outside the family
+        self.jets = None  # the family's jets, by rendered name of the generic jet
+        self.powers = {}  # what ``put_in`` keeps of those jets' images
         self.sf = None  # the invariants a..s, once ``inv`` has run
+
+    def put_in(self, expr):
+        """A closed form of ``generic_family()`` with this member's jets put in."""
+        return expr.put_in(self.jets, self.powers)
+
+
+_ClosedForms = namedtuple("_ClosedForms", "kne structure metric jets")
+
+
+@cache
+def _generic_closed_forms():
+    """The closed forms of ``generic_family()`` (opaque A', B', C'), as
+    ``family_invariants``, ``family_structure`` and ``family_metric`` derive
+    them: k, n, e on the adapted chart, a..s (that k, n, e pulled back to
+    the P chart, every other invariant 0) and the metric components, with
+    the jet symbols they read.  Each is a polynomial in those jets over a
+    monomial in alpha and p, so a member's own are these with its jets put
+    in (``_State.put_in``).  Built on first use and shared for the life of
+    the process: callers must not mutate it.  ``_generic_evidence`` is not
+    built, and neither is the generic invariant table."""
+    family = generic_family()
+    kne = family_invariants(family)
+    structure = family_structure(kne)
+    metric = tuple(tuple(row) for row in family_metric(family).g)
+    read = (*kne, *structure, *(e for row in metric for e in row))
+    jets = frozenset(s for e in read for s in e.symbols() if not s.is_coordinate)
+    return _ClosedForms(kne, structure, metric, jets)
 
 
 def _run_inv(st):
@@ -135,10 +165,11 @@ def _run_inv(st):
     ``appendix``; no request builds a coframe.
 
     A family member's are its own closed-form k, n, e pulled back to the P
-    chart, with every other invariant 0 (``family_structure``):
-    ``tests/test_generic_table.py`` proves that identity on
-    ``generic_family()`` against the committed table, and the generic
-    member's denominators make it every member's.  Its
+    chart, with every other invariant 0: ``family_structure`` of
+    ``generic_family()``, kept in ``_generic_closed_forms``, with the
+    member's jets put in.  ``tests/test_generic_table.py`` proves that
+    identity on ``generic_family()`` against the committed table, and the
+    generic member's denominators make it every member's.  Its
     ``extraction_residuals`` (all 0) and ``matches_extraction`` (true)
     state a committed identity, not a per-request check: ``to_adapted``
     undoes that pullback for every k, n, e, which
@@ -147,7 +178,11 @@ def _run_inv(st):
     generic table (``OdeProblem.structure()``), whose ninety pattern slots
     the suite verifies once for every F with F_qq ≠ 0; a process that
     serves only family members never loads it."""
-    sf = st.sf = st.prob.structure() if st.family is None else family_structure(st.kne)
+    if st.family is None:
+        sf = st.prob.structure()
+    else:
+        sf = StructureFunctions(*map(st.put_in, _generic_closed_forms().structure))
+    st.sf = sf
     st.report["structure_functions"] = {
         "run": True,
         "consistent": True,
@@ -220,12 +255,21 @@ def _generic_evidence():
     )
 
 
+def _member_metric(st):
+    """The request's metric components: ``family_metric`` of
+    ``generic_family()``, kept in ``_generic_closed_forms``, with the
+    member's jets put in."""
+    return [[st.put_in(e) for e in row] for row in _generic_closed_forms().metric]
+
+
 def _run_metric(st):
+    """The request's own metric components next to the generic record's
+    det G and projectability evidence, which are every member's."""
     evidence = _generic_evidence()
     proj = evidence.projectability
     st.report["metric"] = {
         "run": True,
-        "components": [[e.render() for e in row] for row in family_metric(st.family).g],
+        "components": [[e.render() for e in row] for row in _member_metric(st)],
         "determinant": evidence.tensors.det.render(),
         "projectability": {
             "projects": proj.projects,
@@ -330,7 +374,7 @@ def _run_petrov(st):
             "provide rational specializations for A and B",
         )
     rule = _generic_evidence().label_rule
-    jets = jet_expressions(rule, dict(zip(GENERIC_COEFFICIENTS, (A, B))))
+    jets = jet_expressions(rule.symbols(), dict(zip(GENERIC_COEFFICIENTS, (A, B))))
     rng = random.Random(request.seed)
     results, skipped = [], []
     for _ in range(max(50, 40 * request.points)):
@@ -385,14 +429,15 @@ def _run_conn(st):
 
 
 def _run_appendix(st):
-    res = verify_appendix(st.prob, st.sf)
-    holds = all(f.is_zero for f in res)
-    st.report["appendix_residuals"] = {
-        "run": True,
-        "residuals": [f.render() for f in res],
-        "all_zero": holds,
-    }
-    return holds
+    """The six closed-form differentials' residuals, stated: the appendix
+    table is the derived d(tau) table, so ``residual_table(APPENDIX_TABLE)``
+    has no rows (``test_appendix_is_derived`` in ``tests/test_cartan.py``),
+    and ``verify_appendix`` gives the zero 2-form six times for every F and
+    every a..s.  No request builds ``tau_differential_table`` or calls
+    ``verify_appendix``.  The stage still needs ``inv``, so its report
+    shows the request's own invariants next to the verdict."""
+    st.report["appendix_residuals"] = {"run": True, "residuals": ["0"] * 6, "all_zero": True}
+    return True
 
 
 class _Stage:
@@ -541,7 +586,11 @@ def analyze(request):
             "B": family.B.render(),
             "C": family.C.render(),
         }
-        kne = state.kne = family_invariants(family)
+        forms = _generic_closed_forms()
+        state.jets = jet_expressions(
+            forms.jets, dict(zip(GENERIC_COEFFICIENTS, (family.A, family.B, family.C)))
+        )
+        kne = state.kne = KneInvariants(*map(state.put_in, forms.kne))
         report["invariants_kne"] = {
             "run": True,
             "k": kne.k.render(),

@@ -15,13 +15,16 @@ from odecartan import (
     SymbolTable,
     parse_expression,
 )
-from odecartan import cartan
+from odecartan import cartan, connection
+from odecartan import report as report_module
 from odecartan.cartan import (
     APPENDIX_TABLE,
     FLAT_TABLE,
+    GENERIC_COEFFICIENTS,
     REDUCED_TABLE,
     STRUCTURE_NAMES,
     STRUCTURE_PATTERN,
+    FamilyData,
     KneInvariants,
     OdeProblem,
     base_coframe,
@@ -39,8 +42,12 @@ from odecartan.cartan import (
     to_adapted,
     verify_appendix,
 )
+from odecartan.curvature import family_metric
+from odecartan.errors import SingularSubstitutionError
 from odecartan.forms import DifferentialForm
-from tests.conftest import make_problem
+from odecartan.petrov import jet_expressions
+from odecartan.report import AnalysisRequest, analyze
+from tests.conftest import XY_CHART, ExpressionSampler, make_problem
 from tests.oracles import printed_display_coframe, tau_from_theta_residuals
 
 
@@ -419,6 +426,86 @@ class TestFamilyInvariants:
             assert residuals[name].is_zero
 
 
+def _put_in_member(A, B, C):
+    """k, n, e, a..s and the metric components a request reads for the
+    member with coefficients A, B, C: the generic family's closed forms
+    (``report._generic_closed_forms``) with the member's jets put in."""
+    forms = report_module._generic_closed_forms()
+    jets = jet_expressions(forms.jets, dict(zip(GENERIC_COEFFICIENTS, (A, B, C))))
+    powers = {}
+    return (
+        [e.put_in(jets, powers) for e in forms.kne],
+        [e.put_in(jets, powers) for e in forms.structure],
+        [[e.put_in(jets, powers) for e in row] for row in forms.metric],
+    )
+
+
+def _assert_put_in_matches_derivation(fd):
+    """The put-in equals ``family_invariants`` → ``family_structure`` →
+    ``family_metric`` on the member, byte for byte and chart for chart."""
+    kne = family_invariants(fd)
+    expected = (list(kne), list(family_structure(kne)), family_metric(fd).g)
+    got = _put_in_member(fd.A, fd.B, fd.C)
+    for ours, theirs in zip(got[:2] + tuple(got[2]), expected[:2] + tuple(expected[2])):
+        assert [e.render() for e in ours] == [e.render() for e in theirs]
+        assert [e.chart for e in ours] == [e.chart for e in theirs]
+
+
+def _members(seed, kind, count):
+    """``count`` coefficient triples drawn on (x, y): polynomial (over an
+    integer), rational, or reading the opaque ``S(x,y)``."""
+    table = SymbolTable()
+    opaque = (table.declare("S", ("x", "y")),) if kind == "opaque" else ()
+    gen = ExpressionSampler(XY_CHART, seed, opaque)
+
+    def draw():
+        while True:
+            e = gen.expression(2)
+            if kind == "opaque" or (kind == "polynomial") == e.den.is_const:
+                return e.on_chart(J2_CHART)
+
+    return [FamilyData(None, draw(), draw(), draw()) for _ in range(count)]
+
+
+class TestMemberPutIn:
+    """A request's k, n, e, a..s and metric are the generic family's
+    closed forms with its jets put in (``Expression.put_in``); the
+    derivation on the member is the oracle."""
+
+    @pytest.mark.parametrize("kind", ["polynomial", "rational", "opaque"])
+    def test_random_members(self, kind):
+        for fd in _members({"polynomial": 11, "rational": 12, "opaque": 13}[kind], kind, 25):
+            _assert_put_in_matches_derivation(fd)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # the four family members with a pole in A of the benchmark
+            "3/2*q^2/p + x/(y+1)*p^3 + (x + y)*p",
+            "3/2*q^2/p + x/(y+1)*p^3 + x*y*p",
+            "3/2*q^2/p + y/(x+1)*p^3 + (x + y)*p",
+            "3/2*q^2/p + y/(x+1)*p^3 + x*y*p",
+            "3/2*q^2/p + 1/(x-y)*p^3 + x/(y^2+1)*p^2 + A(x,y)/(x+1)*p",
+            "3/2*q^2/p",
+            "3/2*q^2/p + x/2*p^3 + (x+y)/3*p^2 + y/6*p",
+        ],
+    )
+    def test_fixed_members(self, text):
+        fd = family_detect(make_problem(text, declare=("A",)))
+        _assert_put_in_matches_derivation(fd)
+
+    def test_a_vanishing_image_denominator_raises(self):
+        """A jet in a denominator whose image is 0 is refused, as
+        ``substitute`` refuses a vanishing denominator."""
+        table = SymbolTable()
+        table.declare("A", ("x", "y"))
+        e = parse_expression("x/A(x,y)", J2_CHART, table)
+        with pytest.raises(SingularSubstitutionError):
+            e.put_in({"A": Expression.number(0, J2_CHART)})
+        assert e.put_in({"A": parse_expression("x*y", J2_CHART, table)}).render() == "1/y"
+        assert e.put_in({}) is e
+
+
 class TestAppendix:
     @pytest.mark.parametrize(
         "problem_fixture",
@@ -460,6 +547,28 @@ class TestAppendix:
     def test_residuals_vanish_for_stress_input(self):
         prob = make_problem("q^3*y + x*p")
         assert all(r.is_zero for r in verify_appendix(prob))
+
+    def test_the_appendix_stage_states_its_identity(self, monkeypatch):
+        """``appendix`` reports the residuals ``verify_appendix`` gives for
+        every F without calling it or building ``tau_differential_table``:
+        with both patched to raise, a non-family report is unchanged."""
+        request = AnalysisRequest(ode="q^2/(p+x) + y*q/(p^2+1)",
+                                  stages=("inv", "cond", "appendix"))
+        expected = analyze(request)
+        residuals = [f.render() for f in verify_appendix(make_problem(request.ode))]
+        assert expected.data["appendix_residuals"]["residuals"] == residuals == ["0"] * 6
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the appendix stage recomputed its identity")
+
+        for module in (cartan, report_module, connection):
+            for name in ("verify_appendix", "tau_differential_table"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        report = analyze(request)
+        assert report.stage_errors == {}
+        assert (report.verdicts, report.exit_code) == (expected.verdicts, expected.exit_code)
+        del report.data["timings"], expected.data["timings"]
+        assert report.data == expected.data
 
     def test_appendix_is_derived(self):
         """The closed-form differential table is the exact transcription of

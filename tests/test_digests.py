@@ -1,12 +1,14 @@
-"""Recorded report digests of the family stages.
+"""Recorded report digests of every in-process request.
 
 ``perfbench/digests.json`` holds the sha256 of every benchmark request's
 report, without its wall-clock ``timings``, and ``perfbench/check.py``
-computes it.  Here one Petrov seed of each family shape runs in process
-and must give its recorded digest, so a change that alters the bytes of
-a family report fails the suite, not only the benchmark.  Three requests
-of the ``cli`` workload pin the text view too, whose metric and
-connection lines are read off the same sections.  The wrappers
+computes it.  Here every request of the ``family`` and ``rational``
+workloads (``workloads.domain``, 153 requests: the family shapes at every
+Petrov seed, and the non-family ``inv,cond,appendix`` shapes) runs in
+process and must give its recorded digest, so a change that alters the
+bytes of any of those reports fails the suite, not only the benchmark.
+Three requests of the ``cli`` workload pin the text view too, whose
+metric and connection lines are read off the same sections.  The wrappers
 of the benchmark's ``--trace`` mode (``perfbench/spans.py``) must still
 find every target they name and leave a report unchanged.  The
 ``perfbench`` modules are loaded read-only.
@@ -14,7 +16,6 @@ find every target they name and leave a report unchanged.  The
 
 import importlib.util
 import sys
-from itertools import product
 from pathlib import Path
 
 import pytest
@@ -42,23 +43,9 @@ check = _load("check")
 spans = _load("spans")
 
 
-def _family_requests():
-    """flat, opaque, the 12 generic and 16 separable pairs and the four pole
-    members, each at one Petrov seed; the seeds cycle so all of them run."""
-    seeds = workloads.PETROV_SEEDS
-    out = [workloads.flat(seeds[0]), workloads.opaque_family()]
-    pairs = [
-        (workloads.generic, a, b) for a, b in product(workloads.GENERIC_A, workloads.GENERIC_B)
-    ] + [
-        (workloads.separable, a, b)
-        for a, b in product(workloads.SEPARABLE_A, workloads.SEPARABLE_B)
-    ]
-    out += [shape(a, b, seeds[i % len(seeds)]) for i, (shape, a, b) in enumerate(pairs)]
-    out += [
-        workloads.rational("family-pole", ode, seeds[i % len(seeds)])
-        for i, ode in enumerate(workloads.FAMILY_POLE)
-    ]
-    return out
+def _in_process_requests():
+    """Every request of the ``family`` and ``rational`` domains, once each."""
+    return list(dict.fromkeys(workloads.domain("family") + workloads.domain("rational")))
 
 
 def _text_requests():
@@ -81,7 +68,7 @@ def digests():
     return check.load_digests()
 
 
-@pytest.mark.parametrize("req", _family_requests() + _text_requests(), ids=_request_id)
+@pytest.mark.parametrize("req", _in_process_requests() + _text_requests(), ids=_request_id)
 def test_family_report_matches_its_recorded_digest(req, digests):
     report = odecartan.analyze(req.analysis_request(odecartan))
     document = odecartan.emit_report(report, req.fmt)

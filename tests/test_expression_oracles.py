@@ -1,13 +1,21 @@
-"""The Expression layer against two independent oracles: sympy's
-``cancel``/``diff``/``subs`` on sampled expressions, and a hypothesis
-round trip through the parser and the renderer."""
+"""The Expression layer against independent oracles: sympy's
+``cancel``/``diff``/``subs`` on sampled expressions, a hypothesis round
+trip through the parser and the renderer, and ``evaluate`` against a
+term-by-term ``Fraction`` sum."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from odecartan import J2_CHART, SymbolTable, parse_expression
-from odecartan.errors import ExpressionSyntaxError, SingularSubstitutionError
+from odecartan.errors import (
+    ExpressionSyntaxError,
+    SingularEvaluationError,
+    SingularSubstitutionError,
+)
 from odecartan.expression import _normalize
+from tests.conftest import ExpressionSampler
 
 
 def _sympy_poly(poly, sympy):
@@ -127,3 +135,102 @@ def test_parse_render_round_trip(text):
     assert again == e
     assert again.num.terms == e.num.terms and again.den.terms == e.den.terms
     assert again.render() == rendered
+
+
+# -- evaluate against a term-by-term Fraction sum ------------------------------
+
+_S = SymbolTable().declare("S", ("x", "y"))
+_NAMES = (*J2_CHART.coords, "S", "S_x")
+_VALUES = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+)
+
+
+def _fraction_sum(poly, point):
+    """``poly`` at ``point``, one ``Fraction`` per term, in term order;
+    raises KeyError on the first symbol without a value."""
+    total = Fraction(0)
+    for mono, coeff in poly.terms.items():
+        term = Fraction(coeff)
+        for sym, k in mono:
+            term *= Fraction(point[sym.render()]) ** k
+        total += term
+    return total
+
+
+def _oracle_evaluate(e, point):
+    """(value, None) or (None, (exception class, message)) as the contract
+    states: the numerator first, then the denominator, then its zero test."""
+    try:
+        num = _fraction_sum(e.num, point)
+        den = _fraction_sum(e.den, point)
+    except KeyError as exc:
+        return None, (SingularEvaluationError, f"symbol {exc.args[0]!r} has no assigned value")
+    if den == 0:
+        return None, (SingularEvaluationError, "denominator vanishes at the point")
+    return num / den, None
+
+
+def _outcome(e, point, powers=None):
+    try:
+        value = e.evaluate(point, powers)
+    except SingularEvaluationError as exc:
+        return None, (type(exc), str(exc))
+    assert type(value) is Fraction
+    return value, None
+
+
+@given(
+    seed=st.integers(0, 10 ** 6),
+    point=st.fixed_dictionaries({}, optional={n: _VALUES for n in _NAMES}),
+)
+@settings(max_examples=200, deadline=None)
+def test_evaluate_matches_a_fraction_sum(seed, point):
+    """Values, exceptions and messages of ``Expression.evaluate`` equal a
+    term-by-term ``Fraction`` sum at int and ``Fraction`` points, also with
+    one ``powers`` dict shared by several expressions at the point."""
+    gen = ExpressionSampler(J2_CHART, seed, (_S, _S.derived("x")))
+    exprs = [gen.expression(2) for _ in range(3)]
+    powers = {}
+    for e in exprs:
+        expected = _oracle_evaluate(e, point)
+        assert _outcome(e, point) == expected
+        assert _outcome(e, point, powers) == expected
+
+
+def test_evaluate_checks_the_numerator_first():
+    """A symbol without a value is reported from the numerator before the
+    denominator is read, and a vanishing denominator only once both have
+    values."""
+    table = SymbolTable()
+    e = parse_expression("x/(y - 1)", J2_CHART, table)
+    for point, message in [
+        ({"y": 1}, "symbol 'x' has no assigned value"),
+        ({"x": 2}, "symbol 'y' has no assigned value"),
+        ({"x": 2, "y": 1}, "denominator vanishes at the point"),
+    ]:
+        with pytest.raises(SingularEvaluationError) as caught:
+            e.evaluate(point)
+        assert str(caught.value) == message
+    assert e.evaluate({"x": 3, "y": Fraction(5, 2)}) == 2
+    assert type(e.evaluate({"x": 3, "y": 2})) is Fraction
+
+
+def test_evaluate_matches_subs(sampler):
+    sympy = pytest.importorskip("sympy")
+    gen = sampler(seed=2718, opaque_names=("S",))
+    rng = gen.rng
+    checked = 0
+    for _ in range(60):
+        e = gen.expression(3)
+        point = {n: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for n in (*J2_CHART.coords, "S")}
+        theirs = _sympy(e, sympy).subs({sympy.Symbol(n): sympy.Rational(v.numerator, v.denominator)
+                                        for n, v in point.items()})
+        if not theirs.is_finite:
+            with pytest.raises(SingularEvaluationError):
+                e.evaluate(point)
+            continue
+        assert e.evaluate(point) == Fraction(int(theirs.p), int(theirs.q))
+        checked += 1
+    assert checked > 40

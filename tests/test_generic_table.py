@@ -288,6 +288,48 @@ def test_a_family_request_recomputes_no_identity(monkeypatch, kind):
     assert _without_timings(report) == _without_timings(expected)
 
 
+@pytest.mark.parametrize("kind", sorted(_FAMILY_REQUESTS))
+def test_a_family_request_derives_no_closed_form(monkeypatch, kind):
+    """A member's k, n, e, a..s and metric are the generic family's closed
+    forms with its jets put in: once the first request has built them
+    (``report._generic_closed_forms``), ``family_invariants``,
+    ``family_structure`` and ``family_metric`` are off the request path,
+    and a second request gives the same report."""
+    request = _FAMILY_REQUESTS[kind]
+    expected = analyze(request)
+    assert expected.exit_code == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a family request derived a closed form")
+
+    for module, name in [
+        (cartan, "family_invariants"),
+        (cartan, "family_structure"),
+        (curvature, "family_metric"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(report_module, name, refuse)
+    report = analyze(request)
+    assert report.stage_errors == {}
+    assert _without_timings(report) == _without_timings(expected)
+
+
+def test_an_inv_only_family_request_builds_no_generic_evidence(monkeypatch):
+    """``inv`` and ``cond`` of a family member read the closed forms alone:
+    the metric, curvature and connection record is not built for them."""
+
+    def refuse():
+        raise AssertionError("an inv-only request built the generic evidence")
+
+    monkeypatch.setattr(report_module, "_generic_evidence", refuse)
+    request = _FAMILY_REQUESTS["opaque"]
+    report = analyze(AnalysisRequest(ode=request.ode, opaque=request.opaque,
+                                      stages=("inv", "cond", "appendix")))
+    assert report.stage_errors == {}
+    assert report.exit_code == 0
+    assert report.data["invariants_kne"]["k"] == "-C/(4*alpha^2*p)"
+
+
 def _parse(text):
     table = SymbolTable()
     table.declare("S", ("x", "y"))

@@ -336,7 +336,7 @@ class TestJetExtendedPoints:
         fd = FamilyData(family_data.problem, values["A"], values["B"], family_data.C)
         oracle_rule = label_rule(curvature_tensors(family_metric(fd)))
         rule = label_rule(tensors)
-        jets = jet_expressions(rule, values)
+        jets = jet_expressions(rule.symbols(), values)
         assert {"A", "A_x", "A_xx", "B", "B_y", "B_yy"} <= set(jets)
         points = seeded_points(3) + [
             {"x": Fraction(2), "y": Fraction(-1), "z": Fraction(1, 3), "t": Fraction(5)},
@@ -355,7 +355,7 @@ class TestJetExtendedPoints:
         fd = family_detect(make_problem("3/2*q^2/p"))
         metric, _ = metric_from_family(fd)
         rule = label_rule(curvature_tensors(metric))
-        assert jet_expressions(rule, {}) == {}
+        assert jet_expressions(rule.symbols(), {}) == {}
         oracle_rule = label_rule(curvature_tensors(family_metric(fd)))
         for pt in seeded_points(5):
             outcome = point_outcome(rule, pt, {})
@@ -378,7 +378,7 @@ class TestJetExtendedPoints:
         table = SymbolTable()
         values = {n: parse_expression(t, J2_CHART, table) for n, t in specs.items()}
         rule = label_rule(tensors)
-        jets = jet_expressions(rule, values)
+        jets = jet_expressions(rule.symbols(), values)
         for pt in seeded_points(3):
             result = classify_at_point(rule, pt, jets)
             weyl_op, star = weyl_operator_at(tensors, pt, jets)
@@ -503,7 +503,7 @@ def _trace(m):
 def _generic_jets(texts):
     table = SymbolTable()
     functions = {n: parse_expression(t, XY_CHART, table) for n, t in zip(GENERIC_COEFFICIENTS, texts)}
-    return jet_expressions(_generic_evidence().label_rule, functions)
+    return jet_expressions(_generic_evidence().label_rule.symbols(), functions)
 
 
 def _oracle_outcome(tensors, point, jets=None):

@@ -86,10 +86,10 @@ class TestVerdictRule:
 
 class TestStageErrors:
     def test_failed_stage_fails_its_dependents_only(self, monkeypatch):
-        def broken(family):
+        def broken(state):
             raise OdeCartanError("metric construction failed")
 
-        monkeypatch.setattr(report_module, "family_metric", broken)
+        monkeypatch.setattr(report_module, "_member_metric", broken)
         report = analyze(AnalysisRequest(ode=FLAT, stages=("all",)))
         errors = report.stage_errors
         assert errors["metric"] == {
