@@ -9,7 +9,6 @@ zero.  Expressions are immutable and safe to share between threads.
 """
 
 from fractions import Fraction
-from functools import cache
 from math import gcd, lcm
 
 from .errors import (
@@ -216,10 +215,10 @@ class Expression:
         through untouched, so any coordinate appearing in a present jet
         symbol's arguments must either be unmapped or map to itself.
 
-        The numerator and the denominator are each put over the images'
-        denominators in one pass (``_subst_poly``), and the quotient is
-        normalised once: canonical form is unique, so this is the value
-        of substituting term by term.
+        The numerator and the denominator are each put over the lcm of the
+        images' denominators in one pass (``_subst_poly``, as in
+        ``put_in``), and the quotient is normalised once: canonical form is
+        unique, so this is the value of substituting term by term.
         """
         target = target_chart or self.chart
         for name in mapping:
@@ -243,11 +242,7 @@ class Expression:
                         raise ChartError(
                             f"cannot substitute {a!r}: it is an argument of {s.name!r}"
                         )
-        den_num, den_den = _subst_poly(self.den, images)
-        if den_num.is_zero:
-            raise SingularSubstitutionError("denominator vanishes identically after substitution")
-        num_num, num_den = _subst_poly(self.num, images)
-        return Expression(num_num * den_den, num_den * den_num, target)
+        return self._substituted(images, {}, target)
 
     def put_in(self, jets, powers=None):
         """This expression with each jet symbol named in ``jets``
@@ -259,21 +254,22 @@ class Expression:
         ``powers``, a dict shared by put-ins of the same ``jets``, keeps
         each symbol's image and each power product of images once it is
         built.  The numerator and the denominator are each summed term by
-        term over those products (``_put_in_poly``), and the quotient is
+        term over those products (``_subst_poly``), and the quotient is
         normalised once: canonical form is unique, so this is the value of
         the substitution.
         """
-        if powers is None:
-            powers = {}
-        num = _put_in_poly(self.num, jets, powers)
-        den = _put_in_poly(self.den, jets, powers)
+        return self._substituted(jets, {} if powers is None else powers, self.chart)
+
+    def _substituted(self, images, powers, chart):
+        num = _subst_poly(self.num, images, powers)
+        den = _subst_poly(self.den, images, powers)
         if num is None and den is None:
-            return self
+            return self if chart is self.chart else self.on_chart(chart)
         nn, nd = num or (self.num, _ONE)
         dn, dd = den or (self.den, _ONE)
         if dn.is_zero:
             raise SingularSubstitutionError("denominator vanishes identically after substitution")
-        return Expression(nn * dd, nd * dn, self.chart)
+        return Expression(nn * dd, nd * dn, chart)
 
     def evaluate(self, point, powers=None):
         """Exact rational value at an assignment ``{rendered name: Fraction}``.
@@ -348,45 +344,19 @@ def _normalize(num, den):
     return num, den
 
 
-def _subst_poly(poly, images):
-    """``poly`` with each mapped coordinate put in, as polynomials N, D with
-    N/D its value: D is Π b^d over the images a/b, d the coordinate's
-    degree in ``poly``, and a term of degree e in it gets a^e b^(d - e)."""
-    degrees = {}
-    for mono in poly.terms:
-        for s, e in mono:
-            if s.is_coordinate and s.name in images:
-                degrees[s.name] = max(e, degrees.get(s.name, 0))
-
-    @cache
-    def padded(key):
-        out = Poly.const(1)
-        for (name, d), e in zip(degrees.items(), key):
-            out = out * images[name].num ** e * images[name].den ** (d - e)
-        return out
-
-    out = {}
-    for mono, coeff in poly.terms.items():
-        mapped = {s.name: e for s, e in mono if s.is_coordinate and s.name in degrees}
-        rest = tuple(t for t in mono if not (t[0].is_coordinate and t[0].name in mapped))
-        for m, c in padded(tuple(mapped.get(name, 0) for name in degrees)).terms.items():
-            m = mono_mul(m, rest)
-            out[m] = out.get(m, 0) + c * coeff
-    return Poly({m: c for m, c in out.items() if c}), padded((0,) * len(degrees))
-
-
 _ONE = Poly.const(1)
 _UNSEEN = object()
 
 
-def _put_in_poly(poly, jets, powers):
-    """``poly`` with the images of ``jets`` put in (``Expression.put_in``),
-    as polynomials N, D with N/D its value; None when it reads no jet.
+def _subst_poly(poly, images, powers):
+    """``poly`` with each symbol whose rendered name ``images`` maps put in
+    (``Expression.substitute`` and ``Expression.put_in``), as polynomials
+    N, D with N/D its value; None when it reads no such symbol.
 
-    Terms are grouped by their jet part, whose power product P/Q is built
-    once per ``powers``.  D is the lcm of the groups' Q, and each term is
-    multiplied into one sum with its group's P·(D/Q): with polynomial
-    images D is 1, and no GCD is taken."""
+    Terms are grouped by their substituted part, whose power product P/Q
+    is built once per ``powers``.  D is the lcm of the groups' Q, and each
+    term is multiplied into one sum with its group's P·(D/Q): with
+    polynomial images D is 1, and no GCD is taken."""
     groups = {}
     for mono, coeff in poly.terms.items():
         key, rest = [], []
@@ -394,7 +364,7 @@ def _put_in_poly(poly, jets, powers):
             s = t[0]
             image = powers.get(s, _UNSEEN)
             if image is _UNSEEN:
-                image = powers[s] = None if s.is_coordinate else jets.get(s.render())
+                image = powers[s] = images.get(s.render())
             (rest if image is None else key).append(t)
         groups.setdefault(tuple(key), {})[tuple(rest)] = coeff
     if all(not key for key in groups):
