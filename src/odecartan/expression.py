@@ -261,10 +261,11 @@ class Expression:
         return self._substituted(jets, {} if powers is None else powers, self.chart)
 
     def _substituted(self, images, powers, chart):
+        """``images`` put in (``_subst_poly``), as an expression on ``chart``."""
         num = _subst_poly(self.num, images, powers)
         den = _subst_poly(self.den, images, powers)
         if num is None and den is None:
-            return self if chart is self.chart else self.on_chart(chart)
+            return self.on_chart(chart)
         nn, nd = num or (self.num, _ONE)
         dn, dd = den or (self.den, _ONE)
         if dn.is_zero:
