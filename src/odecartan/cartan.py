@@ -383,7 +383,9 @@ def check_einstein_conditions(sf):
 class FamilyData(namedtuple("FamilyData", "problem A B C")):
     """Right-hand side of the reducible form
     (3/2) q^2/p + A(x,y) p^3 + C(x,y) p^2 + B(x,y) p: its OdeProblem and
-    the coefficient Expressions A, B, C."""
+    the coefficient Expressions A, B, C.  ``problem`` must be the ODE of
+    exactly these coefficients: ``family_invariants`` and
+    ``curvature.family_metric`` keep what they build on it."""
 
     __slots__ = ()
 
@@ -504,16 +506,21 @@ class KneInvariants(namedtuple("KneInvariants", "k n e")):
 
 
 def family_invariants(fd):
-    """Closed forms of k, n, e in the coordinates (x, y, z, t, alpha, p)."""
-    chart = M_ADAPTED_CHART
-    A, B, C = fd.coefficients_on(chart)
-    alpha, p, z, t = (Expression.coordinate(c, chart) for c in ("alpha", "p", "z", "t"))
-    k = -C / (4 * alpha ** 2 * p)
-    n = (C.differentiate("y") - z * C - 2 * A.differentiate("x")) / (8 * alpha ** 3 * p)
-    e = HALF * n + (t * C + 2 * B.differentiate("y") - C.differentiate("x")) / (
-        16 * alpha ** 3 * p * p
-    )
-    return KneInvariants(k, n, e)
+    """Closed forms of k, n, e in the coordinates (x, y, z, t, alpha, p),
+    built once per ``fd.problem`` and kept on it."""
+
+    def build():
+        chart = M_ADAPTED_CHART
+        A, B, C = fd.coefficients_on(chart)
+        alpha, p, z, t = (Expression.coordinate(c, chart) for c in ("alpha", "p", "z", "t"))
+        k = -C / (4 * alpha ** 2 * p)
+        n = (C.differentiate("y") - z * C - 2 * A.differentiate("x")) / (8 * alpha ** 3 * p)
+        e = HALF * n + (t * C + 2 * B.differentiate("y") - C.differentiate("x")) / (
+            16 * alpha ** 3 * p * p
+        )
+        return KneInvariants(k, n, e)
+
+    return fd.problem._memo("family_invariants", build)
 
 
 def family_structure(kne):

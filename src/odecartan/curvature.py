@@ -47,16 +47,21 @@ def family_metric(fd):
     G = -(t^2 + 2B) dx^2 + 2 dt dx + (2A - z^2) dy^2 + 2 dz dy;
     the quadratic coefficient C drops out entirely.  A request reads it
     once per process, on ``generic_family()``, and puts its member's jets
-    in (``report._generic_closed_forms``)."""
-    A, B, _ = fd.coefficients_on(METRIC_CHART)
-    z, t = (Expression.coordinate(c, METRIC_CHART) for c in "zt")
-    zero, one = (Expression.number(v, METRIC_CHART) for v in (0, 1))
-    g = [[zero for _ in range(DIM)] for _ in range(DIM)]
-    g[0][0] = -(t * t + 2 * B)
-    g[0][3] = g[3][0] = one
-    g[1][1] = 2 * A - z * z
-    g[1][2] = g[2][1] = one
-    return Metric4(g)
+    in (``report._generic_closed_forms``).  Built once per ``fd.problem``
+    and kept on it: callers must not mutate it."""
+
+    def build():
+        A, B, _ = fd.coefficients_on(METRIC_CHART)
+        z, t = (Expression.coordinate(c, METRIC_CHART) for c in "zt")
+        zero, one = (Expression.number(v, METRIC_CHART) for v in (0, 1))
+        g = [[zero for _ in range(DIM)] for _ in range(DIM)]
+        g[0][0] = -(t * t + 2 * B)
+        g[0][3] = g[3][0] = one
+        g[1][1] = 2 * A - z * z
+        g[1][2] = g[2][1] = one
+        return Metric4(g)
+
+    return fd.problem._memo("family_metric", build)
 
 
 class ProjectabilityReport(

@@ -9,14 +9,14 @@ zero.  Expressions are immutable and safe to share between threads.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import (
     ChartError,
     SingularEvaluationError,
     SingularSubstitutionError,
 )
-from .poly import Poly, mono_gcd, mono_mul, poly_gcd
+from .poly import Poly, add_product, canonical_tail, poly_gcd
 
 
 class Expression:
@@ -312,37 +312,16 @@ class Expression:
 def _normalize(num, den):
     if num.is_zero:
         return num, Poly.const(1)
-    if den.is_const:
-        # an integral numerator over 1 is canonical; over another integer
-        # only their common content and the sign are left to fix
-        c = den.const_value()
-        if c == 1:
-            return num, den
-        g = gcd(num.content(), c)
-        if c < 0:
-            g = -g
-        return num.div_int(g), Poly.const(c // g)
-    m = num.mono_content()
-    if m:
-        g = mono_gcd(m, den.mono_content())
-        if g:
-            num = num.div_mono(g)
-            den = den.div_mono(g)
-    if not den.is_const and len(den) > 1 and len(num) > 1:
+    if den == _ONE:
+        return num, den  # an integral numerator over 1 is canonical
+    if len(den) > 1 and len(num) > 1:
         g = poly_gcd(num, den)
         if not g.is_const:
             num = num.exact_div(g)
             den = den.exact_div(g)
-    # both polynomials are integral: divide out their common content, then
-    # make the denominator's leading coefficient positive
-    c = gcd(num.content(), den.content())
-    num = num.div_int(c)
-    den = den.div_int(c)
-    _, lc = den.leading()
-    if lc < 0:
-        num = -num
-        den = -den
-    return num, den
+    # with a monomial operand the GCD is a monomial times an integer,
+    # which the tail takes out
+    return canonical_tail(num, den)
 
 
 _ONE = Poly.const(1)
@@ -356,8 +335,9 @@ def _subst_poly(poly, images, powers):
 
     Terms are grouped by their substituted part, whose power product P/Q
     is built once per ``powers``.  D is the lcm of the groups' Q, and each
-    term is multiplied into one sum with its group's P·(D/Q): with
-    polynomial images D is 1, and no GCD is taken."""
+    group's terms are multiplied by its P·(D/Q) into one sum in place
+    (``poly.add_product``): with polynomial images D is 1, and no GCD is
+    taken."""
     groups = {}
     for mono, coeff in poly.terms.items():
         key, rest = [], []
@@ -379,11 +359,8 @@ def _subst_poly(poly, images, powers):
     for rest, num, d in parts:
         if d != den:
             num = num * den.exact_div(d)
-        for m2, c2 in num.terms.items():
-            for m1, c1 in rest.items():
-                m = mono_mul(m1, m2)
-                out[m] = out.get(m, 0) + c1 * c2
-    return Poly({m: c for m, c in out.items() if c}), den
+        add_product(out, rest, num.terms)
+    return Poly(out), den
 
 
 def _group_power(key, powers):

@@ -19,7 +19,9 @@ of N modulo a 61-bit prime at a seeded point of b = 0 then proves b ∤ N
 when it is nonzero (``_certificate``, ``_quotient``).  The evaluation is
 trusted only in that exact direction: a zero falls through to exact
 division, so no result depends on the point.  Any other element takes
-``poly.poly_gcd`` with N one copy at a time.
+``poly.poly_gcd`` with N one copy at a time.  The walk multiplies term
+dicts only through ``poly.add_product``, and ``_reduced`` ends with
+``poly.canonical_tail``, the tail of ``expression._normalize``.
 
 This module and the table load on first use; ``import odecartan`` loads
 neither.  They are loaded by ``OdeProblem.structure()``, which the
@@ -28,7 +30,8 @@ reads its pulled-back closed forms, ``cartan.family_structure``), and by
 the generator and the tests.  A process that serves only family members
 never loads them.  Loaded late, the module must bind no function that
 ``perfbench/spans.py`` wraps by name: it reads ``poly.poly_gcd`` on its
-module, and builds ``Expression``s rather than calling ``_normalize``.
+module, and builds ``Expression``s rather than calling ``_normalize``;
+``add_product`` and ``canonical_tail`` are not wrapped.
 """
 
 import json
@@ -42,7 +45,7 @@ from . import poly
 from .cartan import OdeProblem, StructureFunctions, structure_functions
 from .errors import DegenerateOdeError, StructureConsistencyError
 from .expression import Expression
-from .poly import ONE_MONO, Poly, _primitive_poly, mono_gcd, mono_mul
+from .poly import ONE_MONO, Poly, _primitive_poly, add_product, canonical_tail
 from .symbols import J2_CHART, P_CHART, Sym
 
 # Name of the opaque right-hand side G'(x, y, p, q) whose invariants
@@ -195,11 +198,8 @@ def _certificate(b):
     v = min((s for s, e in degree.items() if e == 1), default=None)
     if v is None:
         return None
-    c1, c0 = {}, {}
-    for mono, c in b.terms.items():
-        rest = tuple(f for f in mono if f[0] != v)
-        (c1 if len(rest) < len(mono) else c0)[rest] = c
-    c1, c0 = Poly(c1), Poly(c0)
+    c1 = b.deriv(v)
+    c0 = b - c1.mul_mono(((v, 1),))
     if not (c1.is_const or (c0.is_const and not c0.is_zero) or poly.poly_gcd(c1, c0).is_const):
         return None
     point = {}
@@ -228,9 +228,10 @@ def _reduced(num, coeff, alpha_power, base, points, exponents, power):
     b^E).  A certified element (``_certificate``) is irreducible and is
     divided out while ``_quotient`` finds it; any other element takes
     ``poly.poly_gcd(num, b)`` one copy at a time, and stops at the first
-    constant GCD.  ``power(i, k)`` is base_i^k.  The monomial content,
-    which takes alpha and any monomial element in one pass, the integer
-    content and the sign are then fixed as ``_normalize`` fixes them."""
+    constant GCD.  ``power(i, k)`` is base_i^k.  ``poly.canonical_tail``,
+    which ends ``_normalize`` too, then takes out the monomial content
+    (alpha and any monomial element in one pass) and the integer content,
+    and fixes the sign."""
     if num.is_zero:
         return Expression(num, Poly.const(1), P_CHART, _normalized=True)
     den = Poly.const(coeff)
@@ -248,30 +249,16 @@ def _reduced(num, coeff, alpha_power, base, points, exponents, power):
                 num, den, e = num.exact_div(g), den * b.exact_div(g), e - 1
         if e:
             den = den * power(i, e)
-    shared = den.mono_content()
-    if shared:
-        shared = mono_gcd(num.mono_content(), shared)
-        num, den = num.div_mono(shared), den.div_mono(shared)
-    c = gcd(num.content(), den.content())
-    if den.leading()[1] < 0:
-        c = -c
-    return Expression(num.div_int(c), den.div_int(c), P_CHART, _normalized=True)
+    return Expression(*canonical_tail(num, den), P_CHART, _normalized=True)
 
 
-def _add_product(out, terms, factors):
+def _add_chain(out, terms, factors):
     """Add ``terms`` · Π ``factors`` (``Poly`` term dicts) into the term
-    dict ``out`` in place, dropping a term that cancels; return ``out``."""
+    dict ``out`` by ``poly.add_product``, the last factor straight into
+    ``out``; return ``out``."""
     for f in factors[:-1]:
-        terms = _add_product({}, terms, [f])
-    for m2, c2 in (factors[-1] if factors else {ONE_MONO: 1}).items():
-        for m1, c1 in terms.items():
-            m = mono_mul(m1, m2)
-            c = out.get(m, 0) + c1 * c2
-            if c:
-                out[m] = c
-            else:
-                del out[m]
-    return out
+        terms = add_product({}, terms, f)
+    return add_product(out, terms, factors[-1] if factors else {ONE_MONO: 1})
 
 
 @cache
@@ -377,11 +364,11 @@ def structure_from_jets(F):
     exponents over the base and ``Poly`` power once per request, sums the
     terms that share exponents over one integer ``lcm``, and brings each
     sum to the least exponents.  The products are summed in place into one
-    term dict per invariant (``_add_product``), and ``_reduced`` reduces
-    the result over the base: a certified base element leaves the
-    denominator only where exact division proves it divides, and is ruled
-    out by one evaluation elsewhere; no GCD of the whole fraction is
-    taken."""
+    term dict per invariant by ``poly.add_product`` (``_add_chain``), and
+    ``_reduced`` reduces the result over the base: a certified base
+    element leaves the denominator only where exact division proves it
+    divides, and is ruled out by one evaluation elsewhere; no GCD of the
+    whole fraction is taken."""
     indices, qq, table = _generic_table()
     base, points, jets, (cn, cd, vqq) = factored_jets(F, indices)
     power = cache(lambda i, k: base[i] ** k)
@@ -415,12 +402,12 @@ def structure_from_jets(F):
             shift = [power(i, e - m).terms for i, (e, m) in enumerate(zip(v, least)) if e != m]
             total = {} if shift else num
             for n, d, mono, factors in group:
-                _add_product(total, {mono: n * (scale // d)}, sorted(factors, key=len))
+                _add_chain(total, {mono: n * (scale // d)}, sorted(factors, key=len))
             if shift:
-                _add_product(num, total, shift)
+                _add_chain(num, total, shift)
         raised = [power(i, m).terms for i, m in enumerate(least) if m > 0]
         if raised:
-            num = _add_product({}, num, raised)
+            num = _add_chain({}, num, raised)
         values[name] = _reduced(Poly(num), den_coeff * scale, alpha_power, base, points,
                                 [max(-m, 0) for m in least], power)
     return StructureFunctions(**values)

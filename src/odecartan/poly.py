@@ -217,21 +217,7 @@ class Poly:
         if other.is_const:
             c = other.const_value()
             return self if c == 1 else Poly({m: v * c for m, v in self.terms.items()})
-        out = {}
-        for m2, c2 in other.terms.items():
-            for m1, c1 in self.terms.items():
-                m = mono_mul(m1, m2)
-                c = c1 * c2
-                s = out.get(m)
-                if s is None:
-                    out[m] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-        return Poly(out)
+        return Poly(add_product({}, self.terms, other.terms))
 
     def mul_mono(self, mono):
         return Poly({mono_mul(m, mono): c for m, c in self.terms.items()})
@@ -260,11 +246,8 @@ class Poly:
                         nm = m[:i] + m[i + 1:]
                     else:
                         nm = m[:i] + ((s, e - 1),) + m[i + 1:]
-                    nc = c * e
-                    acc = out.get(nm)
-                    out[nm] = nc if acc is None else acc + nc
-                    if out[nm] == 0:
-                        del out[nm]
+                    # distinct monomials stay distinct, and c*e is never 0
+                    out[nm] = c * e
                     break
         return Poly(out)
 
@@ -326,6 +309,35 @@ class Poly:
             mono = "*".join(s.render() + (f"^{e}" if e > 1 else "") for s, e in m)
             bits.append(f"{c}{'*' + mono if mono else ''}")
         return "Poly(" + " + ".join(bits) + ")"
+
+
+def add_product(out, f, g):
+    """Add f·g (``Poly`` term dicts) into the term dict ``out`` in place,
+    dropping a term that cancels; return ``out``."""
+    for m2, c2 in g.items():
+        for m1, c1 in f.items():
+            m = mono_mul(m1, m2)
+            c = out.get(m, 0) + c1 * c2
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+    return out
+
+
+def canonical_tail(num, den):
+    """num/den over their shared monomial and integer content, with the
+    denominator's leading coefficient positive: the last step of a
+    canonical fraction once any polynomial GCD is out
+    (``expression._normalize``, ``invariant_table._reduced``)."""
+    shared = den.mono_content()
+    if shared:
+        shared = mono_gcd(num.mono_content(), shared)
+        num, den = num.div_mono(shared), den.div_mono(shared)
+    c = int_gcd(num.content(), den.content())
+    if den.leading()[1] < 0:
+        c = -c
+    return num.div_int(c), den.div_int(c)
 
 
 def poly_gcd(a, b):

@@ -597,6 +597,16 @@ def restrict_operator(op, basis):
 # -- the member's own family sections ------------------------------------------
 
 
+def member_family(A, B, C):
+    """``FamilyData`` of (3/2) q^2/p + A p^3 + C p^2 + B p for coefficients
+    on the jet chart, with that ODE's own ``OdeProblem``:
+    ``family_invariants`` and ``family_metric`` keep what they build on
+    the problem, so a changed coefficient needs a problem of its own."""
+    p, q = (Expression.coordinate(c, J2_CHART) for c in "pq")
+    rhs = Fraction(3, 2) * q * q / p + A * p ** 3 + C * p * p + B * p
+    return FamilyData(OdeProblem(rhs), A, B, C)
+
+
 def _request_family(request):
     """The ``FamilyData`` of a family request's own right-hand side."""
     table = SymbolTable()
@@ -656,15 +666,14 @@ def specialised_sections(request):
     it, classified by ``point_labels`` at the seeded points the program
     draws.  The program
     reads one opaque-A', B' geometry at jet-extended points instead."""
-    family = _request_family(request)
-    prob, table = family.problem, SymbolTable()
+    family, table = _request_family(request), SymbolTable()
     A, B = (
         parse_expression(request.specializations[name], J2_CHART, table)
         if name in request.specializations
         else getattr(family, name)
         for name in ("A", "B")
     )
-    metric = family_metric(FamilyData(prob, A, B, family.C))
+    metric = family_metric(member_family(A, B, family.C))
     tensors = curvature_tensors(metric)
     residual = einstein_residual(metric, tensors)
     einstein = {

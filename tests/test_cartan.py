@@ -24,7 +24,6 @@ from odecartan.cartan import (
     REDUCED_TABLE,
     STRUCTURE_NAMES,
     STRUCTURE_PATTERN,
-    FamilyData,
     KneInvariants,
     OdeProblem,
     base_coframe,
@@ -48,7 +47,7 @@ from odecartan.forms import DifferentialForm
 from odecartan.petrov import jet_expressions
 from odecartan.report import AnalysisRequest, analyze
 from tests.conftest import XY_CHART, ExpressionSampler, make_problem
-from tests.oracles import printed_display_coframe, tau_from_theta_residuals
+from tests.oracles import member_family, printed_display_coframe, tau_from_theta_residuals
 
 
 def chart_level_residuals(tau, table, sf=None):
@@ -464,7 +463,7 @@ def _members(seed, kind, count):
             if kind == "opaque" or (kind == "polynomial") == e.den.is_const:
                 return e.on_chart(J2_CHART)
 
-    return [FamilyData(None, draw(), draw(), draw()) for _ in range(count)]
+    return [member_family(draw(), draw(), draw()) for _ in range(count)]
 
 
 class TestMemberPutIn:

@@ -292,15 +292,18 @@ class TestPetrovStage:
         """The projectability evidence and both connection reports are built
         once per process, for the generic member: after the caches are
         cleared, four members run every stage, and the adapted tau forms
-        (six pullbacks), the 6x6 adapted inverse and the connection algebra
-        of each table are built once."""
+        (six pullbacks), the 6x6 adapted inverse, the connection algebra
+        of each table, and the generic k, n, e and metric are built once.
+        ``family_invariants`` reads the coefficients on the adapted chart
+        and ``family_metric`` on the metric chart, so those reads count
+        their builds, whoever asks for them."""
         calls = Counter()
 
-        def counting(owner, name, key=lambda *args: True):
+        def counting(owner, name, key=lambda *args: True, label=None):
             original = getattr(owner, name)
 
             def wrapper(*args):
-                calls[name] += bool(key(*args))
+                calls[label or name] += bool(key(*args))
                 return original(*args)
 
             monkeypatch.setattr(owner, name, wrapper)
@@ -310,7 +313,11 @@ class TestPetrovStage:
         counting(connection, "_TauAlgebra")
         counting(forms.DifferentialForm, "pullback", lambda form, mapping, target: target is M_ADAPTED_CHART)
         counting(forms, "invert_matrix", lambda rows: rows[0][0].chart is M_ADAPTED_CHART)
-        for cached in (cartan.generic_family, report_module._generic_evidence):
+        counting(cartan.FamilyData, "coefficients_on", lambda fd, c: c is M_ADAPTED_CHART, "family_invariants")
+        counting(cartan.FamilyData, "coefficients_on", lambda fd, c: c is METRIC_CHART, "family_metric")
+        for cached in (
+            cartan.generic_family, report_module._generic_evidence, report_module._generic_closed_forms,
+        ):
             cached.cache_clear()
         reports = [analyze(r) for r in FOUR_MEMBERS]
         assert [r.exit_code for r in reports] == [0] * 4
@@ -321,6 +328,8 @@ class TestPetrovStage:
             "_TauAlgebra": 2,
             "pullback": 6,
             "invert_matrix": 1,
+            "family_invariants": 1,
+            "family_metric": 1,
         }
 
     @pytest.mark.parametrize(

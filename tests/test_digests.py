@@ -2,13 +2,13 @@
 
 ``perfbench/digests.json`` holds the sha256 of every benchmark request's
 report, without its wall-clock ``timings``, and ``perfbench/check.py``
-computes it.  Here every request of the ``family`` and ``rational``
-workloads (``workloads.domain``, 153 requests: the family shapes at every
-Petrov seed, and the non-family ``inv,cond,appendix`` shapes) runs in
-process and must give its recorded digest, so a change that alters the
-bytes of any of those reports fails the suite, not only the benchmark.
-Three requests of the ``cli`` workload pin the text view too, whose
-metric and connection lines are read off the same sections.  The wrappers
+computes it.  Here every request of the ``family``, ``rational`` and
+``cli`` workloads (``workloads.domain``, 214 requests once de-duplicated:
+the family shapes at every Petrov seed, the non-family
+``inv,cond,appendix`` shapes, and the ``cli`` requests in both formats
+with its exit-2 paths) runs in process and must give its recorded digest,
+so a change that alters the bytes of any of those reports fails the
+suite, not only the benchmark.  The wrappers
 of the benchmark's ``--trace`` mode (``perfbench/spans.py``) must still
 find every target they name and leave a report unchanged.  The
 ``perfbench`` modules are loaded read-only.
@@ -44,23 +44,15 @@ spans = _load("spans")
 
 
 def _in_process_requests():
-    """Every request of the ``family`` and ``rational`` domains, once each."""
-    return list(dict.fromkeys(workloads.domain("family") + workloads.domain("rational")))
-
-
-def _text_requests():
-    """flat and two generic pairs of the ``cli`` workload, in the text format."""
-    a, b, seeds = workloads.GENERIC_A, workloads.GENERIC_B, workloads.PETROV_SEEDS
-    return [
-        workloads.flat(0, "text"),
-        workloads.generic(a[1], b[2], seeds[3], fmt="text"),
-        workloads.generic(a[3], b[0], seeds[1], fmt="text"),
-    ]
+    """Every request of every workload's domain, once each."""
+    return list(dict.fromkeys(r for w in workloads.WORKLOADS for r in workloads.domain(w)))
 
 
 def _request_id(req):
     detail = " ".join(text for _, text in req.specializations) or req.ode
-    return f"{req.kind}[{detail}] seed {req.seed}" + (" text" if req.fmt == "text" else "")
+    # a non-family F runs under two stage lists in the cli workload
+    stages = f" [{req.stages}]" if req.kind == "non-family" else ""
+    return f"{req.kind}[{detail}] seed {req.seed}" + stages + (" text" if req.fmt == "text" else "")
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +60,7 @@ def digests():
     return check.load_digests()
 
 
-@pytest.mark.parametrize("req", _in_process_requests() + _text_requests(), ids=_request_id)
+@pytest.mark.parametrize("req", _in_process_requests(), ids=_request_id)
 def test_family_report_matches_its_recorded_digest(req, digests):
     report = odecartan.analyze(req.analysis_request(odecartan))
     document = odecartan.emit_report(report, req.fmt)

@@ -22,7 +22,7 @@ from odecartan import (
     UnknownSymbolError,
     parse_expression,
 )
-from odecartan.poly import Poly
+from odecartan.poly import Poly, mono_gcd
 
 
 @pytest.fixture()
@@ -31,10 +31,12 @@ def table():
 
 
 def assert_canonical(e):
-    """Integer coefficients, coprime contents, positive leading denominator."""
+    """Nonzero integer coefficients, no shared monomial factor, coprime
+    contents, positive leading denominator."""
     num, den = e.num.terms.values(), e.den.terms.values()
-    assert all(type(c) is int for c in num)
-    assert all(type(c) is int for c in den)
+    assert all(type(c) is int and c for c in num)
+    assert all(type(c) is int and c for c in den)
+    assert mono_gcd(e.num.mono_content(), e.den.mono_content()) == ()
     assert gcd(gcd(*num), gcd(*den)) == 1
     assert e.den.leading()[1] > 0
 

@@ -1,12 +1,13 @@
 """The Expression layer against independent oracles: sympy's
-``cancel``/``diff``/``subs`` on sampled expressions, a hypothesis round
-trip through the parser and the renderer, and ``evaluate`` against a
-term-by-term ``Fraction`` sum."""
+``cancel``/``diff``/``subs`` on sampled expressions, sympy's ``expand`` on
+the one sparse product (``Poly.__mul__``, ``poly.add_product``), a
+hypothesis round trip through the parser and the renderer, and
+``evaluate`` against a term-by-term ``Fraction`` sum."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from odecartan import J2_CHART, SymbolTable, parse_expression
 from odecartan.errors import (
@@ -15,6 +16,7 @@ from odecartan.errors import (
     SingularSubstitutionError,
 )
 from odecartan.expression import _normalize
+from odecartan.poly import Poly, add_product
 from tests.conftest import ExpressionSampler
 
 
@@ -99,6 +101,40 @@ def test_substitute_matches_subs(sampler):
         _assert_reduced_like_cancel(ours.num, ours.den, sympy)
         checked += 1
     assert checked > 40
+
+
+# -- the one sparse product against sympy's expand ---------------------------
+
+_XYP = sorted((J2_CHART.sym(c) for c in "xyp"), key=lambda s: s.key)
+_POLYS = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3).map(
+        lambda exps: tuple((s, e) for s, e in zip(_XYP, exps) if e)
+    ),
+    st.integers(-4, 4).filter(bool),
+    max_size=5,
+).map(Poly)
+
+
+_X, _Y, _P = (Poly.var(J2_CHART.sym(c)) for c in "xyp")
+
+
+@given(_POLYS, _POLYS, _POLYS)
+@example(_X + _Y, _X - _Y, _X * _X)  # the cross terms cancel
+@example(_X + _Y, _X - _Y, _Y * _Y - _X * _X + _P)  # and so do terms of out
+@settings(max_examples=150, deadline=None)
+def test_the_product_matches_expand(f, g, h):
+    """``Poly.__mul__`` and ``poly.add_product`` into a non-empty term dict
+    give sympy's expanded product, store no zero coefficient, and leave
+    their operands as they were."""
+    sympy = pytest.importorskip("sympy")
+    before = (dict(f.terms), dict(g.terms))
+    product = sympy.expand(_sympy_poly(f, sympy) * _sympy_poly(g, sympy))
+    out = dict(h.terms)
+    assert add_product(out, f.terms, g.terms) is out
+    for got, expected in ((f * g, product), (Poly(out), product + _sympy_poly(h, sympy))):
+        assert all(got.terms.values())
+        assert sympy.expand(_sympy_poly(got, sympy) - expected) == 0
+    assert (f.terms, g.terms) == before
 
 
 # -- parse -> render -> parse -------------------------------------------------

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from odecartan import J2_CHART, METRIC_CHART, Expression, Sym, SymbolTable, parse_expression
 from odecartan import petrov
-from odecartan.cartan import GENERIC_COEFFICIENTS, FamilyData, family_detect
+from odecartan.cartan import GENERIC_COEFFICIENTS, family_detect
 from odecartan.curvature import Metric4, curvature_tensors, family_metric, metric_from_family
 from odecartan.errors import PetrovDegeneracyError
 from odecartan.petrov import PAIRS, classify_at_point, hodge_operators, jet_expressions, label_rule
@@ -29,6 +29,7 @@ from tests.oracles import (
     identity,
     mat_is_zero,
     mat_mul,
+    member_family,
     point_labels,
     restrict_operator,
     specialised_sections,
@@ -333,7 +334,7 @@ class TestJetExtendedPoints:
         _, _, tensors = family_metric_tensors
         table = SymbolTable()
         values = {n: parse_expression(t, J2_CHART, table) for n, t in specs.items()}
-        fd = FamilyData(family_data.problem, values["A"], values["B"], family_data.C)
+        fd = member_family(values["A"], values["B"], family_data.C)
         oracle_rule = label_rule(curvature_tensors(family_metric(fd)))
         rule = label_rule(tensors)
         jets = jet_expressions(rule.symbols(), values)

@@ -6,7 +6,10 @@ name bound by ``import`` or ``from ... import`` must appear as a ``Name``
 somewhere in the same module (an attribute chain ``a.b`` reads ``a``) or
 be listed in its ``__all__``; and a private name (``_name``) that a
 module of ``src/odecartan`` binds at its top level must be read, as a
-``Name`` or as an attribute, somewhere in ``src/`` or ``tests/``.
+``Name`` or as an attribute, somewhere in ``src/`` or ``tests/``.  And
+the monomial helpers stay inside ``poly``: no other module of the package
+imports ``mono_mul``, ``mono_gcd`` or ``mono_div``, or reads one as an
+attribute, so a change of the monomial encoding changes ``poly`` alone.
 """
 
 import ast
@@ -104,4 +107,33 @@ def test_every_private_name_of_the_package_is_read():
         dead = dead_private_names(path.read_text(encoding="utf-8"), read)
         if dead:
             found[str(path.relative_to(ROOT))] = dead
+    assert found == {}
+
+
+MONOMIAL_HELPERS = {"mono_mul", "mono_gcd", "mono_div"}
+
+
+def monomial_helpers_used(source):
+    """The monomial helpers ``source`` imports by name or reads as an
+    attribute."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return sorted(used & MONOMIAL_HELPERS)
+
+
+def test_the_scan_sees_a_monomial_helper():
+    source = "from .poly import Poly, mono_gcd\nfrom . import poly\npoly.mono_div(a, b)\n"
+    assert monomial_helpers_used(source) == ["mono_div", "mono_gcd"]
+
+
+def test_only_poly_multiplies_monomials():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        used = monomial_helpers_used(path.read_text(encoding="utf-8"))
+        if used and path.name != "poly.py":
+            found[str(path.relative_to(ROOT))] = used
     assert found == {}
