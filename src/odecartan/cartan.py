@@ -244,22 +244,21 @@ def affine_value(affine, values):
     return value
 
 
-# Slot that defines each invariant during extraction (equation, slot, solver)
-_DEFINING_SLOTS = {
-    "a": (1, (_T2, _T3), lambda v: -v),
-    "b": (1, (_T2, _T4), lambda v: -v),
-    "c": (3, (_T2, _T4), lambda v: 2 - v),
-    "e": (2, (_T1, _T4), lambda v: -v),
-    "f": (3, (_T1, _T4), lambda v: -v),
-    "g": (4, (_T1, _T2), lambda v: v),
-    "h": (4, (_T1, _T3), lambda v: v),
-    "k": (4, (_T1, _T4), lambda v: v),
-    "l": (5, (_T1, _T2), lambda v: v),
-    "m": (5, (_T1, _T3), lambda v: v),
-    "n": (5, (_T1, _T4), lambda v: v),
-    "r": (5, (_T2, _T3), lambda v: v),
-    "s": (5, (_T2, _T4), lambda v: v),
-}
+def _defining_slots():
+    """{invariant: (equation, slot, const, mult)}: the first slot in pattern
+    order whose coefficient is const + mult · that invariant, mult ±1; its
+    value defines the invariant during extraction."""
+    out = {}
+    for eq, slots in STRUCTURE_PATTERN.items():
+        for slot, (const, mults) in slots.items():
+            if len(mults) == 1:
+                ((name, mult),) = mults.items()
+                if mult in (1, -1):
+                    out.setdefault(name, (eq, slot, const, mult))
+    return out
+
+
+_DEFINING_SLOTS = _defining_slots()
 
 
 class StructureFunctions(namedtuple("StructureFunctions", STRUCTURE_NAMES)):
@@ -283,8 +282,11 @@ def structure_functions(cf):
     zero = Expression.number(0, cf.chart)
 
     values = {}
-    for name, (eq, slot, solve) in _DEFINING_SLOTS.items():
-        values[name] = solve(tables[eq].get(slot, zero))
+    for name, (eq, slot, const, mult) in _DEFINING_SLOTS.items():
+        v = tables[eq].get(slot, zero)
+        if const:
+            v = v - const
+        values[name] = v if mult == 1 else -v
 
     mismatches = []
     for eq in range(6):
@@ -398,7 +400,10 @@ class FamilyData(namedtuple("FamilyData", "problem A B C")):
 
 
 def _depends_on(e, *coords):
-    return any(not e.differentiate(c).is_zero for c in coords)
+    """Whether e reads a coordinate in ``coords`` or a jet of a function of
+    one: on a reduced fraction the total derivative along a coordinate
+    vanishes exactly when no such symbol occurs."""
+    return any(c in (s.args or (s.name,)) for s in e.symbols() for c in coords)
 
 
 def family_detect(prob):
@@ -717,16 +722,14 @@ def _appendix_residual_table():
     return residual_table(APPENDIX_TABLE)
 
 
-def differential_residuals(prob, residuals, sf=None):
+def differential_residuals(prob, residuals):
     """d(tau_i) minus the tabulated right-hand side, for each tau form:
     ``residuals`` (from ``residual_table``) evaluated on the invariants
-    ``sf``, by default ``prob.structure()``.  A nonzero coefficient becomes
-    a chart form Σ c · tau_l ∧ tau_r through ``prob.tau()``; a residual
-    with none is the zero 2-form on the 6-chart.
+    ``prob.structure()``.  A nonzero coefficient becomes a chart form
+    Σ c · tau_l ∧ tau_r through ``prob.tau()``; a residual with none is the
+    zero 2-form on the 6-chart.
     """
-    if sf is None:
-        sf = prob.structure()
-    values = sf._asdict()
+    values = prob.structure()._asdict()
     out = []
     for i in range(6):
         coeffs = _nonzero({(l, r): affine_value(aff, values) for aff, l, r in residuals[i]})
@@ -738,8 +741,8 @@ def differential_residuals(prob, residuals, sf=None):
     return out
 
 
-def verify_appendix(prob, sf=None):
+def verify_appendix(prob):
     """Residuals of the six closed-form differentials for arbitrary F,
-    read from ``tau_differential_table``; ``sf`` as in
-    ``differential_residuals``."""
-    return differential_residuals(prob, _appendix_residual_table(), sf)
+    read from ``tau_differential_table`` and evaluated on
+    ``prob.structure()``."""
+    return differential_residuals(prob, _appendix_residual_table())

@@ -16,7 +16,7 @@ from .errors import (
     SingularEvaluationError,
     SingularSubstitutionError,
 )
-from .poly import Poly, add_product, canonical_tail, poly_gcd
+from .poly import Poly, _needs_parens_as_denominator, add_product, canonical_tail, poly_gcd
 
 
 class Expression:
@@ -79,9 +79,8 @@ class Expression:
                 other = self.with_value(other)
             else:
                 return NotImplemented
-        if self.num == other.num and self.den == other.den:
-            return True
-        return (self.num * other.den - other.num * self.den).is_zero
+        # canonical form is unique
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         # a rational constant equals the int or Fraction of its value
@@ -295,10 +294,10 @@ class Expression:
         """Canonical text in the input grammar (re-parseable)."""
         if self.num.is_zero:
             return "0"
-        num = _render_poly(self.num)
-        if self.den.is_const and self.den.const_value() == 1:
+        num = self.num.render()
+        if self.den == _ONE:
             return num
-        den = _render_poly(self.den)
+        den = self.den.render()
         if len(self.num) > 1:
             num = f"({num})"
         if _needs_parens_as_denominator(self.den):
@@ -402,63 +401,3 @@ def _eval_poly(poly, point, powers):
         dens.append(d)
     den = lcm(*dens)
     return sum([n * (den // d) for n, d in zip(nums, dens)]), den
-
-
-# CPython refuses to convert between int and str beyond
-# sys.get_int_max_str_digits() digits (4300 by default, never set below
-# 640); pieces this short always convert.
-_PIECE_DIGITS = 600
-_PIECE_BOUND = 10 ** _PIECE_DIGITS
-
-
-def int_from_digits(text):
-    """``int(text)`` for a string of decimal digits of any length."""
-    if len(text) <= _PIECE_DIGITS:
-        return int(text)
-    half = len(text) // 2
-    return int_from_digits(text[:-half]) * 10 ** half + int_from_digits(text[-half:])
-
-
-def int_to_digits(n):
-    """``str(n)`` for a nonnegative int of any size."""
-    if n < _PIECE_BOUND:
-        return str(n)
-    # half is at most half of n's digit count, so the high part is nonzero
-    half = int(n.bit_length() * 0.30103) // 2
-    high, low = divmod(n, 10 ** half)
-    return int_to_digits(high) + int_to_digits(low).zfill(half)
-
-
-def _render_mono(mono):
-    return "*".join(s.render() + (f"^{e}" if e > 1 else "") for s, e in mono)
-
-
-def _render_poly(poly):
-    if poly.is_zero:
-        return "0"
-    parts = []
-    for mono, coeff in poly.sorted_terms():
-        mono_txt = _render_mono(mono)
-        mag = abs(coeff)
-        if not mono_txt:
-            body = int_to_digits(mag)
-        elif mag == 1:
-            body = mono_txt
-        else:
-            body = f"{int_to_digits(mag)}*{mono_txt}"
-        if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(f" + {body}" if coeff > 0 else f" - {body}")
-    return "".join(parts)
-
-
-def _needs_parens_as_denominator(poly):
-    if len(poly) > 1:
-        return True
-    ((mono, coeff),) = poly.terms.items()
-    if not mono:
-        return False  # bare integer
-    if coeff != 1:
-        return True
-    return len(mono) > 1 or mono[0][1] > 1

@@ -13,7 +13,8 @@ Parentheses and unary signs nest at most ``MAX_NESTING`` deep.
 """
 
 from .errors import ExpressionSyntaxError, UnknownSymbolError
-from .expression import Expression, int_from_digits
+from .expression import Expression
+from .poly import int_from_digits
 
 _OPERATORS = frozenset("+-*/^(),")
 MAX_NESTING = 100

@@ -1,9 +1,13 @@
 """Sparse multivariate polynomials over the integers.
 
 Monomials are tuples of ``(Sym, exponent)`` pairs sorted by the global
-symbol order; the term order everywhere is graded lexicographic.  The
-expanded form is canonical, so the zero test is decisive.  Coefficients
-are ``int``: rational functions keep their denominators in ``Expression``.
+symbol order; the term order of ``Poly`` is graded lexicographic, and
+``mono_cmp`` is its one implementation.  The expanded form is canonical,
+so the zero test is decisive.  Coefficients are ``int``: rational
+functions keep their denominators in ``Expression``.  ``Poly.render`` is
+the one writer of the input grammar (``Expression.render`` builds a
+fraction's text from it); ``int_to_digits`` and ``int_from_digits``
+convert integers of any size for it and for the parser.
 
 ``poly_gcd`` is exact for every input, with no size limit, so reduced
 fractions are canonical.  It works on sparse integer maps: the heuristic
@@ -301,14 +305,29 @@ class Poly:
         q = _exact_div(f, g)
         return None if q is None else _from_int(q, syms, cf // cg)
 
-    def __repr__(self):
+    def render(self):
+        """Canonical text in the input grammar (re-parseable), terms in
+        decreasing graded-lex order."""
         if not self.terms:
-            return "Poly(0)"
-        bits = []
-        for m, c in self.sorted_terms():
-            mono = "*".join(s.render() + (f"^{e}" if e > 1 else "") for s, e in m)
-            bits.append(f"{c}{'*' + mono if mono else ''}")
-        return "Poly(" + " + ".join(bits) + ")"
+            return "0"
+        parts = []
+        for mono, coeff in self.sorted_terms():
+            mono_txt = _render_mono(mono)
+            mag = abs(coeff)
+            if not mono_txt:
+                body = int_to_digits(mag)
+            elif mag == 1:
+                body = mono_txt
+            else:
+                body = f"{int_to_digits(mag)}*{mono_txt}"
+            if not parts:
+                parts.append(body if coeff > 0 else f"-{body}")
+            else:
+                parts.append(f" + {body}" if coeff > 0 else f" - {body}")
+        return "".join(parts)
+
+    def __repr__(self):
+        return f"Poly({self.render()})"
 
 
 def add_product(out, f, g):
@@ -371,7 +390,7 @@ def poly_gcd(a, b):
         h = _heu_gcd(f, g)[0]
     except _HeuristicFailed:
         h = _gcd_recursive(f, g)
-    h = _from_int(h, syms, -1 if h[max(h, key=_grlex)] < 0 else 1)
+    h = _primitive_poly(_from_int(h, syms, 1))
     return h.mul_mono(mono) if mono else h
 
 
@@ -380,12 +399,52 @@ def _primitive_poly(p):
     return -p if p.leading()[1] < 0 else p
 
 
+# CPython refuses to convert between int and str beyond
+# sys.get_int_max_str_digits() digits (4300 by default, never set below
+# 640); pieces this short always convert.
+_PIECE_DIGITS = 600
+_PIECE_BOUND = 10 ** _PIECE_DIGITS
+
+
+def int_from_digits(text):
+    """``int(text)`` for a string of decimal digits of any length."""
+    if len(text) <= _PIECE_DIGITS:
+        return int(text)
+    half = len(text) // 2
+    return int_from_digits(text[:-half]) * 10 ** half + int_from_digits(text[-half:])
+
+
+def int_to_digits(n):
+    """``str(n)`` for a nonnegative int of any size."""
+    if n < _PIECE_BOUND:
+        return str(n)
+    # half is at most half of n's digit count, so the high part is nonzero
+    half = int(n.bit_length() * 0.30103) // 2
+    high, low = divmod(n, 10 ** half)
+    return int_to_digits(high) + int_to_digits(low).zfill(half)
+
+
+def _render_mono(mono):
+    return "*".join(s.render() + (f"^{e}" if e > 1 else "") for s, e in mono)
+
+
+def _needs_parens_as_denominator(poly):
+    if len(poly) > 1:
+        return True
+    ((mono, coeff),) = poly.terms.items()
+    if not mono:
+        return False  # bare integer
+    if coeff != 1:
+        return True
+    return len(mono) > 1 or mono[0][1] > 1
+
+
 # -- integer maps ---------------------------------------------------------
 #
 # In the GCD and in exact division a polynomial is a sparse map
 # {exponent tuple: nonzero int}.
-# Position i of every tuple is the exponent of the i-th symbol in key order,
-# so tuple comparison is the lex step of the graded-lex term order.
+# Position i of every tuple is the exponent of the i-th symbol in key order;
+# exact division takes leading terms in the lex order of these tuples.
 
 
 def _to_int(p, syms):
@@ -409,10 +468,6 @@ def _from_int(h, syms, scale):
         tuple([(syms[i], k) for i, k in enumerate(m) if k]): scale * c
         for m, c in h.items()
     })
-
-
-def _grlex(m):
-    return sum(m), m
 
 
 def _degrees(f):

@@ -377,6 +377,16 @@ class TestFamilyDetect:
                 family_detect(make_problem(text))
             assert err.value.reason == FamilyRejectionError.COEFFICIENT_DEPENDS_ON_PQ
 
+    def test_coefficient_that_reads_only_a_jet_of_p_rejected(self):
+        """The cubic coefficient of 3/2 q^2/p + U(x,p) is U_ppp/6: no
+        coordinate, but a jet of a function of p, so it depends on p."""
+        table = SymbolTable()
+        table.declare("U", ("x", "p"))
+        prob = OdeProblem(parse_expression("3/2*q^2/p + U(x,p)", J2_CHART, table))
+        with pytest.raises(FamilyRejectionError) as err:
+            family_detect(prob)
+        assert err.value.detail == "the cubic coefficient depends on p or q"
+
 
 class TestFamilyInvariants:
     def test_zero_quadratic_coefficient_kills_k(self):

@@ -1,6 +1,7 @@
 """The Expression layer against independent oracles: sympy's
 ``cancel``/``diff``/``subs`` on sampled expressions, sympy's ``expand`` on
-the one sparse product (``Poly.__mul__``, ``poly.add_product``), a
+the one sparse product (``Poly.__mul__``, ``poly.add_product``), sympy's
+``grlex`` on the one term order (``Poly.sorted_terms``, ``Poly.leading``), a
 hypothesis round trip through the parser and the renderer, and
 ``evaluate`` against a term-by-term ``Fraction`` sum."""
 
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from odecartan import J2_CHART, SymbolTable, parse_expression
+from odecartan import J2_CHART, P_CHART, SymbolTable, parse_expression
 from odecartan.errors import (
     ExpressionSyntaxError,
     SingularEvaluationError,
@@ -17,6 +18,7 @@ from odecartan.errors import (
 )
 from odecartan.expression import _normalize
 from odecartan.poly import Poly, add_product
+from odecartan.symbols import Sym
 from tests.conftest import ExpressionSampler
 
 
@@ -135,6 +137,48 @@ def test_the_product_matches_expand(f, g, h):
         assert all(got.terms.values())
         assert sympy.expand(_sympy_poly(got, sympy) - expected) == 0
     assert (f.terms, g.terms) == before
+
+
+# -- the one term order against sympy's grlex ----------------------------------
+
+_GENS = sorted(
+    [P_CHART.sym(c) for c in P_CHART.coords]
+    + [Sym("A", "xy"), Sym("A", "xy", "x"), Sym("A", "xy", "xy"), Sym("B", "y", "y")],
+    key=lambda s: s.key,
+)
+_MIXED_POLYS = st.dictionaries(
+    st.dictionaries(st.sampled_from(_GENS), st.integers(1, 3), max_size=3).map(
+        lambda mono: tuple(sorted(mono.items(), key=lambda t: t[0].key))
+    ),
+    st.integers(-4, 4).filter(bool),
+    min_size=1,
+    max_size=6,
+).map(Poly)
+_ALPHA, _GAMMA, _A, _B_Y = (Poly.var(s) for s in (P_CHART.sym("alpha"), P_CHART.sym("gamma"),
+                                                   Sym("A", "xy"), Sym("B", "y", "y")))
+
+
+@given(_MIXED_POLYS)
+@example(_ALPHA * _GAMMA - _A * _P + _B_Y * _B_Y)  # one degree, three lex steps
+@settings(max_examples=150, deadline=None)
+def test_the_term_order_is_grlex(f):
+    """``Poly.sorted_terms`` lists the terms as sympy's ``grlex`` does with
+    the generators in ``Sym.key`` order, and ``Poly.leading`` is the first."""
+    sympy = pytest.importorskip("sympy")
+    index = {s.key: i for i, s in enumerate(_GENS)}
+
+    def exponents(mono):
+        out = [0] * len(_GENS)
+        for s, k in mono:
+            out[index[s.key]] = k
+        return tuple(out)
+
+    gens = [sympy.Symbol(s.render()) for s in _GENS]
+    expected = sympy.Poly(_sympy_poly(f, sympy), *gens).terms(order="grlex")
+    got = [(exponents(m), c) for m, c in f.sorted_terms()]
+    assert got == expected
+    lead, c = f.leading()
+    assert (exponents(lead), c) == expected[0]
 
 
 # -- parse -> render -> parse -------------------------------------------------

@@ -9,7 +9,12 @@ module of ``src/odecartan`` binds at its top level must be read, as a
 ``Name`` or as an attribute, somewhere in ``src/`` or ``tests/``.  And
 the monomial helpers stay inside ``poly``: no other module of the package
 imports ``mono_mul``, ``mono_gcd`` or ``mono_div``, or reads one as an
-attribute, so a change of the monomial encoding changes ``poly`` alone.
+attribute.  A change of the monomial encoding still reaches past ``poly``:
+``expression._subst_poly``, ``expression._eval_poly`` and
+``invariant_table`` (``write_generic_table``, ``_generic_table``,
+``_residue``, ``_certificate``, ``ONE_MONO``) read the ``(Sym, exponent)``
+pairs of a monomial themselves.  Rendering does not: ``Poly.render`` is
+the one writer of the grammar.
 """
 
 import ast
