@@ -49,11 +49,12 @@ class OdeProblem:
     def __init__(self, rhs):
         if rhs.chart is not J2_CHART:
             rhs = rhs.on_chart(J2_CHART)
-        fqq = rhs.differentiate("q").differentiate("q")
+        fq = rhs.differentiate("q")
+        fqq = fq.differentiate("q")
         if fqq.is_zero:
             raise DegenerateOdeError("F_qq is identically zero")
         self.F = rhs
-        self.Fqq = fqq
+        self.Fq, self.Fqq = fq, fqq
         self._cache = {}
 
     def _memo(self, key, builder):
@@ -78,8 +79,7 @@ class OdeProblem:
 
 def invariant_K(prob):
     """The scalar K built from the first and second partials of F."""
-    F = prob.F
-    Fq = F.differentiate("q")
+    F, Fq = prob.F, prob.Fq
     p, q = (Expression.coordinate(c, F.chart) for c in "pq")
     return (
         SIXTH
@@ -87,7 +87,7 @@ def invariant_K(prob):
             Fq.differentiate("x")
             + p * Fq.differentiate("y")
             + q * Fq.differentiate("p")
-            + F * F.differentiate("q").differentiate("q")
+            + F * prob.Fqq
         )
         - Fraction(1, 9) * Fq * Fq
         - HALF * F.differentiate("p")
@@ -433,7 +433,7 @@ def family_detect(prob):
             FamilyRejectionError.SIGMA_TERM_PRESENT,
             f"sigma = {shift.render()} has not been normalized away",
         )
-    linear = F.differentiate("q") - S * q
+    linear = prob.Fq - S * q
     if not linear.is_zero:
         raise FamilyRejectionError(
             FamilyRejectionError.WRONG_Q_DEPENDENCE,

@@ -15,6 +15,7 @@ wall-clock timings section.
 """
 
 import json
+import math
 import random
 import time
 from collections import namedtuple
@@ -210,8 +211,8 @@ def _run_cond(st):
 
 _GenericEvidence = namedtuple(
     "_GenericEvidence",
-    "projectability tensors label_rule einstein_residual metric_connection cartan_connection"
-    " connection_section",
+    "tensors label_rule metric_connection cartan_connection"
+    " metric_section einstein_section connection_section",
 )
 
 # the metric connection's verdicts, one per residual group of its report
@@ -223,17 +224,34 @@ _METRIC_CONNECTION_KEYS = (
 @cache
 def _generic_evidence():
     """The family stages' evidence, from one metric of ``generic_family``
-    (opaque A', B', C'): its projectability report, curvature tensors
-    (g^-1 and det G among them), the Petrov ``label_rule`` of those
-    tensors and their Einstein residual, both connection reports and the
-    ``conn`` section read from them.  Each is a polynomial identity in the
+    (opaque A', B', C'): its curvature tensors (g^-1 and det G among
+    them), the Petrov ``label_rule`` of those tensors, both connection
+    reports, and the rendered sections of ``metric`` (det G and the
+    projectability evidence), ``einstein`` (the Einstein residual and the
+    scalar curvature) and ``conn``.  Each is a polynomial identity in the
     jets of A', B' and C', so it is every member's.  Built on first use
-    and shared for the life of the process: callers must not mutate it."""
+    and shared for the life of the process: callers must not mutate it,
+    and a report takes its sections through ``_copied``."""
     family = generic_family()
     metric, projectability = metric_from_family(family)
     tensors = curvature_tensors(metric)
+    residual = einstein_residual(metric, tensors)
     mrep, crep = metric_connection_report(family), cartan_connection_report(family)
-    section = (
+    metric_section = {
+        "determinant": tensors.det.render(),
+        "projectability": {
+            "projects": projectability.projects,
+            "vertical_residuals": [e.render() for e in projectability.vertical_residuals],
+            "invariance_residuals": [e.render() for e in projectability.invariance_residuals],
+            "match_residuals": [e.render() for e in projectability.match_residuals],
+        },
+    }
+    einstein_section = {
+        "verdict": all(r.is_zero for row in residual for r in row),
+        "residual_components": [residual[i][j].render() for i in range(4) for j in range(i, 4)],
+        "scalar_curvature": tensors.scalar.render(),
+    }
+    connection_section = (
         {
             **{k: all(r.is_zero for r in g) for k, g in zip(_METRIC_CONNECTION_KEYS, mrep)},
             "torsion_residuals": [f.render() for f in mrep.torsion_residuals],
@@ -250,9 +268,18 @@ def _generic_evidence():
         },
     )
     return _GenericEvidence(
-        projectability, tensors, label_rule(tensors), einstein_residual(metric, tensors),
-        mrep, crep, section,
+        tensors, label_rule(tensors), mrep, crep, metric_section, einstein_section,
+        connection_section,
     )
+
+
+def _copied(section):
+    """A section of ``_generic_evidence`` with its lists and dicts copied,
+    so a report shares none with the generic record."""
+    return {
+        k: _copied(v) if isinstance(v, dict) else list(v) if isinstance(v, list) else v
+        for k, v in section.items()
+    }
 
 
 def _member_metric(st):
@@ -265,20 +292,13 @@ def _member_metric(st):
 def _run_metric(st):
     """The request's own metric components next to the generic record's
     det G and projectability evidence, which are every member's."""
-    evidence = _generic_evidence()
-    proj = evidence.projectability
+    section = _copied(_generic_evidence().metric_section)
     st.report["metric"] = {
         "run": True,
         "components": [[e.render() for e in row] for row in _member_metric(st)],
-        "determinant": evidence.tensors.det.render(),
-        "projectability": {
-            "projects": proj.projects,
-            "vertical_residuals": [e.render() for e in proj.vertical_residuals],
-            "invariance_residuals": [e.render() for e in proj.invariance_residuals],
-            "match_residuals": [e.render() for e in proj.match_residuals],
-        },
+        **section,
     }
-    return proj.projects
+    return section["projectability"]["projects"]
 
 
 def _run_einstein(st):
@@ -286,17 +306,9 @@ def _run_einstein(st):
     polynomials in the jets of A' and B', so putting in this request's A
     and B gives its own, and the verdict is exact for every member."""
     evidence = _generic_evidence()
-    tensors, residual = evidence.tensors, evidence.einstein_residual
-    holds = all(r.is_zero for row in residual for r in row)
-    st.report["einstein_residual_zero"] = {
-        "run": True,
-        "verdict": holds,
-        "residual_components": [
-            residual[i][j].render() for i in range(4) for j in range(i, 4)
-        ],
-        "scalar_curvature": tensors.scalar.render(),
-    }
-    return holds and tensors.scalar == -4
+    section = _copied(evidence.einstein_section)
+    st.report["einstein_residual_zero"] = {"run": True, **section}
+    return section["verdict"] and evidence.tensors.scalar == -4
 
 
 def _point_to_json(point):
@@ -419,11 +431,9 @@ def _run_conn(st):
     metric, cartan = _generic_evidence().connection_section
     flat = st.kne.all_zero()
     cartan = {**cartan, "invariants_zero": flat, "curvature_zero": flat}
-    # lists are copied, so the report shares none with the generic record
-    st.report["connection"] = {"run": True, **{
-        name: {k: list(v) if isinstance(v, list) else v for k, v in section.items()}
-        for name, section in (("metric_connection", metric), ("cartan_connection", cartan))
-    }}
+    st.report["connection"] = {
+        "run": True, "metric_connection": _copied(metric), "cartan_connection": _copied(cartan),
+    }
     return all(metric[k] for k in _METRIC_CONNECTION_KEYS) and all(
         cartan[k] for k in ("algebra_valued", "curvature_matches"))
 
@@ -626,10 +636,53 @@ def analyze(request):
     return AnalysisReport(report, verdicts, stage_errors)
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, indent=""):
+    """``json.dumps(value, indent=2)``, byte for byte, for a value nested at
+    ``indent``.  ``json`` takes its pure-Python encoder whenever ``indent``
+    is set; this writes what a report holds (dicts with ``str`` keys,
+    lists, strings, ints, finite floats, booleans and None) directly, with
+    the C escaper ``json`` uses for ``ensure_ascii``.  Anything else goes
+    to ``json.dumps``, which writes it or raises, re-indented: JSON puts no
+    raw newline inside a string."""
+    kind = type(value)
+    if kind is str:
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    inner = indent + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        parts = [_json_text(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        try:  # a key that is not a str, or a value json refuses: json.dumps decides
+            parts = [_escape(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        except TypeError:
+            pass
+        else:
+            return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "}"
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
 def emit_report(report, fmt="json"):
-    """Serialize a report; JSON is the stable machine interface."""
+    """Serialize a report; JSON is the stable machine interface, written as
+    ``json.dumps(report.data, indent=2)`` would write it."""
     if fmt == "json":
-        return json.dumps(report.data, indent=2, sort_keys=False) + "\n"
+        return _json_text(report.data) + "\n"
     if fmt == "text":
         return _text_view(report)
     raise AnalysisInputError("bad-format", f"unknown format {fmt!r}")

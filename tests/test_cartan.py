@@ -136,6 +136,12 @@ class TestOdeProblem:
         prob = make_problem("q^2")
         assert prob.Fqq.render() == "2"
 
+    def test_keeps_its_first_and_second_q_derivatives(self):
+        prob = make_problem("3/2*q^2/p + x*q*p^3 + y/(p+1)")
+        assert prob.Fq == prob.F.differentiate("q")
+        assert prob.Fqq == prob.F.differentiate("q").differentiate("q")
+        assert prob.Fq.render() == "(p^4*x + 3*q)/p"
+
 
 class TestBaseCoframe:
     def test_zero_rhs(self):
@@ -173,8 +179,8 @@ class TestBaseCoframe:
 class TestInvariantScalar:
     def test_zero_rhs(self):
         table = SymbolTable()
-        prob = OdeProblem.__new__(OdeProblem)
-        prob.F = parse_expression("0", J2_CHART, table)
+        prob = OdeProblem.__new__(OdeProblem)  # bypass the F_qq check; F, F_q, F_qq are all 0
+        prob.F = prob.Fq = prob.Fqq = parse_expression("0", J2_CHART, table)
         assert invariant_K(prob).is_zero
 
     def test_flat_model(self, flat_problem):

@@ -7,14 +7,18 @@ computes it.  Here every request of the ``family``, ``rational`` and
 the family shapes at every Petrov seed, the non-family
 ``inv,cond,appendix`` shapes, and the ``cli`` requests in both formats
 with its exit-2 paths) runs in process and must give its recorded digest,
-so a change that alters the bytes of any of those reports fails the
-suite, not only the benchmark.  The wrappers
+so a change that alters the content or key order of any of those
+reports fails the suite, not only the benchmark.  A digest is taken of
+the parsed document dumped again (``check.digest``), so it does not see
+separators, indentation or escaping; the bytes of every JSON document
+are checked here against ``json.dumps(data, indent=2)``.  The wrappers
 of the benchmark's ``--trace`` mode (``perfbench/spans.py``) must still
 find every target they name and leave a report unchanged.  The
 ``perfbench`` modules are loaded read-only.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -65,6 +69,14 @@ def test_family_report_matches_its_recorded_digest(req, digests):
     report = odecartan.analyze(req.analysis_request(odecartan))
     document = odecartan.emit_report(report, req.fmt)
     assert check.problems(req, report.exit_code, document, digests) == []
+
+
+@pytest.mark.parametrize(
+    "req", [r for r in _in_process_requests() if r.fmt == "json"], ids=_request_id
+)
+def test_json_document_is_json_dumps_with_indent_2(req):
+    report = odecartan.analyze(req.analysis_request(odecartan))
+    assert odecartan.emit_report(report, "json") == json.dumps(report.data, indent=2) + "\n"
 
 
 def test_traced_report_equals_the_untraced_one():
