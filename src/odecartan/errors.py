@@ -60,3 +60,7 @@ class FamilyRejectionError(OdeCartanError):
 
 class PetrovDegeneracyError(OdeCartanError):
     """Classification failed at the sample point (pole or singular metric)."""
+
+
+class ExponentOverflowError(OdeCartanError):
+    """An exponent of a symbol exceeds what a monomial can hold."""

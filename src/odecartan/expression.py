@@ -9,7 +9,9 @@ zero.  Expressions are immutable and safe to share between threads.
 """
 
 from fractions import Fraction
+from functools import reduce
 from math import lcm
+from operator import or_
 
 from .errors import (
     ChartError,
@@ -17,6 +19,7 @@ from .errors import (
     SingularSubstitutionError,
 )
 from .poly import Poly, _needs_parens_as_denominator, add_product, canonical_tail, poly_gcd
+from .poly import factors, mask
 
 
 class Expression:
@@ -104,7 +107,12 @@ class Expression:
             return self.with_value(other)
         return None
 
+    # a zero int or Fraction is answered before coercion, which would build
+    # an Expression to throw away
+
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)) and not other:
+            return self
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -127,6 +135,8 @@ class Expression:
         return self._wrap(-self.num, self.den, normalized=True)
 
     def __sub__(self, other):
+        if isinstance(other, (int, Fraction)) and not other:
+            return self
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -138,6 +148,8 @@ class Expression:
         return (-self).__add__(other)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)) and not other:
+            return self if self.is_zero else self.with_value(0)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -324,7 +336,7 @@ def _normalize(num, den):
 
 
 _ONE = Poly.const(1)
-_UNSEEN = object()
+_MASK = object()  # the key of a ``powers`` dict's masks of the symbols seen and put in
 
 
 def _subst_poly(poly, images, powers):
@@ -332,23 +344,25 @@ def _subst_poly(poly, images, powers):
     (``Expression.substitute`` and ``Expression.put_in``), as polynomials
     N, D with N/D its value; None when it reads no such symbol.
 
-    Terms are grouped by their substituted part, whose power product P/Q
-    is built once per ``powers``.  D is the lcm of the groups' Q, and each
-    group's terms are multiplied by its P·(D/Q) into one sum in place
-    (``poly.add_product``): with polynomial images D is 1, and no GCD is
-    taken."""
+    ``powers`` keeps each symbol's image (None when it is kept) and the
+    ``poly.mask`` of the symbols seen and of those put in, so that a
+    monomial's put-in part is ``m & mask``.  Terms are grouped by that
+    part, whose power product P/Q is built once per ``powers``.  D is the
+    lcm of the groups' Q, and each group's terms are multiplied by its
+    P·(D/Q) into one sum in place (``poly.add_product``): with polynomial
+    images D is 1, and no GCD is taken."""
+    seen, put = powers.get(_MASK, (0, 0))
+    used = reduce(or_, poly.terms, 0)
+    if used | seen != seen:
+        syms = poly.symbols()
+        put |= mask(s for s in syms if powers.setdefault(s, images.get(s.render())) is not None)
+        powers[_MASK] = seen | mask(syms), put
+    if not used & put:
+        return None
     groups = {}
     for mono, coeff in poly.terms.items():
-        key, rest = [], []
-        for t in mono:
-            s = t[0]
-            image = powers.get(s, _UNSEEN)
-            if image is _UNSEEN:
-                image = powers[s] = images.get(s.render())
-            (rest if image is None else key).append(t)
-        groups.setdefault(tuple(key), {})[tuple(rest)] = coeff
-    if all(not key for key in groups):
-        return None
+        key = mono & put
+        groups.setdefault(key, {})[mono ^ key] = coeff
     parts = [(rest, *_group_power(key, powers)) for key, rest in groups.items()]
     den = parts[0][2]
     for _, _, d in parts[1:]:
@@ -363,12 +377,12 @@ def _subst_poly(poly, images, powers):
 
 
 def _group_power(key, powers):
-    """(P, Q): the product of the images' powers in ``key`` is P/Q; kept
-    in ``powers``."""
+    """(P, Q): the product of the images' powers in the monomial ``key``
+    is P/Q; kept in ``powers``."""
     out = powers.get(key)
     if out is None:
         num = den = _ONE
-        for s, e in key:
+        for s, e, _ in factors(key):
             image = powers[s]
             num = num * image.num ** e
             den = den * image.den ** e
@@ -384,17 +398,16 @@ def _eval_poly(poly, point, powers):
     nums, dens = [], []
     for mono, coeff in poly.terms.items():
         n, d = coeff, 1
-        for t in mono:
-            f = powers.get(t)
+        for s, e, part in factors(mono):
+            f = powers.get(part)
             if f is None:
-                s, e = t
                 name = s.render()
                 if name not in point:
                     raise SingularEvaluationError(f"symbol {name!r} has no assigned value")
                 value = point[name]
                 if not isinstance(value, (int, Fraction)):
                     value = Fraction(value)
-                f = powers[t] = (value.numerator ** e, value.denominator ** e)
+                f = powers[part] = (value.numerator ** e, value.denominator ** e)
             n *= f[0]
             d *= f[1]
         nums.append(n)

@@ -21,7 +21,10 @@ trusted only in that exact direction: a zero falls through to exact
 division, so no result depends on the point.  Any other element takes
 ``poly.poly_gcd`` with N one copy at a time.  The walk multiplies term
 dicts only through ``poly.add_product``, and ``_reduced`` ends with
-``poly.canonical_tail``, the tail of ``expression._normalize``.
+``poly.canonical_tail``, the tail of ``expression._normalize``.  The
+table decodes straight to ``poly`` monomials (``poly.monomial``), and the
+residues read them through ``poly.factors``; no function here knows the
+monomial layout.
 
 This module and the table load on first use; ``import odecartan`` loads
 neither.  They are loaded by ``OdeProblem.structure()``, which the
@@ -45,7 +48,7 @@ from . import poly
 from .cartan import OdeProblem, StructureFunctions, structure_functions
 from .errors import DegenerateOdeError, StructureConsistencyError
 from .expression import Expression
-from .poly import ONE_MONO, Poly, _primitive_poly, add_product, canonical_tail
+from .poly import Poly, _primitive_poly, add_product, canonical_tail, factors, monomial
 from .symbols import J2_CHART, P_CHART, Sym
 
 # Name of the opaque right-hand side G'(x, y, p, q) whose invariants
@@ -85,7 +88,8 @@ def write_generic_table(path=_TABLE_PATH):
     allowed = {P_CHART.sym("alpha"), g.derived("q").derived("q")}
 
     def terms(p):
-        return [[c, *(n for s, e in m for n in (position[s], e))] for m, c in p.sorted_terms()]
+        return [[c, *(n for s, e, _ in factors(m) for n in (position[s], e))]
+                for m, c in p.sorted_terms()]
 
     entries = []
     for name, v in sf._asdict().items():
@@ -169,17 +173,20 @@ def _value(sym):
 
 def _residue(p, point):
     """p modulo ``_PRIME`` at ``point``, a dict from ``Sym`` to value; a
-    symbol it lacks takes ``_value``.  ``point`` also keeps the powers
-    read, keyed by ``(Sym, exponent)``."""
+    symbol it lacks takes ``_value``.  ``point`` also keeps the value of
+    each monomial and symbol power read, keyed by the monomial."""
     total = 0
     for mono, c in p.terms.items():
-        for factor in mono:
-            x = point.get(factor)
-            if x is None:
-                s, e = factor
-                x = point[factor] = pow(point[s] if s in point else _value(s), e, _PRIME)
-            c = c * x % _PRIME
-        total += c
+        x = point.get(mono)
+        if x is None:
+            x = 1
+            for s, e, part in factors(mono):
+                y = point.get(part)
+                if y is None:
+                    y = point[part] = pow(point[s] if s in point else _value(s), e, _PRIME)
+                x = x * y % _PRIME
+            point[mono] = x
+        total += c * x % _PRIME
     return total % _PRIME
 
 
@@ -191,15 +198,11 @@ def _certificate(b):
     any other b, or when c1 vanishes at the point.  A b of degree 1 in v
     whose coefficients share a factor is reducible, as (p+x+y)(p+x+y-2q)
     is in q, and gets None."""
-    degree = {}
-    for mono in b.terms:
-        for s, e in mono:
-            degree[s] = max(e, degree.get(s, 0))
-    v = min((s for s, e in degree.items() if e == 1), default=None)
+    v = min((s for s in b.symbols() if s not in b.deriv(s).symbols()), default=None)
     if v is None:
         return None
     c1 = b.deriv(v)
-    c0 = b - c1.mul_mono(((v, 1),))
+    c0 = b - c1.mul_mono(monomial(((v, 1),)))
     if not (c1.is_const or (c0.is_const and not c0.is_zero) or poly.poly_gcd(c1, c0).is_const):
         return None
     point = {}
@@ -234,9 +237,7 @@ def _reduced(num, coeff, alpha_power, base, points, exponents, power):
     and fixes the sign."""
     if num.is_zero:
         return Expression(num, Poly.const(1), P_CHART, _normalized=True)
-    den = Poly.const(coeff)
-    if alpha_power:
-        den = den.mul_mono(((P_CHART.sym("alpha"), alpha_power),))
+    den = Poly({monomial(((P_CHART.sym("alpha"), alpha_power),)): coeff})
     for i, e in enumerate(exponents):
         b, point = base[i], points[i]
         if len(b) == 1:
@@ -258,7 +259,7 @@ def _add_chain(out, terms, factors):
     ``out``; return ``out``."""
     for f in factors[:-1]:
         terms = add_product({}, terms, f)
-    return add_product(out, terms, factors[-1] if factors else {ONE_MONO: 1})
+    return add_product(out, terms, factors[-1] if factors else Poly.const(1).terms)
 
 
 @cache
@@ -267,9 +268,10 @@ def _generic_table():
     indices of G', the position of G'_qq among them, and for each
     invariant its denominator's constant, its power of alpha and its
     numerator terms ``(coefficient, monomial in the coordinates, jets,
-    mask)``.  ``jets`` is a tuple of (jet position, exponent); G'_qq's
-    power in the denominator is folded into it as a negative exponent.
-    ``mask`` has bit j set for each jet position j that ``jets`` reads."""
+    mask)``, the monomial built by ``poly.monomial``.  ``jets`` is a tuple
+    of (jet position, exponent); G'_qq's power in the denominator is
+    folded into it as a negative exponent.  ``mask`` has bit j set for
+    each jet position j that ``jets`` reads."""
     from .generic_structure import TABLE
 
     data = json.loads(TABLE)
@@ -301,7 +303,7 @@ def _generic_table():
                     else:
                         jets[s - ncoord] = jets.get(s - ncoord, 0) + e
                 jets = share(tuple(sorted(share(je) for je in jets.items() if je[1])))
-                hit = decoded[key] = (share(tuple(mono)), jets, sum(1 << j for j, _ in jets))
+                hit = decoded[key] = (monomial(mono), jets, sum(1 << j for j, _ in jets))
             terms.append((coeff, *hit))
         table[name] = (entry["den"][0], den.get(alpha, 0), terms)
     return indices, qq, table
@@ -361,7 +363,8 @@ def structure_from_jets(F):
     coframe: each jet of G' becomes F's jet in the form of ``factored_jets``
     and F_qq a monomial over the base.  Each invariant skips a term that
     reads a zero jet (``mask``), reads each (jet, power) pair's integers,
-    exponents over the base and ``Poly`` power once per request, sums the
+    exponents over the base and ``Poly`` power once per request, and the
+    product of those over a term's jets once per distinct set, sums the
     terms that share exponents over one integer ``lcm``, and brings each
     sum to the least exponents.  The products are summed in place into one
     term dict per invariant by ``poly.add_product`` (``_add_chain``), and
@@ -381,20 +384,24 @@ def structure_from_jets(F):
         N, c, e = jets[j]
         return 1, c**k, tuple(-k * v for v in e), N**k
 
-    zero = (0,) * len(base)
+    @cache
+    def product(key):
+        n, d, v, factors = 1, 1, (0,) * len(base), []
+        for j, k in key:
+            pn, pd, pv, pp = part(j, k)
+            n, d, v = n * pn, d * pd, tuple(map(add, v, pv))
+            if pp is not None:
+                factors.append(pp.terms)
+        return n, d, v, sorted(factors, key=len)
+
     dead = sum(1 << j for j, jet in enumerate(jets) if jet is None)
     values = {}
     for name, (den_coeff, alpha_power, terms) in table.items():
         by_exponents = {}
         for coeff, mono, key, mask in terms:
             if not mask & dead:
-                n, d, v, factors = coeff, 1, zero, []
-                for j, k in key:
-                    pn, pd, pv, pp = part(j, k)
-                    n, d, v = n * pn, d * pd, tuple(map(add, v, pv))
-                    if pp is not None:
-                        factors.append(pp.terms)
-                by_exponents.setdefault(v, []).append((n, d, mono, factors))
+                n, d, v, factors = product(key)
+                by_exponents.setdefault(v, []).append((coeff * n, d, mono, factors))
         least = [min((v[i] for v in by_exponents), default=0) for i in range(len(base))]
         scale = lcm(*(d for group in by_exponents.values() for _, d, _, _ in group))
         num = {}
@@ -402,7 +409,7 @@ def structure_from_jets(F):
             shift = [power(i, e - m).terms for i, (e, m) in enumerate(zip(v, least)) if e != m]
             total = {} if shift else num
             for n, d, mono, factors in group:
-                _add_chain(total, {mono: n * (scale // d)}, sorted(factors, key=len))
+                _add_chain(total, {mono: n * (scale // d)}, factors)
             if shift:
                 _add_chain(num, total, shift)
         raised = [power(i, m).terms for i, m in enumerate(least) if m > 0]

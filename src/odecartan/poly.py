@@ -1,135 +1,183 @@
 """Sparse multivariate polynomials over the integers.
 
-Monomials are tuples of ``(Sym, exponent)`` pairs sorted by the global
-symbol order; the term order of ``Poly`` is graded lexicographic, and
-``mono_cmp`` is its one implementation.  The expanded form is canonical,
-so the zero test is decisive.  Coefficients are ``int``: rational
-functions keep their denominators in ``Expression``.  ``Poly.render`` is
-the one writer of the input grammar (``Expression.render`` builds a
-fraction's text from it); ``int_to_digits`` and ``int_from_digits``
-convert integers of any size for it and for the parser.
+A ``Poly`` maps monomials to nonzero ``int`` coefficients, and a monomial
+is one packed ``int``: the exponent of the symbol in slot i is the
+16-bit field at bit 16·i, so the product of two monomials is their sum
+and the constant monomial is 0.  A field holds exponents up to
+``EXPONENT_LIMIT`` (2^15 − 1); its top bit is a guard, which a sum past
+the limit sets, and a product (``add_product``, ``Poly.mul_mono``) or a
+power that would pass it raises ``ExponentOverflowError`` instead of
+spilling into the next field.
+
+The slots come from one registry per process, keyed by a symbol's
+``(name, args, index)``, so two requests that declare one name with
+different arguments get distinct slots; the chart coordinates take the
+lowest slots.  A symbol met for the first time takes the next slot under
+a lock, and only then, so polynomials stay safe to share between
+threads.  Slot numbers depend on the order in which a process meets its
+symbols, so nothing visible reads them: the term order is graded
+lexicographic over ``Sym.key``, and ``Poly.sorted_terms``,
+``Poly.leading`` and ``Poly.render`` (the one writer of the input
+grammar) decode before they compare.  Other modules build a monomial with
+``monomial``, read one with ``factors``, split one with a ``mask`` and
+multiply through ``add_product``; only this module knows the layout.
+``int_to_digits`` and ``int_from_digits`` convert integers of any size
+for the renderer and the parser.
 
 ``poly_gcd`` is exact for every input, with no size limit, so reduced
-fractions are canonical.  It works on sparse integer maps: the heuristic
-GCD (GCDHEU) of Char, Geddes and Gonnet answers by integer evaluation,
-``math.gcd`` and interpolation, checked by exact trial division, and
-Brown's primitive pseudo-remainder sequence answers when it fails.
-``Poly.exact_div`` divides the same integer maps, exactly in Z[x].
+fractions are canonical.  It works on the term dicts over its operands'
+symbols in ``Sym.key`` order: the heuristic GCD (GCDHEU) of Char, Geddes
+and Gonnet answers by integer evaluation, ``math.gcd`` and interpolation,
+checked by exact trial division, and Brown's primitive pseudo-remainder
+sequence answers when it fails.  ``Poly.exact_div`` divides exactly in
+Z[x] with the same routine, taking leading terms in the order of the
+packed ints, which is a lex order over the slots.
 """
 
+from functools import lru_cache, reduce
 from math import gcd as int_gcd, isqrt
-from operator import add, sub
+from operator import or_
+from threading import Lock
 
-ONE_MONO = ()
+from .errors import ExponentOverflowError
+from .symbols import BUILT_IN_CHARTS, METRIC_CHART
 
+_WIDTH = 16
+_FIELD = (1 << _WIDTH) - 1
+EXPONENT_LIMIT = (1 << (_WIDTH - 1)) - 1
 
-def mono_mul(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        s1, e1 = m1[i]
-        s2, e2 = m2[j]
-        if s1.key == s2.key:
-            out.append((s1, e1 + e2))
-            i += 1
-            j += 1
-        elif s1.key < s2.key:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
+_SLOTS = {}  # (name, args, index) -> slot
+_SYMS = []  # slot -> Sym
+_GUARDS = 0  # the guard bit of every slot in use
+_LOWS = 0  # the lowest bit of every slot in use
+_LOCK = Lock()
 
 
-def mono_div(m1, m2):
-    """Exact monomial quotient, or None when m2 does not divide m1."""
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    while j < len(m2):
-        if i >= len(m1):
-            return None
-        s1, e1 = m1[i]
-        s2, e2 = m2[j]
-        if s1.key == s2.key:
-            if e1 < e2:
-                return None
-            if e1 > e2:
-                out.append((s1, e1 - e2))
-            i += 1
-            j += 1
-        elif s1.key < s2.key:
-            out.append(m1[i])
-            i += 1
-        else:
-            return None
-    out.extend(m1[i:])
-    return tuple(out)
+def _slot(sym, create=True):
+    key = (sym.name, sym.args, sym.index)
+    slot = _SLOTS.get(key)
+    if slot is None and create:
+        global _GUARDS, _LOWS
+        with _LOCK:
+            slot = _SLOTS.get(key)
+            if slot is None:
+                slot = len(_SYMS)
+                _SYMS.append(sym)
+                _GUARDS |= 1 << (slot * _WIDTH + _WIDTH - 1)
+                _LOWS |= 1 << (slot * _WIDTH)
+                _SLOTS[key] = slot
+    return slot
 
 
-def mono_gcd(m1, m2):
-    out = []
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        s1, e1 = m1[i]
-        s2, e2 = m2[j]
-        if s1.key == s2.key:
-            out.append((s1, min(e1, e2)))
-            i += 1
-            j += 1
-        elif s1.key < s2.key:
-            i += 1
-        else:
-            j += 1
-    return tuple(out)
+for _chart in BUILT_IN_CHARTS + (METRIC_CHART,):
+    for _name in _chart.coords:
+        _slot(_chart.sym(_name))
 
 
-def mono_degree(m):
-    return sum(e for _, e in m)
+def _overflow():
+    return ExponentOverflowError(f"an exponent exceeds {EXPONENT_LIMIT}")
 
 
-def mono_cmp(m1, m2):
-    """Graded-lex comparison; smaller symbol key dominates in the lex step."""
-    d1 = mono_degree(m1)
-    d2 = mono_degree(m2)
-    if d1 != d2:
-        return -1 if d1 < d2 else 1
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        s1, e1 = m1[i]
-        s2, e2 = m2[j]
-        if s1.key == s2.key:
-            if e1 != e2:
-                return 1 if e1 > e2 else -1
-            i += 1
-            j += 1
-        elif s1.key < s2.key:
-            return 1
-        else:
-            return -1
-    if i < len(m1):
-        return 1
-    if j < len(m2):
-        return -1
-    return 0
+def monomial(powers):
+    """The monomial of ``(Sym, exponent)`` pairs of distinct symbols."""
+    m = 0
+    for s, e in powers:
+        if e > EXPONENT_LIMIT:
+            raise _overflow()
+        m |= e << (_slot(s) * _WIDTH)
+    return m
 
 
-class _MonoKey:
-    __slots__ = ("m",)
+def mask(syms):
+    """The bits of ``syms`` in a monomial: m & mask(syms) is m's part in them."""
+    return reduce(or_, (_FIELD << (_slot(s) * _WIDTH) for s in syms), 0)
 
-    def __init__(self, m):
-        self.m = m
 
-    def __lt__(self, other):
-        return mono_cmp(self.m, other.m) < 0
+@lru_cache(maxsize=1024)
+def factors(m):
+    """``(sym, exponent, part)`` for each symbol of the monomial m, in
+    ``Sym.key`` order; ``part`` is the monomial sym^exponent."""
+    shifts, syms, _ = _ordered(_occupied(m))
+    return tuple((s, (m >> i) & _FIELD, m & (_FIELD << i)) for i, s in zip(shifts, syms))
+
+
+@lru_cache(maxsize=1024)
+def _mono_text(m):
+    return "*".join(s.render() + (f"^{e}" if e > 1 else "") for s, e, _ in factors(m))
+
+
+def _occupied(m):
+    """The guard bits of the fields that are nonzero in m."""
+    return ((m | _GUARDS) - _LOWS) & _GUARDS
+
+
+def _top(m):
+    """The largest exponent in the monomial m."""
+    return max((f[1] for f in factors(m)), default=0)
+
+
+@lru_cache(maxsize=512)
+def _ordered(occupied):
+    """(bit offsets, symbols, their set) of the slots whose guard bits
+    ``occupied`` sets, in ``Sym.key`` order."""
+    slots = []
+    while occupied:
+        low = occupied & -occupied
+        slots.append(low.bit_length() // _WIDTH - 1)
+        occupied ^= low
+    slots.sort(key=lambda i: (_SYMS[i].key, _SYMS[i].args))
+    syms = tuple(_SYMS[i] for i in slots)
+    return tuple(i * _WIDTH for i in slots), syms, frozenset(syms)
+
+
+def _support(terms):
+    return _occupied(reduce(or_, terms, 0))
+
+
+def _at_least(a, b, guards):
+    """Every bit of the fields where a's exponent is at least b's."""
+    ge = ((a | guards) - b) & guards
+    return ge | (ge - (ge >> (_WIDTH - 1)))
+
+
+def _field_min(a, b):
+    """The monomial gcd of a and b."""
+    take_b = _at_least(a, b, _GUARDS)
+    return (b & take_b) | (a & ~take_b)
+
+
+def _mono_content(terms):
+    if 0 in terms:
+        return 0
+    it = iter(terms)
+    g = next(it, 0)
+    for m in it:
+        if not g:
+            break
+        g = _field_min(g, m)
+    return g
+
+
+def _degrees(terms):
+    """Each field the largest exponent in the monomials of ``terms``."""
+    it = iter(terms)
+    d = next(it)
+    for m in it:
+        take = _at_least(d, m, _GUARDS)
+        d = (d & take) | (m & ~take)
+    return d
+
+
+def _grlex(terms):
+    """Sort key of the graded-lex order over ``Sym.key`` on the monomials
+    of ``terms``."""
+    shifts = _ordered(_support(terms))[0]
+
+    def key(m):
+        e = [(m >> i) & _FIELD for i in shifts]
+        return sum(e), e
+
+    return key
 
 
 class Poly:
@@ -148,11 +196,11 @@ class Poly:
 
     @classmethod
     def const(cls, value):
-        return cls({ONE_MONO: value} if value else {})
+        return cls({0: value} if value else {})
 
     @classmethod
     def var(cls, sym):
-        return cls({((sym, 1),): 1})
+        return cls({1 << (_slot(sym) * _WIDTH): 1})
 
     # -- predicates and views ------------------------------------------
 
@@ -162,10 +210,10 @@ class Poly:
 
     @property
     def is_const(self):
-        return not self.terms or (len(self.terms) == 1 and ONE_MONO in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def const_value(self):
-        return self.terms.get(ONE_MONO, 0)
+        return self.terms.get(0, 0)
 
     def __len__(self):
         return len(self.terms)
@@ -177,19 +225,20 @@ class Poly:
         return hash(frozenset(self.terms.items()))
 
     def symbols(self):
-        out = set()
-        for m in self.terms:
-            for s, _ in m:
-                out.add(s)
-        return out
+        return _ordered(_support(self.terms))[2]
 
     def leading(self):
         """Leading (graded-lex greatest) term as ``(monomial, coeff)``."""
-        m = max(self.terms, key=_MonoKey)
+        if len(self.terms) == 1:
+            return next(iter(self.terms.items()))
+        m = max(self.terms, key=_grlex(self.terms))
         return m, self.terms[m]
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _MonoKey(kv[0]), reverse=True)
+        if len(self.terms) < 2:
+            return list(self.terms.items())
+        key = _grlex(self.terms)
+        return sorted(self.terms.items(), key=lambda kv: key(kv[0]), reverse=True)
 
     # -- ring operations -----------------------------------------------
 
@@ -224,11 +273,16 @@ class Poly:
         return Poly(add_product({}, self.terms, other.terms))
 
     def mul_mono(self, mono):
-        return Poly({mono_mul(m, mono): c for m, c in self.terms.items()})
+        return Poly(add_product({}, self.terms, {mono: 1}))
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        # a monomial's squarings raise at the first field past the limit;
+        # a longer power would raise only at its last, largest squaring, so
+        # its largest exponent, n times this one's, is checked first
+        if n > 1 and len(self.terms) > 1 and _top(_degrees(self.terms)) * n > EXPONENT_LIMIT:
+            raise _overflow()
         result = Poly.const(1)
         base = self
         while n:
@@ -242,18 +296,14 @@ class Poly:
 
     def deriv(self, sym):
         """Formal partial derivative with respect to a single symbol."""
-        out = {}
-        for m, c in self.terms.items():
-            for i, (s, e) in enumerate(m):
-                if s.key == sym.key:
-                    if e == 1:
-                        nm = m[:i] + m[i + 1:]
-                    else:
-                        nm = m[:i] + ((s, e - 1),) + m[i + 1:]
-                    # distinct monomials stay distinct, and c*e is never 0
-                    out[nm] = c * e
-                    break
-        return Poly(out)
+        slot = _slot(sym, create=False)
+        if slot is None:
+            return Poly.zero()
+        i = slot * _WIDTH
+        one = 1 << i
+        # distinct monomials stay distinct, and c*e is never 0
+        return Poly({m - one: c * ((m >> i) & _FIELD)
+                     for m, c in self.terms.items() if (m >> i) & _FIELD})
 
     # -- structure ------------------------------------------------------
 
@@ -268,21 +318,12 @@ class Poly:
         return Poly({m: v // c for m, v in self.terms.items()})
 
     def mono_content(self):
-        it = iter(self.terms)
-        try:
-            g = next(it)
-        except StopIteration:
-            return ONE_MONO
-        for m in it:
-            if not g:
-                return ONE_MONO
-            g = mono_gcd(g, m)
-        return g
+        return _mono_content(self.terms)
 
     def div_mono(self, mono):
         if not mono:
             return self
-        return Poly({mono_div(m, mono): c for m, c in self.terms.items()})
+        return Poly({m - mono: c for m, c in self.terms.items()})
 
     def exact_div(self, other):
         """Exact quotient self/other in Z[x], or None when there is none."""
@@ -295,15 +336,8 @@ class Poly:
             if any(v % c for v in self.terms.values()):
                 return None
             return self.div_int(c)
-        # by Gauss's lemma the quotient is integral exactly when the
-        # primitive parts divide and the contents do
-        syms = sorted(self.symbols() | other.symbols())
-        f, cf = _to_int(self, syms)
-        g, cg = _to_int(other, syms)
-        if cf % cg:
-            return None
-        q = _exact_div(f, g)
-        return None if q is None else _from_int(q, syms, cf // cg)
+        q = _exact_div(self.terms, other.terms)
+        return None if q is None else Poly(q)
 
     def render(self):
         """Canonical text in the input grammar (re-parseable), terms in
@@ -312,7 +346,7 @@ class Poly:
             return "0"
         parts = []
         for mono, coeff in self.sorted_terms():
-            mono_txt = _render_mono(mono)
+            mono_txt = _mono_text(mono)
             mag = abs(coeff)
             if not mono_txt:
                 body = int_to_digits(mag)
@@ -332,10 +366,15 @@ class Poly:
 
 def add_product(out, f, g):
     """Add f·g (``Poly`` term dicts) into the term dict ``out`` in place,
-    dropping a term that cancels; return ``out``."""
+    dropping a term that cancels; return ``out``.  Raises
+    ExponentOverflowError when an exponent of the product passes
+    ``EXPONENT_LIMIT``."""
+    guards = _GUARDS
     for m2, c2 in g.items():
         for m1, c1 in f.items():
-            m = mono_mul(m1, m2)
+            m = m1 + m2
+            if m & guards:
+                raise _overflow()
             c = out.get(m, 0) + c1 * c2
             if c:
                 out[m] = c
@@ -351,7 +390,7 @@ def canonical_tail(num, den):
     (``expression._normalize``, ``invariant_table._reduced``)."""
     shared = den.mono_content()
     if shared:
-        shared = mono_gcd(num.mono_content(), shared)
+        shared = _field_min(num.mono_content(), shared)
         num, den = num.div_mono(shared), den.div_mono(shared)
     c = int_gcd(num.content(), den.content())
     if den.leading()[1] < 0:
@@ -364,10 +403,11 @@ def poly_gcd(a, b):
 
     Monomial factors count: ``poly_gcd(p*(p+1), p*(p+2))`` is ``p``.  The
     zero, constant and monomial cases and operands with no symbol in common
-    are answered directly.  Otherwise both operands become primitive
-    integer maps over their symbols (see ``_to_int``); the heuristic GCD
-    (``_heu_gcd``) answers almost always, and Brown's primitive
-    pseudo-remainder sequence (``_gcd_recursive``) when it fails.
+    are answered directly.  Otherwise both operands lose their monomial
+    and integer contents; the heuristic GCD (``_heu_gcd``) answers almost
+    always, and Brown's primitive pseudo-remainder sequence
+    (``_gcd_recursive``) when it fails, both over the operands' symbols in
+    ``Sym.key`` order.
     """
     if a.is_zero:
         return _primitive_poly(b) if not b.is_zero else Poly.const(1)
@@ -375,22 +415,21 @@ def poly_gcd(a, b):
         return _primitive_poly(a)
     if a.is_const or b.is_const:
         return Poly.const(1)
-    if len(a) == 1 or len(b) == 1:
-        g = mono_gcd(a.mono_content(), b.mono_content())
-        return Poly({g: 1})
     ma, mb = a.mono_content(), b.mono_content()
-    mono = mono_gcd(ma, mb)
-    a, b = a.div_mono(ma), b.div_mono(mb)
-    sa, sb = a.symbols(), b.symbols()
-    if sa.isdisjoint(sb):
+    mono = _field_min(ma, mb)
+    if len(a) == 1 or len(b) == 1:
         return Poly({mono: 1})
-    syms = sorted(sa | sb)
-    f, g = _to_int(a, syms)[0], _to_int(b, syms)[0]
+    a, b = a.div_mono(ma), b.div_mono(mb)
+    sa, sb = _support(a.terms), _support(b.terms)
+    if not sa & sb:
+        return Poly({mono: 1})
+    shifts = _ordered(sa | sb)[0]
+    f, g = _primitive(a.terms), _primitive(b.terms)
     try:
-        h = _heu_gcd(f, g)[0]
+        h = _heu_gcd(f, g, shifts)[0]
     except _HeuristicFailed:
-        h = _gcd_recursive(f, g)
-    h = _primitive_poly(_from_int(h, syms, 1))
+        h = _gcd_recursive(f, g, shifts)
+    h = _primitive_poly(Poly(h))
     return h.mul_mono(mono) if mono else h
 
 
@@ -424,10 +463,6 @@ def int_to_digits(n):
     return int_to_digits(high) + int_to_digits(low).zfill(half)
 
 
-def _render_mono(mono):
-    return "*".join(s.render() + (f"^{e}" if e > 1 else "") for s, e in mono)
-
-
 def _needs_parens_as_denominator(poly):
     if len(poly) > 1:
         return True
@@ -436,58 +471,19 @@ def _needs_parens_as_denominator(poly):
         return False  # bare integer
     if coeff != 1:
         return True
-    return len(mono) > 1 or mono[0][1] > 1
+    # anything but one symbol to the first power
+    return bool(mono & (mono - 1)) or (mono.bit_length() - 1) % _WIDTH != 0
 
 
-# -- integer maps ---------------------------------------------------------
+# -- term dicts in the GCD ------------------------------------------------
 #
-# In the GCD and in exact division a polynomial is a sparse map
-# {exponent tuple: nonzero int}.
-# Position i of every tuple is the exponent of the i-th symbol in key order;
-# exact division takes leading terms in the lex order of these tuples.
+# The GCD and exact division work on ``Poly`` term dicts.  A variable is
+# the bit offset of its field; ``shifts`` lists the variables of a GCD in
+# ``Sym.key`` order.
 
 
-def _to_int(p, syms):
-    """(F, c) with p = c*F: F a primitive integer map over ``syms`` (sorted,
-    covering p's symbols) and c = ``p.content()``."""
-    index = {s.key: i for i, s in enumerate(syms)}
-    c = p.content()
-    zero = [0] * len(syms)
-    out = {}
-    for m, v in p.terms.items():
-        e = zero[:]
-        for s, k in m:
-            e[index[s.key]] = k
-        out[tuple(e)] = v // c
-    return out, c
-
-
-def _from_int(h, syms, scale):
-    """Poly of the int ``scale`` times the integer map h."""
-    return Poly({
-        tuple([(syms[i], k) for i, k in enumerate(m) if k]): scale * c
-        for m, c in h.items()
-    })
-
-
-def _degrees(f):
-    return tuple(map(max, zip(*f)))
-
-
-def _mono_content(f):
-    return tuple(map(min, zip(*f)))
-
-
-def _div_mono(f, mono):
-    if not any(mono):
-        return f
-    return {tuple(map(sub, m, mono)): c for m, c in f.items()}
-
-
-def _mul_mono(f, mono):
-    if not any(mono):
-        return f
-    return {tuple(map(add, m, mono)): c for m, c in f.items()}
+def _degree(f, i):
+    return max((m >> i) & _FIELD for m in f)
 
 
 def _primitive(f):
@@ -495,33 +491,22 @@ def _primitive(f):
     return f if c == 1 else {m: v // c for m, v in f.items()}
 
 
-def _mul(f, g):
-    out = {}
-    for m2, c2 in g.items():
-        for m1, c1 in f.items():
-            m = tuple(map(add, m1, m2))
-            c = out.get(m, 0) + c1 * c2
-            if c:
-                out[m] = c
-            else:
-                del out[m]
-    return out
-
-
 def _exact_div(f, g):
-    """Exact quotient f/g of integer maps, or None when g does not divide f."""
-    bound = tuple(map(sub, _degrees(f), _degrees(g)))
-    if min(bound) < 0:
+    """Exact quotient f/g of term dicts, or None when g does not divide f."""
+    top, dg = _degrees(f), _degrees(g)
+    guards = _GUARDS
+    if _at_least(top, dg, guards) & guards != guards:
         return None
+    # every term of the quotient lies in the box [0, bound]
+    bound = top - dg
     if len(g) == 1:
         ((gm, gc),) = g.items()
         quot = {}
         for m, c in f.items():
-            qm = tuple(map(sub, m, gm))
             qc, r = divmod(c, gc)
-            if r or min(qm) < 0:
+            if r or _at_least(m, gm, guards) & guards != guards:
                 return None
-            quot[qm] = qc
+            quot[m - gm] = qc
         return quot
     lm = max(g)
     lc = g[lm]
@@ -529,16 +514,17 @@ def _exact_div(f, g):
     quot = {}
     while rem:
         rm = max(rem)
-        qm = tuple(map(sub, rm, lm))
-        # every term of the quotient lies in the box [0, bound]
-        if min(qm) < 0 or min(map(sub, bound, qm)) < 0:
+        if _at_least(rm, lm, guards) & guards != guards:
+            return None
+        qm = rm - lm
+        if _at_least(bound, qm, guards) & guards != guards:
             return None
         qc, r = divmod(rem[rm], lc)
         if r:
             return None
         quot[qm] = qc
         for m, c in g.items():
-            m = tuple(map(add, qm, m))
+            m += qm
             c = rem.get(m, 0) - qc * c
             if c:
                 rem[m] = c
@@ -557,8 +543,9 @@ class _HeuristicFailed(Exception):
 _HEU_ATTEMPTS = 6
 
 
-def _heu_gcd(f, g):
-    """GCDHEU (Char, Geddes and Gonnet 1989) on nonzero integer maps.
+def _heu_gcd(f, g, shifts):
+    """GCDHEU (Char, Geddes and Gonnet 1989) on nonzero term dicts over
+    the variables ``shifts``.
 
     Returns ``(h, f/h, g/h)`` with h = gcd(f, g) up to sign.  The first
     variable is evaluated at an integer xi, the GCD of the images is taken
@@ -569,35 +556,36 @@ def _heu_gcd(f, g):
     norm plus two, it is then the GCD.  Raises ``_HeuristicFailed`` when no
     evaluation point verifies.
     """
-    if () in f:
-        a, b = f[()], g[()]
+    if not shifts:
+        a, b = f[0], g[0]
         h = int_gcd(a, b)
-        return {(): h}, {(): a // h}, {(): b // h}
+        return {0: h}, {0: a // h}, {0: b // h}
     c = int_gcd(*f.values(), *g.values())
     if c != 1:
         f = {m: v // c for m, v in f.items()}
         g = {m: v // c for m, v in g.items()}
+    i, rest = shifts[0], shifts[1:]
     # xi > 2*min(|f|, |g|) + 2 is what makes a verified candidate the GCD,
     # so unlike some variants xi is not capped at 99*sqrt of that bound
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
     for _ in range(_HEU_ATTEMPTS):
-        ff = _eval_first(f, xi)
-        gg = _eval_first(g, xi)
+        ff = _eval_at(f, i, xi)
+        gg = _eval_at(g, i, xi)
         if ff and gg:
-            hh, cff, cfg = _heu_gcd(ff, gg)
-            h = _primitive(_interpolate(hh, xi))
+            hh, cff, cfg = _heu_gcd(ff, gg, rest)
+            h = _primitive(_interpolate(hh, i, xi))
             cf = _exact_div(f, h)
             if cf is not None:
                 cg = _exact_div(g, h)
                 if cg is not None:
                     return _scale(h, c), cf, cg
-            cf = _interpolate(cff, xi)
+            cf = _interpolate(cff, i, xi)
             h = _exact_div(f, cf)
             if h is not None:
                 cg = _exact_div(g, h)
                 if cg is not None:
                     return _scale(h, c), cf, cg
-            cg = _interpolate(cfg, xi)
+            cg = _interpolate(cfg, i, xi)
             h = _exact_div(g, cg)
             if h is not None:
                 cf = _exact_div(f, h)
@@ -611,15 +599,16 @@ def _scale(f, c):
     return f if c == 1 else {m: v * c for m, v in f.items()}
 
 
-def _eval_first(f, xi):
-    """f at first variable = xi: an integer map over one variable fewer."""
+def _eval_at(f, i, xi):
+    """f at variable i = xi: a term dict free of variable i."""
     powers = [1]
-    for _ in range(max(m[0] for m in f)):
+    for _ in range(_degree(f, i)):
         powers.append(powers[-1] * xi)
     out = {}
     for m, c in f.items():
-        k = m[1:]
-        v = out.get(k, 0) + c * powers[m[0]]
+        e = (m >> i) & _FIELD
+        k = m - (e << i)
+        v = out.get(k, 0) + c * powers[e]
         if v:
             out[k] = v
         else:
@@ -627,13 +616,15 @@ def _eval_first(f, xi):
     return out
 
 
-def _interpolate(h, xi):
-    """Map whose coefficients in the new first variable are the symmetric
-    xi-adic digits of h's coefficients."""
+def _interpolate(h, i, xi):
+    """Term dict whose coefficients in variable i (absent from h) are the
+    symmetric xi-adic digits of h's coefficients."""
     out = {}
     half = xi // 2
-    i = 0
+    e = 0
     while h:
+        if e > EXPONENT_LIMIT:
+            raise _HeuristicFailed
         rest = {}
         for m, c in h.items():
             c, digit = divmod(c, xi)
@@ -641,69 +632,68 @@ def _interpolate(h, xi):
                 digit -= xi
                 c += 1
             if digit:
-                out[(i, *m)] = digit
+                out[m + (e << i)] = digit
             if c:
                 rest[m] = c
         h = rest
-        i += 1
+        e += 1
     return out
 
 
 # -- primitive pseudo-remainder sequence --------------------------------------
 
 
-def _gcd_recursive(f, g):
-    """GCD of nonzero integer maps by Brown's primitive PRS.
+def _gcd_recursive(f, g, shifts):
+    """GCD of nonzero term dicts by Brown's primitive PRS.
 
-    The main variable is the shared symbol of least degree, ties going to
-    the first in symbol order, so the choice never depends on hashing.
+    The main variable is the shared variable of least degree, ties going
+    to the first of ``shifts``, so the choice never depends on hashing.
     """
     c = int_gcd(*f.values(), *g.values())
-    mono = tuple(map(min, _mono_content(f), _mono_content(g)))
-    f = _primitive(_div_mono(f, _mono_content(f)))
-    g = _primitive(_div_mono(g, _mono_content(g)))
-    shared = [(min(df, dg), i)
-              for i, (df, dg) in enumerate(zip(_degrees(f), _degrees(g))) if df and dg]
-    if shared:
-        h = _prs(f, g, min(shared)[1])
-    else:
-        h = {(0,) * len(mono): 1}
-    return _scale(_mul_mono(h, mono), c)
+    mf, mg = _mono_content(f), _mono_content(g)
+    mono = _field_min(mf, mg)
+    f = _primitive({m - mf: v for m, v in f.items()})
+    g = _primitive({m - mg: v for m, v in g.items()})
+    shared = [(min(df, dg), n) for n, i in enumerate(shifts)
+              if (df := _degree(f, i)) and (dg := _degree(g, i))]
+    h = _prs(f, g, shifts, shifts[min(shared)[1]]) if shared else {0: 1}
+    return _scale({m + mono: v for m, v in h.items()}, c)
 
 
-def _prs(f, g, i):
-    cont = _gcd_recursive(_content_in(f, i), _content_in(g, i))
-    f = _primitive_in(f, i)
-    g = _primitive_in(g, i)
-    if _degrees(f)[i] < _degrees(g)[i]:
+def _prs(f, g, shifts, i):
+    cont = _gcd_recursive(_content_in(f, i, shifts), _content_in(g, i, shifts), shifts)
+    f = _primitive_in(f, i, shifts)
+    g = _primitive_in(g, i, shifts)
+    if _degree(f, i) < _degree(g, i):
         f, g = g, f
     while True:
         r = _prem(f, g, i)
         if not r:
-            return _mul(cont, g)
-        f, g = g, _primitive_in(r, i)
-        if _degrees(g)[i] == 0:
+            return add_product({}, cont, g)
+        f, g = g, _primitive_in(r, i, shifts)
+        if _degree(g, i) == 0:
             return cont
 
 
 def _coeffs_in(f, i):
-    """f as univariate in variable i: ``{exponent: map with position i zero}``."""
+    """f as univariate in variable i: ``{exponent: term dict free of i}``."""
     out = {}
     for m, c in f.items():
-        out.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1:]] = c
+        e = (m >> i) & _FIELD
+        out.setdefault(e, {})[m - (e << i)] = c
     return out
 
 
-def _content_in(f, i):
+def _content_in(f, i, shifts):
     coeffs = iter(_coeffs_in(f, i).values())
     h = next(coeffs)
     for p in coeffs:
-        h = _gcd_recursive(h, p)
+        h = _gcd_recursive(h, p, shifts)
     return h
 
 
-def _primitive_in(f, i):
-    return _exact_div(f, _content_in(f, i))
+def _primitive_in(f, i, shifts):
+    return _exact_div(f, _content_in(f, i, shifts))
 
 
 def _prem(a, b, i):
@@ -716,10 +706,10 @@ def _prem(a, b, i):
     while rem and d >= db:
         lr = rem[d]
         # rem <- lb*rem - lr*b*x_i^(d-db)
-        new = {e: _mul(p, lb) for e, p in rem.items()}
+        new = {e: add_product({}, p, lb) for e, p in rem.items()}
         for e, p in cb.items():
             shifted = new.setdefault(e + d - db, {})
-            for m, c in _mul(p, lr).items():
+            for m, c in add_product({}, p, lr).items():
                 c = shifted.get(m, 0) - c
                 if c:
                     shifted[m] = c
@@ -731,5 +721,5 @@ def _prem(a, b, i):
     out = {}
     for e, p in rem.items():
         for m, c in p.items():
-            out[m[:i] + (e,) + m[i + 1:]] = c
+            out[m + (e << i)] = c
     return out

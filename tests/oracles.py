@@ -84,7 +84,7 @@ from odecartan.invariant_table import _generic_table, coprime_base, factor_over
 from odecartan.linalg import invert_matrix
 from odecartan.parse import parse_expression
 from odecartan.petrov import PAIRS, _STAR_SIGN, PetrovPointResult
-from odecartan.poly import Poly
+from odecartan.poly import Poly, monomial
 from odecartan.symbols import J2_CHART, M_ADAPTED_CHART, P_CHART, SymbolTable
 
 # -- the chart-level connection oracle ----------------------------------------
@@ -871,9 +871,7 @@ def normalized_over_base(num, coeff, alpha_power, base, exponents):
     reduction was certified: the whole denominator expanded and
     ``Expression``'s ``_normalize`` taking one GCD with it.  The tests
     compare ``invariant_table._reduced`` with it."""
-    den = Poly.const(coeff)
-    if alpha_power:
-        den = den.mul_mono(((P_CHART.sym("alpha"), alpha_power),))
+    den = Poly({monomial(((P_CHART.sym("alpha"), alpha_power),)): coeff})
     for b, e in zip(base, exponents):
         den = den * b**e
     return Expression(num, den, P_CHART)

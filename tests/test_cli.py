@@ -84,6 +84,15 @@ class TestExitCodes:
         data = json.loads(proc.stdout)
         assert data["error"]["code"] == "parse-error"
 
+    def test_an_exponent_past_the_limit_is_a_json_error(self):
+        from odecartan.poly import EXPONENT_LIMIT
+
+        proc = run_cli("--ode", f"q^2*p^{EXPONENT_LIMIT + 1}", "--stages", "inv")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        error = json.loads(proc.stderr)["error"]
+        assert str(EXPONENT_LIMIT) in error["message"]
+
     def test_family_stage_on_non_family_input(self):
         proc = run_cli("--ode", "q^2", "--stages", "metric")
         assert proc.returncode == 2

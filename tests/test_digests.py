@@ -19,6 +19,8 @@ find every target they name and leave a report unchanged.  The
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -93,3 +95,58 @@ def test_traced_report_equals_the_untraced_one():
     for report in (traced, untraced):
         del report.data["timings"]
     assert traced == untraced
+
+
+# -- the slot registry: symbols met in any order give the same reports --------
+
+_CHILD = (
+    "import json, sys\n"
+    "import odecartan\n"
+    "out = []\n"
+    "for spec in json.load(sys.stdin):\n"
+    "    report = odecartan.analyze(odecartan.AnalysisRequest(**spec))\n"
+    "    report.data['timings'] = {}\n"
+    "    out.append(odecartan.emit_report(report))\n"
+    "json.dump(out, sys.stdout)\n"
+)
+
+
+def _spec(req):
+    return {"ode": req.ode, "opaque": dict(req.opaque), "stages": req.stages.split(","),
+            "specializations": dict(req.specializations), "seed": req.seed}
+
+
+def _child_reports(specs, hash_seed=0):
+    """The JSON report of each request of ``specs``, ``timings`` emptied,
+    from one fresh interpreter that runs them in order."""
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    proc = subprocess.run([sys.executable, "-c", _CHILD], input=json.dumps(specs),
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_one_name_declared_with_different_arguments_keeps_its_own():
+    """A request that declares ``S(x)`` after one that declared ``S(x,y)``
+    in the same process writes what a fresh interpreter writes for it: the
+    slot registry is keyed by name, arguments and index, not by
+    ``Sym.key``."""
+    specs = [{"ode": ode, "opaque": {"S": args}, "stages": ["inv", "cond"]}
+             for ode, args in (("q^2/(p + S) + S*p", ["x", "y"]), ("q^2/(p + S) + y*S", ["x"]))]
+    together = _child_reports(specs)
+    assert together == [_child_reports([spec])[0] for spec in specs]
+    assert "S_y" in together[0] and "S_y" not in together[1]
+
+
+def test_reports_do_not_depend_on_the_order_symbols_are_met():
+    """Interpreters that meet the symbols in different orders (the
+    ``rational`` domain forwards, reversed, and after a family request
+    with opaque coefficients), at two hash seeds, write byte-identical
+    reports."""
+    rational = [_spec(r) for r in dict.fromkeys(workloads.domain("rational"))]
+    first = _spec(workloads.opaque_family())
+    expected = _child_reports(rational)
+    for hash_seed in (0, 1):
+        assert _child_reports(rational, hash_seed) == expected
+        assert _child_reports(rational[::-1], hash_seed)[::-1] == expected
+        assert _child_reports([first] + rational, hash_seed)[1:] == expected

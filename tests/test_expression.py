@@ -22,7 +22,8 @@ from odecartan import (
     UnknownSymbolError,
     parse_expression,
 )
-from odecartan.poly import Poly, mono_gcd
+from odecartan.errors import ExponentOverflowError, OdeCartanError
+from odecartan.poly import EXPONENT_LIMIT, Poly, factors, poly_gcd
 
 
 @pytest.fixture()
@@ -36,7 +37,7 @@ def assert_canonical(e):
     num, den = e.num.terms.values(), e.den.terms.values()
     assert all(type(c) is int and c for c in num)
     assert all(type(c) is int and c for c in den)
-    assert mono_gcd(e.num.mono_content(), e.den.mono_content()) == ()
+    assert poly_gcd(Poly({e.num.mono_content(): 1}), Poly({e.den.mono_content(): 1})).is_const
     assert gcd(gcd(*num), gcd(*den)) == 1
     assert e.den.leading()[1] > 0
 
@@ -60,9 +61,9 @@ class TestParsing:
     def test_flat_rhs_canonical_fraction(self, table):
         e = parse_expression("3/2*q^2/p", J2_CHART, table)
         ((mono_num, coeff_num),) = e.num.terms.items()
-        assert coeff_num == 3 and mono_num[0][0].name == "q" and mono_num[0][1] == 2
+        assert coeff_num == 3 and [(s.name, k) for s, k, _ in factors(mono_num)] == [("q", 2)]
         ((mono_den, coeff_den),) = e.den.terms.items()
-        assert coeff_den == 2 and mono_den[0][0].name == "p" and mono_den[0][1] == 1
+        assert coeff_den == 2 and [(s.name, k) for s, k, _ in factors(mono_den)] == [("p", 1)]
 
     def test_algebraic_identity_collapses_to_zero(self, table):
         e = parse_expression("(p+q)^2 - p^2 - 2*p*q - q^2", J2_CHART, table)
@@ -481,6 +482,34 @@ class TestCanonicalProperties:
             assert e.render() == text
             assert e == parse_expression(text, J2_CHART, table)
 
+    def test_zero_operands_build_no_throwaway_expression(self, monkeypatch):
+        """``v + 0``, ``0 + v``, ``v - 0`` and ``0 - v`` build no
+        ``Expression`` for the zero, and ``v * 0`` builds only its result;
+        the results are what they were."""
+        v = parse_expression("x/(y + 1)", J2_CHART, SymbolTable())
+        zero, minus_v = v.with_value(0), -v
+        built = []
+        real = Expression.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(None)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Expression, "__init__", counting)
+        for z in (0, Fraction(0)):
+            for case, result, inits in [
+                (lambda: v + z, v, 0),
+                (lambda: z + v, v, 0),
+                (lambda: v - z, v, 0),
+                (lambda: z - v, minus_v, 1),
+                (lambda: v * z, zero, 1),
+                (lambda: z * v, zero, 1),
+                (lambda: zero * z, zero, 0),
+            ]:
+                built.clear()
+                assert case() == result
+                assert len(built) == inits
+
     def test_constant_operands_take_the_short_paths(self):
         x = Expression.coordinate("x", J2_CHART)
         assert x - 0 is x
@@ -566,13 +595,12 @@ class TestPolyInternals:
                     expected = parse_expression(common, P_CHART, table).num
                     assert gcd.exact_div(expected) is not None
                     assert expected.exact_div(gcd) is not None
-                    # both integer-map algorithms give it, up to sign
-                    syms = sorted(a.symbols() | b.symbols())
-                    f, g = poly._to_int(a, syms)[0], poly._to_int(b, syms)[0]
-                    exact = poly._to_int(gcd, syms)[0]
-                    negated = {m: -c for m, c in exact.items()}
-                    assert poly._heu_gcd(f, g)[0] in (exact, negated)
-                    assert poly._gcd_recursive(f, g) in (exact, negated)
+                    # both algorithms give it, up to sign
+                    shifts = poly._ordered(poly._support(a.terms) | poly._support(b.terms))[0]
+                    f, g = a.div_int(a.content()).terms, b.div_int(b.content()).terms
+                    negated = {m: -c for m, c in gcd.terms.items()}
+                    assert poly._heu_gcd(f, g, shifts)[0] in (gcd.terms, negated)
+                    assert poly._gcd_recursive(f, g, shifts) in (gcd.terms, negated)
                     checked += 1
         assert checked == 105
 
@@ -594,3 +622,44 @@ class TestPolyInternals:
     def test_zero_polynomial_is_empty(self):
         assert Poly.zero().is_zero
         assert not Poly.const(3).is_zero
+
+
+class TestExponentLimit:
+    """An exponent field holds ``EXPONENT_LIMIT`` and never wraps: one more
+    raises ``ExponentOverflowError`` instead of spilling into the next symbol."""
+
+    def test_the_largest_exponent_multiplies_renders_and_reparses(self):
+        table = SymbolTable()
+        p, q = (parse_expression(c, J2_CHART, table) for c in "pq")
+        top = p ** EXPONENT_LIMIT
+        assert top == p ** (EXPONENT_LIMIT - 1) * p
+        both = top * q ** EXPONENT_LIMIT
+        assert both.render() == f"p^{EXPONENT_LIMIT}*q^{EXPONENT_LIMIT}"
+        for e in (top, both, both / (q * (p + 1))):
+            assert parse_expression(e.render(), J2_CHART, table) == e
+        ((mono, _),) = both.num.terms.items()
+        assert [(s.name, k) for s, k, _ in factors(mono)] == [
+            ("p", EXPONENT_LIMIT), ("q", EXPONENT_LIMIT)]
+        assert (both.differentiate("p") / both).render() == f"{EXPONENT_LIMIT}/p"
+
+    def test_one_more_raises_and_spills_into_no_neighbour(self):
+        table = SymbolTable()
+        p, q = (parse_expression(c, J2_CHART, table).num for c in "pq")
+        top = p ** EXPONENT_LIMIT
+        ((p_mono, _),) = p.terms.items()
+        assert issubclass(ExponentOverflowError, OdeCartanError)
+        for overflow in (
+            lambda: p ** (EXPONENT_LIMIT + 1),
+            lambda: (p + Poly.const(1)) ** (EXPONENT_LIMIT + 1),
+            lambda: (p * q + q * q) ** (EXPONENT_LIMIT // 2 + 1),
+            lambda: top.mul_mono(p_mono),
+            lambda: top * p,
+            lambda: (top + q) * (p * q + Poly.const(1)),
+            lambda: (q ** EXPONENT_LIMIT * top) * (q * p),
+        ):
+            with pytest.raises(ExponentOverflowError):
+                overflow()
+        # the product just below the limit keeps both symbols apart
+        half = p ** (EXPONENT_LIMIT // 2)
+        assert (half * half * p).render() == f"p^{EXPONENT_LIMIT}"
+        assert ((half * q) * (half * p)).render() == f"p^{EXPONENT_LIMIT}*q"

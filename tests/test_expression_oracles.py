@@ -17,7 +17,7 @@ from odecartan.errors import (
     SingularSubstitutionError,
 )
 from odecartan.expression import _normalize
-from odecartan.poly import Poly, add_product
+from odecartan.poly import Poly, add_product, factors, monomial
 from odecartan.symbols import Sym
 from tests.conftest import ExpressionSampler
 
@@ -26,7 +26,7 @@ def _sympy_poly(poly, sympy):
     out = sympy.Integer(0)
     for mono, c in poly.terms.items():
         term = sympy.Integer(c)
-        for sym, k in mono:
+        for sym, k, _ in factors(mono):
             term *= sympy.Symbol(sym.render()) ** k
         out += term
     return out
@@ -109,9 +109,7 @@ def test_substitute_matches_subs(sampler):
 
 _XYP = sorted((J2_CHART.sym(c) for c in "xyp"), key=lambda s: s.key)
 _POLYS = st.dictionaries(
-    st.tuples(*[st.integers(0, 2)] * 3).map(
-        lambda exps: tuple((s, e) for s, e in zip(_XYP, exps) if e)
-    ),
+    st.tuples(*[st.integers(0, 2)] * 3).map(lambda exps: monomial(zip(_XYP, exps))),
     st.integers(-4, 4).filter(bool),
     max_size=5,
 ).map(Poly)
@@ -148,7 +146,7 @@ _GENS = sorted(
 )
 _MIXED_POLYS = st.dictionaries(
     st.dictionaries(st.sampled_from(_GENS), st.integers(1, 3), max_size=3).map(
-        lambda mono: tuple(sorted(mono.items(), key=lambda t: t[0].key))
+        lambda mono: monomial(mono.items())
     ),
     st.integers(-4, 4).filter(bool),
     min_size=1,
@@ -169,7 +167,7 @@ def test_the_term_order_is_grlex(f):
 
     def exponents(mono):
         out = [0] * len(_GENS)
-        for s, k in mono:
+        for s, k, _ in factors(mono):
             out[index[s.key]] = k
         return tuple(out)
 
@@ -233,7 +231,7 @@ def _fraction_sum(poly, point):
     total = Fraction(0)
     for mono, coeff in poly.terms.items():
         term = Fraction(coeff)
-        for sym, k in mono:
+        for sym, k, _ in factors(mono):
             term *= Fraction(point[sym.render()]) ** k
         total += term
     return total

@@ -7,18 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from odecartan import P_CHART
 from odecartan.invariant_table import coprime_base, factor_over
-from odecartan.poly import Poly, poly_gcd
+from odecartan.poly import Poly, factors, monomial, poly_gcd
 
-# monomials list their symbols in key order, as Poly requires
 SYMS = sorted(P_CHART.sym(c) for c in P_CHART.coords)
 
 
 def _poly(terms):
     """Poly from ``{exponent tuple over SYMS: int}``."""
-    return Poly({
-        tuple((s, k) for s, k in zip(SYMS, m) if k): c
-        for m, c in terms.items() if c
-    })
+    return Poly({monomial(zip(SYMS, m)): c for m, c in terms.items() if c})
 
 
 def _random_poly(rng, nvars, nterms, degree, coeff):
@@ -38,7 +34,7 @@ def _to_sympy(poly, sympy):
     out = sympy.Integer(0)
     for m, c in poly.terms.items():
         term = sympy.Rational(c.numerator, c.denominator)
-        for s, k in m:
+        for s, k, _ in factors(m):
             term *= index[s.key] ** k
         out += term
     return out

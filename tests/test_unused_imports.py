@@ -7,14 +7,15 @@ somewhere in the same module (an attribute chain ``a.b`` reads ``a``) or
 be listed in its ``__all__``; and a private name (``_name``) that a
 module of ``src/odecartan`` binds at its top level must be read, as a
 ``Name`` or as an attribute, somewhere in ``src/`` or ``tests/``.  And
-the monomial helpers stay inside ``poly``: no other module of the package
-imports ``mono_mul``, ``mono_gcd`` or ``mono_div``, or reads one as an
-attribute.  A change of the monomial encoding still reaches past ``poly``:
-``expression._subst_poly``, ``expression._eval_poly`` and
-``invariant_table`` (``write_generic_table``, ``_generic_table``,
-``_residue``, ``_certificate``, ``ONE_MONO``) read the ``(Sym, exponent)``
-pairs of a monomial themselves.  Rendering does not: ``Poly.render`` is
-the one writer of the grammar.
+the monomial encoding stays inside ``poly``: no other module of the
+package imports one of its layout names or its slot registry
+(``MONOMIAL_HELPERS``), or reads one as an attribute.  A monomial is one
+packed ``int``, and the other modules build, read, split and multiply it
+only through ``poly.monomial``, ``poly.factors``, ``poly.mask`` and
+``poly.add_product``: the put-in (``expression._subst_poly``), the
+evaluation at a point (``expression._eval_poly``) and the invariant
+table's decode, walk, residues and certificates.  Rendering is
+``Poly.render``, the one writer of the grammar.
 """
 
 import ast
@@ -115,11 +116,19 @@ def test_every_private_name_of_the_package_is_read():
     assert found == {}
 
 
-MONOMIAL_HELPERS = {"mono_mul", "mono_gcd", "mono_div"}
+# The layout of a packed monomial and the slot registry of ``poly``: the
+# field width and masks, the registry and its lock, and the helpers that
+# read fields.  Other modules go through ``monomial``, ``factors``,
+# ``mask`` and ``add_product``.
+MONOMIAL_HELPERS = {
+    "_WIDTH", "_FIELD", "_GUARDS", "_LOWS", "_SLOTS", "_SYMS", "_LOCK", "_slot",
+    "_occupied", "_ordered", "_support", "_at_least", "_field_min", "_mono_content",
+    "_degrees", "_top", "_grlex", "_mono_text",
+}
 
 
 def monomial_helpers_used(source):
-    """The monomial helpers ``source`` imports by name or reads as an
+    """The encoding helpers ``source`` imports by name or reads as an
     attribute."""
     used = set()
     for node in ast.walk(ast.parse(source)):
@@ -131,8 +140,16 @@ def monomial_helpers_used(source):
 
 
 def test_the_scan_sees_a_monomial_helper():
-    source = "from .poly import Poly, mono_gcd\nfrom . import poly\npoly.mono_div(a, b)\n"
-    assert monomial_helpers_used(source) == ["mono_div", "mono_gcd"]
+    source = "from .poly import Poly, _slot\nfrom . import poly\npoly._FIELD << poly._WIDTH\n"
+    assert monomial_helpers_used(source) == ["_FIELD", "_WIDTH", "_slot"]
+
+
+def test_the_encoding_helpers_are_poly_names():
+    body = ast.parse((PACKAGE / "poly.py").read_text(encoding="utf-8")).body
+    names = {t.id for node in body if isinstance(node, ast.Assign)
+             for t in node.targets if isinstance(t, ast.Name)}
+    names |= {node.name for node in body if isinstance(node, ast.FunctionDef)}
+    assert MONOMIAL_HELPERS <= names
 
 
 def test_only_poly_multiplies_monomials():
