@@ -48,11 +48,8 @@ class Expression:
 
     @classmethod
     def from_sym(cls, sym, chart):
-        if sym.is_coordinate:
-            chart.axis(sym.name)
-        else:
-            for a in sym.args:
-                chart.axis(a)
+        for a in sym.reads:
+            chart.axis(a)
         return cls(Poly.var(sym), Poly.const(1), chart)
 
     def _wrap(self, num, den, normalized=False):
@@ -123,8 +120,6 @@ class Expression:
         if self.den == other.den:
             return self._wrap(self.num + other.num, self.den)
         g = poly_gcd(self.den, other.den)
-        if g.is_const:
-            return self._wrap(self.num * other.den + other.num * self.den, self.den * other.den)
         db = other.den.exact_div(g)
         da = self.den.exact_div(g)
         return self._wrap(self.num * db + other.num * da, self.den * db)
@@ -211,11 +206,8 @@ class Expression:
         if chart is self.chart:
             return self
         for s in self.symbols():
-            if s.is_coordinate:
-                chart.axis(s.name)
-            else:
-                for a in s.args:
-                    chart.axis(a)
+            for a in s.reads:
+                chart.axis(a)
         return Expression(self.num, self.den, chart, _normalized=True)
 
     def substitute(self, mapping, target_chart=None):

@@ -46,7 +46,7 @@ from operator import add
 
 from . import poly
 from .cartan import OdeProblem, StructureFunctions, structure_functions
-from .errors import DegenerateOdeError, StructureConsistencyError
+from .errors import StructureConsistencyError
 from .expression import Expression
 from .poly import Poly, _primitive_poly, add_product, canonical_tail, factors, monomial
 from .symbols import J2_CHART, P_CHART, Sym
@@ -309,10 +309,11 @@ def _generic_table():
     return indices, qq, table
 
 
-def factored_jets(F, indices):
-    """(base, points, jets, (cn, cd, v)) for F with F_qq ≠ 0, with no GCD
-    per jet: ``base`` is coprime over the reduced denominators of F, F_x,
-    F_y, F_p, F_q and F_qq and F_qq's numerator, and ``points[i]`` is
+def factored_jets(prob, indices):
+    """(base, points, jets, (cn, cd, v)) for the ``OdeProblem`` ``prob``,
+    with no GCD per jet: F, F_q and F_qq ≠ 0 are read from ``prob``, and
+    F_x, F_y and F_p derived here; ``base`` is coprime over the reduced
+    denominators of those six and F_qq's numerator, and ``points[i]`` is
     base_i's ``_certificate``, derived once here; ``jets[i]`` is None where
     the jet along ``indices[i]`` is zero, else (N, c, e) with that jet N /
     (c · Π base_j^e_j); F_qq = cn/cd · Π base_j^v_j.  Every jet past those
@@ -321,11 +322,9 @@ def factored_jets(F, indices):
     element of positive exponent while it divides N, and shares no content
     with c.  A certified element that does not divide N is ruled out by
     one evaluation (``_quotient``), never by a failed division."""
-    F = F.on_chart(J2_CHART)
-    reduced = {(): F, **{(z,): F.differentiate(z) for z in J2_CHART.coords}}
-    fqq = reduced["q", "q"] = reduced["q",].differentiate("q")
-    if fqq.is_zero:
-        raise DegenerateOdeError("F_qq is identically zero")
+    F, fqq = prob.F, prob.Fqq
+    reduced = {(): F, **{(z,): F.differentiate(z) for z in "xyp"}, ("q",): prob.Fq,
+               ("q", "q"): fqq}
     base = coprime_base([r.den for r in reduced.values()] + [fqq.num])
     points = [_certificate(b) for b in base]
     memo = {i: None if r.is_zero else (r.num, *factor_over(r.den, base, points))
@@ -358,9 +357,9 @@ def factored_jets(F, indices):
     return base, points, [jet(i) for i in indices], (cn, cd, [a - b for a, b in zip(en, ed)])
 
 
-def structure_from_jets(F):
-    """a..s of y''' = F (F_qq ≠ 0) from ``generic_structure``, with no
-    coframe: each jet of G' becomes F's jet in the form of ``factored_jets``
+def structure_from_jets(prob):
+    """a..s of the ``OdeProblem`` ``prob`` from ``generic_structure``, with
+    no coframe: each jet of G' becomes F's jet in the form of ``factored_jets``
     and F_qq a monomial over the base.  Each invariant skips a term that
     reads a zero jet (``mask``), reads each (jet, power) pair's integers,
     exponents over the base and ``Poly`` power once per request, and the
@@ -373,7 +372,7 @@ def structure_from_jets(F):
     divides, and is ruled out by one evaluation elsewhere; no GCD of the
     whole fraction is taken."""
     indices, qq, table = _generic_table()
-    base, points, jets, (cn, cd, vqq) = factored_jets(F, indices)
+    base, points, jets, (cn, cd, vqq) = factored_jets(prob, indices)
     power = cache(lambda i, k: base[i] ** k)
 
     @cache

@@ -158,14 +158,15 @@ def _mono_content(terms):
     return g
 
 
+def _field_max(a, b):
+    """The monomial lcm of a and b."""
+    take_a = _at_least(a, b, _GUARDS)
+    return (a & take_a) | (b & ~take_a)
+
+
 def _degrees(terms):
     """Each field the largest exponent in the monomials of ``terms``."""
-    it = iter(terms)
-    d = next(it)
-    for m in it:
-        take = _at_least(d, m, _GUARDS)
-        d = (d & take) | (m & ~take)
-    return d
+    return reduce(_field_max, terms)
 
 
 def _grlex(terms):
@@ -331,11 +332,6 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero:
             return Poly.zero()
-        if other.is_const:
-            c = other.const_value()
-            if any(v % c for v in self.terms.values()):
-                return None
-            return self.div_int(c)
         q = _exact_div(self.terms, other.terms)
         return None if q is None else Poly(q)
 

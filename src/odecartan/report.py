@@ -39,6 +39,7 @@ from .curvature import curvature_tensors, einstein_residual, family_metric, metr
 from .errors import (
     ChartError,
     DegenerateOdeError,
+    ExponentOverflowError,
     ExpressionSyntaxError,
     FamilyRejectionError,
     OdeCartanError,
@@ -330,7 +331,7 @@ def _parsed_specializations(request, parse):
             )
         try:
             value = parse(text)
-        except (ExpressionSyntaxError, UnknownSymbolError) as exc:
+        except (ExpressionSyntaxError, UnknownSymbolError, ExponentOverflowError) as exc:
             raise AnalysisInputError("bad-specialization", str(exc)) from exc
         bad = [s.render() for s in value.symbols() if s.name not in ("x", "y")]
         if bad:
@@ -564,49 +565,52 @@ def analyze(request):
         "conventions": dict(CONVENTIONS),
     }
 
+    # a parse failure, F_qq = 0 or an exponent past the limit before the
+    # stages ends the request with its error; a stage's own overflow is
+    # that stage's error
     try:
-        rhs = parse_expression(request.ode, J2_CHART, table)
+        prob = OdeProblem(parse_expression(request.ode, J2_CHART, table))
+        report["fqq_nonzero"] = {"verdict": True, "fqq": prob.Fqq.render()}
+
+        # family detection always runs; it is cheap and the report requires it
+        state = _State(request, report, prob, specializations)
+        try:
+            family = state.family = family_detect(prob)
+        except FamilyRejectionError as exc:
+            report["family"] = {
+                "accepted": False,
+                "reason": exc.reason,
+                "detail": exc.detail,
+            }
+        else:
+            report["family"] = {
+                "accepted": True,
+                "A": family.A.render(),
+                "B": family.B.render(),
+                "C": family.C.render(),
+            }
+            forms = _generic_closed_forms()
+            state.jets = jet_expressions(
+                forms.jets, dict(zip(GENERIC_COEFFICIENTS, (family.A, family.B, family.C)))
+            )
+            kne = state.kne = KneInvariants(*map(state.put_in, forms.kne))
+            report["invariants_kne"] = {
+                "run": True,
+                "k": kne.k.render(),
+                "n": kne.n.render(),
+                "e": kne.e.render(),
+            }
     except (ExpressionSyntaxError, UnknownSymbolError) as exc:
         report["error"] = {"code": "parse-error", "message": str(exc)}
         report["fqq_nonzero"] = {"verdict": False, "fqq": None}
         return AnalysisReport(report, verdicts, {"parse": report["error"]})
-
-    try:
-        prob = OdeProblem(rhs)
     except DegenerateOdeError as exc:
         report["fqq_nonzero"] = {"verdict": False, "fqq": "0"}
         report["error"] = {"code": "degenerate-ode", "message": str(exc)}
         return AnalysisReport(report, verdicts, {"ode": report["error"]})
-    report["fqq_nonzero"] = {"verdict": True, "fqq": prob.Fqq.render()}
-
-    # family detection always runs; it is cheap and the report requires it
-    state = _State(request, report, prob, specializations)
-    try:
-        family = state.family = family_detect(prob)
-    except FamilyRejectionError as exc:
-        report["family"] = {
-            "accepted": False,
-            "reason": exc.reason,
-            "detail": exc.detail,
-        }
-    else:
-        report["family"] = {
-            "accepted": True,
-            "A": family.A.render(),
-            "B": family.B.render(),
-            "C": family.C.render(),
-        }
-        forms = _generic_closed_forms()
-        state.jets = jet_expressions(
-            forms.jets, dict(zip(GENERIC_COEFFICIENTS, (family.A, family.B, family.C)))
-        )
-        kne = state.kne = KneInvariants(*map(state.put_in, forms.kne))
-        report["invariants_kne"] = {
-            "run": True,
-            "k": kne.k.render(),
-            "n": kne.n.render(),
-            "e": kne.e.render(),
-        }
+    except ExponentOverflowError as exc:
+        report["error"] = {"code": "exponent-overflow", "message": str(exc)}
+        return AnalysisReport(report, verdicts, {"ode": report["error"]})
 
     with_verdict = set(requested).union(*(_BY_NAME[s].implies for s in requested))
     for stage in _closure(requested):

@@ -27,6 +27,12 @@ class Sym:
     def is_coordinate(self):
         return not self.args
 
+    @property
+    def reads(self):
+        """The coordinates this symbol depends on: its own name, or its
+        function's arguments."""
+        return self.args or (self.name,)
+
     def derived(self, coord):
         """Jet symbol with one more derivative slot; caller checks coord in args."""
         return Sym(self.name, self.args, self.index + (coord,))

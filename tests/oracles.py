@@ -875,3 +875,24 @@ def normalized_over_base(num, coeff, alpha_power, base, exponents):
     for b, e in zip(base, exponents):
         den = den * b**e
     return Expression(num, den, P_CHART)
+
+
+# -- fibre-preserving transformations -------------------------------------------
+
+
+def fibre_transform(F, X, Y):
+    """The right-hand side F1 of y''' = F written in new coordinates
+    x~ = X(x), y~ = Y(x, y) (F, X, Y on the jet chart): with X' = dX/dx
+    and D0 = d/dx + p d/dy + q d/dp, p~ = D0 Y / X' and q~ = D0 p~ / X',
+    and y~''' = F(X, Y, p~, q~) becomes y''' = F1 with
+    F1 = (X' F(X, Y, p~, q~) - D0 q~) X'^2 / Y_y."""
+    p, q = (Expression.coordinate(c, F.chart) for c in "pq")
+
+    def D0(e):
+        return e.differentiate("x") + p * e.differentiate("y") + q * e.differentiate("p")
+
+    dX = X.differentiate("x")
+    pt = D0(Y) / dX
+    qt = D0(pt) / dX
+    image = F.substitute({"x": X, "y": Y, "p": pt, "q": qt})
+    return (dX * image - D0(qt)) * dX * dX / Y.differentiate("y")

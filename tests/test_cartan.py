@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from odecartan import (
     DegenerateOdeError,
@@ -47,7 +48,12 @@ from odecartan.forms import DifferentialForm
 from odecartan.petrov import jet_expressions
 from odecartan.report import AnalysisRequest, analyze
 from tests.conftest import XY_CHART, ExpressionSampler, make_problem
-from tests.oracles import member_family, printed_display_coframe, tau_from_theta_residuals
+from tests.oracles import (
+    fibre_transform,
+    member_family,
+    printed_display_coframe,
+    tau_from_theta_residuals,
+)
 
 
 def chart_level_residuals(tau, table, sf=None):
@@ -392,6 +398,110 @@ class TestFamilyDetect:
         with pytest.raises(FamilyRejectionError) as err:
             family_detect(prob)
         assert err.value.detail == "the cubic coefficient depends on p or q"
+
+
+# one input per reachable rejection in ``family_detect``, with its (reason, detail)
+REACHABLE_REJECTIONS = [
+    ("q^3 + y*p", FamilyRejectionError.WRONG_Q_DEPENDENCE, "F is not quadratic in q"),
+    ("q^2", FamilyRejectionError.WRONG_Q_DEPENDENCE, "the q^2 coefficient is not 3/(2p)"),
+    ("3/2*q^2/(p+1)", FamilyRejectionError.SIGMA_TERM_PRESENT,
+     "sigma = 1 has not been normalized away"),
+    ("3/2*q^2/p + q", FamilyRejectionError.WRONG_Q_DEPENDENCE, "a term linear in q is present"),
+    ("3/2*q^2/p + p^4", FamilyRejectionError.COEFFICIENT_DEPENDS_ON_PQ,
+     "the cubic coefficient depends on p or q"),
+    ("3/2*q^2/p + 1", FamilyRejectionError.COEFFICIENT_DEPENDS_ON_PQ,
+     "a remainder term outside A p^3 + C p^2 + B p is present"),
+]
+
+
+@pytest.mark.parametrize("text, reason, detail", REACHABLE_REJECTIONS,
+                         ids=[t for t, _, _ in REACHABLE_REJECTIONS])
+def test_each_reachable_rejection_carries_its_reason_and_detail(text, reason, detail):
+    with pytest.raises(FamilyRejectionError) as err:
+        family_detect(make_problem(text))
+    assert (err.value.reason, err.value.detail) == (reason, detail)
+
+
+# R's terms: c * x^i * y^j * p^k * J, with J 1 or a jet of T(p) or U(x,p)
+_R_TERMS = st.lists(
+    st.tuples(
+        st.fractions(-3, 3, max_denominator=4).filter(bool),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.integers(-1, 4),
+        st.sampled_from(("1", "1", "1", "T", "T_p", "T_pp", "U", "U_x", "U_p", "U_pp")),
+    ),
+    max_size=4,
+)
+
+
+@given(_R_TERMS)
+@settings(max_examples=200, deadline=None)
+def test_an_accepted_member_has_coefficients_free_of_p_and_q(terms):
+    """F = 3/2 q^2/p + R with R free of q: an accepted F has A, B, C with
+    zero total derivatives along p and q, and a rejected one fails the
+    cubic or the remainder check, the only ones that read R."""
+    table = SymbolTable()
+    table.declare("T", ("p",))
+    table.declare("U", ("x", "p"))
+    x, y, p = (Expression.coordinate(c, J2_CHART) for c in "xyp")
+    F = parse_expression("3/2*q^2/p", J2_CHART, table)
+    for c, i, j, k, jet in terms:
+        F = F + c * x**i * y**j * p**k * parse_expression(jet, J2_CHART, table)
+    try:
+        fd = family_detect(OdeProblem(F))
+    except FamilyRejectionError as exc:
+        assert (exc.reason, exc.detail) in {(r, d) for _, r, d in REACHABLE_REJECTIONS[4:]}
+    else:
+        for coeff in (fd.A, fd.B, fd.C):
+            assert coeff.differentiate("p").is_zero and coeff.differentiate("q").is_zero
+
+
+# (F, X, Y): y''' = F in the coordinates x~ = X(x), y~ = Y(x, y)
+MEMBER = "3/2*q^2/p + x*y*p^3 + (x+y)*p"
+FIBRE_CASES = [
+    (MEMBER, "x", "y+x"),
+    (MEMBER, "2*x", "2*y"),
+    (MEMBER, "x", "y*(1+x)"),
+    ("3/2*q^2/p", "x+1", "2*y+x"),
+    ("3/2*q^2/p", "x", "y+x^2"),
+    ("q^2/(p+1)", "2*x", "y+x"),
+    ("q^2/(p+1)", "x", "y^2"),
+    ("q^2 + y*p", "x+1", "x*y"),
+    ("q^2 + y*p", "x", "2*y"),
+]
+
+
+def _fibre_image(F, X, Y):
+    return fibre_transform(*(parse_expression(t, J2_CHART, SymbolTable()) for t in (F, X, Y)))
+
+
+def _vanishing_and_verdicts(text):
+    data = analyze(AnalysisRequest(ode=text, stages=("cond",))).data
+    values = data["structure_functions"]["values"]
+    verdicts = data["conditions"]["verdicts"]
+    return {n for n, v in values.items() if v == "0"}, {n: v["holds"] for n, v in verdicts.items()}
+
+
+@pytest.mark.parametrize("F, X, Y", FIBRE_CASES)
+def test_a_fibre_preserving_change_keeps_the_vanishing_invariants_and_verdicts(F, X, Y):
+    """The invariants a..s are relative invariants of fibre-preserving
+    changes, so which of them vanish, and so the ten condition verdicts,
+    are the same for F and its image."""
+    assert _fibre_image(F, "x", "y") == parse_expression(F, J2_CHART, SymbolTable())
+    before = _vanishing_and_verdicts(F)
+    assert len(before[1]) == 10
+    assert _vanishing_and_verdicts(_fibre_image(F, X, Y).render()) == before
+
+
+@pytest.mark.parametrize("X, Y, terms", [("x", "y+x", 19), ("x", "y*(1+x)", 47)])
+def test_a_disguised_member_is_rejected_with_its_sigma_term(X, Y, terms):
+    """Detection is syntactic: a member in other coordinates has a shifted
+    q^2 denominator, which is reported, never normalized away."""
+    image = _fibre_image(MEMBER, X, Y)
+    assert len(image.num) + len(image.den) == terms
+    family = analyze(AnalysisRequest(ode=image.render(), stages=("inv",))).data["family"]
+    assert family["reason"] == FamilyRejectionError.SIGMA_TERM_PRESENT
 
 
 class TestFamilyInvariants:

@@ -90,7 +90,8 @@ class TestExitCodes:
         proc = run_cli("--ode", f"q^2*p^{EXPONENT_LIMIT + 1}", "--stages", "inv")
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        error = json.loads(proc.stderr)["error"]
+        error = json.loads(proc.stdout)["error"]
+        assert error["code"] == "exponent-overflow"
         assert str(EXPONENT_LIMIT) in error["message"]
 
     def test_family_stage_on_non_family_input(self):

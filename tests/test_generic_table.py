@@ -58,8 +58,9 @@ def _renders(sf):
 
 def _assert_table_matches_chart(rhs):
     """The table path gives the chart extraction's invariants, byte for byte."""
-    table_path = invariant_table.structure_from_jets(rhs)
-    assert _renders(table_path) == _renders(structure_functions(OdeProblem(rhs).coframe()))
+    prob = OdeProblem(rhs)
+    table_path = invariant_table.structure_from_jets(prob)
+    assert _renders(table_path) == _renders(structure_functions(prob.coframe()))
 
 
 def test_the_committed_table_is_regenerated_byte_for_byte(tmp_path):
@@ -152,7 +153,7 @@ def test_the_table_on_the_generic_member_is_its_pulled_back_closed_forms():
     generic member's denominators are monomials in alpha and p, so putting
     in a member's A, B, C keeps it."""
     fd = generic_family()
-    table = invariant_table.structure_from_jets(fd.problem.F)
+    table = invariant_table.structure_from_jets(fd.problem)
     pulled_back = family_structure(family_invariants(fd))
     assert _renders(table) == _renders(pulled_back)
     assert {n for n in STRUCTURE_NAMES if not getattr(table, n).is_zero} == {"k", "n", "e"}
@@ -362,7 +363,7 @@ def _reductions_checked(forced_zero=False):
 
 def _assert_matches_the_reduced_jet_oracle(rhs, forced_zero=False):
     with _reductions_checked(forced_zero):
-        sf = invariant_table.structure_from_jets(rhs)
+        sf = invariant_table.structure_from_jets(OdeProblem(rhs))
     oracle = reduced_jet_structure(rhs)
     assert all(getattr(sf, n) == getattr(oracle, n) for n in STRUCTURE_NAMES)
     assert _renders(sf) == _renders(oracle)
@@ -372,7 +373,7 @@ def _assert_factored_jets_match_the_chain(rhs):
     """Each factored jet N / (c · Π b^e) is F's ``differentiate`` chain along
     its index, for all 41 indices, and F_qq is cn/cd · Π b^v."""
     indices = invariant_table._generic_table()[0]
-    base, _, jets, (cn, cd, v) = invariant_table.factored_jets(rhs, indices)
+    base, _, jets, (cn, cd, v) = invariant_table.factored_jets(OdeProblem(rhs), indices)
     assert len(jets) == 41
     f = rhs.on_chart(J2_CHART)
     for index, jet in zip(indices, jets):
@@ -417,8 +418,9 @@ def test_the_factored_jets_match_the_differentiate_chain(text):
 
 @pytest.mark.parametrize("text", ["q + x*p", "x*q/(p+1) + S(x,y)", "y*p^2/(x+1) + H(x,y,p,q)*0"])
 def test_the_table_path_refuses_a_zero_f_qq(text):
+    """The table path reads an ``OdeProblem``, which refuses F_qq = 0."""
     with pytest.raises(DegenerateOdeError):
-        invariant_table.structure_from_jets(_parse(text))
+        OdeProblem(_parse(text))
 
 
 # Factors of the drawn denominators: linear and quadratic in p, in x and y
@@ -517,6 +519,23 @@ def test_the_reduction_over_a_constructed_base_matches_the_oracle(
     assert (out.num, out.den) == (expected.num, expected.den)
 
 
+def test_the_table_path_differentiates_f_only_along_x_y_and_p(monkeypatch):
+    """F_q and F_qq ≠ 0 come from the ``OdeProblem``, which derived and
+    checked them; the table path derives only F_x, F_y and F_p of F."""
+    prob = OdeProblem(_parse("q^2/(p+1) + y*p"))
+    along, real = [], Expression.differentiate
+
+    def recorded(self, coord):
+        if self is prob.F:
+            along.append(coord)
+        return real(self, coord)
+
+    monkeypatch.setattr(Expression, "differentiate", recorded)
+    invariant_table.structure_from_jets(prob)
+    monkeypatch.undo()
+    assert sorted(along) == ["p", "x", "y"]
+
+
 def test_the_certified_path_takes_no_gcd_and_no_failed_division(monkeypatch):
     """On ``3/2*q^2/(p+2) + 3*p`` the base is [p+2], which is certified:
     once ``coprime_base`` has returned, ``structure_from_jets`` takes no
@@ -544,7 +563,7 @@ def test_the_certified_path_takes_no_gcd_and_no_failed_division(monkeypatch):
     monkeypatch.setattr(poly, "poly_gcd", counted_gcd)
     monkeypatch.setattr(expression, "poly_gcd", counted_gcd)
     monkeypatch.setattr(Poly, "exact_div", counted_div)
-    sf = invariant_table.structure_from_jets(rhs)
+    sf = invariant_table.structure_from_jets(OdeProblem(rhs))
     monkeypatch.undo()
     assert bases == [[Poly.var(J2_CHART.sym("p")) + Poly.const(2)]]
     assert gcds == [] and failed == []
@@ -554,6 +573,7 @@ def test_the_certified_path_takes_no_gcd_and_no_failed_division(monkeypatch):
 _HASH_SEED_PROBE = """
 import json
 from odecartan import J2_CHART, SymbolTable, parse_expression, invariant_table
+from odecartan.cartan import OdeProblem
 from odecartan.poly import Poly
 from odecartan.symbols import Sym
 
@@ -562,9 +582,9 @@ real_div = Poly.exact_div
 Poly.exact_div = lambda self, other: calls.append(len(self)) or real_div(self, other)
 table = SymbolTable()
 table.declare("S", ("x", "y"))
-rhs = parse_expression("q^2/(p+S(x,y)) + y*q/(x*p+1)", J2_CHART, table)
-base, points, _, _ = invariant_table.factored_jets(rhs, invariant_table._generic_table()[0])
-sf = invariant_table.structure_from_jets(rhs)
+prob = OdeProblem(parse_expression("q^2/(p+S(x,y)) + y*q/(x*p+1)", J2_CHART, table))
+base, points, _, _ = invariant_table.factored_jets(prob, invariant_table._generic_table()[0])
+sf = invariant_table.structure_from_jets(prob)
 print(json.dumps({
     "base": [repr(b) for b in base],
     "points": [p and sorted((s.render(), v) for s, v in p.items() if isinstance(s, Sym))

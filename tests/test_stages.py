@@ -185,7 +185,7 @@ class TestRequestValidation:
         assert proc.stdout == ""
         assert json.loads(proc.stderr)["error"]["code"] == "bad-stage"
 
-    @pytest.mark.parametrize("name, text", [("D", "x"), ("A", "p"), ("A", "x+")])
+    @pytest.mark.parametrize("name, text", [("D", "x"), ("A", "p"), ("A", "x+"), ("A", "x^40000")])
     def test_a_bad_specialization_is_rejected_without_petrov(self, name, text):
         with pytest.raises(AnalysisInputError) as info:
             analyze(AnalysisRequest(ode=FLAT, stages=("inv",), specializations={name: text}))
@@ -212,6 +212,16 @@ class TestRequestValidation:
         proc = run_cli("--ode", FLAT, "--stages", "inv", "--specialize", "A=" + text)
         assert proc.returncode == 2
         assert json.loads(proc.stderr)["error"]["code"] == "bad-specialization"
+
+    # past the exponent limit (32767) in the parser, in F_q's denominator
+    # (OdeProblem) and in 3/F_qq - p (family_detect)
+    @pytest.mark.parametrize("text", ["q^2*p^32768", "q^3/(q+p^20000)", "q^2*p^32767"])
+    def test_an_exponent_overflow_in_the_ode_ends_with_a_report(self, text):
+        report = analyze(AnalysisRequest(ode=text, stages=("inv",)))
+        assert report.exit_code == 2
+        assert report.data["error"]["code"] == "exponent-overflow"
+        assert "32767" in report.data["error"]["message"]
+        assert report.stage_errors == {"ode": report.data["error"]}
 
     def test_long_literals_and_coefficients_are_analyzed(self):
         long = "3" * 5000
