@@ -124,16 +124,13 @@ def invariant_coframe(prob):
     fails the consistency check.
     """
     chart = P_CHART
-    F = prob.F.on_chart(chart)
     w1, w2, w3, w4 = base_coframe(prob, chart)
     dalpha = DifferentialForm.d_coord(chart, "alpha")
     dgamma = DifferentialForm.d_coord(chart, "gamma")
     alpha = Expression.coordinate("alpha", chart)
     gamma = Expression.coordinate("gamma", chart)
 
-    Fq = F.differentiate("q")
-    Fp = F.differentiate("p")
-    Fqq = Fq.differentiate("q")
+    Fq, Fqq = prob.Fq.on_chart(chart), prob.Fqq.on_chart(chart)
     Fqy = Fq.differentiate("y")
     Fqqq = Fqq.differentiate("q")
     Fqqp = Fqq.differentiate("p")
@@ -543,16 +540,6 @@ def family_structure(kne):
     return StructureFunctions(**values)
 
 
-def family_invariants_residuals(fd, kne):
-    """The closed forms ``kne`` (``family_invariants(fd)``) minus the
-    committed generic table's k, n, e of ``fd`` (``fd.problem.structure()``),
-    pulled to the adapted chart; all three must vanish.  This is the
-    suite's cross-check of the closed forms against the table; no request
-    calls it."""
-    sf = fd.problem.structure()
-    return {name: to_adapted(getattr(sf, name)) - value for name, value in kne._asdict().items()}
-
-
 # -- full and reduced differential tables -----------------------------------
 
 # Exact transcription of the closed-form differentials of the tau basis for
@@ -655,15 +642,6 @@ def _restricted(table, keep):
             if const or mults
         ]
     return out
-
-
-# Differentials once the ten reduction conditions hold: they zero every
-# invariant except k, n and e.
-REDUCED_TABLE = _restricted(APPENDIX_TABLE, ("k", "n", "e"))
-
-# Differentials of the maximally symmetric model (all invariants zero),
-# exhibiting the product Lie-algebra structure.
-FLAT_TABLE = _restricted(APPENDIX_TABLE, ())
 
 
 @cache

@@ -52,30 +52,18 @@ def build_parser():
     return parser
 
 
-def _parse_opaque(items):
+def _parse_named(items, sep, code, form, verb):
+    """``{NAME: VALUE}`` from ``NAME<sep>VALUE`` items, both parts stripped
+    and nonempty and each NAME given once; otherwise AnalysisInputError
+    with ``code``."""
     out = {}
     for item in items:
-        name, sep, args = item.partition(":")
-        name = name.strip()
-        if not sep or not name or not args:
-            raise AnalysisInputError(
-                "bad-opaque", f"expected NAME:ARG,ARG...  got {item!r}"
-            )
+        name, found, value = (part.strip() for part in item.partition(sep))
+        if not found or not name or not value:
+            raise AnalysisInputError(code, f"expected {form} {item!r}")
         if name in out:
-            raise AnalysisInputError("bad-opaque", f"{name!r} is declared twice")
-        out[name] = tuple(a.strip() for a in args.split(",") if a.strip())
-    return out
-
-
-def _parse_specializations(items):
-    out = {}
-    for item in items:
-        name, sep, expr = (part.strip() for part in item.partition("="))
-        if not sep or not name or not expr:
-            raise AnalysisInputError("bad-specialization", f"expected NAME=EXPR, got {item!r}")
-        if name in out:
-            raise AnalysisInputError("bad-specialization", f"{name!r} is specialized twice")
-        out[name] = expr
+            raise AnalysisInputError(code, f"{name!r} is {verb} twice")
+        out[name] = value
     return out
 
 
@@ -100,11 +88,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(_joined_ode(sys.argv[1:] if argv is None else argv))
     try:
+        opaque = _parse_named(args.opaque, ":", "bad-opaque", "NAME:ARG,ARG...  got", "declared")
+        for name, arg_list in opaque.items():
+            opaque[name] = tuple(a.strip() for a in arg_list.split(",") if a.strip())
         request = AnalysisRequest(
             ode=args.ode,
-            opaque=_parse_opaque(args.opaque),
+            opaque=opaque,
             stages=tuple(s for s in args.stages.split(",") if s.strip()),
-            specializations=_parse_specializations(args.specialize),
+            specializations=_parse_named(
+                args.specialize, "=", "bad-specialization", "NAME=EXPR, got", "specialized"
+            ),
             points=args.points,
             seed=args.seed,
         )

@@ -206,22 +206,18 @@ def _chart_images(source, mapping, target):
 
 
 def change_chart(form, mapping, target):
-    """Pullback with a symbolic check that the map is generically invertible."""
-    images = _chart_images(form.chart, mapping, target)
-    jacobian_nonsingular(form.chart, images, target)
-    return form.pullback(images, target)
-
-
-def jacobian_nonsingular(source, mapping, target):
-    """Raise unless the chart map has a not-identically-zero Jacobian."""
-    if source.dim != target.dim:
+    """Pullback with a symbolic check that the map is generically
+    invertible: it must preserve dimension and have a
+    not-identically-zero Jacobian."""
+    if form.chart.dim != target.dim:
         raise ChartError("chart map must preserve dimension")
-    images = _chart_images(source, mapping, target)
-    rows = [[images[coord].differentiate(c) for c in target.coords] for coord in source.coords]
+    images = _chart_images(form.chart, mapping, target)
+    rows = [[images[coord].differentiate(c) for c in target.coords] for coord in form.chart.coords]
     try:
         invert_matrix(rows)
     except DegenerateCoframeError:
         raise ChartError("chart map is identically singular") from None
+    return form.pullback(images, target)
 
 
 def pair_minors(vectors):

@@ -31,7 +31,9 @@ and Gonnet answers by integer evaluation, ``math.gcd`` and interpolation,
 checked by exact trial division, and Brown's primitive pseudo-remainder
 sequence answers when it fails.  ``Poly.exact_div`` divides exactly in
 Z[x] with the same routine, taking leading terms in the order of the
-packed ints, which is a lex order over the slots.
+packed ints, which is a lex order over the slots.  Exact division and
+the pseudo-remainder subtract each multiple of the divisor through
+``add_product``, the one multiply-accumulate.
 """
 
 from functools import lru_cache, reduce
@@ -519,13 +521,8 @@ def _exact_div(f, g):
         if r:
             return None
         quot[qm] = qc
-        for m, c in g.items():
-            m += qm
-            c = rem.get(m, 0) - qc * c
-            if c:
-                rem[m] = c
-            else:
-                del rem[m]
+        # qm <= bound, so no exponent of the product passes f's
+        add_product(rem, g, {qm: -qc})
     return quot
 
 
@@ -700,17 +697,11 @@ def _prem(a, b, i):
     rem = _coeffs_in(a, i)
     d = max(rem)
     while rem and d >= db:
-        lr = rem[d]
-        # rem <- lb*rem - lr*b*x_i^(d-db)
+        # rem <- lb*rem - lr*b*x_i^(d-db), lr the leading coefficient of rem
+        neg = {m: -c for m, c in rem[d].items()}
         new = {e: add_product({}, p, lb) for e, p in rem.items()}
         for e, p in cb.items():
-            shifted = new.setdefault(e + d - db, {})
-            for m, c in add_product({}, p, lr).items():
-                c = shifted.get(m, 0) - c
-                if c:
-                    shifted[m] = c
-                else:
-                    del shifted[m]
+            add_product(new.setdefault(e + d - db, {}), p, neg)
         del new[d]
         rem = {e: p for e, p in new.items() if p}
         d = max(rem, default=-1)

@@ -506,6 +506,8 @@ def _error_code(exc):
         return exc.code
     if isinstance(exc, PetrovDegeneracyError):
         return "petrov-degenerate"
+    if isinstance(exc, ExponentOverflowError):
+        return "exponent-overflow"
     return "stage-failed"
 
 

@@ -27,6 +27,11 @@ rule at jet-extended points), the metric and connection sections against
 reports on the member's own ``FamilyData`` (the program reads the generic
 member's residuals).
 
+The cross-check of the family's closed forms k, n, e against the
+committed table (``family_invariants_residuals``) and the appendix table
+restricted to the reduced and the flat case (``REDUCED_TABLE``,
+``FLAT_TABLE``) live here too, since no request reads them.
+
 The rejected display reading of the invariant coframe is built here too
 (``printed_display_coframe``), so the tests can show that the structure
 pattern refuses it.
@@ -46,14 +51,17 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from odecartan.cartan import (
+    APPENDIX_TABLE,
     HALF,
     FamilyData,
     OdeProblem,
     StructureFunctions,
+    _restricted,
     base_coframe,
     family_detect,
     family_invariants,
     invariant_coframe,
+    to_adapted,
 )
 from odecartan.connection import (
     BLOCK_METRIC,
@@ -592,6 +600,27 @@ def restrict_operator(op, basis):
         if any(aug[r][k:]):
             raise PetrovDegeneracyError("operator does not preserve the eigenspace")
     return [aug[i][k:] for i in range(k)]
+
+
+# -- the family's closed forms and the reduced tables -------------------------
+
+
+def family_invariants_residuals(fd, kne):
+    """The closed forms ``kne`` (``family_invariants(fd)``) minus the
+    committed generic table's k, n, e of ``fd`` (``fd.problem.structure()``),
+    pulled to the adapted chart; all three must vanish: the cross-check of
+    the closed forms against the table."""
+    sf = fd.problem.structure()
+    return {name: to_adapted(getattr(sf, name)) - value for name, value in kne._asdict().items()}
+
+
+# Differentials once the ten reduction conditions hold: they zero every
+# invariant except k, n and e.
+REDUCED_TABLE = _restricted(APPENDIX_TABLE, ("k", "n", "e"))
+
+# Differentials of the maximally symmetric model (all invariants zero),
+# exhibiting the product Lie-algebra structure.
+FLAT_TABLE = _restricted(APPENDIX_TABLE, ())
 
 
 # -- the member's own family sections ------------------------------------------

@@ -12,12 +12,10 @@ import pytest
 
 from odecartan import Expression, J2_CHART, SymbolTable
 from odecartan.cartan import (
-    FLAT_TABLE,
     check_einstein_conditions,
     differential_residuals,
     family_detect,
     family_invariants,
-    family_invariants_residuals,
     residual_table,
     structure_functions,
     verify_appendix,
@@ -27,7 +25,7 @@ from odecartan.curvature import curvature_tensors, einstein_residual, family_met
 from odecartan.forms import Coframe, DifferentialForm, wedge_sum
 from odecartan.petrov import classify_at_point, label_rule
 from tests.conftest import ExpressionSampler, make_problem
-from tests.oracles import duality_residuals
+from tests.oracles import FLAT_TABLE, duality_residuals, family_invariants_residuals
 
 _clock = time.perf_counter
 

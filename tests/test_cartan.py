@@ -20,9 +20,7 @@ from odecartan import cartan, connection
 from odecartan import report as report_module
 from odecartan.cartan import (
     APPENDIX_TABLE,
-    FLAT_TABLE,
     GENERIC_COEFFICIENTS,
-    REDUCED_TABLE,
     STRUCTURE_NAMES,
     STRUCTURE_PATTERN,
     KneInvariants,
@@ -32,7 +30,6 @@ from odecartan.cartan import (
     differential_residuals,
     family_detect,
     family_invariants,
-    family_invariants_residuals,
     family_structure,
     generic_family,
     invariant_K,
@@ -49,6 +46,9 @@ from odecartan.petrov import jet_expressions
 from odecartan.report import AnalysisRequest, analyze
 from tests.conftest import XY_CHART, ExpressionSampler, make_problem
 from tests.oracles import (
+    FLAT_TABLE,
+    REDUCED_TABLE,
+    family_invariants_residuals,
     fibre_transform,
     member_family,
     printed_display_coframe,

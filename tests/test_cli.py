@@ -94,6 +94,21 @@ class TestExitCodes:
         assert error["code"] == "exponent-overflow"
         assert str(EXPONENT_LIMIT) in error["message"]
 
+    def test_an_exponent_overflow_inside_a_stage_has_its_own_code(self):
+        # F_x's denominator squares p + x^20000 in the table path of ``inv``
+        ode = "q^2/(p+x^20000)"
+        report = analyze(AnalysisRequest(ode=ode, stages=("inv",)))
+        assert report.exit_code == 2
+        assert report.stage_errors == {
+            "inv": {"code": "exponent-overflow", "message": "an exponent exceeds 32767"},
+            "cond": {"code": "dependency-failed", "message": "stage 'inv' did not complete"},
+        }
+        proc = run_cli("--ode", ode, "--stages", "inv", "--format", "text")
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        assert "stage inv error [exponent-overflow]: an exponent exceeds 32767\n" in proc.stdout
+        assert "stage cond error [dependency-failed]: stage 'inv' did not complete\n" in proc.stdout
+
     def test_family_stage_on_non_family_input(self):
         proc = run_cli("--ode", "q^2", "--stages", "metric")
         assert proc.returncode == 2
@@ -121,6 +136,34 @@ class TestExitCodes:
         assert data["petrov"]["labels"] == ["D+II"]
         assert data["appendix_residuals"]["all_zero"] is True
 
+    @pytest.mark.parametrize(
+        "flag, items, code, message",
+        [
+            ("--opaque", ["A"], "bad-opaque", "expected NAME:ARG,ARG...  got 'A'"),
+            ("--opaque", [" :x,y"], "bad-opaque", "expected NAME:ARG,ARG...  got ' :x,y'"),
+            ("--opaque", ["A: "], "bad-opaque", "expected NAME:ARG,ARG...  got 'A: '"),
+            ("--opaque", ["A:x,y", " A :x"], "bad-opaque", "'A' is declared twice"),
+            ("--specialize", ["A"], "bad-specialization", "expected NAME=EXPR, got 'A'"),
+            ("--specialize", ["A= "], "bad-specialization", "expected NAME=EXPR, got 'A= '"),
+            ("--specialize", ["A=x", " A =y"], "bad-specialization", "'A' is specialized twice"),
+        ],
+        ids=[
+            "opaque-no-colon", "opaque-blank-name", "opaque-blank-args", "opaque-repeated",
+            "specialize-no-equals", "specialize-blank-expr", "specialize-repeated",
+        ],
+    )
+    def test_a_malformed_or_repeated_named_item_is_refused(
+        self, capsys, flag, items, code, message
+    ):
+        """``--opaque NAME:ARGS`` and ``--specialize NAME=EXPR`` share one
+        splitter, and each keeps its own code and messages."""
+        argv = ["analyze", "--ode", "3/2*q^2/p", "--stages", "inv"]
+        for item in items:
+            argv += [flag, item]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err) == {"error": {"code": code, "message": message}}
 
     @pytest.mark.parametrize("text", ["-q^2", "-3/2*q^2/p"])
     def test_an_ode_that_begins_with_a_minus(self, text):

@@ -215,8 +215,12 @@ class TestChartChange:
 
     def test_singular_map_rejected(self):
         zero = Expression.number(0, J2_CHART)
-        with pytest.raises(ChartError):
+        with pytest.raises(ChartError, match="^chart map is identically singular$"):
             change_chart(d(J2_CHART, "x"), {"x": zero}, J2_CHART)
+
+    def test_a_map_that_changes_dimension_is_rejected(self):
+        with pytest.raises(ChartError, match="^chart map must preserve dimension$"):
+            change_chart(d(P_CHART, "q"), {}, J2_CHART)
 
     def test_tau1_of_family_pulls_back_to_null_form(self, family_data):
         # the first null-coframe entry collapses to 2 alpha dy

@@ -275,7 +275,6 @@ def test_a_family_request_recomputes_no_identity(monkeypatch, kind):
         monkeypatch.setattr(cls, "is_zero", property(guarded))
 
     for module, name in [
-        (cartan, "family_invariants_residuals"),
         (cartan, "to_adapted"),
         (connection, "expected_cartan_curvature"),
         (connection, "to_adapted"),

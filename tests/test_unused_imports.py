@@ -1,12 +1,15 @@
 """No module in ``src/`` or ``tests/`` imports a name it never reads, and
-no private name of the package is left unread.
+no private or public name of the package is left unread.
 
 No linter runs on this project, so ``ast`` scans stand in for one: a
 name bound by ``import`` or ``from ... import`` must appear as a ``Name``
 somewhere in the same module (an attribute chain ``a.b`` reads ``a``) or
-be listed in its ``__all__``; and a private name (``_name``) that a
+be listed in its ``__all__``; a private name (``_name``) that a
 module of ``src/odecartan`` binds at its top level must be read, as a
-``Name`` or as an attribute, somewhere in ``src/`` or ``tests/``.  And
+``Name`` or as an attribute, somewhere in ``src/`` or ``tests/``; and a
+public name that such a module binds at its top level must be read
+somewhere in ``src/``, listed in an ``__all__`` there, or named in
+``README.md``, so that a name only the tests read lives in the tests.  And
 the monomial encoding stays inside ``poly``: no other module of the
 package imports one of its layout names or its slot registry
 (``MONOMIAL_HELPERS``), or reads one as an attribute.  A monomial is one
@@ -19,6 +22,7 @@ table's decode, walk, residues and certificates.  Rendering is
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,29 +30,34 @@ MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
 PACKAGE = ROOT / "src" / "odecartan"
 
 
+def exported_names(source):
+    """The names that ``source`` lists in an ``__all__``."""
+    return {
+        e.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for e in node.value.elts
+    }
+
+
 def unused_imports(source):
     """(line, name) of every imported name that ``source`` never reads."""
-    tree = ast.parse(source)
     imported = {}
-    read = set()
-    for node in ast.walk(tree):
+    read = exported_names(source)
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 if alias.name != "*":
                     imported[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.Name):
             read.add(node.id)
-        elif (
-            isinstance(node, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-        ):
-            read.update(e.value for e in node.value.elts)
     return sorted((line, name) for name, line in imported.items() if name not in read)
 
 
-def private_names(source):
-    """{name: line} of each private name ``source`` binds at its top level
-    by ``def``, ``class`` or assignment (dunder names are not private)."""
+def top_level_names(source):
+    """{name: line} of each name ``source`` binds at its top level by
+    ``def``, ``class`` or assignment, dunder names left out."""
     names = {}
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -59,7 +68,7 @@ def private_names(source):
         else:
             continue
         for name in bound:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__"):
                 names.setdefault(name, node.lineno)
     return names
 
@@ -75,10 +84,14 @@ def read_names(source):
     return read
 
 
-def dead_private_names(source, read):
-    """(line, name) of every private name ``source`` binds at its top level
-    that is not in ``read``."""
-    return sorted((line, name) for name, line in private_names(source).items() if name not in read)
+def dead_names(source, read, private):
+    """(line, name) of every private (or, with ``private`` false, public)
+    name ``source`` binds at its top level that is not in ``read``."""
+    return sorted(
+        (line, name)
+        for name, line in top_level_names(source).items()
+        if name.startswith("_") == private and name not in read
+    )
 
 
 def test_the_scan_sees_an_unused_import():
@@ -103,14 +116,37 @@ def test_the_scan_sees_a_dead_private_name():
     )
     reader = "import m\nm._helper()\n_Unread = None\n"
     read = read_names(source) | read_names(reader)
-    assert dead_private_names(source, read) == [(2, "_DEAD"), (5, "_Unread")]
+    assert dead_names(source, read, private=True) == [(2, "_DEAD"), (5, "_Unread")]
 
 
 def test_every_private_name_of_the_package_is_read():
     read = set().union(*(read_names(path.read_text(encoding="utf-8")) for path in MODULES))
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        dead = dead_private_names(path.read_text(encoding="utf-8"), read)
+        dead = dead_names(path.read_text(encoding="utf-8"), read, private=True)
+        if dead:
+            found[str(path.relative_to(ROOT))] = dead
+    assert found == {}
+
+
+def test_the_scan_sees_a_dead_public_name():
+    source = (
+        "USED, EXPORTED = 1, 2\nDEAD = 3\n__all__ = ['EXPORTED']\n"
+        "def helper():\n    return USED\n"
+        "def documented():\n    pass\n"
+        "class Unread:\n    attr = 0\n_private = 4\n"
+    )
+    read = read_names(source) | exported_names(source) | {"documented"}
+    assert dead_names(source, read, private=False) == [(2, "DEAD"), (4, "helper"), (8, "Unread")]
+
+
+def test_every_public_name_of_the_package_is_read_exported_or_documented():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    read = set().union(*map(read_names, sources), *map(exported_names, sources))
+    read |= set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    found = {}
+    for path, source in zip(sorted(PACKAGE.glob("*.py")), sources):
+        dead = dead_names(source, read, private=False)
         if dead:
             found[str(path.relative_to(ROOT))] = dead
     assert found == {}
