@@ -44,7 +44,6 @@ from .cartan import (
     invariant_coframe,
     structure_functions,
     tau_basis,
-    verify_appendix,
 )
 from .curvature import (
     CurvatureTensors,
@@ -110,5 +109,4 @@ __all__ = [
     "parse_expression",
     "structure_functions",
     "tau_basis",
-    "verify_appendix",
 ]

@@ -9,9 +9,8 @@ fiber-preserving invariants of the ODE.  The fit is overdetermined and is
 verified slot by slot, which also polices the coframe construction itself.
 Once the pattern holds, d(tau) for the null-adapted basis tau = M theta is
 fixed too: it is the pattern pushed through the constant M, a table of
-constants built once per process.  The closed-form differentials and the
-connection checks read that table, with no second exterior derivative on
-the chart.
+constants built once per process.  The connection checks read that table,
+with no second exterior derivative on the chart.
 """
 
 from collections import namedtuple
@@ -24,7 +23,7 @@ from .errors import (
     StructureConsistencyError,
 )
 from .expression import Expression
-from .forms import Coframe, DifferentialForm, add_term, is_zero, pair_minors, wedge_key, wedge_sum
+from .forms import Coframe, DifferentialForm, add_term, is_zero, pair_minors
 from .symbols import J2_CHART, M_ADAPTED_CHART, P_CHART, Sym
 
 HALF = Fraction(1, 2)
@@ -47,8 +46,7 @@ class OdeProblem:
     """
 
     def __init__(self, rhs):
-        if rhs.chart is not J2_CHART:
-            rhs = rhs.on_chart(J2_CHART)
+        rhs = rhs.on_chart(J2_CHART)
         fq = rhs.differentiate("q")
         fqq = fq.differentiate("q")
         if fqq.is_zero:
@@ -540,108 +538,7 @@ def family_structure(kne):
     return StructureFunctions(**values)
 
 
-# -- full and reduced differential tables -----------------------------------
-
-# Exact transcription of the closed-form differentials of the tau basis for
-# arbitrary admissible F.  Entries: (affine coefficient, left, right) for
-# coefficient · basis_left ∧ basis_right.
-APPENDIX_TABLE = {
-    _T1: [
-        (_AFFINE(1), _G1, _T1),
-        (_AFFINE(c=HALF), _G1, _T4),
-        (_AFFINE(c=-HALF), _G2, _T4),
-        (_AFFINE(f=HALF), _T4, _T1),
-        (_AFFINE(a=-HALF), _T4, _T2),
-        (_AFFINE(a=HALF), _T4, _T3),
-    ],
-    _T2: [
-        (_AFFINE(l=Fraction(1, 4)), _G1, _T1),
-        (_AFFINE(-1, r=Fraction(1, 4)), _G1, _T2),
-        (_AFFINE(r=Fraction(-1, 4)), _G1, _T3),
-        (_AFFINE(l=Fraction(-1, 4), s=-HALF), _G1, _T4),
-        (_AFFINE(l=Fraction(-1, 4)), _G2, _T1),
-        (_AFFINE(r=Fraction(-1, 4)), _G2, _T2),
-        (_AFFINE(r=Fraction(1, 4)), _G2, _T3),
-        (_AFFINE(l=Fraction(1, 4), s=HALF), _G2, _T4),
-        (_AFFINE(m=Fraction(1, 4)), _T2, _T1),
-        (_AFFINE(m=Fraction(-1, 4)), _T3, _T1),
-        (_AFFINE(n=-HALF), _T4, _T1),
-        (_AFFINE(a=HALF), _T3, _T2),
-        (_AFFINE(m=Fraction(1, 4), f=-HALF, b=1), _T4, _T2),
-        (_AFFINE(f=HALF, m=Fraction(-1, 4)), _T4, _T3),
-    ],
-    _T3: [
-        (_AFFINE(l=Fraction(1, 4)), _G1, _T1),
-        (_AFFINE(c=1, r=Fraction(1, 4)), _G1, _T2),
-        (_AFFINE(c=-1, r=Fraction(-1, 4)), _G1, _T3),
-        (_AFFINE(l=Fraction(-1, 4), s=-HALF), _G1, _T4),
-        # sign forced by the structure equations (mirrors the second row's
-        # -l/4 entry); see tests/test_cartan.py::test_appendix_is_derived
-        (_AFFINE(l=Fraction(-1, 4)), _G2, _T1),
-        (_AFFINE(c=-1, r=Fraction(-1, 4)), _G2, _T2),
-        (_AFFINE(-1, c=1, r=Fraction(1, 4)), _G2, _T3),
-        (_AFFINE(l=Fraction(1, 4), s=HALF), _G2, _T4),
-        (_AFFINE(m=Fraction(1, 4)), _T2, _T1),
-        (_AFFINE(m=Fraction(-1, 4)), _T3, _T1),
-        (_AFFINE(e=1, n=-HALF), _T4, _T1),
-        (_AFFINE(a=HALF), _T3, _T2),
-        (_AFFINE(m=Fraction(1, 4), b=-1, f=-HALF), _T4, _T2),
-        (_AFFINE(b=2, f=HALF, m=Fraction(-1, 4)), _T4, _T3),
-    ],
-    _T4: [
-        (_AFFINE(c=HALF), _G1, _T4),
-        (_AFFINE(1, c=-HALF), _G2, _T4),
-        (_AFFINE(f=HALF), _T4, _T1),
-        (_AFFINE(a=-HALF), _T4, _T2),
-        (_AFFINE(a=HALF), _T4, _T3),
-    ],
-    _G1: [
-        (_AFFINE(g=Fraction(1, 4)), _G1, _T1),
-        (_AFFINE(f=HALF, g=Fraction(-1, 4)), _G1, _T4),
-        (_AFFINE(g=Fraction(-1, 4)), _G2, _T1),
-        (_AFFINE(g=Fraction(1, 4), f=-HALF), _G2, _T4),
-        (_AFFINE(-1, h=Fraction(1, 4), c=1), _T2, _T1),
-        (_AFFINE(h=Fraction(-1, 4)), _T3, _T1),
-        (_AFFINE(k=-HALF), _T4, _T1),
-        (_AFFINE(h=Fraction(1, 4), c=1), _T4, _T2),
-        (_AFFINE(h=Fraction(-1, 4)), _T4, _T3),
-    ],
-    _G2: [
-        (_AFFINE(g=Fraction(1, 4)), _G1, _T1),
-        (_AFFINE(a=-HALF), _G1, _T2),
-        (_AFFINE(a=HALF), _G1, _T3),
-        (_AFFINE(b=1, f=HALF, g=Fraction(-1, 4)), _G1, _T4),
-        (_AFFINE(g=Fraction(-1, 4)), _G2, _T1),
-        (_AFFINE(a=HALF), _G2, _T2),
-        (_AFFINE(a=-HALF), _G2, _T3),
-        (_AFFINE(g=Fraction(1, 4), b=-1, f=-HALF), _G2, _T4),
-        (_AFFINE(h=Fraction(1, 4), c=1), _T2, _T1),
-        (_AFFINE(h=Fraction(-1, 4)), _T3, _T1),
-        (_AFFINE(k=-HALF), _T4, _T1),
-        (_AFFINE(h=Fraction(1, 4), c=1), _T4, _T2),
-        (_AFFINE(1, h=Fraction(-1, 4)), _T4, _T3),
-    ],
-}
-
-def _restricted(table, keep):
-    """``table`` with the multipliers of the invariants in ``keep`` only:
-    rows that share a slot merged, oriented left < right, and zero rows
-    dropped."""
-    out = {}
-    for i, rows in table.items():
-        slots = {}
-        for (const, mults), left, right in rows:
-            sign, slot = wedge_key((left,), (right,))
-            acc = slots.setdefault(slot, [Fraction(0), {}])
-            acc[0] += sign * const
-            for name in keep:
-                add_term(acc[1], name, sign * mults.get(name, 0))
-        out[i] = [
-            ((const, mults), left, right)
-            for (left, right), (const, mults) in slots.items()
-            if const or mults
-        ]
-    return out
+# -- the derived differential table -------------------------------------------
 
 
 @cache
@@ -653,69 +550,21 @@ def tau_differential_table():
     regenerating the generic table verifies them once for every F.  Built
     on first use and shared for the life of the process: callers must not
     mutate it."""
-    rows = {
-        i: [
-            ((m * minor * const, {n: m * minor * v for n, v in mults.items()}), l, r)
-            for eq, m in enumerate(row)
-            if m
-            for theta_slot, (const, mults) in STRUCTURE_PATTERN[eq].items()
-            for (l, r), minor in _THETA_TO_TAU[theta_slot].items()
-        ]
-        for i, row in enumerate(_TAU)
-    }
-    return {
-        i: {(l, r): affine for affine, l, r in merged}
-        for i, merged in _restricted(rows, STRUCTURE_NAMES).items()
-    }
+    table = {}
+    for i, row in enumerate(_TAU):
+        slots = {}
+        for eq, m in enumerate(row):
+            if not m:
+                continue
+            for theta_slot, (const, mults) in STRUCTURE_PATTERN[eq].items():
+                for slot, minor in _THETA_TO_TAU[theta_slot].items():
+                    acc = slots.setdefault(slot, [Fraction(0), {}])
+                    acc[0] += m * minor * const
+                    for name, mult in mults.items():
+                        add_term(acc[1], name, m * minor * mult)
+        table[i] = {slot: (const, mults) for slot, (const, mults) in slots.items() if const or mults}
+    return table
 
 
 def _nonzero(coeffs):
     return {key: c for key, c in coeffs.items() if not is_zero(c)}
-
-
-def residual_table(table):
-    """d(tau_i) from ``tau_differential_table`` minus ``table``'s rows (a row
-    with its wedge reversed is negated), merged per tau^tau slot: the
-    residual of each slot as an affine map in a..s."""
-    derived = tau_differential_table()
-    return _restricted(
-        {
-            i: [(aff, l, r) for (l, r), aff in derived[i].items()]
-            + [(aff, right, left) for aff, left, right in rows]
-            for i, rows in table.items()
-        },
-        STRUCTURE_NAMES,
-    )
-
-
-@cache
-def _appendix_residual_table():
-    """``residual_table(APPENDIX_TABLE)``, merged once per process.  It has
-    no rows: the appendix is the derived table (``test_appendix_is_derived``)."""
-    return residual_table(APPENDIX_TABLE)
-
-
-def differential_residuals(prob, residuals):
-    """d(tau_i) minus the tabulated right-hand side, for each tau form:
-    ``residuals`` (from ``residual_table``) evaluated on the invariants
-    ``prob.structure()``.  A nonzero coefficient becomes a chart form
-    Σ c · tau_l ∧ tau_r through ``prob.tau()``; a residual with none is the
-    zero 2-form on the 6-chart.
-    """
-    values = prob.structure()._asdict()
-    out = []
-    for i in range(6):
-        coeffs = _nonzero({(l, r): affine_value(aff, values) for aff, l, r in residuals[i]})
-        out.append(
-            wedge_sum(prob.tau(), coeffs)
-            if coeffs
-            else DifferentialForm.zero(P_CHART, 2)
-        )
-    return out
-
-
-def verify_appendix(prob):
-    """Residuals of the six closed-form differentials for arbitrary F,
-    read from ``tau_differential_table`` and evaluated on
-    ``prob.structure()``."""
-    return differential_residuals(prob, _appendix_residual_table())

@@ -103,7 +103,7 @@ def main(argv=None):
         )
         report = analyze(request)
         document = emit_report(report, args.format)
-    except (AnalysisInputError, OdeCartanError) as exc:
+    except OdeCartanError as exc:
         return _fail(getattr(exc, "code", "input-error"), exc)
     if args.out:
         try:

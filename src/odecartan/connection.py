@@ -43,7 +43,7 @@ from .cartan import _AFFINE, _G1, _G2, _T1, _T2, _T3, _T4, HALF, _nonzero, affin
 from .cartan import family_invariants, structure_functions, tau_differential_table, to_adapted
 from .curvature import adapted_tau
 from .expression import Expression
-from .forms import Coframe, DifferentialForm, add_term, add_wedge, is_zero, wedge_sum
+from .forms import Coframe, DifferentialForm, add_term, add_wedge, wedge_sum
 from .symbols import M_ADAPTED_CHART
 
 # Constant coefficients of the degenerate bilinear form in the tau basis.
@@ -185,8 +185,7 @@ class _TauAlgebra:
             for j in range(4):
                 acc = dict(computed[i][j])
                 for slot, c in expected.get((i, j), {}).items():
-                    if not is_zero(c):
-                        add_term(acc, slot, -c)
+                    add_term(acc, slot, -c)
                 out.append(self.form(acc, 2))
         return out
 

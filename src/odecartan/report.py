@@ -37,7 +37,6 @@ from .cartan import (
 from .connection import cartan_connection_report, metric_connection_report
 from .curvature import curvature_tensors, einstein_residual, family_metric, metric_from_family
 from .errors import (
-    ChartError,
     DegenerateOdeError,
     ExponentOverflowError,
     ExpressionSyntaxError,
@@ -440,13 +439,15 @@ def _run_conn(st):
 
 
 def _run_appendix(st):
-    """The six closed-form differentials' residuals, stated: the appendix
-    table is the derived d(tau) table, so ``residual_table(APPENDIX_TABLE)``
-    has no rows (``test_appendix_is_derived`` in ``tests/test_cartan.py``),
-    and ``verify_appendix`` gives the zero 2-form six times for every F and
-    every a..s.  No request builds ``tau_differential_table`` or calls
-    ``verify_appendix``.  The stage still needs ``inv``, so its report
-    shows the request's own invariants next to the verdict."""
+    """The six closed-form differentials' residuals, stated.  The identity:
+    the paper's appendix table equals ``cartan.tau_differential_table``,
+    the structure pattern pushed through tau = M theta
+    (``test_appendix_is_derived`` in ``tests/test_cartan.py``), so d(tau_i)
+    minus the table's right-hand side is the zero 2-form six times for
+    every F and every a..s (``TestAppendix`` there checks it with the
+    chart-level oracle).  No request builds ``tau_differential_table``.
+    The stage still needs ``inv``, so its report shows the request's own
+    invariants next to the verdict."""
     st.report["appendix_residuals"] = {"run": True, "residuals": ["0"] * 6, "all_zero": True}
     return True
 
@@ -537,9 +538,14 @@ def analyze(request):
                 "bad-opaque",
                 f"opaque {name!r}: need a str name and a list or tuple of str args, got {args!r}",
             )
+        if not set(args) <= set(J2_CHART.coords) or len(set(args)) < len(args):
+            raise AnalysisInputError(
+                "bad-opaque",
+                f"opaque {name!r}: arguments must be distinct among x, y, p, q, got {list(args)!r}",
+            )
         try:
             table.declare(name, tuple(args))
-        except (SymbolCollisionError, ChartError) as exc:
+        except SymbolCollisionError as exc:
             raise AnalysisInputError("bad-opaque", str(exc)) from exc
     specializations = _parsed_specializations(
         request, lambda text: parse_expression(text, J2_CHART, table))

@@ -28,9 +28,15 @@ reports on the member's own ``FamilyData`` (the program reads the generic
 member's residuals).
 
 The cross-check of the family's closed forms k, n, e against the
-committed table (``family_invariants_residuals``) and the appendix table
-restricted to the reduced and the flat case (``REDUCED_TABLE``,
-``FLAT_TABLE``) live here too, since no request reads them.
+committed table (``family_invariants_residuals``) lives here too, since
+no request reads it.  So does the paper's appendix: its closed-form
+differentials of the tau basis as transcribed by hand (``APPENDIX_TABLE``),
+that table restricted to the reduced and the flat case (``REDUCED_TABLE``,
+``FLAT_TABLE``), and their oracle (``chart_level_residuals``), which takes
+d(tau_i) on the chart with the real exterior derivative and subtracts the
+table's wedges of tau forms.  The program derives the same table from the
+structure pattern (``cartan.tau_differential_table``); the suite proves
+the two equal.
 
 The rejected display reading of the invariant coframe is built here too
 (``printed_display_coframe``), so the tests can show that the structure
@@ -51,12 +57,17 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from odecartan.cartan import (
-    APPENDIX_TABLE,
+    _AFFINE,
+    _G1,
+    _G2,
+    _T1,
+    _T2,
+    _T3,
+    _T4,
     HALF,
     FamilyData,
     OdeProblem,
     StructureFunctions,
-    _restricted,
     base_coframe,
     family_detect,
     family_invariants,
@@ -602,7 +613,7 @@ def restrict_operator(op, basis):
     return [aug[i][k:] for i in range(k)]
 
 
-# -- the family's closed forms and the reduced tables -------------------------
+# -- the family's closed forms and the appendix tables -------------------------
 
 
 def family_invariants_residuals(fd, kne):
@@ -614,13 +625,124 @@ def family_invariants_residuals(fd, kne):
     return {name: to_adapted(getattr(sf, name)) - value for name, value in kne._asdict().items()}
 
 
+# The paper's closed-form differentials of the tau basis for arbitrary
+# admissible F, transcribed by hand.  Entries: (affine coefficient, left,
+# right) for coefficient · basis_left ∧ basis_right.
+APPENDIX_TABLE = {
+    _T1: [
+        (_AFFINE(1), _G1, _T1),
+        (_AFFINE(c=HALF), _G1, _T4),
+        (_AFFINE(c=-HALF), _G2, _T4),
+        (_AFFINE(f=HALF), _T4, _T1),
+        (_AFFINE(a=-HALF), _T4, _T2),
+        (_AFFINE(a=HALF), _T4, _T3),
+    ],
+    _T2: [
+        (_AFFINE(l=Fraction(1, 4)), _G1, _T1),
+        (_AFFINE(-1, r=Fraction(1, 4)), _G1, _T2),
+        (_AFFINE(r=Fraction(-1, 4)), _G1, _T3),
+        (_AFFINE(l=Fraction(-1, 4), s=-HALF), _G1, _T4),
+        (_AFFINE(l=Fraction(-1, 4)), _G2, _T1),
+        (_AFFINE(r=Fraction(-1, 4)), _G2, _T2),
+        (_AFFINE(r=Fraction(1, 4)), _G2, _T3),
+        (_AFFINE(l=Fraction(1, 4), s=HALF), _G2, _T4),
+        (_AFFINE(m=Fraction(1, 4)), _T2, _T1),
+        (_AFFINE(m=Fraction(-1, 4)), _T3, _T1),
+        (_AFFINE(n=-HALF), _T4, _T1),
+        (_AFFINE(a=HALF), _T3, _T2),
+        (_AFFINE(m=Fraction(1, 4), f=-HALF, b=1), _T4, _T2),
+        (_AFFINE(f=HALF, m=Fraction(-1, 4)), _T4, _T3),
+    ],
+    _T3: [
+        (_AFFINE(l=Fraction(1, 4)), _G1, _T1),
+        (_AFFINE(c=1, r=Fraction(1, 4)), _G1, _T2),
+        (_AFFINE(c=-1, r=Fraction(-1, 4)), _G1, _T3),
+        (_AFFINE(l=Fraction(-1, 4), s=-HALF), _G1, _T4),
+        # sign forced by the structure equations (mirrors the second row's
+        # -l/4 entry); see tests/test_cartan.py::test_appendix_is_derived
+        (_AFFINE(l=Fraction(-1, 4)), _G2, _T1),
+        (_AFFINE(c=-1, r=Fraction(-1, 4)), _G2, _T2),
+        (_AFFINE(-1, c=1, r=Fraction(1, 4)), _G2, _T3),
+        (_AFFINE(l=Fraction(1, 4), s=HALF), _G2, _T4),
+        (_AFFINE(m=Fraction(1, 4)), _T2, _T1),
+        (_AFFINE(m=Fraction(-1, 4)), _T3, _T1),
+        (_AFFINE(e=1, n=-HALF), _T4, _T1),
+        (_AFFINE(a=HALF), _T3, _T2),
+        (_AFFINE(m=Fraction(1, 4), b=-1, f=-HALF), _T4, _T2),
+        (_AFFINE(b=2, f=HALF, m=Fraction(-1, 4)), _T4, _T3),
+    ],
+    _T4: [
+        (_AFFINE(c=HALF), _G1, _T4),
+        (_AFFINE(1, c=-HALF), _G2, _T4),
+        (_AFFINE(f=HALF), _T4, _T1),
+        (_AFFINE(a=-HALF), _T4, _T2),
+        (_AFFINE(a=HALF), _T4, _T3),
+    ],
+    _G1: [
+        (_AFFINE(g=Fraction(1, 4)), _G1, _T1),
+        (_AFFINE(f=HALF, g=Fraction(-1, 4)), _G1, _T4),
+        (_AFFINE(g=Fraction(-1, 4)), _G2, _T1),
+        (_AFFINE(g=Fraction(1, 4), f=-HALF), _G2, _T4),
+        (_AFFINE(-1, h=Fraction(1, 4), c=1), _T2, _T1),
+        (_AFFINE(h=Fraction(-1, 4)), _T3, _T1),
+        (_AFFINE(k=-HALF), _T4, _T1),
+        (_AFFINE(h=Fraction(1, 4), c=1), _T4, _T2),
+        (_AFFINE(h=Fraction(-1, 4)), _T4, _T3),
+    ],
+    _G2: [
+        (_AFFINE(g=Fraction(1, 4)), _G1, _T1),
+        (_AFFINE(a=-HALF), _G1, _T2),
+        (_AFFINE(a=HALF), _G1, _T3),
+        (_AFFINE(b=1, f=HALF, g=Fraction(-1, 4)), _G1, _T4),
+        (_AFFINE(g=Fraction(-1, 4)), _G2, _T1),
+        (_AFFINE(a=HALF), _G2, _T2),
+        (_AFFINE(a=-HALF), _G2, _T3),
+        (_AFFINE(g=Fraction(1, 4), b=-1, f=-HALF), _G2, _T4),
+        (_AFFINE(h=Fraction(1, 4), c=1), _T2, _T1),
+        (_AFFINE(h=Fraction(-1, 4)), _T3, _T1),
+        (_AFFINE(k=-HALF), _T4, _T1),
+        (_AFFINE(h=Fraction(1, 4), c=1), _T4, _T2),
+        (_AFFINE(1, h=Fraction(-1, 4)), _T4, _T3),
+    ],
+}
+
+
+def restricted(table, keep):
+    """``table`` with the multipliers of the invariants in ``keep`` only."""
+    return {
+        i: [((const, {n: v for n, v in mults.items() if n in keep}), left, right)
+            for (const, mults), left, right in rows]
+        for i, rows in table.items()
+    }
+
+
 # Differentials once the ten reduction conditions hold: they zero every
 # invariant except k, n and e.
-REDUCED_TABLE = _restricted(APPENDIX_TABLE, ("k", "n", "e"))
+REDUCED_TABLE = restricted(APPENDIX_TABLE, ("k", "n", "e"))
 
 # Differentials of the maximally symmetric model (all invariants zero),
 # exhibiting the product Lie-algebra structure.
-FLAT_TABLE = _restricted(APPENDIX_TABLE, ())
+FLAT_TABLE = restricted(APPENDIX_TABLE, ())
+
+
+def chart_level_residuals(tau, table, sf):
+    """d(tau_i) taken on the chart minus ``table``'s rows, each row's wedge
+    of tau forms built on the chart with its coefficient evaluated on the
+    invariants ``sf``."""
+    chart = tau[0].chart
+    zero = Expression.number(0, chart)
+    values = sf._asdict()
+    out = []
+    for i in range(6):
+        rhs = DifferentialForm.zero(chart, 2)
+        for (const, mults), left, right in table[i]:
+            coeff = zero + const
+            for name, mult in mults.items():
+                coeff = coeff + mult * values[name]
+            if not coeff.is_zero:
+                rhs = rhs + tau[left].wedge(tau[right]).scale(coeff)
+        out.append(tau[i].exterior_derivative() - rhs)
+    return out
 
 
 # -- the member's own family sections ------------------------------------------
@@ -909,19 +1031,26 @@ def normalized_over_base(num, coeff, alpha_power, base, exponents):
 # -- fibre-preserving transformations -------------------------------------------
 
 
+def _total_x(e):
+    """D0 e = de/dx + p de/dy + q de/dp, the total x-derivative on the jet chart."""
+    p, q = (Expression.coordinate(c, e.chart) for c in "pq")
+    return e.differentiate("x") + p * e.differentiate("y") + q * e.differentiate("p")
+
+
+def prolonged_change(X, Y):
+    """The change x~ = X(x), y~ = Y(x, y) (X, Y on the jet chart) prolonged
+    to the jets, as the substitution {x: X, y: Y, p: p~, q: q~}: with
+    X' = dX/dx, p~ = D0 Y / X' and q~ = D0 p~ / X'."""
+    dX = X.differentiate("x")
+    pt = _total_x(Y) / dX
+    return {"x": X, "y": Y, "p": pt, "q": _total_x(pt) / dX}
+
+
 def fibre_transform(F, X, Y):
     """The right-hand side F1 of y''' = F written in new coordinates
-    x~ = X(x), y~ = Y(x, y) (F, X, Y on the jet chart): with X' = dX/dx
-    and D0 = d/dx + p d/dy + q d/dp, p~ = D0 Y / X' and q~ = D0 p~ / X',
-    and y~''' = F(X, Y, p~, q~) becomes y''' = F1 with
+    x~ = X(x), y~ = Y(x, y) (F, X, Y on the jet chart): y~''' =
+    F(X, Y, p~, q~) (``prolonged_change``) becomes y''' = F1 with
     F1 = (X' F(X, Y, p~, q~) - D0 q~) X'^2 / Y_y."""
-    p, q = (Expression.coordinate(c, F.chart) for c in "pq")
-
-    def D0(e):
-        return e.differentiate("x") + p * e.differentiate("y") + q * e.differentiate("p")
-
+    change = prolonged_change(X, Y)
     dX = X.differentiate("x")
-    pt = D0(Y) / dX
-    qt = D0(pt) / dX
-    image = F.substitute({"x": X, "y": Y, "p": pt, "q": qt})
-    return (dX * image - D0(qt)) * dX * dX / Y.differentiate("y")
+    return (dX * F.substitute(change) - _total_x(change["q"])) * dX * dX / Y.differentiate("y")

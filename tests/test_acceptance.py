@@ -13,19 +13,22 @@ import pytest
 from odecartan import Expression, J2_CHART, SymbolTable
 from odecartan.cartan import (
     check_einstein_conditions,
-    differential_residuals,
     family_detect,
     family_invariants,
-    residual_table,
     structure_functions,
-    verify_appendix,
 )
 from odecartan.connection import cartan_connection_report, metric_connection_report
 from odecartan.curvature import curvature_tensors, einstein_residual, family_metric
 from odecartan.forms import Coframe, DifferentialForm, wedge_sum
 from odecartan.petrov import classify_at_point, label_rule
 from tests.conftest import ExpressionSampler, make_problem
-from tests.oracles import FLAT_TABLE, duality_residuals, family_invariants_residuals
+from tests.oracles import (
+    APPENDIX_TABLE,
+    FLAT_TABLE,
+    chart_level_residuals,
+    duality_residuals,
+    family_invariants_residuals,
+)
 
 _clock = time.perf_counter
 
@@ -46,7 +49,7 @@ def test_criterion_1_flat_model(flat_problem):
     started = _clock()
     sf = _chart_extraction(flat_problem)
     assert sf.all_zero(), "every structure function must be canonical zero"
-    residuals = differential_residuals(flat_problem, residual_table(FLAT_TABLE))
+    residuals = chart_level_residuals(flat_problem.tau(), FLAT_TABLE, flat_problem.structure())
     assert all(r.is_zero for r in residuals), "flat differentials must match term for term"
     _report(1, "flat model: 13 invariants vanish, product-algebra differentials hold", started)
 
@@ -139,7 +142,7 @@ def test_criterion_6_cartan_connection(family_data, flat_problem):
 def test_criterion_7_closed_form_differentials(flat_problem, family_problem, qcube_problem):
     started = _clock()
     for prob in (flat_problem, family_problem, qcube_problem):
-        residuals = verify_appendix(prob)
+        residuals = chart_level_residuals(prob.tau(), APPENDIX_TABLE, prob.structure())
         assert len(residuals) == 6
         assert all(r.is_zero for r in residuals)
     _report(7, "closed-form differentials hold for all three inputs", started)

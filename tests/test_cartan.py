@@ -1,5 +1,6 @@
 """The 6-manifold pipeline: coframe, invariants, conditions, the family."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,6 @@ from odecartan import (
 from odecartan import cartan, connection
 from odecartan import report as report_module
 from odecartan.cartan import (
-    APPENDIX_TABLE,
     GENERIC_COEFFICIENTS,
     STRUCTURE_NAMES,
     STRUCTURE_PATTERN,
@@ -27,17 +27,14 @@ from odecartan.cartan import (
     OdeProblem,
     base_coframe,
     check_einstein_conditions,
-    differential_residuals,
     family_detect,
     family_invariants,
     family_structure,
     generic_family,
     invariant_K,
     invariant_coframe,
-    residual_table,
     structure_functions,
     to_adapted,
-    verify_appendix,
 )
 from odecartan.curvature import family_metric
 from odecartan.errors import SingularSubstitutionError
@@ -46,40 +43,24 @@ from odecartan.petrov import jet_expressions
 from odecartan.report import AnalysisRequest, analyze
 from tests.conftest import XY_CHART, ExpressionSampler, make_problem
 from tests.oracles import (
+    APPENDIX_TABLE,
     FLAT_TABLE,
     REDUCED_TABLE,
+    chart_level_residuals,
     family_invariants_residuals,
     fibre_transform,
     member_family,
     printed_display_coframe,
+    prolonged_change,
     tau_from_theta_residuals,
 )
-
-
-def chart_level_residuals(tau, table, sf=None):
-    """Reference oracle for ``differential_residuals``: d(tau_i) taken on
-    the chart, minus the table's wedges of tau forms built on the chart."""
-    chart = tau[0].chart
-    zero = Expression.number(0, chart)
-    values = sf._asdict() if sf is not None else dict.fromkeys(STRUCTURE_NAMES, zero)
-    out = []
-    for i in range(6):
-        rhs = DifferentialForm.zero(chart, 2)
-        for (const, mults), left, right in table[i]:
-            coeff = zero + const
-            for name, mult in mults.items():
-                coeff = coeff + mult * values[name]
-            if not coeff.is_zero:
-                rhs = rhs + tau[left].wedge(tau[right]).scale(coeff)
-        out.append(tau[i].exterior_derivative() - rhs)
-    return out
 
 
 _AFFINE = cartan._AFFINE
 _T1, _T2, _T3, _T4, _G1, _G2 = range(6)
 
 # The reduced and flat tables as transcribed from the paper, before
-# ``cartan`` generated them from APPENDIX_TABLE: the expected values.
+# ``tests/oracles.py`` generated them from APPENDIX_TABLE: the expected values.
 REDUCED_TRANSCRIPTION = {
     _T1: [(_AFFINE(1), _G1, _T1)],
     _T2: [(_AFFINE(-1), _G1, _T2), (_AFFINE(n=Fraction(1, 2)), _T1, _T4)],
@@ -118,6 +99,12 @@ def merged_table(table):
             if c or any(m.values())
         }
     return out
+
+
+def _appendix_residuals(prob):
+    """The paper's table checked on the chart, its invariants read from
+    the committed table."""
+    return chart_level_residuals(prob.tau(), APPENDIX_TABLE, prob.structure())
 
 
 def _perturbed_appendix_table():
@@ -271,7 +258,7 @@ class TestStructureFunctions:
         # rational function, exercising the full GCD machinery
         prob = make_problem("3/2*q^2/(p+1) + p")
         structure_functions(prob.coframe())
-        assert all(r.is_zero for r in verify_appendix(prob))
+        assert all(r.is_zero for r in _appendix_residuals(prob))
 
     def test_condition_verdicts_carry_residuals(self, qcube_problem):
         report = check_einstein_conditions(structure_functions(qcube_problem.coframe()))
@@ -292,19 +279,14 @@ class TestTauBasis:
     )
     def test_generated_tables_match_transcriptions(self, generated, transcription):
         assert merged_table(generated) == merged_table(transcription)
-        # generated rows are already merged and oriented
-        for i, rows in generated.items():
-            slots = [(left, right) for _, left, right in rows]
-            assert all(left < right for left, right in slots)
-            assert len(set(slots)) == len(slots)
-            assert all(const or any(mults.values()) for (const, mults), _, _ in rows)
 
     def test_flat_differentials(self, flat_problem):
-        residuals = differential_residuals(flat_problem, residual_table(FLAT_TABLE))
+        residuals = chart_level_residuals(flat_problem.tau(), FLAT_TABLE, flat_problem.structure())
         assert all(r.is_zero for r in residuals)
 
     def test_family_reduced_differentials(self, family_problem):
-        residuals = differential_residuals(family_problem, residual_table(REDUCED_TABLE))
+        residuals = chart_level_residuals(
+            family_problem.tau(), REDUCED_TABLE, family_problem.structure())
         assert all(r.is_zero for r in residuals)
 
     def test_family_tau4_is_null_form(self, family_data):
@@ -504,6 +486,63 @@ def test_a_disguised_member_is_rejected_with_its_sigma_term(X, Y, terms):
     assert family["reason"] == FamilyRejectionError.SIGMA_TERM_PRESENT
 
 
+_SMALL = st.integers(-2, 2)
+
+# X = a x + b with a != 0, Y = c(x) y + d(x) with c != 0, c and d of degree
+# at most 1: an invertible fibre-preserving change.
+_FIBRE_CHANGES = st.builds(
+    lambda a, b, c, d: (f"{a}*x + {b}", f"({c[0]} + {c[1]}*x)*y + {d[0]} + {d[1]}*x"),
+    _SMALL.filter(bool),
+    _SMALL,
+    st.tuples(_SMALL, _SMALL).filter(any),
+    st.tuples(_SMALL, _SMALL),
+)
+
+# Family members, rational A among them, and the rational workload's shapes.
+_FIBRE_SOURCES = st.one_of(
+    st.builds(
+        "3/2*q^2/p + ({})*p^3 + ({})*p^2 + ({})*p".format,
+        st.sampled_from(("x*y", "x + y", "y^2", "x/(y+1)", "y/(x+1)", "0")),
+        st.sampled_from(("0", "x", "y")),
+        st.sampled_from(("x + y", "x*y", "3*y", "x^2")),
+    ),
+    st.builds("{}q^2/(p+{})".format, st.sampled_from(("", "2*")), st.integers(1, 3)),
+    st.builds(
+        "3/2*q^2/(p+{0}) + {1}p".format, st.integers(1, 3), st.sampled_from(("", "2*", "3*"))
+    ),
+    st.builds(
+        "3/2*q^2/(p+{0}) + {1}*(p+{0})^3".format,
+        st.integers(1, 3),
+        st.sampled_from(("x", "2*x", "x^2")),
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_FIBRE_SOURCES, _FIBRE_CHANGES)
+def test_random_fibre_preserving_changes_pull_the_invariants_back(F, change):
+    """Under x~ = X(x), y~ = Y(x, y) the invariants of the image are those
+    of F composed with the change lifted to the 6-manifold.  So the same
+    invariants vanish, the ten verdicts agree, and every ratio of two
+    invariants that reads neither alpha nor gamma is a function on the jet
+    chart that pulls back exactly: its value for the image is its value
+    for F at (X, Y, p~, q~)."""
+    X, Y = (parse_expression(t, J2_CHART, SymbolTable()) for t in change)
+    F0 = parse_expression(F, J2_CHART, SymbolTable())
+    before = OdeProblem(F0).structure()
+    after = OdeProblem(fibre_transform(F0, X, Y)).structure()
+    assert [v.is_zero for v in after] == [v.is_zero for v in before]
+    verdicts = [[v.holds for v in check_einstein_conditions(sf).verdicts] for sf in (before, after)]
+    assert verdicts[0] == verdicts[1]
+    lift = prolonged_change(X, Y)
+    nonzero = [i for i, v in enumerate(before) if not v.is_zero]
+    for i, j in itertools.combinations(nonzero, 2):
+        ratio = before[i] / before[j]
+        if not cartan._depends_on(ratio, "alpha", "gamma"):
+            image = (after[i] / after[j]).on_chart(J2_CHART)
+            assert image == ratio.on_chart(J2_CHART).substitute(lift), (i, j)
+
+
 class TestFamilyInvariants:
     def test_zero_quadratic_coefficient_kills_k(self):
         prob = make_problem("3/2*q^2/p + x*p^3")
@@ -638,7 +677,7 @@ class TestAppendix:
     )
     def test_residuals_vanish(self, problem_fixture, request):
         prob = request.getfixturevalue(problem_fixture)
-        residuals = verify_appendix(prob)
+        residuals = _appendix_residuals(prob)
         assert all(r.is_zero for r in residuals)
 
     @pytest.mark.parametrize(
@@ -651,44 +690,38 @@ class TestAppendix:
             "3/2*q^2/(p+1) + 2*p",
         ],
     )
-    def test_theta_basis_residuals_match_chart_oracle(self, source, request):
+    def test_the_chart_oracle_refuses_a_perturbed_table(self, source, request):
+        """The oracle is not vacuous: on each input it gives six zero
+        residuals for the paper's table and three nonzero ones for a
+        table with one coefficient changed and two rows added."""
         if source.endswith("_problem"):
             prob = request.getfixturevalue(source)
         else:
             prob = make_problem(source)
         sf = structure_functions(prob.coframe())
-        perturbed = _perturbed_appendix_table()
-        for table in (APPENDIX_TABLE, perturbed):
-            fast = differential_residuals(prob, residual_table(table))
-            oracle = chart_level_residuals(prob.tau(), table, sf)
-            assert [repr(f) for f in fast] == [repr(f) for f in oracle]
-        assert [f.is_zero for f in fast] == [False, True, True, False, False, True]
-
-    def test_appendix_merge_is_built_once_and_empty(self):
-        merged = cartan._appendix_residual_table()
-        assert merged is cartan._appendix_residual_table()
-        assert merged == residual_table(APPENDIX_TABLE) == {i: [] for i in range(6)}
+        assert all(r.is_zero for r in chart_level_residuals(prob.tau(), APPENDIX_TABLE, sf))
+        perturbed = chart_level_residuals(prob.tau(), _perturbed_appendix_table(), sf)
+        assert [f.is_zero for f in perturbed] == [False, True, True, False, False, True]
 
     def test_residuals_vanish_for_stress_input(self):
         prob = make_problem("q^3*y + x*p")
-        assert all(r.is_zero for r in verify_appendix(prob))
+        assert all(r.is_zero for r in _appendix_residuals(prob))
 
     def test_the_appendix_stage_states_its_identity(self, monkeypatch):
-        """``appendix`` reports the residuals ``verify_appendix`` gives for
-        every F without calling it or building ``tau_differential_table``:
-        with both patched to raise, a non-family report is unchanged."""
-        request = AnalysisRequest(ode="q^2/(p+x) + y*q/(p^2+1)",
-                                  stages=("inv", "cond", "appendix"))
+        """``appendix`` reports the residuals the chart-level oracle gives
+        for the paper's table on every F, without building
+        ``tau_differential_table``: with it patched to raise, a non-family
+        report is unchanged."""
+        request = AnalysisRequest(ode="3/2*q^2/(p+1) + p", stages=("inv", "cond", "appendix"))
         expected = analyze(request)
-        residuals = [f.render() for f in verify_appendix(make_problem(request.ode))]
+        residuals = [f.render() for f in _appendix_residuals(make_problem(request.ode))]
         assert expected.data["appendix_residuals"]["residuals"] == residuals == ["0"] * 6
 
         def refuse(*args, **kwargs):
             raise AssertionError("the appendix stage recomputed its identity")
 
         for module in (cartan, report_module, connection):
-            for name in ("verify_appendix", "tau_differential_table"):
-                monkeypatch.setattr(module, name, refuse, raising=False)
+            monkeypatch.setattr(module, "tau_differential_table", refuse, raising=False)
         report = analyze(request)
         assert report.stage_errors == {}
         assert (report.verdicts, report.exit_code) == (expected.verdicts, expected.exit_code)

@@ -297,8 +297,14 @@ class TestRequestValidation:
             ("A:x,w", "A", ("x", "w")),
             ("x:x,y", "x", ("x", "y")),
             ("A':x,y", "A'", ("x", "y")),
+            ("A:alpha", "A", ("alpha",)),
+            ("A:z", "A", ("z",)),
+            ("A:x,x", "A", ("x", "x")),
         ],
-        ids=["empty-name", "not-an-identifier", "unknown-argument", "coordinate-name", "primed-name"],
+        ids=[
+            "empty-name", "not-an-identifier", "unknown-argument", "coordinate-name", "primed-name",
+            "fibre-argument", "adapted-chart-argument", "repeated-argument",
+        ],
     )
     def test_a_bad_opaque_declaration_is_rejected(self, declaration, name, args):
         with pytest.raises(AnalysisInputError) as info:
