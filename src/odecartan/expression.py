@@ -10,7 +10,7 @@ zero.  Expressions are immutable and safe to share between threads.
 
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import gcd, lcm
 from operator import or_
 
 from .errors import (
@@ -120,6 +120,12 @@ class Expression:
         if self.den == other.den:
             return self._wrap(self.num + other.num, self.den)
         g = poly_gcd(self.den, other.den)
+        if g.is_const and gcd(self.den.content(), other.den.content()) == 1:
+            # Henrici: b and d are coprime (the content test, as poly_gcd
+            # ignores contents), so every prime factor of b·d divides just
+            # one of them and not a·d + c·b, and the sum is already reduced
+            return self._wrap(self.num * other.den + other.num * self.den,
+                              self.den * other.den, normalized=True)
         db = other.den.exact_div(g)
         da = self.den.exact_div(g)
         return self._wrap(self.num * db + other.num * da, self.den * db)

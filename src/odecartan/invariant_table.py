@@ -19,9 +19,18 @@ of N modulo a 61-bit prime at a seeded point of b = 0 then proves b ∤ N
 when it is nonzero (``_certificate``, ``_quotient``).  The evaluation is
 trusted only in that exact direction: a zero falls through to exact
 division, so no result depends on the point.  Any other element takes
-``poly.poly_gcd`` with N one copy at a time.  The walk multiplies term
-dicts only through ``poly.add_product``, and ``_reduced`` ends with
-``poly.canonical_tail``, the tail of ``expression._normalize``.  The
+``poly.poly_gcd`` with N one copy at a time.  ``_reduced`` ends with
+``poly.canonical_tail``, the tail of ``expression._normalize``.
+
+The walk reads the table through ``_plan`` of F's dead-jet mask, built
+once per mask and process: the terms that read no zero jet and their
+distinct keys.  Each key's integers, exponents over the base, product of
+one-term jet powers and list of multi-term jet powers are read once per
+request.  A term is then one ``poly.add_product`` of one-term dicts into
+a group keyed by its exponents over the base and then by its multi-term
+jets; each inner group is multiplied by its multi-term powers once, and
+each exponent group by its base shift once.  Every product of term dicts
+goes through ``poly.add_product``, so an exponent overflow raises there.  The
 table decodes straight to ``poly`` monomials (``poly.monomial``), and the
 residues read them through ``poly.factors``; no function here knows the
 monomial layout.
@@ -40,9 +49,8 @@ module, and builds ``Expression``s rather than calling ``_normalize``;
 import json
 import os
 import random
-from functools import cache
+from functools import cache, lru_cache
 from math import gcd, lcm
-from operator import add
 
 from . import poly
 from .cartan import OdeProblem, StructureFunctions, structure_functions
@@ -254,12 +262,12 @@ def _reduced(num, coeff, alpha_power, base, points, exponents, power):
 
 
 def _add_chain(out, terms, factors):
-    """Add ``terms`` · Π ``factors`` (``Poly`` term dicts) into the term
-    dict ``out`` by ``poly.add_product``, the last factor straight into
-    ``out``; return ``out``."""
+    """Add ``terms`` · Π ``factors`` (``Poly`` term dicts, at least one
+    factor) into the term dict ``out`` by ``poly.add_product``, the last
+    factor straight into ``out``; return ``out``."""
     for f in factors[:-1]:
         terms = add_product({}, terms, f)
-    return add_product(out, terms, factors[-1] if factors else Poly.const(1).terms)
+    return add_product(out, terms, factors[-1])
 
 
 @cache
@@ -307,6 +315,30 @@ def _generic_table():
             terms.append((coeff, *hit))
         table[name] = (entry["den"][0], den.get(alpha, 0), terms)
     return indices, qq, table
+
+
+@lru_cache(maxsize=24)
+def _plan(dead):
+    """The table's live terms for the dead-jet mask ``dead`` (bit j set
+    where jet j is zero), built once per mask and process and shared by
+    every caller, so it holds only tuples: ``(keys, invariants)``.  ``keys``
+    lists each distinct live key once, as (power of G'_qq, the other (jet,
+    power) pairs).  ``invariants`` holds (name, denominator constant, power
+    of alpha, the indices in ``keys`` its terms read, its terms
+    ``(coefficient, monomial, index in keys)``) per invariant; the terms
+    are those of the table with ``mask & dead == 0``, in table order.
+    A plan kept 8 KB for the pole shape (71 keys, 125 terms) and 102 KB
+    with no jet dead (473 keys, 787 terms; tracemalloc), so the cache keeps
+    at most 24 plans, under 2.5 MB."""
+    qq, table = _generic_table()[1:]
+    index, invariants = {}, []
+    for name, (den_coeff, alpha_power, terms) in table.items():
+        live = tuple((coeff, mono, index.setdefault(key, len(index)))
+                     for coeff, mono, key, mask in terms if not mask & dead)
+        used = tuple(dict.fromkeys(k for *_, k in live))
+        invariants.append((name, den_coeff, alpha_power, used, live))
+    keys = tuple((dict(key).get(qq, 0), tuple(p for p in key if p[0] != qq)) for key in index)
+    return keys, tuple(invariants)
 
 
 def factored_jets(prob, indices):
@@ -359,58 +391,62 @@ def factored_jets(prob, indices):
 
 def structure_from_jets(prob):
     """a..s of the ``OdeProblem`` ``prob`` from ``generic_structure``, with
-    no coframe: each jet of G' becomes F's jet in the form of ``factored_jets``
-    and F_qq a monomial over the base.  Each invariant skips a term that
-    reads a zero jet (``mask``), reads each (jet, power) pair's integers,
-    exponents over the base and ``Poly`` power once per request, and the
-    product of those over a term's jets once per distinct set, sums the
-    terms that share exponents over one integer ``lcm``, and brings each
-    sum to the least exponents.  The products are summed in place into one
-    term dict per invariant by ``poly.add_product`` (``_add_chain``), and
-    ``_reduced`` reduces the result over the base: a certified base
+    no coframe: each jet of G' becomes F's jet in the form of
+    ``factored_jets`` and F_qq a monomial over the base.  The terms that
+    read no zero jet come from ``_plan`` of the dead-jet mask.  Each of
+    its keys is read once per request: the integers n and d, the exponents
+    v over the base, the product of its one-term jet powers as one term,
+    and its multi-term jet powers.  Each invariant scales its terms to one
+    integer ``lcm`` of the d, and adds each term, one ``poly.add_product``
+    of one-term dicts, into a group keyed by v and then by the multi-term
+    (jet, power) pairs.  Each inner group is multiplied by its multi-term
+    powers once, each v group by its base shift to the least exponents
+    once, and ``_reduced`` reduces the sum over the base: a certified base
     element leaves the denominator only where exact division proves it
     divides, and is ruled out by one evaluation elsewhere; no GCD of the
     whole fraction is taken."""
-    indices, qq, table = _generic_table()
+    indices, _, _ = _generic_table()
     base, points, jets, (cn, cd, vqq) = factored_jets(prob, indices)
+    keys, invariants = _plan(sum(1 << j for j, jet in enumerate(jets) if jet is None))
     power = cache(lambda i, k: base[i] ** k)
+    jet_power = cache(lambda j, k: jets[j][0] ** k)
+    per_key = []
+    for kqq, pairs in keys:
+        n, d = (cn, cd) if kqq > 0 else (cd, cn)
+        n, d, v, one, several = n ** abs(kqq), d ** abs(kqq), [kqq * e for e in vqq], {}, []
+        for j, k in pairs:
+            N, c, e = jets[j]
+            d *= c**k
+            for i, ei in enumerate(e):
+                v[i] -= k * ei
+            if len(N.terms) > 1:
+                several.append((j, k))
+            else:
+                term = jet_power(j, k).terms
+                one = add_product({}, one, term) if one else term
+        per_key.append((n, d, tuple(v), one or {0: 1}, tuple(several)))
 
-    @cache
-    def part(j, k):
-        if j == qq:
-            n, d = (cn, cd) if k > 0 else (cd, cn)
-            return n ** abs(k), d ** abs(k), tuple(k * v for v in vqq), None
-        N, c, e = jets[j]
-        return 1, c**k, tuple(-k * v for v in e), N**k
-
-    @cache
-    def product(key):
-        n, d, v, factors = 1, 1, (0,) * len(base), []
-        for j, k in key:
-            pn, pd, pv, pp = part(j, k)
-            n, d, v = n * pn, d * pd, tuple(map(add, v, pv))
-            if pp is not None:
-                factors.append(pp.terms)
-        return n, d, v, sorted(factors, key=len)
-
-    dead = sum(1 << j for j, jet in enumerate(jets) if jet is None)
     values = {}
-    for name, (den_coeff, alpha_power, terms) in table.items():
-        by_exponents = {}
-        for coeff, mono, key, mask in terms:
-            if not mask & dead:
-                n, d, v, factors = product(key)
-                by_exponents.setdefault(v, []).append((coeff * n, d, mono, factors))
-        least = [min((v[i] for v in by_exponents), default=0) for i in range(len(base))]
-        scale = lcm(*(d for group in by_exponents.values() for _, d, _, _ in group))
-        num = {}
-        for v, group in by_exponents.items():
-            shift = [power(i, e - m).terms for i, (e, m) in enumerate(zip(v, least)) if e != m]
-            total = {} if shift else num
-            for n, d, mono, factors in group:
-                _add_chain(total, {mono: n * (scale // d)}, factors)
-            if shift:
-                _add_chain(num, total, shift)
+    for name, den_coeff, alpha_power, used, terms in invariants:
+        scale = lcm(*(per_key[k][1] for k in used))
+        least = tuple(map(min, zip(*(per_key[k][2] for k in used))))
+        num, groups, into = {}, {}, {}
+        for k in used:
+            n, d, v, one, several = per_key[k]
+            group = groups.setdefault(v, {(): num if v == least else {}})
+            into[k] = group.setdefault(several, {}), n * (scale // d), one
+        for coeff, mono, k in terms:
+            target, factor, one = into[k]
+            add_product(target, {mono: coeff * factor}, one)
+        for v, group in groups.items():
+            total = group[()]
+            for several, inner in group.items():
+                if inner is not total:
+                    _add_chain(total, inner,
+                               sorted((jet_power(j, k).terms for j, k in several), key=len))
+            if total is not num:
+                _add_chain(num, total, [power(i, e - m).terms
+                                        for i, (e, m) in enumerate(zip(v, least)) if e != m])
         raised = [power(i, m).terms for i, m in enumerate(least) if m > 0]
         if raised:
             num = _add_chain({}, num, raised)

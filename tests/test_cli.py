@@ -95,19 +95,21 @@ class TestExitCodes:
         assert str(EXPONENT_LIMIT) in error["message"]
 
     def test_an_exponent_overflow_inside_a_stage_has_its_own_code(self):
-        # F_x's denominator squares p + x^20000 in the table path of ``inv``
-        ode = "q^2/(p+x^20000)"
-        report = analyze(AnalysisRequest(ode=ode, stages=("inv",)))
-        assert report.exit_code == 2
-        assert report.stage_errors == {
-            "inv": {"code": "exponent-overflow", "message": "an exponent exceeds 32767"},
-            "cond": {"code": "dependency-failed", "message": "stage 'inv' did not complete"},
-        }
-        proc = run_cli("--ode", ode, "--stages", "inv", "--format", "text")
-        assert proc.returncode == 2
-        assert proc.stderr == ""
-        assert "stage inv error [exponent-overflow]: an exponent exceeds 32767\n" in proc.stdout
-        assert "stage cond error [dependency-failed]: stage 'inv' did not complete\n" in proc.stdout
+        # F_x's denominator squares p + x^20000 while the table path of
+        # ``inv`` factors the jets; q^3*p^8000 overflows in its walk
+        for ode in ("q^2/(p+x^20000)", "q^3*p^8000"):
+            report = analyze(AnalysisRequest(ode=ode, stages=("inv",)))
+            assert report.exit_code == 2
+            assert report.stage_errors == {
+                "inv": {"code": "exponent-overflow", "message": "an exponent exceeds 32767"},
+                "cond": {"code": "dependency-failed", "message": "stage 'inv' did not complete"},
+            }
+            proc = run_cli("--ode", ode, "--stages", "inv", "--format", "text")
+            assert proc.returncode == 2
+            assert proc.stderr == ""
+            assert "stage inv error [exponent-overflow]: an exponent exceeds 32767\n" in proc.stdout
+            assert ("stage cond error [dependency-failed]: stage 'inv' did not complete\n"
+                    in proc.stdout)
 
     def test_family_stage_on_non_family_input(self):
         proc = run_cli("--ode", "q^2", "--stages", "metric")

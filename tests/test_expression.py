@@ -468,14 +468,20 @@ class TestCanonicalProperties:
         assert_canonical(image)
 
     def test_constant_denominators_other_than_one(self, table):
-        x = Expression.coordinate("x", J2_CHART)
-        y = Expression.coordinate("y", J2_CHART)
+        x, y, p = (Expression.coordinate(c, J2_CHART) for c in "xyp")
         cases = {
             "x/3": (x / 2) * Fraction(2, 3),
             "(x - y)/6": x / 6 - y / 6,
             "-x/6": x / -6,
             "(-x - 2*y)/3": (2 * x + 4 * y) / -6,
             "x": (x / 2) * 2,
+            # sums: over denominators that share an integer or a polynomial
+            # factor, and over coprime ones (where no GCD is taken)
+            "(2*x + y)/4": x / 2 + y / 4,
+            "(3*x + 2*y)/6": x / 2 + y / 3,
+            "(2*p + 1)/(2*p^2 + 2*p)": 1 / (2 * p + 2) + 1 / (2 * p),
+            "(p + 1)/(p^2)": 1 / p + 1 / p**2,
+            "(2*p + 3)/(p^2 + 3*p + 2)": 1 / (p + 1) + 1 / (p + 2),
         }
         for text, e in cases.items():
             assert_canonical(e)

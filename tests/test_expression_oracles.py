@@ -20,6 +20,7 @@ from odecartan.expression import _normalize
 from odecartan.poly import Poly, add_product, factors, monomial
 from odecartan.symbols import Sym
 from tests.conftest import ExpressionSampler
+from tests.test_expression import assert_canonical
 
 
 def _sympy_poly(poly, sympy):
@@ -65,12 +66,17 @@ def test_normalize_matches_cancel(sampler):
 
 
 def test_arithmetic_is_canonical_like_cancel(sampler):
+    """Like ``cancel`` up to one rational constant, and a sum or difference
+    (which may skip ``_normalize``) canonical exactly, so that 1/2 + 1/4 is
+    3/4 and not 6/8."""
     sympy = pytest.importorskip("sympy")
     gen = sampler(seed=515)
     for _ in range(60):
         a, b = gen.expression(2), gen.expression(2)
         for e in (a + b, a - b, a * b):
             _assert_reduced_like_cancel(e.num, e.den, sympy)
+        assert_canonical(a + b)
+        assert_canonical(a - b)
 
 
 def test_differentiate_matches_diff(sampler):

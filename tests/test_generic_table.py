@@ -48,6 +48,7 @@ from odecartan.report import AnalysisRequest, analyze, emit_report
 from tests.conftest import ExpressionSampler
 from odecartan.symbols import P_CHART
 from tests.oracles import normalized_over_base, reduced_jet_structure
+from tests.test_digests import workloads
 
 COMMITTED = Path(invariant_table.__file__).with_name("generic_structure.py")
 
@@ -408,6 +409,30 @@ _ORACLE_CASES = [
 @pytest.mark.parametrize("text", _ORACLE_CASES)
 def test_the_table_path_matches_the_reduced_jet_oracle(text):
     _assert_matches_the_reduced_jet_oracle(_parse(text), forced_zero=True)
+
+
+def test_a_plan_holds_the_live_terms_of_its_dead_jet_mask():
+    """For every dead-jet mask met by the ``rational`` benchmark domain and
+    the oracle cases, ``_plan`` holds exactly the table's terms that read
+    no zero jet (``mask & dead == 0``), in table order, each key split into
+    its power of G'_qq and its other pairs; the plan cache is bounded."""
+    indices, qq, table = invariant_table._generic_table()
+    masks = set()
+    for text in {r.ode for r in workloads.domain("rational")} | set(_ORACLE_CASES):
+        jets = invariant_table.factored_jets(OdeProblem(_parse(text)), indices)[2]
+        masks.add(sum(1 << j for j, jet in enumerate(jets) if jet is None))
+    assert len(masks) > 1
+    for dead in masks:
+        keys, invariants = invariant_table._plan(dead)
+        assert tuple(name for name, *_ in invariants) == STRUCTURE_NAMES
+        joined = [tuple(sorted(pairs + ((qq, kqq),))) if kqq else pairs for kqq, pairs in keys]
+        for name, den_coeff, alpha_power, used, terms in invariants:
+            table_den, table_alpha, table_terms = table[name]
+            assert (den_coeff, alpha_power) == (table_den, table_alpha)
+            assert [(c, m, joined[k]) for c, m, k in terms] == [
+                (c, m, key) for c, m, key, mask in table_terms if not mask & dead]
+            assert used == tuple(dict.fromkeys(k for _, _, k in terms))
+    assert isinstance(invariant_table._plan.cache_info().maxsize, int)
 
 
 @pytest.mark.parametrize("text", _ORACLE_CASES)
