@@ -24,6 +24,7 @@ from .errors import (
 )
 from .expression import Expression
 from .forms import Coframe, DifferentialForm, add_term, is_zero, pair_minors
+from .poly import Poly
 from .symbols import J2_CHART, M_ADAPTED_CHART, P_CHART, Sym
 
 HALF = Fraction(1, 2)
@@ -395,30 +396,43 @@ class FamilyData(namedtuple("FamilyData", "problem A B C")):
 
 
 def _depends_on(e, *coords):
-    """Whether e reads a coordinate in ``coords`` or a jet of a function of
-    one: on a reduced fraction the total derivative along a coordinate
-    vanishes exactly when no such symbol occurs."""
+    """Whether e (an ``Expression`` or a ``Poly``) reads a coordinate in
+    ``coords`` or a jet of a function of one: on a reduced fraction the
+    total derivative along a coordinate vanishes exactly when no such
+    symbol occurs."""
     return any(c in s.reads for s in e.symbols() for c in coords)
+
+
+@cache
+def _family_q_terms():
+    """3/p, 3q/p and 3/2 q^2/p: a member's F_qq, F_q and q part."""
+    p, q = (Expression.coordinate(c, J2_CHART) for c in "pq")
+    fqq = 3 / p
+    return fqq, fqq * q, HALF * fqq * q * q
 
 
 def family_detect(prob):
     """Match F against the reducible cubic form, or raise with a reason.
 
-    Detection is syntactic on the canonical form; an additive shift
-    sigma(x,y) in the denominator p + sigma is reported, never removed.
+    Detection reads the canonical form and takes no derivative; an
+    additive shift sigma(x,y) in the denominator p + sigma is reported,
+    never removed.  Once F_qq = 3/p and F_q = 3q/p, R = F - 3/2 q^2/p reads
+    no q, and its cubic coefficient A = R_ppp/6 reads neither p nor q
+    exactly when R is a polynomial of degree at most 3 in p over a ring
+    free of p: integrating A three times along p gives R = A p^3 + C p^2
+    + B p + D with C, B, D free of p, and conversely.  Canonical form is
+    unique, so R's reduced denominator then reads no p and its numerator's
+    coefficients in p are those of A, C, B and D over it.
     """
-    F = prob.F
-    q = Expression.coordinate("q", J2_CHART)
-    p = Expression.coordinate("p", J2_CHART)
-
     S = prob.Fqq
     if _depends_on(S, "q"):
         raise FamilyRejectionError(
             FamilyRejectionError.WRONG_Q_DEPENDENCE,
             "F is not quadratic in q",
         )
-    shift = 3 / S - p
-    if not shift.is_zero:
+    fqq, fq, q_part = _family_q_terms()
+    if S != fqq:
+        shift = 3 / S - Expression.coordinate("p", J2_CHART)
         if _depends_on(shift, "p", "q"):
             raise FamilyRejectionError(
                 FamilyRejectionError.WRONG_Q_DEPENDENCE,
@@ -428,32 +442,27 @@ def family_detect(prob):
             FamilyRejectionError.SIGMA_TERM_PRESENT,
             f"sigma = {shift.render()} has not been normalized away",
         )
-    linear = prob.Fq - S * q
-    if not linear.is_zero:
+    if prob.Fq != fq:
         raise FamilyRejectionError(
             FamilyRejectionError.WRONG_Q_DEPENDENCE,
             "a term linear in q is present",
         )
-    R = F - Fraction(3, 2) * q * q / p
-
-    # the checks above leave R = F - 3/2 q^2/p free of q; once A reads
-    # neither p nor q, d/dp C = (R_ppp - 6A)/2 and d/dp B = R_pp - 6Ap - 2C
-    # are zero, so C and B read neither
-    Rp = R.differentiate("p")
-    Rpp = Rp.differentiate("p")
-    A = SIXTH * Rpp.differentiate("p")
-    if _depends_on(A, "p", "q"):
+    R = prob.F - q_part
+    # the split takes out the coordinate p, but a jet of a function of p
+    # can still occur in a coefficient or in the denominator
+    coeffs = R.num.coeffs_in(J2_CHART.sym("p"))
+    if (max(coeffs, default=0) > 3 or _depends_on(R.den, "p")
+            or any(_depends_on(c, "p") for c in coeffs.values())):
         raise FamilyRejectionError(
             FamilyRejectionError.COEFFICIENT_DEPENDS_ON_PQ,
             "the cubic coefficient depends on p or q",
         )
-    C = HALF * (Rpp - 6 * A * p)
-    B = Rp - 3 * A * p * p - 2 * C * p
-    if not (R - (A * p ** 3 + C * p * p + B * p)).is_zero:
+    if 0 in coeffs:
         raise FamilyRejectionError(
             FamilyRejectionError.COEFFICIENT_DEPENDS_ON_PQ,
             "a remainder term outside A p^3 + C p^2 + B p is present",
         )
+    A, C, B = (Expression(coeffs.get(k, Poly.zero()), R.den, J2_CHART) for k in (3, 2, 1))
     return FamilyData(prob, A, B, C)
 
 

@@ -310,6 +310,13 @@ class Poly:
 
     # -- structure ------------------------------------------------------
 
+    def coeffs_in(self, sym):
+        """self as univariate in ``sym``: ``{exponent: Poly free of sym}``."""
+        slot = _slot(sym, create=False)
+        if slot is None:
+            return {0: self} if self.terms else {}
+        return {e: Poly(t) for e, t in _coeffs_in(self.terms, slot * _WIDTH).items()}
+
     def content(self):
         """Positive gcd of the coefficients (1 for the zero polynomial)."""
         return int_gcd(*self.terms.values()) or 1

@@ -42,6 +42,11 @@ The rejected display reading of the invariant coframe is built here too
 (``printed_display_coframe``), so the tests can show that the structure
 pattern refuses it.
 
+The family detector by calculus (``derivative_family_detect``) is the one
+the program took before it read the cubic family off F's canonical form:
+A = R_ppp/6 with R = F - 3/2 q^2/p, then C and B from R_pp and R_p.  The
+tests compare ``cartan.family_detect`` with it.
+
 The reduced-jet oracle (``reduced_jet_structure``) is the table path the
 program took before its jets were factored: every jet a reduced
 ``Expression``, a coprime base over the jet denominators, and a
@@ -64,7 +69,9 @@ from odecartan.cartan import (
     _T2,
     _T3,
     _T4,
+    _depends_on,
     HALF,
+    SIXTH,
     FamilyData,
     OdeProblem,
     StructureFunctions,
@@ -94,6 +101,7 @@ from odecartan.curvature import (
 from odecartan.errors import (
     ChartError,
     DegenerateOdeError,
+    FamilyRejectionError,
     PetrovDegeneracyError,
     SingularEvaluationError,
 )
@@ -756,6 +764,42 @@ def member_family(A, B, C):
     p, q = (Expression.coordinate(c, J2_CHART) for c in "pq")
     rhs = Fraction(3, 2) * q * q / p + A * p ** 3 + C * p * p + B * p
     return FamilyData(OdeProblem(rhs), A, B, C)
+
+
+def derivative_family_detect(prob):
+    """``cartan.family_detect`` by derivatives: the same checks and
+    reasons, with A, C and B read off R_ppp, R_pp and R_p."""
+    q, p = (Expression.coordinate(c, J2_CHART) for c in "qp")
+    S = prob.Fqq
+    if _depends_on(S, "q"):
+        raise FamilyRejectionError(
+            FamilyRejectionError.WRONG_Q_DEPENDENCE, "F is not quadratic in q")
+    shift = 3 / S - p
+    if not shift.is_zero:
+        if _depends_on(shift, "p", "q"):
+            raise FamilyRejectionError(
+                FamilyRejectionError.WRONG_Q_DEPENDENCE, "the q^2 coefficient is not 3/(2p)")
+        raise FamilyRejectionError(
+            FamilyRejectionError.SIGMA_TERM_PRESENT,
+            f"sigma = {shift.render()} has not been normalized away")
+    if not (prob.Fq - S * q).is_zero:
+        raise FamilyRejectionError(
+            FamilyRejectionError.WRONG_Q_DEPENDENCE, "a term linear in q is present")
+    R = prob.F - Fraction(3, 2) * q * q / p
+    Rp = R.differentiate("p")
+    Rpp = Rp.differentiate("p")
+    A = SIXTH * Rpp.differentiate("p")
+    if _depends_on(A, "p", "q"):
+        raise FamilyRejectionError(
+            FamilyRejectionError.COEFFICIENT_DEPENDS_ON_PQ,
+            "the cubic coefficient depends on p or q")
+    C = HALF * (Rpp - 6 * A * p)
+    B = Rp - 3 * A * p * p - 2 * C * p
+    if not (R - (A * p ** 3 + C * p * p + B * p)).is_zero:
+        raise FamilyRejectionError(
+            FamilyRejectionError.COEFFICIENT_DEPENDS_ON_PQ,
+            "a remainder term outside A p^3 + C p^2 + B p is present")
+    return FamilyData(prob, A, B, C)
 
 
 def _request_family(request):

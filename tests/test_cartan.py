@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from odecartan import (
     DegenerateOdeError,
@@ -41,12 +41,13 @@ from odecartan.errors import SingularSubstitutionError
 from odecartan.forms import DifferentialForm
 from odecartan.petrov import jet_expressions
 from odecartan.report import AnalysisRequest, analyze
-from tests.conftest import XY_CHART, ExpressionSampler, make_problem
+from tests.conftest import FAMILY_TEXT, XY_CHART, ExpressionSampler, make_problem
 from tests.oracles import (
     APPENDIX_TABLE,
     FLAT_TABLE,
     REDUCED_TABLE,
     chart_level_residuals,
+    derivative_family_detect,
     family_invariants_residuals,
     fibre_transform,
     member_family,
@@ -325,6 +326,9 @@ class TestTauBasis:
             assert (computed - shown).is_zero
 
 
+_OVER_Y_PLUS_1 = "3/2*q^2/p + x/(y+1)*p^3 + (x + y)*p"
+
+
 class TestFamilyDetect:
     def test_flat_model_accepted_with_zero_coefficients(self, flat_problem):
         fd = family_detect(flat_problem)
@@ -381,6 +385,42 @@ class TestFamilyDetect:
             family_detect(prob)
         assert err.value.detail == "the cubic coefficient depends on p or q"
 
+    @pytest.mark.parametrize("text, name, args, detail", [
+        # a denominator with no coordinate p, but T reads p
+        ("3/2*q^2/p + 1/T(p)", "T", ("p",), "the cubic coefficient depends on p or q"),
+        ("3/2*q^2/p + U(x,y)", "U", ("x", "y"),
+         "a remainder term outside A p^3 + C p^2 + B p is present"),
+    ])
+    def test_opaque_term_rejected_with_its_detail(self, text, name, args, detail):
+        table = SymbolTable()
+        table.declare(name, args)
+        with pytest.raises(FamilyRejectionError) as err:
+            family_detect(OdeProblem(parse_expression(text, J2_CHART, table)))
+        assert err.value.detail == detail
+
+    def test_coefficients_over_a_denominator_free_of_p_accepted(self):
+        fd = family_detect(make_problem(_OVER_Y_PLUS_1))
+        assert fd.A.render() == "x/(y + 1)"
+        assert fd.C.is_zero
+        assert fd.B.render() == "x + y"
+
+    @pytest.mark.parametrize("text, declare", [(FAMILY_TEXT, "ABC"), (_OVER_Y_PLUS_1, "")])
+    def test_detection_takes_no_derivative(self, monkeypatch, text, declare):
+        """The family is read off F's canonical form: once ``OdeProblem``
+        holds F_q and F_qq, ``family_detect`` differentiates nothing."""
+        prob = make_problem(text, declare=declare)
+        calls = []
+        real = Expression.differentiate
+
+        def counted(self, coord):
+            calls.append(coord)
+            return real(self, coord)
+
+        monkeypatch.setattr(Expression, "differentiate", counted)
+        family_detect(prob)
+        monkeypatch.undo()
+        assert calls == []
+
 
 # one input per reachable rejection in ``family_detect``, with its (reason, detail)
 REACHABLE_REJECTIONS = [
@@ -404,7 +444,8 @@ def test_each_reachable_rejection_carries_its_reason_and_detail(text, reason, de
     assert (err.value.reason, err.value.detail) == (reason, detail)
 
 
-# R's terms: c * x^i * y^j * p^k * J, with J 1 or a jet of T(p) or U(x,p)
+# R's terms: c * x^i * y^j * p^k * J / D, with J 1 or a jet of T(p) or
+# U(x,p), and D 1, free of p, or reading p only through a jet
 _R_TERMS = st.lists(
     st.tuples(
         st.fractions(-3, 3, max_denominator=4).filter(bool),
@@ -412,9 +453,21 @@ _R_TERMS = st.lists(
         st.integers(0, 2),
         st.integers(-1, 4),
         st.sampled_from(("1", "1", "1", "T", "T_p", "T_pp", "U", "U_x", "U_p", "U_pp")),
+        st.sampled_from(("1", "1", "1", "y+1", "x+y", "T", "U")),
     ),
     max_size=4,
 )
+
+
+def _r_problem(terms):
+    table = SymbolTable()
+    table.declare("T", ("p",))
+    table.declare("U", ("x", "p"))
+    x, y, p = (Expression.coordinate(c, J2_CHART) for c in "xyp")
+    F = parse_expression("3/2*q^2/p", J2_CHART, table)
+    for c, i, j, k, jet, den in terms:
+        F = F + c * x**i * y**j * p**k * parse_expression(f"({jet})/({den})", J2_CHART, table)
+    return OdeProblem(F)
 
 
 @given(_R_TERMS)
@@ -423,20 +476,33 @@ def test_an_accepted_member_has_coefficients_free_of_p_and_q(terms):
     """F = 3/2 q^2/p + R with R free of q: an accepted F has A, B, C with
     zero total derivatives along p and q, and a rejected one fails the
     cubic or the remainder check, the only ones that read R."""
-    table = SymbolTable()
-    table.declare("T", ("p",))
-    table.declare("U", ("x", "p"))
-    x, y, p = (Expression.coordinate(c, J2_CHART) for c in "xyp")
-    F = parse_expression("3/2*q^2/p", J2_CHART, table)
-    for c, i, j, k, jet in terms:
-        F = F + c * x**i * y**j * p**k * parse_expression(jet, J2_CHART, table)
     try:
-        fd = family_detect(OdeProblem(F))
+        fd = family_detect(_r_problem(terms))
     except FamilyRejectionError as exc:
         assert (exc.reason, exc.detail) in {(r, d) for _, r, d in REACHABLE_REJECTIONS[4:]}
     else:
         for coeff in (fd.A, fd.B, fd.C):
             assert coeff.differentiate("p").is_zero and coeff.differentiate("q").is_zero
+
+
+def _detected(detect, prob):
+    try:
+        fd = detect(prob)
+    except FamilyRejectionError as exc:
+        return exc.reason, exc.detail
+    return fd.A, fd.B, fd.C
+
+
+@given(_R_TERMS)
+@example([(Fraction(1), 0, 0, 3, "1", "T")])  # A = 1/T(p) reads p through a jet
+@example([(Fraction(1), 1, 0, 3, "1", "y+1"), (Fraction(2), 0, 1, 1, "1", "x+y")])
+@settings(max_examples=200, deadline=None)
+def test_the_coefficient_detector_agrees_with_the_derivative_one(terms):
+    """``family_detect`` reads A, C, B off R's numerator by powers of p;
+    the derivative detector reads them off R_ppp, R_pp and R_p.  Both give
+    the same rejection, or the same coefficients."""
+    prob = _r_problem(terms)
+    assert _detected(family_detect, prob) == _detected(derivative_family_detect, prob)
 
 
 # (F, X, Y): y''' = F in the coordinates x~ = X(x), y~ = Y(x, y)

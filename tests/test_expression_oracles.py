@@ -1,7 +1,9 @@
 """The Expression layer against independent oracles: sympy's
 ``cancel``/``diff``/``subs`` on sampled expressions, sympy's ``expand`` on
 the one sparse product (``Poly.__mul__``, ``poly.add_product``), sympy's
-``grlex`` on the one term order (``Poly.sorted_terms``, ``Poly.leading``), a
+``grlex`` on the one term order (``Poly.sorted_terms``, ``Poly.leading``),
+sympy's ``Poly.as_dict`` on the split by powers of one symbol
+(``Poly.coeffs_in``), a
 hypothesis round trip through the parser and the renderer, and
 ``evaluate`` against a term-by-term ``Fraction`` sum."""
 
@@ -17,6 +19,7 @@ from odecartan.errors import (
     SingularSubstitutionError,
 )
 from odecartan.expression import _normalize
+from odecartan import poly
 from odecartan.poly import Poly, add_product, factors, monomial
 from odecartan.symbols import Sym
 from tests.conftest import ExpressionSampler
@@ -183,6 +186,28 @@ def test_the_term_order_is_grlex(f):
     assert got == expected
     lead, c = f.leading()
     assert (exponents(lead), c) == expected[0]
+
+
+# -- the split by powers of one symbol against sympy's as_dict ------------------
+
+_FRESH = Sym("Fresh", ("x",))  # no polynomial reads it, so it takes no slot
+
+
+@given(st.one_of(_MIXED_POLYS, st.just(Poly.zero())), st.sampled_from(_GENS + [_FRESH]))
+@example(Poly.zero(), P_CHART.sym("p"))
+@example(_A * _ALPHA + Poly.const(3), P_CHART.sym("p"))  # reads no p
+@example(_A * _P * _P - _P + _ALPHA, _FRESH)
+@settings(max_examples=150, deadline=None)
+def test_coeffs_in_matches_as_dict(f, sym):
+    """``Poly.coeffs_in`` splits f by powers of one symbol as sympy's
+    ``Poly(f, sym).as_dict()`` does, into coefficients that do not read it,
+    and a symbol with no slot is met without taking one."""
+    sympy = pytest.importorskip("sympy")
+    got = f.coeffs_in(sym)
+    expected = sympy.Poly(_sympy_poly(f, sympy), sympy.Symbol(sym.render())).as_dict()
+    assert {(e,): _sympy_poly(c, sympy) for e, c in got.items()} == expected
+    assert all(c.terms and sym not in c.symbols() for c in got.values())
+    assert poly._slot(_FRESH, create=False) is None
 
 
 # -- parse -> render -> parse -------------------------------------------------
