@@ -24,11 +24,12 @@ vanishes and II elsewhere (split signature Petrov types as in P. R. Law,
 the rule's probes, that the tensors can be evaluated at the point, and
 reads the labels.
 
-A family member's W, g^-1 and det are never built as its own tensors:
-they are the generic member's (opaque A' and B') read at the point
-extended with the values of the jets of A' and B', taken from the
-member's A and B (``jet_expressions``, the helper the family's closed
-forms read their jets from too).
+A family member's tensors are never built.  ``LabelRule.put_in`` puts
+the jets of A' and B', taken from the member's A and B
+(``jet_expressions``, the helper the family's closed forms read their
+jets from too), into the generic rule once per request: the member's
+own rule tests its R at a point, and probes only the jets whose
+denominators are not constant.
 """
 
 from collections import namedtuple
@@ -159,15 +160,36 @@ class LabelRule(namedtuple("LabelRule", "probes plus minus")):
     evaluation reads them, that read a symbol or have a non-constant
     denominator no earlier entry does: where they evaluate, every entry
     does, and where one fails, it fails as the full evaluation would.
-    ``plus`` and ``minus`` are the two halves' (steps, default) from
+    A member's rule from ``put_in`` probes its jets instead.  ``plus``
+    and ``minus`` are the two halves' (steps, default) from
     ``_half_rule``."""
 
     __slots__ = ()
 
     def symbols(self):
-        """The symbols the entries read: the probes read every one, so
-        its jets are the ones ``jet_expressions`` must give a point."""
+        """The symbols the probes read.  A rule from ``label_rule`` probes
+        every symbol its entries read, so its jets are the ones
+        ``jet_expressions`` must give ``put_in``."""
         return {s for e in self.probes for s in e.symbols()}
+
+    def put_in(self, jets):
+        """The member's own rule: each test with ``jets`` (``{rendered
+        name: Expression}``, from ``jet_expressions``) put in once, all
+        sharing one ``powers`` dict, and as probes the jets whose
+        denominators are not constant, in ``jets`` order.  A test's
+        denominator divides a product of the jets' denominators, so where
+        the probes evaluate every test does, and a point is skipped where
+        a jet's value is, with the same reason.  Raises ValueError if a
+        probe of this rule has a non-constant denominator, whose pole the
+        member's probes would not see."""
+        if not all(e.den.is_const for e in self.probes):
+            raise ValueError("a probe of the rule has a non-constant denominator")
+        powers = {}
+        halves = [
+            (tuple((tuple(t.put_in(jets, powers) for t in ts), label) for ts, label in steps), d)
+            for steps, d in (self.plus, self.minus)
+        ]
+        return LabelRule(tuple(e for e in jets.values() if not e.den.is_const), *halves)
 
 
 def label_rule(tensors):
@@ -219,25 +241,19 @@ class PetrovPointResult(namedtuple("PetrovPointResult", "point label_plus label_
         return frozenset((self.label_plus, self.label_minus))
 
 
-def classify_at_point(rule, point, jets=None):
-    """Petrov labels at ``point`` from ``rule``, a ``LabelRule``.
-
-    ``jets`` (from ``jet_expressions``) extends the point with the value
-    of each jet symbol, so a rule of opaque-coefficient tensors gives the
-    labels of the metric with their functions substituted.  Every
-    evaluation at the point shares one ``powers`` dict, and each builds one
-    ``Fraction`` (``Expression.evaluate``).  Raises PetrovDegeneracyError
-    when a jet's value, or g^-1, det G or W, cannot be evaluated at the
-    point: a symbol without a value or a vanishing denominator."""
+def classify_at_point(rule, point):
+    """Petrov labels at ``point`` from ``rule``, a ``LabelRule``: of a
+    family member when ``rule`` is the generic rule with the member's
+    jets put in (``LabelRule.put_in``).  The probes and the tests share
+    one ``powers`` dict, and each evaluation builds one ``Fraction``
+    (``Expression.evaluate``).  Raises PetrovDegeneracyError when a probe
+    or a test cannot be evaluated at the point: a symbol without a value
+    or a vanishing denominator."""
     powers = {}
-    values = dict(point)
     try:
-        for name, expr in (jets or {}).items():
-            values[name] = expr.evaluate(point, powers)
         for e in rule.probes:
-            e.evaluate(values, powers)
+            e.evaluate(point, powers)
+        labels = _label(rule.plus, point, powers), _label(rule.minus, point, powers)
     except SingularEvaluationError as exc:
         raise PetrovDegeneracyError(str(exc)) from exc
-    return PetrovPointResult(
-        dict(point), _label(rule.plus, values, powers), _label(rule.minus, values, powers)
-    )
+    return PetrovPointResult(dict(point), *labels)

@@ -316,8 +316,9 @@ def _point_to_json(point):
 
 
 def _parsed_specializations(request, parse):
-    """Each specialisation read by ``parse``: only A, B or C, and only in
-    x and y.  C is not in the metric, but a bad one is refused too."""
+    """Each specialisation read by ``parse``: only A, B or C, only in x
+    and y, and for a declared opaque function only in the arguments it is
+    declared with.  C is not in the metric, but a bad one is refused too."""
     out = {}
     for name, text in request.specializations.items():
         if name not in ("A", "B", "C"):
@@ -338,6 +339,11 @@ def _parsed_specializations(request, parse):
                 "bad-specialization",
                 f"specialization of {name} may only use x and y, found {bad}",
             )
+        args = request.opaque.get(name, ("x", "y"))
+        stray = [s.render() for s in value.symbols() if s.name not in args]
+        if stray:
+            raise AnalysisInputError("bad-specialization", f"specialization of {name} reads "
+                                     f"{stray}, but {name} is declared with arguments {list(args)}")
         out[name] = value
     return out
 
@@ -367,14 +373,15 @@ def _specialized(st, name):
 def _run_petrov(st):
     """Petrov labels at seeded exact points of the specialised metric.
 
-    ``classify_at_point`` evaluates the label rule that ``_generic_evidence``
-    derives once per process from the generic tensors (opaque A' and B'):
-    D on the plus half, and on the minus half D where
-    -A'_x t + B'_y z + A'_xx - B'_yy vanishes and II elsewhere.  Each
-    point is extended with each jet symbol's value, the specialised A or B
-    differentiated along the jet's index, and is skipped where a jet,
-    g^-1, det G or W cannot be evaluated.  C is not in the metric, but
-    its specialisation is checked like theirs.
+    ``_generic_evidence`` derives the label rule once per process from the
+    generic tensors (opaque A' and B'): D on the plus half, and on the
+    minus half D where R = -A'_x t + B'_y z + A'_xx - B'_yy vanishes and II
+    elsewhere.  The jets of the specialised A and B are put into it once
+    per request (``LabelRule.put_in``), and ``classify_at_point``
+    evaluates that member rule at each point: the request's own R, and
+    each jet whose denominator is not constant, since a point is skipped
+    where a jet cannot be evaluated.  C is not in the metric, but its
+    specialisation is checked like theirs.
     """
     request = st.request
     A, B, _ = (_specialized(st, name) for name in "ABC")
@@ -386,7 +393,7 @@ def _run_petrov(st):
             "provide rational specializations for A and B",
         )
     rule = _generic_evidence().label_rule
-    jets = jet_expressions(rule.symbols(), dict(zip(GENERIC_COEFFICIENTS, (A, B))))
+    member = rule.put_in(jet_expressions(rule.symbols(), dict(zip(GENERIC_COEFFICIENTS, (A, B)))))
     rng = random.Random(request.seed)
     results, skipped = [], []
     for _ in range(max(50, 40 * request.points)):
@@ -394,7 +401,7 @@ def _run_petrov(st):
             break
         point = {c: Fraction(rng.randint(-100, 100), rng.randint(1, 100)) for c in "xyzt"}
         try:
-            results.append(classify_at_point(rule, point, jets))
+            results.append(classify_at_point(member, point))
         except PetrovDegeneracyError as exc:
             skipped.append({"point": _point_to_json(point), "reason": str(exc)})
     if len(results) < request.points:

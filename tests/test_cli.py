@@ -399,13 +399,13 @@ class TestPetrovStage:
                 "3/2*q^2/p + y^2*p^3 + x*p",
                 ["D+D"],
             ),
-            # A(y) specialised by a function of x and y is replaced as well,
-            # although the jet calculus of A(y) has no A_x
+            # A(x) specialised by a function of its one argument; one that
+            # reads y is refused (tests/test_stages.py)
             (
-                "3/2*q^2/p + A(y)*p^3 + x*p",
-                {"A": ("y",)},
-                {"A": "x*y"},
-                "3/2*q^2/p + x*y*p^3 + x*p",
+                "3/2*q^2/p + A(x)*p^3 + y*p",
+                {"A": ("x",)},
+                {"A": "x^2"},
+                "3/2*q^2/p + x^2*p^3 + y*p",
                 ["D+II"],
             ),
         ],

@@ -300,10 +300,10 @@ class TestClassification:
             classify_at_point(rule, POINTS[0])
 
 
-def point_outcome(rule, point, jets=None):
+def point_outcome(rule, point):
     """Point and labels, or the reason the point is skipped."""
     try:
-        r = classify_at_point(rule, point, jets)
+        r = classify_at_point(rule, point)
     except PetrovDegeneracyError as exc:
         return str(exc)
     return r.point, r.label_plus, r.label_minus
@@ -343,7 +343,7 @@ class TestJetExtendedPoints:
             {"x": Fraction(2), "y": Fraction(-1), "z": Fraction(1, 3), "t": Fraction(5)},
             {"x": Fraction(-7, 4), "y": Fraction(-1), "z": Fraction(3), "t": Fraction(1, 2)},
         ]
-        outcomes = [point_outcome(rule, pt, jets) for pt in points]
+        outcomes = [point_outcome(rule.put_in(jets), pt) for pt in points]
         assert outcomes == [point_outcome(oracle_rule, pt) for pt in points]
         skipped = [o for o in outcomes if isinstance(o, str)]
         if "/(y+1)" in specs["A"]:
@@ -359,7 +359,7 @@ class TestJetExtendedPoints:
         assert jet_expressions(rule.symbols(), {}) == {}
         oracle_rule = label_rule(curvature_tensors(family_metric(fd)))
         for pt in seeded_points(5):
-            outcome = point_outcome(rule, pt, {})
+            outcome = point_outcome(rule.put_in({}), pt)
             assert outcome == point_outcome(oracle_rule, pt)
             assert outcome[1:3] == ("D", "D")
 
@@ -381,7 +381,7 @@ class TestJetExtendedPoints:
         rule = label_rule(tensors)
         jets = jet_expressions(rule.symbols(), values)
         for pt in seeded_points(3):
-            result = classify_at_point(rule, pt, jets)
+            result = classify_at_point(rule.put_in(jets), pt)
             weyl_op, star = weyl_operator_at(tensors, pt, jets)
             for sign, label in ((1, result.label_plus), (-1, result.label_minus)):
                 for basis in (halved_projector_basis(star, sign), eigenspace_basis(star, sign)):
@@ -406,8 +406,9 @@ class TestOneFamilyGeometry:
         [
             # an opaque A(x,y) specialised to y^2, beside a concrete B = x: D+D
             ("3/2*q^2/p + A(x,y)*p^3 + x*p", {"A": ("x", "y")}, {"A": "y^2"}, 0, ["D+D"]),
-            # A(y) specialised by a function of x and y, which has an A_x
-            ("3/2*q^2/p + A(y)*p^3 + x*p", {"A": ("y",)}, {"A": "x*y"}, 0, ["D+II"]),
+            # A(x) specialised by a function of its one argument; a
+            # specialisation that reads y is refused (tests/test_stages.py)
+            ("3/2*q^2/p + A(x)*p^3 + y*p", {"A": ("x",)}, {"A": "x^2"}, 0, ["D+II"]),
             ("3/2*q^2/p + x/(y+1)*p^3 + (x + y)*p", {}, {}, 0, ["D+II"]),
             # seed 217 draws a point on the pole y = -1
             ("3/2*q^2/p + x/(y+1)*p^3 + (x + y)*p", {}, {}, 217, ["D+II"]),
@@ -621,11 +622,12 @@ class TestLabelRule:
         assert jets["A'_x"].is_zero and jets["A'_xx"].is_zero
         evidence = _generic_evidence()
         rule, tensors = evidence.label_rule, evidence.tensors
+        member = rule.put_in(jets)
         pole = {"x": Fraction(2), "y": Fraction(-1), "z": Fraction(1, 3), "t": Fraction(5)}
-        assert point_outcome(rule, pole, jets) == _oracle_outcome(tensors, pole, jets)
-        assert point_outcome(rule, pole, jets) == "denominator vanishes at the point"
+        assert point_outcome(member, pole) == _oracle_outcome(tensors, pole, jets)
+        assert point_outcome(member, pole) == "denominator vanishes at the point"
         for pt in POINTS:
-            assert point_outcome(rule, pt, jets) == _oracle_outcome(tensors, pt, jets)
+            assert point_outcome(member, pt) == _oracle_outcome(tensors, pt, jets)
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=50, deadline=None,
@@ -638,8 +640,60 @@ class TestLabelRule:
         texts = (gen.expression().render(), gen.expression().render())
         jets = _generic_jets(texts)
         evidence = _generic_evidence()
+        member = evidence.label_rule.put_in(jets)
         rng = random.Random(seed)
         for _ in range(4):
             pt = {c: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for c in "xyzt"}
-            outcome = point_outcome(evidence.label_rule, pt, jets)
+            outcome = point_outcome(member, pt)
             assert outcome == _oracle_outcome(evidence.tensors, pt, jets)
+
+
+class TestMemberRule:
+    """``LabelRule.put_in``: the member's own rule, built once per request."""
+
+    def test_generic_rule_has_no_probe_with_a_pole(self):
+        """``put_in`` keeps only the jets' poles as probes, which is exact
+        because no probe of the generic rule has a pole of its own; and
+        the plus half is D with nothing to test."""
+        rule = _generic_evidence().label_rule
+        assert all(e.den.is_const for e in rule.probes)
+        assert rule.plus[0] == ()
+
+    def test_put_in_refuses_a_probe_with_a_pole(self):
+        x = Expression.coordinate("x", METRIC_CHART)
+        rule = petrov.LabelRule((Expression.number(1, METRIC_CHART) / (x + 1),), ((), "D"), ((), "D"))
+        with pytest.raises(ValueError, match="non-constant denominator"):
+            rule.put_in({})
+
+    @pytest.mark.parametrize(
+        "specs, per_point",
+        [
+            ({"A": "x*y", "B": "x + y"}, 1),  # R alone
+            # R, and the jets A' = x/(y+1) and A'_x = 1/(y+1), whose
+            # denominators are not constant
+            ({"A": "x/(y+1)", "B": "x + y"}, 3),
+        ],
+        ids=["polynomial", "pole"],
+    )
+    def test_a_point_costs_one_evaluation_per_test_and_pole(self, monkeypatch, specs, per_point):
+        """A generic member's point evaluates its R, plus each jet whose
+        denominator is not constant; the jets are put in once per
+        request, not evaluated at every point."""
+        request = AnalysisRequest(
+            ode=FAMILY_TEXT, opaque=FAMILY_OPAQUE, stages=("petrov",), specializations=specs
+        )
+        analyze(request)  # the generic record is built outside the count
+        jets = _generic_jets((specs["A"], specs["B"]))
+        assert sum(not e.den.is_const for e in jets.values()) == per_point - 1
+        calls = []
+        real = Expression.evaluate
+
+        def counted(self, point, powers=None):
+            calls.append(point)
+            return real(self, point, powers)
+
+        monkeypatch.setattr(Expression, "evaluate", counted)
+        report = analyze(request)
+        monkeypatch.undo()
+        assert report.data["petrov"]["skipped_points"] == []
+        assert len(calls) == per_point * request.points == per_point * 5

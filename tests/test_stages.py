@@ -108,7 +108,7 @@ class TestStageErrors:
         assert report.exit_code == 2
 
     def test_petrov_degeneracy_has_its_own_code(self, monkeypatch):
-        def degenerate(rule, point, jets):
+        def degenerate(rule, point):
             raise PetrovDegeneracyError("pole at the sample point")
 
         monkeypatch.setattr(report_module, "classify_at_point", degenerate)
@@ -197,6 +197,44 @@ class TestRequestValidation:
             "code": "bad-specialization",
             "message": str(info.value),
         }
+
+    def test_a_specialization_reads_only_the_declared_arguments(self):
+        """A(x) specialised by y is not the declared ODE: it is refused and
+        the stray symbol named, in process and through the CLI (it used to
+        label the member D+II).  A specialisation in x alone still runs."""
+        ode = "3/2*q^2/p + A(x)*p^3 + y*p"
+        for text, stray in (("y", "['y']"), ("x*y + 1", "['y']")):
+            request = AnalysisRequest(
+                ode=ode, opaque={"A": ("x",)}, stages=("petrov",), specializations={"A": text}
+            )
+            with pytest.raises(AnalysisInputError) as info:
+                analyze(request)
+            assert info.value.code == "bad-specialization"
+            assert str(info.value) == (
+                f"specialization of A reads {stray}, but A is declared with arguments ['x']"
+            )
+            proc = run_cli(
+                "--ode", ode, "--opaque", "A:x", "--stages", "petrov", "--specialize", f"A={text}"
+            )
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert json.loads(proc.stderr)["error"] == {
+                "code": "bad-specialization",
+                "message": str(info.value),
+            }
+        accepted = analyze(
+            AnalysisRequest(
+                ode=ode, opaque={"A": ("x",)}, stages=("petrov",), specializations={"A": "x^2"}
+            )
+        )
+        assert accepted.exit_code == 0
+        assert accepted.data["petrov"]["labels"] == ["D+II"]
+        proc = run_cli("--ode", ode, "--opaque", "A:x", "--stages", "petrov", "--specialize", "A=x^2")
+        assert proc.returncode == 0
+        # an undeclared coefficient keeps its message
+        with pytest.raises(AnalysisInputError) as info:
+            analyze(AnalysisRequest(ode=FLAT, stages=("inv",), specializations={"A": "p"}))
+        assert str(info.value) == "specialization of A may only use x and y, found ['p']"
 
     @pytest.mark.parametrize("text", ["(" * 260 + "q^2" + ")" * 260, "-" * 900 + "q^2"])
     def test_too_deep_nesting_is_refused(self, text):
