@@ -13,7 +13,12 @@ the pattern check runs there, once, for every such F.
 
 F's jets are kept in factored form N/(c·Π b^e) over one pairwise coprime
 base per F (``factored_jets``), and each invariant is reduced over that
-base, not by a GCD with its whole denominator (``_reduced``).  A base
+base, not by a GCD with its whole denominator (``_reduced``).  Every jet
+but F_q and F_qq, which ``OdeProblem`` checked, comes from its parent by
+the quotient rule on that form, so F is never differentiated here; a jet
+along a coordinate F does not read is zero with no step.  The base is
+built over F's denominator D and each gcd(D, ∂_z D) (Yun, SYMSAC 1976),
+which splits off D's repeated factors and the factors that read z.  A base
 element b = c1·v + c0 with c1, c0 coprime is irreducible; one evaluation
 of N modulo a 61-bit prime at a seeded point of b = 0 then proves b ∤ N
 when it is nonzero (``_certificate``, ``_quotient``).  The evaluation is
@@ -126,8 +131,9 @@ def coprime_base(polys):
     Driscoll and Shallit, "Factor refinement", J. Algorithms 1993).  An
     element that shares a factor g with a base element b is replaced, with
     b, by b/g, g and itself over g; the total degree drops at every split.
-    ``factored_jets`` builds one base per F, over seven polynomials; every
-    jet's denominator is a product of powers of its elements."""
+    ``factored_jets`` builds one base per F, over F's denominator, its GCDs
+    with its derivatives and the parts of F_q and F_qq; every jet's
+    denominator is a product of powers of its elements."""
     base = []
     todo = list(dict.fromkeys(p for p in polys if not p.is_const))
     while todo:
@@ -343,24 +349,31 @@ def _plan(dead):
 
 def factored_jets(prob, indices):
     """(base, points, jets, (cn, cd, v)) for the ``OdeProblem`` ``prob``,
-    with no GCD per jet: F, F_q and F_qq ≠ 0 are read from ``prob``, and
-    F_x, F_y and F_p derived here; ``base`` is coprime over the reduced
-    denominators of those six and F_qq's numerator, and ``points[i]`` is
-    base_i's ``_certificate``, derived once here; ``jets[i]`` is None where
-    the jet along ``indices[i]`` is zero, else (N, c, e) with that jet N /
-    (c · Π base_j^e_j); F_qq = cn/cd · Π base_j^v_j.  Every jet past those
-    six comes from its parent by the quotient rule, raising only exponents
-    of base elements with a nonzero derivative; N then loses each base
-    element of positive exponent while it divides N, and shares no content
-    with c.  A certified element that does not divide N is ruled out by
-    one evaluation (``_quotient``), never by a failed division."""
-    F, fqq = prob.F, prob.Fqq
-    reduced = {(): F, **{(z,): F.differentiate(z) for z in "xyp"}, ("q",): prob.Fq,
-               ("q", "q"): fqq}
-    base = coprime_base([r.den for r in reduced.values()] + [fqq.num])
+    with no GCD per jet and no derivative of F: F, F_q and F_qq ≠ 0 are
+    read from ``prob``.  ``base`` is coprime over F's denominator D, gcd(D,
+    ∂_z D) for each coordinate z where ∂_z D is not constant (the split of
+    D's repeated factors and of factors that read z from those that do
+    not), F_q's and F_qq's denominators and F_qq's numerator: the base of
+    the reduced denominators of F, its first derivatives and F_qq.
+    ``points[i]`` is base_i's ``_certificate``, derived once here;
+    ``jets[i]`` is None where the jet along ``indices[i]`` is zero, else
+    (N, c, e) with that jet N / (c · Π base_j^e_j); F_qq = cn/cd · Π
+    base_j^v_j.  Every other jet comes from its parent by the quotient
+    rule, raising only exponents of base elements with a nonzero
+    derivative; N then loses each base element of positive exponent while
+    it divides N, and shares no content with c.  A jet whose last index is
+    a coordinate that no symbol of F reads (``Sym.reads``) is zero with no
+    step, since derivatives commute.  A certified element that does not
+    divide N is ruled out by one evaluation (``_quotient``), never by a
+    failed division."""
+    F, fqq, D = prob.F, prob.Fqq, prob.F.den
+    reads = {a for s in F.symbols() for a in s.reads}
+    dD = [F._total_deriv_poly(D, z) for z in "xypq" if z in reads]
+    base = coprime_base([D, *(poly.poly_gcd(D, d) for d in dD if not d.is_const),
+                         prob.Fq.den, fqq.den, fqq.num])
     points = [_certificate(b) for b in base]
-    memo = {i: None if r.is_zero else (r.num, *factor_over(r.den, base, points))
-            for i, r in reduced.items()}
+    memo = {i: (r.num, *factor_over(r.den, base, points))
+            for i, r in {(): F, ("q",): prob.Fq, ("q", "q"): fqq}.items()}
     slope = cache(lambda i, z: F._total_deriv_poly(base[i], z))
 
     def step(N, c, e, z):
@@ -381,7 +394,7 @@ def factored_jets(prob, indices):
 
     def jet(index):
         if index not in memo:
-            parent = jet(index[:-1])
+            parent = jet(index[:-1]) if index[-1] in reads else None
             memo[index] = parent and step(*parent, index[-1])
         return memo[index]
 

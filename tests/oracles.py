@@ -54,7 +54,9 @@ program took before its jets were factored: every jet a reduced
 ``invariant_table.structure_from_jets`` with it.  Each invariant there is
 reduced as the table path reduced it before its reduction was certified
 (``normalized_over_base``): one ``_normalize`` of the whole fraction,
-against which the tests check ``invariant_table._reduced``.
+against which the tests check ``invariant_table._reduced``.  The base it
+factors over is built, as the program built it before it took no
+derivative of F, from F's differentiated jets (``derivative_base``).
 """
 
 import random
@@ -1058,6 +1060,17 @@ def reduced_jet_structure(F):
             num, den_coeff * scale, alpha_power, base, [max(-m, 0) for m in least]
         )
     return StructureFunctions(**values)
+
+
+def derivative_base(prob):
+    """The coprime base the table path built before it read F_x, F_y and
+    F_p off F's factored form: ``coprime_base`` over the reduced
+    denominators of F, its four first derivatives and F_qq, and F_qq's
+    numerator.  The tests compare ``invariant_table.factored_jets``' base
+    with it."""
+    F, fqq = prob.F, prob.Fqq
+    jets = [F, *(F.differentiate(z) for z in "xyp"), prob.Fq, fqq]
+    return coprime_base([j.den for j in jets] + [fqq.num])
 
 
 def normalized_over_base(num, coeff, alpha_power, base, exponents):

@@ -47,7 +47,7 @@ from odecartan.poly import Poly
 from odecartan.report import AnalysisRequest, analyze, emit_report
 from tests.conftest import ExpressionSampler
 from odecartan.symbols import P_CHART
-from tests.oracles import normalized_over_base, reduced_jet_structure
+from tests.oracles import derivative_base, normalized_over_base, reduced_jet_structure
 from tests.test_digests import workloads
 
 COMMITTED = Path(invariant_table.__file__).with_name("generic_structure.py")
@@ -543,21 +543,89 @@ def test_the_reduction_over_a_constructed_base_matches_the_oracle(
     assert (out.num, out.den) == (expected.num, expected.den)
 
 
-def test_the_table_path_differentiates_f_only_along_x_y_and_p(monkeypatch):
+def test_the_table_path_takes_no_derivative_of_f(monkeypatch):
     """F_q and F_qq ≠ 0 come from the ``OdeProblem``, which derived and
-    checked them; the table path derives only F_x, F_y and F_p of F."""
+    checked them; every other jet, F_x, F_y and F_p included, comes from
+    F's factored form by the quotient rule, so ``structure_from_jets``
+    calls no ``Expression.differentiate``."""
     prob = OdeProblem(_parse("q^2/(p+1) + y*p"))
     along, real = [], Expression.differentiate
 
     def recorded(self, coord):
-        if self is prob.F:
-            along.append(coord)
+        along.append(coord)
         return real(self, coord)
 
     monkeypatch.setattr(Expression, "differentiate", recorded)
     invariant_table.structure_from_jets(prob)
     monkeypatch.undo()
-    assert sorted(along) == ["p", "x", "y"]
+    assert along == []
+
+
+def test_a_coordinate_f_does_not_read_takes_no_step(monkeypatch):
+    """``3/2*q^2/(p+2) + 3*p`` reads neither x nor y: every jet along them
+    is zero with no quotient-rule step, and the base takes no derivative
+    of F's denominator along them, so ``factored_jets`` makes no
+    ``_total_deriv_poly`` call along x or y."""
+    prob = OdeProblem(_parse("3/2*q^2/(p+2) + 3*p"))
+    indices = invariant_table._generic_table()[0]
+    along, real = [], Expression._total_deriv_poly
+
+    def recorded(self, p, coord):
+        along.append(coord)
+        return real(self, p, coord)
+
+    monkeypatch.setattr(Expression, "_total_deriv_poly", recorded)
+    jets = invariant_table.factored_jets(prob, indices)[2]
+    monkeypatch.undo()
+    assert along and not {"x", "y"} & set(along)
+    assert all(jet is None for i, jet in zip(indices, jets) if {"x", "y"} & set(i))
+
+
+def _assert_the_base_is_the_derivative_base(rhs):
+    """``factored_jets`` builds its base from F's denominator and its GCD
+    with each of its derivatives, not from F_x, F_y and F_p: the same
+    elements as ``derivative_base``, each once."""
+    prob = OdeProblem(rhs)
+    base = invariant_table.factored_jets(prob, invariant_table._generic_table()[0])[0]
+    expected = derivative_base(prob)
+    assert len(base) == len(set(base)) and set(base) == set(expected), (base, expected)
+
+
+# Denominators that need the split of F's denominator by its GCD with a
+# derivative: a repeated factor, two factors of which only one reads a
+# coordinate, and both.
+_SPLIT_CASES = [
+    "q^2/(p+1)^2",
+    "q^2/((p+1)*(p+x)) + y",
+    "q^2/((p+1)^2*(x+y)^3) + p",
+    "q^2 + 1/(p+x)^2",
+    "(q^2+x)/((p+1)^2*(p+x)) + y/(p^2-x^2)",
+]
+
+# The inputs whose canonical output is large (ROADMAP, "Baseline").
+_LARGE_OUTPUT_CASES = [
+    "q^2/(p+x+y)",
+    "q^2/(p+y+q)",
+    "q^3/(p+y) + x*q/(p-x) + 1/(x+y)",
+    "q^2/(p+x+y+q)",
+    "q^2/(p+x+y+q)^2",
+    "(-q^3 + q^2*y - S(x,y) - y)/(S(x,y) + q - x + y)",
+]
+
+
+@pytest.mark.parametrize(
+    "text",
+    sorted(set(_ORACLE_CASES + _SPLIT_CASES + _LARGE_OUTPUT_CASES)
+           | {r.ode for r in workloads.domain("rational")}),
+)
+def test_the_base_matches_the_derivative_base(text):
+    _assert_the_base_is_the_derivative_base(_parse(text))
+
+
+@given(st.integers(0, 2**32), _denominators())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_the_base_matches_the_derivative_base_on_random_f(seed, den):
+    _assert_the_base_is_the_derivative_base(_random_rhs(seed, den))
 
 
 def test_the_certified_path_takes_no_gcd_and_no_failed_division(monkeypatch):
