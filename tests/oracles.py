@@ -54,9 +54,10 @@ program took before its jets were factored: every jet a reduced
 ``invariant_table.structure_from_jets`` with it.  Each invariant there is
 reduced as the table path reduced it before its reduction was certified
 (``normalized_over_base``): one ``_normalize`` of the whole fraction,
-against which the tests check ``invariant_table._reduced``.  The base it
-factors over is built, as the program built it before it took no
-derivative of F, from F's differentiated jets (``derivative_base``).
+against which the tests check ``invariant_table._reduced``.  The coprime
+base over the denominators of F's differentiated jets, which the program
+built before it read F_x, F_y and F_p off F's factored form, is
+``derivative_base``; the tests compare ``factored_jets``' base with it.
 """
 
 import random

@@ -14,7 +14,9 @@ table on the generic member proves that identity for every member.
 The table path reads F's jets in factored form (``factored_jets``); the
 former path, with every jet a reduced ``Expression`` and a ``Fraction``
 walk, is the reduced-jet oracle (``tests.oracles.reduced_jet_structure``),
-and each factored jet is checked against the ``differentiate`` chain.
+and each factored jet is checked against the ``differentiate`` chain.  The
+coprime base it builds with no derivative of F is checked against the base
+of F's differentiated jets (``tests.oracles.derivative_base``).
 """
 
 import json
