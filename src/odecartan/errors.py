@@ -18,7 +18,9 @@ class UnknownSymbolError(OdeCartanError):
 
 
 class SymbolCollisionError(OdeCartanError):
-    """An opaque-function name clashes with an existing symbol."""
+    """An opaque-function declaration is refused: its name is not a ``str``
+    identifier, is a coordinate or is declared already, or its arguments
+    are not a non-empty list or tuple of distinct x, y, p, q."""
 
 
 class ChartError(OdeCartanError):

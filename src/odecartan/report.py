@@ -536,22 +536,8 @@ def analyze(request):
 
     table = SymbolTable()
     for name, args in request.opaque.items():
-        if not (
-            isinstance(name, str)
-            and isinstance(args, (list, tuple))
-            and all(isinstance(a, str) for a in args)
-        ):
-            raise AnalysisInputError(
-                "bad-opaque",
-                f"opaque {name!r}: need a str name and a list or tuple of str args, got {args!r}",
-            )
-        if not set(args) <= set(J2_CHART.coords) or len(set(args)) < len(args):
-            raise AnalysisInputError(
-                "bad-opaque",
-                f"opaque {name!r}: arguments must be distinct among x, y, p, q, got {list(args)!r}",
-            )
         try:
-            table.declare(name, tuple(args))
+            table.declare(name, args)
         except SymbolCollisionError as exc:
             raise AnalysisInputError("bad-opaque", str(exc)) from exc
     specializations = _parsed_specializations(

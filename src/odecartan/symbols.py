@@ -40,9 +40,7 @@ class Sym:
     def render(self):
         if not self.index:
             return self.name
-        if all(len(c) == 1 for c in self.index):
-            return self.name + "_" + "".join(self.index)
-        return self.name + "_" + "_".join(self.index)
+        return self.name + "_" + "".join(self.index)
 
     def __eq__(self, other):
         return isinstance(other, Sym) and self.key == other.key
@@ -114,17 +112,26 @@ class SymbolTable:
         self._functions = {}
 
     def declare(self, name, args):
-        """Register an opaque function and return its underived jet symbol."""
-        args = tuple(args)
+        """Register an opaque function and return its underived jet symbol.
+
+        ``name`` is a ``str`` identifier that is neither a coordinate nor
+        declared yet; ``args`` is a non-empty list or tuple of distinct
+        names among x, y, p, q.  Each refusal is a ``SymbolCollisionError``
+        whose text is the ``bad-opaque`` message of ``analyze``."""
+        if not (isinstance(name, str) and isinstance(args, (list, tuple))
+                and all(isinstance(a, str) for a in args)):
+            raise SymbolCollisionError(
+                f"opaque {name!r}: need a str name and a list or tuple of str args, got {args!r}")
+        if not set(args) <= set(J2_CHART.coords) or len(set(args)) < len(args):
+            raise SymbolCollisionError(
+                f"opaque {name!r}: arguments must be distinct among x, y, p, q, got {list(args)!r}"
+            )
         if not name.isidentifier():
             raise SymbolCollisionError(f"opaque function name {name!r} is not an identifier")
         if not args:
             raise SymbolCollisionError(f"opaque function {name!r} needs at least one argument")
         if name in _RESERVED_NAMES:
             raise SymbolCollisionError(f"{name!r} is a coordinate name")
-        for a in args:
-            if a not in _RESERVED_NAMES:
-                raise ChartError(f"argument {a!r} of {name!r} is not a known coordinate")
         if name in self._functions:
             raise SymbolCollisionError(f"opaque function {name!r} already declared")
         sym = Sym(name, args)
@@ -137,33 +144,17 @@ class SymbolTable:
     def resolve(self, name):
         """Map a rendered name back to a ``Sym`` (coordinates score first).
 
-        Derivative names are ``base_suffix`` where the suffix is a
-        concatenation (optionally underscore-separated) of argument names.
+        A derivative name is ``base_letters``: each letter is one of the
+        function's arguments, and ``_`` may stand between letters.
         """
         if name in _RESERVED_NAMES:
             return Sym(name)
         base = self.base(name)
         if base is not None:
             return base
-        if "_" in name:
-            head, _, tail = name.partition("_")
-            base = self.base(head)
-            if base is not None and tail:
-                index = _parse_index(tail.replace("_", ""), base.args)
-                if index is not None:
-                    return Sym(head, base.args, index)
+        head, _, tail = name.partition("_")
+        base = self.base(head)
+        letters = tail.replace("_", "")
+        if base is not None and tail and set(letters) <= set(base.args):
+            return Sym(head, base.args, letters)
         raise UnknownSymbolError(f"unknown symbol {name!r}")
-
-
-def _parse_index(text, args):
-    """Greedy split of ``text`` into argument names, with backtracking (a
-    stack of partial splits, so a long name cannot exhaust recursion)."""
-    names = sorted(set(args), key=len)
-    stack = [(0, ())]
-    while stack:
-        pos, acc = stack.pop()
-        if pos == len(text):
-            return acc
-        # the longest name is pushed last, so it is tried first
-        stack.extend((pos + len(a), acc + (a,)) for a in names if text.startswith(a, pos))
-    return None

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from odecartan import (
+    AnalysisRequest,
     ChartError,
     Expression,
     ExpressionSyntaxError,
@@ -20,10 +21,12 @@ from odecartan import (
     SymbolCollisionError,
     SymbolTable,
     UnknownSymbolError,
+    analyze,
     parse_expression,
 )
 from odecartan.errors import ExponentOverflowError, OdeCartanError
 from odecartan.poly import EXPONENT_LIMIT, Poly, factors, poly_gcd
+from odecartan.report import AnalysisInputError
 
 
 @pytest.fixture()
@@ -218,6 +221,58 @@ class TestOpaqueFunctions:
     def test_derivative_names_parse_back(self, table):
         table.declare("A", ("x", "y"))
         assert parse_expression("A_yx", J2_CHART, table).render() == "A_xy"
+
+
+_NOT_A_STR_DECLARATION = "need a str name and a list or tuple of str args"
+_NOT_AMONG_THE_COORDINATES = "arguments must be distinct among x, y, p, q"
+
+
+class TestDeclarationRules:
+    """``SymbolTable.declare`` refuses each declaration that ``analyze``
+    refuses with ``bad-opaque``, by a ``SymbolCollisionError`` of the same
+    text."""
+
+    @pytest.mark.parametrize("name, args, message", [
+        (3, ("x",), f"opaque 3: {_NOT_A_STR_DECLARATION}, got ('x',)"),
+        ("A", "xy", f"opaque 'A': {_NOT_A_STR_DECLARATION}, got 'xy'"),
+        ("A", ("x", 3), f"opaque 'A': {_NOT_A_STR_DECLARATION}, got ('x', 3)"),
+        ("A", ("x", "x"), f"opaque 'A': {_NOT_AMONG_THE_COORDINATES}, got ['x', 'x']"),
+        ("A", ("alpha",), f"opaque 'A': {_NOT_AMONG_THE_COORDINATES}, got ['alpha']"),
+        ("A", ("z",), f"opaque 'A': {_NOT_AMONG_THE_COORDINATES}, got ['z']"),
+        ("1A", ("x",), "opaque function name '1A' is not an identifier"),
+        ("A", (), "opaque function 'A' needs at least one argument"),
+        ("x", ("x",), "'x' is a coordinate name"),
+    ], ids=[
+        "int-name", "str-args", "int-argument", "repeated-argument", "fibre-argument",
+        "adapted-chart-argument", "not-an-identifier", "no-argument", "coordinate-name",
+    ])
+    def test_a_refused_declaration_reads_as_analyze_reads_it(self, table, name, args, message):
+        with pytest.raises(SymbolCollisionError) as refused:
+            table.declare(name, args)
+        assert str(refused.value) == message
+        with pytest.raises(AnalysisInputError) as info:
+            analyze(AnalysisRequest(ode="q^2", opaque={name: args}))
+        assert (info.value.code, str(info.value)) == ("bad-opaque", message)
+
+    def test_a_second_declaration_of_a_name_is_refused(self, table):
+        table.declare("A", ("x", "y"))
+        with pytest.raises(SymbolCollisionError) as refused:
+            table.declare("A", ("x", "y"))
+        assert str(refused.value) == "opaque function 'A' already declared"
+
+    @pytest.mark.parametrize("name, rendered", [
+        ("A_xy", "A_xy"), ("A_yx", "A_xy"), ("A_x_y", "A_xy"), ("H_qpx", "H_pqx"),
+    ])
+    def test_a_jet_name_is_letters_among_the_arguments(self, table, name, rendered):
+        table.declare("A", ("x", "y"))
+        table.declare("H", ("x", "y", "p", "q"))
+        assert parse_expression(name, J2_CHART, table).render() == rendered
+
+    @pytest.mark.parametrize("name", ["A_xz", "A_"])
+    def test_a_jet_name_with_a_letter_outside_the_arguments_is_unknown(self, table, name):
+        table.declare("A", ("x", "y"))
+        with pytest.raises(UnknownSymbolError):
+            parse_expression(name, J2_CHART, table)
 
 
 class TestDifferentiate:
